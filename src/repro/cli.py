@@ -917,6 +917,9 @@ def _cmd_load(args, tracer=NULL_TRACER) -> dict:
     engine = ForegroundEngine(
         stripes, requests, make_planner(), failed_nodes={failed},
         faults=faults,
+        # A crashed client issues nothing; its requests would sit at
+        # zero rate and wedge the drain below.
+        drop_dead_clients=bool(faults),
     )
     result = repair_full_node(
         make_planner(), network, stripes, failed,

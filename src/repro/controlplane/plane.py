@@ -6,7 +6,7 @@ node) over a single shared :class:`~repro.network.simulator.FluidSimulator`:
 
 * a global Eq. 3-style priority queue picks *which* admitted job's head
   stripe starts next (recommendation value across the whole fleet's
-  running tasks, QoS-biased);
+  running tasks; QoS acts through admission and shed order);
 * the admission gate (:mod:`repro.controlplane.admission`) bounds
   concurrent repair streams and in-flight bytes, with priority aging so
   no queued job starves;
@@ -40,7 +40,10 @@ from repro.faults.plan import FaultPlan
 from repro.network.simulator import FluidSimulator
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
-from repro.repair.jobmaster import StripeRepairMaster
+from repro.repair.jobmaster import (
+    StripeRepairMaster,
+    abort_foreground_on_crash,
+)
 from repro.repair.metrics import FullNodeResult
 from repro.repair.pipeline import ExecutionConfig, remaining_bytes_per_edge
 
@@ -154,10 +157,8 @@ class ControlPlane:
         faults: FaultPlan | None = None,
         tracer=NULL_TRACER,
         foreground=None,
-        governor=None,
         slo_monitor=None,
         journal=None,
-        qos_dispatch_bias: float = 0.0,
     ):
         self.sim = sim
         #: Fault-wrapped topology shared by every master (wrap once —
@@ -170,12 +171,7 @@ class ControlPlane:
         self.faults = faults
         self.tracer = tracer
         self.foreground = foreground
-        self.governor = governor
         self.journal = journal
-        #: Weight turning effective priority into a recommendation-value
-        #: bonus at dispatch.  0 (default) keeps dispatch purely Eq. 3 —
-        #: QoS then acts through admission and shed order only.
-        self.qos_dispatch_bias = qos_dispatch_bias
         self.registry = MetricsRegistry()
         #: One injector for the whole fleet; per-master drivers are
         #: re-pointed at it so a fault event announces exactly once.
@@ -217,9 +213,9 @@ class ControlPlane:
                 ) from None
         master = StripeRepairMaster(
             job_id, planner, self.network, stripes, failed_node,
-            sim=self.sim, config=config, tracer=self.tracer,
-            faults=self.faults, retry_policy=retry_policy,
-            journal=self.journal,
+            sim=self.sim, scheme=f"{planner.name}+plane", config=config,
+            tracer=self.tracer, faults=self.faults,
+            retry_policy=retry_policy, journal=self.journal,
         )
         master.driver.advance = self._routed_advance
         master.driver.injector = self.injector
@@ -301,45 +297,20 @@ class ControlPlane:
 
     def _tick_faults(self) -> None:
         self.injector.announce_until(self.sim.now)
-        if self.faults is not None:
-            dead = self.faults.dead_nodes(self.sim.now)
-            newly = dead - self._dead_nodes
-            if newly:
-                self._dead_nodes = dead
-                if self.foreground is not None and hasattr(
-                    self.foreground, "abort_flows_touching"
-                ):
-                    # Flows already crossing a crashed node sit at zero
-                    # rate forever; kill them so the drain terminates.
-                    aborted = self.foreground.abort_flows_touching(newly)
-                    if aborted and self.tracer.enabled:
-                        self.tracer.instant(
-                            "plane.fg_abort", t=self.sim.now, track="plane",
-                            nodes=sorted(newly), flows=aborted,
-                        )
+        abort_foreground_on_crash(
+            self.foreground, self.faults, self._dead_nodes, self.sim,
+            self.tracer,
+        )
         for job in self._admitted():
             job.master.tick()
-            level = self.degradation.level_for(job.master.requeue_events)
+            requeues = job.master.driver.requeue_events
+            level = self.degradation.level_for(requeues)
             if job.master.degrade_to(level):
                 self.admission.record(
                     self.sim.now, "degrade", job, level=level,
-                    requeues=job.master.requeue_events,
+                    requeues=requeues,
                 )
         self._reconcile_owners()
-
-    def _apply_governor(self) -> float | None:
-        if self.governor is None:
-            return None
-        cap = self.governor.repair_rate_cap(self.sim.now, self.foreground)
-        if self.sim.sampler is not None:
-            self.sim.sampler.note_governor_cap(cap)
-        for job in self._admitted():
-            for flight in job.master.in_flight.values():
-                self.sim.set_task_max_rate(flight.handle, cap)
-        self.registry.gauge("repair_rate_cap").set(
-            -1.0 if cap is None else cap
-        )
-        return cap
 
     def _backpressure_step(self) -> None:
         now = self.sim.now
@@ -417,7 +388,7 @@ class ControlPlane:
                     qos=job.qos.name, waited=now - job.enqueued_at,
                 )
 
-    def _dispatch(self, cap: float | None) -> None:
+    def _dispatch(self) -> None:
         """Start admitted jobs' head stripes while tokens and Eq. 3 allow."""
         while True:
             streams = self._active_streams()
@@ -441,11 +412,7 @@ class ControlPlane:
                     plan.tree, plan.bmin, running, self.sim.now,
                     self.scheduler, tracer=self.tracer,
                 )
-                bias = self.qos_dispatch_bias * (
-                    self.admission.effective_priority(job, self.sim.now)
-                )
-                candidates.append((value + bias, -job.index, job,
-                                   stripe, plan))
+                candidates.append((value, -job.index, job, stripe, plan))
             if not candidates:
                 return
             candidates.sort(key=lambda c: (c[0], c[1]), reverse=True)
@@ -474,21 +441,13 @@ class ControlPlane:
                 streams, inflight, self._plan_bytes(job, stripe, plan),
             ):
                 return
-            planning_span = job.master.book.begin_planning(
-                stripe.stripe_id, self.sim.now
-            )
-            self._routed_advance(
-                self.sim.now + plan.effective_planning_seconds
-            )
-            job.master.book.end_planning(
-                planning_span, stripe.stripe_id, self.sim.now
-            )
-            # The detection window may have killed or finished things;
+            planning_span = job.master.charge_planning(stripe, plan)
+            # The planning window may have killed or finished things;
             # re-check the stripe is still this master's to start.
             if stripe not in job.master.pending:
                 continue
             flight = job.master.submit(
-                stripe, plan, max_rate=cap, planning_span=planning_span,
+                stripe, plan, planning_span=planning_span,
             )
             self._owner[flight.handle.task_id] = job.master
             self.admission.record(
@@ -498,7 +457,7 @@ class ControlPlane:
 
     def _plan_bytes(self, job, stripe, plan) -> float:
         """Bytes the stripe's submission would put in flight."""
-        config = job.master._config_for(stripe)
+        config = job.master.config_for(stripe)
         depth = plan.tree.depth() if plan.tree is not None else 1
         start = job.master.driver.resume_slice(stripe, plan)
         per_edge = remaining_bytes_per_edge(config, depth, start)
@@ -544,10 +503,9 @@ class ControlPlane:
                 stack.enter_context(planner.traced(self.tracer))
             while not all(job.terminal for job in self.jobs):
                 self._tick_faults()
-                cap = self._apply_governor()
                 self._backpressure_step()
                 self._admission_step()
-                self._dispatch(cap)
+                self._dispatch()
                 self._finalize_done()
                 if all(job.terminal for job in self.jobs):
                     break
@@ -574,8 +532,4 @@ class ControlPlane:
                 bound,
                 job.master.driver.run_bound(job.master.in_flight),
             )
-        if self.governor is not None and math.isfinite(
-            self.governor.decision_interval
-        ):
-            bound = min(bound, self.sim.now + self.governor.decision_interval)
         return min(bound, max_time)

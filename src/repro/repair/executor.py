@@ -37,6 +37,7 @@ from repro.repair.pipeline import (
     pipeline_bytes_per_edge,
     pipeline_overhead_seconds,
     remaining_bytes_per_edge,
+    verified_watermark,
 )
 from repro.repair.telemetry import registry_from_run
 from repro.resilience.health import HealthMonitor, HealthPolicy
@@ -287,59 +288,6 @@ class _Hedge:
     span: int | None = None
 
 
-def _drive_attempt(
-    sim: FluidSimulator,
-    handle: TaskHandle,
-    tree_nodes: set[int],
-    faults: FaultPlan,
-    policy: RetryPolicy,
-) -> _Failure | None:
-    """Advance the simulation until ``handle`` finishes or fails.
-
-    Failure means: a tree node died or lost its chunk, or the task's
-    rate sat at zero for ``detection_timeout`` (stalled helper, collapsed
-    link).  The loop bounds every advance by the next fault event so a
-    crash can never strand the fluid model in a zero-rate stuck state.
-    Returns ``None`` on completion, else the detected :class:`_Failure`.
-    """
-    stalled_since: float | None = None
-    while not handle.done:
-        now = sim.now
-        dead = sorted(n for n in tree_nodes if faults.is_dead(n, now))
-        bad = sorted(
-            n for n in tree_nodes
-            if faults.chunk_unreadable(n, now) and n not in dead
-        )
-        if dead or bad:
-            kind = "crash" if dead else "readerr"
-            return _Failure(kind=kind, nodes=dead + bad, time=now)
-        bound = min(
-            faults.next_failure_affecting(tree_nodes, now),
-            faults.next_change_after(now),
-        )
-        if sim.current_rate(handle) <= 1e-12:
-            if stalled_since is None:
-                stalled_since = now
-            deadline = stalled_since + policy.detection_timeout
-            if now >= deadline:
-                culprits = sorted(
-                    n for n in tree_nodes
-                    if faults.capacity_factor(n, "up", now) == 0.0
-                    or faults.capacity_factor(n, "down", now) == 0.0
-                )
-                return _Failure(kind="stall", nodes=culprits, time=now)
-            bound = min(bound, deadline)
-        else:
-            stalled_since = None
-        try:
-            sim.run_until_completion(max_time=bound)
-        except SimulationError:
-            # Zero-rate with no future capacity change: treat as a stall
-            # detected on the spot rather than crashing the run.
-            return _Failure(kind="stuck", nodes=[], time=sim.now)
-    return None
-
-
 def _drive_attempt_hedged(
     sim: FluidSimulator,
     handle: TaskHandle,
@@ -361,15 +309,22 @@ def _drive_attempt_hedged(
     journal,
     task_span: int | None = None,
 ) -> tuple[_Failure | None, _Hedge | None, int]:
-    """Like :func:`_drive_attempt`, plus gray-failure hedging.
+    """Advance the simulation until ``handle`` finishes or fails.
 
-    While the primary flow runs, ``monitor`` checks its relative progress
-    on the simulated-time grid.  On a straggler verdict a *hedge* — an
-    alternate tree over the non-culprit survivors, fetching only the
-    remaining slice range — is submitted under the ``hedge`` traffic class
-    and raced against the primary; whichever finishes first wins, the
-    loser is cancelled (its bytes stay accounted in the ``hedge`` bucket).
-    Returns ``(failure, adopted_hedge, hedges_launched)``.
+    Failure means: a tree node died or lost its chunk, or the task's
+    rate sat at zero for ``detection_timeout`` (stalled helper, collapsed
+    link).  The loop bounds every advance by the next fault event so a
+    crash can never strand the fluid model in a zero-rate stuck state.
+
+    With a ``monitor`` (gray-failure hedging on) the primary flow's
+    relative progress is also checked on the simulated-time grid.  On a
+    straggler verdict a *hedge* — an alternate tree over the non-culprit
+    survivors, fetching only the remaining slice range — is submitted
+    under the ``hedge`` traffic class and raced against the primary;
+    whichever finishes first wins, the loser is cancelled (its bytes stay
+    accounted in the ``hedge`` bucket).  ``monitor=None`` never hedges.
+    Returns ``(failure, adopted_hedge, hedges_launched)``; ``failure`` is
+    ``None`` on completion.
     """
     stalled_since: float | None = None
     hedge: _Hedge | None = None
@@ -407,12 +362,9 @@ def _drive_attempt_hedged(
             hedge_plan = planner.plan(snapshot, requestor, alternates, k)
         except PlanningError:
             return None
-        progress = sim.task_progress(handle)
-        attempt_slices = config.slices - watermark
-        verified = max(
-            0, int(progress * attempt_slices) - (plan.tree.depth() - 1)
+        start_slice = verified_watermark(
+            config, plan.tree.depth(), watermark, sim.task_progress(handle)
         )
-        start_slice = min(watermark + verified, config.slices - 1)
         hedge_tree = hedge_plan.tree
         primary_span = sim.task_span(handle)
         hedge_handle = sim.submit_pipelined(
@@ -724,26 +676,17 @@ def repair_single_chunk_faulted(
                     helpers=sorted(plan.helpers), watermark=watermark,
                     bmin=plan.bmin,
                 )
-            adopted = None
-            if health is not None:
-                monitor = (
-                    HealthMonitor(
-                        health, sim, handle, plan, snapshot, tree_nodes
-                    )
-                    if hedges < health.max_hedges
-                    else None
+            monitor = None
+            if health is not None and hedges < health.max_hedges:
+                monitor = HealthMonitor(
+                    health, sim, handle, plan, snapshot, tree_nodes
                 )
-                failure, adopted, launched = _drive_attempt_hedged(
-                    sim, handle, plan, tree_nodes, faults, policy, monitor,
-                    planner, net, requestor, usable, k, config, watermark,
-                    attempts, tracer, registry, journal,
-                    task_span=task_span,
-                )
-                hedges += launched
-            else:
-                failure = _drive_attempt(
-                    sim, handle, tree_nodes, faults, policy
-                )
+            failure, adopted, launched = _drive_attempt_hedged(
+                sim, handle, plan, tree_nodes, faults, policy, monitor,
+                planner, net, requestor, usable, k, config, watermark,
+                attempts, tracer, registry, journal, task_span=task_span,
+            )
+            hedges += launched
             injector.announce_until(sim.now)
             if failure is None:
                 if adopted is not None:
@@ -813,17 +756,13 @@ def repair_single_chunk_faulted(
                 # range, so it contributes nothing (earlier attempts'
                 # verified segments stay good).
                 if failure.kind != "readerr" and not handle.done:
-                    progress = sim.task_progress(handle)
-                    attempt_slices = config.slices - watermark
-                    verified = max(
-                        0,
-                        int(progress * attempt_slices) - (tree.depth() - 1),
+                    verified = verified_watermark(
+                        config, tree.depth(), watermark,
+                        sim.task_progress(handle),
                     )
-                    if verified > 0:
+                    if verified > watermark:
                         segments.append((plan, watermark))
-                        watermark = min(
-                            watermark + verified, config.slices - 1
-                        )
+                        watermark = verified
                 if journal is not None:
                     journal.append(
                         "attempt_failed", t=sim.now, attempt=attempts,

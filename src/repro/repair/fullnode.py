@@ -1,6 +1,11 @@
-"""Full-node repair orchestration (Section IV-E, Experiment 6).
+"""Single-job full-node repair (Section IV-E, Experiment 6).
 
-Repairs every lost chunk of a failed node.  Two orchestrators:
+Repairs every lost chunk of one failed node on a fresh simulator.  The
+repair itself — planning against residual bandwidth, charging planning
+time, submitting, collecting, checkpointing and re-planning on faults —
+is :class:`~repro.repair.jobmaster.StripeRepairMaster`; this module is
+the event loop that drives one master to completion, in two flavours
+that differ only in which pending stripe starts next:
 
 * :func:`repair_full_node` — fixed-concurrency window: stripes are repaired
   in order, keeping ``concurrency`` single-chunk repairs in flight.  Used
@@ -10,377 +15,58 @@ Repairs every lost chunk of a failed node.  Two orchestrators:
   bandwidths, ranked by recommendation value (Eq. 3), and started while the
   best value clears the threshold.
 
-Each task's requestor is the node with the most available downlink among
-nodes not holding a chunk of the stripe ("PivotRepair always selects the
-node that has the most downlink bandwidth as the requestor"), so requestors
-spread across the cluster.  Planning happens serially at the Master and its
-wall-clock cost advances the simulated clock — this is what sinks PPT at
-large k in Figure 7.
+The fleet control plane (:mod:`repro.controlplane`) is the third driver
+of the same master, over a simulator shared by several repairs.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
 
-from repro.core.bandwidth_view import BandwidthSnapshot
-from repro.core.plan import RepairPlan, RepairPlanner
-from repro.core.scheduler import (
-    RunningTask,
-    SchedulerConfig,
-    recommendation_value,
-)
+from repro.core.plan import RepairPlanner
+from repro.core.scheduler import SchedulerConfig, recommendation_value
 from repro.ec.stripe import Stripe
 from repro.exceptions import ClusterError, PlanningError
-from repro.faults.injector import FaultInjector
 from repro.faults.network import FaultyNetwork
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
-from repro.network.simulator import FluidSimulator, TaskHandle
+from repro.network.simulator import FluidSimulator
 from repro.network.topology import StarNetwork
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
-from repro.repair.metrics import FullNodeResult, RepairFailed, RepairResult
-from repro.repair.pipeline import ExecutionConfig, remaining_bytes_per_edge
+from repro.repair.jobmaster import (  # noqa: F401 - re-exported names
+    StripeRepairMaster,
+    _FaultDriver,
+    abort_foreground_on_crash,
+    choose_requestor,
+    residual_snapshot,
+)
+from repro.repair.metrics import FullNodeResult
+from repro.repair.pipeline import ExecutionConfig
 from repro.repair.telemetry import registry_from_run
 
 logger = logging.getLogger(__name__)
 
-
-def choose_requestor(
-    snapshot: BandwidthSnapshot,
-    stripe: Stripe,
-    failed_node: int,
-    node_count: int,
-    exclude: frozenset[int] | set[int] = frozenset(),
-) -> int:
-    """Requestor = max-downlink node not already holding a stripe chunk.
-
-    ``exclude`` removes nodes that cannot serve (crashed under a fault
-    plan).
-    """
-    holders = set(stripe.surviving_nodes(failed_node))
-    outside = [
-        node
-        for node in range(node_count)
-        if node != failed_node and node not in holders and node not in exclude
-    ]
-    if not outside:
-        raise ClusterError(
-            f"stripe {stripe.stripe_id}: no node available as requestor"
-        )
-    return max(outside, key=lambda node: (snapshot.down_of(node), -node))
-
-
-@dataclass
-class _InFlight:
-    handle: TaskHandle
-    plan: RepairPlan
-    running: RunningTask
-    stripe: Stripe | None = None
-    tree_nodes: frozenset[int] = field(default_factory=frozenset)
-    #: Per-edge bytes the submission actually carries (shrinks when the
-    #: task resumed from a checkpointed slice watermark).
-    bytes_per_edge: float = 0.0
-    #: First slice this flight delivers (> 0 on a resumed re-plan).
-    start_slice: int = 0
-    #: Execution config the flight was submitted with.  The control plane
-    #: submits degraded flights with a coarser slice width; watermark
-    #: accounting must use the config the bytes were actually cut with,
-    #: not the orchestrator-wide default.
-    config: ExecutionConfig | None = None
-
-
-class _SpanBook:
-    """Per-stripe ``repair.task`` spans — the causal roots of a run.
-
-    One span per stripe opens on track ``repair:<stripe_id>`` the moment
-    the orchestrator accepts the work, so time spent waiting in the
-    concurrency window or the Eq. 3 recommendation queue is *inside* the
-    span; it closes when the stripe's chunk is rebuilt (at the flow's
-    exact finish time) or abandoned.  Planning windows, flows, re-plans
-    and slice-watermark resumes all hang off it via ``parent_id`` /
-    ``links``, which is what :mod:`repro.obs.critpath` walks to
-    reconstruct each repair's critical path.
-    """
-
-    def __init__(self, tracer, stripes: Sequence[Stripe], t: float,
-                 scheme: str, job: str | None = None):
-        self.tracer = tracer
-        self.enabled = tracer.enabled
-        #: Fleet-run job id; single-master runs leave it None.  Stamped
-        #: on every ``repair.task`` span (the critical-path analyzer uses
-        #: it to blame contention on a *rival repair job*, not just a
-        #: tenant) and folded into the track name so two jobs repairing
-        #: stripes with colliding ids never share a track.
-        self.job = job
-        self.spans: dict[int, int] = {}
-        #: stripe_id -> span of the stripe's most recent flow (a re-plan
-        #: or resume links its new flow to the one it replaces).
-        self.last_flow: dict[int, int] = {}
-        if self.enabled:
-            for stripe in stripes:
-                self.spans[stripe.stripe_id] = tracer.begin(
-                    "repair.task", t=t, track=self.track(stripe.stripe_id),
-                    stripe=stripe.stripe_id, scheme=scheme,
-                    **({"job": job} if job is not None else {}),
-                )
-
-    def track(self, stripe_id: int) -> str:
-        if self.job is not None:
-            return f"repair:{self.job}/{stripe_id}"
-        return f"repair:{stripe_id}"
-
-    def parent(self, stripe_id: int | None) -> int | None:
-        if stripe_id is None:
-            return None
-        return self.spans.get(stripe_id)
-
-    def begin_planning(self, stripe_id: int, t: float) -> int | None:
-        """Open the span covering a stripe's serial-planning clock charge."""
-        if not self.enabled:
-            return None
-        return self.tracer.begin(
-            "repair.planning", t=t, track=self.track(stripe_id),
-            parent_id=self.spans.get(stripe_id), stripe=stripe_id,
-        )
-
-    def end_planning(self, span: int | None, stripe_id: int,
-                     t: float) -> None:
-        if span is not None:
-            self.tracer.end(
-                "repair.planning", t=t, span_id=span,
-                track=self.track(stripe_id),
-            )
-
-    def note_flow(self, stripe_id: int, flow_span: int | None) -> None:
-        if self.enabled and flow_span is not None:
-            self.last_flow[stripe_id] = flow_span
-
-    def flow_links(
-        self, stripe_id: int, planning_span: int | None
-    ) -> tuple[int, ...]:
-        links = []
-        previous = self.last_flow.get(stripe_id)
-        if previous is not None:
-            links.append(previous)
-        if planning_span is not None:
-            links.append(planning_span)
-        return tuple(links)
-
-    def end_task(self, stripe_id: int | None, t: float, **fields) -> None:
-        span = self.spans.pop(stripe_id, None) if stripe_id is not None \
-            else None
-        if span is not None:
-            self.tracer.end(
-                "repair.task", t=t, span_id=span,
-                track=self.track(stripe_id), **fields,
-            )
-
-
-def residual_snapshot(
-    network: StarNetwork, sim: FluidSimulator
-) -> BandwidthSnapshot:
-    """Available bandwidth net of in-flight repair traffic.
-
-    The Master measures instantaneous link usage (the paper uses ``nload``),
-    which includes the repair tasks already running; planning against the
-    residual keeps concurrent repair trees from piling onto the same pivots.
-    """
-    base = BandwidthSnapshot.from_network(network, sim.now)
-    used_up, used_down = sim.current_usage()
-    up = {
-        node: max(base.up[node] - used_up.get(node, 0.0), 0.0)
-        for node in base.up
-    }
-    down = {
-        node: max(base.down[node] - used_down.get(node, 0.0), 0.0)
-        for node in base.down
-    }
-    return BandwidthSnapshot(up=up, down=down, time=sim.now)
-
-
-def _plan_stripe(
-    planner: RepairPlanner,
-    network: StarNetwork,
-    sim: FluidSimulator,
-    stripe: Stripe,
-    failed_node: int,
-    faults: FaultPlan | None = None,
-    preferred_requestor: int | None = None,
-) -> RepairPlan:
-    """Plan one stripe against residual bandwidth.
-
-    ``preferred_requestor`` pins the requestor (checkpoint/resume: the
-    verified slices live on that node's disk, so re-planning elsewhere
-    would forfeit them); it is ignored if that node has since died.
-    """
-    snapshot = residual_snapshot(network, sim)
-    unusable: set[int] = set()
-    if faults is not None and faults:
-        unusable = faults.dead_nodes(sim.now) | faults.unreadable_nodes(
-            sim.now
-        )
-    dead = faults.dead_nodes(sim.now) if faults else frozenset()
-    if preferred_requestor is not None and preferred_requestor not in dead:
-        requestor = preferred_requestor
-    else:
-        requestor = choose_requestor(
-            snapshot, stripe, failed_node, len(network), exclude=dead,
-        )
-    candidates = [
-        node
-        for node in stripe.surviving_nodes(failed_node)
-        if node not in unusable
-    ]
-    if len(candidates) < stripe.code.k:
-        raise ClusterError(
-            f"stripe {stripe.stripe_id}: only {len(candidates)} helpers "
-            f"survive, need k={stripe.code.k}"
-        )
-    plan = planner.plan(snapshot, requestor, candidates, stripe.code.k)
-    plan.notes["stripe_id"] = stripe.stripe_id
-    plan.notes["planned_at"] = sim.now
-    return plan
-
-
-def _submit(
-    sim: FluidSimulator,
-    plan: RepairPlan,
-    config: ExecutionConfig,
-    stripe: Stripe | None = None,
-    max_rate: float | None = None,
-    start_slice: int = 0,
-    book: _SpanBook | None = None,
-    planning_span: int | None = None,
-) -> _InFlight:
-    if not plan.is_pipelined:
-        raise ClusterError(
-            "full-node orchestration supports pipelined plans only"
-        )
-    tree = plan.tree
-    bytes_per_edge = remaining_bytes_per_edge(config, tree.depth(), start_slice)
-    parent = None
-    links: tuple[int, ...] = ()
-    meta = None
-    if book is not None and book.enabled and stripe is not None:
-        parent = book.parent(stripe.stripe_id)
-        links = book.flow_links(stripe.stripe_id, planning_span)
-        meta = {
-            "stripe": stripe.stripe_id, "bmin": plan.bmin,
-            "start_slice": start_slice,
-        }
-    handle = sim.submit_pipelined(
-        tree.edges(), bytes_per_edge,
-        label=f"{plan.scheme}-r{plan.requestor}", max_rate=max_rate,
-        parent_id=parent, links=links, meta=meta,
-    )
-    if book is not None and stripe is not None:
-        book.note_flow(stripe.stripe_id, sim.task_span(handle))
-    expected = bytes_per_edge / plan.bmin if plan.bmin > 0 else bytes_per_edge
-    running = RunningTask(
-        tree=tree, start_time=sim.now, expected_seconds=expected
-    )
-    return _InFlight(
-        handle=handle, plan=plan, running=running, stripe=stripe,
-        tree_nodes=frozenset({tree.root, *tree.helpers}),
-        bytes_per_edge=bytes_per_edge, start_slice=start_slice,
-        config=config,
-    )
-
-
-def _collect(
-    finished: Sequence[TaskHandle],
-    in_flight: dict[int, _InFlight],
-    results: list[RepairResult],
-    registry: MetricsRegistry | None = None,
-    config: ExecutionConfig | None = None,
-    on_repaired=None,
-    journal=None,
-    sim: FluidSimulator | None = None,
-    book: _SpanBook | None = None,
-) -> None:
-    for handle in finished:
-        flight = in_flight.pop(handle.task_id)
-        if book is not None and flight.stripe is not None:
-            # Close at the flow's exact finish time (collection can lag
-            # behind completion by a planning window): the span duration
-            # is the stripe's measured makespan the critical path must
-            # sum to.
-            book.end_task(
-                flight.stripe.stripe_id, t=handle.finish_time,
-                transfer_seconds=handle.duration,
-                requestor=flight.plan.requestor,
-            )
-        tree = flight.plan.tree
-        bytes_moved = 0.0
-        if config is not None and tree is not None:
-            # A resumed flight only carries the slices past its watermark,
-            # so charge what it actually moved, not the full chunk.
-            bytes_moved = flight.bytes_per_edge * len(tree.edges())
-        results.append(
-            RepairResult(
-                scheme=flight.plan.scheme,
-                planning_seconds=flight.plan.effective_planning_seconds,
-                transfer_seconds=handle.duration,
-                bmin=flight.plan.bmin,
-                plan=flight.plan,
-                bytes_transferred=bytes_moved,
-            )
-        )
-        if registry is not None:
-            registry.histogram("task_seconds").observe(handle.duration)
-            registry.histogram("planner_seconds").observe(
-                flight.plan.effective_planning_seconds
-            )
-        if journal is not None and flight.stripe is not None:
-            journal.append(
-                "task_done",
-                t=sim.now if sim is not None else 0.0,
-                stripe=flight.stripe.stripe_id,
-                scheme=flight.plan.scheme,
-                start_slice=flight.start_slice,
-            )
-        if on_repaired is not None and flight.stripe is not None:
-            on_repaired(flight)
-
-
-def _run_telemetry(
-    sim: FluidSimulator, tracer, registry: MetricsRegistry
-) -> dict:
-    return registry_from_run(sim, tracer, registry=registry).snapshot()
+#: Dispatch step of the single-job loop: start pending stripes of the
+#: master (per-flow rate cap given) until the policy says wait.
+Dispatch = Callable[[StripeRepairMaster, float | None], None]
 
 
 # ----------------------------------------------------------------------
 # Foreground traffic and repair QoS (repro.loadgen)
 # ----------------------------------------------------------------------
-# The orchestrators accept an optional ForegroundEngine and
-# RepairQoSGovernor.  Every clock movement is funnelled through the two
-# helpers below so client arrivals are injected at their due times and
-# foreground completions never reach the repair collection path; with
-# ``foreground=None`` and ``governor=None`` each helper collapses to the
-# exact pre-loadgen call, keeping the repair-only path byte-identical
-# (guarded by tests/loadgen/test_equivalence.py).
-
-def _advance(sim: FluidSimulator, foreground, t: float):
-    """Advance the clock to ``t``; returns completed repair handles."""
-    if foreground is None:
-        return sim.advance_to(t)
-    return foreground.drive_to(t)
-
-
-def _run_until_event(sim: FluidSimulator, foreground, max_time: float):
-    """Run until a repair task completes (or ``max_time``)."""
-    if foreground is None:
-        return sim.run_until_completion(max_time=max_time)
-    return foreground.run_until_repair_event(max_time=max_time)
-
+# The drivers accept an optional ForegroundEngine and RepairQoSGovernor.
+# Every clock movement goes through the engine's ``drive_to`` /
+# ``run_until_repair_event`` when one is attached, so client arrivals
+# are injected at their due times and foreground completions never reach
+# the repair collection path; with ``foreground=None`` and
+# ``governor=None`` the loop makes the exact pre-loadgen simulator calls,
+# keeping the repair-only path byte-identical (guarded by
+# tests/loadgen/test_equivalence.py).
 
 def _apply_governor(
-    governor, foreground, sim: FluidSimulator,
-    in_flight: dict[int, _InFlight], registry: MetricsRegistry, tracer,
+    governor, foreground, master: StripeRepairMaster
 ) -> float | None:
     """Consult the governor; retune every in-flight repair pipeline.
 
@@ -390,17 +76,18 @@ def _apply_governor(
     """
     if governor is None:
         return None
+    sim = master.sim
     cap = governor.repair_rate_cap(sim.now, foreground)
     if sim.sampler is not None:
         sim.sampler.note_governor_cap(cap)
-    for flight in in_flight.values():
+    for flight in master.in_flight.values():
         sim.set_task_max_rate(flight.handle, cap)
-    registry.gauge("repair_rate_cap").set(-1.0 if cap is None else cap)
-    if tracer.enabled:
-        tracer.instant(
+    master.registry.gauge("repair_rate_cap").set(-1.0 if cap is None else cap)
+    if master.tracer.enabled:
+        master.tracer.instant(
             "governor.decision", t=sim.now, track="governor",
             policy=governor.name, cap=-1.0 if cap is None else cap,
-            in_flight=len(in_flight),
+            in_flight=len(master.in_flight),
         )
     return cap
 
@@ -421,256 +108,76 @@ def _note_progress(sim: FluidSimulator, completed: int, total: int) -> None:
     sampler.tsdb.record("repairs_completed", sim.now, completed)
 
 
-def _event_bound(
-    driver: _FaultDriver, in_flight: dict[int, _InFlight],
-    sim: FluidSimulator, governor,
-) -> float:
-    """How far the simulator may free-run before the next decision point."""
-    bound = driver.run_bound(in_flight)
-    if governor is not None and math.isfinite(governor.decision_interval):
-        bound = min(bound, sim.now + governor.decision_interval)
-    return bound
+def _repair_single_job(
+    scheme: str,
+    dispatch: Dispatch,
+    planner: RepairPlanner,
+    network: StarNetwork,
+    stripes: Sequence[Stripe],
+    failed_node: int,
+    config: ExecutionConfig | None,
+    start_time: float,
+    tracer,
+    faults: FaultPlan | None,
+    retry_policy: RetryPolicy | None,
+    foreground,
+    governor,
+    sampler,
+    journal,
+) -> FullNodeResult:
+    """Drive one master on a fresh simulator until its node is repaired.
 
-
-def _repaired_callback(foreground, failed_node: int):
-    """Completion hook telling the engine where rebuilt chunks now live."""
-    if foreground is None:
-        return None
-
-    def on_repaired(flight: _InFlight) -> None:
-        chunk_index = flight.stripe.chunk_on_node(failed_node)
-        if chunk_index is not None:
-            foreground.note_repaired(
-                flight.stripe, chunk_index, flight.plan.requestor
-            )
-
-    return on_repaired
-
-
-class _FaultDriver:
-    """Fault handling shared by the full-node orchestrators.
-
-    Watches the fault plan as simulated time advances: announces events,
-    cancels in-flight repairs whose tree lost a node (after the policy's
-    detection timeout), requeues their stripes for re-planning, and
-    records stripes that became unrepairable as clean
-    :class:`RepairFailed` entries.  With an empty plan every method is a
-    cheap no-op, so the fault-free paths behave exactly as before.
-
-    With ``config`` set the driver also keeps slice-level progress
-    watermarks: before a doomed flight is cancelled, its verified slice
-    count (pipeline depth subtracted — slices still in flight are not
-    trusted) is recorded, journaled when a ``journal`` is attached, and
-    offered back through :meth:`resume_slice` so the re-planned task
-    transfers only the remaining slice range.
+    Each round: fault tick, governor, ``dispatch`` (the only step the
+    two public drivers differ in), then free-run to the next repair
+    completion, fault or governor decision point and collect.
     """
-
-    def __init__(
-        self,
-        faults: FaultPlan | None,
-        policy: RetryPolicy | None,
-        sim: FluidSimulator,
-        scheme: str,
-        tracer,
-        registry: MetricsRegistry,
-        config: ExecutionConfig | None = None,
-        journal=None,
-    ):
-        self.faults = faults if faults is not None else FaultPlan.none()
-        self.policy = policy or RetryPolicy()
-        self.sim = sim
-        self.scheme = scheme
-        self.tracer = tracer
-        self.registry = registry
-        self.config = config
-        self.journal = journal
-        self.active = bool(self.faults)
-        #: Clock-advance hook; orchestrators with foreground traffic swap
-        #: in the engine's drive so arrivals land inside detection windows.
-        self.advance = sim.advance_to
-        self.injector = FaultInjector(self.faults, tracer, registry)
-        self.requeued_ids: set[int] = set()
-        self.failures: list[RepairFailed] = []
-        self.start_time = sim.now
-        #: stripe_id -> (verified slice watermark, requestor that holds it).
-        self.watermarks: dict[int, tuple[int, int]] = {}
-        #: Attached by the orchestrators; parents fault instants to their
-        #: stripe's repair span and closes spans of aborted stripes.
-        self.book: _SpanBook | None = None
-
-    def _parent(self, stripe_id: int | None) -> int | None:
-        if self.book is None:
-            return None
-        return self.book.parent(stripe_id)
-
-    def tick(
-        self,
-        in_flight: dict[int, _InFlight],
-        pending: list[Stripe],
-        collect,
-    ) -> None:
-        """Cancel flights doomed by faults at the current time; requeue."""
-        if not self.active:
-            return
-        self.injector.announce_until(self.sim.now)
-        unusable = self.faults.dead_nodes(self.sim.now)
-        unusable |= self.faults.unreadable_nodes(self.sim.now)
-        if not unusable:
-            return
-        doomed = [
-            task_id
-            for task_id, flight in in_flight.items()
-            if flight.tree_nodes & unusable
-        ]
-        if not doomed:
-            return
-        # Detection latency: healthy flights keep transferring while the
-        # Master notices the failure.
-        done = self.advance(self.sim.now + self.policy.detection_timeout)
-        collect(done)
-        self.injector.announce_until(self.sim.now)
-        unreadable = self.faults.unreadable_nodes(self.sim.now)
-        for task_id in doomed:
-            flight = in_flight.pop(task_id, None)
-            if flight is None:  # finished inside the detection window
+    config = config or ExecutionConfig()
+    network = FaultyNetwork.wrap(network, faults)
+    sim = FluidSimulator(
+        network, start_time=start_time, tracer=tracer, sampler=sampler,
+        engine=config.engine,
+    )
+    master = StripeRepairMaster(
+        None, planner, network, stripes, failed_node, sim=sim, scheme=scheme,
+        config=config, tracer=tracer, faults=faults,
+        retry_policy=retry_policy, journal=journal,
+    )
+    logger.info(
+        "full-node repair (%s): node %d, %d stripes",
+        scheme, failed_node, len(master.pending),
+    )
+    run_until_event = sim.run_until_completion
+    if foreground is not None:
+        foreground.bind(sim, network)
+        master.driver.advance = foreground.drive_to
+        run_until_event = foreground.run_until_repair_event
+        master.on_chunk_repaired = foreground.note_repaired
+    known_dead: set[int] = set()
+    total_stripes = len(master.pending)
+    _note_progress(sim, 0, total_stripes)
+    with planner.traced(tracer):
+        while not master.done:
+            abort_foreground_on_crash(
+                foreground, faults, known_dead, sim, tracer
+            )
+            master.tick()
+            cap = _apply_governor(governor, foreground, master)
+            dispatch(master, cap)
+            if not master.in_flight:
                 continue
-            lost = sorted(flight.tree_nodes & unusable)
-            self._record_watermark(flight, lost, unreadable)
-            self.sim.cancel_task(flight.handle)
-            self.registry.counter("flows_cancelled").inc()
-            self.registry.counter("fault_detections").inc()
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "repair.detect", t=self.sim.now, track="executor",
-                    parent_id=self._parent(
-                        flight.plan.notes.get("stripe_id")
-                    ),
-                    stripe=flight.plan.notes.get("stripe_id"),
-                    nodes=lost, kind="crash",
-                )
-            if flight.stripe is not None:
-                pending.append(flight.stripe)
-                self.requeued_ids.add(flight.stripe.stripe_id)
-
-    def _record_watermark(
-        self,
-        flight: _InFlight,
-        lost: list[int],
-        unreadable: frozenset[int] | set[int],
-    ) -> None:
-        """Checkpoint the doomed flight's verified slice progress.
-
-        Slices still inside the pipeline (one per tree level) have not
-        reached the requestor, so they are subtracted; a flight doomed
-        purely by corrupted reads (``readerr``) contributes nothing —
-        its delivered bytes cannot be trusted.
-        """
-        if (
-            (flight.config or self.config) is None
-            or flight.stripe is None
-            or flight.plan.tree is None
-        ):
-            return
-        if lost and all(node in unreadable for node in lost):
-            return
-        config = flight.config or self.config
-        progress = self.sim.task_progress(flight.handle)
-        attempt_slices = config.slices - flight.start_slice
-        verified = max(
-            0,
-            int(progress * attempt_slices) - (flight.plan.tree.depth() - 1),
-        )
-        watermark = min(
-            flight.start_slice + verified, config.slices - 1
-        )
-        if watermark <= 0:
-            return
-        stripe_id = flight.stripe.stripe_id
-        self.watermarks[stripe_id] = (watermark, flight.plan.requestor)
-        if self.journal is not None:
-            self.journal.append(
-                "progress", t=self.sim.now, stripe=stripe_id,
-                watermark=watermark, requestor=flight.plan.requestor,
-            )
-
-    def preferred_requestor(self, stripe: Stripe) -> int | None:
-        """Requestor holding this stripe's verified slices, if it lives."""
-        recorded = self.watermarks.get(stripe.stripe_id)
-        if recorded is None:
-            return None
-        _, requestor = recorded
-        if requestor in self.faults.dead_nodes(self.sim.now):
-            return None
-        return requestor
-
-    def resume_slice(self, stripe: Stripe, plan: RepairPlan) -> int:
-        """First slice the re-planned task must fetch (0 = from scratch).
-
-        The watermark is only honoured when the re-plan lands on the same
-        requestor — verified slices live on the requestor's disk, and a
-        different requestor holds none of them.
-        """
-        recorded = self.watermarks.get(stripe.stripe_id)
-        if recorded is None:
-            return 0
-        watermark, requestor = recorded
-        if plan.requestor != requestor:
-            return 0
-        return watermark
-
-    def note_started(self, stripe: Stripe, plan: RepairPlan) -> None:
-        """Count a re-plan when a previously killed stripe restarts."""
-        if stripe.stripe_id not in self.requeued_ids:
-            return
-        self.requeued_ids.discard(stripe.stripe_id)
-        self.registry.counter("replans").inc()
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "repair.replan", t=self.sim.now, track="executor",
-                parent_id=self._parent(stripe.stripe_id),
-                stripe=stripe.stripe_id, requestor=plan.requestor,
-                helpers=sorted(plan.helpers), bmin=plan.bmin,
-            )
-
-    def abort_stripe(self, stripe: Stripe, reason: str) -> None:
-        """Record a stripe that can no longer be repaired."""
-        self.requeued_ids.discard(stripe.stripe_id)
-        self.registry.counter("repairs_failed").inc()
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "repair.failed", t=self.sim.now, track="executor",
-                parent_id=self._parent(stripe.stripe_id),
-                stripe=stripe.stripe_id, reason=reason,
-            )
-            if self.book is not None:
-                self.book.end_task(
-                    stripe.stripe_id, t=self.sim.now, failed=True,
-                )
-        logger.warning(
-            "stripe %d unrepairable: %s", stripe.stripe_id, reason
-        )
-        self.failures.append(
-            RepairFailed(
-                scheme=self.scheme,
-                reason=reason,
-                elapsed_seconds=self.sim.now - self.start_time,
-                stripe_id=stripe.stripe_id,
-            )
-        )
-
-    def run_bound(self, in_flight: dict[int, _InFlight]) -> float:
-        """Latest time the simulator may free-run to before a fault check."""
-        if not self.active:
-            return math.inf
-        return min(
-            (
-                self.faults.next_failure_affecting(
-                    flight.tree_nodes, self.sim.now
-                )
-                for flight in in_flight.values()
-            ),
-            default=math.inf,
-        )
+            # Free-run until the next decision point: a repair
+            # completion, a fault touching a flight, or the governor's
+            # next look.
+            bound = master.driver.run_bound(master.in_flight)
+            if governor is not None and math.isfinite(
+                governor.decision_interval
+            ):
+                bound = min(bound, sim.now + governor.decision_interval)
+            master.collect(run_until_event(max_time=bound))
+            _note_progress(sim, len(master.results), total_stripes)
+    return master.build_result(
+        registry_from_run(sim, tracer, registry=master.registry).snapshot()
+    )
 
 
 def repair_full_node(
@@ -689,7 +196,7 @@ def repair_full_node(
     sampler=None,
     journal=None,
 ) -> FullNodeResult:
-    """Fixed-concurrency full-node repair (the non-adaptive orchestrator).
+    """Fixed-concurrency full-node repair (the non-adaptive driver).
 
     ``foreground`` (a :class:`~repro.loadgen.ForegroundEngine`) injects
     client traffic as competing flows on the same simulator; ``governor``
@@ -706,100 +213,19 @@ def repair_full_node(
     """
     if concurrency < 1:
         raise ClusterError("concurrency must be >= 1")
-    config = config or ExecutionConfig()
-    network = FaultyNetwork.wrap(network, faults)
-    stripes = _stripes_to_repair(stripes, failed_node)
-    logger.info(
-        "full-node repair (%s): node %d, %d stripes, concurrency %d",
-        planner.name, failed_node, len(stripes), concurrency,
-    )
-    sim = FluidSimulator(
-        network, start_time=start_time, tracer=tracer, sampler=sampler,
-        engine=config.engine,
-    )
-    registry = MetricsRegistry()
-    pending = list(stripes)
-    in_flight: dict[int, _InFlight] = {}
-    results: list[RepairResult] = []
-    driver = _FaultDriver(
-        faults, retry_policy, sim, planner.name, tracer, registry,
-        config=config, journal=journal,
-    )
-    book = _SpanBook(tracer, stripes, start_time, planner.name)
-    driver.book = book
-    if foreground is not None:
-        foreground.bind(sim, network)
-        driver.advance = foreground.drive_to
-    on_repaired = _repaired_callback(foreground, failed_node)
 
-    def collect(done):
-        _collect(
-            done, in_flight, results, registry, config,
-            on_repaired=on_repaired, journal=journal, sim=sim, book=book,
-        )
+    def fill_window(master, cap):
+        while master.pending and len(master.in_flight) < concurrency:
+            planned = master.candidate()
+            if planned is None:
+                return
+            span = master.charge_planning(*planned)
+            master.submit(*planned, max_rate=cap, planning_span=span)
 
-    total_stripes = len(stripes)
-    _note_progress(sim, 0, total_stripes)
-    with planner.traced(tracer):
-        while pending or in_flight:
-            driver.tick(in_flight, pending, collect)
-            cap = _apply_governor(
-                governor, foreground, sim, in_flight, registry, tracer
-            )
-            while pending and len(in_flight) < concurrency:
-                stripe = pending.pop(0)
-                try:
-                    # Scoped so the planner.plan instant inherits the
-                    # stripe's repair span as its causal parent.
-                    with tracer.scope(book.parent(stripe.stripe_id)):
-                        plan = _plan_stripe(
-                            planner, network, sim, stripe, failed_node,
-                            faults=faults if driver.active else None,
-                            preferred_requestor=driver.preferred_requestor(
-                                stripe
-                            ),
-                        )
-                except (ClusterError, PlanningError) as exc:
-                    if not driver.active:
-                        raise
-                    driver.abort_stripe(stripe, str(exc))
-                    continue
-                # Planning is serial at the Master: the clock moves while it
-                # runs, and other tasks may complete in that window.
-                planning_span = book.begin_planning(stripe.stripe_id, sim.now)
-                done_meanwhile = _advance(
-                    sim, foreground, sim.now + plan.effective_planning_seconds
-                )
-                book.end_planning(planning_span, stripe.stripe_id, sim.now)
-                collect(done_meanwhile)
-                driver.note_started(stripe, plan)
-                start_slice = driver.resume_slice(stripe, plan)
-                if journal is not None:
-                    journal.append(
-                        "task_start", t=sim.now, stripe=stripe.stripe_id,
-                        requestor=plan.requestor, scheme=plan.scheme,
-                        start_slice=start_slice,
-                    )
-                flight = _submit(
-                    sim, plan, config, stripe=stripe, max_rate=cap,
-                    start_slice=start_slice, book=book,
-                    planning_span=planning_span,
-                )
-                in_flight[flight.handle.task_id] = flight
-            if not in_flight:
-                continue
-            finished = _run_until_event(
-                sim, foreground, _event_bound(driver, in_flight, sim, governor)
-            )
-            collect(finished)
-            _note_progress(sim, len(results), total_stripes)
-    return FullNodeResult(
-        scheme=planner.name,
-        failed_node=failed_node,
-        total_seconds=sim.now - start_time,
-        task_results=results,
-        telemetry=_run_telemetry(sim, tracer, registry),
-        failures=driver.failures,
+    return _repair_single_job(
+        planner.name, fill_window, planner, network, stripes, failed_node,
+        config, start_time, tracer, faults, retry_policy, foreground,
+        governor, sampler, journal,
     )
 
 
@@ -825,113 +251,40 @@ def repair_full_node_adaptive(
     in :func:`repair_full_node`.
     """
     scheduler = scheduler or SchedulerConfig()
-    config = config or ExecutionConfig()
-    network = FaultyNetwork.wrap(network, faults)
-    stripes = _stripes_to_repair(stripes, failed_node)
-    logger.info(
-        "adaptive full-node repair (%s): node %d, %d stripes",
-        planner.name, failed_node, len(stripes),
-    )
-    sim = FluidSimulator(
-        network, start_time=start_time, tracer=tracer, sampler=sampler,
-        engine=config.engine,
-    )
-    registry = MetricsRegistry()
-    pending = list(stripes)
-    in_flight: dict[int, _InFlight] = {}
-    results: list[RepairResult] = []
-    driver = _FaultDriver(
-        faults, retry_policy, sim, f"{planner.name}+strategy", tracer,
-        registry, config=config, journal=journal,
-    )
-    book = _SpanBook(tracer, stripes, start_time, f"{planner.name}+strategy")
-    driver.book = book
-    if foreground is not None:
-        foreground.bind(sim, network)
-        driver.advance = foreground.drive_to
-    on_repaired = _repaired_callback(foreground, failed_node)
-
-    def collect(done):
-        _collect(
-            done, in_flight, results, registry, config,
-            on_repaired=on_repaired, journal=journal, sim=sim, book=book,
-        )
-
-    total_stripes = len(stripes)
-    _note_progress(sim, 0, total_stripes)
-    with planner.traced(tracer):
-        while pending or in_flight:
-            driver.tick(in_flight, pending, collect)
-            cap = _apply_governor(
-                governor, foreground, sim, in_flight, registry, tracer
-            )
-            _start_recommended(
-                planner, network, sim, pending, in_flight, failed_node,
-                scheduler, config, results, registry, tracer, driver,
-                foreground=foreground, on_repaired=on_repaired, max_rate=cap,
-                journal=journal, book=book,
-            )
-            if not in_flight:
-                continue
-            finished = _run_until_event(
-                sim, foreground, _event_bound(driver, in_flight, sim, governor)
-            )
-            collect(finished)
-            _note_progress(sim, len(results), total_stripes)
-    return FullNodeResult(
-        scheme=f"{planner.name}+strategy",
-        failed_node=failed_node,
-        total_seconds=sim.now - start_time,
-        task_results=results,
-        telemetry=_run_telemetry(sim, tracer, registry),
-        failures=driver.failures,
+    return _repair_single_job(
+        f"{planner.name}+strategy",
+        lambda master, cap: _start_recommended(master, scheduler, cap),
+        planner, network, stripes, failed_node, config, start_time, tracer,
+        faults, retry_policy, foreground, governor, sampler, journal,
     )
 
 
 def _start_recommended(
-    planner: RepairPlanner,
-    network: StarNetwork,
-    sim: FluidSimulator,
-    pending: list[Stripe],
-    in_flight: dict[int, _InFlight],
-    failed_node: int,
+    master: StripeRepairMaster,
     scheduler: SchedulerConfig,
-    config: ExecutionConfig,
-    results: list[RepairResult],
-    registry: MetricsRegistry | None = None,
-    tracer=NULL_TRACER,
-    driver: _FaultDriver | None = None,
-    foreground=None,
-    on_repaired=None,
-    max_rate: float | None = None,
-    journal=None,
-    book: _SpanBook | None = None,
+    max_rate: float | None,
 ) -> None:
     """Start best-stripe tasks while their recommendation clears the bar."""
+    sim, tracer, pending = master.sim, master.tracer, master.pending
+    faulted = master.driver.active
     idle_since: float | None = None
-    faulted = driver is not None and driver.active
-    faults = driver.faults if faulted else None
     while pending:
         if (
             scheduler.max_concurrency is not None
-            and len(in_flight) >= scheduler.max_concurrency
+            and len(master.in_flight) >= scheduler.max_concurrency
         ):
             return
-        running = [flight.running for flight in in_flight.values()]
+        running = master.running_tasks()
         best_value = float("-inf")
         best_plan = None
         best_stripe = None
         unrepairable: list[tuple[int, Stripe, str]] = []
+        # Every pending stripe is re-planned under the current residual
+        # bandwidths each round (unscoped: the round, not one stripe,
+        # is the planner events' cause).
         for index, stripe in enumerate(pending):
             try:
-                plan = _plan_stripe(
-                    planner, network, sim, stripe, failed_node, faults=faults,
-                    preferred_requestor=(
-                        driver.preferred_requestor(stripe)
-                        if driver is not None
-                        else None
-                    ),
-                )
+                plan = master.plan(stripe)
             except (ClusterError, PlanningError) as exc:
                 if not faulted:
                     raise
@@ -945,20 +298,17 @@ def _start_recommended(
                 best_value, best_plan, best_stripe = value, plan, stripe
         for index, stripe, reason in reversed(unrepairable):
             pending.pop(index)
-            driver.abort_stripe(stripe, reason)
+            master.driver.abort_stripe(stripe, reason)
         if best_plan is None:
             return
-        if registry is not None:
-            registry.counter("scheduler_rounds").inc()
-            registry.histogram("recommendation_value").observe(best_value)
+        master.registry.counter("scheduler_rounds").inc()
+        master.registry.histogram("recommendation_value").observe(best_value)
         if tracer.enabled:
             tracer.instant(
                 "scheduler.round", t=sim.now, track="scheduler",
-                parent_id=book.parent(best_plan.notes.get("stripe_id"))
-                if book is not None else None,
-                candidates=len(pending), running=len(in_flight),
-                best_value=best_value,
-                best_stripe=best_plan.notes.get("stripe_id"),
+                parent_id=master.book.parent(best_stripe.stripe_id),
+                candidates=len(pending), running=len(master.in_flight),
+                best_value=best_value, best_stripe=best_stripe.stripe_id,
                 started=best_value >= scheduler.threshold,
             )
         if best_value < scheduler.threshold:
@@ -966,62 +316,23 @@ def _start_recommended(
             # running we check periodically until bandwidths turn
             # sufficient, bounded so a permanently congested network still
             # makes progress.
-            if in_flight:
+            if master.in_flight:
                 return
             if idle_since is None:
                 idle_since = sim.now
             if sim.now - idle_since < scheduler.max_idle_wait:
-                _advance(sim, foreground, sim.now + scheduler.check_interval)
+                master.driver.advance(sim.now + scheduler.check_interval)
                 continue
         idle_since = None
-        pending.pop(
-            next(i for i, s in enumerate(pending) if s is best_stripe)
-        )
-        planning_span = (
-            book.begin_planning(best_stripe.stripe_id, sim.now)
-            if book is not None else None
-        )
-        done_meanwhile = _advance(
-            sim, foreground, sim.now + best_plan.effective_planning_seconds
-        )
-        if book is not None:
-            book.end_planning(planning_span, best_stripe.stripe_id, sim.now)
-        _collect(
-            done_meanwhile, in_flight, results, registry, config,
-            on_repaired=on_repaired, journal=journal, sim=sim, book=book,
-        )
+        planning_span = master.charge_planning(best_stripe, best_plan)
         if tracer.enabled:
             tracer.instant(
                 "scheduler.start", t=sim.now, track="scheduler",
-                parent_id=book.parent(best_stripe.stripe_id)
-                if book is not None else None,
-                stripe=best_plan.notes.get("stripe_id"),
+                parent_id=master.book.parent(best_stripe.stripe_id),
+                stripe=best_stripe.stripe_id,
                 requestor=best_plan.requestor, value=best_value,
             )
-        if driver is not None:
-            driver.note_started(best_stripe, best_plan)
-        start_slice = (
-            driver.resume_slice(best_stripe, best_plan)
-            if driver is not None
-            else 0
+        master.submit(
+            best_stripe, best_plan, max_rate=max_rate,
+            planning_span=planning_span,
         )
-        if journal is not None:
-            journal.append(
-                "task_start", t=sim.now, stripe=best_stripe.stripe_id,
-                requestor=best_plan.requestor, scheme=best_plan.scheme,
-                start_slice=start_slice,
-            )
-        flight = _submit(
-            sim, best_plan, config, stripe=best_stripe, max_rate=max_rate,
-            start_slice=start_slice, book=book, planning_span=planning_span,
-        )
-        in_flight[flight.handle.task_id] = flight
-
-
-def _stripes_to_repair(
-    stripes: Sequence[Stripe], failed_node: int
-) -> list[Stripe]:
-    affected = [s for s in stripes if s.chunk_on_node(failed_node) is not None]
-    if not affected:
-        raise ClusterError(f"node {failed_node} stores no chunk to repair")
-    return affected

@@ -87,6 +87,24 @@ def remaining_bytes_per_edge(
     return remaining + (depth - 1) * config.slice_size
 
 
+def verified_watermark(
+    config: ExecutionConfig, depth: int, start_slice: int, progress: float
+) -> int:
+    """Slice watermark an interrupted transfer has verifiably reached.
+
+    ``progress`` is the fraction (0..1) the transfer that started at
+    ``start_slice`` has delivered.  Slices still inside the pipeline —
+    one per tree level below the requestor — have not arrived and are
+    not trusted, so ``depth - 1`` of them are subtracted; the result is
+    clamped to the last slice so a resume always has something to fetch.
+    Equal to ``start_slice`` when nothing new was verified.
+    """
+    verified = max(
+        0, int(progress * (config.slices - start_slice)) - (depth - 1)
+    )
+    return min(start_slice + verified, config.slices - 1)
+
+
 def pipeline_overhead_seconds(config: ExecutionConfig) -> float:
     """Serial per-slice handling cost over the whole chunk."""
     return config.slices * config.per_slice_overhead

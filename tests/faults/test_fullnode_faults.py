@@ -14,6 +14,7 @@ from repro.core import PivotRepairPlanner
 from repro.core.scheduler import SchedulerConfig
 from repro.ec import RSCode, place_stripes
 from repro.faults import FaultPlan, RetryPolicy
+from repro.loadgen import ForegroundEngine, LoadProfile, generate_requests
 from repro.network.topology import StarNetwork
 from repro.obs import Tracer
 from repro.repair import repair_full_node, repair_full_node_adaptive
@@ -176,3 +177,49 @@ class TestAdaptive:
         )
         assert result.chunks_failed >= 1
         assert target.stripe_id in {f.stripe_id for f in result.failures}
+
+
+DRIVERS = {
+    "window": lambda *args, **kwargs: repair_full_node(
+        *args, concurrency=3, **kwargs
+    ),
+    "adaptive": repair_full_node_adaptive,
+}
+
+
+class TestCrashUnderForeground:
+    """A node that dies mid-run must not wedge the foreground drain.
+
+    Client flows already crossing the node when it crashes sit at zero
+    rate forever; the single-job drivers have to abort them at the next
+    fault tick, as the fleet control plane does, or ``drain()`` ends in
+    ``simulation is stuck``.
+    """
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_drain_terminates_after_mid_run_crash(self, driver):
+        stripes, failed, helper = setup(count=8)
+        faults = FaultPlan.from_spec(f"crash:{helper}@0.3")
+        profile = LoadProfile(
+            name="crash-under-load", arrival_rate=60.0, duration=4.0,
+            read_fraction=0.9, request_size=4 * 1024 * 1024, zipf_s=0.9,
+        )
+        engine = ForegroundEngine(
+            stripes, generate_requests(profile, stripes, NODE_COUNT, seed=5),
+            ZeroCostPlanner(), failed_nodes={failed}, faults=faults,
+            drop_dead_clients=True,
+        )
+        tracer = Tracer()
+        result = DRIVERS[driver](
+            ZeroCostPlanner(), network(), stripes, failed, config=CONFIG,
+            tracer=tracer, faults=faults, retry_policy=RetryPolicy(),
+            foreground=engine,
+        )
+        engine.drain()
+        assert engine.pending_flows == 0
+        assert engine.requests_remaining == 0
+        assert result.chunks_failed == 0
+        aborts = [e for e in tracer.events if e.name == "plane.fg_abort"]
+        assert [e.fields["nodes"] for e in aborts] == [[helper]]
+        counters = engine.registry.snapshot()["counters"]
+        assert counters["fg_aborted"] == aborts[0].fields["flows"] > 0

@@ -1,0 +1,274 @@
+"""Cross-commit identity of the full-node drivers.
+
+The other determinism tests compare two runs of *this* commit (fast vs
+reference engine, resumed vs uninterrupted, run twice).  This one pins
+the drivers' observable bytes against the commit before: every scenario
+below hashes the ``FullNodeResult`` (plans, telemetry and failures
+included), the trace JSONL and the journal records into one SHA-256,
+and the expected digests are literals recorded at commit ``1d210d4`` —
+the last one with three separate full-node loops — before the drivers
+were merged onto ``StripeRepairMaster``.
+
+A PR that restructures the driver (plan caching, mid-transfer
+re-pivoting) must leave every digest alone; a PR that means to change
+what a run does replaces the affected literals and says so.  A failing
+assertion prints the digest the current tree produces.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+import repro.traces.generators as trace_generators
+from repro.baselines import RPPlanner
+from repro.controlplane.storm import StormConfig, pin_planning, run_storm
+from repro.core import PivotRepairPlanner
+from repro.core.scheduler import SchedulerConfig
+from repro.ec import RSCode, place_stripes
+from repro.experiments.fullnode_experiment import (
+    FIG7_SCHEDULER,
+    stripes_with_failures,
+)
+from repro.faults import FaultPlan, RetryPolicy
+from repro.loadgen import (
+    ForegroundEngine,
+    LoadProfile,
+    generate_requests,
+    make_governor,
+)
+from repro.network.topology import StarNetwork
+from repro.obs import Tracer, to_jsonl
+from repro.repair import repair_full_node, repair_full_node_adaptive
+from repro.repair.pipeline import ExecutionConfig
+from repro.resilience import RepairJournal
+
+NODES = 12
+CODE = RSCode(6, 4)
+CONFIG = ExecutionConfig(chunk_size=64 * 1024 * 1024)
+STRIPES = place_stripes(8, CODE, NODES, np.random.default_rng(7))
+FAILED = STRIPES[0].placement[0]
+HELPERS = [node for node in STRIPES[0].placement if node != FAILED]
+OTHER = next(
+    node for node in STRIPES[1].placement
+    if node != FAILED and node != HELPERS[0]
+)
+
+FAULTS = {
+    "none": None,
+    "crash1": f"crash:{HELPERS[0]}@0.3",
+    "crash2": f"crash:{HELPERS[0]}@0.3;crash:{OTHER}@0.9",
+    # Two helpers of stripe 0 die together: fewer than k survive.
+    "unrepairable": f"crash:{HELPERS[0]}@0.2;crash:{HELPERS[1]}@0.2",
+    "readerr": f"readerr:{HELPERS[0]}@0.3",
+}
+
+
+def star():
+    return StarNetwork.constant(
+        [1e8 + i * 3e6 for i in range(NODES)],
+        [1e8 + i * 5e6 for i in range(NODES)],
+    )
+
+
+def pinned(planner_class=PivotRepairPlanner):
+    return pin_planning(planner_class(), 0.0)
+
+
+def window(planner_class=PivotRepairPlanner, concurrency=3):
+    def run(network, stripes, failed, **run_args):
+        return repair_full_node(
+            pinned(planner_class), network, stripes, failed,
+            concurrency=concurrency, **run_args,
+        )
+    return run
+
+
+def adaptive(scheduler=None):
+    def run(network, stripes, failed, **run_args):
+        return repair_full_node_adaptive(
+            pinned(), network, stripes, failed, scheduler=scheduler,
+            **run_args,
+        )
+    return run
+
+
+def plan_payload(plan):
+    return {
+        "scheme": plan.scheme,
+        "requestor": plan.requestor,
+        "helpers": sorted(plan.helpers),
+        "bmin": plan.bmin,
+        "edges": sorted(map(list, plan.tree.edges())),
+        "notes": {key: plan.notes[key] for key in sorted(plan.notes)},
+    }
+
+
+def result_payload(result):
+    return {
+        "scheme": result.scheme,
+        "failed_node": result.failed_node,
+        "total_seconds": result.total_seconds,
+        "tasks": [
+            {
+                "scheme": task.scheme,
+                "planning_seconds": task.planning_seconds,
+                "transfer_seconds": task.transfer_seconds,
+                "bmin": task.bmin,
+                "bytes": task.bytes_transferred,
+                "plan": plan_payload(task.plan),
+            }
+            for task in result.task_results
+        ],
+        "telemetry": result.telemetry,
+        "failures": [
+            {
+                "scheme": failure.scheme, "reason": failure.reason,
+                "elapsed": failure.elapsed_seconds,
+                "stripe": failure.stripe_id,
+            }
+            for failure in result.failures
+        ],
+    }
+
+
+def digest(payload, tracer, journal):
+    blob = json.dumps(
+        [
+            payload,
+            to_jsonl(tracer.events),
+            [record.to_json() for record in journal.records],
+        ],
+        sort_keys=True,
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def single_job(driver, network=None, stripes=STRIPES, failed=FAILED,
+               faults=None, foreground=False, governor=None, **run_args):
+    """One traced, journaled single-job run, hashed."""
+    tracer, journal = Tracer(), RepairJournal()
+    spec = FAULTS[faults] if faults else None
+    engine = None
+    if foreground:
+        profile = LoadProfile(
+            name="identity", arrival_rate=60.0, duration=4.0,
+            read_fraction=0.9, request_size=4 * 1024 * 1024, zipf_s=0.9,
+        )
+        engine = ForegroundEngine(
+            stripes, generate_requests(profile, stripes, NODES, seed=5),
+            pinned(), failed_nodes={failed},
+        )
+    run_args.setdefault("config", CONFIG)
+    result = driver(
+        network or star(), stripes, failed, tracer=tracer, journal=journal,
+        faults=FaultPlan.from_spec(spec) if spec else None,
+        retry_policy=RetryPolicy() if spec else None,
+        foreground=engine,
+        governor=make_governor(governor) if governor else None,
+        **run_args,
+    )
+    payload = result_payload(result)
+    if engine is not None:
+        engine.drain()
+        assert engine.pending_flows == 0
+        payload["foreground"] = engine.summary()
+    return digest(payload, tracer, journal)
+
+
+def traced(driver, name, chunks, seed):
+    """Fig. 7 shape: a generated workload trace, repair starting at 60 s."""
+    index = list(trace_generators.PROFILES).index(name)
+    trace = trace_generators.generate_all(16, 240, seed=3000)[name]
+    failed = int(np.argmax(trace.used_node_bandwidth().mean(axis=1)))
+    return single_job(
+        driver, network=trace.to_network(floor=1e6),
+        stripes=stripes_with_failures(
+            CODE, failed, 16, seed=seed + index, count=chunks
+        ),
+        failed=failed, start_time=60.0, config=ExecutionConfig(),
+    )
+
+
+def storm(seed):
+    tracer, journal = Tracer(), RepairJournal()
+    report = run_storm(
+        StormConfig(seed=seed, foreground_duration=16.0),
+        tracer=tracer, journal=journal,
+    )
+    payload = {
+        "report": report.as_dict(),
+        "decisions": report.fleet.decisions,
+        "jobs": {
+            job: result_payload(outcome)
+            for job, outcome in report.fleet.jobs.items()
+        },
+        "foreground": report.foreground_summary,
+    }
+    return digest(payload, tracer, journal)
+
+
+TUNED = SchedulerConfig(threshold=0.5, max_concurrency=4)
+
+#: name -> (scenario, SHA-256 recorded at the parent of the driver merge).
+SCENARIOS = {
+    "window/none": (
+        lambda: single_job(window()),
+        "fb2e07345da591076bec4e9eb24b78bf4b3b715db9b3dcf0752c4f6ffe3b0a12",
+    ),
+    "window-rp/crash1": (
+        lambda: single_job(window(RPPlanner, 4), faults="crash1"),
+        "9a3769a78510e24136691f734e3f2c43d6d374c1c036c0a7a4a85e7016d35d75",
+    ),
+    "window/crash2": (
+        lambda: single_job(window(), faults="crash2"),
+        "95e601ca2ac06f1e3cc59cbe36292879f509a38227b1adf926da5763d3f56c0e",
+    ),
+    "window/unrepairable": (
+        lambda: single_job(window(), faults="unrepairable"),
+        "029d372058890800886ea06e98064527d01839dca3e8df9094cfda98137e4d19",
+    ),
+    "window/readerr": (
+        lambda: single_job(window(), faults="readerr"),
+        "b66e5e71f93a7b9c406255fde0f2d17bc031d497e41a347dccf29cb17dc3df2c",
+    ),
+    "adaptive/crash1": (
+        lambda: single_job(adaptive(), faults="crash1"),
+        "3ae0802bd4fd30b2e040c6bea780305a07778bea0271885f86eac473124cd888",
+    ),
+    "adaptive-tuned/none": (
+        lambda: single_job(adaptive(TUNED)),
+        "240bf86e07d2809dc88c13a5762f04f1ef79e848bbc361a7c0a09d0304c9bb7d",
+    ),
+    "adaptive/unrepairable": (
+        lambda: single_job(adaptive(), faults="unrepairable"),
+        "ea214e2ac7d1df6e5c9212abefd20c744495b1d8d43c25253dfcba5c2c9a1dbf",
+    ),
+    "traced-TPC-H/adaptive": (
+        lambda: traced(adaptive(FIG7_SCHEDULER), "TPC-H", 10, seed=100),
+        "ebca04d85576d7bf58d7a8c80a84e2c68b10e88dbb44a529693afad4910c87bf",
+    ),
+    "traced-SWIM/window": (
+        lambda: traced(window(), "SWIM", 24, seed=200),
+        "87d3ea6f295b59dc6a761616f6345bd6b6ac210812df3249d9a90fbb03718386",
+    ),
+    "foreground-governed/window": (
+        lambda: single_job(window(), foreground=True, governor="adaptive"),
+        "864ef5235381be34b6106dcffac08556c3a1015729e7ff0994857f0fd69b7ba8",
+    ),
+    "foreground/adaptive": (
+        lambda: single_job(adaptive(), foreground=True),
+        "d5d31eef595285cd540813dec448c9e30766d7c8ede2ebd57e825662c9c0cc93",
+    ),
+    "storm/seed0": (
+        lambda: storm(0),
+        "98f20f300dc3919a4a45ba486e1e223a10c64bdac5e51ebf23002948079ad16a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_bytes_match_the_parent_commit(name):
+    scenario, recorded = SCENARIOS[name]
+    assert scenario() == recorded, name
