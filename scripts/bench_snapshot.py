@@ -61,7 +61,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.baselines import PPTPlanner, RPPlanner
-from repro.core import PivotRepairPlanner
+from repro.core import PivotRepairPlanner, pin_planning
 from repro.ec import RSCode, place_stripes
 from repro.loadgen import (
     ForegroundEngine,
@@ -103,20 +103,6 @@ def _network() -> StarNetwork:
     )
 
 
-def _pin_planning(planner):
-    """Zero the wall-measured planning charge for reproducible sim time."""
-    inner = planner.plan
-
-    def plan(*args, **kwargs):
-        result = inner(*args, **kwargs)
-        result.planning_seconds = 0.0
-        result.extrapolated_seconds = None
-        return result
-
-    planner.plan = plan
-    return planner
-
-
 def _sim_counters(telemetry: dict | None) -> dict:
     counters = (telemetry or {}).get("counters", {})
     return {
@@ -153,7 +139,7 @@ def suite_single_chunk(sampler=None) -> dict:
                 node for node in range(NODE_COUNT) if node != requestor
             ]
             result = repair_single_chunk(
-                _pin_planning(factory()), network, requestor=requestor,
+                pin_planning(factory(), 0.0), network, requestor=requestor,
                 candidates=candidates, k=CODE.k, config=config,
                 sampler=sampler,
             )
@@ -194,12 +180,12 @@ def _full_node_once(
             profile, stripes, NODE_COUNT, seed=5
         )
         foreground = ForegroundEngine(
-            stripes, requests, _pin_planning(PivotRepairPlanner()),
+            stripes, requests, pin_planning(PivotRepairPlanner(), 0.0),
             failed_nodes={failed},
         )
         governor = make_governor("adaptive")
     result = repair_full_node(
-        _pin_planning(PivotRepairPlanner()), network, stripes, failed,
+        pin_planning(PivotRepairPlanner(), 0.0), network, stripes, failed,
         concurrency=4, config=config,
         foreground=foreground, governor=governor, sampler=sampler,
         journal=journal, tracer=tracer,

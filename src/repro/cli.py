@@ -40,6 +40,8 @@ import argparse
 import json
 import logging
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +49,7 @@ import numpy as np
 import repro
 from repro.baselines import PPTPlanner, RPPlanner
 from repro.controlplane import StormConfig, run_storm
-from repro.core import BandwidthSnapshot, PivotRepairPlanner
+from repro.core import BandwidthSnapshot, PivotRepairPlanner, pin_planning
 from repro.core.scheduler import SchedulerConfig
 from repro.ec import RSCode, place_stripes
 from repro.exceptions import ReproError
@@ -77,7 +79,6 @@ from repro.obs import (
     TimeSeriesDB,
     Tracer,
     critical_paths,
-    crosscheck,
     diagnose,
     events_from_jsonl,
     render_exposition,
@@ -1049,23 +1050,113 @@ def _cmd_experiment(args, tracer=NULL_TRACER) -> dict:
 # ----------------------------------------------------------------------
 # Diagnosis (explain / report)
 # ----------------------------------------------------------------------
-def _pin_planning(planner, seconds: float):
-    """Charge a fixed planning cost instead of measured wall time.
+@dataclass
+class _ObservedScenario:
+    """The seeded full-node scenario ``explain``/``report``/``critpath``
+    and ``top`` all observe: one failed node of a placed stripe set on a
+    workload trace, optionally under foreground load and a QoS governor,
+    with a flight recorder attached."""
 
-    Wall-clock planning durations advance the simulated clock and differ
-    between runs of the same seed; pinning them keeps ``repro explain``
-    and ``repro report`` output bit-reproducible.
+    trace: WorkloadTrace
+    network: StarNetwork
+    failed: int
+    sampler: FlightRecorder
+    foreground: ForegroundEngine | None
+    governor: object | None
+    run: Callable  # (tracer) -> FullNodeResult, foreground drained
+
+
+def _observed_scenario(args, tsdb=None, tenants=()) -> _ObservedScenario:
+    """Build the scenario from the shared ``explain``-family options.
+
+    ``tsdb`` streams the sampler and the foreground engine into the live
+    telemetry plane; ``tenants`` labels foreground requests (``top``).
     """
-    inner = planner.plan
+    trace = WorkloadTrace.load(args.target)
+    code = RSCode(args.n, args.k)
+    rng = np.random.default_rng(args.seed)
+    stripes = place_stripes(args.stripes, code, trace.node_count, rng)
+    failed = stripes[0].placement[0]
+    config = ExecutionConfig(
+        chunk_size=mib(args.chunk_mib), engine=args.engine
+    )
+    faults, policy = _parse_faults(args)
+    sampler = FlightRecorder(
+        interval=args.sample_interval, capacity=args.sample_capacity,
+        tsdb=tsdb,
+    )
 
-    def plan(*args, **kwargs):
-        result = inner(*args, **kwargs)
-        result.planning_seconds = seconds
-        result.extrapolated_seconds = None
+    def planner():
+        return pin_planning(
+            SCHEME_FACTORIES[args.scheme](), args.planning_seconds
+        )
+
+    foreground = None
+    if args.foreground_rate > 0:
+        # Mirrors `repro load`: full-capacity links, the measured trace
+        # shapes the client arrival rate.
+        network = StarNetwork.uniform(trace.node_count, trace.capacity)
+        profile = LoadProfile(
+            name=trace.name,
+            arrival_rate=args.foreground_rate,
+            duration=float(trace.sample_count),
+            read_fraction=0.9,
+            request_size=int(mib(1.0)),
+            zipf_s=0.9,
+            modulation="trace",
+            tenants=tenants,
+        )
+        requests = generate_requests(
+            profile, stripes, trace.node_count, seed=args.seed,
+            rate_profile=rate_profile_from_trace(trace),
+        )
+        foreground = ForegroundEngine(
+            stripes, requests, planner(),
+            failed_nodes={failed}, faults=faults, tsdb=tsdb,
+        )
+    else:
+        network = trace.to_network(floor=1e6)
+    governor = None
+    if args.governor != "none":
+        governor_kwargs = {
+            "static": {"cap": mbps(args.static_cap_mbps)},
+            "adaptive": {"slo_p99": args.slo_ms / 1000.0},
+        }[args.governor]
+        governor = make_governor(args.governor, **governor_kwargs)
+
+    def run(tracer):
+        result = repair_full_node(
+            planner(), network, stripes, failed,
+            concurrency=args.concurrency, config=config, tracer=tracer,
+            faults=faults, retry_policy=policy,
+            foreground=foreground, governor=governor, sampler=sampler,
+        )
+        if foreground is not None:
+            foreground.drain()
         return result
 
-    planner.plan = plan
-    return planner
+    return _ObservedScenario(
+        trace=trace, network=network, failed=failed,
+        sampler=sampler, foreground=foreground, governor=governor, run=run,
+    )
+
+
+def _run_observed(args, tracer) -> tuple:
+    """Run the observed scenario: (scenario, FullNodeResult, meta)."""
+    scenario = _observed_scenario(args)
+    result = scenario.run(tracer)
+    meta = {
+        "mode": "scenario",
+        "trace": scenario.trace.name,
+        "failed_node": scenario.failed,
+        "seed": args.seed,
+        "scheme": args.scheme,
+        "governor": args.governor,
+        "foreground_rate": args.foreground_rate,
+        "repair_seconds": round(result.total_seconds, 3),
+        "samples": len(scenario.sampler.samples),
+    }
+    return scenario, result, meta
 
 
 def _explain_run(args, tracer) -> tuple:
@@ -1084,76 +1175,12 @@ def _explain_run(args, tracer) -> tuple:
             "samples": len(samples),
         }
         return diagnosis, samples, meta
-    trace = WorkloadTrace.load(args.target)
-    code = RSCode(args.n, args.k)
-    rng = np.random.default_rng(args.seed)
-    stripes = place_stripes(args.stripes, code, trace.node_count, rng)
-    failed = stripes[0].placement[0]
-    config = ExecutionConfig(
-        chunk_size=mib(args.chunk_mib), engine=args.engine
-    )
-    faults, policy = _parse_faults(args)
-    sampler = FlightRecorder(
-        interval=args.sample_interval, capacity=args.sample_capacity
-    )
-    make_planner = SCHEME_FACTORIES[args.scheme]
-    foreground = None
-    if args.foreground_rate > 0:
-        # Mirrors `repro load`: full-capacity links, the measured trace
-        # shapes the client arrival rate.
-        network = StarNetwork.uniform(trace.node_count, trace.capacity)
-        profile = LoadProfile(
-            name=trace.name,
-            arrival_rate=args.foreground_rate,
-            duration=float(trace.sample_count),
-            read_fraction=0.9,
-            request_size=int(mib(1.0)),
-            zipf_s=0.9,
-            modulation="trace",
-        )
-        requests = generate_requests(
-            profile, stripes, trace.node_count, seed=args.seed,
-            rate_profile=rate_profile_from_trace(trace),
-        )
-        foreground = ForegroundEngine(
-            stripes, requests,
-            _pin_planning(make_planner(), args.planning_seconds),
-            failed_nodes={failed}, faults=faults,
-        )
-    else:
-        network = trace.to_network(floor=1e6)
-    governor = None
-    if args.governor != "none":
-        governor_kwargs = {
-            "static": {"cap": mbps(args.static_cap_mbps)},
-            "adaptive": {"slo_p99": args.slo_ms / 1000.0},
-        }[args.governor]
-        governor = make_governor(args.governor, **governor_kwargs)
-    result = repair_full_node(
-        _pin_planning(make_planner(), args.planning_seconds),
-        network, stripes, failed,
-        concurrency=args.concurrency, config=config, tracer=tracer,
-        faults=faults, retry_policy=policy,
-        foreground=foreground, governor=governor, sampler=sampler,
-    )
-    if foreground is not None:
-        foreground.drain()
+    scenario, result, meta = _run_observed(args, tracer)
     diagnosis = diagnose(
-        tracer.events, network=network, telemetry=result.telemetry,
-        sampler=sampler,
+        tracer.events, network=scenario.network,
+        telemetry=result.telemetry, sampler=scenario.sampler,
     )
-    meta = {
-        "mode": "scenario",
-        "trace": trace.name,
-        "failed_node": failed,
-        "seed": args.seed,
-        "scheme": args.scheme,
-        "governor": args.governor,
-        "foreground_rate": args.foreground_rate,
-        "repair_seconds": round(result.total_seconds, 3),
-        "samples": len(sampler.samples),
-    }
-    return diagnosis, list(sampler.samples), meta
+    return diagnosis, list(scenario.sampler.samples), meta
 
 
 def _cmd_explain(args, tracer=NULL_TRACER) -> dict:
@@ -1181,12 +1208,11 @@ def _cmd_critpath(args, tracer=NULL_TRACER) -> dict:
     """Exact critical-path attribution (``repro critpath``)."""
     if args.target.suffix == ".jsonl":
         events = events_from_jsonl(args.target.read_text())
-        diagnosis = diagnose(events)
         meta = {"mode": "saved", "events": len(events)}
         header = f"saved run: {meta['events']} events"
     else:
-        diagnosis, samples, meta = _explain_run(args, tracer)
-        args.recorded_samples = samples
+        scenario, _, meta = _run_observed(args, tracer)
+        args.recorded_samples = list(scenario.sampler.samples)
         events = list(tracer.events)
         header = (
             f"scenario: {meta['trace']} seed {meta['seed']}, scheme "
@@ -1194,7 +1220,6 @@ def _cmd_critpath(args, tracer=NULL_TRACER) -> dict:
             f"node {meta['failed_node']}"
         )
     report = critical_paths(events)
-    issues = crosscheck(report, diagnosis)
     if tracer.enabled:
         # Stamp the analysis into the trace itself, so an exported
         # artifact records that (and how) it was critical-path checked.
@@ -1204,22 +1229,13 @@ def _cmd_critpath(args, tracer=NULL_TRACER) -> dict:
             track="critpath",
             repairs=len(report.repairs),
             max_residual=report.max_residual,
-            crosscheck_issues=len(issues),
         )
     if args.critpath_out is not None:
         args.critpath_out.write_text(report.to_json() + "\n")
-    rendered = header + "\n" + report.render()
-    if issues:
-        rendered += "\nCROSSCHECK vs diagnose:\n" + "\n".join(
-            f"  ! {issue}" for issue in issues
-        )
-    else:
-        rendered += "\ncrosscheck vs diagnose: consistent"
     return {
         "scenario": meta,
         "critpath": report.to_dict(),
-        "crosscheck": issues,
-        "rendered": rendered,
+        "rendered": header + "\n" + report.render(),
     }
 
 
@@ -1257,53 +1273,12 @@ def _cmd_top(args, tracer=NULL_TRACER) -> dict:
             "repro top runs a scenario: pass an .npz workload trace "
             "(see `repro trace generate`)"
         )
-    trace = WorkloadTrace.load(args.target)
-    code = RSCode(args.n, args.k)
-    rng = np.random.default_rng(args.seed)
-    stripes = place_stripes(args.stripes, code, trace.node_count, rng)
-    failed = stripes[0].placement[0]
-    config = ExecutionConfig(
-        chunk_size=mib(args.chunk_mib), engine=args.engine
-    )
-    faults, policy = _parse_faults(args)
     tsdb = TimeSeriesDB(capacity=args.sample_capacity)
-    sampler = FlightRecorder(
-        interval=args.sample_interval, capacity=args.sample_capacity,
-        tsdb=tsdb,
-    )
-    make_planner = SCHEME_FACTORIES[args.scheme]
     tenants = tuple(f"tenant-{i}" for i in range(max(args.tenants, 1)))
-    foreground = None
-    if args.foreground_rate > 0:
-        network = StarNetwork.uniform(trace.node_count, trace.capacity)
-        profile = LoadProfile(
-            name=trace.name,
-            arrival_rate=args.foreground_rate,
-            duration=float(trace.sample_count),
-            read_fraction=0.9,
-            request_size=int(mib(1.0)),
-            zipf_s=0.9,
-            modulation="trace",
-            tenants=tenants,
-        )
-        requests = generate_requests(
-            profile, stripes, trace.node_count, seed=args.seed,
-            rate_profile=rate_profile_from_trace(trace),
-        )
-        foreground = ForegroundEngine(
-            stripes, requests,
-            _pin_planning(make_planner(), args.planning_seconds),
-            failed_nodes={failed}, faults=faults, tsdb=tsdb,
-        )
-    else:
-        network = trace.to_network(floor=1e6)
-    governor = None
-    if args.governor != "none":
-        governor_kwargs = {
-            "static": {"cap": mbps(args.static_cap_mbps)},
-            "adaptive": {"slo_p99": args.slo_ms / 1000.0},
-        }[args.governor]
-        governor = make_governor(args.governor, **governor_kwargs)
+    scenario = _observed_scenario(args, tsdb=tsdb, tenants=tenants)
+    trace, failed = scenario.trace, scenario.failed
+    sampler, foreground = scenario.sampler, scenario.foreground
+    governor = scenario.governor
     specs = []
     if foreground is not None:
         specs.extend(
@@ -1329,15 +1304,7 @@ def _cmd_top(args, tracer=NULL_TRACER) -> dict:
     if not args.once:
         live = LiveTop(dashboard, sys.stdout, refresh=args.refresh)
         sampler.add_listener(live.on_tick)
-    result = repair_full_node(
-        _pin_planning(make_planner(), args.planning_seconds),
-        network, stripes, failed,
-        concurrency=args.concurrency, config=config, tracer=tracer,
-        faults=faults, retry_policy=policy,
-        foreground=foreground, governor=governor, sampler=sampler,
-    )
-    if foreground is not None:
-        foreground.drain()
+    result = scenario.run(tracer)
     # ``drain`` advances simulated time past the repair's end, so the
     # closing evaluation happens at the last sampled instant — never
     # rewinding the monitor into an earlier (possibly empty) window.

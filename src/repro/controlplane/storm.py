@@ -33,7 +33,7 @@ from repro.controlplane.plane import (
     DegradationPolicy,
     FleetResult,
 )
-from repro.core import PivotRepairPlanner
+from repro.core import PivotRepairPlanner, pin_planning
 from repro.core.scheduler import SchedulerConfig
 from repro.core.seeding import spawn_rng
 from repro.ec import RSCode, place_stripes
@@ -65,25 +65,6 @@ __all__ = [
 ]
 
 _QOS_ROTATION = ("gold", "silver", "bronze")
-
-
-def pin_planning(planner, seconds: float):
-    """Charge a fixed planning cost instead of measured wall time.
-
-    Wall-clock planning durations advance the simulated clock and
-    differ between runs of one seed; the storm pins them so the whole
-    run is bit-reproducible (same rationale as ``repro explain``).
-    """
-    inner = planner.plan
-
-    def plan(*args, **kwargs):
-        result = inner(*args, **kwargs)
-        result.planning_seconds = seconds
-        result.extrapolated_seconds = None
-        return result
-
-    planner.plan = plan
-    return planner
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from repro.core.compute import (
     ComputeView,
     timeslot_schedule,
 )
-from repro.core.plan import RepairPlan, RepairPlanner
+from repro.core.plan import RepairPlan, RepairPlanner, pin_planning
 from repro.core.rack_aware import (
     RackAwarePivotPlanner,
     RackSnapshot,
@@ -35,6 +35,7 @@ __all__ = [
     "RepairTree",
     "SchedulerConfig",
     "child_seed_sequence",
+    "pin_planning",
     "rack_bmin",
     "rng_from",
     "spawn_rng",

@@ -139,3 +139,23 @@ class RepairPlanner(ABC):
         if missing:
             raise PlanningError(f"nodes missing from snapshot: {missing}")
         return candidates
+
+
+def pin_planning(planner: RepairPlanner, seconds: float) -> RepairPlanner:
+    """Charge a fixed planning cost instead of measured wall time.
+
+    Wall-clock planning durations advance the simulated clock and differ
+    between runs of one seed; pinning them keeps a run (``repro explain``
+    / ``report`` / ``storm``, the bench and identity tests)
+    bit-reproducible.  Wraps ``planner.plan`` in place.
+    """
+    inner = planner.plan
+
+    def plan(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        result.planning_seconds = seconds
+        result.extrapolated_seconds = None
+        return result
+
+    planner.plan = plan
+    return planner

@@ -22,14 +22,16 @@ On top of those, run analysis:
 * :mod:`repro.obs.sampler` — the **flight recorder**, a periodic sampler
   recording per-node link rates/utilization, per-class aggregate rates,
   and the governor cap as aligned time series (off by default);
-* :mod:`repro.obs.analysis` — **bottleneck attribution**: decompose each
-  repair's wall time into ideal / contention / governor / stall against
-  an oracle ``B_min``, with invariant checks (``repro explain``);
-* :mod:`repro.obs.critpath` — **causal critical paths**: rebuild the
-  span DAG from ``parent_id``/``links``, recover the exact chain of
-  intervals bounding each repair's makespan (tiling checked to 1e-9),
-  and attribute its seconds per category and per tenant
-  (``repro critpath``);
+* :mod:`repro.obs.critpath` — the **attribution engine**: one pass
+  digests a trace into the span DAG, rate profiles and cap timeline;
+  one rule splits a flow's seconds into transfer / contention /
+  governor / stall / hedge; on top, **causal critical paths** recover
+  the exact chain of intervals bounding each repair's makespan (tiling
+  checked to 1e-9) and attribute its seconds per category and per
+  tenant (``repro critpath``);
+* :mod:`repro.obs.analysis` — **bottleneck attribution**: the same rule
+  applied to every repair flow end to end against an oracle ``B_min``,
+  plus bottleneck-link naming and invariant checks (``repro explain``);
 * :mod:`repro.obs.report` — a self-contained single-file HTML dashboard
   for a diagnosed run (``repro report --html``).
 
@@ -58,7 +60,6 @@ from repro.obs.critpath import (
     PathSegment,
     RepairPath,
     critical_paths,
-    crosscheck,
 )
 from repro.obs.export import (
     events_from_jsonl,
@@ -108,7 +109,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "critical_paths",
-    "crosscheck",
     "diagnose",
     "events_from_jsonl",
     "prometheus_lint",

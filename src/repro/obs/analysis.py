@@ -1,47 +1,35 @@
-"""Bottleneck attribution: decompose where a repair's wall time went.
+"""Bottleneck attribution: decompose where each repair flow's time went.
 
 The paper's central claim is about *where time goes*: the pivot tree
 maximises the bottleneck bandwidth ``B_min``, and the scheduler keeps
 full-node repair off congested links.  This module answers the question a
 reader asks of any run — *which link bottlenecked this repair, and how
-far from the oracle-optimal* ``B_min`` *did we land?* — mechanically,
-from the artefacts a run already produces:
+far from the oracle-optimal* ``B_min`` *did we land?* — as a per-flow
+**view** over the trace index and flow rule of
+:mod:`repro.obs.critpath`, plus what spans cannot give:
 
-* the tracer's event stream (flow spans with edges and byte counts,
-  ``flow.rate_change`` rate profiles, ``governor.decision`` caps, fault
-  and retry instants);
-* optionally the flight recorder's samples
-  (:mod:`repro.obs.sampler`) for per-link utilization;
 * optionally the network itself, to recompute an **oracle** ``B_min``:
   the executed tree's bottleneck bandwidth under the recorded bandwidth
   functions at submit time, with no competing traffic — the best the
-  pipeline could have done on that tree.
+  pipeline could have done on that tree;
+* optionally the flight recorder's samples
+  (:mod:`repro.obs.sampler`) for per-link utilization, to name the
+  bottleneck link;
+* run invariants, governor and fault summaries, and rendering.
 
-Each repair flow's duration ``D`` with per-edge bytes ``B`` decomposes
-exactly (``D = ideal + contention + governor + stall + credit``) by
-integrating the piecewise-constant rate profile ``r(t)`` against the
-reference rate ``ref`` (oracle ``B_min`` when available, else the
-planner's claimed value)::
+Every repair and hedge flow — finished or cancelled — has its duration
+``D`` split exactly (``D = transfer + contention + governor + stall +
+hedge``) by :func:`repro.obs.critpath._flow_categories` against the
+reference rate ``ref``: the oracle ``B_min`` when available, else the
+planner's claimed value stamped on the flow span at submit.  ``B / ref``
+(the time the transfer would take at the reference rate) stays derivable
+from ``bytes_per_edge`` and the two ``B_min`` fields.
 
-    ideal      = B / ref                 (time at the reference rate)
-    stall      = sum of dt where r ~ 0   (faults, retries, collapsed links)
-    governor   = sum of (ref - r) dt / ref  where r sits at the QoS cap
-    contention = sum of (ref - r) dt / ref  for the other r < ref time
-    credit     = sum of (ref - r) dt / ref  where r > ref (negative:
-                 capacities rose after planning)
-
-The identity holds because ``integral of r dt = B``.  Hedged repairs
-(:mod:`repro.resilience`) add a ``hedge`` component: a hedge flow's whole
-duration is hedge time, and a straggler-cancelled primary charges its
-post-verdict deficit to ``stall`` (detector window) and ``hedge`` (racing
-window) instead of ``contention``, with ``ideal`` measured against the
-bytes it actually carried so the identity survives cancellation.
-
-Invariant checks
-flag anomalies instead of silently mis-attributing: an achieved rate
-above the claimed ``B_min`` (a pipelined tree cannot beat its planned
-bottleneck unless capacities moved), byte-conservation violations in the
-telemetry, and sampler ring overflow.
+Invariant checks flag anomalies instead of silently mis-attributing: an
+achieved rate above the claimed ``B_min`` (a pipelined tree cannot beat
+its planned bottleneck unless capacities moved), a rate profile that
+does not integrate to the flow's byte count, byte-conservation
+violations in the telemetry, and sampler ring overflow.
 """
 
 from __future__ import annotations
@@ -50,6 +38,19 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+from repro.obs.critpath import (
+    FLOW_CATEGORIES,
+    GLYPHS,
+    Span,
+    TraceIndex,
+    _cap_at,
+    _flow_categories,
+    _rate_profile,
+    _resources,
+    _stamped_bmin,
+    build_spans,
+)
 
 # NOTE: repro.core imports repro.obs.tracer at module load; the oracle
 # helpers import the tree machinery lazily to keep repro.obs importable
@@ -61,12 +62,6 @@ __all__ = [
     "RunDiagnosis",
     "diagnose",
 ]
-
-#: Rates below this fraction of the reference count as a stall.
-_STALL_EPS = 1e-9
-
-#: A rate within this relative tolerance of the active cap is "at cap".
-_CAP_TOL = 0.02
 
 #: Achieved/claimed ratios above this are flagged as anomalous.
 _EXCEED_TOL = 1.01
@@ -121,7 +116,8 @@ class RepairDiagnosis:
     oracle_bmin: float | None = None
     #: Which B_min the decomposition is measured against.
     reference: str = "none"  # "oracle" | "claimed" | "none"
-    #: Seconds per cause; keys ideal/contention/governor/stall/credit.
+    #: Seconds per cause, keyed by ``critpath.FLOW_CATEGORIES``; sums to
+    #: ``duration``.
     components: dict[str, float] = field(default_factory=dict)
     bottleneck: BottleneckLink | None = None
     anomalies: list[str] = field(default_factory=list)
@@ -267,13 +263,8 @@ class RunDiagnosis:
         if self.totals:
             parts = "  ".join(
                 f"{key} {format_seconds(self.totals[key])}"
-                for key in ("ideal", "contention", "governor", "stall",
-                            "hedge")
-                if key in self.totals
+                for key in FLOW_CATEGORIES if key in self.totals
             )
-            credit = self.totals.get("credit", 0.0)
-            if credit < -1e-9:
-                parts += f"  credit {format_seconds(-credit)}"
             lines.append(f"time attribution: {parts}")
         if self.governor:
             lines.append(
@@ -312,7 +303,7 @@ class RunDiagnosis:
             lines.append(
                 format_table(
                     ["repair", "duration", "rate", "vs B_min", "neck",
-                     "waterfall ideal/contention/governor/stall/hedge"],
+                     "waterfall " + "/".join(FLOW_CATEGORIES)],
                     rows,
                 )
             )
@@ -328,232 +319,68 @@ class RunDiagnosis:
 
 def _waterfall(diag: RepairDiagnosis, width: int = 20) -> str:
     """Tiny inline stacked bar of a diagnosis' time components."""
-    glyphs = (("ideal", "#"), ("contention", "~"), ("governor", "g"),
-              ("stall", "."), ("hedge", "h"))
     duration = diag.duration
     if duration <= 0:
         return ""
     out = []
-    for key, glyph in glyphs:
-        seconds = max(diag.components.get(key, 0.0), 0.0)
-        out.append(glyph * round(width * seconds / duration))
+    for key in FLOW_CATEGORIES:
+        seconds = diag.components.get(key, 0.0)
+        out.append(GLYPHS[key] * round(width * seconds / duration))
     return "".join(out)[:width] or "#"
 
 
 # ----------------------------------------------------------------------
-# Trace digestion
+# What spans cannot give: oracle B_min and bottleneck-link naming
 # ----------------------------------------------------------------------
-@dataclass
-class _Flow:
-    key: object  # task id, or (track, label) for legacy traces
-    label: str
-    track: str
-    submit: float
-    kind: str
-    shape: str
-    edges: list[tuple[int, int]]
-    bytes_total: float
-    finish: float | None = None
-    cancelled: bool = False
-    #: (t, aggregate rate) change points.
-    rates: list[tuple[float, float]] = field(default_factory=list)
+def _edges_of(flow: Span) -> list[tuple[int, int]]:
+    return [(int(src), int(dst)) for src, dst in flow.fields.get("edges", [])]
 
 
-def _flow_key(event) -> object:
-    task = event.fields.get("task")
-    if task is not None:
-        return task
-    return (event.track, event.fields.get("label", ""))
+def _caps_from_samples(samples) -> list[tuple[float, float | None]]:
+    """Governor cap step function from flight-recorder samples.
 
-
-def _digest_flows(events) -> list[_Flow]:
-    """Pair flow spans with their rate-change points, in submit order."""
-    open_flows: dict[object, _Flow] = {}
-    flows: list[_Flow] = []
-    for event in events:
-        if event.name == "flow" and event.kind == "begin":
-            flow = _Flow(
-                key=_flow_key(event),
-                label=event.fields.get("label", ""),
-                track=event.track,
-                submit=event.t,
-                kind=event.fields.get("kind", "repair"),
-                shape=event.fields.get("shape", "pipelined"),
-                edges=[
-                    (int(src), int(dst))
-                    for src, dst in event.fields.get("edges", [])
-                ],
-                bytes_total=float(event.fields.get("bytes_total", 0.0)),
-            )
-            open_flows[flow.key] = flow
-            flows.append(flow)
-        elif event.name == "flow.rate_change":
-            flow = open_flows.get(_flow_key(event))
-            if flow is not None:
-                flow.rates.append((event.t, float(event.fields["rate"])))
-        elif (
-            event.name in ("flow.finish", "flow.cancel")
-            or (event.name == "flow" and event.kind == "end")
-        ):
-            # Completion rides on the span end event ("flow.finish" is
-            # the legacy instant, still honoured for saved traces); the
-            # cancel instant precedes its span end, so the later end
-            # pops nothing and cannot clobber the cancelled flag.
-            flow = open_flows.pop(_flow_key(event), None)
-            if flow is not None:
-                flow.finish = event.t
-                flow.cancelled = event.name == "flow.cancel" or bool(
-                    event.fields.get("cancelled", False)
-                )
-    return flows
-
-
-def _straggler_windows(events) -> dict[object, dict]:
-    """task id -> straggler verdict/hedge-launch times from the trace.
-
-    ``since`` is when the detector's first bad progress window opened;
-    ``launch`` (optional — launching can fail for lack of alternates) is
-    when the hedge started racing the flagged primary.
+    Single-chunk governed runs note the cap on the sampler without a
+    ``governor.decision`` event; the index's timeline is empty for them.
     """
-    windows: dict[object, dict] = {}
-    for event in events:
-        task = event.fields.get("task")
-        if task is None:
-            continue
-        if event.name == "health.straggler":
-            windows.setdefault(task, {})["since"] = float(
-                event.fields.get("since", event.t)
-            )
-        elif event.name == "hedge.launch":
-            windows.setdefault(task, {})["launch"] = event.t
-    return {
-        task: info for task, info in windows.items() if "since" in info
-    }
-
-
-def _claimed_bmins(events) -> list[tuple[float, int, float, str]]:
-    """(t, requestor, bmin, scheme) of every ``planner.plan`` event."""
-    out = []
-    for event in events:
-        if event.name == "planner.plan":
-            out.append(
-                (
-                    event.t,
-                    int(event.fields.get("requestor", -1)),
-                    float(event.fields.get("bmin", 0.0)),
-                    str(event.fields.get("scheme", "")),
-                )
-            )
-    return out
-
-
-def _cap_timeline(events, samples) -> list[tuple[float, float | None]]:
-    """Governor cap step function from decisions (falling back to samples)."""
     points: list[tuple[float, float | None]] = []
-    for event in events:
-        if event.name == "governor.decision":
-            cap = event.fields.get("cap", -1.0)
-            points.append((event.t, None if cap is None or cap < 0 else cap))
-    if not points and samples:
-        previous: float | None = None
-        for sample in samples:
-            if sample.repair_cap != previous:
-                points.append((sample.t, sample.repair_cap))
-                previous = sample.repair_cap
+    previous: float | None = None
+    for sample in samples:
+        if sample.repair_cap != previous:
+            points.append((sample.t, sample.repair_cap))
+            previous = sample.repair_cap
     return points
 
 
-def _cap_at(timeline, t: float) -> float | None:
-    cap = None
-    for at, value in timeline:
-        if at > t + 1e-12:
-            break
-        cap = value
-    return cap
+def _tree_at_submit(flow: Span, network):
+    """(executed tree, bandwidth snapshot at submit) of a pipelined flow.
 
-
-def _sink_of(flow: _Flow) -> int | None:
-    sources = {src for src, _ in flow.edges}
-    sinks = {dst for _, dst in flow.edges if dst not in sources}
-    return min(sinks) if sinks else None
-
-
-def _rate_profile(flow: _Flow) -> list[tuple[float, float, float]]:
-    """Piecewise-constant (start, end, rate) intervals covering the flow."""
-    finish = flow.finish if flow.finish is not None else flow.submit
-    if finish <= flow.submit:
-        return []
-    # Stable, time-only sort: several changes can land at the same
-    # instant (resubmission churn) and the last one is the rate that
-    # actually held.
-    changes = sorted(flow.rates, key=lambda change: change[0])
-    intervals = []
-    cursor = flow.submit
-    current = 0.0
-    if changes and changes[0][0] <= flow.submit + 1e-12:
-        current = changes[0][1]
-        changes = changes[1:]
-    for t, rate in changes:
-        t = min(max(t, flow.submit), finish)
-        if t > cursor:
-            intervals.append((cursor, t, current))
-            cursor = t
-        current = rate
-    if finish > cursor:
-        intervals.append((cursor, finish, current))
-    return intervals
-
-
-def _split_at(start: float, end: float, cuts) -> list[tuple[float, float]]:
-    """Split [start, end) at every cut point falling strictly inside."""
-    points = [start]
-    for cut in sorted(cuts):
-        if start < cut < end:
-            points.append(cut)
-    points.append(end)
-    return list(zip(points, points[1:]))
-
-
-def _oracle_bmin(flow: _Flow, network) -> float | None:
-    """Executed tree's B_min under the recorded bandwidths at submit.
-
-    The oracle is contention-free: what the pipelined tree could carry if
-    repair were alone on the network the instant it started.  ``None``
-    for non-tree shapes or when the edges do not form a tree.
+    ``None`` without a network, for non-tree shapes, or when the edges
+    do not form a tree.
     """
-    if network is None or flow.shape != "pipelined" or not flow.edges:
+    edges = _edges_of(flow)
+    if (
+        network is None or not edges
+        or flow.fields.get("shape", "pipelined") != "pipelined"
+    ):
         return None
     from repro.core.bandwidth_view import BandwidthSnapshot
     from repro.core.tree import RepairTree
     from repro.exceptions import PlanningError
 
-    root = _sink_of(flow)
-    if root is None:
+    sources = {src for src, _ in edges}
+    sinks = {dst for _, dst in edges if dst not in sources}
+    if not sinks:
         return None
     try:
-        tree = RepairTree(root, dict(flow.edges))
-        snapshot = BandwidthSnapshot.from_network(network, flow.submit)
-        return tree.bmin(snapshot)
+        tree = RepairTree(min(sinks), dict(edges))
+        return tree, BandwidthSnapshot.from_network(network, flow.start)
     except PlanningError:
         return None
 
 
-def _static_bottleneck(flow: _Flow, network) -> BottleneckLink | None:
+def _static_bottleneck(tree, snapshot) -> BottleneckLink:
     """Fallback bottleneck naming from the tree shape at submit time."""
-    if network is None or flow.shape != "pipelined" or not flow.edges:
-        return None
-    from repro.core.bandwidth_view import BandwidthSnapshot
-    from repro.core.tree import RepairTree
-    from repro.exceptions import PlanningError
-
-    root = _sink_of(flow)
-    if root is None:
-        return None
-    try:
-        tree = RepairTree(root, dict(flow.edges))
-        snapshot = BandwidthSnapshot.from_network(network, flow.submit)
-    except PlanningError:
-        return None
+    root = tree.root
     worst_node = min(
         tree.helpers + [root],
         key=lambda node: (tree.node_bottleneck(snapshot, node), node),
@@ -574,7 +401,7 @@ def _static_bottleneck(flow: _Flow, network) -> BottleneckLink | None:
 
 
 def _sampled_bottleneck(
-    flow: _Flow, samples, interval_hint: float
+    flow: Span, samples, interval_hint: float
 ) -> BottleneckLink | None:
     """Name the flow's tightest link from flight-recorder samples.
 
@@ -583,19 +410,14 @@ def _sampled_bottleneck(
     uplink and its sink's downlink) wins that tick; the link winning the
     most time is the bottleneck.
     """
-    if not samples or flow.finish is None or not flow.edges:
+    resources = _resources(flow.fields.get("edges", []))
+    if not samples or not resources:
         return None
-    resources: set[tuple[str, int]] = set()
-    for src, dst in flow.edges:
-        resources.add(("up", src))
-        resources.add(("down", dst))
     won_time: dict[tuple[str, int], float] = {}
     util_sum: dict[tuple[str, int], float] = {}
-    covered = 0
     for sample in samples:
-        if not flow.submit <= sample.t <= flow.finish:
+        if not flow.start <= sample.t <= flow.end:
             continue
-        covered += 1
         best_key = None
         best_util = 0.0
         for direction, node in resources:
@@ -616,12 +438,11 @@ def _sampled_bottleneck(
         return None
     winner = max(won_time, key=lambda key: (won_time[key], key[1] * -1))
     ticks = won_time[winner] / interval_hint
-    duration = flow.finish - flow.submit or 1.0
     return BottleneckLink(
         node=winner[1],
         direction=winner[0],
         utilization=util_sum[winner] / ticks,
-        share=min(won_time[winner] / duration, 1.0),
+        share=min(won_time[winner] / (flow.duration or 1.0), 1.0),
     )
 
 
@@ -629,118 +450,83 @@ def _sampled_bottleneck(
 # Diagnosis
 # ----------------------------------------------------------------------
 def _diagnose_flow(
-    flow: _Flow,
-    claimed: float | None,
-    oracle: float | None,
-    cap_timeline,
+    index: TraceIndex,
+    flow: Span,
     samples,
     sample_interval: float,
     network,
-    straggler: dict | None = None,
 ) -> RepairDiagnosis:
-    edges = flow.edges
-    bytes_per_edge = flow.bytes_total / max(len(edges), 1)
-    duration = (flow.finish or flow.submit) - flow.submit
-    achieved = bytes_per_edge / duration if duration > 0 else 0.0
+    edges = _edges_of(flow)
+    pipelined = flow.fields.get("shape", "pipelined") == "pipelined"
+    bytes_per_edge = float(flow.fields.get("bytes_total", 0.0)) / max(
+        len(edges), 1
+    )
+    duration = flow.duration
+    rates = index.rates.get(flow.span_id)
+    carried = sum(
+        rate * (end - start)
+        for start, end, rate in _rate_profile(flow, rates or [])
+    )
+    # A cancelled flow never delivered its byte count: its achieved rate
+    # is what the profile says it carried.
+    delivered = carried if flow.cancelled and rates else bytes_per_edge
+    achieved = delivered / duration if duration > 0 else 0.0
+    claimed = _stamped_bmin(flow)
+    located = _tree_at_submit(flow, network)
+    oracle = located[0].bmin(located[1]) if located else None
     reference, ref_rate = "none", None
     if oracle and oracle > 0:
         reference, ref_rate = "oracle", oracle
-    elif claimed and claimed > 0:
+    elif claimed:
         reference, ref_rate = "claimed", claimed
     components: dict[str, float] = {}
-    if flow.kind == "hedge" and duration > 0:
-        # A hedge flow exists only because a gray failure was suspected:
-        # every second it ran (winner or cancelled loser) is spent on the
-        # hedge, regardless of the rate it achieved.
-        components = {"hedge": duration}
-    elif ref_rate is not None and duration > 0 and (
-        not flow.cancelled or straggler is not None
-    ):
-        # ``since``/``launch`` only exist for a straggler-cancelled
-        # primary: its deficit after the detector flagged it is a stall,
-        # and after the hedge launched it is hedge overlap, not ordinary
-        # contention.  Ideal is what the flow *actually carried* over the
-        # reference rate, so the identity D = sum(components) still holds
-        # for a flow that never delivered its full byte count.
-        since = float(straggler["since"]) if straggler else math.inf
-        launch = (
-            float(straggler.get("launch", math.inf))
-            if straggler
-            else math.inf
+    if duration > 0:
+        components = _flow_categories(
+            index, flow, flow.start, flow.end, ref_rate
         )
-        carried = 0.0
-        contention = governor = stall = credit = hedge = 0.0
-        for start, end, rate in _rate_profile(flow):
-            for s, e in _split_at(start, end, (since, launch)):
-                dt = e - s
-                if dt <= 0:
-                    continue
-                if rate <= _STALL_EPS:
-                    stall += dt
-                    continue
-                carried += rate * dt
-                excess = (ref_rate - rate) * dt / ref_rate
-                if rate > ref_rate:
-                    credit += excess  # negative
-                    continue
-                if s >= launch:
-                    hedge += excess
-                elif s >= since:
-                    stall += excess
-                    continue
-                else:
-                    cap = _cap_at(cap_timeline, s)
-                    if cap is not None and rate >= cap * (1 - _CAP_TOL):
-                        governor += excess
-                    else:
-                        contention += excess
-        ideal = (
-            carried / ref_rate
-            if straggler is not None
-            else bytes_per_edge / ref_rate
-        )
-        components = {
-            "ideal": ideal,
-            "contention": contention,
-            "governor": governor,
-            "stall": stall,
-            "credit": credit,
-        }
-        if straggler is not None:
-            components["hedge"] = hedge
     bottleneck = _sampled_bottleneck(flow, samples, sample_interval)
-    if bottleneck is None:
-        bottleneck = _static_bottleneck(flow, network)
+    if bottleneck is None and located:
+        bottleneck = _static_bottleneck(*located)
     anomalies = []
     # Beating the *claimed* B_min is legal when competitors finished
     # mid-flight (the claim is made against residual bandwidth at plan
     # time), so it is only anomalous when no oracle bound covers it.
+    # Per-edge rates only mean something on a pipelined tree: the stages
+    # of a staged plan each run at their own link's rate.
     if (
-        claimed and duration > 0 and achieved > claimed * _EXCEED_TOL
+        claimed and pipelined and achieved > claimed * _EXCEED_TOL
         and not (oracle and achieved <= oracle * _EXCEED_TOL)
     ):
         anomalies.append(
             f"achieved rate {achieved:.0f} exceeds claimed B_min "
             f"{claimed:.0f} ({achieved / claimed:.2f}x)"
         )
-    if oracle and duration > 0 and achieved > oracle * _EXCEED_TOL:
+    if oracle and achieved > oracle * _EXCEED_TOL:
         anomalies.append(
             f"achieved rate {achieved:.0f} exceeds oracle B_min "
             f"{oracle:.0f} ({achieved / oracle:.2f}x)"
         )
-    if components:
-        residual = duration - sum(components.values())
-        if abs(residual) > max(1e-6 * duration, 1e-9):
-            anomalies.append(
-                f"attribution residual {residual:.3g}s of {duration:.3g}s "
-                "(rate profile does not integrate to the byte count)"
-            )
+    residual = duration - sum(components.values())
+    if abs(residual) > max(1e-6 * duration, 1e-9):
+        anomalies.append(
+            f"attribution residual {residual:.3g}s of {duration:.3g}s"
+        )
+    # The rule tiles by construction, so a profile that misses the byte
+    # count cannot show as a residual; check the integral itself.
+    if (
+        rates and pipelined and not flow.cancelled
+        and abs(carried - bytes_per_edge) > max(1e-6 * bytes_per_edge, 1e-9)
+    ):
+        anomalies.append(
+            f"rate profile integrates to {carried:.6g} of "
+            f"{bytes_per_edge:.6g} bytes per edge"
+        )
     return RepairDiagnosis(
-        label=flow.label,
+        label=str(flow.fields.get("label", "")),
         track=flow.track,
-        submit=flow.submit,
-        finish=flow.finish if flow.finish is not None else flow.submit,
-        shape=flow.shape,
+        submit=flow.start,
+        finish=flow.end,
+        shape=str(flow.fields.get("shape", "pipelined")),
         cancelled=flow.cancelled,
         edges=edges,
         bytes_per_edge=bytes_per_edge,
@@ -780,6 +566,11 @@ def _check_telemetry(telemetry: dict | None, anomalies: list[str]) -> None:
         )
 
 
+def _is_repair(fields: dict) -> bool:
+    """Repair and hedge flows are diagnosed; foreground traffic is not."""
+    return fields.get("kind", "repair") in ("repair", "hedge")
+
+
 def diagnose(
     events: Sequence,
     samples: Sequence | None = None,
@@ -809,54 +600,21 @@ def diagnose(
     if len(samples) >= 2:
         sample_interval = max(samples[1].t - samples[0].t, 1e-9)
     events = list(events)
-    flows = _digest_flows(events)
-    claimed_pool = _claimed_bmins(events)
-    cap_timeline = _cap_timeline(events, samples)
-    repairs: list[RepairDiagnosis] = []
-    anomalies: list[str] = []
-    consumed = [False] * len(claimed_pool)
-    stragglers = _straggler_windows(events)
-    for flow in flows:
-        if flow.kind not in ("repair", "hedge"):
-            continue
-        if flow.finish is None:
-            anomalies.append(
-                f"flow {flow.label!r} never finished (unmatched span)"
-            )
-            continue
-        straggler = (
-            stragglers.get(flow.key)
-            if flow.kind == "repair" and flow.cancelled
-            else None
-        )
-        sink = _sink_of(flow)
-        claimed = None
-        # Latest unconsumed plan for this sink wins; a scheme whose name
-        # prefixes the flow label is preferred, so traces holding several
-        # schemes' runs (each restarting the clock) don't cross-match.
-        for require_scheme in (True, False):
-            for index in range(len(claimed_pool) - 1, -1, -1):
-                t, requestor, bmin, scheme = claimed_pool[index]
-                if consumed[index] or t > flow.submit + 1e-9:
-                    continue
-                if sink is not None and requestor != sink:
-                    continue
-                if require_scheme and not (
-                    scheme and flow.label.startswith(scheme)
-                ):
-                    continue
-                consumed[index] = True
-                claimed = bmin
-                break
-            if claimed is not None:
-                break
-        oracle = _oracle_bmin(flow, network)
-        repairs.append(
-            _diagnose_flow(
-                flow, claimed, oracle, cap_timeline, samples,
-                sample_interval, network, straggler=straggler,
-            )
-        )
+    index = build_spans(events)
+    if not index.caps:
+        index.caps = _caps_from_samples(samples)
+    anomalies = [
+        f"flow {begin.fields.get('label', '')!r} never finished "
+        "(unmatched span)"
+        for begin in index.unclosed
+        if begin.name == "flow" and _is_repair(begin.fields)
+    ]
+    # Span ids are handed out at begin, so this is submit order.
+    repairs = [
+        _diagnose_flow(index, flow, samples, sample_interval, network)
+        for _, flow in sorted(index.spans.items())
+        if flow.name == "flow" and _is_repair(flow.fields)
+    ]
     totals: dict[str, float] = {}
     neck_seconds: dict[tuple[str, int], float] = {}
     oracle_num = oracle_den = 0.0
@@ -889,12 +647,12 @@ def diagnose(
     repair_time = sum(d.duration for d in repairs)
     capped_time = 0.0
     for diag in repairs:
-        for start, end in _segments_with_cap(diag, cap_timeline):
+        for start, end in _segments_with_cap(diag, index.caps):
             capped_time += end - start
     governor_summary = {}
-    if cap_timeline:
+    if index.caps:
         governor_summary = {
-            "decisions": len(cap_timeline),
+            "decisions": len(index.caps),
             "capped_fraction": (
                 capped_time / repair_time if repair_time > 0 else 0.0
             ),

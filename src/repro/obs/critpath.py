@@ -1,9 +1,22 @@
-"""Exact critical-path attribution from the causal span DAG.
+"""Trace attribution: one index, one flow rule, exact critical paths.
 
-:mod:`repro.obs.analysis` answers *how fast did each flow run versus its
-planned bottleneck*; this module answers the stricter scheduling
-question: **which chain of intervals determined each repair's makespan,
-and what category of work was each second of that chain?**
+This module owns trace digestion and the flow-attribution rule for every
+view of *where repair time went*:
+
+* :func:`build_spans` digests an event stream in one pass into a
+  :class:`TraceIndex` — the span DAG, each flow's ``flow.rate_change``
+  profile, the governor cap timeline and the straggler verdicts;
+* :func:`_flow_categories` is the one rule that splits any
+  ``[start, end]`` of a flow into seconds per category against a
+  reference rate (see its docstring for the rule);
+* :func:`critical_paths` applies it to the critical-path segments of
+  every repair against the *claimed* ``B_min`` stamped on the flow at
+  submit, and :func:`repro.obs.analysis.diagnose` applies it to every
+  repair flow end to end against the oracle (else stamped) ``B_min``.
+
+The critical path answers the scheduling question: **which chain of
+intervals determined each repair's makespan, and what category of work
+was each second of that chain?**
 
 Every repair executor opens a ``repair.task`` span when the repair is
 *handed to the orchestrator* (so scheduler queueing is inside the span)
@@ -26,21 +39,16 @@ so their durations sum to the measured makespan to float precision — an
 invariant this module checks per repair (``residual``) and the CI smoke
 job asserts at ``1e-9``.
 
-Each segment's seconds are then attributed to categories.  Flow
-segments are subdivided along the recorded ``flow.rate_change`` profile
-against the *claimed* ``B_min`` stamped on the flow at submit: time at
-the reference is ``transfer``, excess below it is ``contention``
-(``governor`` when the rate sat at the QoS cap, ``hedge`` when another
-flow of the same repair was racing), near-zero rate is ``stall``.
-Explicit spans map directly — ``repair.planning`` → ``planning``,
-``repair.fill``/``repair.decode`` → ``pipeline``, ``repair.backoff`` →
-``stall``.  Contention seconds are further charged to the *rivals*
-whose flows shared a link with the repair at that instant: foreground
-**tenants** (``tenant`` is stamped on foreground flows by the load
-generator) and other concurrent **repairs** — labelled by owning
-control-plane job (``repair:<job>``, from the ``job`` field the fleet
-plane stamps on task spans) or, for single-job traces, by stripe track
-(``repair:<stripe>``).
+Each segment's seconds are then attributed to categories: flow segments
+by the flow rule, explicit spans directly — ``repair.planning`` →
+``planning``, ``repair.fill``/``repair.decode`` → ``pipeline``,
+``repair.backoff`` → ``stall``.  Contention seconds are further charged
+to the *rivals* whose flows shared a link with the repair at that
+instant: foreground **tenants** (``tenant`` is stamped on foreground
+flows by the load generator) and other concurrent **repairs** — labelled
+by owning control-plane job (``repair:<job>``, from the ``job`` field
+the fleet plane stamps on task spans) or, for single-job traces, by
+stripe track (``repair:<stripe>``).
 
 The decomposition is *exact by category too*: per repair,
 ``sum(categories.values()) == makespan`` within float tolerance.
@@ -54,12 +62,16 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 __all__ = [
+    "CATEGORIES",
+    "FLOW_CATEGORIES",
+    "GLYPHS",
     "Span",
+    "TraceIndex",
     "PathSegment",
     "RepairPath",
     "CritPathReport",
+    "build_spans",
     "critical_paths",
-    "crosscheck",
 ]
 
 #: Rates below this fraction of the reference count as a stall.
@@ -71,16 +83,16 @@ _CAP_TOL = 0.02
 #: Per-repair residual tolerance for the tiling invariant.
 TILE_TOL = 1e-9
 
-#: Categories in render order.
-CATEGORIES = (
-    "transfer", "contention", "governor", "stall", "queue",
-    "planning", "pipeline", "hedge",
-)
-
-_GLYPHS = {
+#: The one vocabulary: category -> waterfall glyph, in render order.
+GLYPHS = {
     "transfer": "#", "contention": "~", "governor": "g", "stall": ".",
     "queue": "q", "planning": "p", "pipeline": "=", "hedge": "h",
 }
+CATEGORIES = tuple(GLYPHS)
+
+#: What a flow's own seconds can be (the rule's outputs); the rest are
+#: gaps and explicit dependency spans, which only a critical path has.
+FLOW_CATEGORIES = ("transfer", "contention", "governor", "stall", "hedge")
 
 #: Child spans that are explicit dependency intervals (not flows); the
 #: covering walk prefers them over flows when both cover an instant.
@@ -263,7 +275,7 @@ class CritPathReport:
             lines.append(
                 f"waterfall [{format_seconds(t0)} .. {format_seconds(t1)}] "
                 + " ".join(
-                    f"{glyph}={key}" for key, glyph in _GLYPHS.items()
+                    f"{glyph}={key}" for key, glyph in GLYPHS.items()
                 )
             )
             for path in self.repairs[:limit]:
@@ -302,25 +314,58 @@ def _bar(path: RepairPath, width: int) -> str:
                     seg.categories, key=lambda k: seg.categories[k],
                     default=seg.category,
                 )
-                glyph = _GLYPHS.get(dominant, "#")
+                glyph = GLYPHS.get(dominant, "#")
                 break
         cells.append(glyph)
     return "".join(cells)
 
 
 # ----------------------------------------------------------------------
-# Span DAG reconstruction
+# Trace digestion: one pass, one index
 # ----------------------------------------------------------------------
-def build_spans(events: Sequence) -> dict[int, Span]:
-    """Pair begin/end events into :class:`Span` objects by span id.
+@dataclass
+class TraceIndex:
+    """Everything the attribution views read from a trace.
 
-    ``end`` fields are merged over ``begin`` fields (the end of a span
-    carries its outcome — ``transfer_seconds``, ``failed`` …).  Spans
-    with no matching end are dropped; callers flag them separately via
-    :func:`unclosed_spans`.
+    Built by :func:`build_spans` in one pass over the events; both
+    :func:`critical_paths` and :func:`repro.obs.analysis.diagnose` read
+    it and apply :func:`_flow_categories` to its flows.
     """
-    opened: dict[int, TraceEventLike] = {}
-    spans: dict[int, Span] = {}
+
+    #: span id -> closed span, in end order.
+    spans: dict[int, Span] = field(default_factory=dict)
+    #: Begin events whose span never ended (crash / truncated trace).
+    unclosed: list = field(default_factory=list)
+    #: flow span id -> (t, aggregate rate) change points.
+    rates: dict[int, list[tuple[float, float]]] = field(default_factory=dict)
+    #: Governor cap step function: (t, cap or None when uncapped).
+    caps: list[tuple[float, float | None]] = field(default_factory=list)
+    #: (repair.task span id, simulator task id) -> ``since`` of the
+    #: straggler verdict on that primary flow: when the detector's first
+    #: bad progress window opened.
+    stragglers: dict[tuple, float] = field(default_factory=dict)
+    #: parent span id -> child spans.
+    children: dict[int, list[Span]] = field(default_factory=dict)
+
+    def flows_of(self, parent_id: int | None) -> list[Span]:
+        return [
+            child for child in self.children.get(parent_id, ())
+            if child.name == "flow"
+        ]
+
+
+def build_spans(events: Sequence) -> TraceIndex:
+    """Digest an event stream into a :class:`TraceIndex`.
+
+    Begin/end events pair into :class:`Span` objects by span id, ``end``
+    fields merged over ``begin`` fields (the end of a span carries its
+    outcome — ``transfer_seconds``, ``failed`` …).  The ``flow.cancel``
+    instant precedes its span end, which carries ``cancelled=True``, so
+    the span alone says how a flow ended.  Spans with no matching end
+    are kept aside in ``unclosed``; callers flag them.
+    """
+    index = TraceIndex()
+    opened: dict[int, object] = {}
     for event in events:
         if event.kind == "begin" and event.span_id is not None:
             opened[event.span_id] = event
@@ -330,7 +375,7 @@ def build_spans(events: Sequence) -> dict[int, Span]:
                 continue
             fields = dict(begin.fields)
             fields.update(event.fields)
-            spans[event.span_id] = Span(
+            index.spans[event.span_id] = Span(
                 span_id=event.span_id,
                 name=begin.name,
                 track=begin.track,
@@ -341,23 +386,23 @@ def build_spans(events: Sequence) -> dict[int, Span]:
                 fields=fields,
                 cancelled=bool(event.fields.get("cancelled", False)),
             )
-    return spans
-
-
-#: Structural typing marker for docs; any object with the TraceEvent
-#: attributes (name/kind/t/track/span_id/parent_id/links/fields) works.
-TraceEventLike = object
-
-
-def unclosed_spans(events: Sequence) -> list:
-    """Begin events whose span never ended (crash / truncated trace)."""
-    opened = {}
-    for event in events:
-        if event.kind == "begin" and event.span_id is not None:
-            opened[event.span_id] = event
-        elif event.kind == "end" and event.span_id is not None:
-            opened.pop(event.span_id, None)
-    return list(opened.values())
+        elif event.name == "flow.rate_change" and event.parent_id is not None:
+            index.rates.setdefault(event.parent_id, []).append(
+                (event.t, float(event.fields["rate"]))
+            )
+        elif event.name == "governor.decision":
+            cap = event.fields.get("cap", -1.0)
+            index.caps.append(
+                (event.t, None if cap is None or cap < 0 else cap)
+            )
+        elif event.name == "health.straggler":
+            key = (event.parent_id, event.fields.get("task"))
+            index.stragglers[key] = float(event.fields.get("since", event.t))
+    index.unclosed = list(opened.values())
+    for span in index.spans.values():
+        if span.parent_id is not None:
+            index.children.setdefault(span.parent_id, []).append(span)
+    return index
 
 
 def _rate_profile(
@@ -366,6 +411,9 @@ def _rate_profile(
     """Piecewise-constant (start, end, rate) intervals covering ``flow``."""
     if flow.end <= flow.start:
         return []
+    # Stable, time-only sort: several changes can land at the same
+    # instant (resubmission churn) and the last one is the rate that
+    # actually held.
     changes = sorted(rates, key=lambda change: change[0])
     intervals = []
     cursor = flow.start
@@ -463,78 +511,105 @@ def _covering_walk(
 
 
 # ----------------------------------------------------------------------
-# Category + tenant attribution
+# The flow-attribution rule
 # ----------------------------------------------------------------------
 def _flow_categories(
+    index: TraceIndex,
     flow: Span,
     start: float,
     end: float,
-    rates: list[tuple[float, float]],
-    cap_timeline,
-    sibling_flows: list[Span],
-    contenders: list[tuple[str, Span]],
-    tenants_out: dict[str, float],
+    ref: float | None,
+    contenders: Sequence[tuple[str, Span]] = (),
+    blame_out: dict[str, float] | None = None,
 ) -> dict[str, float]:
-    """Split a flow segment's seconds into categories, exactly.
+    """Split ``[start, end]`` of a flow into :data:`CATEGORIES`, exactly.
 
-    Every dt of the segment lands in exactly one bucket's tally (the
-    sub-reference excess is split fractionally between ``transfer`` and
-    the loss bucket), so the values sum to ``end - start``.
+    The one rule both views apply; ``ref`` is the rate the flow is
+    measured against (the stamped ``bmin`` on the critical path, the
+    oracle ``B_min`` in ``diagnose``).  The rate profile is cut at the
+    edges of the repair's other flows and at the straggler verdict's
+    ``since``.  Near-zero rate is ``stall``; time at or above ``ref`` is
+    ``transfer``; below it, the fraction ``r / ref`` of each dt is
+    ``transfer`` and the rest is lost to ``hedge`` while a sibling flow
+    of the same repair is live (primary and hedge racing), to ``stall``
+    once the detector's bad window opened, to ``governor`` when the rate
+    sat at the QoS cap, else to ``contention``.  Every dt lands in the
+    tallies exactly once, so the values sum to ``end - start``.
+
     ``contenders`` are (blame label, flow) pairs — foreground tenants
-    and other repairs' flows — charged for contention seconds when they
-    shared a link with this flow at that instant.
+    and other repairs' flows — charged in ``blame_out`` for contention
+    seconds when they shared a link with this flow at that instant.
     """
+    rates = index.rates.get(flow.span_id)
     if not rates:
         # No rate profile recorded (e.g. a trimmed trace): the whole
-        # segment is transfer time — never misread silence as a stall.
+        # interval is transfer time — never misread silence as a stall.
         return {"transfer": end - start}
-    out: dict[str, float] = {}
-    ref = flow.fields.get("bmin")
-    ref = float(ref) if ref else None
+    siblings = [
+        other for other in index.flows_of(flow.parent_id)
+        if other.span_id != flow.span_id
+    ]
+    since = index.stragglers.get(
+        (flow.parent_id, flow.fields.get("task")), math.inf
+    )
+    cuts = sorted(
+        {since}.union(*((other.start, other.end) for other in siblings))
+    )
     resources = _resources(flow.fields.get("edges", []))
+    out: dict[str, float] = {}
     for s0, e0, rate in _rate_profile(flow, rates):
-        s, e = max(s0, start), min(e0, end)
-        dt = e - s
-        if dt <= 0:
-            continue
-        if rate <= _STALL_EPS:
-            out["stall"] = out.get("stall", 0.0) + dt
-            continue
-        if ref is None or rate >= ref:
-            out["transfer"] = out.get("transfer", 0.0) + dt
-            continue
-        carried = dt * rate / ref
-        excess = dt - carried
-        out["transfer"] = out.get("transfer", 0.0) + carried
-        racing = any(
-            other.start < e and other.end > s for other in sibling_flows
-        )
-        cap = _cap_at(cap_timeline, s)
-        if racing:
-            bucket = "hedge"
-        elif cap is not None and rate >= cap * (1 - _CAP_TOL):
-            bucket = "governor"
-        else:
-            bucket = "contention"
-        out[bucket] = out.get(bucket, 0.0) + excess
-        if bucket == "contention" and excess > 0:
-            blamed = sorted(
-                {
-                    name
-                    for name, other in contenders
-                    if other.start < e and other.end > s
-                    and resources & _resources(
-                        other.fields.get("edges", [])
-                    )
-                }
-            )
-            for tenant in blamed or ["(unattributed)"]:
-                tenants_out[tenant] = (
-                    tenants_out.get(tenant, 0.0) + excess / max(
-                        len(blamed), 1
-                    )
+        lo, hi = max(s0, start), min(e0, end)
+        points = [lo] + [cut for cut in cuts if lo < cut < hi] + [hi]
+        for s, e in zip(points, points[1:]):
+            dt = e - s
+            if dt <= 0:
+                continue
+            if rate <= _STALL_EPS:
+                out["stall"] = out.get("stall", 0.0) + dt
+                continue
+            if ref is None or rate >= ref:
+                out["transfer"] = out.get("transfer", 0.0) + dt
+                continue
+            carried = dt * rate / ref
+            excess = dt - carried
+            out["transfer"] = out.get("transfer", 0.0) + carried
+            if any(other.start <= s and other.end >= e for other in siblings):
+                bucket = "hedge"
+            elif s >= since:
+                bucket = "stall"
+            else:
+                cap = _cap_at(index.caps, s)
+                at_cap = cap is not None and rate >= cap * (1 - _CAP_TOL)
+                bucket = "governor" if at_cap else "contention"
+            out[bucket] = out.get(bucket, 0.0) + excess
+            if bucket == "contention" and excess > 0 and blame_out is not None:
+                blamed = sorted(
+                    {
+                        name
+                        for name, other in contenders
+                        if other.start < e and other.end > s
+                        and resources & _resources(
+                            other.fields.get("edges", [])
+                        )
+                    }
                 )
+                for tenant in blamed or ["(unattributed)"]:
+                    blame_out[tenant] = (
+                        blame_out.get(tenant, 0.0) + excess / max(
+                            len(blamed), 1
+                        )
+                    )
     return out
+
+
+def _stamped_bmin(flow: Span) -> float | None:
+    """The planner's claimed ``B_min``, stamped on the flow at submit.
+
+    A claim of 0 (planning through a saturated link) is no reference:
+    the flow is measured against nothing rather than divided by zero.
+    """
+    bmin = flow.fields.get("bmin")
+    return float(bmin) if bmin else None
 
 
 # ----------------------------------------------------------------------
@@ -542,25 +617,8 @@ def _flow_categories(
 # ----------------------------------------------------------------------
 def critical_paths(events: Sequence) -> CritPathReport:
     """Reconstruct the exact critical path of every repair in a trace."""
-    events = list(events)
-    spans = build_spans(events)
-    # flow.rate_change instants, grouped by the flow span they annotate.
-    rates_by_span: dict[int, list[tuple[float, float]]] = {}
-    cap_timeline: list[tuple[float, float | None]] = []
-    for event in events:
-        if event.name == "flow.rate_change" and event.parent_id is not None:
-            rates_by_span.setdefault(event.parent_id, []).append(
-                (event.t, float(event.fields["rate"]))
-            )
-        elif event.name == "governor.decision":
-            cap = event.fields.get("cap", -1.0)
-            cap_timeline.append(
-                (event.t, None if cap is None or cap < 0 else cap)
-            )
-    children_of: dict[int, list[Span]] = {}
-    for span in spans.values():
-        if span.parent_id is not None:
-            children_of.setdefault(span.parent_id, []).append(span)
+    index = build_spans(events)
+    spans = index.spans
     fg_contenders = [
         (str(span.fields["tenant"]), span)
         for span in spans.values()
@@ -583,27 +641,22 @@ def critical_paths(events: Sequence) -> CritPathReport:
         )
         for task in tasks
     }
-    task_flows = {
-        task.span_id: [
-            child for child in children_of.get(task.span_id, [])
-            if child.name == "flow"
-        ]
-        for task in tasks
-    }
+    task_flows = {task.span_id: index.flows_of(task.span_id) for task in tasks}
     anomalies = [
         f"unclosed span {event.name!r} on {event.track!r} at t={event.t:.6g}"
-        for event in unclosed_spans(events)
+        for event in index.unclosed
     ]
     paths: list[RepairPath] = []
     totals: dict[str, float] = {}
     tenant_totals: dict[str, float] = {}
     for task in tasks:
         children = sorted(
-            children_of.get(task.span_id, []),
+            index.children.get(task.span_id, []),
             key=lambda s: (s.start, s.span_id),
         )
-        flows = [child for child in children if child.name == "flow"]
-        first_flow = min((f.start for f in flows), default=None)
+        first_flow = min(
+            (f.start for f in task_flows[task.span_id]), default=None
+        )
         contenders = fg_contenders + [
             (task_label[other_id], flow)
             for other_id, other_flows in task_flows.items()
@@ -624,17 +677,10 @@ def critical_paths(events: Sequence) -> CritPathReport:
                     )
                 )
             elif child.name == "flow":
-                siblings = [
-                    other for other in flows
-                    if other.span_id != child.span_id
-                ]
                 seg_cats = _flow_categories(
-                    child, start, end,
-                    rates_by_span.get(child.span_id, []),
-                    cap_timeline, siblings, contenders, tenants,
-                )
-                if not seg_cats:
-                    seg_cats = {"transfer": end - start}
+                    index, child, start, end, _stamped_bmin(child),
+                    contenders, tenants,
+                ) or {"transfer": end - start}
                 segments.append(
                     PathSegment(
                         start=start, end=end, category="transfer",
@@ -707,46 +753,3 @@ def critical_paths(events: Sequence) -> CritPathReport:
         tenants=tenant_totals,
         anomalies=anomalies,
     )
-
-
-def crosscheck(report: CritPathReport, diagnosis) -> list[str]:
-    """Consistency checks against :func:`repro.obs.analysis.diagnose`.
-
-    The two views measure different cuts of the same trace — ``diagnose``
-    decomposes *every repair flow's* duration, the critical path covers
-    only the chain that bound each makespan — so the checks are
-    directional: critical-path loss categories cannot exceed what the
-    flow decomposition saw across all flows, and both must agree on
-    whether repairs happened at all.
-    """
-    issues: list[str] = []
-    if bool(report.repairs) != bool(diagnosis.repairs):
-        issues.append(
-            f"critpath saw {len(report.repairs)} repair task(s) but "
-            f"diagnose saw {len(diagnosis.repairs)} repair flow(s)"
-        )
-        return issues
-    tol = 1e-6 + 1e-3 * sum(d.duration for d in diagnosis.repairs)
-    for key in ("contention", "governor"):
-        mine = report.categories.get(key, 0.0)
-        theirs = diagnosis.totals.get(key, 0.0)
-        if mine > theirs + tol:
-            issues.append(
-                f"critical-path {key} {mine:.6g}s exceeds diagnose total "
-                f"{theirs:.6g}s (critpath covers a subset of flow time)"
-            )
-    flow_time = sum(
-        seg.duration
-        for path in report.repairs
-        for seg in path.segments
-        if seg.span_id is not None and seg.category == "transfer"
-    )
-    diag_time = sum(d.duration for d in diagnosis.repairs)
-    if flow_time > diag_time * (1 + 1e-6) + 1e-6:
-        issues.append(
-            f"critical-path flow time {flow_time:.6g}s exceeds total "
-            f"diagnosed flow time {diag_time:.6g}s"
-        )
-    if not math.isfinite(report.max_residual):
-        issues.append("non-finite tiling residual")
-    return issues

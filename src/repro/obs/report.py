@@ -12,7 +12,7 @@ Three panels:
   sample time on the x axis, cell colour from cool (idle) to hot
   (saturated);
 * **repair waterfall** — one bar per diagnosed repair, segmented by
-  attributed cause (ideal / contention / governor / stall);
+  attributed cause (transfer / contention / governor / stall / hedge);
 * **governor timeline** — the repair rate cap as a step function over
   the run, with uncapped intervals left blank.
 
@@ -27,16 +27,19 @@ import html
 from collections.abc import Sequence
 
 from repro.obs.analysis import RunDiagnosis
+from repro.obs.critpath import FLOW_CATEGORIES
 from repro.units import to_mbps
 
 __all__ = ["render_html_report"]
 
-#: Waterfall segment colours by attribution component.
-_COMPONENT_COLOURS = (
-    ("ideal", "#4c9f70"),
-    ("contention", "#e0a83c"),
-    ("governor", "#7d6fb3"),
-    ("stall", "#c0504d"),
+#: Waterfall segment colour per flow category; ``strict`` so a category
+#: added to the vocabulary cannot silently render as a zero-width bar.
+_COMPONENT_COLOURS = tuple(
+    zip(
+        FLOW_CATEGORIES,
+        ("#4c9f70", "#e0a83c", "#7d6fb3", "#c0504d", "#5b8fd6"),
+        strict=True,
+    )
 )
 
 _CSS = """
@@ -172,9 +175,8 @@ def _repair_waterfall(diagnosis: RunDiagnosis) -> str:
             f"text-anchor='end' font-size='10'>{label}</text>"
         )
         x = float(label_w)
-        components = diag.components or {"ideal": diag.duration}
         for key, colour in _COMPONENT_COLOURS:
-            seconds = max(components.get(key, 0.0), 0.0)
+            seconds = diag.components.get(key, 0.0)
             if seconds <= 0:
                 continue
             w = bar_w * seconds / longest

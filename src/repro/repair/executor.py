@@ -230,6 +230,7 @@ def _run_staged(
             label=plan.scheme,
             parent_id=task_span,
             links=previous,
+            meta={"bmin": plan.bmin} if task_span is not None else None,
         )
         span = sim.task_span(handle)
         previous = (span,) if span is not None else ()

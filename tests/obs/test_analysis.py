@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import PivotRepairPlanner
+from repro.core import PivotRepairPlanner, pin_planning
 from repro.ec import RSCode, place_stripes
 from repro.network.topology import StarNetwork
 from repro.obs import Sample, Tracer, diagnose
@@ -32,9 +32,11 @@ def synthetic_flow(
     edges=((2, 1), (1, 0)),
     label: str = "pivot-r0",
     kind: str = "repair",
+    bmin: float | None = BMIN,
     close: bool = True,
 ):
-    """Emit a flow span shaped exactly like the simulator's."""
+    """Emit a flow span shaped exactly like the simulator's: the claimed
+    ``bmin`` stamped at submit, rate changes parented to the span."""
     edges = [list(edge) for edge in edges]
     if bytes_per_edge is None:
         # Integrate the piecewise-constant profile so the identity holds.
@@ -42,76 +44,63 @@ def synthetic_flow(
         points = list(rates) + [(finish, 0.0)]
         for (t0, rate), (t1, _) in zip(points, points[1:]):
             bytes_per_edge += rate * (t1 - t0)
-    tracer.begin(
+    meta = {} if bmin is None else {"bmin": bmin}
+    span = tracer.begin(
         "flow", t=submit, track="node:0", label=label, task=task,
         shape="pipelined", kind=kind, edges=edges,
-        bytes_total=bytes_per_edge * len(edges),
+        bytes_total=bytes_per_edge * len(edges), **meta,
     )
     for t, rate in rates:
         tracer.instant(
-            "flow.rate_change", t=t, track="node:0", task=task, rate=rate
+            "flow.rate_change", t=t, track="node:0", parent_id=span,
+            task=task, rate=rate,
         )
     if close:
-        tracer.instant(
-            "flow.finish", t=finish, track="node:0", task=task
-        )
+        tracer.end("flow", t=finish, span_id=span, track="node:0")
     return bytes_per_edge
-
-
-def plan_event(tracer, *, t=0.0, requestor=0, bmin=BMIN, scheme="pivot"):
-    tracer.instant(
-        "planner.plan", t=t, track="planner", requestor=requestor,
-        bmin=bmin, scheme=scheme,
-    )
 
 
 class TestDecomposition:
     def test_uncontended_flow_is_all_ideal(self):
         tracer = Tracer()
-        plan_event(tracer)
         synthetic_flow(tracer, rates=((0.0, BMIN),), finish=10.0)
         [diag] = diagnose(tracer.events).repairs
         assert diag.reference == "claimed"
         assert diag.claimed_bmin == BMIN
-        assert diag.components["ideal"] == pytest.approx(10.0)
-        assert diag.components["contention"] == pytest.approx(0.0)
+        assert diag.components == {"transfer": pytest.approx(10.0)}
         assert diag.achieved_over_claimed == pytest.approx(1.0)
         assert not diag.anomalies
 
     def test_halved_rate_splits_ideal_and_contention(self):
         tracer = Tracer()
-        plan_event(tracer)
         synthetic_flow(tracer, rates=((0.0, BMIN / 2),), finish=10.0)
         [diag] = diagnose(tracer.events).repairs
-        assert diag.components["ideal"] == pytest.approx(5.0)
+        assert diag.components["transfer"] == pytest.approx(5.0)
         assert diag.components["contention"] == pytest.approx(5.0)
         assert sum(diag.components.values()) == pytest.approx(diag.duration)
 
     def test_rate_at_cap_attributes_to_governor(self):
         tracer = Tracer()
-        plan_event(tracer)
         tracer.instant(
             "governor.decision", t=0.0, track="governor", cap=BMIN / 2
         )
         synthetic_flow(tracer, rates=((0.0, BMIN / 2),), finish=10.0)
         [diag] = diagnose(tracer.events).repairs
         assert diag.components["governor"] == pytest.approx(5.0)
-        assert diag.components["contention"] == pytest.approx(0.0)
+        assert "contention" not in diag.components
 
     def test_uncapped_decision_disables_governor_attribution(self):
         tracer = Tracer()
-        plan_event(tracer)
         tracer.instant(
             "governor.decision", t=0.0, track="governor", cap=-1.0
         )
         synthetic_flow(tracer, rates=((0.0, BMIN / 2),), finish=10.0)
         [diag] = diagnose(tracer.events).repairs
-        assert diag.components["governor"] == pytest.approx(0.0)
+        assert "governor" not in diag.components
         assert diag.components["contention"] == pytest.approx(5.0)
 
     def test_zero_rate_interval_is_a_stall(self):
         tracer = Tracer()
-        plan_event(tracer)
         synthetic_flow(
             tracer,
             rates=((0.0, BMIN), (4.0, 0.0), (7.0, BMIN)),
@@ -119,24 +108,26 @@ class TestDecomposition:
         )
         [diag] = diagnose(tracer.events).repairs
         assert diag.components["stall"] == pytest.approx(3.0)
-        assert diag.components["ideal"] == pytest.approx(7.0)
+        assert diag.components["transfer"] == pytest.approx(7.0)
 
-    def test_rate_above_reference_earns_negative_credit(self):
+    def test_rate_above_reference_is_plain_transfer(self):
+        # Running above the reference earns no negative "credit": B / ref
+        # (12.5 s here) stays derivable from the JSON fields instead.
         tracer = Tracer()
-        plan_event(tracer)
         synthetic_flow(
             tracer,
             rates=((0.0, BMIN / 2), (5.0, 2 * BMIN)),
             finish=10.0,
         )
         [diag] = diagnose(tracer.events).repairs
-        assert diag.components["credit"] == pytest.approx(-5.0)
+        assert diag.components["transfer"] == pytest.approx(7.5)
+        assert diag.components["contention"] == pytest.approx(2.5)
+        assert diag.bytes_per_edge / diag.claimed_bmin == pytest.approx(12.5)
         assert sum(diag.components.values()) == pytest.approx(diag.duration)
 
     def test_same_timestamp_rate_changes_last_wins(self):
         # Resubmission churn: two changes at t=0; only the second held.
         tracer = Tracer()
-        plan_event(tracer)
         synthetic_flow(
             tracer,
             rates=((0.0, BMIN), (0.0, BMIN / 2)),
@@ -152,14 +143,14 @@ class TestDecomposition:
 class TestAnomalies:
     def test_achieved_above_claimed_is_flagged(self):
         tracer = Tracer()
-        plan_event(tracer, bmin=BMIN / 4)
-        synthetic_flow(tracer, rates=((0.0, BMIN),), finish=10.0)
+        synthetic_flow(
+            tracer, rates=((0.0, BMIN),), finish=10.0, bmin=BMIN / 4
+        )
         run = diagnose(tracer.events)
         assert any("exceeds claimed" in issue for issue in run.anomalies)
 
     def test_unfinished_flow_is_flagged_and_skipped(self):
         tracer = Tracer()
-        plan_event(tracer)
         synthetic_flow(tracer, close=False)
         run = diagnose(tracer.events)
         assert run.repairs == []
@@ -167,7 +158,6 @@ class TestAnomalies:
 
     def test_byte_conservation_violation_detected(self):
         tracer = Tracer()
-        plan_event(tracer)
         synthetic_flow(tracer)
         run = diagnose(
             tracer.events,
@@ -181,31 +171,58 @@ class TestAnomalies:
 
     def test_residual_mismatch_detected(self):
         tracer = Tracer()
-        plan_event(tracer)
         # Claimed bytes are double what the rate profile integrates to.
         synthetic_flow(
             tracer, rates=((0.0, BMIN),), bytes_per_edge=2 * BMIN * 10.0,
             finish=10.0,
         )
         run = diagnose(tracer.events)
-        assert any("residual" in issue for issue in run.anomalies)
+        assert any(
+            "rate profile integrates to" in issue for issue in run.anomalies
+        )
+        # The rule still tiles the duration; only the bytes are off.
+        [diag] = run.repairs
+        assert sum(diag.components.values()) == pytest.approx(diag.duration)
+
+    def test_cancelled_flow_is_decomposed_without_integral_check(self):
+        tracer = Tracer()
+        # Cancelled halfway: carried half the bytes at half the rate.
+        span = tracer.begin(
+            "flow", t=0.0, track="node:0", label="pivot-r0", task=1,
+            shape="pipelined", kind="repair", edges=[[1, 0]],
+            bytes_total=BMIN * 10.0, bmin=BMIN,
+        )
+        tracer.instant(
+            "flow.rate_change", t=0.0, track="node:0", parent_id=span,
+            task=1, rate=BMIN / 2,
+        )
+        tracer.instant("flow.cancel", t=5.0, track="node:0", parent_id=span)
+        tracer.end(
+            "flow", t=5.0, span_id=span, track="node:0", cancelled=True
+        )
+        run = diagnose(tracer.events)
+        [diag] = run.repairs
+        assert diag.cancelled and not run.anomalies
+        assert diag.components == {
+            "transfer": pytest.approx(2.5),
+            "contention": pytest.approx(2.5),
+        }
+        assert diag.achieved_rate == pytest.approx(BMIN / 2)
+
+    def test_legacy_instant_trace_yields_named_anomalies_not_numbers(self):
+        # Pre-PR-9 traces closed flows with a ``flow.finish`` instant;
+        # that format is no longer read.
+        tracer = Tracer()
+        synthetic_flow(tracer, close=False)
+        tracer.instant("flow.finish", t=10.0, track="node:0", task=1)
+        run = diagnose(tracer.events)
+        assert run.repairs == [] and not run.totals
+        assert any("never finished" in issue for issue in run.anomalies)
 
 
 class TestClaimedMatching:
-    def test_scheme_prefix_prevents_cross_matching(self):
-        tracer = Tracer()
-        plan_event(tracer, bmin=50.0, scheme="rp")
-        plan_event(tracer, bmin=BMIN, scheme="pivot")
-        synthetic_flow(tracer, label="pivot-r0", task=1)
-        synthetic_flow(tracer, label="rp-r0", task=2)
-        run = diagnose(tracer.events)
-        by_label = {d.label: d for d in run.repairs}
-        assert by_label["pivot-r0"].claimed_bmin == BMIN
-        assert by_label["rp-r0"].claimed_bmin == 50.0
-
     def test_foreground_flows_are_not_diagnosed(self):
         tracer = Tracer()
-        plan_event(tracer)
         synthetic_flow(tracer, task=1)
         synthetic_flow(tracer, task=2, kind="foreground", label="client")
         run = diagnose(tracer.events)
@@ -215,7 +232,6 @@ class TestClaimedMatching:
 class TestBottleneckNaming:
     def test_sampled_bottleneck_names_hottest_owned_link(self):
         tracer = Tracer()
-        plan_event(tracer)
         synthetic_flow(tracer, edges=((2, 1), (1, 0)))
         samples = [
             Sample(
@@ -240,7 +256,7 @@ class TestBottleneckNaming:
         tracer = Tracer()
         synthetic_flow(
             tracer, rates=((0.0, 80.0),), finish=10.0,
-            edges=((2, 1), (1, 0)),
+            edges=((2, 1), (1, 0)), bmin=None,
         )
         run = diagnose(tracer.events, network=network)
         [diag] = run.repairs
@@ -255,7 +271,6 @@ class TestBottleneckNaming:
 class TestRunAggregation:
     def test_totals_and_json_rendering(self):
         tracer = Tracer()
-        plan_event(tracer, requestor=0)
         synthetic_flow(tracer, task=1, rates=((0.0, BMIN / 2),))
         run = diagnose(tracer.events)
         assert run.totals["contention"] == pytest.approx(
@@ -273,15 +288,9 @@ class TestRunAggregation:
         stripes = place_stripes(6, code, 10, np.random.default_rng(3))
         network = StarNetwork.constant([500.0] * 10, [800.0] * 10)
 
-        class Pinned(PivotRepairPlanner):
-            def plan(self, *args, **kwargs):
-                plan = super().plan(*args, **kwargs)
-                plan.planning_seconds = 0.0
-                return plan
-
         tracer = Tracer()
         result = repair_full_node(
-            Pinned(), network, stripes, stripes[0].placement[0],
+            pin_planning(PivotRepairPlanner(), 0.0), network, stripes, stripes[0].placement[0],
             config=ExecutionConfig(
                 chunk_size=10_000, slice_size=1000, per_slice_overhead=0.0
             ),

@@ -1,0 +1,169 @@
+"""Regression tests for the three defects the two-engine design had.
+
+Each of these failed at commit ``9e996c3`` (two attribution engines
+reconciled by ``crosscheck``) and passes now that ``diagnose`` and
+``critical_paths`` read one trace index and apply one flow rule:
+
+(a) ``diagnose`` re-guessed each flow's claimed ``B_min`` by matching
+    ``planner.plan`` events and paired flows with the wrong plan whenever
+    a driver planned more stripes than it submitted;
+(b) the two engines disagreed on a hedged run (0.376 s of ``stall`` in
+    one, 0 s in the other) while ``crosscheck`` printed "consistent";
+(c) ``diagnose`` skipped every cancelled flow, so its totals silently
+    covered less time than its header line claimed.
+"""
+
+import pytest
+
+import repro.traces.generators as trace_generators
+from repro.controlplane.storm import StormConfig, run_storm
+from repro.core import PivotRepairPlanner, pin_planning
+from repro.ec import RSCode
+from repro.experiments.fullnode_experiment import (
+    FIG7_SCHEDULER,
+    stripes_with_failures,
+)
+from repro.faults import FaultPlan, RetryPolicy
+from repro.network.topology import StarNetwork
+from repro.obs import Tracer, critical_paths, diagnose
+from repro.obs.critpath import build_spans
+from repro.repair import repair_full_node_adaptive, repair_single_chunk_faulted
+from repro.repair.pipeline import ExecutionConfig
+from repro.resilience import HealthPolicy
+
+MiB = 1024 * 1024
+CODE = RSCode(6, 4)
+
+
+def repair_flows(events):
+    """Repair/hedge flow spans of a trace, in submit order."""
+    spans = build_spans(events).spans
+    return [
+        span for _, span in sorted(spans.items())
+        if span.name == "flow"
+        and span.fields.get("kind") in ("repair", "hedge")
+    ]
+
+
+def adaptive_events():
+    trace = trace_generators.generate_all(16, 240, seed=3000)["TPC-DS"]
+    failed = 0
+    tracer = Tracer()
+    repair_full_node_adaptive(
+        pin_planning(PivotRepairPlanner(), 0.0),
+        trace.to_network(floor=1e6),
+        stripes_with_failures(CODE, failed, 16, seed=11, count=10),
+        failed, scheduler=FIG7_SCHEDULER, start_time=60.0, tracer=tracer,
+    )
+    return tracer.events
+
+
+@pytest.fixture(scope="module")
+def storm_events():
+    tracer = Tracer()
+    run_storm(StormConfig(seed=0), tracer=tracer)
+    return tracer.events
+
+
+def hedged_events():
+    """The ``TestHedgedReplan`` gray failure of ``test_hedge.py``."""
+    victim = 3
+    rates = [12 * MiB if i == victim else 10 * MiB for i in range(8)]
+    tracer = Tracer()
+    result = repair_single_chunk_faulted(
+        pin_planning(PivotRepairPlanner(), 0.0),
+        StarNetwork.constant(rates, rates), 0, [1, 2, 3, 4, 5], CODE.k,
+        FaultPlan.from_spec("degrade:3@0.1-1000x0.05"),
+        policy=RetryPolicy(detection_timeout=0.05),
+        config=ExecutionConfig(chunk_size=8 * MiB, slice_size=32 * 1024),
+        tracer=tracer, health=HealthPolicy(),
+    )
+    assert result.ok and result.hedges == 1
+    return tracer.events
+
+
+class TestClaimedBminIsTheStampedOne:
+    """(a) — parent: 10 of 20 adaptive flows and 4 of 31 storm flows
+    carried another plan's ``B_min``."""
+
+    def check(self, events):
+        flows = repair_flows(events)
+        repairs = diagnose(events).repairs
+        assert len(repairs) == len(flows) > 0
+        for diag, flow in zip(repairs, flows):
+            assert (diag.label, diag.submit) == (
+                flow.fields["label"], flow.start
+            )
+            assert diag.claimed_bmin == (flow.fields["bmin"] or None)
+
+    def test_adaptive_driver_plans_more_than_it_submits(self):
+        events = adaptive_events()
+        plans = sum(event.name == "planner.plan" for event in events)
+        assert plans > len(repair_flows(events))
+        self.check(events)
+
+    def test_storm(self, storm_events):
+        self.check(storm_events)
+
+
+class TestBothViewsAgreeOnAHedgedRun:
+    """(b) — one straggler rule: the detector window is ``stall``, the
+    racing window is ``hedge``, and a gray failure is never
+    ``contention``, whichever view reports it."""
+
+    def test_stall_and_hedge_match_on_the_critical_flow(self):
+        events = hedged_events()
+        [path] = critical_paths(events).repairs
+        critical = {
+            seg.span_id for seg in path.segments if seg.span_id is not None
+        }
+        flows = repair_flows(events)
+        on_path = [
+            diag
+            for diag, flow in zip(diagnose(events).repairs, flows)
+            if flow.span_id in critical
+        ]
+        assert on_path
+        for key in ("stall", "hedge"):
+            mine = sum(d.components.get(key, 0.0) for d in on_path)
+            assert mine > 0
+            assert mine == pytest.approx(path.categories[key], abs=1e-9)
+        assert path.categories.get("contention", 0.0) == 0.0
+        assert all(
+            d.components.get("contention", 0.0) == 0.0
+            for d in diagnose(events).repairs
+        )
+
+    def test_hedge_flow_is_transfer_not_all_hedge(self):
+        events = hedged_events()
+        flows = repair_flows(events)
+        [hedge] = [
+            diag for diag, flow in zip(diagnose(events).repairs, flows)
+            if flow.fields["kind"] == "hedge"
+        ]
+        assert hedge.components["transfer"] > 0
+
+
+class TestEveryFlowIsDecomposed:
+    """(c) — parent: 10 of 31 storm flows (the cancelled ones) had empty
+    components, so the totals missed their time."""
+
+    def test_storm_components_tile_every_flow(self, storm_events):
+        run = diagnose(storm_events)
+        assert any(diag.cancelled for diag in run.repairs)
+        for diag in run.repairs:
+            assert sum(diag.components.values()) == pytest.approx(
+                diag.duration, abs=1e-9
+            ), diag.label
+        flow_time = sum(diag.duration for diag in run.repairs)
+        assert sum(run.totals.values()) == pytest.approx(flow_time, abs=1e-9)
+        assert not [a for a in run.anomalies if "residual" in a]
+
+    def test_storm_views_agree_on_contention(self, storm_events):
+        # The number the old crosscheck tripped on: critical-path
+        # contention (8.35 s) "exceeding" diagnose's total (5.02 s).
+        run = diagnose(storm_events)
+        report = critical_paths(storm_events)
+        assert report.categories["contention"] <= (
+            run.totals["contention"] + 1e-9
+        )

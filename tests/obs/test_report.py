@@ -1,8 +1,10 @@
 """HTML report tests: self-contained output, sections, determinism."""
 
+import re
+
 import numpy as np
 
-from repro.core import PivotRepairPlanner
+from repro.core import PivotRepairPlanner, pin_planning
 from repro.ec import RSCode, place_stripes
 from repro.network.topology import StarNetwork
 from repro.obs import (
@@ -14,6 +16,7 @@ from repro.obs import (
 )
 from repro.repair import repair_full_node
 from repro.repair.pipeline import ExecutionConfig
+from tests.obs.test_attribution_regressions import hedged_events
 
 
 def diagnosed_run():
@@ -21,16 +24,11 @@ def diagnosed_run():
     stripes = place_stripes(6, code, 10, np.random.default_rng(3))
     network = StarNetwork.constant([500.0] * 10, [800.0] * 10)
 
-    class Pinned(PivotRepairPlanner):
-        def plan(self, *args, **kwargs):
-            plan = super().plan(*args, **kwargs)
-            plan.planning_seconds = 0.0
-            return plan
-
     tracer = Tracer()
     sampler = FlightRecorder(interval=0.5, capacity=65536)
     repair_full_node(
-        Pinned(), network, stripes, stripes[0].placement[0],
+        pin_planning(PivotRepairPlanner(), 0.0), network, stripes,
+        stripes[0].placement[0],
         config=ExecutionConfig(
             chunk_size=10_000, slice_size=1000, per_slice_overhead=0.0
         ),
@@ -52,6 +50,20 @@ class TestHtmlReport:
         for section in ("waterfall", "utilization", "invariants"):
             assert section in html.lower()
         assert "<svg" in html
+
+    def test_hedged_run_draws_hedge_time(self):
+        # The colour table used to have no ``hedge`` row: a hedged run's
+        # hedge seconds rendered as a zero-width bar with no legend.
+        html = render_html_report(diagnose(hedged_events()))
+        assert "</i>hedge</span>" in html
+        widths = [
+            float(width)
+            for width in re.findall(
+                r"width='([0-9.]+)' height='16' fill='#[0-9a-f]+'>"
+                r"<title>hedge:", html,
+            )
+        ]
+        assert len(widths) == 2 and all(width > 0 for width in widths)
 
     def test_empty_run_renders_without_samples(self):
         empty = RunDiagnosis(

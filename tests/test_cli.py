@@ -525,7 +525,7 @@ class TestCritpathCommand:
         out = capsys.readouterr().out
         assert "critical paths of" in out
         assert "waterfall" in out
-        assert "crosscheck vs diagnose: consistent" in out
+        assert "anomalies: none" in out
 
     def test_critpath_json_payload_and_artifact(self, trace_file, tmp_path,
                                                 capsys):
@@ -539,7 +539,7 @@ class TestCritpathCommand:
         report = payload["critpath"]
         assert report["repairs"]
         assert report["max_residual"] <= 1e-9
-        assert payload["crosscheck"] == []
+        assert report["anomalies"] == []
         for path in report["repairs"]:
             covered = sum(seg["duration"] for seg in path["segments"])
             assert abs(covered - path["makespan"]) <= 1e-9
