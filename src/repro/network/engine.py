@@ -185,9 +185,10 @@ class IncrementalEngine:
     The simulator registers each allocation entity once; the engine keeps
     the task↔resource constraint graph, a capacity snapshot valid for the
     current piecewise-constant epoch, and a dirty set of perturbed
-    entities.  :meth:`ensure` re-solves (via :func:`waterfill`) only the
-    connected components reachable from the dirty set — everything else
-    keeps its previous, still-bit-exact rate.
+    entities.  :meth:`ensure` re-solves (by size tier, see
+    :meth:`_solve`) only the connected components reachable from the
+    dirty set — everything else keeps its previous, still-bit-exact
+    rate.
 
     Perturbation sources and who reports them:
 
@@ -221,9 +222,12 @@ class IncrementalEngine:
         self._snapshot_time: float | None = None
         self._snapshot_until: float = -math.inf
         self._snapshot_caps: dict = {}
-        #: Waterfill solves actually run — the fast engine's analogue of
-        #: ``SimulatorStats.rate_recomputations``.
-        self.solves: int = 0
+        #: Solves run, by the size tier :meth:`_solve` dispatched to.
+        #: Engine-side only: ``SimulatorStats.as_dict()`` feeds recorded
+        #: digests and must not grow keys.
+        self.solves_by_tier: dict[str, int] = {
+            "single": 0, "small": 0, "vectorized": 0,
+        }
         #: Entities re-rated across all solves (component sizes summed);
         #: ``solved_entities / (solves * len(entities))`` ≪ 1 is the
         #: incremental win becoming visible.
@@ -233,6 +237,12 @@ class IncrementalEngine:
         #: rate).  Only their tasks can have changed aggregates, so a
         #: tracer need not rescan every live task after a solve.
         self.last_changed: list[int] = []
+
+    @property
+    def solves(self) -> int:
+        """Solves actually run, all tiers — the fast engine's analogue
+        of ``SimulatorStats.rate_recomputations``."""
+        return sum(self.solves_by_tier.values())
 
     # -- registration --------------------------------------------------
     def add_entity(self, entity_id: int, entity) -> None:
@@ -357,20 +367,20 @@ class IncrementalEngine:
 
         * one entity — closed form: its level is the minimum of its
           per-resource saturation levels and its cap;
-        * small component — the Python reference loop on dict inputs
-          (numpy array setup dominates below a few hundred entries);
+        * small component — the same water-level rounds as a Python
+          loop over the registered column lists (numpy array setup
+          dominates below a few hundred entries);
         * large component — the vectorized :func:`waterfill`.
         """
+        self.solved_entities += len(entity_ids)
         if len(entity_ids) == 1:
             self._solve_single(entity_ids[0])
-            self.solves += 1
-            self.solved_entities += 1
+            self.solves_by_tier["single"] += 1
             return
         entries = sum(len(self._entity_cols[e]) for e in entity_ids)
         if entries <= 256:
             self._solve_small(entity_ids)
-            self.solves += 1
-            self.solved_entities += len(entity_ids)
+            self.solves_by_tier["small"] += 1
             return
         local: dict[int, int] = {}
         global_cols: list[int] = []
@@ -409,8 +419,7 @@ class IncrementalEngine:
             if entity.rate != rate:
                 entity.rate = rate
                 self.last_changed.append(entity_id)
-        self.solves += 1
-        self.solved_entities += len(entity_ids)
+        self.solves_by_tier["vectorized"] += 1
 
     def _solve_single(self, entity_id: int) -> None:
         """Closed form for a component of one entity.
@@ -444,20 +453,88 @@ class IncrementalEngine:
             self.last_changed.append(entity_id)
 
     def _solve_small(self, entity_ids: list[int]) -> None:
-        """Small component: the Python reference loop on dict inputs."""
-        from repro.network.fairness import max_min_allocate
+        """Small component: water-level rounds over the column lists.
 
-        capacities: dict = {}
+        The rounds of :func:`repro.network.fairness.max_min_allocate`,
+        operation for operation — ``(capacity - frozen_used) /
+        active_coeff`` per live column, the exact-equality freeze group,
+        one coefficient sum per frozen column, then ``frozen_used +=
+        sum * assigned`` — but keyed by the registered column indices,
+        so a solve builds no resource-keyed dict and hashes no tuple.
+        ``entity_ids`` is sorted, which makes every sum run in the
+        reference's enumeration order.  A component is closed under
+        shared columns, so a column's registered ``_users`` are exactly
+        its users within the component.
+        """
+        entities = self._entities
+        entity_cols = self._entity_cols
+        entity_coeffs = self._entity_coeffs
+        capacity = self._capacity
+        users = self._users
+        rates = dict.fromkeys(entity_ids, 0.0)
+        #: Still-rising entities -> their rate cap.
+        active: dict[int, float | None] = {}
+        active_coeff: dict[int, float] = {}
         for entity_id in entity_ids:
-            for col in self._entity_cols[entity_id]:
-                capacities[self._resources[col]] = self._capacity[col]
-        entities = [self._entities[e] for e in entity_ids]
-        rates = max_min_allocate(
-            [entity.usage for entity in entities],
-            capacities,
-            rate_caps=[entity.max_rate for entity in entities],
-        )
-        for entity_id, entity, rate in zip(entity_ids, entities, rates):
+            cols = entity_cols[entity_id]
+            max_rate = entities[entity_id].max_rate
+            if not cols or (max_rate is not None and max_rate <= 0):
+                continue
+            active[entity_id] = max_rate
+            for col, coeff in zip(cols, entity_coeffs[entity_id]):
+                active_coeff[col] = active_coeff.get(col, 0.0) + coeff
+        frozen_used = dict.fromkeys(active_coeff, 0.0)
+        # Saturation level per live column.  A round only moves the
+        # columns its freeze group uses, so only those are re-derived;
+        # the rest would recompute to the same bits.
+        levels = {
+            col: (capacity[col] - frozen_used[col]) / coeff
+            for col, coeff in active_coeff.items()
+        }
+        while active:
+            level = min(levels.values()) if levels else math.inf
+            for cap in active.values():
+                if cap is not None and cap < level:
+                    level = cap
+            if not math.isfinite(level):
+                raise SimulationError(
+                    "unconstrained task in max-min allocation"
+                )
+            newly = {
+                entity_id
+                for entity_id, cap in active.items()
+                if cap == level
+            }
+            for col, value in levels.items():
+                if value == level:
+                    for entity_id in users[col]:
+                        if entity_id in active:
+                            newly.add(entity_id)
+            if not newly:
+                raise SimulationError(
+                    "progressive filling failed to converge"
+                )
+            assigned = level if level > 0.0 else 0.0
+            freeze_sum: dict[int, float] = {}
+            for entity_id in sorted(newly):
+                rates[entity_id] = assigned
+                del active[entity_id]
+                for col, coeff in zip(
+                    entity_cols[entity_id], entity_coeffs[entity_id]
+                ):
+                    freeze_sum[col] = freeze_sum.get(col, 0.0) + coeff
+            for col, coeff in freeze_sum.items():
+                frozen_used[col] += coeff * assigned
+                still_rising = active_coeff[col] - coeff
+                active_coeff[col] = still_rising
+                if still_rising > 0:
+                    levels[col] = (
+                        capacity[col] - frozen_used[col]
+                    ) / still_rising
+                else:
+                    del levels[col]
+        for entity_id, rate in rates.items():
+            entity = entities[entity_id]
             if entity.rate != rate:
                 entity.rate = rate
                 self.last_changed.append(entity_id)

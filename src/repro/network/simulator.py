@@ -165,6 +165,10 @@ class FluidSimulator:
         self.bytes_down: dict[int, float] = {}
         self._entities: dict[int, _Entity] = {}
         self._entity_ids = itertools.count()
+        #: Live tasks only: a task enters both maps in ``_add_entities``
+        #: and leaves them when its last entity finishes or it is
+        #: cancelled, so ``len(_task_entities)`` is the live-task count
+        #: and the event-loop guards never see a finished task.
         self._handles: dict[int, TaskHandle] = {}
         self._task_ids = itertools.count()
         self._task_entities: dict[int, set[int]] = {}
@@ -353,21 +357,22 @@ class FluidSimulator:
             task_id=task_id, label=label or f"task-{task_id}",
             submit_time=self.now, kind=kind,
         )
-        self._handles[task_id] = handle
-        self._task_entities[task_id] = set()
         self.stats.tasks_submitted += 1
         return handle
 
     def _add_entities(
         self, handle: TaskHandle, entities: list[_Entity]
     ) -> None:
+        members: set[int] = set()
         for entity in entities:
             entity.total = entity.remaining
             entity_id = next(self._entity_ids)
             self._entities[entity_id] = entity
-            self._task_entities[handle.task_id].add(entity_id)
+            members.add(entity_id)
             if self._engine is not None:
                 self._engine.add_entity(entity_id, entity)
+        self._handles[handle.task_id] = handle
+        self._task_entities[handle.task_id] = members
         self._task_totals[handle.task_id] = sum(
             e.total for e in entities
         )
@@ -378,7 +383,7 @@ class FluidSimulator:
     # ------------------------------------------------------------------
     @property
     def active_task_count(self) -> int:
-        return sum(1 for ids in self._task_entities.values() if ids)
+        return len(self._task_entities)
 
     def current_rate(self, handle: TaskHandle) -> float:
         """Aggregate current rate of a task (sum over its live entities)."""
@@ -543,13 +548,13 @@ class FluidSimulator:
                 f"task {handle.label!r} is already cancelled"
             )
         handle.progress = self.task_progress(handle)
-        entity_ids = self._task_entities.get(handle.task_id, set())
+        entity_ids = self._task_entities.pop(handle.task_id, ())
+        self._handles.pop(handle.task_id, None)
         remaining = 0.0
         for entity_id in sorted(entity_ids):
             remaining += self._entities.pop(entity_id).remaining
             if self._engine is not None:
                 self._engine.remove_entity(entity_id)
-        entity_ids.clear()
         handle.cancelled = True
         self.stats.tasks_cancelled += 1
         self._rates_valid = False
@@ -575,10 +580,12 @@ class FluidSimulator:
     def run(self, max_time: float = math.inf) -> list[TaskHandle]:
         """Run until every submitted task completes (or ``max_time``).
 
-        Returns handles of tasks completed during this call.
+        Returns handles of tasks completed during this call.  A bound
+        already in the past leaves nothing to do: ``[]``, ``now``
+        unchanged.
         """
         completed: list[TaskHandle] = []
-        while any(self._task_entities.values()):
+        while self._task_entities:
             newly = self._advance(max_time)
             completed.extend(newly)
             if self.now >= max_time:
@@ -597,7 +604,7 @@ class FluidSimulator:
                 f"cannot advance to {t} before current time {self.now}"
             )
         completed: list[TaskHandle] = []
-        while self.now < t and any(self._task_entities.values()):
+        while self.now < t and self._task_entities:
             completed.extend(self._advance(t))
         if self.sampler is not None and t > self.now:
             # Idle jump (no live tasks): sample the quiet gap too, so the
@@ -614,107 +621,155 @@ class FluidSimulator:
 
         Lets an orchestrator (e.g., the full-node scheduler) react to each
         completion by submitting more work.  Returns an empty list if no
-        task is active or ``max_time`` was hit first.
+        task is active, ``max_time`` was hit first, or ``max_time`` is
+        already in the past.
         """
-        while any(self._task_entities.values()):
+        while self._task_entities:
             newly = self._advance(max_time)
             if newly or self.now >= max_time:
                 return newly
         return []
 
     def _advance(self, max_time: float) -> list[TaskHandle]:
-        """Advance to the next event; return tasks that completed at it."""
+        """Advance to the next event; return tasks that completed at it.
+
+        A ``max_time`` already in the past is no event at all: nothing
+        moves and the callers' ``now >= max_time`` checks end their
+        loops.  Otherwise two walks over the live entities: earliest
+        finish, then byte accounting fused with the completion scan.
+        Recorded digests depend on the exact float operations here —
+        ``now + remaining / rate``; ``remaining -= rate * elapsed``
+        every step; per-node, per-kind and per-task sums in entity
+        order.
+        """
+        now = self.now
+        if max_time < now:
+            return []
         self._ensure_rates()
-        next_capacity_change = self.network.next_change_after(self.now)
+        entities = self._entities
         earliest_finish = math.inf
-        for entity in self._entities.values():
-            if entity.rate > 0:
-                earliest_finish = min(
-                    earliest_finish, self.now + entity.remaining / entity.rate
-                )
-        next_event = min(next_capacity_change, earliest_finish, max_time)
+        for entity in entities.values():
+            rate = entity.rate
+            if rate > 0:
+                finish = now + entity.remaining / rate
+                if finish < earliest_finish:
+                    earliest_finish = finish
+        next_event = min(
+            self.network.next_change_after(now), earliest_finish, max_time
+        )
         if not math.isfinite(next_event):
-            raise SimulationError(
-                "simulation is stuck: active tasks have zero rate and no "
-                "future capacity change will unblock them"
-            )
-        elapsed = next_event - self.now
+            raise SimulationError(self._stuck_report())
+        elapsed = next_event - now
         if elapsed < 0:
             raise SimulationError("time went backwards")
         if self.sampler is not None:
-            self.sampler.on_window(
-                self.now, next_event, self._entities.values()
-            )
-        for entity in self._entities.values():
-            transferred = entity.rate * elapsed
-            entity.remaining -= transferred
-            if transferred > 0:
-                for src, dst in entity.edges:
-                    self.bytes_up[src] = (
-                        self.bytes_up.get(src, 0.0) + transferred
-                    )
-                    self.bytes_down[dst] = (
-                        self.bytes_down.get(dst, 0.0) + transferred
-                    )
-                moved = transferred * len(entity.edges)
-                self.stats.bytes_by_kind[entity.kind] = (
-                    self.stats.bytes_by_kind.get(entity.kind, 0.0) + moved
-                )
-                self.stats.bytes_transferred += moved
-                self._task_bytes[entity.task_id] = (
-                    self._task_bytes.get(entity.task_id, 0.0) + moved
-                )
-        self.now = next_event
-        self.stats.steps += 1
-        self._rates_valid = False
-
+            self.sampler.on_window(now, next_event, entities.values())
+        bytes_up = self.bytes_up
+        bytes_down = self.bytes_down
+        stats = self.stats
+        bytes_by_kind = stats.bytes_by_kind
+        bytes_transferred = stats.bytes_transferred
+        task_bytes = self._task_bytes
         # An entity is done when its residue is negligible either in bytes
         # or in drain time.  The time criterion matters: once `now` is large,
         # a residue that drains faster than the float resolution of `now`
         # would otherwise schedule zero-length advances forever.
-        finished_entities = [
-            entity_id
-            for entity_id, entity in self._entities.items()
-            if entity.remaining <= 1e-6
-            or (entity.rate > 0 and entity.remaining / entity.rate < 1e-9)
-        ]
+        finished_entities: list[int] = []
+        for entity_id, entity in entities.items():
+            rate = entity.rate
+            transferred = rate * elapsed
+            remaining = entity.remaining - transferred
+            entity.remaining = remaining
+            if transferred > 0:
+                edges = entity.edges
+                for src, dst in edges:
+                    bytes_up[src] = bytes_up.get(src, 0.0) + transferred
+                    bytes_down[dst] = bytes_down.get(dst, 0.0) + transferred
+                moved = transferred * len(edges)
+                kind = entity.kind
+                bytes_by_kind[kind] = bytes_by_kind.get(kind, 0.0) + moved
+                bytes_transferred += moved
+                task_id = entity.task_id
+                task_bytes[task_id] = task_bytes.get(task_id, 0.0) + moved
+            if remaining <= 1e-6 or (rate > 0 and remaining / rate < 1e-9):
+                finished_entities.append(entity_id)
+        stats.bytes_transferred = bytes_transferred
+        self.now = next_event
+        stats.steps += 1
+        self._rates_valid = False
+
         completed: list[TaskHandle] = []
+        tracing = self.tracer.enabled
         for entity_id in finished_entities:
-            entity = self._entities.pop(entity_id)
+            entity = entities.pop(entity_id)
             if self._engine is not None:
                 self._engine.remove_entity(entity_id)
-            members = self._task_entities[entity.task_id]
+            task_id = entity.task_id
+            members = self._task_entities[task_id]
             members.discard(entity_id)
-            if members and self.tracer.enabled:
-                # The task lives on with one transfer fewer: its
-                # aggregate rate dropped even if no surviving entity is
-                # re-rated, so the next restricted scan must visit it.
-                self._trace_dirty_tasks.add(entity.task_id)
-            if not members:
-                handle = self._handles[entity.task_id]
-                handle.finish_time = self.now
-                handle.progress = 1.0
-                completed.append(handle)
-                self.stats.tasks_completed += 1
-                if self.tracer.enabled:
-                    track = self._task_tracks.pop(
-                        entity.task_id, "sim"
+            if members:
+                if tracing:
+                    # The task lives on with one transfer fewer: its
+                    # aggregate rate dropped even if no surviving entity
+                    # is re-rated, so the next restricted scan must
+                    # visit it.
+                    self._trace_dirty_tasks.add(task_id)
+                continue
+            del self._task_entities[task_id]
+            handle = self._handles.pop(task_id)
+            handle.finish_time = next_event
+            handle.progress = 1.0
+            completed.append(handle)
+            stats.tasks_completed += 1
+            if tracing:
+                track = self._task_tracks.pop(task_id, "sim")
+                self._task_rates.pop(task_id, None)
+                span_id = self._task_spans.pop(task_id, None)
+                # The span end doubles as the finish record (label,
+                # task, duration ride on it) — a separate
+                # ``flow.finish`` instant would double the emission
+                # cost of every completion.
+                if span_id is not None:
+                    self.tracer.end(
+                        "flow", t=next_event, span_id=span_id,
+                        track=track, label=handle.label,
+                        task=task_id,
+                        duration=handle.finish_time - handle.submit_time,
                     )
-                    self._task_rates.pop(entity.task_id, None)
-                    span_id = self._task_spans.pop(entity.task_id, None)
-                    # The span end doubles as the finish record (label,
-                    # task, duration ride on it) — a separate
-                    # ``flow.finish`` instant would double the emission
-                    # cost of every completion.
-                    if span_id is not None:
-                        self.tracer.end(
-                            "flow", t=self.now, span_id=span_id,
-                            track=track, label=handle.label,
-                            task=entity.task_id,
-                            duration=handle.finish_time
-                            - handle.submit_time,
-                        )
         return completed
+
+    def _stuck_report(self) -> str:
+        """Message of the stuck error: who starves, and on what.
+
+        Every live entity has zero rate and the network will never
+        change again.  Names up to five starved tasks and, for each, the
+        resources it crosses whose capacity is 0 at ``now``.
+        """
+        capacities = self.network.capacities_at(self.now)
+        starved = []
+        for task_id, entity_ids in itertools.islice(
+            self._task_entities.items(), 5
+        ):
+            crossed = set()
+            for entity_id in entity_ids:
+                crossed.update(self._entities[entity_id].usage)
+            dead = sorted(
+                (r for r in crossed if capacities.get(r, 0.0) <= 0.0),
+                key=repr,
+            )
+            blocked = (
+                "zero capacity on " + ", ".join(map(repr, dead))
+                if dead
+                else "no zero-capacity resource"
+            )
+            starved.append(f"{self._handles[task_id].label!r} ({blocked})")
+        more = len(self._task_entities) - len(starved)
+        return (
+            "simulation is stuck: active tasks have zero rate and no "
+            "future capacity change will unblock them; starved at "
+            f"t={self.now}: " + "; ".join(starved)
+            + (f"; and {more} more" if more > 0 else "")
+        )
 
     def _ensure_rates(self) -> None:
         if self._rates_valid:

@@ -193,7 +193,8 @@ class MetricsRegistry:
         self._types: dict[str, str] = {}
 
     def _key(self, name: str, labels: dict) -> str:
-        return name + render_labels(labels)
+        # Most hot-path metrics carry no labels; skip the render + sort.
+        return name + render_labels(labels) if labels else name
 
     def _claim(self, name: str, metric_type: str) -> None:
         registered = self._types.setdefault(name, metric_type)

@@ -12,9 +12,11 @@ implementation:
 * **permutation invariance** — the allocation is a function of the task
   *set*, not the submission order.
 
-Plus the property the whole PR rests on: the vectorized allocator
-(:func:`repro.network.engine.vectorized_max_min_allocate`) returns
-**bit-identical** rates to the reference on every generated instance.
+Plus the property the fast engine rests on: the vectorized allocator
+(:func:`repro.network.engine.vectorized_max_min_allocate`) and the
+small-component kernel (``IncrementalEngine._solve_small``, reached
+through the real engine) return **bit-identical** rates to the reference
+on every generated instance.
 """
 
 import math
@@ -24,8 +26,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.engine import vectorized_max_min_allocate, waterfill
+from types import SimpleNamespace
+
+from repro.network.engine import (
+    IncrementalEngine,
+    vectorized_max_min_allocate,
+    waterfill,
+)
 from repro.network.fairness import max_min_allocate, usage_from_edges
+from repro.network.topology import StarNetwork
 
 # Coupled-task instances built the way the simulator builds them: each
 # task is a set of directed edges over a small node universe, so usage
@@ -148,6 +157,73 @@ def test_vectorized_allocator_bit_identical(task_edges, seed):
     reference = max_min_allocate(usages, capacities, rate_caps)
     fast = vectorized_max_min_allocate(usages, capacities, rate_caps)
     assert reference == fast
+
+
+# Components for the small kernel: five nodes, so columns are shared by
+# many entities and carry coefficients above 1; entities with no edges
+# (no columns); capacities / caps drawn from short menus so that
+# cap == cap and cap == column-level ties (100 / 2 == 50.0) are common,
+# as are zero-capacity columns.
+kernel_nodes = st.integers(min_value=0, max_value=4)
+kernel_edges = st.tuples(kernel_nodes, kernel_nodes).filter(
+    lambda e: e[0] != e[1]
+)
+kernel_tasks = st.lists(
+    st.lists(kernel_edges, min_size=0, max_size=4), min_size=2, max_size=8
+)
+CAPACITY_MENU = [0.0, 50.0, 100.0, 150.0]
+CAP_MENU = [None, None, 25.0, 50.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(task_edges=kernel_tasks, seed=st.integers(0, 2**20))
+def test_small_kernel_bit_identical(task_edges, seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        def capacity():
+            return rng.choice(CAPACITY_MENU)
+
+        def cap():
+            return rng.choice(CAP_MENU)
+    else:
+        def capacity():
+            return rng.choice([0.0, rng.uniform(0.5, 150.0)])
+
+        # Two inexact cap values per instance: groups of several
+        # entities freeze together at a level whose multiples round.
+        inexact = [None, rng.uniform(0.5, 40.0), rng.uniform(0.5, 40.0)]
+
+        def cap():
+            return rng.choice(inexact)
+
+    network = StarNetwork.constant(
+        [capacity() for _ in range(5)], [capacity() for _ in range(5)]
+    )
+    usages = [usage_from_edges(e) for e in task_edges]
+    rate_caps = [cap() for _ in usages]
+    engine = IncrementalEngine(network)
+    entities = [
+        SimpleNamespace(usage=usage, max_rate=cap, rate=-1.0)
+        for usage, cap in zip(usages, rate_caps)
+    ]
+    for entity_id, entity in enumerate(entities):
+        engine.add_entity(entity_id, entity)
+    assert engine.ensure(0.0)
+    # One solve over the union of the dirty components: two or more
+    # entities and at most 8 * 4 * 2 entries, so the small tier ran.
+    assert engine.solves_by_tier == {
+        "single": 0, "small": 1, "vectorized": 0,
+    }
+    assert engine.solves == 1
+    rates = [entity.rate for entity in entities]
+    capacities = network.capacities_at(0.0)
+    assert rates == max_min_allocate(usages, capacities, rate_caps)
+    assert rates == vectorized_max_min_allocate(
+        usages, capacities, rate_caps
+    )
+    assert engine.last_changed == [
+        i for i, rate in enumerate(rates) if rate != -1.0
+    ]
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,8 +7,13 @@ Invariants checked on randomized workloads:
   (conservation: the simulator cannot create bandwidth);
 * a pipelined task is never faster than the same edges as independent bulk
   flows (the common-rate coupling can only constrain);
-* adding competing load never makes an existing task finish earlier.
+* adding competing load never makes an existing task finish earlier;
+* the live-task count equals the number of tasks with a live entity
+  after every operation, and the event loop keeps no per-finished-task
+  state its guards would have to walk.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -93,6 +98,106 @@ class TestCompletionAndConservation:
             busy_sim.submit_bulk([(src, dst, 1e5)])
         busy_sim.run()
         assert watched.duration >= alone.duration - 1e-6
+
+
+def _live_tasks_by_scan(sim):
+    return sum(1 for ids in sim._task_entities.values() if ids)
+
+
+class TestLiveTaskAccounting:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_counter_matches_a_scan_after_every_operation(
+        self, seed, engine
+    ):
+        rng = random.Random(seed)
+        network, _, _ = network_from_seed(seed)
+        sim = FluidSimulator(network, engine=engine)
+
+        def check():
+            assert sim.active_task_count == _live_tasks_by_scan(sim)
+            assert sim._handles.keys() == sim._task_entities.keys()
+
+        def random_edge():
+            src = rng.randrange(NODES)
+            return src, (src + 1 + rng.randrange(NODES - 1)) % NODES
+
+        # A bulk task whose flows finish far apart, cancelled after the
+        # first one did: the counter must drop by one task, not by one
+        # per flow.
+        staggered = sim.submit_bulk([(0, 1, 10.0), (2, 3, 1e7)])
+        check()
+        sim.advance_to(5.0)
+        check()
+        assert len(sim._task_entities[staggered.task_id]) == 1
+        sim.cancel_task(staggered)
+        check()
+        assert sim.active_task_count == 0
+        # Idle jump: nothing live, time still passes.
+        sim.advance_to(sim.now + 3.0)
+        check()
+
+        live = []
+        for _ in range(120):
+            live = [h for h in live if not (h.done or h.cancelled)]
+            op = rng.randrange(7)
+            if op == 0:
+                live.append(
+                    sim.submit_pipelined(
+                        [random_edge() for _ in range(rng.randint(1, 3))],
+                        rng.uniform(10.0, 1e4),
+                    )
+                )
+            elif op == 1:
+                live.append(
+                    sim.submit_bulk(
+                        [
+                            (*random_edge(), rng.uniform(10.0, 1e4))
+                            for _ in range(rng.randint(1, 4))
+                        ]
+                    )
+                )
+            elif op == 2 and live:
+                sim.cancel_task(live.pop(rng.randrange(len(live))))
+            elif op == 3 and live:
+                sim.set_task_max_rate(
+                    rng.choice(live), rng.choice([None, 5.0, 50.0])
+                )
+            elif op == 4:
+                sim.advance_to(sim.now + rng.uniform(0.0, 5.0))
+            elif op == 5:
+                sim.run_until_completion(
+                    max_time=sim.now + rng.uniform(-1.0, 5.0)
+                )
+            else:
+                sim.run(max_time=sim.now + rng.uniform(0.0, 2.0))
+            check()
+        sim.run()
+        check()
+        assert sim.active_task_count == 0
+        assert not sim._entities
+
+    def test_finished_tasks_leave_no_state_for_the_guards_to_walk(self):
+        # Counter-based, no wall-clock: 2000 short tasks one after the
+        # other beside one long-lived task.  What the per-step guards
+        # and the rate tracer look at stays bounded by the live tasks;
+        # only the progress watermarks keep one float per task.
+        network = StarNetwork.constant([100.0] * 4, [100.0] * 4)
+        sim = FluidSimulator(network)
+        background = sim.submit_bulk([(2, 3, 1e9)])
+        for i in range(2000):
+            short = sim.submit_bulk([(0, 1, 100.0)])
+            assert len(sim._task_entities) == 2
+            assert sim.run_until_completion() == [short]
+            assert len(sim._task_entities) == 1
+            assert len(sim._handles) == 1
+        assert sim.active_task_count == 1
+        assert sim.stats.tasks_completed == 2000
+        assert sim.task_progress(short) == 1.0
+        assert sim.task_bytes_carried(short) == pytest.approx(100.0)
+        sim.cancel_task(background)
+        assert not sim._task_entities and not sim._handles
+        assert len(sim._task_bytes) == 2001
 
 
 class TestRepairedPlacementIntegration:

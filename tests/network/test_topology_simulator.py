@@ -117,6 +117,37 @@ class TestFluidSimulator:
         with pytest.raises(SimulationError):
             sim.run()
 
+    def test_stuck_error_names_starved_tasks_and_dead_links(self):
+        # Node 0 cannot upload, node 2 cannot receive; nothing ever
+        # changes.  The error says who starves and on which resources.
+        net = static_network([0, 100, 100], [100, 100, 0])
+        sim = FluidSimulator(net)
+        sim.submit_bulk([(0, 1, 100)], label="from-dead-uplink")
+        sim.submit_pipelined([(0, 2), (1, 2)], 100, label="both-dead")
+        with pytest.raises(SimulationError) as caught:
+            sim.run()
+        message = str(caught.value)
+        assert message.startswith("simulation is stuck: ")
+        assert "'from-dead-uplink' (zero capacity on ('up', 0))" in message
+        assert (
+            "'both-dead' (zero capacity on ('down', 2), ('up', 0))"
+            in message
+        )
+
+    def test_stuck_error_lists_at_most_five_tasks(self):
+        net = static_network([0, 100], [100, 100])
+        sim = FluidSimulator(net)
+        for i in range(8):
+            sim.submit_bulk([(0, 1, 100)], label=f"starved-{i}")
+        with pytest.raises(
+            SimulationError, match="simulation is stuck"
+        ) as caught:
+            sim.run_until_completion()
+        message = str(caught.value)
+        assert "'starved-4'" in message
+        assert "'starved-5'" not in message
+        assert "and 3 more" in message
+
     def test_late_submission_shares_bandwidth(self):
         net = static_network([100, 100, 100], [100, 100, 100])
         sim = FluidSimulator(net)
@@ -200,3 +231,22 @@ class TestFluidSimulator:
         assert completed == []
         assert sim.now == pytest.approx(5.0)
         assert not handle.done
+
+    def test_bound_in_the_past_is_a_no_op(self):
+        # Regression: a live task plus max_time < now used to raise
+        # "time went backwards"; a bound already passed means there is
+        # nothing to do.
+        net = static_network([10, 10], [10, 10])
+        sim = FluidSimulator(net)
+        handle = sim.submit_bulk([(0, 1, 1000)])
+        sim.run(max_time=5.0)
+        steps = sim.stats.steps
+        assert sim.run(max_time=2.0) == []
+        assert sim.run_until_completion(max_time=2.0) == []
+        assert sim.now == 5.0
+        assert sim.stats.steps == steps
+        assert not handle.done
+        with pytest.raises(SimulationError, match="cannot advance to"):
+            sim.advance_to(2.0)
+        sim.run()
+        assert handle.finish_time == pytest.approx(100.0)
