@@ -56,7 +56,7 @@ class Cluster:
                 f"cluster of {node_count} nodes cannot host (n={code.n}) stripes"
             )
         self.code = code
-        self.nodes = [DataNode(i) for i in range(node_count)]
+        self.nodes = [DataNode(i, code.field) for i in range(node_count)]
         self.stripes: dict[int, Stripe] = {}
         self.tracer = tracer
 
@@ -268,9 +268,10 @@ class Cluster:
         """Repair one or more lost chunks of a stripe (Section IV-F).
 
         A single lost chunk goes through the pipelined tree planner; two or
-        more fall back to conventional repair — one requestor decodes the
-        stripe from k surviving chunks and re-encodes every lost chunk,
-        storing each on its replacement node.
+        more fall back to conventional repair — every lost chunk is
+        rebuilt from the same k surviving chunks (the repair equation of
+        Section II-B, once per lost chunk) and stored on its replacement
+        node.
 
         Args:
             lost_indices: chunk indices that became unavailable.
@@ -323,11 +324,11 @@ class Cluster:
             )
             for node in helpers
         }
-        data = self.code.decode(available)
-        full_stripe = self.code.encode(data)
         rebuilt: dict[int, np.ndarray] = {}
         for index in lost:
-            payload = full_stripe[index]
+            # Straight from the k helper chunks: |lost| * k products,
+            # not a full decode (k * k) plus a full re-encode.
+            payload = self.code.repair_chunk(index, available)
             self._node(replacements[index]).store(
                 stripe.chunk_id(index), payload
             )
@@ -503,7 +504,9 @@ class Cluster:
                     )
                 if not self._node(node).alive:
                     raise ClusterError(f"forwarder {node} is down")
-                merged = child_results[0].copy()
+                # Every partial result is a fresh array this call owns,
+                # so children are merged in place, never copied.
+                merged = child_results[0]
                 for extra in child_results[1:]:
                     merged ^= extra
                 return merged
@@ -512,12 +515,11 @@ class Cluster:
                 stripe.chunk_id(chunk_index),
                 coefficients[node],
                 child_results,
-                field=self.code.field,
                 byte_range=byte_range,
             )
 
         partials = [aggregate(child) for child in tree.children(tree.root)]
-        result = partials[0].copy()
+        result = partials[0]
         for partial in partials[1:]:
             result ^= partial
         return result
@@ -530,7 +532,7 @@ class Cluster:
         for helper, coeff in coefficients.items():
             chunk_index = stripe.chunk_on_node(helper)
             held[helper] = self._node(helper).partial_result(
-                stripe.chunk_id(chunk_index), coeff, [], field=self.code.field
+                stripe.chunk_id(chunk_index), coeff, []
             )
         requestor_acc: np.ndarray | None = None
         assert plan.stages is not None
@@ -539,11 +541,11 @@ class Cluster:
                 payload = held.pop(src)
                 if dst == plan.requestor:
                     if requestor_acc is None:
-                        requestor_acc = payload.copy()
+                        requestor_acc = payload
                     else:
                         requestor_acc ^= payload
                 else:
-                    held[dst] = held[dst] ^ payload
+                    held[dst] ^= payload
         if requestor_acc is None:
             raise ClusterError("staged plan never delivered to the requestor")
         return requestor_acc

@@ -12,14 +12,15 @@ import numpy as np
 
 from repro.ec.chunk import ChunkId
 from repro.ec.field import GF256, GaloisField
-from repro.exceptions import ClusterError
+from repro.exceptions import ClusterError, GaloisFieldError
 
 
 class DataNode:
-    """One storage node's state."""
+    """One storage node's state; chunks are words of ``field``."""
 
-    def __init__(self, node_id: int):
+    def __init__(self, node_id: int, field: GaloisField = GF256):
         self.node_id = node_id
+        self.field = field
         self._chunks: dict[ChunkId, np.ndarray] = {}
         self.alive = True
 
@@ -32,7 +33,10 @@ class DataNode:
     # ------------------------------------------------------------------
     def store(self, chunk_id: ChunkId, payload: np.ndarray) -> None:
         self._require_alive()
-        self._chunks[chunk_id] = np.asarray(payload, dtype=np.uint8)
+        try:
+            self._chunks[chunk_id] = self.field.as_words(payload)
+        except GaloisFieldError as exc:
+            raise ClusterError(f"cannot store {chunk_id}: {exc}") from None
 
     def read(self, chunk_id: ChunkId) -> np.ndarray:
         self._require_alive()
@@ -79,7 +83,6 @@ class DataNode:
         chunk_id: ChunkId,
         coefficient: int,
         child_results: list[np.ndarray],
-        field: GaloisField = GF256,
         byte_range: tuple[int, int] | None = None,
     ) -> np.ndarray:
         """coefficient * own_chunk XOR (partial results from children).
@@ -99,12 +102,14 @@ class DataNode:
                 raise ClusterError(
                     f"byte range [{lo}, {hi}) is outside the chunk"
                 )
-        own = field.mul_slice(coefficient, payload)
         for child in child_results:
-            child = np.asarray(child, dtype=field.dtype)
-            if child.shape != own.shape:
+            if np.shape(child) != payload.shape:
                 raise ClusterError(
                     "partial result size mismatch — Property 1 violated"
                 )
-            own ^= child
-        return own
+        # Children enter the sum with coefficient 1; the result is a
+        # fresh array, so the stored chunk is never written.
+        return self.field.linear_combination(
+            [coefficient] + [1] * len(child_results),
+            [payload, *child_results],
+        )

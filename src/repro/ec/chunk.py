@@ -41,8 +41,11 @@ def slice_count(chunk_size: int, slice_size: int) -> int:
 
 
 def split_slices(chunk: np.ndarray, slice_size: int) -> list[np.ndarray]:
-    """Split a chunk payload into slice views of at most ``slice_size``."""
-    chunk = np.asarray(chunk, dtype=np.uint8)
+    """Split a chunk payload into slice views of at most ``slice_size`` words.
+
+    The payload keeps its word dtype (uint8, or uint16 for GF(2^16)).
+    """
+    chunk = np.asarray(chunk)
     if slice_size <= 0:
         raise CodingError(f"slice size must be positive, got {slice_size}")
     return [
@@ -55,7 +58,7 @@ def join_slices(slices: list[np.ndarray]) -> np.ndarray:
     """Concatenate slices back into a chunk payload."""
     if not slices:
         return np.zeros(0, dtype=np.uint8)
-    return np.concatenate([np.asarray(s, dtype=np.uint8) for s in slices])
+    return np.concatenate(slices)
 
 
 def random_chunk(size: int, rng: np.random.Generator) -> np.ndarray:

@@ -18,8 +18,8 @@ def gf_matmul(
     a: np.ndarray, b: np.ndarray, field: GaloisField = GF256
 ) -> np.ndarray:
     """Multiply two GF(2^w) matrices (or matrix x vector)."""
-    a = np.atleast_2d(np.asarray(a, dtype=field.dtype))
-    b_in = np.asarray(b, dtype=field.dtype)
+    a = np.atleast_2d(field.as_words(a))
+    b_in = field.as_words(b)
     b2 = b_in.reshape(-1, 1) if b_in.ndim == 1 else b_in
     if a.shape[1] != b2.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} x {b2.shape}")
@@ -45,7 +45,7 @@ def gf_inverse(
     Raises:
         SingularMatrixError: if the matrix is not invertible.
     """
-    matrix = np.asarray(matrix, dtype=field.dtype)
+    matrix = field.as_words(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     size = matrix.shape[0]
@@ -69,8 +69,8 @@ def gf_inverse(
             if row == col or work[row, col] == 0:
                 continue
             factor = int(work[row, col])
-            work[row] ^= field.mul_slice(factor, work[col])
-            inverse[row] ^= field.mul_slice(factor, inverse[col])
+            field.addmul(work[row], factor, work[col])
+            field.addmul(inverse[row], factor, inverse[col])
     return inverse
 
 

@@ -80,18 +80,13 @@ class RSCode:
             raise CodingError(
                 f"expected {self.k} data chunks, got {len(data_chunks)}"
             )
-        chunks = [
-            np.asarray(c, dtype=self.field.dtype) for c in data_chunks
-        ]
+        chunks = [self.field.as_words(c) for c in data_chunks]
         sizes = {c.shape for c in chunks}
         if len(sizes) != 1:
             raise CodingError(f"data chunks differ in shape: {sorted(sizes)}")
         stripe = [c.copy() for c in chunks]
         for parity_row in self._generator[self.k :]:
-            parity = np.zeros_like(chunks[0])
-            for coeff, chunk in zip(parity_row, chunks):
-                parity ^= self.field.mul_slice(int(coeff), chunk)
-            stripe.append(parity)
+            stripe.append(self.field.linear_combination(parity_row, chunks))
         return stripe
 
     def decode(self, available: Mapping[int, np.ndarray]) -> list[np.ndarray]:
@@ -108,17 +103,10 @@ class RSCode:
         self._check_indices(indices)
         sub = self._generator[indices]
         inverse = gf_inverse(sub, self.field)
-        sources = [
-            np.asarray(available[i], dtype=self.field.dtype)
-            for i in indices
+        sources = [self.field.as_words(available[i]) for i in indices]
+        return [
+            self.field.linear_combination(row, sources) for row in inverse
         ]
-        data = []
-        for row in inverse:
-            acc = np.zeros_like(sources[0])
-            for coeff, chunk in zip(row, sources):
-                acc ^= self.field.mul_slice(int(coeff), chunk)
-            data.append(acc)
-        return data
 
     # ------------------------------------------------------------------
     # Single-chunk repair (the operation PivotRepair pipelines)
@@ -157,15 +145,9 @@ class RSCode:
     ) -> np.ndarray:
         """Reconstruct one lost chunk from exactly ``k`` helper chunks."""
         coeffs = self.repair_coefficients(lost_index, sorted(helper_chunks))
-        result: np.ndarray | None = None
-        for index, coeff in coeffs.items():
-            term = self.field.mul_slice(
-                coeff,
-                np.asarray(helper_chunks[index], dtype=self.field.dtype),
-            )
-            result = term if result is None else result ^ term
-        assert result is not None  # k >= 1 guaranteed by constructor
-        return result
+        return self.field.linear_combination(
+            coeffs.values(), [helper_chunks[index] for index in coeffs]
+        )
 
     def _check_indices(self, indices: Sequence[int]) -> None:
         for index in indices:

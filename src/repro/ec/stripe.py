@@ -82,7 +82,7 @@ class StripeStore:
     payloads: dict[ChunkId, np.ndarray] = field(default_factory=dict)
 
     def put(self, chunk_id: ChunkId, payload: np.ndarray) -> None:
-        self.payloads[chunk_id] = np.asarray(payload, dtype=np.uint8)
+        self.payloads[chunk_id] = np.asarray(payload)
 
     def get(self, chunk_id: ChunkId) -> np.ndarray:
         return self.payloads[chunk_id]

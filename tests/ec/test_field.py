@@ -84,6 +84,52 @@ class TestAxioms:
             field.mul_slice(field.order, np.zeros(4, dtype=field.dtype))
 
 
+@pytest.mark.parametrize("field", [GF256, GF65536], ids=["gf256", "gf65536"])
+class TestOutOfFieldWords:
+    """A wider input holding a value outside the field raises; the casts
+    used to wrap it (256 -> 0) silently."""
+
+    def test_mul_slice_rejects_wide_word(self, field):
+        data = np.array([field.order, field.order + 1, 1])
+        with pytest.raises(GaloisFieldError):
+            field.mul_slice(3, data)
+
+    def test_mul_slice_rejects_negative_word(self, field):
+        with pytest.raises(GaloisFieldError):
+            field.mul_slice(3, np.array([1, -1]))
+
+    def test_mul_rejects_wide_operand(self, field):
+        with pytest.raises(GaloisFieldError):
+            field.mul(field.order, 1)
+        with pytest.raises(GaloisFieldError):
+            field.mul(np.array([1, 2]), np.array([3, field.order]))
+
+    def test_addmul_and_inv_reject_wide_words(self, field):
+        acc = np.zeros(2, dtype=field.dtype)
+        with pytest.raises(GaloisFieldError):
+            field.addmul(acc, 3, np.array([field.order, 1]))
+        with pytest.raises(GaloisFieldError):
+            field.inv(field.order + 1)
+
+    def test_float_words_rejected(self, field):
+        with pytest.raises(GaloisFieldError):
+            field.mul_slice(3, np.array([1.5, 2.0]))
+
+    def test_in_range_wide_dtype_accepted(self, field):
+        data = np.array([0, 1, field.order - 1], dtype=np.int64)
+        out = field.mul_slice(3, data)
+        assert out.dtype == field.dtype
+        np.testing.assert_array_equal(
+            out, field.mul_slice(3, data.astype(field.dtype))
+        )
+
+    def test_encode_rejects_wide_word(self, field):
+        code = RSCode(6, 4, field=field)
+        chunks = [np.array([1, 2, field.order])] * 4
+        with pytest.raises(GaloisFieldError):
+            code.encode(chunks)
+
+
 class TestExhaustiveGF256Parity:
     def test_field_class_matches_module_tables(self):
         # The module-level galois functions delegate to GF256; verify the
