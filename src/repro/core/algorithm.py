@@ -28,6 +28,18 @@ from repro.exceptions import PlanningError
 from repro.obs.tracer import NULL_TRACER
 
 
+def _require_nodes(snapshot: BandwidthSnapshot, nodes) -> None:
+    """The membership check the snapshot's accessors make, made once.
+
+    The steps below read ``snapshot.up`` / ``snapshot.down`` directly —
+    a plan makes ~60 such reads — so each validates its nodes on entry.
+    """
+    up = snapshot.up
+    for node in nodes:
+        if node not in up:
+            raise PlanningError(f"node {node} not in snapshot")
+
+
 def select_pivots(
     snapshot: BandwidthSnapshot, candidates: Sequence[int], k: int
 ) -> list[int]:
@@ -39,26 +51,10 @@ def select_pivots(
         raise PlanningError(
             f"need at least k={k} candidates, got {len(candidates)}"
         )
-    ranked = sorted(candidates, key=lambda node: (-snapshot.theo(node), node))
-    return ranked[:k]
-
-
-def _prac(
-    snapshot: BandwidthSnapshot,
-    node: int,
-    requestor: int,
-    child_count: int,
-) -> float:
-    """Bandwidth a new child's link would receive under node ``node``.
-
-    The node's downlink will be split among ``child_count + 1`` children.
-    The requestor never uploads during a repair, so its uplink does not
-    constrain it (cf. the Lemma 2 base case, prac(R) = down(R)).
-    """
-    down_share = snapshot.down_of(node) / (child_count + 1)
-    if node == requestor:
-        return down_share
-    return min(snapshot.up_of(node), down_share)
+    _require_nodes(snapshot, candidates)
+    up, down = snapshot.up, snapshot.down
+    ranked = sorted((-min(up[node], down[node]), node) for node in candidates)
+    return [node for _, node in ranked[:k]]
 
 
 def insert_pivots(
@@ -69,31 +65,41 @@ def insert_pivots(
 ) -> dict[int, int]:
     """Step 1 (Inserting): attach each pivot under the max-prac tree node.
 
+    ``prac(i) = min(up(i), down(i) / (c_i + 1))`` is the bandwidth a new
+    child's link would get under node ``i``: its downlink is split among
+    ``c_i + 1`` children.  The requestor never uploads during a repair,
+    so its uplink does not constrain it (cf. the Lemma 2 base case,
+    prac(R) = down(R)).
+
     Returns child -> parent pointers of the preliminary tree.
     """
+    _require_nodes(snapshot, (requestor, *pivots))
+    up, down = snapshot.up, snapshot.down
+    heappush, heappop = heapq.heappush, heapq.heappop
     parents: dict[int, int] = {}
     child_count: dict[int, int] = {requestor: 0}
     # Each tree node has exactly one live heap entry; entries are
-    # (-prac, node) so ties resolve toward smaller node ids.
-    heap: list[tuple[float, int]] = [
-        (-_prac(snapshot, requestor, requestor, 0), requestor)
-    ]
+    # (-prac, node) so ties resolve toward smaller node ids.  A childless
+    # node's share is ``down / (0 + 1)``, written out so an integer
+    # capacity becomes the float every other share is.
+    heap: list[tuple[float, int]] = [(-(down[requestor] / 1), requestor)]
     for pivot in pivots:
-        neg_prac, parent = heapq.heappop(heap)
+        neg_prac, parent = heappop(heap)
         parents[pivot] = parent
-        child_count[parent] += 1
+        children = child_count[parent] = child_count[parent] + 1
         child_count[pivot] = 0
+        pivot_up, pivot_down = up[pivot], down[pivot]
         if tracer.enabled:
             tracer.instant(
                 "planner.insert", t=snapshot.time, track="planner",
                 pivot=pivot, parent=parent, parent_prac=-neg_prac,
-                theo=snapshot.theo(pivot),
+                theo=min(pivot_up, pivot_down),
             )
-        heapq.heappush(
-            heap,
-            (-_prac(snapshot, parent, requestor, child_count[parent]), parent),
-        )
-        heapq.heappush(heap, (-_prac(snapshot, pivot, requestor, 0), pivot))
+        share = down[parent] / (children + 1)
+        if parent != requestor:
+            share = min(up[parent], share)
+        heappush(heap, (-share, parent))
+        heappush(heap, (-min(pivot_up, pivot_down / 1), pivot))
     return parents
 
 
@@ -108,22 +114,24 @@ def replace_leaves(
 
     Returns updated child -> parent pointers (the input is not mutated).
     """
+    _require_nodes(snapshot, (*parents, *unselected))
+    up = snapshot.up
     parents = dict(parents)
     non_leaves = set(parents.values())
     leaves = [node for node in parents if node not in non_leaves]
-    pool = leaves + list(unselected)
-    pool.sort(key=lambda node: (-snapshot.up_of(node), node))
-    chosen = set(pool[: len(leaves)])  # L*: the l strongest uplinks
+    leaf_set = set(leaves)
+    pool = sorted((-up[node], node) for node in (*leaves, *unselected))
+    # L*: the l strongest uplinks
+    chosen = {node for _, node in pool[: len(leaves)]}
     outgoing = sorted(leaf for leaf in leaves if leaf not in chosen)
-    incoming = sorted(node for node in chosen if node not in set(leaves))
+    incoming = sorted(node for node in chosen if node not in leaf_set)
     for leaf, newcomer in zip(outgoing, incoming):
         parents[newcomer] = parents.pop(leaf)
         if tracer.enabled:
             tracer.instant(
                 "planner.replace", t=snapshot.time, track="planner",
                 leaf=leaf, newcomer=newcomer,
-                leaf_up=snapshot.up_of(leaf),
-                newcomer_up=snapshot.up_of(newcomer),
+                leaf_up=up[leaf], newcomer_up=up[newcomer],
             )
     return parents
 

@@ -56,6 +56,14 @@ class SchedulerConfig:
             raise PlanningError("max_idle_wait cannot be negative")
 
 
+def _transfer_sets(tree: RepairTree) -> tuple[frozenset[int], frozenset[int]]:
+    """(nodes that upload, nodes that download) in a repair tree."""
+    return (
+        frozenset(tree.helpers),
+        frozenset([tree.root, *tree.non_leaf_helpers()]),
+    )
+
+
 @dataclass
 class RunningTask:
     """Book-keeping for one in-flight single-chunk repair."""
@@ -69,10 +77,7 @@ class RunningTask:
     def __post_init__(self) -> None:
         if self.expected_seconds <= 0:
             raise PlanningError("expected task duration must be positive")
-        self.uploaders = frozenset(self.tree.helpers)
-        self.downloaders = frozenset(
-            [self.tree.root, *self.tree.non_leaf_helpers()]
-        )
+        self.uploaders, self.downloaders = _transfer_sets(self.tree)
 
     def relative_delay(self, now: float) -> float:
         """max(A_i - E_i, 0) / E_i with A_i the elapsed time so far."""
@@ -80,14 +85,18 @@ class RunningTask:
         return max(elapsed - self.expected_seconds, 0.0) / self.expected_seconds
 
 
+def _similarity(
+    sets: tuple[frozenset[int], frozenset[int]], running: RunningTask
+) -> int:
+    uploaders, downloaders = sets
+    return len(uploaders & running.uploaders) + len(
+        downloaders & running.downloaders
+    )
+
+
 def tree_similarity(candidate: RepairTree, running: RunningTask) -> int:
     """S(i, c): identical upload nodes + identical download nodes."""
-    uploads = len(frozenset(candidate.helpers) & running.uploaders)
-    downloads = len(
-        frozenset([candidate.root, *candidate.non_leaf_helpers()])
-        & running.downloaders
-    )
-    return uploads + downloads
+    return _similarity(_transfer_sets(candidate), running)
 
 
 def recommendation_value(
@@ -101,9 +110,11 @@ def recommendation_value(
     """Equation (3): how strongly this task is recommended right now."""
     config = config or SchedulerConfig()
     penalty = 0.0
+    # S(i, c) against every running task: the candidate's two node sets
+    # are the same for all of them.
+    sets = _transfer_sets(candidate)
     for task in running:
-        similarity = tree_similarity(candidate, task)
-        penalty += similarity * (
+        penalty += _similarity(sets, task) * (
             config.alpha * task.relative_delay(now) + config.beta
         )
     value = to_mbps(candidate_bmin) - penalty

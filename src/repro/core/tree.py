@@ -30,6 +30,7 @@ class RepairTree:
     def __init__(self, root: int, parents: Mapping[int, int]):
         self.root = root
         self._parents = dict(parents)
+        self._helpers = tuple(sorted(self._parents))
         self._children: dict[int, list[int]] = {root: []}
         for child in self._parents:
             self._children.setdefault(child, [])
@@ -62,7 +63,7 @@ class RepairTree:
     @property
     def helpers(self) -> list[int]:
         """All non-root nodes (the k helpers), sorted."""
-        return sorted(self._parents)
+        return list(self._helpers)
 
     def parent(self, node: int) -> int | None:
         if node == self.root:
@@ -151,20 +152,28 @@ class RepairTree:
     def node_bottleneck(self, snapshot: BandwidthSnapshot, node: int) -> float:
         """This node's contribution to B_min under the snapshot."""
         kids = self.children(node)
+        if node not in snapshot.up:
+            raise PlanningError(f"node {node} not in snapshot")
+        return self._bottleneck(snapshot.up, snapshot.down, node, kids)
+
+    def _bottleneck(self, up, down, node: int, kids: list[int]) -> float:
         if node == self.root:
             if not kids:
                 raise PlanningError("the root must have at least one child")
-            return snapshot.down_of(node) / len(kids)
+            return down[node] / len(kids)
         if not kids:
-            return snapshot.up_of(node)
-        return min(
-            snapshot.up_of(node), snapshot.down_of(node) / len(kids)
-        )
+            return up[node]
+        return min(up[node], down[node] / len(kids))
 
     def bmin(self, snapshot: BandwidthSnapshot) -> float:
         """Bottleneck (minimum) bandwidth of the pipelined tree."""
+        up, down = snapshot.up, snapshot.down
+        for node in self._children:
+            if node not in up:
+                raise PlanningError(f"node {node} not in snapshot")
         return min(
-            self.node_bottleneck(snapshot, node) for node in self._children
+            self._bottleneck(up, down, node, kids)
+            for node, kids in self._children.items()
         )
 
     # ------------------------------------------------------------------

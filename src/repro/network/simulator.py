@@ -192,7 +192,14 @@ class FluidSimulator:
         #: entity being re-rated (a bulk sibling finished); consumed by
         #: the next restricted :meth:`_trace_rate_changes` scan.
         self._trace_dirty_tasks: set[int] = set()
-        self._rates_valid = False
+        #: Bumped wherever the allocation may have moved (a submission,
+        #: a re-cap, a cancellation, every clock advance): equal epochs
+        #: mean equal rates, so a reader may keep what it derived from
+        #: them.  The simulator's own rates and the planning layer's
+        #: residual snapshot both do.
+        self.rate_epoch = 0
+        #: Epoch the entities' ``rate`` fields were last solved in.
+        self._rated_epoch = -1
 
     @property
     def total_bytes_transferred(self) -> float:
@@ -376,7 +383,7 @@ class FluidSimulator:
         self._task_totals[handle.task_id] = sum(
             e.total for e in entities
         )
-        self._rates_valid = False
+        self.rate_epoch += 1
 
     # ------------------------------------------------------------------
     # Introspection
@@ -525,7 +532,7 @@ class FluidSimulator:
                     # Only the re-capped entity's component is perturbed.
                     self._engine.touch(entity_id)
         if changed:
-            self._rates_valid = False
+            self.rate_epoch += 1
 
     # ------------------------------------------------------------------
     # Cancellation
@@ -557,7 +564,7 @@ class FluidSimulator:
                 self._engine.remove_entity(entity_id)
         handle.cancelled = True
         self.stats.tasks_cancelled += 1
-        self._rates_valid = False
+        self.rate_epoch += 1
         if self.tracer.enabled:
             track = self._task_tracks.pop(handle.task_id, "sim")
             self._task_rates.pop(handle.task_id, None)
@@ -611,7 +618,7 @@ class FluidSimulator:
             # recorded series stays aligned across the whole run.
             self.sampler.on_window(self.now, t, ())
         self.now = max(self.now, t)
-        self._rates_valid = False
+        self.rate_epoch += 1
         return completed
 
     def run_until_completion(
@@ -696,7 +703,7 @@ class FluidSimulator:
         stats.bytes_transferred = bytes_transferred
         self.now = next_event
         stats.steps += 1
-        self._rates_valid = False
+        self.rate_epoch += 1
 
         completed: list[TaskHandle] = []
         tracing = self.tracer.enabled
@@ -772,7 +779,7 @@ class FluidSimulator:
         )
 
     def _ensure_rates(self) -> None:
-        if self._rates_valid:
+        if self._rated_epoch == self.rate_epoch:
             return
         if self._engine is not None:
             # Incremental path: re-solve only the perturbed components
@@ -787,7 +794,7 @@ class FluidSimulator:
                     # turns tracing into an O(tasks) tax per
                     # recomputation.
                     self._trace_rate_changes(self._engine.last_changed)
-            self._rates_valid = True
+            self._rated_epoch = self.rate_epoch
             return
         entities = list(self._entities.values())
         capacities = self.network.capacities_at(self.now)
@@ -799,7 +806,7 @@ class FluidSimulator:
         for entity, rate in zip(entities, rates):
             entity.rate = rate
         self.stats.rate_recomputations += 1
-        self._rates_valid = True
+        self._rated_epoch = self.rate_epoch
         if self.tracer.enabled and entities:
             self._trace_rate_changes()
 

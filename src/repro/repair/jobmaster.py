@@ -73,23 +73,96 @@ def choose_requestor(
     failed_node: int,
     node_count: int,
     exclude: frozenset[int] | set[int] = frozenset(),
+    survivors: Sequence[int] | None = None,
 ) -> int:
     """Requestor = max-downlink node not already holding a stripe chunk.
 
     ``exclude`` removes nodes that cannot serve (crashed under a fault
-    plan).
+    plan).  ``survivors`` is ``stripe.surviving_nodes(failed_node)`` for
+    a caller that already holds it.
     """
-    holders = set(stripe.surviving_nodes(failed_node))
-    outside = [
-        node
-        for node in range(node_count)
-        if node != failed_node and node not in holders and node not in exclude
-    ]
-    if not outside:
+    if survivors is None:
+        survivors = stripe.surviving_nodes(failed_node)
+    holders = set(survivors)
+    down = snapshot.down
+    try:
+        # Largest downlink, ties toward the smaller node id.
+        best = max(
+            (
+                (down[node], -node)
+                for node in range(node_count)
+                if node != failed_node
+                and node not in holders
+                and node not in exclude
+            ),
+            default=None,
+        )
+    except KeyError as missing:
+        raise PlanningError(
+            f"node {missing.args[0]} not in snapshot"
+        ) from None
+    if best is None:
         raise ClusterError(
             f"stripe {stripe.stripe_id}: no node available as requestor"
         )
-    return max(outside, key=lambda node: (snapshot.down_of(node), -node))
+    return -best[1]
+
+
+class ResidualView:
+    """A network's residual bandwidth under one simulator, per change.
+
+    A scheduling round plans every pending stripe against "the instant
+    bandwidths situation"; between two plans of a round nothing moved.
+    The view keeps the last residual snapshot with what it was read
+    from — ``sim.now`` and the simulator's rate epoch — and the
+    traffic-free half (``BandwidthSnapshot.from_network``) with the
+    capacity epoch ``[t, network.next_change_after(t))`` it holds for.
+    Every rate change bumps the epoch and every capacity change moves
+    ``now`` past a breakpoint, so a hit is what a rebuild would return.
+    Every caller between two changes gets the same snapshot object, to
+    be read, not written.
+
+    The counters are the planning layer's self-observation: plain ints,
+    read after a run.
+    """
+
+    def __init__(self, network, sim: FluidSimulator) -> None:
+        self.network = network
+        self.sim = sim
+        self.snapshots_built = 0
+        self.snapshots_reused = 0
+        self.base_builds = 0
+        self._now = math.nan
+        self._epoch = -1
+        self._snapshot: BandwidthSnapshot | None = None
+        self._base: BandwidthSnapshot | None = None
+        self._base_until = -math.inf
+
+    def snapshot(self) -> BandwidthSnapshot:
+        sim = self.sim
+        now = sim.now
+        if sim.rate_epoch == self._epoch and now == self._now:
+            self.snapshots_reused += 1
+            return self._snapshot
+        base = self._base
+        if base is None or not base.time <= now < self._base_until:
+            network = self.network
+            base = self._base = BandwidthSnapshot.from_network(network, now)
+            self._base_until = network.next_change_after(now)
+            self.base_builds += 1
+        used_up, used_down = sim.current_usage()
+        up = {
+            node: max(capacity - used_up.get(node, 0.0), 0.0)
+            for node, capacity in base.up.items()
+        }
+        down = {
+            node: max(capacity - used_down.get(node, 0.0), 0.0)
+            for node, capacity in base.down.items()
+        }
+        self._snapshot = BandwidthSnapshot(up=up, down=down, time=now)
+        self._now, self._epoch = now, sim.rate_epoch
+        self.snapshots_built += 1
+        return self._snapshot
 
 
 def residual_snapshot(
@@ -100,18 +173,11 @@ def residual_snapshot(
     The Master measures instantaneous link usage (the paper uses ``nload``),
     which includes the repair tasks already running; planning against the
     residual keeps concurrent repair trees from piling onto the same pivots.
+
+    A from-scratch build; a caller that asks repeatedly (the master, once
+    per plan) keeps a :class:`ResidualView` instead.
     """
-    base = BandwidthSnapshot.from_network(network, sim.now)
-    used_up, used_down = sim.current_usage()
-    up = {
-        node: max(base.up[node] - used_up.get(node, 0.0), 0.0)
-        for node in base.up
-    }
-    down = {
-        node: max(base.down[node] - used_down.get(node, 0.0), 0.0)
-        for node in base.down
-    }
-    return BandwidthSnapshot(up=up, down=down, time=sim.now)
+    return ResidualView(network, sim).snapshot()
 
 
 def abort_foreground_on_crash(
@@ -373,13 +439,15 @@ class _FaultDriver:
                 watermark=watermark, requestor=flight.plan.requestor,
             )
 
-    def preferred_requestor(self, stripe: Stripe) -> int | None:
+    def preferred_requestor(
+        self, stripe: Stripe, dead: frozenset[int]
+    ) -> int | None:
         """Requestor holding this stripe's verified slices, if it lives."""
         recorded = self.watermarks.get(stripe.stripe_id)
         if recorded is None:
             return None
         _, requestor = recorded
-        if requestor in self.faults.dead_nodes(self.sim.now):
+        if requestor in dead:
             return None
         return requestor
 
@@ -540,6 +608,11 @@ class StripeRepairMaster:
         self.results: list[RepairResult] = []
         self.start_time = sim.now
         self.level = 0
+        #: Stripes planned so far (``plan`` calls), a plain int for the
+        #: runtime's own ledger, like the snapshot counters on ``view``.
+        self.plans = 0
+        #: What every plan of a scheduling round reads.
+        self.view = ResidualView(network, sim)
         #: Config each stripe was last submitted under; re-submissions
         #: reuse it so slice watermarks keep their meaning.
         self._stripe_config: dict[int, ExecutionConfig] = {}
@@ -647,24 +720,26 @@ class StripeRepairMaster:
         Raises :class:`ClusterError` when fewer than ``k`` helpers
         survive.
         """
-        snapshot = residual_snapshot(self.network, self.sim)
+        self.plans += 1
+        snapshot = self.view.snapshot()
         dead = unusable = frozenset()
         if self.driver.active:
             dead = self.driver.faults.dead_nodes(self.sim.now)
             unusable = dead | self.driver.faults.unreadable_nodes(
                 self.sim.now
             )
-        requestor = self.driver.preferred_requestor(stripe)
+        survivors = stripe.surviving_nodes(self.failed_node)
+        requestor = self.driver.preferred_requestor(stripe, dead)
         if requestor is None:
             requestor = choose_requestor(
                 snapshot, stripe, self.failed_node, len(self.network),
-                exclude=dead,
+                exclude=dead, survivors=survivors,
             )
-        candidates = [
-            node
-            for node in stripe.surviving_nodes(self.failed_node)
-            if node not in unusable
-        ]
+        candidates = survivors
+        if unusable:
+            candidates = [
+                node for node in survivors if node not in unusable
+            ]
         k = stripe.code.k
         if len(candidates) < k:
             raise ClusterError(
