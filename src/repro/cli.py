@@ -583,6 +583,46 @@ def _parse_faults(args) -> tuple[FaultPlan | None, RetryPolicy | None]:
     return faults, policy
 
 
+def _foreground_engine(
+    trace, stripes, failed, make_planner, faults, *, rate, duration,
+    read_fraction, request_mib, zipf_s, seed, tenants=(), tsdb=None,
+) -> ForegroundEngine:
+    """Client load beside a full-node repair of ``failed``: arrivals at
+    mean ``rate`` req/s shaped by the measured ``trace``."""
+    profile = LoadProfile(
+        name=trace.name,
+        arrival_rate=rate,
+        duration=duration,
+        read_fraction=read_fraction,
+        request_size=int(mib(request_mib)),
+        zipf_s=zipf_s,
+        modulation="trace",
+        tenants=tenants,
+    )
+    requests = generate_requests(
+        profile, stripes, trace.node_count, seed=seed,
+        rate_profile=rate_profile_from_trace(trace),
+    )
+    return ForegroundEngine(
+        stripes, requests, make_planner(), failed_nodes={failed},
+        faults=faults, tsdb=tsdb,
+        # A crashed client issues nothing; its requests would sit at
+        # zero rate and wedge the final drain.
+        drop_dead_clients=bool(faults),
+    )
+
+
+def _governor(args):
+    """The ``--governor`` policy with its ``--static-cap-mbps`` /
+    ``--slo-ms`` setting."""
+    kwargs = {
+        "none": {},
+        "static": {"cap": mbps(args.static_cap_mbps)},
+        "adaptive": {"slo_p99": args.slo_ms / 1000.0},
+    }[args.governor]
+    return make_governor(args.governor, **kwargs)
+
+
 # ----------------------------------------------------------------------
 # Command implementations
 # ----------------------------------------------------------------------
@@ -883,24 +923,6 @@ def _cmd_load(args, tracer=NULL_TRACER) -> dict:
         chunk_size=mib(args.chunk_mib), engine=args.engine
     )
     faults, policy = _parse_faults(args)
-    duration = (
-        float(trace.sample_count)
-        if args.load_duration is None
-        else args.load_duration
-    )
-    profile = LoadProfile(
-        name=trace.name,
-        arrival_rate=args.arrival_rate,
-        duration=duration,
-        read_fraction=args.read_fraction,
-        request_size=int(mib(args.request_mib)),
-        zipf_s=args.zipf,
-        modulation="trace",
-    )
-    requests = generate_requests(
-        profile, stripes, trace.node_count, seed=args.seed,
-        rate_profile=rate_profile_from_trace(trace),
-    )
     make_planner = SCHEME_FACTORIES[args.scheme]
     baseline_seconds = None
     if not args.no_baseline:
@@ -909,18 +931,17 @@ def _cmd_load(args, tracer=NULL_TRACER) -> dict:
             concurrency=args.concurrency, config=config,
             faults=faults, retry_policy=policy,
         ).total_seconds
-    governor_kwargs = {
-        "none": {},
-        "static": {"cap": mbps(args.static_cap_mbps)},
-        "adaptive": {"slo_p99": args.slo_ms / 1000.0},
-    }[args.governor]
-    governor = make_governor(args.governor, **governor_kwargs)
-    engine = ForegroundEngine(
-        stripes, requests, make_planner(), failed_nodes={failed},
-        faults=faults,
-        # A crashed client issues nothing; its requests would sit at
-        # zero rate and wedge the drain below.
-        drop_dead_clients=bool(faults),
+    governor = _governor(args)
+    engine = _foreground_engine(
+        trace, stripes, failed, make_planner, faults,
+        rate=args.arrival_rate,
+        duration=(
+            float(trace.sample_count)
+            if args.load_duration is None
+            else args.load_duration
+        ),
+        read_fraction=args.read_fraction, request_mib=args.request_mib,
+        zipf_s=args.zipf, seed=args.seed,
     )
     result = repair_full_node(
         make_planner(), network, stripes, failed,
@@ -1096,33 +1117,15 @@ def _observed_scenario(args, tsdb=None, tenants=()) -> _ObservedScenario:
         # Mirrors `repro load`: full-capacity links, the measured trace
         # shapes the client arrival rate.
         network = StarNetwork.uniform(trace.node_count, trace.capacity)
-        profile = LoadProfile(
-            name=trace.name,
-            arrival_rate=args.foreground_rate,
-            duration=float(trace.sample_count),
-            read_fraction=0.9,
-            request_size=int(mib(1.0)),
-            zipf_s=0.9,
-            modulation="trace",
-            tenants=tenants,
-        )
-        requests = generate_requests(
-            profile, stripes, trace.node_count, seed=args.seed,
-            rate_profile=rate_profile_from_trace(trace),
-        )
-        foreground = ForegroundEngine(
-            stripes, requests, planner(),
-            failed_nodes={failed}, faults=faults, tsdb=tsdb,
+        foreground = _foreground_engine(
+            trace, stripes, failed, planner, faults,
+            rate=args.foreground_rate, duration=float(trace.sample_count),
+            read_fraction=0.9, request_mib=1.0, zipf_s=0.9, seed=args.seed,
+            tenants=tenants, tsdb=tsdb,
         )
     else:
         network = trace.to_network(floor=1e6)
-    governor = None
-    if args.governor != "none":
-        governor_kwargs = {
-            "static": {"cap": mbps(args.static_cap_mbps)},
-            "adaptive": {"slo_p99": args.slo_ms / 1000.0},
-        }[args.governor]
-        governor = make_governor(args.governor, **governor_kwargs)
+    governor = None if args.governor == "none" else _governor(args)
 
     def run(tracer):
         result = repair_full_node(

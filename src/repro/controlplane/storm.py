@@ -1,8 +1,8 @@
 """The repair-storm scenario: rack outage → fleet repair under load.
 
 One seeded, bit-deterministic scenario shared by the ``repro storm``
-CLI command, the chaos smoke (scripts/chaos_smoke.py), the benchmark
-snapshot (scripts/bench_snapshot.py) and the determinism tests:
+CLI command, the ``fleet_storm`` benchmark workload and the determinism
+tests:
 
 1. a two-level rack topology (oversubscribed rack links) carries Zipf
    foreground traffic from several tenants;

@@ -36,8 +36,8 @@ a backward covering walk over its child intervals:
 
 By construction the emitted segments partition ``[start, end]`` exactly,
 so their durations sum to the measured makespan to float precision — an
-invariant this module checks per repair (``residual``) and the CI smoke
-job asserts at ``1e-9``.
+invariant this module checks per repair (``residual``) and the tests
+assert at ``1e-9``.
 
 Each segment's seconds are then attributed to categories: flow segments
 by the flow rule, explicit spans directly — ``repair.planning`` →

@@ -12,7 +12,7 @@ Two halves, both dependency-free:
   per-node convention folds into a ``key`` label so every exported name
   is a legal Prometheus identifier.
 * :func:`lint` — a strict checker for that format, used by the
-  ``telemetry-smoke`` CI job and the tests: metric/label name grammar,
+  tests: metric/label name grammar,
   quoting and escape sequences, float parsing, one ``TYPE`` per family,
   family contiguity, and duplicate-series detection.  Returns a list of
   error strings (empty = clean).

@@ -16,7 +16,6 @@ Two execution modes:
 from __future__ import annotations
 
 import logging
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -51,8 +50,6 @@ def execute_plan(
     start_time: float = 0.0,
     config: ExecutionConfig | None = None,
     tracer=NULL_TRACER,
-    foreground=None,
-    governor=None,
     sampler=None,
 ) -> RepairResult:
     """Run a repair plan on a fresh simulator and time the transfer.
@@ -61,28 +58,14 @@ def execute_plan(
     rate); staged plans run their rounds back-to-back, each round a set of
     independent whole-chunk flows.  With a live ``tracer`` the simulator
     emits flow events and the result carries a ``telemetry`` snapshot.
-
-    ``foreground`` (a :class:`~repro.loadgen.ForegroundEngine`) runs
-    client flows on the same simulator while the repair transfers;
-    ``governor`` (a :class:`~repro.loadgen.RepairQoSGovernor`) throttles
-    the repair pipeline at its decision interval.  Pipelined plans only;
-    both default to None, leaving the repair-only path unchanged.
     ``sampler`` (a :class:`~repro.obs.FlightRecorder`) records aligned
     utilization time series for post-run diagnosis.
     """
     config = config or ExecutionConfig()
-    if (foreground is not None or governor is not None) and (
-        not plan.is_pipelined
-    ):
-        raise PlanningError(
-            "foreground-aware execution supports pipelined plans only"
-        )
     sim = FluidSimulator(
         network, start_time=start_time, tracer=tracer, sampler=sampler,
         engine=config.engine,
     )
-    if foreground is not None:
-        foreground.bind(sim, network)
     task_span = None
     task_track = f"repair:{plan.requestor}"
     if tracer.enabled:
@@ -95,8 +78,7 @@ def execute_plan(
         )
     if plan.is_pipelined:
         transfer = _run_pipelined(
-            plan, sim, config, foreground=foreground, governor=governor,
-            task_span=task_span, task_track=task_track,
+            plan, sim, config, task_span=task_span, task_track=task_track
         )
     else:
         transfer = _run_staged(
@@ -148,8 +130,6 @@ def _run_pipelined(
     plan: RepairPlan,
     sim: FluidSimulator,
     config: ExecutionConfig,
-    foreground=None,
-    governor=None,
     task_span: int | None = None,
     task_track: str = "sim",
 ) -> float:
@@ -163,21 +143,7 @@ def _run_pipelined(
         meta={"bmin": plan.bmin} if task_span is not None else None,
     )
     flow_span = sim.task_span(handle)
-    if foreground is None and governor is None:
-        sim.run()
-    else:
-        while not handle.done:
-            bound = math.inf
-            if governor is not None:
-                cap = governor.repair_rate_cap(sim.now, foreground)
-                sim.set_task_max_rate(handle, cap)
-                if sim.sampler is not None:
-                    sim.sampler.note_governor_cap(cap)
-                bound = sim.now + governor.decision_interval
-            if foreground is not None:
-                foreground.run_until_repair_event(max_time=bound)
-            else:
-                sim.run_until_completion(max_time=bound)
+    sim.run()
     _trace_fill(
         sim, config, finish=handle.finish_time,
         task_span=task_span, task_track=task_track,
@@ -249,8 +215,6 @@ def repair_single_chunk(
     start_time: float = 0.0,
     config: ExecutionConfig | None = None,
     tracer=NULL_TRACER,
-    foreground=None,
-    governor=None,
     sampler=None,
 ) -> RepairResult:
     """Plan (from a snapshot at ``start_time``) and execute one repair."""
@@ -259,7 +223,7 @@ def repair_single_chunk(
         plan = planner.plan(snapshot, requestor, candidates, k)
     return execute_plan(
         plan, network, start_time=start_time, config=config, tracer=tracer,
-        foreground=foreground, governor=governor, sampler=sampler,
+        sampler=sampler,
     )
 
 

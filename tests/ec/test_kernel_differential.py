@@ -7,7 +7,7 @@ Every byte must agree for every coefficient, length (both sides of the
 short/wide threshold and of the gather block) and view (offset, strided),
 and the kernel must neither write its inputs nor hand them back.
 
-The last class is the CI ``data-plane`` gate: the differential at 1 MiB
+The last class is the data-plane gate: the differential at 1 MiB
 for both fields and a *ratio* against the oracle — machine-independent,
 so an edit that falls back to the slow form fails without a wall-clock
 floor.
@@ -191,7 +191,7 @@ class TestMegabyteRoundTrips:
 
 
 class TestDataPlaneGate:
-    """What the CI ``data-plane`` step runs (``-k DataPlaneGate``)."""
+    """The data-plane gate (``-k DataPlaneGate``)."""
 
     @pytest.mark.parametrize("name", sorted(FIELDS))
     def test_differential_at_one_mebibyte(self, name):

@@ -47,6 +47,41 @@ class TestDeterminism:
         assert other.digest != report.digest
 
 
+class TestPinnedStudies:
+    """Two seeded studies whose outcome is recorded: a value that moves
+    is a behaviour change of the event loop or the calibration."""
+
+    def test_fixed_durations_study(self):
+        report = run_lifetime(
+            LifetimeConfig(
+                years=4, runs=8, seed=42, schemes=("pivot", "conventional"),
+                stripes=64, disk_mttf_days=30.0, repair_streams=1,
+            ),
+            durations=DURATIONS,
+        )
+        assert report.digest == (
+            "3f694038078dc4c03f08008a4c41849262cb2a40abb8640994d85fed09ec994c"
+        )
+        pivot = report.schemes["pivot"]
+        assert pivot.total_losses == 232
+        assert report.schemes["conventional"].total_losses == 18232
+        assert sum(r["repairs_completed"] for r in pivot.runs) == 145286
+
+    def test_calibrated_durations_pivot_loses_strictly_less(self):
+        # Repair durations calibrated on the fluid simulator (no
+        # ``durations=``), where the fixed-duration tests above and below
+        # only ever see the analytic 1 h / 4 h contrast.
+        report = run_lifetime(
+            LifetimeConfig(
+                years=3, runs=8, seed=1234, stripes=32,
+                disk_mttf_days=30.0, repair_streams=1,
+                data_per_chunk_gib=256.0, calibration_instants=4,
+            )
+        )
+        assert report.schemes["pivot"].total_losses == 50
+        assert report.schemes["conventional"].total_losses == 4870
+
+
 class TestPairedDesign:
     def test_equal_speed_schemes_are_bit_identical(self):
         # The outage timeline is scheme-independent, so two schemes that

@@ -1,9 +1,9 @@
 """Zero-foreground equivalence: the loadgen hooks must be exact no-ops.
 
 The regression contract of the integration: with no foreground arrivals
-(an empty engine) and no governor, single-chunk and full-node repair are
-byte- and time-identical to the pre-loadgen code path — same simulated
-seconds, same bytes on every link, same per-task results.
+(an empty engine) and no governor, full-node repair is byte- and
+time-identical to the pre-loadgen code path — same simulated seconds,
+same bytes on every link, same per-task results.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from repro.core.scheduler import SchedulerConfig
 from repro.ec import RSCode, place_stripes
 from repro.loadgen import ForegroundEngine, NoGovernor
 from repro.network.topology import StarNetwork
-from repro.repair.executor import repair_single_chunk
 from repro.repair.fullnode import (
     repair_full_node,
     repair_full_node_adaptive,
@@ -110,28 +109,6 @@ class TestFullNodeEquivalence:
         )
         assert governed.total_seconds == plain.total_seconds
         assert governed.bytes_transferred == plain.bytes_transferred
-
-
-class TestSingleChunkEquivalence:
-    def test_identical_result(self):
-        network, stripes, failed, config = make_setup()
-        stripe = stripes[0]
-        survivors = stripe.surviving_nodes(failed)
-        requestor = next(
-            n for n in range(NODE_COUNT)
-            if n != failed and n not in survivors
-        )
-        plain = repair_single_chunk(
-            ZeroPlanningPivot(), network, requestor, survivors, CODE.k,
-            config=config,
-        )
-        loaded = repair_single_chunk(
-            ZeroPlanningPivot(), network, requestor, survivors, CODE.k,
-            config=config, foreground=empty_engine(stripes, failed),
-        )
-        assert loaded.transfer_seconds == plain.transfer_seconds
-        assert loaded.bytes_transferred == plain.bytes_transferred
-        assert loaded.bmin == plain.bmin
 
 
 class TestForegroundActuallyCompetes:

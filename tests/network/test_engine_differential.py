@@ -13,11 +13,8 @@ design) and is excluded from the digests by construction
 Coverage: ≥50 randomized seeded churn scenarios (arrivals, finishes,
 cancels, re-caps across repair/foreground/hedge classes, same-instant
 bursts, capacity breakpoints), rack topologies, a repair-storm scenario,
-and the committed benchmark suites from ``scripts/bench_snapshot.py``.
+and the pinned repair suites of ``tests/network/pinned_suites.py``.
 """
-
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -28,6 +25,9 @@ from repro.network.scenario import (
     replay,
     storm_scenario,
 )
+from repro.obs import critical_paths
+from repro.resilience import RepairJournal
+from tests.network import pinned_suites
 
 SEEDS = list(range(50))
 RACKED_SEEDS = [100, 101, 102, 103, 104, 105]
@@ -70,23 +70,41 @@ def test_unknown_engine_rejected():
 
 
 class TestCommittedBenchSuites:
-    """The pinned benchmark suites are digest-equal under both engines.
+    """The pinned suites of ``tests/network/pinned_suites.py`` produce
+    their recorded simulated values — under both engines, and with any
+    observer attached.
 
-    Runs each suite from ``scripts/bench_snapshot.py`` twice, flipping
-    the repo-default engine, and compares the recorded simulated metrics
-    exactly (``rate_recomputations`` removed — the engines legitimately
-    disagree on how often they solve).
+    The literals were last recorded in PR 10 and have held through every
+    PR since; a value that moves is a behaviour change, not noise.
+    ``rate_recomputations`` is compared on the fast engine only (the
+    engines legitimately disagree on how often they solve).
     """
 
-    @staticmethod
-    def _bench():
-        scripts = Path(__file__).resolve().parents[2] / "scripts"
-        sys.path.insert(0, str(scripts))
-        try:
-            import bench_snapshot
-        finally:
-            sys.path.remove(str(scripts))
-        return bench_snapshot
+    PINNED = {
+        "single_chunk": {
+            "pivot": {
+                "transfer_seconds": 4.652818525, "sim_steps": 8,
+                "rate_recomputations": 8,
+            },
+            "ppt": {
+                "transfer_seconds": 4.652818525, "sim_steps": 8,
+                "rate_recomputations": 8,
+            },
+            "rp": {
+                "transfer_seconds": 5.40934144, "sim_steps": 8,
+                "rate_recomputations": 8,
+            },
+        },
+        "full_node": {
+            "repair_seconds": 9.996352352, "chunks_repaired": 33,
+            "sim_steps": 33, "rate_recomputations": 64,
+        },
+        "foreground_interference": {
+            "repair_seconds": 12.11357804, "chunks_repaired": 33,
+            "sim_steps": 2925, "rate_recomputations": 2805,
+            "fg_requests": 7116, "fg_degraded_reads": 20,
+        },
+    }
 
     @staticmethod
     def _strip(sim):
@@ -105,13 +123,24 @@ class TestCommittedBenchSuites:
         "suite", ["single_chunk", "full_node", "foreground_interference"]
     )
     def test_suite_bit_identical(self, suite, monkeypatch):
-        bench = self._bench()
-        fn = bench.SUITES[suite]
+        fn = getattr(pinned_suites, suite)
         monkeypatch.setattr(simulator_module, "DEFAULT_ENGINE", "reference")
-        reference = self._strip(fn()["sim"])
+        reference = fn()
         monkeypatch.setattr(simulator_module, "DEFAULT_ENGINE", "fast")
-        fast = self._strip(fn()["sim"])
-        assert reference == fast
+        assert fn() == self.PINNED[suite]
+        assert self._strip(reference) == self._strip(self.PINNED[suite])
+
+    @pytest.mark.parametrize("observer", sorted(pinned_suites.OBSERVERS))
+    def test_observers_change_nothing(self, observer, tmp_path):
+        sim, attached = pinned_suites.observed(observer, tmp_path)
+        assert sim == self.PINNED["foreground_interference"]
+        if observer == "tracer":
+            report = critical_paths(attached["tracer"].events)
+            assert len(report.repairs) == 33
+            assert report.max_residual <= 1e-9
+        if observer == "journal":
+            written = RepairJournal.load(attached["journal"].path)
+            assert len(written.done_stripes()) == 33
 
 
 class TestByteConservation:

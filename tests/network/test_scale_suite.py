@@ -9,8 +9,8 @@ Two layers:
   the reference re-rates every live task on every event);
 * the full 1024-node storm, marked ``slow`` (deselected by default; run
   with ``pytest -m slow``), which actually times both engines and
-  asserts the ≥10× speedup on the recompute-bound path that
-  ``scripts/bench_snapshot.py`` records in ``BENCH_pr4.json``.
+  asserts the ≥10× speedup on the recompute-bound path, and the storm's
+  recorded simulated values.
 
 Wall-clock assertions live only in the opt-in slow test; the default
 test run stays timing-free and deterministic.
@@ -100,7 +100,12 @@ def test_scale_storm_speedup_at_least_10x():
         _walled(scenario, "fast") for _ in range(3)
     )
     reference_wall = _walled(scenario, "reference")
-    assert replay(scenario, "reference") == replay(scenario, "fast")
+    digest = replay(scenario, "fast")
+    assert replay(scenario, "reference") == digest
+    assert digest["steps"] == 1594
+    assert digest["tasks_completed"] == 800
+    assert round(digest["bytes_transferred"], 6) == 383504.822911
+    assert round(digest["end_time"], 9) == 247.637412361
     speedup = reference_wall / fast_wall
     assert speedup >= 10.0, (
         f"fast {fast_wall:.3f}s vs reference {reference_wall:.3f}s = "

@@ -30,6 +30,8 @@ from repro.obs.critpath import build_spans
 from repro.repair import repair_full_node_adaptive, repair_single_chunk_faulted
 from repro.repair.pipeline import ExecutionConfig
 from repro.resilience import HealthPolicy
+from tests.obs.test_attribution_identity import SCENARIOS
+from tests.obs.test_critpath import assert_exact_tiling
 
 MiB = 1024 * 1024
 CODE = RSCode(6, 4)
@@ -82,6 +84,14 @@ def hedged_events():
     return tracer.events
 
 
+@pytest.fixture(scope="module")
+def crashed_events():
+    """A full-node repair whose helpers crash and stall mid-run: detection
+    windows, backoff and re-planned flows (more flows than repairs)."""
+    events, _ = SCENARIOS["faults/crash+stall"]()
+    return events
+
+
 class TestClaimedBminIsTheStampedOne:
     """(a) — parent: 10 of 20 adaptive flows and 4 of 31 storm flows
     carried another plan's ``B_min``."""
@@ -104,6 +114,9 @@ class TestClaimedBminIsTheStampedOne:
 
     def test_storm(self, storm_events):
         self.check(storm_events)
+
+    def test_crashed_full_node(self, crashed_events):
+        self.check(crashed_events)
 
 
 class TestBothViewsAgreeOnAHedgedRun:
@@ -158,6 +171,20 @@ class TestEveryFlowIsDecomposed:
         flow_time = sum(diag.duration for diag in run.repairs)
         assert sum(run.totals.values()) == pytest.approx(flow_time, abs=1e-9)
         assert not [a for a in run.anomalies if "residual" in a]
+
+    def test_crashed_full_node_tiles_in_both_views(self, crashed_events):
+        run = diagnose(crashed_events)
+        report = critical_paths(crashed_events)
+        assert len(run.repairs) > len(report.repairs) > 0  # re-planned
+        for diag in run.repairs:
+            assert sum(diag.components.values()) == pytest.approx(
+                diag.duration, abs=1e-9
+            ), diag.label
+        assert_exact_tiling(report)
+        # The dead helper's detection window is on somebody's path.
+        assert sum(
+            path.categories.get("stall", 0.0) for path in report.repairs
+        ) > 0
 
     def test_storm_views_agree_on_contention(self, storm_events):
         # The number the old crosscheck tripped on: critical-path

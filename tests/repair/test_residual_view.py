@@ -12,7 +12,7 @@ that to be invisible:
   from-scratch build would (``TestInvalidation``, one test per site, and
   ``TestReusedIsFresh``, the composed drivers).
 
-``TestPlanningGate`` is the CI ``planning`` step: exact counts of how
+``TestPlanningGate`` is the planning gate: exact counts of how
 often the stack answered the question.
 """
 
@@ -480,10 +480,10 @@ class TestReusedIsFresh:
 
 
 # ----------------------------------------------------------------------
-# CI: the planning gate
+# The planning gate
 # ----------------------------------------------------------------------
 class TestPlanningGate:
-    """What the CI ``planning`` step runs (``-k PlanningGate``).
+    """The planning gate (``-k PlanningGate``).
 
     Exact, machine-independent counts on a pinned scenario (a generated
     TPC-H trace, repair starting at 60 s, planning cost pinned to zero):

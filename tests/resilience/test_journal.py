@@ -20,7 +20,8 @@ _values = st.one_of(
 _payloads = st.dictionaries(
     st.text(
         alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=10
-    ).filter(lambda key: key != "t"),  # "t" is append()'s own argument
+    # append()'s own parameter names cannot also arrive through **data.
+    ).filter(lambda key: key not in ("self", "kind", "t")),
     _values,
     max_size=5,
 )

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import math
 
 import pytest
 
@@ -360,17 +361,20 @@ class TestLoadCommand:
         }
 
     def test_degraded_reads_surface_under_load(self, trace_file, capsys):
-        code = main(
-            [
-                "--json", "load", str(trace_file), "--stripes", "16",
-                "--chunk-mib", "256", "--arrival-rate", "120",
-                "--load-duration", "30", "--seed", "0",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["degraded_reads"] > 0
-        assert payload["read_latency_seconds"]["p99"] is not None
+        for seed in ("0", "1"):
+            code = main(
+                [
+                    "--json", "load", str(trace_file), "--stripes", "16",
+                    "--chunk-mib", "256", "--arrival-rate", "120",
+                    "--load-duration", "30", "--seed", seed,
+                ]
+            )
+            assert code == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["degraded_reads"] > 0, seed
+            assert math.isfinite(payload["read_latency_seconds"]["p99"])
+            assert payload["bytes_by_kind"]["foreground"] > 0, seed
+            assert payload["repair_slowdown"] > 0, seed
 
     def test_baseline_gives_repair_slowdown(self, trace_file, capsys):
         code = main(["--json", "load", str(trace_file), *self.FAST])
@@ -482,6 +486,29 @@ class TestExplainCommands:
         out = capsys.readouterr().out
         assert "governor:" in out
 
+    @pytest.mark.parametrize(
+        "command",
+        ["explain", "critpath", "report --html {tmp}/run.html", "top --once"],
+        ids=lambda command: command.split()[0],
+    )
+    def test_crashed_client_does_not_wedge_the_drain(
+        self, command, tmp_path, capsys
+    ):
+        # A 20 s trace ends while requests of the crashed node are still
+        # queued: without drop_dead_clients they sit at zero rate forever.
+        short = tmp_path / "short.npz"
+        assert main(
+            ["trace", "generate", "--workload", "TPC-H", "--nodes", "12",
+             "--duration", "20", "--seed", "5", "--out", str(short)]
+        ) == 0
+        name, *flags = command.format(tmp=tmp_path).split()
+        code = main(
+            [name, str(short), *self.FAST, *flags,
+             "--foreground-rate", "40", "--faults", "crash:3@0.5"]
+        )
+        assert "simulation is stuck" not in capsys.readouterr().err
+        assert code == 0
+
     def test_report_writes_html(self, trace_file, tmp_path, capsys):
         html_file = tmp_path / "run.html"
         code = main(
@@ -583,6 +610,7 @@ class TestTopCommand:
         assert prometheus_lint(prom.read_text()) == []
         restored = TimeSeriesDB.from_jsonl(tsdb_out.read_text())
         assert len(restored) == payload["tsdb"]["series"]
+        assert restored.total_points > 0
 
     def test_top_live_emits_ansi_frames(self, trace_file, capsys):
         code = main(["top", str(trace_file), *self.FAST, "--refresh", "2"])
@@ -613,6 +641,101 @@ class TestTopCommand:
         capsys.readouterr()
         assert main(["top", str(saved), "--once"]) != 0
         assert "pass an .npz workload trace" in capsys.readouterr().err
+
+
+class TestStormCommand:
+    #: The small storm of tests/controlplane/test_storm.py (4 jobs).
+    SMALL = [
+        "--seed", "7", "--stripes", "6", "--chunk-mib", "4",
+        "--foreground-rate", "30", "--foreground-duration", "12",
+        "--max-time", "120",
+    ]
+
+    def test_report_and_journal_are_deterministic(self, tmp_path, capsys):
+        reports, journals = [], []
+        for name in ("a.jsonl", "b.jsonl"):
+            journal = tmp_path / name
+            assert main(
+                ["--json", "storm", *self.SMALL, "--journal", str(journal)]
+            ) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+            journals.append(journal.read_bytes())
+        assert reports[0] == reports[1]
+        assert journals[0] and journals[0] == journals[1]
+        assert reports[0]["admission_control"] is True
+        assert all(job["completed"] for job in reports[0]["jobs"].values())
+
+    def test_text_table_of_the_uncontrolled_baseline(self, capsys):
+        assert main(["storm", *self.SMALL, "--no-admission-control"]) == 0
+        out = capsys.readouterr().out
+        assert "repair storm (seed 7, UNCONTROLLED baseline)" in out
+        for column in ("job", "qos", "repaired", "failed", "drained"):
+            assert column in out
+        assert "decisions: " in out
+        assert "SLO: " in out and "in breach" in out
+
+    def test_single_rack_is_a_clean_error(self, capsys):
+        assert main(["storm", "--racks", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestResumeCommand:
+    @pytest.fixture
+    def journal_file(self, trace_file, tmp_path, capsys):
+        path = tmp_path / "repair.jsonl"
+        assert main(
+            ["--json", "fullnode", str(trace_file), "--n", "6", "--k", "4",
+             "--stripes", "6", "--chunk-mib", "4", "--seed", "3",
+             "--journal", str(path)]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["journal"] == str(path)
+        assert payload["schemes"]["pivot"]["bytes_transferred"] > 0
+        return path
+
+    @staticmethod
+    def drop_first(path, kind) -> dict:
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        victim = next(r for r in records if r["kind"] == kind)
+        path.write_text(
+            "".join(json.dumps(r) + "\n" for r in records if r is not victim)
+        )
+        return victim
+
+    def resume(self, path, capsys) -> dict:
+        assert main(["--json", "resume", str(path)]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_completed_journal_has_nothing_to_resume(
+        self, journal_file, capsys
+    ):
+        payload = self.resume(journal_file, capsys)
+        assert payload["status"] == "nothing to resume"
+        assert payload["stripes_remaining"] == 0
+        assert payload["stripes_done"] == payload["stripes_total"] > 0
+
+    def test_resume_repairs_exactly_the_unfinished_stripe(
+        self, journal_file, capsys
+    ):
+        dropped = self.drop_first(journal_file, "task_done")
+        payload = self.resume(journal_file, capsys)
+        assert payload["status"] == "resumed"
+        assert payload["stripes_remaining"] == 1
+        assert (payload["chunks_repaired"], payload["chunks_failed"]) == (1, 0)
+        redone = json.loads(journal_file.read_text().splitlines()[-1])
+        assert redone["kind"] == "task_done"
+        assert redone["data"]["stripe"] == dropped["data"]["stripe"]
+        # Resuming a resume: the appended record completes the journal.
+        assert self.resume(journal_file, capsys)["stripes_remaining"] == 0
+
+    def test_journal_without_run_config_is_a_clean_error(
+        self, journal_file, capsys
+    ):
+        self.drop_first(journal_file, "run_config")
+        assert main(["resume", str(journal_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no run_config" in err
 
 
 class TestLifetimeCommand:
@@ -650,6 +773,29 @@ class TestLifetimeCommand:
         assert main(["--json", "lifetime", *self.FAST]) == 0
         second = json.loads(capsys.readouterr().out)["digest"]
         assert first == second
+
+    @pytest.mark.slow
+    def test_acceptance_run_pivot_strictly_fewer_losses(
+        self, tmp_path, capsys
+    ):
+        # 100 runs x 10 simulated years, durations calibrated on
+        # congested instants of a trace (~20 s).
+        out = tmp_path / "lifetime.jsonl"
+        code = main(
+            ["--json", "lifetime", "--years", "10", "--runs", "100",
+             "--seed", "42", "--out", str(out)]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        comparison = payload["comparison"]
+        assert comparison["pivot_losses"] == 1
+        assert comparison["conventional_losses"] == 19
+        assert comparison["pivot_strictly_fewer"]
+        assert comparison["pivot_nines_advantage"]
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert sum(1 for row in rows if row["kind"] == "run") == (
+            payload["config"]["runs"] * len(payload["config"]["schemes"])
+        )
 
     def test_artifacts(self, tmp_path, capsys):
         out = tmp_path / "lifetime.jsonl"
