@@ -1448,11 +1448,6 @@ def _metrics_block(args, payload: dict) -> str:
 
 
 def _cmd_storm(args, tracer) -> dict:
-    journal = (
-        RepairJournal(args.journal, tracer=tracer)
-        if args.journal is not None
-        else None
-    )
     config = StormConfig(
         seed=args.seed,
         racks=args.racks,
@@ -1474,7 +1469,16 @@ def _cmd_storm(args, tracer) -> dict:
         max_jobs=args.max_jobs,
         max_time=args.max_time,
     )
-    report = run_storm(config, tracer=tracer, journal=journal)
+    journal = (
+        RepairJournal(args.journal, tracer=tracer)
+        if args.journal is not None
+        else None
+    )
+    try:
+        report = run_storm(config, tracer=tracer, journal=journal)
+    finally:
+        if journal is not None:
+            journal.close()  # the tail records' fsync, also on an error
     payload = report.as_dict()
     payload["rendered"] = _render_storm(payload)
     return payload

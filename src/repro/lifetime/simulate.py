@@ -30,15 +30,22 @@ durations come from the scheme's :class:`~repro.lifetime.durations.
 DurationModel` — this is where PivotRepair's faster congested-network
 repairs shorten exposure windows and earn their durability nines.
 
-Everything is deterministic: the heap breaks time ties by insertion
-order, and the only randomness is the duration model's scheme-specific
-generator.
+Everything is deterministic: outage edges at one timestamp are taken in
+the order the ``outages`` mapping lists them (a unit's down edge before
+its up edge), an outage edge goes before a repair completing at that
+same instant, simultaneous completions finish in dispatch order, and the
+only randomness is the duration model's scheme-specific generator.
+
+An event costs what it changed (docs/lifetime.md, "What an event
+costs"): the outage edges are one list sorted once, merged against a
+heap of at most ``repair_streams`` completions, and dispatch pops a
+lazily-invalidated ``ready`` heap instead of scanning the waiting chunks.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -58,9 +65,9 @@ __all__ = ["POLICIES", "LifetimeRunStats", "simulate_lifetime"]
 #: (batching repairs at the price of longer exposure windows).
 POLICIES = ("eager", "lazy")
 
-# Event kinds, in tie-break order of arrival (heap is insertion-stable
-# per timestamp via the monotonic sequence number).
-_DOWN, _UP, _DONE = "down", "up", "repair_done"
+# One chunk's state: its data exists; destroyed but not yet let in by
+# the dispatch policy; waiting for a stream; being rebuilt on one.
+_INTACT, _LOST, _WAITING, _REPAIRING = range(4)
 
 
 @dataclass
@@ -78,31 +85,17 @@ class LifetimeRunStats:
     repairs_aborted: int = 0
     repair_seconds: float = 0.0
     chunk_failures: int = 0
+    # The loop's own cost, not an outcome (kept out of artifacts and
+    # digests): events processed, repairs started, ready entries popped.
+    events: int = 0
+    dispatches: int = 0
+    offers_examined: int = 0
 
     @property
     def mean_repair_seconds(self) -> float:
         if not self.repairs_completed:
             return 0.0
         return self.repair_seconds / self.repairs_completed
-
-
-class _StripeState:
-    """Mutable health of one stripe's chunks."""
-
-    __slots__ = (
-        "stripe_id", "disks", "destroyed", "queued", "intact",
-        "live", "generation", "unavailable_since",
-    )
-
-    def __init__(self, stripe_id: int, disks: list[int]):
-        self.stripe_id = stripe_id
-        self.disks = disks
-        self.destroyed = [False] * len(disks)
-        self.queued = [False] * len(disks)
-        self.intact = len(disks)
-        self.live = len(disks)  # corrected for initial outages at t=0 never
-        self.generation = 0  # bumped on restore-after-loss
-        self.unavailable_since: float | None = None
 
 
 def simulate_lifetime(
@@ -149,193 +142,228 @@ def simulate_lifetime(
                     f"{machine} outside the {layout.machines}-machine layout"
                 )
 
-    stats = LifetimeRunStats(
-        scheme=scheme, horizon=horizon, stripes=len(stripes)
-    )
+    # --- static maps: chunk ``cid = s_index * n + c_index`` -----------
+    stripe_ids = [stripe.stripe_id for stripe in stripes]
+    disk_of = [
+        layout.disk_for_chunk(stripe.stripe_id, c_index, machine)
+        for stripe in stripes
+        for c_index, machine in enumerate(stripe.placement)
+    ]
+    disk_chunks: list[list[int]] = [[] for _ in range(layout.disks)]
+    for cid, disk in enumerate(disk_of):
+        disk_chunks[disk].append(cid)
 
-    # --- static maps -------------------------------------------------
-    states: list[_StripeState] = []
-    disk_chunks: dict[int, list[tuple[int, int]]] = {}
-    for s_index, stripe in enumerate(stripes):
-        disks = [
-            layout.disk_for_chunk(stripe.stripe_id, c_index, machine)
-            for c_index, machine in enumerate(stripe.placement)
-        ]
-        states.append(_StripeState(stripe.stripe_id, disks))
-        for c_index, disk in enumerate(disks):
-            disk_chunks.setdefault(disk, []).append((s_index, c_index))
-
-    def disks_below(unit: UnitRef) -> list[int]:
-        if unit.kind == "disk":
-            return [unit.index]
-        if unit.kind == "machine":
-            return layout.disks_of_machine(unit.index)
-        return [
-            disk
-            for machine in layout.machines_in_rack(unit.index)
-            for disk in layout.disks_of_machine(machine)
-        ]
-
-    # --- dynamic state -----------------------------------------------
-    offline_depth = [0] * layout.disks  # nested outages stack
-    free_streams = repair_streams
-    pending: set[tuple[int, int]] = set()
-    heap: list = []
-    seq = itertools.count()
-
-    def push(time: float, kind: str, payload) -> None:
-        heapq.heappush(heap, (time, next(seq), kind, payload))
-
+    # --- the outage timeline, known in full before the loop starts ----
+    edges: list[tuple[float, bool, list[int], bool]] = []
     for unit, unit_outages in outages.items():
         if not isinstance(unit, UnitRef):
             raise LifetimeError(f"outage key {unit!r} is not a UnitRef")
+        disks = layout.disks_under(unit)  # rejects a unit outside the layout
         for outage in unit_outages:
-            if outage.start >= horizon:
-                continue
-            push(outage.start, _DOWN, (unit, outage))
-            push(outage.end, _UP, (unit, outage))
+            if outage.start < horizon:
+                edges.append((outage.start, False, disks, outage.permanent))
+                edges.append((outage.end, True, disks, False))
+    # Stable by time alone: equal timestamps keep generation order (a
+    # unit's down edge before its up edge, units in mapping order).
+    edges.sort(key=lambda edge: edge[0])
+    edges.append((math.inf, True, [], False))  # sentinel: never processed
 
-    # --- health bookkeeping ------------------------------------------
-    def note_availability(state: _StripeState, now: float) -> None:
-        """Track < k live transitions (availability, not durability)."""
-        short = state.live < k
-        if short and state.unavailable_since is None:
-            state.unavailable_since = now
-            stats.unavailable_events += 1
-        elif not short and state.unavailable_since is not None:
-            stats.unavailable_seconds += now - state.unavailable_since
-            state.unavailable_since = None
+    # --- dynamic state, flat per stripe / per chunk -------------------
+    stripe_count = len(stripes)
+    live = [n] * stripe_count  # corrected for initial outages at t=0 never
+    generation = [0] * stripe_count  # bumped on restore-after-loss
+    # When the stripe's live count last fell below k; None while >= k.
+    short_since: list[float | None] = [None] * stripe_count
+    chunk = [_INTACT] * (stripe_count * n)
+    # A stripe's destroyed cids; its intact count is ``n - len(lost[s])``.
+    lost: list[list[int]] = [[] for _ in range(stripe_count)]
+    offline_depth = [0] * layout.disks  # nested outages stack
+    free_streams = repair_streams
+    # Offers, most-at-risk stripes first: (intact, stripe_id, c_index,
+    # cid), validated when popped.  ``offered[cid]`` has bit ``intact``
+    # set while that entry is in the heap, so none is pushed twice and
+    # the heap never outgrows ``chunks * (n - k)``.
+    ready: list[tuple[int, int, int, int]] = []
+    offered = [0] * (stripe_count * n)
+    # Busy streams: (finish, dispatch number, cid, generation, duration).
+    done: list[tuple[float, int, int, int, float]] = []
+    heappush, heappop = heapq.heappush, heapq.heappop
+    # Lost chunks a stripe needs before the policy queues them.
+    threshold = 1 if policy == "eager" else lazy_threshold
+    dispatches = offers_examined = unavailable_events = 0
+    chunk_failures = repairs_completed = repairs_aborted = 0
+    repair_seconds = unavailable_seconds = 0.0
+    loss_times: list[float] = []
 
-    def enqueue(state: _StripeState, s_index: int) -> None:
-        """Queue a stripe's destroyed chunks per the dispatch policy."""
-        lost = len(state.disks) - state.intact
-        if policy == "lazy" and lost < lazy_threshold:
-            return
-        for c_index, destroyed in enumerate(state.destroyed):
-            if destroyed and not state.queued[c_index]:
-                state.queued[c_index] = True
-                pending.add((s_index, c_index))
+    def offer(s_index: int, admit: bool) -> None:
+        """(Re-)offer a stripe's waiting chunks under its current key.
 
-    def destroy(s_index: int, c_index: int, now: float) -> None:
-        state = states[s_index]
-        if state.destroyed[c_index]:
-            return  # failure of a disk whose chunk was already lost
-        state.destroyed[c_index] = True
-        state.intact -= 1
-        stats.chunk_failures += 1
-        if offline_depth[state.disks[c_index]] == 0:
-            state.live -= 1
-        if state.intact < k:
-            data_loss(state, s_index, now)
-        else:
-            enqueue(state, s_index)
-        note_availability(state, now)
+        ``admit`` first queues the destroyed chunks the dispatch policy
+        lets in.  Called on every transition that improves a waiting
+        chunk's key or eligibility — which is what lets dispatch drop a
+        popped entry that is stale or not eligible right now.  A chunk
+        whose disk is out of service is skipped: the disk's return
+        offers it.
+        """
+        base = s_index * n
+        mine = lost[s_index]
+        left = n - len(mine)
+        admit = admit and len(mine) >= threshold
+        stripe_id = stripe_ids[s_index]
+        bit = 1 << left
+        for cid in mine:
+            state = chunk[cid]
+            if state == _LOST and admit:
+                chunk[cid] = state = _WAITING
+            if state == _WAITING and not (
+                offline_depth[disk_of[cid]] or offered[cid] & bit
+            ):
+                offered[cid] |= bit
+                heappush(ready, (left, stripe_id, cid - base, cid))
 
-    def data_loss(state: _StripeState, s_index: int, now: float) -> None:
-        stats.data_loss_events += 1
-        stats.loss_times.append(now)
-        if tracer.enabled:
-            tracer.instant(
-                "lifetime.loss", now, track="lifetime",
-                stripe=state.stripe_id, scheme=scheme,
-                event=stats.data_loss_events,
-            )
-        # Restore from backup by fiat: the estimator counts events, so
-        # the stripe re-enters service fully intact and the clock keeps
-        # running (renewal-reward gives MTTDL = horizon / events).
-        state.generation += 1
-        state.destroyed = [False] * len(state.disks)
-        state.queued = [False] * len(state.disks)
-        state.intact = len(state.disks)
-        state.live = sum(
-            1 for disk in state.disks if offline_depth[disk] == 0
-        )
-        pending.difference_update(
-            (s_index, c) for c in range(len(state.disks))
-        )
-
-    def dispatch(now: float) -> None:
-        """Fill free repair streams, most-at-risk stripes first."""
-        nonlocal free_streams
-        while free_streams > 0 and pending:
-            best = None
-            for s_index, c_index in pending:
-                state = states[s_index]
-                if offline_depth[state.disks[c_index]] > 0:
-                    continue  # disk still awaiting replacement
-                if state.live < k:
-                    continue  # not enough readable sources
-                key = (state.intact, state.stripe_id, c_index)
-                if best is None or key < best[0]:
-                    best = (key, s_index, c_index)
-            if best is None:
-                return
-            _, s_index, c_index = best
-            pending.discard((s_index, c_index))
-            state = states[s_index]
-            free_streams -= 1
-            duration = durations.sample(rng, scheme)
-            push(
-                now + duration, _DONE,
-                (s_index, c_index, state.generation, duration),
-            )
-
-    # --- event loop ---------------------------------------------------
-    while heap:
-        now, _, kind, payload = heapq.heappop(heap)
-        if now >= horizon:
+    # --- event loop: merge the timeline with the completions ----------
+    cursor = 0
+    while True:
+        now, up, disks, permanent = edges[cursor]
+        if done and done[0][0] < now:
+            # A completion strictly before the next outage edge: an
+            # edge at the same instant goes first.
+            now, _, cid, repair_generation, duration = heappop(done)
+            if now >= horizon:
+                break
+            free_streams += 1
+            s_index = cid // n
+            if repair_generation != generation[s_index]:
+                repairs_aborted += 1  # stripe was restored mid-repair
+            elif offline_depth[disk_of[cid]] or live[s_index] < k:
+                # Target disk or sources vanished mid-repair: the write
+                # cannot land — abort and let the chunk re-queue.
+                repairs_aborted += 1
+                chunk[cid] = _LOST
+                offer(s_index, True)
+            else:
+                chunk[cid] = _INTACT
+                lost[s_index].remove(cid)
+                live[s_index] += 1  # was >= k already: no window closes
+                repairs_completed += 1
+                repair_seconds += duration
+                if lost[s_index]:
+                    offer(s_index, False)
+        elif now >= horizon:
             break
-        if kind == _DOWN:
-            unit, outage = payload
-            for disk in disks_below(unit):
+        elif up:
+            cursor += 1
+            for disk in disks:
+                offline_depth[disk] -= 1
+                if offline_depth[disk]:
+                    continue
+                for cid in disk_chunks[disk]:
+                    state = chunk[cid]
+                    if state == _INTACT:
+                        s_index = cid // n
+                        live[s_index] += 1
+                        if live[s_index] == k:  # readable again
+                            unavailable_seconds += now - short_since[s_index]
+                            short_since[s_index] = None
+                            offer(s_index, False)
+                    elif state == _WAITING:
+                        # Its disk is back in service: ``offer`` for
+                        # this one chunk, inline on the hot path.
+                        s_index = cid // n
+                        left = n - len(lost[s_index])
+                        if not offered[cid] & 1 << left:
+                            offered[cid] |= 1 << left
+                            heappush(ready, (
+                                left, stripe_ids[s_index],
+                                cid - s_index * n, cid,
+                            ))
+        else:
+            cursor += 1
+            for disk in disks:
                 offline_depth[disk] += 1
                 if offline_depth[disk] != 1:
                     continue
-                for s_index, c_index in disk_chunks.get(disk, ()):
-                    state = states[s_index]
-                    if not state.destroyed[c_index]:
-                        state.live -= 1
-                        note_availability(state, now)
-            if outage.permanent:
-                for disk in disks_below(unit):
-                    for s_index, c_index in disk_chunks.get(disk, ()):
-                        destroy(s_index, c_index, now)
-        elif kind == _UP:
-            unit, outage = payload
-            for disk in disks_below(unit):
-                offline_depth[disk] -= 1
-                if offline_depth[disk] != 0:
-                    continue
-                for s_index, c_index in disk_chunks.get(disk, ()):
-                    state = states[s_index]
-                    if not state.destroyed[c_index]:
-                        state.live += 1
-                        note_availability(state, now)
-        else:  # _DONE
-            s_index, c_index, generation, duration = payload
-            free_streams += 1
-            state = states[s_index]
-            if generation != state.generation:
-                stats.repairs_aborted += 1  # stripe was restored mid-repair
-            elif offline_depth[state.disks[c_index]] > 0 or state.live < k:
-                # Target disk or sources vanished mid-repair: the write
-                # cannot land — abort and let the chunk re-queue.
-                stats.repairs_aborted += 1
-                state.queued[c_index] = False
-                enqueue(state, s_index)
-            else:
-                state.destroyed[c_index] = False
-                state.queued[c_index] = False
-                state.intact += 1
-                state.live += 1
-                stats.repairs_completed += 1
-                stats.repair_seconds += duration
-                note_availability(state, now)
-        dispatch(now)
+                for cid in disk_chunks[disk]:
+                    if chunk[cid] == _INTACT:
+                        s_index = cid // n
+                        live[s_index] -= 1
+                        if live[s_index] == k - 1:  # fewer than k readable
+                            short_since[s_index] = now
+                            unavailable_events += 1
+            if permanent:
+                for disk in disks:
+                    for cid in disk_chunks[disk]:
+                        if chunk[cid] != _INTACT:
+                            continue  # the chunk was already lost
+                        chunk_failures += 1
+                        s_index = cid // n
+                        if len(lost[s_index]) < n - k:
+                            chunk[cid] = _LOST
+                            lost[s_index].append(cid)
+                            offer(s_index, True)
+                            continue
+                        # Fewer than k intact: a data-loss event.
+                        loss_times.append(now)
+                        if tracer.enabled:
+                            tracer.instant(
+                                "lifetime.loss", now, track="lifetime",
+                                stripe=stripe_ids[s_index], scheme=scheme,
+                                event=len(loss_times),
+                            )
+                        # Restore from backup by fiat: the estimator
+                        # counts events, so the stripe re-enters service
+                        # fully intact, the clock keeps running (MTTDL =
+                        # horizon / events by renewal-reward) and its
+                        # in-flight repairs abort on the generation.
+                        generation[s_index] += 1
+                        base = s_index * n
+                        chunk[base:base + n] = [_INTACT] * n
+                        lost[s_index].clear()
+                        live[s_index] = readable = sum(
+                            not offline_depth[d]
+                            for d in disk_of[base:base + n]
+                        )
+                        # Restoring only adds readable chunks: it can
+                        # close an unavailability window, never open one.
+                        since = short_since[s_index]
+                        if since is not None and readable >= k:
+                            unavailable_seconds += now - since
+                            short_since[s_index] = None
+
+        # Fill free repair streams, most-at-risk stripes first.
+        while free_streams and ready:
+            left, _, _, cid = heappop(ready)
+            offers_examined += 1
+            offered[cid] ^= 1 << left
+            s_index = cid // n
+            if (
+                chunk[cid] != _WAITING  # on a stream, or stripe restored
+                or left != n - len(lost[s_index])  # re-keyed since the offer
+                or offline_depth[disk_of[cid]]  # awaiting replacement
+                or live[s_index] < k  # not enough readable sources
+            ):
+                continue  # the transition that fixes it re-offers
+            chunk[cid] = _REPAIRING
+            free_streams -= 1
+            duration = durations.sample(rng, scheme)
+            dispatches += 1
+            heappush(done, (
+                now + duration, dispatches, cid, generation[s_index],
+                duration,
+            ))
 
     # Close out any window still open at the horizon.
-    for state in states:
-        if state.unavailable_since is not None:
-            stats.unavailable_seconds += horizon - state.unavailable_since
-            state.unavailable_since = None
-    return stats
+    for since in short_since:
+        if since is not None:
+            unavailable_seconds += horizon - since
+    return LifetimeRunStats(
+        scheme=scheme, horizon=horizon, stripes=stripe_count,
+        data_loss_events=len(loss_times), loss_times=loss_times,
+        unavailable_events=unavailable_events,
+        unavailable_seconds=unavailable_seconds,
+        repairs_completed=repairs_completed,
+        repairs_aborted=repairs_aborted, repair_seconds=repair_seconds,
+        chunk_failures=chunk_failures,
+        events=cursor + repairs_completed + repairs_aborted,
+        dispatches=dispatches, offers_examined=offers_examined,
+    )

@@ -95,6 +95,19 @@ class ClusterLayout:
         first = machine * self.disks_per_machine
         return list(range(first, first + self.disks_per_machine))
 
+    def disks_under(self, unit: UnitRef) -> list[int]:
+        """Every disk an outage of ``unit`` takes offline, index-ordered."""
+        if unit.kind == "disk":
+            self.machine_of_disk(unit.index)  # the bounds check
+            return [unit.index]
+        if unit.kind == "machine":
+            return self.disks_of_machine(unit.index)
+        return [
+            disk
+            for machine in self.machines_in_rack(unit.index)
+            for disk in self.disks_of_machine(machine)
+        ]
+
     def disk_for_chunk(
         self, stripe_id: int, chunk_index: int, machine: int
     ) -> int:

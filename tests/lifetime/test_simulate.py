@@ -1,5 +1,7 @@
 """Tests for the event-driven lifetime loop on hand-built timelines."""
 
+import re
+
 import pytest
 
 from repro.core.seeding import spawn_rng
@@ -223,6 +225,22 @@ class TestValidation:
     def test_rejects_placement_outside_layout(self):
         with pytest.raises(LifetimeError):
             run({}, layout=flat_layout(machines=3))
+
+    @pytest.mark.parametrize(
+        "unit, message",
+        [
+            (UnitRef("disk", 99), "disk 99 outside [0, 4)"),
+            (UnitRef("machine", 99), "machine 99 outside [0, 4)"),
+            (UnitRef("rack", 99), "rack 99 outside [0, 1)"),
+        ],
+        ids=["disk", "machine", "rack"],
+    )
+    def test_rejects_outage_unit_outside_layout(self, unit, message):
+        # Up front, naming the unit and the layout's bound: also for an
+        # outage past the horizon, which the loop would never reach.
+        for start in (100.0, 20_000.0):
+            with pytest.raises(LifetimeError, match=re.escape(message)):
+                run({unit: [transient(start, 1.0)]})
 
     def test_rejects_bad_policy(self):
         with pytest.raises(LifetimeError):

@@ -57,6 +57,13 @@ class TestClusterLayout:
         }
         assert used == set(range(4))
 
+    def test_disks_under_each_kind_of_unit(self):
+        # machines 1 and 3 sit in rack 1 of 2 (round-robin)
+        layout = ClusterLayout(machines=4, racks=2, disks_per_machine=2)
+        assert layout.disks_under(UnitRef("disk", 5)) == [5]
+        assert layout.disks_under(UnitRef("machine", 2)) == [4, 5]
+        assert layout.disks_under(UnitRef("rack", 1)) == [2, 3, 6, 7]
+
     def test_units_enumeration(self):
         layout = ClusterLayout(machines=4, racks=2, disks_per_machine=3)
         assert len(layout.units("rack")) == 2

@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.exceptions import ReproError
 from repro.traces import WorkloadTrace
 
 
@@ -678,6 +680,45 @@ class TestStormCommand:
         assert main(["storm", "--racks", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Every ``RepairJournal`` the command opens."""
+        journals = []
+
+        class Recorded(cli.RepairJournal):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                journals.append(self)
+
+        monkeypatch.setattr(cli, "RepairJournal", Recorded)
+        return journals
+
+    def test_journal_is_closed_after_the_run(self, opened, tmp_path):
+        journal_file = tmp_path / "storm.jsonl"
+        assert main(
+            ["storm", *self.SMALL, "--journal", str(journal_file)]
+        ) == 0
+        (journal,) = opened
+        assert journal._file is None  # handle released
+        # One fsync per full interval of appends, plus close()'s.
+        assert journal.fsyncs == journal.appends // journal.fsync_interval + 1
+
+    def test_journal_is_closed_when_the_storm_raises(
+        self, opened, monkeypatch, tmp_path, capsys
+    ):
+        def interrupted(config, tracer, journal):
+            journal.append("job_submitted", job="node-0")
+            raise ReproError("storm interrupted")
+
+        monkeypatch.setattr(cli, "run_storm", interrupted)
+        journal_file = tmp_path / "storm.jsonl"
+        assert main(["storm", "--journal", str(journal_file)]) == 1
+        assert capsys.readouterr().err == "error: storm interrupted\n"
+        (journal,) = opened
+        # Shorter than fsync_interval records: the only fsync is close()'s.
+        assert journal._file is None and journal.fsyncs == 1
+        assert len(journal_file.read_text().splitlines()) == 1
 
 
 class TestResumeCommand:
