@@ -1,10 +1,13 @@
-"""cProfile one pass of a ``benchmarks/perf`` workload.
+"""cProfile one pass, or the set-up, of a ``benchmarks/perf`` workload.
 
     python scripts/profile_pass.py <workload> [--seed N] [--top N]
+                                   [--phase {setup,pass}]
 
 Sets the workload up exactly as the benchmark does (its modules are
 imported, not edited), runs one warm-up pass, profiles the next and
-prints the hottest functions by cumulative and by self time.  Hot paths
+prints the hottest functions by cumulative and by self time; with
+``--phase setup`` it profiles the set-up instead (what ``setup_s``
+times, less the imports) and runs no pass.  Hot paths
 are chosen from this, not from intuition (ROADMAP north star); the
 numbers are host seconds under the profiler, good for ranking and call
 counts, not for claims — those come from ``benchmarks/perf/run.py``.
@@ -28,16 +31,18 @@ def main(argv=None) -> int:
     parser.add_argument("workload", choices=sorted(REGISTRY))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--top", type=int, default=40)
+    parser.add_argument("--phase", choices=("setup", "pass"), default="pass")
     args = parser.parse_args(argv)
 
     ops = Ops()
     workload = REGISTRY[args.workload](args.seed)
-    workload.setup(ops)
-    workload.run_pass(ops)
     profiler = cProfile.Profile()
-    profiler.enable()
-    workload.run_pass(ops)
-    profiler.disable()
+    if args.phase == "setup":
+        profiler.runcall(workload.setup, ops)
+    else:
+        workload.setup(ops)
+        workload.run_pass(ops)
+        profiler.runcall(workload.run_pass, ops)
     for message in ops.messages:
         print(f"FAILED: {message}", file=sys.stderr)
     stats = pstats.Stats(profiler)

@@ -688,23 +688,9 @@ def _cmd_plan(args, tracer=NULL_TRACER) -> dict:
     }
 
 
-def _repair_endpoints(trace, instant, n, seed):
-    rng = np.random.default_rng(seed)
-    members = sorted(
-        rng.choice(trace.node_count, size=n, replace=False).tolist()
-    )
-    usage = trace.used_node_bandwidth()[:, int(instant)]
-    failed = max(members, key=lambda node: usage[node])
-    survivors = [node for node in members if node != failed]
-    outside = [
-        node for node in range(trace.node_count) if node not in members
-    ]
-    available = trace.available_node_bandwidth()[:, int(instant)]
-    requestor = max(outside, key=lambda node: available[node])
-    return requestor, survivors
-
-
 def _cmd_repair(args, tracer=NULL_TRACER) -> dict:
+    from repro.experiments.single_chunk import stripe_nodes_at
+
     trace = WorkloadTrace.load(args.trace_file)
     network = trace.to_network(floor=1e6)
     if args.instant is None:
@@ -712,7 +698,7 @@ def _cmd_repair(args, tracer=NULL_TRACER) -> dict:
         instant = float(np.argmax((rates >= 0.9).sum(axis=0)))
     else:
         instant = args.instant
-    requestor, survivors = _repair_endpoints(
+    requestor, survivors = stripe_nodes_at(
         trace, instant, args.n, args.seed
     )
     config = ExecutionConfig(

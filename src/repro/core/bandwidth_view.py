@@ -34,9 +34,15 @@ class BandwidthSnapshot:
     def from_network(
         cls, network: StarNetwork, t: float
     ) -> BandwidthSnapshot:
-        """Sample a network's available bandwidths at time ``t``."""
-        up = {node: network.up_at(node, t) for node in network.node_ids}
-        down = {node: network.down_at(node, t) for node in network.node_ids}
+        """Sample a network's available bandwidths at time ``t``.
+
+        One ``capacities_at`` read: the row the simulator's engine and
+        every observer of the same second share.
+        """
+        capacities = network.capacities_at(t)
+        nodes = network.node_ids
+        up = {node: capacities["up", node] for node in nodes}
+        down = {node: capacities["down", node] for node in nodes}
         return cls(up=up, down=down, time=t)
 
     @property

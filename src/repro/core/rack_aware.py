@@ -47,19 +47,15 @@ class RackSnapshot(BandwidthSnapshot):
 
     @classmethod
     def from_network(cls, network: RackNetwork, t: float) -> RackSnapshot:
+        capacities = network.capacities_at(t)
+        nodes, racks = network.node_ids, range(network.rack_count)
         return cls(
-            up={n: network.up_at(n, t) for n in network.node_ids},
-            down={n: network.down_at(n, t) for n in network.node_ids},
+            up={n: capacities["up", n] for n in nodes},
+            down={n: capacities["down", n] for n in nodes},
             time=t,
-            rack_of={n: network.rack_of(n) for n in network.node_ids},
-            rack_up={
-                r: network.rack_up_at(r, t)
-                for r in range(network.rack_count)
-            },
-            rack_down={
-                r: network.rack_down_at(r, t)
-                for r in range(network.rack_count)
-            },
+            rack_of={n: network.rack_of(n) for n in nodes},
+            rack_up={r: capacities["rack_up", r] for r in racks},
+            rack_down={r: capacities["rack_down", r] for r in racks},
         )
 
     def same_rack(self, a: int, b: int) -> bool:

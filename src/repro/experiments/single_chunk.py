@@ -82,19 +82,23 @@ def stripe_nodes_at(trace: WorkloadTrace, instant: float, n: int, seed: int):
 
     The failed node is the most congested stripe member at the instant
     (hot data is what gets read); the requestor is the node with the most
-    available bandwidth outside the stripe.
+    available bandwidth outside the stripe.  Both are computed on the
+    instant's one-sample window, not on the whole trace; an instant
+    outside the trace (negative, or past its last sample) is a
+    ``TraceError``.
     """
     rng = np.random.default_rng(seed)
     members = sorted(
         rng.choice(trace.node_count, size=n, replace=False).tolist()
     )
-    usage = trace.used_node_bandwidth()[:, int(instant)]
+    second = trace.window(int(instant), 1)
+    usage = second.used_node_bandwidth()[:, 0]
     failed = max(members, key=lambda node: usage[node])
     survivors = [node for node in members if node != failed]
     outside = [
         node for node in range(trace.node_count) if node not in members
     ]
-    available = trace.available_node_bandwidth()[:, int(instant)]
+    available = second.available_node_bandwidth()[:, 0]
     requestor = max(outside, key=lambda node: available[node])
     return requestor, survivors
 

@@ -66,6 +66,8 @@ class FaultyNetwork:
     # Fluid-simulator topology interface
     # ------------------------------------------------------------------
     def capacities_at(self, t: float) -> dict:
+        # The base answer is the epoch's shared, read-only row: copy it,
+        # then apply the factors to the copy.
         capacities = dict(self.base.capacities_at(t))
         for key, capacity in capacities.items():
             kind, node = key

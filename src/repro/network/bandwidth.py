@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Hashable, Mapping, Sequence
+from types import MappingProxyType
 
 import numpy as np
 
@@ -185,3 +186,51 @@ def merge_breakpoints(links: Sequence[NodeBandwidth]) -> list[float]:
         merged.update(link.uplink.breakpoints)
         merged.update(link.downlink.breakpoints)
     return sorted(merged)
+
+
+class CapacityRows:
+    """What the topologies share: one capacity row per visited epoch.
+
+    A capacity epoch belongs to the network, not to whoever asks: traces
+    are immutable, so between two merged breakpoints every link holds
+    one value and ``bisect_right(breakpoints, t)`` names one row.  It is
+    built the first time the epoch is visited and shared by every
+    simulator, planner snapshot and observer that asks about the same
+    second — hence read-only: copy a row to change it.  Merging the
+    breakpoints once also makes ``next_change_after`` one bisect.
+    """
+
+    def _keep_rows(
+        self, *groups: tuple[str, str, Sequence[NodeBandwidth]]
+    ) -> None:
+        """Each group is ``(up kind, down kind, links)``, in resource order."""
+        self._breakpoints = merge_breakpoints(
+            [link for _, _, links in groups for link in links]
+        )
+        self._columns = [
+            ((kind, index), trace._times, trace._values)
+            for up, down, links in groups
+            for index, link in enumerate(links)
+            for kind, trace in ((up, link.uplink), (down, link.downlink))
+        ]
+        self._rows: dict[int, Mapping[Hashable, float]] = {}
+        #: Self-observation, plain ints read after a run: rows built
+        #: (distinct epochs visited) and reads an existing row answered.
+        self.rows_built = 0
+        self.row_hits = 0
+
+    def _row(self, t: float) -> Mapping[Hashable, float]:
+        epoch = bisect_right(self._breakpoints, t)
+        row = self._rows.get(epoch)
+        if row is None:
+            # One bisect per trace, straight into its arrays (``max(.., 0)``
+            # is ``value_at``'s "before the first sample" rule); the values
+            # are the float objects the traces already hold.
+            self.rows_built += 1
+            row = self._rows[epoch] = MappingProxyType({
+                resource: values[max(bisect_right(times, t) - 1, 0)]
+                for resource, times, values in self._columns
+            })
+        else:
+            self.row_hits += 1
+        return row

@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 from repro.exceptions import SimulationError
 from repro.network.bandwidth import (
     BandwidthTrace,
+    CapacityRows,
     NodeBandwidth,
-    merge_breakpoints,
 )
 
 
-class RackNetwork:
+class RackNetwork(CapacityRows):
     """Two-level topology: nodes in racks, racks on a core switch."""
 
     def __init__(
@@ -53,9 +53,11 @@ class RackNetwork:
         self._nodes = list(node_bandwidths)
         self._rack_links = list(rack_bandwidths)
         # Traces are immutable; merge all node + rack breakpoints once so
-        # ``next_change_after`` is a single bisect per event.
-        self._breakpoints = merge_breakpoints(
-            self._nodes + self._rack_links
+        # ``next_change_after`` is a single bisect per event and
+        # ``capacities_at`` one row per visited epoch.
+        self._keep_rows(
+            ("up", "down", self._nodes),
+            ("rack_up", "rack_down", self._rack_links),
         )
 
     @classmethod
@@ -97,8 +99,7 @@ class RackNetwork:
         return self._racks[node]
 
     def nodes_in_rack(self, rack: int) -> list[int]:
-        if not 0 <= rack < self.rack_count:
-            raise SimulationError(f"unknown rack {rack}")
+        self._check_rack(rack)
         return [n for n, r in enumerate(self._racks) if r == rack]
 
     def same_rack(self, a: int, b: int) -> bool:
@@ -109,17 +110,19 @@ class RackNetwork:
     # ------------------------------------------------------------------
     def up_at(self, node: int, t: float) -> float:
         self._check(node)
-        return self._nodes[node].up_at(t)
+        return self.capacities_at(t)["up", node]
 
     def down_at(self, node: int, t: float) -> float:
         self._check(node)
-        return self._nodes[node].down_at(t)
+        return self.capacities_at(t)["down", node]
 
     def rack_up_at(self, rack: int, t: float) -> float:
-        return self._rack_links[rack].up_at(t)
+        self._check_rack(rack)
+        return self.capacities_at(t)["rack_up", rack]
 
     def rack_down_at(self, rack: int, t: float) -> float:
-        return self._rack_links[rack].down_at(t)
+        self._check_rack(rack)
+        return self.capacities_at(t)["rack_down", rack]
 
     def link_bandwidth(self, src: int, dst: int, t: float) -> float:
         """Available bandwidth src -> dst including rack links if crossed."""
@@ -137,15 +140,10 @@ class RackNetwork:
     # ------------------------------------------------------------------
     # Fluid-simulator topology interface
     # ------------------------------------------------------------------
-    def capacities_at(self, t: float) -> dict:
-        capacities = {}
-        for node_id, node in enumerate(self._nodes):
-            capacities[("up", node_id)] = node.up_at(t)
-            capacities[("down", node_id)] = node.down_at(t)
-        for rack_id, link in enumerate(self._rack_links):
-            capacities[("rack_up", rack_id)] = link.up_at(t)
-            capacities[("rack_down", rack_id)] = link.down_at(t)
-        return capacities
+    def capacities_at(self, t: float) -> Mapping:
+        """Every node and rack link's capacity at ``t``: the epoch's
+        shared row, to be read (copy it to change it)."""
+        return self._row(t)
 
     def edge_usage(self, src: int, dst: int) -> dict:
         self._check(src)
@@ -169,3 +167,7 @@ class RackNetwork:
             raise SimulationError(
                 f"node {node} outside network of {len(self._nodes)} nodes"
             )
+
+    def _check_rack(self, rack: int) -> None:
+        if not 0 <= rack < self.rack_count:
+            raise SimulationError(f"unknown rack {rack}")

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 from repro.network.bandwidth import (
     BandwidthTrace,
+    CapacityRows,
     NodeBandwidth,
-    merge_breakpoints,
 )
 from repro.exceptions import SimulationError
 
 
-class StarNetwork:
+class StarNetwork(CapacityRows):
     """A cluster of nodes connected through a single switch."""
 
     def __init__(self, nodes: Sequence[NodeBandwidth]):
@@ -29,8 +29,9 @@ class StarNetwork:
         self._nodes = list(nodes)
         # Merged once: traces are immutable, so the set of breakpoints is
         # fixed at construction.  Turns the event loop's per-event
-        # ``next_change_after`` from an O(nodes) scan into one bisect.
-        self._breakpoints = merge_breakpoints(self._nodes)
+        # ``next_change_after`` from an O(nodes) scan into one bisect, and
+        # names the epochs ``capacities_at`` keeps one row each for.
+        self._keep_rows(("up", "down", self._nodes))
 
     @classmethod
     def constant(
@@ -74,10 +75,12 @@ class StarNetwork:
         return self._nodes[node_id]
 
     def up_at(self, node_id: int, t: float) -> float:
-        return self.node(node_id).up_at(t)
+        self._check(node_id)
+        return self.capacities_at(t)["up", node_id]
 
     def down_at(self, node_id: int, t: float) -> float:
-        return self.node(node_id).down_at(t)
+        self._check(node_id)
+        return self.capacities_at(t)["down", node_id]
 
     def link_bandwidth(self, src: int, dst: int, t: float) -> float:
         """Available bandwidth of the directed link src -> dst at time t."""
@@ -95,17 +98,14 @@ class StarNetwork:
     # ------------------------------------------------------------------
     # Fluid-simulator topology interface
     # ------------------------------------------------------------------
-    def capacities_at(self, t: float) -> dict:
+    def capacities_at(self, t: float) -> Mapping:
         """All shared resources and their capacities at time ``t``.
 
         In a star topology the only resources are each node's uplink and
-        downlink (the switch is non-blocking).
+        downlink (the switch is non-blocking).  The mapping is the
+        epoch's shared row: read it, copy it to change it.
         """
-        capacities = {}
-        for node_id, node in enumerate(self._nodes):
-            capacities[("up", node_id)] = node.up_at(t)
-            capacities[("down", node_id)] = node.down_at(t)
-        return capacities
+        return self._row(t)
 
     def edge_usage(self, src: int, dst: int) -> dict:
         """Resources one unit of rate on the directed edge src -> dst uses."""

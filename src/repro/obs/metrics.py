@@ -55,7 +55,10 @@ class Counter:
     def __init__(self, name: str, labels: dict | None = None):
         self.name = name
         self.value = 0.0
-        self.labels: dict[str, str] = dict(_label_items(labels or {}))
+        # The unlabeled case canonicalises nothing: an object, a dict.
+        self.labels: dict[str, str] = (
+            dict(_label_items(labels)) if labels else {}
+        )
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -71,7 +74,9 @@ class Gauge:
     def __init__(self, name: str, labels: dict | None = None):
         self.name = name
         self.value = 0.0
-        self.labels: dict[str, str] = dict(_label_items(labels or {}))
+        self.labels: dict[str, str] = (
+            dict(_label_items(labels)) if labels else {}
+        )
 
     def set(self, value: float) -> None:
         self.value = float(value)
@@ -82,6 +87,11 @@ class Gauge:
 #: (millions of client requests) cross it and get bounded memory instead
 #: of an unbounded raw list.
 DEFAULT_RESERVOIR_SIZE = 8192
+
+
+def _nearest_rank(ordered: list[float], q: float) -> float:
+    """Nearest-rank percentile ``q`` of an already sorted, non-empty list."""
+    return ordered[max(1, math.ceil(q / 100 * len(ordered))) - 1]
 
 
 class Histogram:
@@ -107,7 +117,9 @@ class Histogram:
         if reservoir_size < 1:
             raise ValueError("reservoir size must be >= 1")
         self.name = name
-        self.labels: dict[str, str] = dict(_label_items(labels or {}))
+        self.labels: dict[str, str] = (
+            dict(_label_items(labels)) if labels else {}
+        )
         self.samples: list[float] = []
         self.count = 0
         self._min = math.inf
@@ -155,23 +167,22 @@ class Histogram:
             return math.nan
         if not 0 <= q <= 100:
             raise ValueError(f"percentile {q} out of [0, 100]")
-        ordered = sorted(self.samples)
-        rank = max(1, math.ceil(q / 100 * len(ordered)))
-        return ordered[rank - 1]
+        return _nearest_rank(sorted(self.samples), q)
 
     def summary(self) -> dict[str, float]:
         if not self.count:
             return {"count": 0}
+        ordered = sorted(self.samples)
         return {
             "count": self.count,
             "min": self._min,
             "max": self._max,
             "mean": self._sum / self.count,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "p99.9": self.percentile(99.9),
+            "p50": _nearest_rank(ordered, 50),
+            "p90": _nearest_rank(ordered, 90),
+            "p95": _nearest_rank(ordered, 95),
+            "p99": _nearest_rank(ordered, 99),
+            "p99.9": _nearest_rank(ordered, 99.9),
         }
 
 
@@ -191,39 +202,40 @@ class MetricsRegistry:
         self._histograms: dict[str, Histogram] = {}
         #: family name -> metric type ("counter" | "gauge" | "histogram").
         self._types: dict[str, str] = {}
+        #: Does a labeled child exist?  Until one does, ``snapshot`` has
+        #: no ``families`` section to look for.
+        self._labeled = False
 
-    def _key(self, name: str, labels: dict) -> str:
-        # Most hot-path metrics carry no labels; skip the render + sort.
-        return name + render_labels(labels) if labels else name
-
-    def _claim(self, name: str, metric_type: str) -> None:
-        registered = self._types.setdefault(name, metric_type)
-        if registered != metric_type:
+    def _claim(self, name: str, metric_type: str, labels: dict) -> None:
+        """Register a new child of family ``name`` (one type per family)."""
+        if self._types.setdefault(name, metric_type) != metric_type:
             raise ValueError(
                 f"metric {name!r} already registered with another type"
             )
+        if labels:
+            self._labeled = True
 
     def counter(self, name: str, **labels) -> Counter:
-        key = self._key(name, labels)
+        key = name + render_labels(labels) if labels else name
         metric = self._counters.get(key)
         if metric is None:
-            self._claim(name, "counter")
+            self._claim(name, "counter", labels)
             metric = self._counters[key] = Counter(name, labels)
         return metric
 
     def gauge(self, name: str, **labels) -> Gauge:
-        key = self._key(name, labels)
+        key = name + render_labels(labels) if labels else name
         metric = self._gauges.get(key)
         if metric is None:
-            self._claim(name, "gauge")
+            self._claim(name, "gauge", labels)
             metric = self._gauges[key] = Gauge(name, labels)
         return metric
 
     def histogram(self, name: str, **labels) -> Histogram:
-        key = self._key(name, labels)
+        key = name + render_labels(labels) if labels else name
         metric = self._histograms.get(key)
         if metric is None:
-            self._claim(name, "histogram")
+            self._claim(name, "histogram", labels)
             metric = self._histograms[key] = Histogram(name, labels=labels)
         return metric
 
@@ -281,6 +293,8 @@ class MetricsRegistry:
                     continue
                 base, key = name.split("/", 1)
                 out.setdefault(f"per_{base}", {})[key] = value
+        if not self._labeled:
+            return out
         families: dict[str, list] = {}
         for store in (self._counters, self._gauges, self._histograms):
             for key, metric in sorted(store.items()):
@@ -292,6 +306,5 @@ class MetricsRegistry:
                 else:
                     entry["value"] = metric.value
                 families.setdefault(metric.name, []).append(entry)
-        if families:
-            out["families"] = families
+        out["families"] = families
         return out

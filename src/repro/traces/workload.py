@@ -91,14 +91,12 @@ class WorkloadTrace:
                 repair never fully starves (models the rate-throttled repair
                 reservation practical systems keep [24, 48]).
         """
-        ups = []
-        downs = []
-        for node in range(self.node_count):
-            up_vals = np.clip(self.available_up()[node], floor, None)
-            down_vals = np.clip(self.available_down()[node], floor, None)
-            ups.append(BandwidthTrace.from_samples(up_vals, self.interval))
-            downs.append(BandwidthTrace.from_samples(down_vals, self.interval))
-        return StarNetwork.from_traces(ups, downs)
+        up = np.clip(self.available_up(), floor, None)
+        down = np.clip(self.available_down(), floor, None)
+        return StarNetwork.from_traces(
+            [BandwidthTrace.from_samples(row, self.interval) for row in up],
+            [BandwidthTrace.from_samples(row, self.interval) for row in down],
+        )
 
     def window(self, start_sample: int, samples: int) -> WorkloadTrace:
         """A sub-trace of ``samples`` samples starting at ``start_sample``."""

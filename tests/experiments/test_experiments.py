@@ -1,8 +1,9 @@
 """Tests for the first-class experiment runners."""
 
+import numpy as np
 import pytest
 
-from repro.exceptions import PlanningError
+from repro.exceptions import PlanningError, TraceError
 from repro.experiments import (
     SCHEMES,
     CellResult,
@@ -82,6 +83,52 @@ class TestHelpers:
     def test_cell_result_overall(self):
         cell = CellResult(planning_seconds=1.0, transfer_seconds=2.0)
         assert cell.overall_seconds == 3.0
+
+
+def whole_matrix_stripe_nodes_at(trace, instant, n, seed):
+    """``stripe_nodes_at`` as it was: both matrices over the whole trace,
+    then one column of each.  Kept as the oracle."""
+    rng = np.random.default_rng(seed)
+    members = sorted(
+        rng.choice(trace.node_count, size=n, replace=False).tolist()
+    )
+    usage = trace.used_node_bandwidth()[:, int(instant)]
+    failed = max(members, key=lambda node: usage[node])
+    survivors = [node for node in members if node != failed]
+    outside = [
+        node for node in range(trace.node_count) if node not in members
+    ]
+    available = trace.available_node_bandwidth()[:, int(instant)]
+    requestor = max(outside, key=lambda node: available[node])
+    return requestor, survivors
+
+
+class TestStripePlacementReadsAColumn:
+    @pytest.mark.parametrize("workload", ["TPC-DS", "TPC-H", "SWIM"])
+    @pytest.mark.parametrize("n", [6, 9, 12, 14])
+    def test_same_requestor_and_survivors_as_the_whole_matrix(
+        self, small_world, workload, n
+    ):
+        trace = small_world[0][workload]
+        rng = np.random.default_rng(n)
+        instants = [
+            *congested_instants(trace, 10, seed=n),
+            *rng.uniform(0, trace.sample_count, size=10).tolist(),
+        ]
+        assert len(instants) == 20
+        for index, instant in enumerate(instants):
+            assert stripe_nodes_at(
+                trace, instant, n, seed=index
+            ) == whole_matrix_stripe_nodes_at(trace, instant, n, seed=index)
+
+    def test_an_instant_outside_the_trace_is_a_trace_error(self, small_world):
+        """The whole-matrix formula let numpy wrap a negative instant to
+        a second counted from the end and raised ``IndexError`` past the
+        last sample; the window names both."""
+        trace = small_world[0]["TPC-H"]
+        for instant in (-1.0, float(trace.sample_count)):
+            with pytest.raises(TraceError, match="out of range"):
+                stripe_nodes_at(trace, instant, 6, seed=0)
 
 
 class TestRunners:

@@ -1,25 +1,22 @@
 """Scale regression suite: the 1024-node repair storm.
 
-Two layers:
+Two layers, both timing-free and deterministic:
 
-* a CI **smoke** variant (256 nodes) that checks the properties that make
-  the scale claim true without timing anything — bit-identity against the
-  reference oracle, and the *counter* evidence of incrementality (the
-  fast engine's average re-solved component is a handful of tasks while
-  the reference re-rates every live task on every event);
-* the full 1024-node storm, marked ``slow`` (deselected by default; run
-  with ``pytest -m slow``), which actually times both engines and
-  asserts the ≥10× speedup on the recompute-bound path, and the storm's
-  recorded simulated values.
+* a **smoke** variant (256 nodes) that checks the properties that make
+  the scale claim true — bit-identity against the reference oracle, and
+  the *counter* evidence of incrementality (the fast engine's average
+  re-solved component is a handful of tasks while the reference re-rates
+  every live task on every event);
+* the full 1024-node storm: equal digests under both engines, the
+  storm's recorded simulated values, and the recomputation work of each
+  engine counted exactly.
 
-Wall-clock assertions live only in the opt-in slow test; the default
-test run stays timing-free and deterministic.
+No wall-clock assertion lives here.  Host time is the benchmark's
+(``benchmarks/perf``, workload ``engine_storm``); what the engines were
+measured at is in ``docs/fluid_engine.md``, "Scale numbers".
 """
 
-import time
-
-import pytest
-
+import repro.network.simulator as simulator
 from repro.network.scenario import replay, storm_scenario
 from repro.network.simulator import FluidSimulator
 
@@ -88,32 +85,43 @@ def test_storm_pure_advance_recomputes_nothing():
     assert sim._engine.solves == solves
 
 
-@pytest.mark.slow
-def test_scale_storm_speedup_at_least_10x():
+def test_scale_storm_recomputes_components_not_the_cluster(monkeypatch):
     """The acceptance gate: 1024 nodes, 200 staggered repair trees, 600
-    foreground flows — the fast engine beats the reference ≥10× on wall
-    clock while staying bit-identical."""
+    foreground flows — bit-identical under both engines, and the work
+    each does to get there counted, not timed.
+
+    The reference re-rates every live entity on every step; the fast
+    engine re-rates the component an event perturbs.  Both counts are
+    deterministic, so they are recorded exactly.  What the two engines
+    take in wall clock is measured, not gated: the runs are in
+    ``docs/fluid_engine.md``, "Scale numbers".
+    """
     scenario = storm_scenario(1)
     assert scenario.node_count == 1024
 
-    fast_wall = min(
-        _walled(scenario, "fast") for _ in range(3)
-    )
-    reference_wall = _walled(scenario, "reference")
+    rerated = []
+    allocate = simulator.max_min_allocate
+
+    def counting(usages, capacities, **kwargs):
+        rerated.append(len(usages))
+        return allocate(usages, capacities, **kwargs)
+
+    monkeypatch.setattr(simulator, "max_min_allocate", counting)
     digest = replay(scenario, "fast")
+    assert not rerated  # the reference allocator is not on the fast path
     assert replay(scenario, "reference") == digest
     assert digest["steps"] == 1594
     assert digest["tasks_completed"] == 800
     assert round(digest["bytes_transferred"], 6) == 383504.822911
     assert round(digest["end_time"], 9) == 247.637412361
-    speedup = reference_wall / fast_wall
-    assert speedup >= 10.0, (
-        f"fast {fast_wall:.3f}s vs reference {reference_wall:.3f}s = "
-        f"{speedup:.1f}x, below the 10x gate"
-    )
+    # Reference: one global solve per step, 12 950 entity re-ratings.
+    assert (len(rerated), sum(rerated)) == (1594, 12950)
 
-
-def _walled(scenario, engine):
-    started = time.perf_counter()
-    replay(scenario, engine)
-    return time.perf_counter() - started
+    sim, engine = _engine_counters(scenario)
+    assert sim.stats.steps == 1594
+    # Fast: 887 component solves re-rating 1061 entities, 12.2x fewer,
+    # none of them large enough for the numpy kernel.
+    assert (engine.solves, engine.solved_entities) == (887, 1061)
+    assert engine.solves_by_tier == {
+        "single": 770, "small": 117, "vectorized": 0,
+    }

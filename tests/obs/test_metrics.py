@@ -241,3 +241,58 @@ class TestLabeledFamilies:
         # The rendered key contains a slash but is not a name/key metric,
         # so it must not be folded into a per_* map.
         assert "per_bytes_up" not in snapshot
+
+    def test_unlabeled_and_labeled_children_of_one_family(self):
+        """The unlabeled fast path and a labeled sibling share a family:
+        one type, flat keys in sorted order, ``families`` lists only the
+        labeled child."""
+        registry = MetricsRegistry()
+        registry.counter("repair_bytes").inc(1)
+        registry.counter("repair_bytes", kind="hedge").inc(10)
+        registry.counter("flows").inc(2)
+        registry.histogram("lat").observe(0.5)
+        registry.histogram("lat", tenant="t0").observe(0.25)
+        assert registry.counter("repair_bytes").labels == {}
+        snapshot = registry.snapshot()
+        assert list(snapshot) == [
+            "counters", "gauges", "histograms", "families",
+        ]
+        assert json.dumps(snapshot["counters"]) == (
+            '{"flows": 2.0, "repair_bytes": 1.0, '
+            '"repair_bytes{kind=\\"hedge\\"}": 10.0}'
+        )
+        assert list(snapshot["histograms"]) == ["lat", 'lat{tenant="t0"}']
+        assert snapshot["families"] == {
+            "repair_bytes": [{"labels": {"kind": "hedge"}, "value": 10.0}],
+            "lat": [{
+                "labels": {"tenant": "t0"},
+                "summary": registry.histogram("lat", tenant="t0").summary(),
+            }],
+        }
+        for other in (registry.gauge, registry.histogram):
+            with pytest.raises(ValueError):
+                other("repair_bytes")
+            with pytest.raises(ValueError):
+                other("repair_bytes", kind="hedge")
+
+    def test_rejected_labeled_child_leaves_no_families_section(self):
+        registry = MetricsRegistry()
+        registry.counter("x").inc()
+        with pytest.raises(ValueError):
+            registry.gauge("x", node=1)
+        assert registry.snapshot() == {
+            "counters": {"x": 1.0}, "gauges": {}, "histograms": {},
+        }
+
+    def test_summary_equals_percentile_by_percentile(self):
+        """``summary`` sorts once; each entry is still ``percentile(q)``."""
+        histogram = Histogram("x")
+        for value in (5.0, 1.0, 4.0, 2.0, 3.0, 9.0, 7.0):
+            histogram.observe(value)
+        summary = histogram.summary()
+        assert list(summary) == [
+            "count", "min", "max", "mean", "p50", "p90", "p95", "p99",
+            "p99.9",
+        ]
+        for q in (50, 90, 95, 99, 99.9):
+            assert summary[f"p{q}"] == histogram.percentile(q)

@@ -1,13 +1,21 @@
 """Tests for single-chunk repair execution on the fluid simulator."""
 
+import hashlib
+import json
+
 import pytest
 
+import repro.traces.generators as trace_generators
 from repro.baselines import ConventionalPlanner, PPRPlanner, RPPlanner
-from repro.core import PivotRepairPlanner
+from repro.core import PivotRepairPlanner, pin_planning
+from repro.experiments.single_chunk import congested_instants, stripe_nodes_at
 from repro.network.bandwidth import BandwidthTrace
 from repro.network.topology import StarNetwork
+from repro.obs import Tracer
+from repro.obs.tracer import NULL_TRACER
 from repro.repair.executor import execute_plan, repair_single_chunk
 from repro.repair.pipeline import ExecutionConfig
+from repro.repair.telemetry import EVENT_PREFIXES
 from repro.core.bandwidth_view import BandwidthSnapshot
 
 # Figure 3/4 bandwidths in *bytes/second* for convenience (values are small
@@ -97,6 +105,79 @@ class TestExecutePlan:
         assert result.planning_seconds > 0
         assert result.scheme == "PivotRepair"
         assert result.plan is not None
+
+
+#: (planner, traced) -> SHA-256 of ``json.dumps(telemetry, sort_keys=True)``
+#: of one 64 MiB (9,6) repair on a seeded TPC-DS network, recorded at
+#: commit ``e7f0db8`` — before ``obs.metrics`` got its unlabeled fast path
+#: and the networks their capacity rows.  A PR that restructures the
+#: registry or ``registry_from_run`` leaves these alone.
+TELEMETRY_DIGESTS = {
+    (PivotRepairPlanner, False):
+        "58011875ce953a7c67550b1515ec7f841524314d37da129953d612eafe3486d9",
+    (PivotRepairPlanner, True):
+        "d3923f530201a8106170ccbc2ca1e5593df4945b443de77cf4d7534a9db3b3f2",
+    (RPPlanner, False):
+        "5a0ebf114362f41e45e450c2cc0cc50b5e2878c17e0cd6d0c2da9239dc23e8cf",
+    (RPPlanner, True):
+        "48a21af0a84fc5bbe36fa00147e873e368d3c3518bdb10f8e33c6936f91c5dfa",
+    (PPRPlanner, False):
+        "f1d72e607b1837e17ddb5d2928537b25a27fafc7f9f90ae74e5eb135b01bb4b4",
+    (PPRPlanner, True):
+        "fd2c07a645aeacd7be4079fa30865064cc6f5ae928efd8f25e38e527c1a130f0",
+}
+
+
+class TestTelemetryIdentity:
+    """Single-chunk telemetry, pinned across commits (full-node telemetry
+    is under ``test_driver_identity.py``)."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        trace = trace_generators.generate_trace(
+            trace_generators.TPC_DS, 16, 240, seed=11
+        )
+        instant = congested_instants(trace, 1, seed=5)[0]
+        requestor, survivors = stripe_nodes_at(trace, instant, 9, seed=3)
+        return trace.to_network(floor=1e6), instant, requestor, survivors
+
+    @pytest.mark.parametrize(
+        "planner_class, traced", TELEMETRY_DIGESTS,
+        ids=lambda value: getattr(value, "__name__", str(value)),
+    )
+    def test_telemetry_bytes_match_recorded(
+        self, scenario, planner_class, traced
+    ):
+        network, instant, requestor, survivors = scenario
+        result = repair_single_chunk(
+            pin_planning(planner_class(), 0.0), network, requestor,
+            survivors, 6, start_time=instant,
+            tracer=Tracer() if traced else NULL_TRACER,
+        )
+        telemetry = result.telemetry
+        blob = json.dumps(telemetry, sort_keys=True)
+        assert (
+            hashlib.sha256(blob.encode()).hexdigest()
+            == TELEMETRY_DIGESTS[planner_class, traced]
+        )
+        # What the digest covers, by name, and the order sort_keys hides.
+        counters = telemetry["counters"]
+        assert list(counters) == sorted(counters)
+        assert list(telemetry)[:3] == ["counters", "gauges", "histograms"]
+        assert list(telemetry["histograms"]["task_seconds"]) == [
+            "count", "min", "max", "mean", "p50", "p90", "p95", "p99",
+            "p99.9",
+        ]
+        events = [counters[f"{prefix}_events"] for prefix in EVENT_PREFIXES]
+        assert len(events) == 16
+        assert traced or not any(events)
+        assert "families" not in telemetry
+        for fold in ("bytes_up", "bytes_down"):
+            assert telemetry[f"per_{fold}"] == {
+                key.split("/")[1]: value
+                for key, value in counters.items()
+                if key.startswith(fold + "/")
+            }
 
 
 class TestMetrics:

@@ -126,6 +126,18 @@ class TestRepairCommand:
         out = capsys.readouterr().out
         assert "scheme" in out and "transfer" in out
 
+    def test_instant_past_the_trace_is_a_clean_error(
+        self, trace_file, capsys
+    ):
+        code = main(
+            ["repair", str(trace_file), "--n", "6", "--k", "4",
+             "--instant", "99999"]
+        )
+        assert code == 1
+        assert "error: start sample 99999 out of range" in (
+            capsys.readouterr().err
+        )
+
 
 class TestFullnodeCommand:
     def test_fullnode_runs_both_schemes(self, trace_file, capsys):

@@ -98,6 +98,27 @@ class TestNetworkConversion:
     def test_network_size(self):
         assert len(small_trace().to_network()) == 2
 
+    @pytest.mark.parametrize("floor", [0.0, 35.0])
+    def test_every_link_equals_the_per_node_formula(self, floor):
+        """``to_network`` clips each matrix once; link by link the trace
+        is still ``clip(clip(capacity - used, 0)[node], floor)``."""
+        rng = np.random.default_rng(8)
+        trace = WorkloadTrace(
+            "random", 100.0, rng.uniform(0, 100, (5, 40)),
+            rng.uniform(0, 100, (5, 40)), interval=0.5,
+        )
+        network = trace.to_network(floor=floor)
+        times = [0.5 * sample for sample in range(40)]
+        for node in range(5):
+            up = np.clip(trace.available_up()[node], floor, None)
+            down = np.clip(trace.available_down()[node], floor, None)
+            link = network.node(node)
+            assert link.uplink.breakpoints == times
+            assert link.downlink.breakpoints == times
+            assert link.uplink.values == up.tolist()
+            assert link.downlink.values == down.tolist()
+            assert min(up.min(), down.min()) >= floor
+
 
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
