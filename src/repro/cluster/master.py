@@ -177,16 +177,7 @@ class Cluster:
         different helper set) can verify any tree they ended up with.
         Nothing is stored or relocated — see :meth:`adopt_repair`.
         """
-        helper_indices = [
-            stripe.chunk_on_node(node) for node in sorted(plan.helpers)
-        ]
-        coefficients = self.code.repair_coefficients(
-            lost_index, helper_indices
-        )
-        by_node = {
-            node: coefficients[stripe.chunk_on_node(node)]
-            for node in plan.helpers
-        }
+        by_node = self._coefficients_by_node(stripe, lost_index, plan)
         if plan.is_pipelined:
             return self._aggregate_tree(plan, stripe, by_node)
         return self._aggregate_staged(plan, stripe, by_node)
@@ -221,16 +212,7 @@ class Cluster:
             )
         if slice_size <= 0:
             raise ClusterError("slice_size must be positive")
-        helper_indices = [
-            stripe.chunk_on_node(node) for node in sorted(plan.helpers)
-        ]
-        coefficients = self.code.repair_coefficients(
-            lost_index, helper_indices
-        )
-        by_node = {
-            node: coefficients[stripe.chunk_on_node(node)]
-            for node in plan.helpers
-        }
+        by_node = self._coefficients_by_node(stripe, lost_index, plan)
         byte_range = (start_slice * slice_size, end_slice * slice_size)
         return self._aggregate_tree(
             plan, stripe, by_node, byte_range=byte_range
@@ -362,7 +344,7 @@ class Cluster:
         ]
         with planner.traced(self.tracer):
             plan = planner.plan(snapshot, client, candidates, self.code.k)
-        return self._execute_read_plan(plan, stripe, chunk_index)
+        return self.rebuild_from_plan(stripe, chunk_index, plan)
 
     def degraded_read_faulted(
         self,
@@ -454,7 +436,7 @@ class Cluster:
                         client=client, attempt=attempts,
                     )
                 continue
-            payload = self._execute_read_plan(plan, stripe, chunk_index)
+            payload = self.rebuild_from_plan(stripe, chunk_index, plan)
             return DegradedReadOutcome(
                 payload=payload,
                 attempts=attempts,
@@ -462,23 +444,18 @@ class Cluster:
                 helpers=sorted(plan.helpers),
             )
 
-    def _execute_read_plan(
-        self, plan: RepairPlan, stripe: Stripe, chunk_index: int
-    ) -> np.ndarray:
-        """Run a read plan's data path; shared by both degraded reads."""
-        helper_indices = [
-            stripe.chunk_on_node(node) for node in sorted(plan.helpers)
-        ]
+    def _coefficients_by_node(
+        self, stripe: Stripe, lost_index: int, plan: RepairPlan
+    ) -> dict[int, int]:
+        """Decoding coefficient each helper node of ``plan`` applies."""
         coefficients = self.code.repair_coefficients(
-            chunk_index, helper_indices
+            lost_index,
+            [stripe.chunk_on_node(node) for node in sorted(plan.helpers)],
         )
-        by_node = {
+        return {
             node: coefficients[stripe.chunk_on_node(node)]
             for node in plan.helpers
         }
-        if plan.is_pipelined:
-            return self._aggregate_tree(plan, stripe, by_node)
-        return self._aggregate_staged(plan, stripe, by_node)
 
     def _aggregate_tree(
         self,

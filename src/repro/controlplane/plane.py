@@ -40,10 +40,7 @@ from repro.faults.plan import FaultPlan
 from repro.network.simulator import FluidSimulator
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
-from repro.repair.jobmaster import (
-    StripeRepairMaster,
-    abort_foreground_on_crash,
-)
+from repro.repair.jobmaster import StripeRepairMaster
 from repro.repair.metrics import FullNodeResult
 from repro.repair.pipeline import ExecutionConfig, remaining_bytes_per_edge
 
@@ -182,9 +179,8 @@ class ControlPlane:
         self.jobs: list[RepairJob] = []
         self._owner: dict[int, StripeRepairMaster] = {}
         self._idle_since: float | None = None
-        self._dead_nodes: set[int] = set()
         if foreground is not None:
-            foreground.bind(sim, network)
+            foreground.bind(sim, network, faults)
 
     # ------------------------------------------------------------------
     # Job intake
@@ -297,10 +293,8 @@ class ControlPlane:
 
     def _tick_faults(self) -> None:
         self.injector.announce_until(self.sim.now)
-        abort_foreground_on_crash(
-            self.foreground, self.faults, self._dead_nodes, self.sim,
-            self.tracer,
-        )
+        if self.foreground is not None:
+            self.foreground.abort_on_crash()
         for job in self._admitted():
             job.master.tick()
             requeues = job.master.driver.requeue_events

@@ -103,6 +103,9 @@ class ForegroundEngine:
         self.outcomes: list[RequestOutcome] = []
         self.sim: FluidSimulator | None = None
         self.network = None
+        #: Whose crashes :meth:`abort_on_crash` follows: ``faults``, or
+        #: the driver's plan handed to :meth:`bind`.
+        self._crash_plan = None
         self._offset = 0.0
         #: task_id -> (request, arrival, degraded?, touched nodes, handle).
         self._pending: dict[
@@ -112,17 +115,27 @@ class ForegroundEngine:
         #: (stripe_id, chunk_index) -> node that now holds the rebuilt
         #: chunk (filled by the repair orchestrator as stripes complete).
         self._relocated: dict[tuple[int, int], int] = {}
+        #: Crashed nodes whose in-flight flows :meth:`abort_on_crash`
+        #: has already cancelled.
+        self._handled_crashes: set[int] = set()
 
     # ------------------------------------------------------------------
     # Binding and clock movement
     # ------------------------------------------------------------------
-    def bind(self, sim: FluidSimulator, network) -> ForegroundEngine:
-        """Attach to the simulator driving the run (once)."""
+    def bind(
+        self, sim: FluidSimulator, network, faults=None
+    ) -> ForegroundEngine:
+        """Attach to the simulator driving the run (once).
+
+        ``faults`` is the driver's fault plan: :meth:`abort_on_crash`
+        follows it when the engine was built without one.
+        """
         if self.sim is not None:
             raise LoadGenError("engine is already bound to a simulator")
         self.sim = sim
         self.network = network
         self._offset = sim.now
+        self._crash_plan = self.faults if self.faults is not None else faults
         return self
 
     def _require_bound(self) -> FluidSimulator:
@@ -181,11 +194,16 @@ class ForegroundEngine:
         """Finish every remaining arrival and in-flight foreground flow."""
         sim = self._require_bound()
         while sim.now < max_time:
+            self.abort_on_crash()
             self.pump()
             arrival = self.next_arrival()
             if self._pending:
+                # No repair driver is ticking faults any more: stop at
+                # the next crash under a pending flow and abort it there.
                 self.absorb(
-                    sim.run_until_completion(min(max_time, arrival))
+                    sim.run_until_completion(
+                        min(max_time, arrival, self._next_crash())
+                    )
                 )
             elif math.isfinite(arrival):
                 self.absorb(sim.advance_to(min(max_time, arrival)))
@@ -348,25 +366,30 @@ class ForegroundEngine:
             )
         )
 
-    def abort_flows_touching(self, nodes: Iterable[int]) -> int:
-        """Cancel in-flight foreground flows crossing any of ``nodes``.
+    def abort_on_crash(self) -> int:
+        """Cancel in-flight flows crossing newly crashed nodes.
 
         A node crash zeroes its link capacities, so a flow already
-        crossing it would sit at zero rate forever and wedge the final
-        drain.  The control plane calls this when fault announcements
-        reveal newly dead nodes.  Aborted requests count under
+        crossing it would sit at zero rate forever and wedge the drain.
+        The repair drivers call this once per fault tick and
+        :meth:`drain` once per iteration; the engine keeps the record
+        of crashes already handled.  Aborted requests count under
         ``fg_aborted`` (plus ``fg_read_failures`` for reads) and produce
-        no outcome, like any other failed request.  Returns the number
-        of flows cancelled.
+        no outcome, like any other failed request; a traced run carries
+        one ``plane.fg_abort`` instant per batch.  Returns the number of
+        flows cancelled.
         """
         sim = self._require_bound()
-        doomed = frozenset(nodes)
-        if not doomed:
+        if self._crash_plan is None:
             return 0
+        newly = self._crash_plan.dead_nodes(sim.now) - self._handled_crashes
+        if not newly:
+            return 0
+        self._handled_crashes |= newly
         aborted = 0
         for task_id in sorted(self._pending):
             request, _, _, touched, handle = self._pending[task_id]
-            if not (touched & doomed):
+            if not (touched & newly):
                 continue
             del self._pending[task_id]
             sim.cancel_task(handle)
@@ -374,7 +397,21 @@ class ForegroundEngine:
             self.registry.counter("fg_aborted").inc()
             if request.kind == READ:
                 self.registry.counter("fg_read_failures").inc()
+        if aborted and sim.tracer.enabled:
+            sim.tracer.instant(
+                "plane.fg_abort", t=sim.now, track="plane",
+                nodes=sorted(newly), flows=aborted,
+            )
         return aborted
+
+    def _next_crash(self) -> float:
+        """Earliest future failure of a node some pending flow touches."""
+        if self._crash_plan is None:
+            return math.inf
+        return self._crash_plan.next_failure_affecting(
+            (node for entry in self._pending.values() for node in entry[3]),
+            self.sim.now,
+        )
 
     # ------------------------------------------------------------------
     # Completion
@@ -458,13 +495,6 @@ class ForegroundEngine:
     @property
     def degraded_reads(self) -> int:
         return int(self.registry.counter("fg_degraded_reads").value)
-
-    def tenants(self) -> list[str]:
-        """Tenant names seen anywhere in the request stream, sorted."""
-        seen = {request.tenant for request in self._queue}
-        seen.update(o.request.tenant for o in self.outcomes)
-        seen.update(r.tenant for r, _, _ in self._pending.values())
-        return sorted(seen)
 
     def read_latency(self) -> Histogram:
         return self.registry.histogram("fg_read_latency")

@@ -5,11 +5,7 @@ from repro.network.bandwidth import (
     NodeBandwidth,
     merge_breakpoints,
 )
-from repro.network.engine import (
-    IncrementalEngine,
-    vectorized_max_min_allocate,
-    waterfill,
-)
+from repro.network.engine import IncrementalEngine
 from repro.network.fairness import (
     allocate_edge_tasks,
     max_min_allocate,
@@ -38,6 +34,4 @@ __all__ = [
     "max_min_allocate",
     "merge_breakpoints",
     "usage_from_edges",
-    "vectorized_max_min_allocate",
-    "waterfill",
 ]

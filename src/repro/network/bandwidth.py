@@ -103,28 +103,6 @@ class BandwidthTrace:
             self._times, [min(max(v, low), high) for v in self._values]
         )
 
-    def with_window(
-        self, start: float, end: float, factor: float
-    ) -> BandwidthTrace:
-        """A copy scaled by ``factor`` inside ``[start, end)``.
-
-        The primitive behind transient fault windows (link degradation,
-        helper stalls — see :mod:`repro.faults`): capacity drops to
-        ``value * factor`` when the window opens and recovers when it
-        closes.  Breakpoints at ``start`` and ``end`` are added so
-        event-driven consumers see the change.
-        """
-        if end <= start:
-            raise TraceError("window needs end > start")
-        if factor < 0:
-            raise TraceError("window factor cannot be negative")
-        points = sorted({*self._times, start, end})
-        values = [
-            self.value_at(t) * (factor if start <= t < end else 1.0)
-            for t in points
-        ]
-        return BandwidthTrace(points, values)
-
     def as_array(self) -> tuple[np.ndarray, np.ndarray]:
         """(times, values) as numpy arrays, for analysis code."""
         return np.asarray(self._times), np.asarray(self._values)

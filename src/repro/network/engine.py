@@ -1,21 +1,16 @@
-"""Vectorized, incrementally-updated max-min allocation engine.
+"""Incrementally-updated max-min allocation engine.
 
 The reference allocator (:func:`repro.network.fairness.max_min_allocate`)
-recomputes every task's rate from scratch with Python loops on every event
-— O(tasks × resources) per event, the hot path ROADMAP item 1 names.  This
-module supplies the ``engine="fast"`` replacement:
-
-* :func:`waterfill` — the same water-level progressive filling over numpy
-  arrays, saturating every bottleneck of a round at once.  Each round
-  performs the *same* IEEE-754 operations as the reference loop
-  (one subtract, one divide per resource; an exact integer-valued
-  coefficient sum per freeze; one multiply-add per frozen resource), so
-  its results are bit-identical, not merely close.
-* :class:`IncrementalEngine` — keeps the constraint graph (tasks ↔ link
-  resources) registered between events and re-solves only the connected
-  components actually perturbed by an arrival, finish, cancellation,
-  rate-cap change, or capacity breakpoint.  Untouched components keep
-  their piecewise-constant rates.
+recomputes every task's rate from scratch on every event — O(tasks ×
+resources) per event.  This module supplies the ``engine="fast"``
+replacement: :class:`IncrementalEngine` keeps the constraint graph
+(tasks ↔ link resources) registered between events and re-solves only
+the connected components actually perturbed by an arrival, finish,
+cancellation, rate-cap change, or capacity breakpoint.  Untouched
+components keep their piecewise-constant rates.  A component is solved
+by the reference's own water-level rounds, keyed by registered column
+index instead of resource dict (:meth:`IncrementalEngine._solve_small`),
+or in closed form when it is one entity.
 
 Bit-identity of the incremental scheme rests on two invariants of the
 reference formulation (see the :mod:`repro.network.fairness` docstring):
@@ -31,152 +26,10 @@ tolerance zero.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
-
-import numpy as np
 
 from repro.exceptions import SimulationError
 
-__all__ = [
-    "waterfill",
-    "vectorized_max_min_allocate",
-    "IncrementalEngine",
-]
-
-
-def waterfill(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    coeffs: np.ndarray,
-    capacity: np.ndarray,
-    caps: np.ndarray,
-) -> np.ndarray:
-    """Water-level progressive filling over a CSR usage matrix.
-
-    Task ``i`` consumes columns ``indices[indptr[i]:indptr[i+1]]`` with
-    coefficients ``coeffs[indptr[i]:indptr[i+1]]`` per unit of rate.
-    ``capacity`` holds one capacity per column; ``caps`` one rate ceiling
-    per task (``inf`` = uncapped).  Returns one rate per task.
-
-    Bit-identical to :func:`repro.network.fairness.max_min_allocate` on
-    the same instance: every round computes the same saturation levels
-    with the same operations, freezes the same exact-equality tie group,
-    and advances the same per-column accumulators.
-    """
-    n = len(indptr) - 1
-    m = len(capacity)
-    rates = np.zeros(n)
-    if n == 0:
-        return rates
-    entry_rows = np.repeat(np.arange(n), np.diff(indptr))
-    positive = coeffs > 0
-    has_usage = np.bincount(
-        entry_rows, weights=positive, minlength=n
-    ) > 0
-    active = has_usage & (caps > 0)
-    live = active[entry_rows] & positive
-    e_rows = entry_rows[live]
-    e_cols = indices[live]
-    e_coeffs = coeffs[live]
-    # Exact: coefficients are integer-valued edge counts, so these sums
-    # (and every later freeze_sum) are order-independent and match the
-    # reference loop's sequential Python sums bit for bit.
-    active_coeff = np.bincount(e_cols, weights=e_coeffs, minlength=m)
-    frozen_used = np.zeros(m)
-    rounds = 0
-    while active.any():
-        rounds += 1
-        if rounds > n + 1:
-            raise SimulationError("progressive filling failed to converge")
-        col_live = active_coeff > 0
-        levels = np.full(m, np.inf)
-        np.divide(
-            capacity - frozen_used, active_coeff,
-            out=levels, where=col_live,
-        )
-        level = levels[col_live].min() if col_live.any() else np.inf
-        active_caps = caps[active]
-        if active_caps.size:
-            cap_min = active_caps.min()
-            if cap_min < level:
-                level = cap_min
-        level = float(level)
-        if not math.isfinite(level):
-            raise SimulationError("unconstrained task in max-min allocation")
-        # Freeze the exact-equality tie group: tasks whose cap is the
-        # level, plus every active user of a saturated column.
-        newly = active & (caps == level)
-        col_sat = col_live & (levels == level)
-        if col_sat.any():
-            hit = np.bincount(
-                e_rows[col_sat[e_cols]], minlength=n
-            ) > 0
-            newly |= active & hit
-        if not newly.any():
-            raise SimulationError("progressive filling failed to converge")
-        assigned = level if level > 0.0 else 0.0
-        rates[newly] = assigned
-        frozen_entries = newly[e_rows]
-        freeze_sum = np.bincount(
-            e_cols[frozen_entries],
-            weights=e_coeffs[frozen_entries],
-            minlength=m,
-        )
-        frozen_used += freeze_sum * assigned
-        active_coeff -= freeze_sum
-        active &= ~newly
-    return rates
-
-
-def vectorized_max_min_allocate(
-    usages: Sequence[Mapping[object, float]],
-    capacities: Mapping[object, float],
-    rate_caps: Sequence[float | None] | None = None,
-) -> list[float]:
-    """Drop-in vectorized equivalent of ``fairness.max_min_allocate``.
-
-    Same signature, same validation errors, bit-identical rates.  Used by
-    the property/differential tests and the allocator micro-benchmark;
-    the simulator goes through :class:`IncrementalEngine` instead, which
-    amortizes the array construction across events.
-    """
-    for usage in usages:
-        for resource, coeff in usage.items():
-            if coeff < 0:
-                raise SimulationError(
-                    f"negative usage coefficient on {resource}"
-                )
-    if rate_caps is None:
-        rate_caps = [None] * len(usages)
-    if len(rate_caps) != len(usages):
-        raise SimulationError("rate_caps length must match usages")
-    for cap in rate_caps:
-        if cap is not None and cap < 0:
-            raise SimulationError("rate caps cannot be negative")
-    col_of: dict = {}
-    indptr = [0]
-    indices: list[int] = []
-    coeffs: list[float] = []
-    for usage in usages:
-        for resource, coeff in usage.items():
-            col = col_of.setdefault(resource, len(col_of))
-            indices.append(col)
-            coeffs.append(float(coeff))
-        indptr.append(len(indices))
-    capacity = np.empty(len(col_of))
-    for resource, col in col_of.items():
-        capacity[col] = capacities.get(resource, 0.0)
-    caps = np.array(
-        [math.inf if cap is None else float(cap) for cap in rate_caps]
-    )
-    rates = waterfill(
-        np.asarray(indptr),
-        np.asarray(indices, dtype=np.intp),
-        np.asarray(coeffs),
-        capacity,
-        caps,
-    )
-    return [float(rate) for rate in rates]
+__all__ = ["IncrementalEngine"]
 
 
 class IncrementalEngine:
@@ -225,9 +78,7 @@ class IncrementalEngine:
         #: Solves run, by the size tier :meth:`_solve` dispatched to.
         #: Engine-side only: ``SimulatorStats.as_dict()`` feeds recorded
         #: digests and must not grow keys.
-        self.solves_by_tier: dict[str, int] = {
-            "single": 0, "small": 0, "vectorized": 0,
-        }
+        self.solves_by_tier: dict[str, int] = {"single": 0, "small": 0}
         #: Entities re-rated across all solves (component sizes summed);
         #: ``solved_entities / (solves * len(entities))`` ≪ 1 is the
         #: incremental win becoming visible.
@@ -240,7 +91,7 @@ class IncrementalEngine:
 
     @property
     def solves(self) -> int:
-        """Solves actually run, all tiers — the fast engine's analogue
+        """Solves actually run, both tiers — the fast engine's analogue
         of ``SimulatorStats.rate_recomputations``."""
         return sum(self.solves_by_tier.values())
 
@@ -293,7 +144,7 @@ class IncrementalEngine:
     def ensure(self, now: float) -> bool:
         """Bring every registered entity's rate up to date at ``now``.
 
-        Returns True if a waterfill solve actually ran.
+        Returns True if a solve actually ran.
         """
         if (
             self._new_cols
@@ -359,67 +210,19 @@ class IncrementalEngine:
         return seen_entities
 
     def _solve(self, entity_ids: list[int]) -> None:
-        """One waterfill over the gathered components; assign rates.
+        """Solve the gathered components; assign rates.
 
-        Three size tiers, all bit-identical (the equivalence between the
-        Python level formulation and the numpy one is the module's core
-        invariant, so tier choice is purely a constant-factor decision):
-
-        * one entity — closed form: its level is the minimum of its
-          per-resource saturation levels and its cap;
-        * small component — the same water-level rounds as a Python
-          loop over the registered column lists (numpy array setup
-          dominates below a few hundred entries);
-        * large component — the vectorized :func:`waterfill`.
+        Two tiers, bit-identical to the reference: one entity is a
+        closed form, anything larger runs the water-level rounds over
+        the registered column lists.
         """
         self.solved_entities += len(entity_ids)
         if len(entity_ids) == 1:
             self._solve_single(entity_ids[0])
             self.solves_by_tier["single"] += 1
-            return
-        entries = sum(len(self._entity_cols[e]) for e in entity_ids)
-        if entries <= 256:
+        else:
             self._solve_small(entity_ids)
             self.solves_by_tier["small"] += 1
-            return
-        local: dict[int, int] = {}
-        global_cols: list[int] = []
-        indptr = [0]
-        indices: list[int] = []
-        coeffs: list[float] = []
-        caps: list[float] = []
-        for entity_id in entity_ids:
-            for col, coeff in zip(
-                self._entity_cols[entity_id],
-                self._entity_coeffs[entity_id],
-            ):
-                li = local.get(col)
-                if li is None:
-                    li = len(global_cols)
-                    local[col] = li
-                    global_cols.append(col)
-                indices.append(li)
-                coeffs.append(coeff)
-            indptr.append(len(indices))
-            max_rate = self._entities[entity_id].max_rate
-            caps.append(math.inf if max_rate is None else float(max_rate))
-        capacity = np.array(
-            [self._capacity[col] for col in global_cols]
-        )
-        rates = waterfill(
-            np.asarray(indptr),
-            np.asarray(indices, dtype=np.intp),
-            np.asarray(coeffs),
-            capacity,
-            np.asarray(caps),
-        )
-        for entity_id, rate in zip(entity_ids, rates):
-            rate = float(rate)
-            entity = self._entities[entity_id]
-            if entity.rate != rate:
-                entity.rate = rate
-                self.last_changed.append(entity_id)
-        self.solves_by_tier["vectorized"] += 1
 
     def _solve_single(self, entity_id: int) -> None:
         """Closed form for a component of one entity.
@@ -453,7 +256,7 @@ class IncrementalEngine:
             self.last_changed.append(entity_id)
 
     def _solve_small(self, entity_ids: list[int]) -> None:
-        """Small component: water-level rounds over the column lists.
+        """Any multi-entity component: water-level rounds over columns.
 
         The rounds of :func:`repro.network.fairness.max_min_allocate`,
         operation for operation — ``(capacity - frozen_used) /

@@ -197,7 +197,7 @@ def storm_scenario(
     every link capacity and re-rates every live task on every event
     regardless of cluster size.  ``burst=True`` submits every repair at
     t=0 instead (one same-instant allocation, then one densely-coupled
-    component), which stresses event batching and the vectorized kernel
+    component), which stresses event batching and the component solve
     rather than incrementality.
     """
     rng = random.Random(seed)

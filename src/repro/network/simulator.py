@@ -37,13 +37,21 @@ from repro.network.fairness import max_min_allocate
 from repro.network.topology import StarNetwork
 from repro.obs.tracer import NULL_TRACER
 
-#: Engine used when ``FluidSimulator(engine=None)``: ``"fast"`` (vectorized
-#: waterfilling + component-local incremental recompute) or ``"reference"``
-#: (full Python-loop reallocation every event — the differential oracle).
+#: Engine used when ``FluidSimulator(engine=None)``: ``"fast"``
+#: (component-local incremental recompute) or ``"reference"`` (full
+#: reallocation of every task on every event — the differential oracle).
 #: The two are bit-identical on every observable; see docs/fluid_engine.md.
 DEFAULT_ENGINE = "fast"
 
 _ENGINES = ("reference", "fast")
+
+#: Traffic classes whose per-reallocation ``flow.rate_change`` instants
+#: are *not* traced.  Foreground flows are short and numerous, and no
+#: analysis reads their instantaneous rates (``diagnose`` attributes
+#: repair/hedge flows only; tenant blame uses their spans; the flight
+#: recorder samples their aggregate) — tracing every max-min re-split
+#: they trigger roughly doubles tracing's event volume for nothing.
+_RATE_TRACE_EXCLUDE = frozenset({"foreground"})
 
 
 @dataclass
@@ -179,15 +187,6 @@ class FluidSimulator:
         self._task_tracks: dict[int, str] = {}
         self._task_spans: dict[int, int] = {}
         self._task_rates: dict[int, float] = {}
-        #: Traffic classes whose per-reallocation ``flow.rate_change``
-        #: instants are *not* traced.  Foreground flows are short and
-        #: numerous, and no analysis reads their instantaneous rates
-        #: (``diagnose`` attributes repair/hedge flows only; tenant
-        #: blame uses their spans; the flight recorder samples their
-        #: aggregate) — tracing every max-min re-split they trigger
-        #: roughly doubles tracing's event volume for nothing.  Set to
-        #: ``frozenset()`` for full fidelity.
-        self.rate_trace_exclude: frozenset[str] = frozenset({"foreground"})
         #: Tasks whose aggregate may have moved without any surviving
         #: entity being re-rated (a bulk sibling finished); consumed by
         #: the next restricted :meth:`_trace_rate_changes` scan.
@@ -449,18 +448,6 @@ class FluidSimulator:
                     )
                 # Rack-level resources are not per-node usage.
         return up, down
-
-    def task_bytes_remaining(self, handle: TaskHandle) -> float:
-        """Bytes the task still has to move (summed over live entities).
-
-        Finished and cancelled tasks report ``0.0`` — cancellation
-        already returned the residue to the caller.  The admission
-        controller charges this against its in-flight byte budget.
-        """
-        return sum(
-            self._entities[i].remaining
-            for i in self._task_entities.get(handle.task_id, set())
-        )
 
     def inflight_bytes(self, kind: str | None = None) -> float:
         """Total bytes live tasks still have to move, per edge-traversal.
@@ -835,13 +822,12 @@ class FluidSimulator:
             task_ids = sorted(seen) if len(seen) > 1 else tuple(seen)
             self._trace_dirty_tasks = set()
         emit = self.tracer.instant
-        exclude = self.rate_trace_exclude
         handles = self._handles
         for task_id in task_ids:
             entity_ids = task_entities.get(task_id)
             if not entity_ids:
                 continue
-            if exclude and handles[task_id].kind in exclude:
+            if handles[task_id].kind in _RATE_TRACE_EXCLUDE:
                 continue
             rate = 0.0
             for entity_id in entity_ids:

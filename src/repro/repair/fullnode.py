@@ -38,7 +38,6 @@ from repro.obs.tracer import NULL_TRACER
 from repro.repair.jobmaster import (  # noqa: F401 - re-exported names
     StripeRepairMaster,
     _FaultDriver,
-    abort_foreground_on_crash,
     choose_requestor,
     residual_snapshot,
 )
@@ -148,18 +147,16 @@ def _repair_single_job(
     )
     run_until_event = sim.run_until_completion
     if foreground is not None:
-        foreground.bind(sim, network)
+        foreground.bind(sim, network, faults)
         master.driver.advance = foreground.drive_to
         run_until_event = foreground.run_until_repair_event
         master.on_chunk_repaired = foreground.note_repaired
-    known_dead: set[int] = set()
     total_stripes = len(master.pending)
     _note_progress(sim, 0, total_stripes)
     with planner.traced(tracer):
         while not master.done:
-            abort_foreground_on_crash(
-                foreground, faults, known_dead, sim, tracer
-            )
+            if foreground is not None:
+                foreground.abort_on_crash()
             master.tick()
             cap = _apply_governor(governor, foreground, master)
             dispatch(master, cap)

@@ -53,7 +53,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "StripeRepairMaster",
-    "abort_foreground_on_crash",
     "choose_requestor",
     "residual_snapshot",
 ]
@@ -178,31 +177,6 @@ def residual_snapshot(
     per plan) keeps a :class:`ResidualView` instead.
     """
     return ResidualView(network, sim).snapshot()
-
-
-def abort_foreground_on_crash(
-    foreground, faults: FaultPlan | None, known_dead: set[int],
-    sim: FluidSimulator, tracer,
-) -> None:
-    """Kill foreground flows crossing nodes that crashed since last asked.
-
-    Flows already crossing a crashed node sit at zero rate forever, so
-    the foreground drain after the repair would never terminate.  Both
-    drivers run this once per fault tick; ``known_dead`` is the caller's
-    record of crashes already handled.
-    """
-    if foreground is None or faults is None:
-        return
-    newly = faults.dead_nodes(sim.now) - known_dead
-    if not newly:
-        return
-    known_dead |= newly
-    aborted = foreground.abort_flows_touching(newly)
-    if aborted and tracer.enabled:
-        tracer.instant(
-            "plane.fg_abort", t=sim.now, track="plane",
-            nodes=sorted(newly), flows=aborted,
-        )
 
 
 @dataclass

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cluster.node import DataNode
-from repro.ec import galois
 from repro.ec.chunk import ChunkId
-from repro.ec.field import GF65536
+from repro.ec.field import GF256, GF65536
 from repro.exceptions import ClusterError
 
 
@@ -90,7 +89,7 @@ class TestPartialResult:
         data = payload(5)
         node.store(cid, data)
         out = node.partial_result(cid, 3, [])
-        np.testing.assert_array_equal(out, galois.gf_mul_slice(3, data))
+        np.testing.assert_array_equal(out, GF256.mul_slice(3, data))
 
     def test_xors_child_results(self):
         node = DataNode(0)
@@ -127,7 +126,7 @@ class TestPartialResult:
             assert not np.shares_memory(out, child)
         np.testing.assert_array_equal(
             out,
-            galois.gf_mul_slice(coefficient, data) ^ saved[0] ^ saved[1],
+            GF256.mul_slice(coefficient, data) ^ saved[0] ^ saved[1],
         )
 
     @pytest.mark.parametrize("byte_range", [(1, 9), (3, 1 << 17), (7, 10**9)])

@@ -132,8 +132,8 @@ class TestOutOfFieldWords:
 
 class TestExhaustiveGF256Parity:
     def test_field_class_matches_module_tables(self):
-        # The module-level galois functions delegate to GF256; verify the
-        # full multiplication table against a slow reference for a sample.
+        # Verify the GF256 multiplication table against a slow reference
+        # for a sample.
         def slow_mul(a, b):
             result = 0
             while b:

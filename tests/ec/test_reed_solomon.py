@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ec.field import GF256
 from repro.ec.reed_solomon import RSCode
 from repro.exceptions import CodingError, InsufficientChunksError
 
@@ -121,8 +122,6 @@ class TestRepair:
         This is exactly the aggregation a pipelined repair tree performs
         (Section II-B properties 1 and 2).
         """
-        from repro.ec import galois
-
         code = RSCode(9, 6)
         _, stripe = make_stripe(code, seed=5)
         lost = 2
@@ -130,7 +129,7 @@ class TestRepair:
         coeffs = code.repair_coefficients(lost, helpers)
         acc = np.zeros_like(stripe[0])
         for index, coeff in coeffs.items():
-            acc ^= galois.gf_mul_slice(coeff, stripe[index])
+            acc ^= GF256.mul_slice(coeff, stripe[index])
         np.testing.assert_array_equal(acc, stripe[lost])
 
     def test_repair_coefficients_order_independent(self):

@@ -2,14 +2,26 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core import PivotRepairPlanner
-from repro.ec import RSCode, Stripe
+from repro.core.plan import pin_planning
+from repro.ec import RSCode, Stripe, place_stripes
 from repro.exceptions import LoadGenError
-from repro.loadgen import ClientRequest, ForegroundEngine, READ, WRITE
+from repro.faults import FaultPlan, RetryPolicy
+from repro.loadgen import (
+    READ,
+    WRITE,
+    ClientRequest,
+    ForegroundEngine,
+    LoadProfile,
+    generate_requests,
+)
 from repro.network.simulator import FluidSimulator
 from repro.network.topology import StarNetwork
+from repro.repair import repair_full_node
+from repro.repair.pipeline import ExecutionConfig
 from repro.units import gbps, mib
 
 CODE = RSCode(4, 2)
@@ -196,6 +208,46 @@ class TestDriving:
         engine.drain()
         elapsed = sim.now
         assert engine.goodput() == pytest.approx(mib(1) / elapsed)
+
+
+class TestCrashAfterRepair:
+    """A crash scheduled after the repair finishes is ticked by no
+    driver: ``drain()`` itself has to stop there and abort the flows
+    crossing the dead node, or it ends in ``simulation is stuck``."""
+
+    NODES = 12
+    STRIPES = place_stripes(4, RSCode(6, 4), NODES, np.random.default_rng(0))
+    FAILED = STRIPES[0].placement[0]
+    #: Crashed nodes with a client flow in flight across them at t = 6.
+    CROSSED = {4, 8, 9}
+
+    @pytest.mark.parametrize("node", sorted(set(range(NODES)) - {FAILED}))
+    def test_drain_outlives_a_late_crash(self, node):
+        def planner():
+            return pin_planning(PivotRepairPlanner(), 0.0)
+
+        faults = FaultPlan.from_spec(f"crash:{node}@6")
+        profile = LoadProfile(
+            name="late-crash", arrival_rate=4.0, duration=8.0,
+            read_fraction=0.9, request_size=mib(16), zipf_s=0.9,
+        )
+        engine = ForegroundEngine(
+            self.STRIPES,
+            generate_requests(profile, self.STRIPES, self.NODES, seed=3),
+            planner(), failed_nodes={self.FAILED}, faults=faults,
+            drop_dead_clients=True,
+        )
+        result = repair_full_node(
+            planner(), StarNetwork.uniform(self.NODES, 2e7), self.STRIPES,
+            self.FAILED, config=ExecutionConfig(chunk_size=mib(4)),
+            faults=faults, retry_policy=RetryPolicy(), foreground=engine,
+        )
+        assert result.total_seconds < 1.0  # long before the crash
+        engine.drain()
+        assert engine.pending_flows == 0
+        assert engine.requests_remaining == 0
+        aborted = engine.registry.snapshot()["counters"].get("fg_aborted", 0)
+        assert (aborted > 0) == (node in self.CROSSED)
 
 
 class TestRecentWindow:

@@ -1,7 +1,7 @@
 """Differential oracle harness: fast engine vs reference, bit for bit.
 
-The ``engine="fast"`` allocator (vectorized waterfilling + component-local
-incremental recompute) must be **observationally identical** to the
+The ``engine="fast"`` allocator (component-local incremental recompute)
+must be **observationally identical** to the
 ``engine="reference"`` oracle — not within a tolerance, identical.  Every
 assertion here is ``==`` on nested dicts of floats: task finish times,
 per-class and per-node byte accounting, event-loop step counts, and the

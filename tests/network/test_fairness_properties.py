@@ -12,11 +12,12 @@ implementation:
 * **permutation invariance** — the allocation is a function of the task
   *set*, not the submission order.
 
-Plus the property the fast engine rests on: the vectorized allocator
-(:func:`repro.network.engine.vectorized_max_min_allocate`) and the
-small-component kernel (``IncrementalEngine._solve_small``, reached
-through the real engine) return **bit-identical** rates to the reference
-on every generated instance.
+Plus the property the fast engine rests on: the component kernel
+(``IncrementalEngine._solve_small``, reached through the real engine)
+returns **bit-identical** rates to the reference on every generated
+instance — and so does the numpy formulation the engine used to carry
+as a third tier (``tests/network/waterfill_oracle.py``), which stays as
+a second, independent oracle.
 """
 
 import math
@@ -26,15 +27,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
-from repro.network.engine import (
-    IncrementalEngine,
+from repro.network.engine import IncrementalEngine
+from repro.network.fairness import max_min_allocate, usage_from_edges
+from repro.network.topology import StarNetwork
+from tests.network.waterfill_oracle import (
     vectorized_max_min_allocate,
     waterfill,
 )
-from repro.network.fairness import max_min_allocate, usage_from_edges
-from repro.network.topology import StarNetwork
 
 # Coupled-task instances built the way the simulator builds them: each
 # task is a set of directed edges over a small node universe, so usage
@@ -175,10 +176,8 @@ CAPACITY_MENU = [0.0, 50.0, 100.0, 150.0]
 CAP_MENU = [None, None, 25.0, 50.0]
 
 
-@settings(max_examples=300, deadline=None)
-@given(task_edges=kernel_tasks, seed=st.integers(0, 2**20))
-def test_small_kernel_bit_identical(task_edges, seed):
-    rng = random.Random(seed)
+def _menus(rng):
+    """Capacity / cap draws: tie-prone menus or inexact uniforms."""
     if rng.random() < 0.5:
         def capacity():
             return rng.choice(CAPACITY_MENU)
@@ -196,11 +195,10 @@ def test_small_kernel_bit_identical(task_edges, seed):
         def cap():
             return rng.choice(inexact)
 
-    network = StarNetwork.constant(
-        [capacity() for _ in range(5)], [capacity() for _ in range(5)]
-    )
-    usages = [usage_from_edges(e) for e in task_edges]
-    rate_caps = [cap() for _ in usages]
+    return capacity, cap
+
+
+def _assert_one_small_solve_matches_oracles(network, usages, rate_caps):
     engine = IncrementalEngine(network)
     entities = [
         SimpleNamespace(usage=usage, max_rate=cap, rate=-1.0)
@@ -210,10 +208,8 @@ def test_small_kernel_bit_identical(task_edges, seed):
         engine.add_entity(entity_id, entity)
     assert engine.ensure(0.0)
     # One solve over the union of the dirty components: two or more
-    # entities and at most 8 * 4 * 2 entries, so the small tier ran.
-    assert engine.solves_by_tier == {
-        "single": 0, "small": 1, "vectorized": 0,
-    }
+    # entities, so the small tier ran.
+    assert engine.solves_by_tier == {"single": 0, "small": 1}
     assert engine.solves == 1
     rates = [entity.rate for entity in entities]
     capacities = network.capacities_at(0.0)
@@ -223,6 +219,69 @@ def test_small_kernel_bit_identical(task_edges, seed):
     )
     assert engine.last_changed == [
         i for i, rate in enumerate(rates) if rate != -1.0
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(task_edges=kernel_tasks, seed=st.integers(0, 2**20))
+def test_small_kernel_bit_identical(task_edges, seed):
+    rng = random.Random(seed)
+    capacity, cap = _menus(rng)
+    network = StarNetwork.constant(
+        [capacity() for _ in range(5)], [capacity() for _ in range(5)]
+    )
+    usages = [usage_from_edges(e) for e in task_edges]
+    _assert_one_small_solve_matches_oracles(
+        network, usages, [cap() for _ in usages]
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    node_count=st.integers(8, 64),
+    entity_count=st.integers(2, 400),
+    seed=st.integers(0, 2**20),
+)
+def test_small_kernel_bit_identical_on_large_components(
+    node_count, entity_count, seed
+):
+    # Up to 400 entities x 4 edges x 2 links = 3 200 entries (~2 000
+    # typical at 400): sizes only the numpy tier used to solve.
+    rng = random.Random(seed)
+    capacity, cap = _menus(rng)
+
+    def link():
+        # A link is dead only on three zero draws in a row: at the
+        # menus' own 25-50 % nearly every multi-edge entity would cross
+        # a dead link and the whole component freeze in round one.
+        return capacity() or capacity() or capacity()
+
+    network = StarNetwork.constant(
+        [link() for _ in range(node_count)],
+        [link() for _ in range(node_count)],
+    )
+    usages = [
+        usage_from_edges(
+            tuple(rng.sample(range(node_count), 2))
+            for _ in range(rng.randint(1, 4))
+        )
+        for _ in range(entity_count)
+    ]
+    _assert_one_small_solve_matches_oracles(
+        network, usages, [cap() for _ in usages]
+    )
+
+
+def test_engine_module_holds_no_numpy():
+    # The engine is pure Python since its numpy tier moved to
+    # tests/network/waterfill_oracle.py: an import check, not a timing.
+    import repro.network.engine as engine_module
+
+    assert not [
+        name
+        for name, value in vars(engine_module).items()
+        if isinstance(value, ModuleType)
+        and value.__name__.split(".")[0] == "numpy"
     ]
 
 

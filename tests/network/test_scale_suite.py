@@ -119,9 +119,6 @@ def test_scale_storm_recomputes_components_not_the_cluster(monkeypatch):
 
     sim, engine = _engine_counters(scenario)
     assert sim.stats.steps == 1594
-    # Fast: 887 component solves re-rating 1061 entities, 12.2x fewer,
-    # none of them large enough for the numpy kernel.
+    # Fast: 887 component solves re-rating 1061 entities, 12.2x fewer.
     assert (engine.solves, engine.solved_entities) == (887, 1061)
-    assert engine.solves_by_tier == {
-        "single": 770, "small": 117, "vectorized": 0,
-    }
+    assert engine.solves_by_tier == {"single": 770, "small": 117}
