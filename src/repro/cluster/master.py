@@ -427,7 +427,7 @@ class Cluster:
                 now = (
                     interrupted_at
                     + policy.detection_timeout
-                    + policy.backoff(attempts - 1)
+                    + policy.backoff(attempts - 1, key=stripe.stripe_id)
                 )
                 if self.tracer.enabled:
                     self.tracer.instant(

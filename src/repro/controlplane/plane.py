@@ -170,7 +170,7 @@ class ControlPlane:
         self.foreground = foreground
         self.journal = journal
         self.registry = MetricsRegistry()
-        #: One injector for the whole fleet; per-master drivers are
+        #: One injector for the whole fleet; every master is
         #: re-pointed at it so a fault event announces exactly once.
         self.injector = FaultInjector(
             faults if faults is not None else FaultPlan.none(),
@@ -213,8 +213,8 @@ class ControlPlane:
             tracer=self.tracer, faults=self.faults,
             retry_policy=retry_policy, journal=self.journal,
         )
-        master.driver.advance = self._routed_advance
-        master.driver.injector = self.injector
+        master.advance = self._routed_advance
+        master.injector = self.injector
         if self.foreground is not None:
             master.on_chunk_repaired = self.foreground.note_repaired
         job = RepairJob(
@@ -234,7 +234,7 @@ class ControlPlane:
     def _routed_advance(self, t: float) -> list:
         """Advance the shared clock to ``t``; deliver completions.
 
-        Installed as every master's ``driver.advance`` hook, so a
+        Installed as every master's ``advance`` hook, so a
         detection window opened by one job still completes and delivers
         *another* job's tasks.  Returns ``[]`` — ownership routing
         already collected everything.
@@ -297,7 +297,7 @@ class ControlPlane:
             self.foreground.abort_on_crash()
         for job in self._admitted():
             job.master.tick()
-            requeues = job.master.driver.requeue_events
+            requeues = job.master.requeue_events
             level = self.degradation.level_for(requeues)
             if job.master.degrade_to(level):
                 self.admission.record(
@@ -453,7 +453,7 @@ class ControlPlane:
         """Bytes the stripe's submission would put in flight."""
         config = job.master.config_for(stripe)
         depth = plan.tree.depth() if plan.tree is not None else 1
-        start = job.master.driver.resume_slice(stripe, plan)
+        start = job.master.resume_slice(stripe, plan)
         per_edge = remaining_bytes_per_edge(config, depth, start)
         edges = len(plan.tree.edges()) if plan.tree is not None else 1
         return per_edge * edges
@@ -468,12 +468,10 @@ class ControlPlane:
                     repaired=len(job.master.results),
                     failed=len(job.master.failures),
                 )
-                if job.master.journal is not None:
-                    job.master.journal.append(
-                        "job_done", t=self.sim.now,
-                        repaired=len(job.master.results),
-                        failed=len(job.master.failures),
-                    )
+                job.master.record(
+                    "job_done", repaired=len(job.master.results),
+                    failed=len(job.master.failures),
+                )
                 if self.tracer.enabled:
                     self.tracer.instant(
                         "plane.complete", t=self.sim.now, track="plane",
@@ -524,6 +522,6 @@ class ControlPlane:
         for job in self._admitted():
             bound = min(
                 bound,
-                job.master.driver.run_bound(job.master.in_flight),
+                job.master.run_bound(),
             )
         return min(bound, max_time)

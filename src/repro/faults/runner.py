@@ -28,7 +28,7 @@ from repro.repair.fullnode import choose_requestor
 from repro.repair.metrics import RepairFailed, RepairResult
 from repro.repair.pipeline import ExecutionConfig
 
-__all__ = ["ChaosOutcome", "run_chaos_single_chunk"]
+__all__ = ["ChaosOutcome", "rebuilt_payload", "run_chaos_single_chunk"]
 
 
 class ChaosOutcome:
@@ -111,9 +111,8 @@ def run_chaos_single_chunk(
 
     ``journal`` / ``health`` thread through to the resilient executor
     path.  A resumed (or hedged) repair delivers its slice ranges through
-    *different* trees; the verification then rebuilds each recorded
-    segment through the plan that actually carried it
-    (:meth:`~repro.cluster.master.Cluster.rebuild_slice_range`) and
+    *different* trees; :func:`rebuilt_payload` then rebuilds each
+    recorded segment through the plan that actually carried it and
     stitches the ranges before comparing — exactly what a production
     requestor would hold on disk.
     """
@@ -140,12 +139,7 @@ def run_chaos_single_chunk(
     )
     if not result.ok:
         return ChaosOutcome(result)
-    if result.segments:
-        payload = _stitch_segments(
-            cluster, stripe, lost_index, result.segments, config
-        )
-    else:
-        payload = cluster.rebuild_from_plan(stripe, lost_index, result.plan)
+    payload = rebuilt_payload(cluster, stripe, lost_index, result, config)
     correct = bool(np.array_equal(payload, expected))
     cluster.adopt_repair(
         stripe, lost_index, requestor, payload,
@@ -155,20 +149,24 @@ def run_chaos_single_chunk(
     return ChaosOutcome(result, payload=payload, correct=correct)
 
 
-def _stitch_segments(
+def rebuilt_payload(
     cluster: Cluster,
     stripe: Stripe,
     lost_index: int,
-    segments: list,
+    result: RepairResult,
     config: ExecutionConfig,
 ) -> np.ndarray:
-    """Concatenate per-segment rebuilds of a resumed/hedged repair.
+    """The bytes a finished repair's tree(s) deliver at the requestor.
 
-    Each ``(plan, start_slice)`` segment covers the slice range up to the
-    next segment's start (the last runs to the end of the chunk); a
-    segment's range is rebuilt through its own tree, so the stitched
+    A resumed or hedged repair (single-chunk or one task of a full-node
+    run) records ``(plan, start_slice)`` segments: each covers the slice
+    range up to the next segment's start (the last runs to the end of
+    the chunk) and is rebuilt through its own tree, so the stitched
     payload reproduces byte-for-byte what each tree actually delivered.
     """
+    segments = result.segments
+    if not segments:
+        return cluster.rebuild_from_plan(stripe, lost_index, result.plan)
     total_slices = config.slices
     parts: list[np.ndarray] = []
     for i, (plan, start_slice) in enumerate(segments):

@@ -37,7 +37,6 @@ from repro.network.topology import StarNetwork
 from repro.obs.tracer import NULL_TRACER
 from repro.repair.jobmaster import (  # noqa: F401 - re-exported names
     StripeRepairMaster,
-    _FaultDriver,
     choose_requestor,
     residual_snapshot,
 )
@@ -107,6 +106,44 @@ def _note_progress(sim: FluidSimulator, completed: int, total: int) -> None:
     sampler.tsdb.record("repairs_completed", sim.now, completed)
 
 
+def run_rounds(
+    master: StripeRepairMaster, dispatch: Dispatch, foreground=None,
+    governor=None,
+) -> None:
+    """Sequence one master on its own simulator until it is done.
+
+    Each round: fault tick, governor, ``dispatch`` (the only step the
+    drivers differ in), then free-run to the next repair completion,
+    the master's next bound (a fault, a stall deadline, a health check,
+    a backoff ending) or governor decision point, and collect.
+    """
+    sim = master.sim
+    run_until_event = sim.run_until_completion
+    if foreground is not None:
+        run_until_event = foreground.run_until_repair_event
+    total_stripes = len(master.pending)
+    _note_progress(sim, 0, total_stripes)
+    while not master.done:
+        if foreground is not None:
+            foreground.abort_on_crash()
+        master.tick()
+        cap = _apply_governor(governor, foreground, master)
+        dispatch(master, cap)
+        bound = master.run_bound()
+        if not master.in_flight:
+            # Every stripe left is waiting out a retry backoff: let the
+            # clock (and the foreground) run to the earliest due time.
+            if math.isfinite(bound):
+                master.collect(master.advance(bound))
+            continue
+        if governor is not None and math.isfinite(
+            governor.decision_interval
+        ):
+            bound = min(bound, sim.now + governor.decision_interval)
+        master.collect(run_until_event(max_time=bound))
+        _note_progress(sim, len(master.results), total_stripes)
+
+
 def _repair_single_job(
     scheme: str,
     dispatch: Dispatch,
@@ -124,12 +161,7 @@ def _repair_single_job(
     sampler,
     journal,
 ) -> FullNodeResult:
-    """Drive one master on a fresh simulator until its node is repaired.
-
-    Each round: fault tick, governor, ``dispatch`` (the only step the
-    two public drivers differ in), then free-run to the next repair
-    completion, fault or governor decision point and collect.
-    """
+    """Drive one master on a fresh simulator until its node is repaired."""
     config = config or ExecutionConfig()
     network = FaultyNetwork.wrap(network, faults)
     sim = FluidSimulator(
@@ -145,35 +177,18 @@ def _repair_single_job(
         "full-node repair (%s): node %d, %d stripes",
         scheme, failed_node, len(master.pending),
     )
-    run_until_event = sim.run_until_completion
     if foreground is not None:
         foreground.bind(sim, network, faults)
-        master.driver.advance = foreground.drive_to
-        run_until_event = foreground.run_until_repair_event
+        master.advance = foreground.drive_to
         master.on_chunk_repaired = foreground.note_repaired
-    total_stripes = len(master.pending)
-    _note_progress(sim, 0, total_stripes)
     with planner.traced(tracer):
-        while not master.done:
-            if foreground is not None:
-                foreground.abort_on_crash()
-            master.tick()
-            cap = _apply_governor(governor, foreground, master)
-            dispatch(master, cap)
-            if not master.in_flight:
-                continue
-            # Free-run until the next decision point: a repair
-            # completion, a fault touching a flight, or the governor's
-            # next look.
-            bound = master.driver.run_bound(master.in_flight)
-            if governor is not None and math.isfinite(
-                governor.decision_interval
-            ):
-                bound = min(bound, sim.now + governor.decision_interval)
-            master.collect(run_until_event(max_time=bound))
-            _note_progress(sim, len(master.results), total_stripes)
+        run_rounds(master, dispatch, foreground, governor)
+    registry = master.registry
+    for task in master.results:
+        registry.histogram("task_seconds").observe(task.transfer_seconds)
+        registry.histogram("planner_seconds").observe(task.planning_seconds)
     return master.build_result(
-        registry_from_run(sim, tracer, registry=master.registry).snapshot()
+        registry_from_run(sim, tracer, registry=registry).snapshot()
     )
 
 
@@ -263,7 +278,7 @@ def _start_recommended(
 ) -> None:
     """Start best-stripe tasks while their recommendation clears the bar."""
     sim, tracer, pending = master.sim, master.tracer, master.pending
-    faulted = master.driver.active
+    faulted = master.faulted
     idle_since: float | None = None
     while pending:
         if (
@@ -295,7 +310,7 @@ def _start_recommended(
                 best_value, best_plan, best_stripe = value, plan, stripe
         for index, stripe, reason in reversed(unrepairable):
             pending.pop(index)
-            master.driver.abort_stripe(stripe, reason)
+            master.abort_stripe(stripe, reason)
         if best_plan is None:
             return
         master.registry.counter("scheduler_rounds").inc()
@@ -303,7 +318,7 @@ def _start_recommended(
         if tracer.enabled:
             tracer.instant(
                 "scheduler.round", t=sim.now, track="scheduler",
-                parent_id=master.book.parent(best_stripe.stripe_id),
+                parent_id=master.spans.get(best_stripe.stripe_id),
                 candidates=len(pending), running=len(master.in_flight),
                 best_value=best_value, best_stripe=best_stripe.stripe_id,
                 started=best_value >= scheduler.threshold,
@@ -318,14 +333,14 @@ def _start_recommended(
             if idle_since is None:
                 idle_since = sim.now
             if sim.now - idle_since < scheduler.max_idle_wait:
-                master.driver.advance(sim.now + scheduler.check_interval)
+                master.advance(sim.now + scheduler.check_interval)
                 continue
         idle_since = None
         planning_span = master.charge_planning(best_stripe, best_plan)
         if tracer.enabled:
             tracer.instant(
                 "scheduler.start", t=sim.now, track="scheduler",
-                parent_id=master.book.parent(best_stripe.stripe_id),
+                parent_id=master.spans.get(best_stripe.stripe_id),
                 stripe=best_stripe.stripe_id,
                 requestor=best_plan.requestor, value=best_value,
             )

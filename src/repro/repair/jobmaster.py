@@ -1,16 +1,20 @@
-"""The full-node repair master (Section IV-E): one failed node, stepped.
+"""The repair master (Section IV-E): one failed node, stepped.
 
-:class:`StripeRepairMaster` is the only implementation of full-node
-repair.  It owns one failed node's pending / in-flight / results state
-and exposes the repair as discrete steps — plan a stripe against the
-residual bandwidth snapshot, charge the serial planning time on the
-clock, submit, collect, checkpoint and re-plan on faults — but never
-runs an event loop of its own.  Two drivers sequence those steps:
+:class:`StripeRepairMaster` is the only implementation of a repair
+under way, and the only **attempt state machine**.  It owns one failed
+node's pending / in-flight / results state and exposes the repair as
+discrete steps — plan a stripe against the residual bandwidth snapshot,
+charge the serial planning time on the clock, submit, collect; detect a
+flight that stopped, checkpoint, cancel, charge the retry budget, back
+off, re-plan, hedge a straggler — but never runs an event loop of its
+own.  Three drivers sequence those steps:
 
 * the single-job loop in :mod:`repro.repair.fullnode`
   (``repair_full_node`` / ``repair_full_node_adaptive``) builds a fresh
   simulator and one master, and differs only in *which* pending stripe
   it starts next (FIFO window vs. Eq. 3 recommendation values);
+* :func:`repro.repair.executor.repair_single_chunk_faulted` runs the
+  same loop over a master of one chunk whose requestor is given;
 * the fleet control plane (:mod:`repro.controlplane`) runs several
   masters over **one** shared simulator, advancing the clock itself and
   routing each completed task back to the master that owns it.
@@ -28,7 +32,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.core.plan import RepairPlan, RepairPlanner
@@ -45,13 +49,18 @@ from repro.obs.tracer import NULL_TRACER
 from repro.repair.metrics import FullNodeResult, RepairFailed, RepairResult
 from repro.repair.pipeline import (
     ExecutionConfig,
+    pipeline_overhead_seconds,
     remaining_bytes_per_edge,
+    trace_fill,
     verified_watermark,
 )
+from repro.resilience.health import HealthMonitor, HealthPolicy
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
+    "ChunkRepairMaster",
+    "LostChunk",
     "StripeRepairMaster",
     "choose_requestor",
     "residual_snapshot",
@@ -196,317 +205,36 @@ class _InFlight:
     #: accounting must use the config the bytes were actually cut with,
     #: not the master-wide default.
     config: ExecutionConfig
+    #: The flow's trace span (the simulator forgets it at completion).
+    span: int | None = None
+    #: On a hedge, the primary it races; on a primary, its live hedge.
+    primary: _InFlight | None = None
+    hedge: _InFlight | None = None
+    #: Gray-failure watcher of a primary (masters with a ``HealthPolicy``).
+    monitor: HealthMonitor | None = None
+    #: When the flight's rate was first seen at zero (the stall watch).
+    stalled_since: float | None = None
 
 
-class _SpanBook:
-    """Per-stripe ``repair.task`` spans — the causal roots of a run.
+@dataclass
+class _Ledger:
+    """One stripe's attempt history: what its retry budget and backoff,
+    its resume point and its result's provenance are computed from."""
 
-    One span per stripe opens on track ``repair:<stripe_id>`` the moment
-    the master accepts the work, so time spent waiting in the
-    concurrency window or the Eq. 3 recommendation queue is *inside* the
-    span; it closes when the stripe's chunk is rebuilt (at the flow's
-    exact finish time) or abandoned.  Planning windows, flows, re-plans
-    and slice-watermark resumes all hang off it via ``parent_id`` /
-    ``links``, which is what :mod:`repro.obs.critpath` walks to
-    reconstruct each repair's critical path.
-    """
-
-    def __init__(self, tracer, stripes: Sequence[Stripe], t: float,
-                 scheme: str, job: str | None = None):
-        self.tracer = tracer
-        self.enabled = tracer.enabled
-        #: Fleet-run job id; single-master runs leave it None.  Stamped
-        #: on every ``repair.task`` span (the critical-path analyzer uses
-        #: it to blame contention on a *rival repair job*, not just a
-        #: tenant) and folded into the track name so two jobs repairing
-        #: stripes with colliding ids never share a track.
-        self.job = job
-        self.spans: dict[int, int] = {}
-        #: stripe_id -> span of the stripe's most recent flow (a re-plan
-        #: or resume links its new flow to the one it replaces).
-        self.last_flow: dict[int, int] = {}
-        if self.enabled:
-            for stripe in stripes:
-                self.spans[stripe.stripe_id] = tracer.begin(
-                    "repair.task", t=t, track=self.track(stripe.stripe_id),
-                    stripe=stripe.stripe_id, scheme=scheme,
-                    **({"job": job} if job is not None else {}),
-                )
-
-    def track(self, stripe_id: int) -> str:
-        if self.job is not None:
-            return f"repair:{self.job}/{stripe_id}"
-        return f"repair:{stripe_id}"
-
-    def parent(self, stripe_id: int) -> int | None:
-        return self.spans.get(stripe_id)
-
-    def begin_planning(self, stripe_id: int, t: float) -> int | None:
-        """Open the span covering a stripe's serial-planning clock charge."""
-        if not self.enabled:
-            return None
-        return self.tracer.begin(
-            "repair.planning", t=t, track=self.track(stripe_id),
-            parent_id=self.spans.get(stripe_id), stripe=stripe_id,
-        )
-
-    def end_planning(self, span: int | None, stripe_id: int,
-                     t: float) -> None:
-        if span is not None:
-            self.tracer.end(
-                "repair.planning", t=t, span_id=span,
-                track=self.track(stripe_id),
-            )
-
-    def note_flow(self, stripe_id: int, flow_span: int | None) -> None:
-        if self.enabled and flow_span is not None:
-            self.last_flow[stripe_id] = flow_span
-
-    def flow_links(
-        self, stripe_id: int, planning_span: int | None
-    ) -> tuple[int, ...]:
-        links = []
-        previous = self.last_flow.get(stripe_id)
-        if previous is not None:
-            links.append(previous)
-        if planning_span is not None:
-            links.append(planning_span)
-        return tuple(links)
-
-    def end_task(self, stripe_id: int, t: float, **fields) -> None:
-        span = self.spans.pop(stripe_id, None)
-        if span is not None:
-            self.tracer.end(
-                "repair.task", t=t, span_id=span,
-                track=self.track(stripe_id), **fields,
-            )
-
-
-class _FaultDriver:
-    """The master's fault handling.
-
-    Watches the fault plan as simulated time advances: announces events,
-    cancels in-flight repairs whose tree lost a node (after the policy's
-    detection timeout), requeues their stripes for re-planning, and
-    records stripes that became unrepairable as clean
-    :class:`RepairFailed` entries.  With an empty plan every method is a
-    cheap no-op, so the fault-free paths behave exactly as before.
-
-    The driver also keeps slice-level progress watermarks: before a
-    doomed flight is cancelled, its verified slice count (pipeline depth
-    subtracted — slices still in flight are not trusted) is recorded,
-    journaled when a ``journal`` is attached, and offered back through
-    :meth:`resume_slice` so the re-planned task transfers only the
-    remaining slice range.
-    """
-
-    def __init__(
-        self,
-        faults: FaultPlan | None,
-        policy: RetryPolicy | None,
-        sim: FluidSimulator,
-        scheme: str,
-        tracer,
-        registry: MetricsRegistry,
-        book: _SpanBook,
-        journal=None,
-    ):
-        self.faults = faults if faults is not None else FaultPlan.none()
-        self.policy = policy or RetryPolicy()
-        self.sim = sim
-        self.scheme = scheme
-        self.tracer = tracer
-        self.registry = registry
-        #: Parents fault instants to their stripe's repair span and
-        #: closes spans of aborted stripes.
-        self.book = book
-        self.journal = journal
-        self.active = bool(self.faults)
-        #: Clock-advance hook, returning the repair handles that finished
-        #: on the way.  Drivers with foreground traffic swap in the
-        #: engine's drive so arrivals land inside detection and planning
-        #: windows; the control plane swaps in its routed advance.
-        self.advance = sim.advance_to
-        self.injector = FaultInjector(self.faults, tracer, registry)
-        self.requeued_ids: set[int] = set()
-        #: Cumulative fault-requeue events, the degradation escalation
-        #: signal (monotone, unlike ``requeued_ids`` which drains).
-        self.requeue_events = 0
-        self.failures: list[RepairFailed] = []
-        self.start_time = sim.now
-        #: stripe_id -> (verified slice watermark, requestor that holds it).
-        self.watermarks: dict[int, tuple[int, int]] = {}
-
-    def tick(
-        self,
-        in_flight: dict[int, _InFlight],
-        pending: list[Stripe],
-        collect,
-    ) -> None:
-        """Cancel flights doomed by faults at the current time; requeue."""
-        if not self.active:
-            return
-        self.injector.announce_until(self.sim.now)
-        unusable = self.faults.dead_nodes(self.sim.now)
-        unusable |= self.faults.unreadable_nodes(self.sim.now)
-        if not unusable:
-            return
-        doomed = [
-            task_id
-            for task_id, flight in in_flight.items()
-            if flight.tree_nodes & unusable
-        ]
-        if not doomed:
-            return
-        # Detection latency: healthy flights keep transferring while the
-        # Master notices the failure.
-        done = self.advance(self.sim.now + self.policy.detection_timeout)
-        collect(done)
-        self.injector.announce_until(self.sim.now)
-        unreadable = self.faults.unreadable_nodes(self.sim.now)
-        for task_id in doomed:
-            flight = in_flight.pop(task_id, None)
-            if flight is None:  # finished inside the detection window
-                continue
-            lost = sorted(flight.tree_nodes & unusable)
-            self.record_watermark(flight, lost, unreadable)
-            self.sim.cancel_task(flight.handle)
-            self.registry.counter("flows_cancelled").inc()
-            self.registry.counter("fault_detections").inc()
-            stripe_id = flight.stripe.stripe_id
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "repair.detect", t=self.sim.now, track="executor",
-                    parent_id=self.book.parent(stripe_id),
-                    stripe=stripe_id, nodes=lost, kind="crash",
-                )
-            pending.append(flight.stripe)
-            self.requeued_ids.add(stripe_id)
-            self.requeue_events += 1
-
-    def record_watermark(
-        self,
-        flight: _InFlight,
-        lost: list[int],
-        unreadable: frozenset[int] | set[int],
-    ) -> None:
-        """Checkpoint the doomed flight's verified slice progress.
-
-        Slices still inside the pipeline (one per tree level) have not
-        reached the requestor, so they are subtracted; a flight doomed
-        purely by corrupted reads (``readerr``) contributes nothing —
-        its delivered bytes cannot be trusted.
-        """
-        if lost and all(node in unreadable for node in lost):
-            return
-        watermark = verified_watermark(
-            flight.config, flight.plan.tree.depth(), flight.start_slice,
-            self.sim.task_progress(flight.handle),
-        )
-        if watermark <= 0:
-            return
-        stripe_id = flight.stripe.stripe_id
-        self.watermarks[stripe_id] = (watermark, flight.plan.requestor)
-        if self.journal is not None:
-            self.journal.append(
-                "progress", t=self.sim.now, stripe=stripe_id,
-                watermark=watermark, requestor=flight.plan.requestor,
-            )
-
-    def preferred_requestor(
-        self, stripe: Stripe, dead: frozenset[int]
-    ) -> int | None:
-        """Requestor holding this stripe's verified slices, if it lives."""
-        recorded = self.watermarks.get(stripe.stripe_id)
-        if recorded is None:
-            return None
-        _, requestor = recorded
-        if requestor in dead:
-            return None
-        return requestor
-
-    def resume_slice(self, stripe: Stripe, plan: RepairPlan) -> int:
-        """First slice the re-planned task must fetch (0 = from scratch).
-
-        The watermark is only honoured when the re-plan lands on the same
-        requestor — verified slices live on the requestor's disk, and a
-        different requestor holds none of them.
-        """
-        recorded = self.watermarks.get(stripe.stripe_id)
-        if recorded is None:
-            return 0
-        watermark, requestor = recorded
-        if plan.requestor != requestor:
-            return 0
-        return watermark
-
-    def note_started(self, stripe: Stripe, plan: RepairPlan) -> None:
-        """Count a re-plan when a previously killed stripe restarts."""
-        if stripe.stripe_id not in self.requeued_ids:
-            return
-        self.requeued_ids.discard(stripe.stripe_id)
-        self.registry.counter("replans").inc()
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "repair.replan", t=self.sim.now, track="executor",
-                parent_id=self.book.parent(stripe.stripe_id),
-                stripe=stripe.stripe_id, requestor=plan.requestor,
-                helpers=sorted(plan.helpers), bmin=plan.bmin,
-            )
-
-    def abort_stripe(self, stripe: Stripe, reason: str) -> None:
-        """Record a stripe that can no longer be repaired."""
-        self.requeued_ids.discard(stripe.stripe_id)
-        self.registry.counter("repairs_failed").inc()
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "repair.failed", t=self.sim.now, track="executor",
-                parent_id=self.book.parent(stripe.stripe_id),
-                stripe=stripe.stripe_id, reason=reason,
-            )
-            self.book.end_task(stripe.stripe_id, t=self.sim.now, failed=True)
-        logger.warning(
-            "stripe %d unrepairable: %s", stripe.stripe_id, reason
-        )
-        self.failures.append(
-            RepairFailed(
-                scheme=self.scheme,
-                reason=reason,
-                elapsed_seconds=self.sim.now - self.start_time,
-                stripe_id=stripe.stripe_id,
-            )
-        )
-
-    def run_bound(self, in_flight: dict[int, _InFlight]) -> float:
-        """Latest time the simulator may free-run to before a fault check."""
-        if not self.active:
-            return math.inf
-        return min(
-            (
-                self.faults.next_failure_affecting(
-                    flight.tree_nodes, self.sim.now
-                )
-                for flight in in_flight.values()
-            ),
-            default=math.inf,
-        )
-
-
-class _JobJournal:
-    """Journal adapter stamping every record with its repair job id.
-
-    Several masters share one :class:`~repro.resilience.RepairJournal`
-    during a storm; the ``job`` field disambiguates records whose stripe
-    ids would otherwise collide across jobs, and lets the determinism
-    tests diff per-job record streams.
-    """
-
-    def __init__(self, journal, job: str):
-        self._journal = journal
-        self._job = job
-
-    def append(self, kind: str, t: float = 0.0, **data):
-        return self._journal.append(kind, t=t, job=self._job, **data)
+    #: Attempts that failed (a pause or shed is not one).
+    failed: int = 0
+    #: A failed attempt's re-plan has not started yet.
+    replan_due: bool = False
+    #: Verified slice watermark and the requestor whose disk holds it.
+    watermark: int = 0
+    holder: int | None = None
+    #: ``(plan, start_slice)`` per verified slice range, delivery order.
+    segments: list = field(default_factory=list)
+    hedges: int = 0
+    planning_seconds: float = 0.0
+    #: Span of the stripe's most recent flow (a re-plan or resume links
+    #: its new flow to the one it replaces).
+    last_flow: int | None = None
 
 
 class StripeRepairMaster:
@@ -515,19 +243,38 @@ class StripeRepairMaster:
     The master owns the pending / in-flight / results state and exposes
     the repair as discrete operations a driver sequences::
 
-        tick()                  fault detection + doomed-flight requeue
+        tick()                  failed flights, stragglers, ended backoffs
         plan(stripe)            plan one stripe on the residual snapshot
         candidate()             plan the head pending stripe (or None)
         charge_planning(...)    advance the clock by the planner's cost
         submit(stripe, plan)    launch the planned stripe on the simulator
+        run_bound()             how far the clock may run before a tick
         collect(handles)        absorb completions handed back by the driver
         pause() / watermark     checkpoint + cancel every in-flight task
         degrade_to(level)       shrink helper sets / coarsen slices
 
     ``job_id`` names the repair in a fleet run: it is stamped on the
     master's spans, journal records and plan notes, and folded into its
-    track names.  A single-job driver passes ``None`` and gets none of
-    that.  ``scheme`` is the name results and spans report.
+    track names and backoff keys.  A single-job driver passes ``None``
+    and gets none of that.  ``scheme`` is the name results and spans
+    report.
+
+    ``faults`` / ``retry_policy`` arm the attempt machine.  ``tick``
+    fails a flight whose tree lost a node (after the policy's detection
+    timeout) or whose rate sat at zero for that long; its verified
+    slice count (pipeline depth subtracted — slices still in flight are
+    not trusted) goes into the stripe's ledger, and the journal when one
+    is attached, and comes back through :meth:`resume_slice` so the
+    re-plan transfers only the remaining slice range.  Each failure
+    costs the stripe one of its ``max_retries`` and holds it back for
+    ``policy.backoff`` while the other stripes proceed; a stripe whose
+    budget is spent, or with fewer than ``k`` helpers left, comes back
+    as a clean :class:`RepairFailed`.  ``health`` (a
+    :class:`~repro.resilience.HealthPolicy`) adds the gray-failure
+    detector: a flight observed below its planned rate gets a *hedge* —
+    a second flight of the same stripe, under the ``hedge`` traffic
+    class — and whichever finishes first wins.  With an empty plan and
+    no policy every hook is a no-op behind ``faulted`` / ``health``.
 
     ``degrade_to`` implements graceful degradation: level 1 trims the
     helper candidate set to exactly ``k`` (fewer helpers, smaller trees,
@@ -556,6 +303,7 @@ class StripeRepairMaster:
         faults: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
         journal=None,
+        health: HealthPolicy | None = None,
     ):
         self.job_id = job_id
         self.planner = planner
@@ -569,8 +317,6 @@ class StripeRepairMaster:
         self.config = config or ExecutionConfig()
         self.tracer = tracer
         self.registry = MetricsRegistry()
-        if journal is not None and job_id is not None:
-            journal = _JobJournal(journal, job_id)
         self.journal = journal
 
         self.pending: list[Stripe] = [
@@ -580,6 +326,7 @@ class StripeRepairMaster:
             raise ClusterError(f"node {failed_node} stores no chunk to repair")
         self.in_flight: dict[int, _InFlight] = {}
         self.results: list[RepairResult] = []
+        self.failures: list[RepairFailed] = []
         self.start_time = sim.now
         self.level = 0
         #: Stripes planned so far (``plan`` calls), a plain int for the
@@ -596,24 +343,136 @@ class StripeRepairMaster:
         #: the chunk is rebuilt.
         self.on_chunk_repaired = None
 
-        self.book = _SpanBook(
-            tracer, self.pending, sim.now, scheme, job=job_id,
+        self.faults = faults if faults is not None else FaultPlan.none()
+        self.policy = retry_policy or RetryPolicy()
+        self.health = health
+        self.faulted = bool(self.faults)
+        #: Clock-advance hook, returning the repair handles that finished
+        #: on the way.  Drivers with foreground traffic swap in the
+        #: engine's drive so arrivals land inside detection, backoff and
+        #: planning windows; the control plane swaps in its routed advance.
+        self.advance = sim.advance_to
+        self.injector = FaultInjector(self.faults, tracer, self.registry)
+        #: Cumulative failed attempts, the degradation escalation signal.
+        self.requeue_events = 0
+        self.ledgers = {s.stripe_id: _Ledger() for s in self.pending}
+        #: (due time, stripe) of stripes waiting out a retry backoff:
+        #: not pending, so no driver can plan them before they are due.
+        self.backing_off: list[tuple[float, Stripe]] = []
+
+        #: stripe_id -> its ``repair.task`` span, the causal root of the
+        #: stripe's repair.  It opens on track ``repair:<stripe_id>`` the
+        #: moment the master accepts the work, so time spent waiting in
+        #: the concurrency window or the Eq. 3 queue is *inside* it, and
+        #: closes when the chunk is rebuilt or abandoned.  Planning
+        #: windows, flows, re-plans, backoffs and resumes hang off it via
+        #: ``parent_id`` / ``links``, which is what
+        #: :mod:`repro.obs.critpath` walks.
+        self.spans: dict[int, int] = {}
+        for stripe in self.pending:
+            self.begin_span(
+                "repair.task", stripe.stripe_id, sim.now,
+                **self.task_fields(stripe),
+            )
+
+    # ------------------------------------------------------------------
+    # How a stripe is named in spans, events, flows and journal records
+    # (the single-chunk driver's master names its one chunk differently)
+    # ------------------------------------------------------------------
+    def task_fields(self, stripe: Stripe) -> dict:
+        """Fields of the stripe's ``repair.task`` span."""
+        return {"stripe": stripe.stripe_id, "scheme": self.scheme}
+
+    def ident(self, stripe: Stripe) -> dict:
+        """What says *which* repair an event or record belongs to."""
+        return {"stripe": stripe.stripe_id}
+
+    def flow_name(self, stripe: Stripe, plan: RepairPlan, attempt: int,
+                  start_slice: int) -> tuple[str, dict]:
+        """Label and trace fields of a primary flight."""
+        return f"{plan.scheme}-r{plan.requestor}", {
+            "stripe": stripe.stripe_id, "bmin": plan.bmin,
+            "start_slice": start_slice,
+        }
+
+    def track(self, stripe_id: int) -> str:
+        """The stripe's trace track.  A fleet job's id is folded in (two
+        jobs repair stripes with colliding ids) and stamped on its
+        ``repair.task`` spans, so the critical-path analyzer can blame
+        contention on a *rival repair job*, not just a tenant."""
+        if self.job_id is not None:
+            return f"repair:{self.job_id}/{stripe_id}"
+        return f"repair:{stripe_id}"
+
+    def begin_span(self, name: str, stripe_id: int, t: float,
+                   **fields) -> int | None:
+        """Open the stripe's root span, or a child span on its track."""
+        if not self.tracer.enabled:
+            return None
+        if name != "repair.task":
+            fields["parent_id"] = self.spans.get(stripe_id)
+        elif self.job_id is not None:
+            fields["job"] = self.job_id
+        span = self.tracer.begin(
+            name, t=t, track=self.track(stripe_id), **fields
         )
-        self.driver = _FaultDriver(
-            faults, retry_policy, sim, scheme, tracer, self.registry,
-            self.book, journal=self.journal,
+        if name == "repair.task":
+            self.spans[stripe_id] = span
+        return span
+
+    def end_span(self, name: str, span: int | None, stripe_id: int,
+                 t: float, **fields) -> None:
+        if span is not None:
+            self.tracer.end(
+                name, t=t, span_id=span, track=self.track(stripe_id),
+                **fields,
+            )
+
+    def end_task(self, stripe_id: int, t: float, **fields) -> None:
+        self.end_span(
+            "repair.task", self.spans.pop(stripe_id, None), stripe_id, t,
+            **fields,
         )
+
+    def note(self, name: str, stripe: Stripe, track: str = "executor",
+             **fields) -> None:
+        """A trace instant under the stripe's repair span."""
+        if self.tracer.enabled:
+            self.tracer.instant(
+                name, t=self.sim.now, track=track,
+                parent_id=self.spans.get(stripe.stripe_id),
+                **fields, **self.ident(stripe),
+            )
+
+    def record(self, kind: str, stripe: Stripe | None = None,
+               **data) -> None:
+        """A journal record, about ``stripe`` if one is given.
+
+        Several masters share one journal during a storm; the ``job``
+        field tells their records (and colliding stripe ids) apart.
+        """
+        if self.journal is not None:
+            if stripe is not None:
+                data.update(self.ident(stripe))
+            if self.job_id is not None:
+                data["job"] = self.job_id
+            self.journal.append(kind, t=self.sim.now, **data)
+
+    def announce(self, kind: str, journaled: dict, **fields) -> None:
+        """A job-level transition: ``plane.<kind>`` instant + record."""
+        if self.tracer.enabled:
+            self.tracer.instant(
+                f"plane.{kind}", t=self.sim.now, track="plane",
+                job=self.job_id, **journaled, **fields,
+            )
+        self.record(kind, **journaled)
 
     # ------------------------------------------------------------------
     # Stepping (called by the driver)
     # ------------------------------------------------------------------
     @property
     def done(self) -> bool:
-        return not self.pending and not self.in_flight
-
-    @property
-    def failures(self):
-        return self.driver.failures
+        return not (self.pending or self.in_flight or self.backing_off)
 
     def running_tasks(self):
         """The master's live tasks, for Eq. 3 scoring."""
@@ -622,40 +481,38 @@ class StripeRepairMaster:
     def collect(self, handles: Iterable[TaskHandle]) -> None:
         """Absorb completed task handles the driver hands back."""
         for handle in handles:
-            flight = self.in_flight.pop(handle.task_id)
+            flight = self.in_flight.pop(handle.task_id, None)
+            if flight is None:
+                # A failing flight that "completed" inside its detection
+                # window, or the loser of a race already settled.
+                continue
             stripe, plan = flight.stripe, flight.plan
-            # Close at the flow's exact finish time (collection can lag
-            # behind completion by a planning window): the span duration
-            # is the stripe's measured makespan the critical path must
-            # sum to.
-            self.book.end_task(
-                stripe.stripe_id, t=handle.finish_time,
-                transfer_seconds=handle.duration, requestor=plan.requestor,
+            ledger = self.ledgers[stripe.stripe_id]
+            if flight.primary is not None:
+                self._adopt(flight, ledger)
+            else:
+                self.drop_hedge(flight, "primary_won")
+            if self.faulted:
+                self.injector.announce_until(self.sim.now)
+            ledger.segments.append((plan, flight.start_slice))
+            self.close_task(flight, ledger)
+            self.results.append(RepairResult(
+                scheme=plan.scheme,
+                planning_seconds=ledger.planning_seconds,
+                transfer_seconds=handle.duration, bmin=plan.bmin, plan=plan,
+                # A resumed flight only carries the slices past its
+                # watermark, so charge what it actually moved, not the
+                # full chunk.
+                bytes_transferred=(
+                    flight.bytes_per_edge * len(plan.tree.edges())
+                ),
+                attempts=ledger.failed + 1, segments=ledger.segments,
+                hedges=ledger.hedges,
+            ))
+            self.record(
+                "task_done", stripe, scheme=plan.scheme,
+                start_slice=flight.start_slice,
             )
-            self.results.append(
-                RepairResult(
-                    scheme=plan.scheme,
-                    planning_seconds=plan.effective_planning_seconds,
-                    transfer_seconds=handle.duration,
-                    bmin=plan.bmin,
-                    plan=plan,
-                    # A resumed flight only carries the slices past its
-                    # watermark, so charge what it actually moved, not
-                    # the full chunk.
-                    bytes_transferred=(
-                        flight.bytes_per_edge * len(plan.tree.edges())
-                    ),
-                )
-            )
-            self.registry.histogram("task_seconds").observe(handle.duration)
-            self.registry.histogram("planner_seconds").observe(
-                plan.effective_planning_seconds
-            )
-            if self.journal is not None:
-                self.journal.append(
-                    "task_done", t=self.sim.now, stripe=stripe.stripe_id,
-                    scheme=plan.scheme, start_slice=flight.start_slice,
-                )
             if self.on_chunk_repaired is not None:
                 chunk_index = stripe.chunk_on_node(self.failed_node)
                 if chunk_index is not None:
@@ -663,24 +520,244 @@ class StripeRepairMaster:
                         stripe, chunk_index, plan.requestor
                     )
 
-    def tick(self) -> None:
-        """Fault detection: cancel doomed flights, requeue their stripes."""
-        self.driver.tick(self.in_flight, self.pending, self.collect)
+    def close_task(self, flight: _InFlight, ledger: _Ledger) -> None:
+        """End the stripe's ``repair.task`` span at the flow's exact
+        finish time (collection can lag behind completion by a planning
+        window): its duration is the makespan the critical path sums to.
+        """
+        handle = flight.handle
+        self.end_task(
+            flight.stripe.stripe_id, t=handle.finish_time,
+            transfer_seconds=handle.duration,
+            requestor=flight.plan.requestor,
+        )
 
     def degrade_to(self, level: int) -> bool:
         """Escalate (never relax) the degradation level; True if changed."""
         if level <= self.level:
             return False
         self.level = level
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "plane.degrade", t=self.sim.now, track="plane",
-                job=self.job_id, level=level,
-                requeues=self.driver.requeue_events,
-            )
-        if self.journal is not None:
-            self.journal.append("degrade", t=self.sim.now, level=level)
+        self.announce(
+            "degrade", {"level": level}, requeues=self.requeue_events
+        )
         return True
+
+    # ------------------------------------------------------------------
+    # The attempt machine: detection, budget, backoff, checkpoints
+    # ------------------------------------------------------------------
+    def tick(self) -> None:
+        """Fail flights that stopped, hedge stragglers, end backoffs."""
+        if not self.faulted and self.health is None:
+            return
+        faults = self.faults
+        now = self.sim.now
+        dead = faults.dead_nodes(now)
+        unreadable = faults.unreadable_nodes(now) - dead
+        stalled, doomed = [], []
+        for flight in list(self.in_flight.values()):
+            if flight.primary is not None:
+                continue
+            # A read error matters on a helper only: the requestor
+            # reads no chunk.
+            gone = sorted(flight.tree_nodes & dead)
+            lost = gone + sorted(
+                flight.tree_nodes & unreadable - {flight.plan.requestor}
+            )
+            if lost:
+                # Out of the collection path now: a read error leaves
+                # link capacity intact, so the flow may "complete"
+                # (delivering garbage) inside the detection window.
+                self.drop_hedge(flight, "primary_fault")
+                del self.in_flight[flight.handle.task_id]
+                doomed.append(
+                    (flight, "crash" if gone else "readerr", lost)
+                )
+                continue
+            hedge = flight.hedge
+            if hedge is not None and hedge.tree_nodes & (
+                dead | unreadable - {hedge.plan.requestor}
+            ):
+                # The primary keeps racing alone.
+                self.drop_hedge(flight, "fault")
+            if self.faulted and now >= self.stall_deadline(flight):
+                self.drop_hedge(flight, "stall")
+                del self.in_flight[flight.handle.task_id]
+                stalled.append((flight, "stall", sorted(
+                    flight.tree_nodes & faults.stalled_nodes(now)
+                )))
+            elif flight.hedge is None and flight.monitor is not None:
+                verdict = flight.monitor.observe(self.network)
+                if verdict is not None:
+                    self.launch_hedge(flight, verdict)
+        if stalled or doomed or not self.in_flight:
+            self.injector.announce_until(now)
+        if doomed:
+            # Detection latency: healthy flights keep transferring while
+            # the Master notices the failure (a stall already waited).
+            self.collect(self.advance(now + self.policy.detection_timeout))
+        for flight, kind, nodes in stalled + doomed:
+            self.fail(flight, kind, nodes)
+        now = self.sim.now
+        due = [stripe for t, stripe in self.backing_off if t <= now]
+        if due:
+            self.backing_off = [
+                entry for entry in self.backing_off if entry[0] > now
+            ]
+            self.pending.extend(due)
+
+    def stall_deadline(self, flight: _InFlight) -> float:
+        """When a flight at zero rate is declared stalled (inf: moving)."""
+        rate = self.sim.current_rate(flight.handle)
+        if flight.hedge is not None:
+            rate += self.sim.current_rate(flight.hedge.handle)
+        if rate > 1e-12:
+            flight.stalled_since = None
+            return math.inf
+        if flight.stalled_since is None:
+            flight.stalled_since = self.sim.now
+        return flight.stalled_since + self.policy.detection_timeout
+
+    def fail(self, flight: _InFlight, kind: str, nodes: list[int]) -> None:
+        """One failed attempt: checkpoint, cancel, budget, backoff."""
+        sim, stripe = self.sim, flight.stripe
+        ledger = self.ledgers[stripe.stripe_id]
+        ledger.failed += 1
+        self.requeue_events += 1
+        self.registry.counter("fault_detections").inc()
+        self.note(
+            "repair.detect", stripe, kind=kind, nodes=nodes,
+            attempt=ledger.failed,
+        )
+        # A read error leaves link capacity intact, so the flow may have
+        # "completed" inside the detection window — nothing is left to
+        # cancel then — and what it delivered is garbage either way: it
+        # advances no watermark.
+        live = not flight.handle.done
+        if live and kind != "readerr":
+            self.checkpoint(flight)
+        self.record(
+            "attempt_failed", stripe, attempt=ledger.failed, failure=kind,
+            watermark=ledger.watermark,
+            bytes_transferred=sim.total_bytes_transferred,
+        )
+        if live:
+            sim.cancel_task(flight.handle)
+            self.registry.counter("flows_cancelled").inc()
+        if ledger.failed > self.policy.max_retries:
+            self.abort_stripe(
+                stripe,
+                f"retry budget exhausted after {ledger.failed} attempts "
+                f"(last failure: {kind})",
+            )
+            return
+        # Keyed, so stripes (and jobs) failing at one instant come back
+        # at different ones under ``jitter``.
+        stripe_id = stripe.stripe_id
+        backoff = self.policy.backoff(
+            ledger.failed - 1,
+            key=stripe_id if self.job_id is None
+            else f"{self.job_id}/{stripe_id}",
+        )
+        self.registry.counter("retries").inc()
+        self.note(
+            "repair.retry", stripe, attempt=ledger.failed, backoff=backoff
+        )
+        if backoff > 0:
+            # Explicit span so the wait shows up as stall time on the
+            # repair's critical path.
+            self.end_span("repair.backoff", self.begin_span(
+                "repair.backoff", stripe_id, sim.now,
+                attempt=ledger.failed, seconds=backoff,
+            ), stripe_id, sim.now + backoff)
+        ledger.replan_due = True
+        self.backing_off.append((sim.now + backoff, stripe))
+
+    def checkpoint(self, flight: _InFlight) -> None:
+        """Advance the stripe's watermark past what the flight delivered.
+
+        Slices still inside the pipeline (one per tree level) have not
+        reached the requestor, so they are subtracted.
+        """
+        verified = verified_watermark(
+            flight.config, flight.plan.tree.depth(), flight.start_slice,
+            self.sim.task_progress(flight.handle),
+        )
+        if verified <= flight.start_slice:
+            return
+        ledger = self.ledgers[flight.stripe.stripe_id]
+        ledger.segments.append((flight.plan, flight.start_slice))
+        ledger.watermark, ledger.holder = verified, flight.plan.requestor
+        self.record(
+            "progress", flight.stripe, watermark=verified,
+            requestor=flight.plan.requestor,
+        )
+
+    def usable(self, survivors: Sequence[int], k: int) -> list[int]:
+        """Helpers a plan made now may use: alive and readable, and not
+        frozen right now when enough of those remain — a plan through a
+        stalled node would only stall again."""
+        now = self.sim.now
+        unusable = self.faults.dead_nodes(now)
+        unusable |= self.faults.unreadable_nodes(now)
+        alive = [node for node in survivors if node not in unusable]
+        if len(alive) < k:
+            raise ClusterError(
+                f"only {len(alive)} of {len(survivors)} helpers survive, "
+                f"need k={k}"
+            )
+        stalled = self.faults.stalled_nodes(now)
+        moving = [node for node in alive if node not in stalled]
+        return moving if len(moving) >= k else alive
+
+    def abort_stripe(self, stripe: Stripe, reason: str) -> None:
+        """Record a stripe that can no longer be repaired."""
+        attempts = self.ledgers[stripe.stripe_id].failed
+        self.registry.counter("repairs_failed").inc()
+        self.note(
+            "repair.failed", stripe, scheme=self.scheme, reason=reason,
+            attempts=attempts,
+        )
+        self.end_task(
+            stripe.stripe_id, t=self.sim.now, failed=True, attempts=attempts
+        )
+        logger.warning(
+            "stripe %d unrepairable: %s", stripe.stripe_id, reason
+        )
+        self.failures.append(RepairFailed(
+            scheme=self.scheme, reason=reason,
+            elapsed_seconds=self.sim.now - self.start_time,
+            attempts=attempts, stripe_id=stripe.stripe_id,
+        ))
+
+    def run_bound(self) -> float:
+        """Latest time the clock may free-run to before the next tick.
+
+        The earliest of: a backoff ending, the fault plan changing any
+        capacity (a stall starts there), a failure on a flight's tree,
+        a stalled flight's deadline, a health check.
+        """
+        if not self.faulted and self.health is None:
+            return math.inf
+        now = self.sim.now
+        bound = min((t for t, _ in self.backing_off), default=math.inf)
+        if self.faulted and self.in_flight:
+            bound = min(bound, self.faults.next_change_after(now))
+        for flight in self.in_flight.values():
+            if flight.primary is not None:
+                continue
+            hedge = flight.hedge
+            if self.faulted:
+                watched = flight.tree_nodes
+                if hedge is not None:
+                    watched = watched | hedge.tree_nodes
+                bound = min(
+                    bound,
+                    self.faults.next_failure_affecting(watched, now),
+                    self.stall_deadline(flight),
+                )
+            if hedge is None and flight.monitor is not None:
+                bound = min(bound, flight.monitor.next_check)
+        return bound
 
     # ------------------------------------------------------------------
     # Planning and submission
@@ -688,38 +765,20 @@ class StripeRepairMaster:
     def plan(self, stripe: Stripe) -> RepairPlan:
         """Plan one stripe against residual bandwidth.
 
-        A stripe that carries a slice watermark keeps its requestor (the
-        verified slices live on that node's disk, so re-planning
-        elsewhere would forfeit them) unless that node has since died.
         Raises :class:`ClusterError` when fewer than ``k`` helpers
         survive.
         """
         self.plans += 1
         snapshot = self.view.snapshot()
-        dead = unusable = frozenset()
-        if self.driver.active:
-            dead = self.driver.faults.dead_nodes(self.sim.now)
-            unusable = dead | self.driver.faults.unreadable_nodes(
-                self.sim.now
-            )
         survivors = stripe.surviving_nodes(self.failed_node)
-        requestor = self.driver.preferred_requestor(stripe, dead)
-        if requestor is None:
-            requestor = choose_requestor(
-                snapshot, stripe, self.failed_node, len(self.network),
-                exclude=dead, survivors=survivors,
-            )
-        candidates = survivors
-        if unusable:
-            candidates = [
-                node for node in survivors if node not in unusable
-            ]
         k = stripe.code.k
-        if len(candidates) < k:
-            raise ClusterError(
-                f"stripe {stripe.stripe_id}: only {len(candidates)} "
-                f"helpers survive, need k={k}"
-            )
+        dead = frozenset()
+        if self.faulted:
+            dead = self.faults.dead_nodes(self.sim.now)
+        requestor = self.requestor_for(stripe, snapshot, dead, survivors)
+        candidates = survivors
+        if self.faulted:
+            candidates = self.usable(survivors, k)
         if self.level >= 1 and len(candidates) > k:
             # Graceful degradation, step 1: fewer helpers.  Keep the k
             # best uplinks so the shrunken tree still has the fattest
@@ -735,6 +794,31 @@ class StripeRepairMaster:
             plan.notes["job"] = self.job_id
         return plan
 
+    def requestor_for(self, stripe: Stripe, snapshot: BandwidthSnapshot,
+                      dead, survivors: Sequence[int]) -> int:
+        """Where the stripe's chunk is rebuilt.
+
+        A stripe that carries a slice watermark keeps its requestor (the
+        verified slices live on that node's disk, so re-planning
+        elsewhere would forfeit them) unless that node has since died.
+        """
+        holder = self.ledgers[stripe.stripe_id].holder
+        if holder is not None and holder not in dead:
+            return holder
+        return choose_requestor(
+            snapshot, stripe, self.failed_node, len(self.network),
+            exclude=dead, survivors=survivors,
+        )
+
+    def resume_slice(self, stripe: Stripe, plan: RepairPlan) -> int:
+        """First slice the stripe's next flight must fetch (0 = all).
+
+        The watermark is only honoured when the plan lands on the
+        requestor that holds the verified slices.
+        """
+        ledger = self.ledgers[stripe.stripe_id]
+        return ledger.watermark if plan.requestor == ledger.holder else 0
+
     def candidate(self) -> tuple[Stripe, RepairPlan] | None:
         """Plan the head pending stripe against residual bandwidth.
 
@@ -749,13 +833,13 @@ class StripeRepairMaster:
             try:
                 # Scoped so the planner.plan instant inherits the
                 # stripe's repair span as its causal parent.
-                with self.tracer.scope(self.book.parent(stripe.stripe_id)):
+                with self.tracer.scope(self.spans.get(stripe.stripe_id)):
                     plan = self.plan(stripe)
             except (ClusterError, PlanningError) as exc:
-                if not self.driver.active:
+                if not self.faulted:
                     raise
                 self.pending.pop(0)
-                self.driver.abort_stripe(stripe, str(exc))
+                self.abort_stripe(stripe, str(exc))
                 continue
             return stripe, plan
         return None
@@ -786,11 +870,14 @@ class StripeRepairMaster:
         and other tasks may complete in that window — they are collected
         before the stripe starts.
         """
-        span = self.book.begin_planning(stripe.stripe_id, self.sim.now)
-        done_meanwhile = self.driver.advance(
+        stripe_id = stripe.stripe_id
+        span = self.begin_span(
+            "repair.planning", stripe_id, self.sim.now, stripe=stripe_id
+        )
+        done_meanwhile = self.advance(
             self.sim.now + plan.effective_planning_seconds
         )
-        self.book.end_planning(span, stripe.stripe_id, self.sim.now)
+        self.end_span("repair.planning", span, stripe_id, self.sim.now)
         self.collect(done_meanwhile)
         return span
 
@@ -802,16 +889,25 @@ class StripeRepairMaster:
         planning_span: int | None = None,
     ) -> _InFlight:
         """Launch a planned pending stripe on the simulator."""
-        if not plan.is_pipelined:
-            raise ClusterError(
-                "full-node orchestration supports pipelined plans only"
-            )
         stripe_id = stripe.stripe_id
         self.pending.pop(
             next(i for i, s in enumerate(self.pending) if s is stripe)
         )
-        self.driver.note_started(stripe, plan)
-        start_slice = self.driver.resume_slice(stripe, plan)
+        ledger = self.ledgers[stripe_id]
+        attempt = ledger.failed + 1
+        if ledger.replan_due:
+            ledger.replan_due = False
+            self.registry.counter("replans").inc()
+            self.note(
+                "repair.replan", stripe, attempt=attempt, scheme=plan.scheme,
+                helpers=sorted(plan.helpers), bmin=plan.bmin,
+            )
+        start_slice = self.resume_slice(stripe, plan)
+        if start_slice == 0:
+            # From scratch (first flight, or the verified slices sit on
+            # a requestor that died): earlier ranges count for nothing.
+            ledger.segments = []
+        ledger.planning_seconds += plan.effective_planning_seconds
         config = self.config_for(stripe)
         self._stripe_config[stripe_id] = config
         cap = max_rate
@@ -824,29 +920,45 @@ class StripeRepairMaster:
             # sharing arbitrates as usual.
             if degraded_cap >= MIN_DEGRADED_RATE:
                 cap = degraded_cap if cap is None else min(cap, degraded_cap)
-        if self.journal is not None:
-            self.journal.append(
-                "task_start", t=self.sim.now, stripe=stripe_id,
-                requestor=plan.requestor, scheme=plan.scheme,
-                start_slice=start_slice,
+        self.record(
+            "task_start", stripe, requestor=plan.requestor,
+            scheme=plan.scheme, start_slice=start_slice,
+        )
+        label, meta = self.flow_name(stripe, plan, attempt, start_slice)
+        flight = self._launch(
+            stripe, plan, config, start_slice, label, meta, tuple(
+                span for span in (ledger.last_flow, planning_span)
+                if span is not None
+            ), max_rate=cap,
+        )
+        ledger.last_flow = flight.span
+        health = self.health
+        if health is not None and ledger.hedges < health.max_hedges:
+            # Culprits are named against the capacities of this instant.
+            flight.monitor = HealthMonitor(
+                health, self.sim, flight.handle, plan,
+                BandwidthSnapshot.from_network(self.network, self.sim.now),
+                flight.tree_nodes,
+            )
+        return flight
+
+    def _launch(self, stripe, plan, config, start_slice, label, meta, links,
+                max_rate=None, kind="repair") -> _InFlight:
+        """Put one flow of ``stripe`` on the simulator."""
+        if not plan.is_pipelined:
+            raise ClusterError(
+                "the repair master supports pipelined plans only"
             )
         tree = plan.tree
         bytes_per_edge = remaining_bytes_per_edge(
             config, tree.depth(), start_slice
         )
-        meta = None
-        if self.book.enabled:
-            meta = {
-                "stripe": stripe_id, "bmin": plan.bmin,
-                "start_slice": start_slice,
-            }
         handle = self.sim.submit_pipelined(
-            tree.edges(), bytes_per_edge,
-            label=f"{plan.scheme}-r{plan.requestor}", max_rate=cap,
-            parent_id=self.book.parent(stripe_id),
-            links=self.book.flow_links(stripe_id, planning_span), meta=meta,
+            tree.edges(), bytes_per_edge, label=label, kind=kind,
+            max_rate=max_rate,
+            parent_id=self.spans.get(stripe.stripe_id), links=links,
+            meta=meta if self.tracer.enabled else None,
         )
-        self.book.note_flow(stripe_id, self.sim.task_span(handle))
         expected = (
             bytes_per_edge / plan.bmin if plan.bmin > 0 else bytes_per_edge
         )
@@ -858,10 +970,116 @@ class StripeRepairMaster:
             stripe=stripe,
             tree_nodes=frozenset({tree.root, *tree.helpers}),
             bytes_per_edge=bytes_per_edge, start_slice=start_slice,
-            config=config,
+            config=config, span=self.sim.task_span(handle),
         )
         self.in_flight[handle.task_id] = flight
         return flight
+
+    # ------------------------------------------------------------------
+    # Hedging (masters built with a HealthPolicy)
+    # ------------------------------------------------------------------
+    def launch_hedge(self, primary: _InFlight, verdict) -> None:
+        """Race an alternate tree against a straggling primary: over the
+        non-culprit survivors, to the same requestor, for the slices the
+        primary has not verifiably delivered.  Nothing is launched when
+        the requestor itself is blamed or too few alternates remain."""
+        stripe = primary.stripe
+        task = primary.handle.task_id
+        culprits = sorted(verdict.nodes)
+        self.registry.counter("stragglers").inc()
+        self.note(
+            "health.straggler", stripe, track="health", task=task,
+            nodes=culprits, since=verdict.since, observed=verdict.observed,
+            promised=verdict.promised,
+        )
+        self.record(
+            "straggler", stripe, task=task, nodes=culprits,
+            since=verdict.since,
+        )
+        requestor = primary.plan.requestor
+        if requestor in culprits:
+            return
+        alternates = [
+            node for node in stripe.surviving_nodes(self.failed_node)
+            if node not in culprits
+        ]
+        k = stripe.code.k
+        try:
+            if self.faulted:
+                alternates = self.usable(alternates, k)
+            with self.tracer.scope(self.spans.get(stripe.stripe_id)):
+                plan = self.planner.plan(
+                    self.view.snapshot(), requestor, alternates, k
+                )
+        except (ClusterError, PlanningError):
+            return
+        plan.notes.update(primary.plan.notes, planned_at=self.sim.now)
+        start_slice = verified_watermark(
+            primary.config, primary.plan.tree.depth(), primary.start_slice,
+            self.sim.task_progress(primary.handle),
+        )
+        ledger = self.ledgers[stripe.stripe_id]
+        hedge = self._launch(
+            stripe, plan, primary.config, start_slice,
+            f"{plan.scheme}-h{ledger.failed + 1}",
+            {"bmin": plan.bmin, "start_slice": start_slice,
+             "hedge_of": task, **self.ident(stripe)},
+            # The hedge races the primary it follows from.
+            (primary.span,) if primary.span is not None else (),
+            kind="hedge",
+        )
+        hedge.primary, primary.hedge = primary, hedge
+        ledger.hedges += 1
+        self.registry.counter("hedges_launched").inc()
+        self._note_hedge("hedge.launch", hedge, start_slice=start_slice)
+
+    def _note_hedge(self, name: str, hedge: _InFlight, **fields) -> None:
+        """Counter, trace instant and journal record of a hedge event."""
+        kind = name.split(".")[1]
+        fields = {
+            "task": hedge.primary.handle.task_id,
+            "hedge_task": hedge.handle.task_id, **fields,
+        }
+        self.registry.counter("hedge_events", kind=kind).inc()
+        self.note(name, hedge.stripe, **fields)
+        self.record(f"hedge_{kind}", hedge.stripe, **fields)
+
+    def drop_hedge(self, primary: _InFlight, reason: str) -> None:
+        """Cancel the hedge racing ``primary`` (if one still runs)."""
+        hedge, primary.hedge = primary.hedge, None
+        if hedge is None:
+            return
+        self.in_flight.pop(hedge.handle.task_id, None)
+        if not hedge.handle.done:
+            remaining = self.sim.cancel_task(hedge.handle)
+            self.registry.counter("hedges_cancelled").inc()
+            self._note_hedge(
+                "hedge.cancel", hedge, reason=reason,
+                bytes_remaining=remaining,
+            )
+
+    def _adopt(self, hedge: _InFlight, ledger: _Ledger) -> None:
+        """The hedge finished first: it is the stripe's repair now."""
+        primary = hedge.primary
+        stripe_id = hedge.stripe.stripe_id
+        self.in_flight.pop(primary.handle.task_id, None)
+        if not primary.handle.done:
+            self.sim.cancel_task(primary.handle)
+            self.registry.counter("flows_cancelled").inc()
+        self.registry.counter("hedges_adopted").inc()
+        self._note_hedge("hedge.adopt", hedge, start_slice=hedge.start_slice)
+        parent = self.spans.get(stripe_id)
+        if hedge.span is not None and parent is not None:
+            # Late causal edge: the repair's completion now follows
+            # from the adopted hedge, not the primary.
+            self.tracer.link(
+                hedge.span, parent, t=self.sim.now, track="executor",
+                reason="hedge_adopt",
+            )
+        ledger.last_flow = hedge.span
+        if hedge.start_slice > primary.start_slice:
+            ledger.segments.append((primary.plan, primary.start_slice))
+        ledger.planning_seconds += hedge.plan.effective_planning_seconds
 
     # ------------------------------------------------------------------
     # Pause / resume (backpressure shedding)
@@ -869,45 +1087,34 @@ class StripeRepairMaster:
     def pause(self) -> float:
         """Checkpoint and cancel every in-flight task; requeue stripes.
 
-        Each flight's verified slice progress is recorded through the
-        fault driver's watermark path (journaled as ``progress``), so
-        the eventual resume re-plans from the checkpoint instead of
-        re-transferring delivered slices.  Returns the in-flight bytes
-        released back to the admission budget (remaining bytes summed
-        over each task's edges).
+        Each flight's verified slice progress is recorded in its
+        stripe's ledger (journaled as ``progress``), so the eventual
+        resume re-plans from the checkpoint instead of re-transferring
+        delivered slices.  A pause is not a failed attempt: it charges
+        no retry budget and moves no backoff.  Returns the in-flight
+        bytes released back to the admission budget (remaining bytes
+        summed over each task's edges).
         """
         released = 0.0
         resumed_stripes: list[Stripe] = []
+        for flight in list(self.in_flight.values()):
+            self.drop_hedge(flight, "pause")
         for task_id in sorted(self.in_flight):
             flight = self.in_flight.pop(task_id)
-            self.driver.record_watermark(flight, [], frozenset())
+            self.checkpoint(flight)
             remaining = self.sim.cancel_task(flight.handle)
             released += remaining * len(flight.plan.tree.edges())
             resumed_stripes.append(flight.stripe)
         # Paused stripes go back to the *front*, oldest first, so the
         # resume replays them before untouched work.
         self.pending[:0] = resumed_stripes
-        if self.journal is not None:
-            self.journal.append(
-                "pause", t=self.sim.now,
-                stripes=[s.stripe_id for s in resumed_stripes],
-            )
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "plane.pause", t=self.sim.now, track="plane",
-                job=self.job_id,
-                stripes=[s.stripe_id for s in resumed_stripes],
-            )
+        self.announce(
+            "pause", {"stripes": [s.stripe_id for s in resumed_stripes]}
+        )
         return released
 
     def note_resumed(self) -> None:
-        if self.journal is not None:
-            self.journal.append("resume", t=self.sim.now)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "plane.resume", t=self.sim.now, track="plane",
-                job=self.job_id, pending=len(self.pending),
-            )
+        self.announce("resume", {}, pending=len(self.pending))
 
     # ------------------------------------------------------------------
     # Result
@@ -919,5 +1126,68 @@ class StripeRepairMaster:
             total_seconds=self.sim.now - self.start_time,
             task_results=self.results,
             telemetry=telemetry,
-            failures=list(self.driver.failures),
+            failures=list(self.failures),
+        )
+
+
+@dataclass(frozen=True)
+class LostChunk:
+    """One lost chunk, requestor and helper candidates already chosen,
+    as the master reads a stripe.  ``stripe_id`` is the requestor, so
+    the track is ``repair:<requestor>``, as an unfaulted repair's is."""
+
+    stripe_id: int
+    candidates: tuple[int, ...]
+    k: int
+    code = property(lambda self: self)
+
+    def surviving_nodes(self, failed_node=None) -> list[int]:
+        return list(self.candidates)
+
+    def chunk_on_node(self, failed_node=None) -> int:
+        return 0
+
+
+class ChunkRepairMaster(StripeRepairMaster):
+    """The master of one :class:`LostChunk`, named the way a single-chunk
+    repair is: no stripe id on its events, ``-a<attempt>`` flow labels,
+    a ``repair.task`` span that ends after the pipeline fill."""
+
+    #: A journal or a health policy was given: a re-plan resumes from
+    #: the verified slice watermark instead of restarting the chunk.
+    resilient = False
+    transfer_seconds = 0.0
+
+    def task_fields(self, chunk):
+        return {"scheme": self.scheme, "requestor": chunk.stripe_id}
+
+    def ident(self, chunk):
+        return {}
+
+    def flow_name(self, chunk, plan, attempt, start_slice):
+        return f"{plan.scheme}-a{attempt}", {
+            "bmin": plan.bmin, "attempt": attempt, "start_slice": start_slice,
+        }
+
+    def requestor_for(self, chunk, snapshot, dead, survivors):
+        if chunk.stripe_id in dead:
+            raise ClusterError(f"requestor {chunk.stripe_id} crashed")
+        return chunk.stripe_id
+
+    def resume_slice(self, chunk, plan):
+        return super().resume_slice(chunk, plan) if self.resilient else 0
+
+    def close_task(self, flight, ledger):
+        sim, chunk_id = self.sim, flight.stripe.stripe_id
+        overhead = pipeline_overhead_seconds(self.config)
+        self.transfer_seconds = sim.now - self.start_time + overhead
+        trace_fill(
+            sim, self.config, finish=sim.now, flow_span=flight.span,
+            task_span=self.spans.get(chunk_id),
+            task_track=self.track(chunk_id),
+        )
+        self.end_task(
+            chunk_id, t=self.start_time + self.transfer_seconds,
+            transfer_seconds=self.transfer_seconds,
+            attempts=ledger.failed + 1, hedges=ledger.hedges,
         )

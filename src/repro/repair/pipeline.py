@@ -123,3 +123,32 @@ def ideal_transfer_seconds(
         pipeline_bytes_per_edge(config, depth) / bmin
         + pipeline_overhead_seconds(config)
     )
+
+
+def trace_fill(
+    sim,
+    config: ExecutionConfig,
+    finish: float,
+    task_span: int | None,
+    task_track: str,
+    flow_span: int | None,
+) -> None:
+    """Span for the analytic pipeline fill/overhead tail of a repair.
+
+    The fluid flow models the steady stream; the first-slice fill and
+    per-slice handling are charged after it as
+    :func:`pipeline_overhead_seconds`.  Making that tail an explicit
+    span (following from the flow) lets the critical path attribute it
+    as *pipeline dependency* time rather than an anonymous gap.
+    """
+    overhead = pipeline_overhead_seconds(config)
+    if task_span is None or not sim.tracer.enabled or overhead <= 0:
+        return
+    links = (flow_span,) if flow_span is not None else ()
+    span = sim.tracer.begin(
+        "repair.fill", t=finish, track=task_track, parent_id=task_span,
+        links=links, overhead=overhead,
+    )
+    sim.tracer.end(
+        "repair.fill", t=finish + overhead, span_id=span, track=task_track
+    )

@@ -25,6 +25,7 @@ reacts by launching a *hedged re-plan* over the non-culprit survivors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.bandwidth_view import BandwidthSnapshot
@@ -146,6 +147,9 @@ class HealthMonitor:
         if self._bad_checks < self.effective_grace:
             return None
         self._verdict_given = True
+        # No check is due ever again: a driver bounding its advances by
+        # ``next_check`` must not be held at a boundary already passed.
+        self.next_check = math.inf
         return StragglerVerdict(
             task_id=self.handle.task_id,
             nodes=tuple(self.culprits(network)),

@@ -16,11 +16,17 @@ from repro.core import PivotRepairPlanner
 from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.ec import RSCode
 from repro.faults import FaultPlan, RetryPolicy, run_chaos_single_chunk
+from repro.faults.runner import _expected_payload, rebuilt_payload
 from repro.network.topology import StarNetwork
 from repro.obs import Tracer
-from repro.repair import RepairFailed, repair_single_chunk_faulted
+from repro.repair import (
+    RepairFailed,
+    repair_full_node,
+    repair_single_chunk_faulted,
+)
 from repro.repair.fullnode import choose_requestor
 from repro.repair.pipeline import ExecutionConfig
+from repro.resilience import RepairJournal
 
 NODE_COUNT = 12
 CODE = RSCode(6, 4)
@@ -256,6 +262,53 @@ class TestChaosProperty:
             assert outcome.payload is None
             assert outcome.correct is None
             assert outcome.result.reason
+
+    @pytest.mark.slow
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_random_fault_plans_never_corrupt_a_full_node_repair(self, seed):
+        """The same contract through the other driver of the machine:
+        three stripes at once, each task's stitched bytes verified."""
+        # 1 MiB chunks on ~1 MB/s links: faults in [0, 2] land mid-repair,
+        # and the byte plane's slices are the timing plane's.
+        config = ExecutionConfig(chunk_size=1024 * 1024, slice_size=16384)
+        cluster, stripes = seeded_cluster(
+            seed=3, stripes=8, chunk_bytes=config.chunk_size
+        )
+        failed = stripes[0].placement[0]
+        lost = [s for s in stripes if failed in s.placement][:3]
+        assert len(lost) == 3
+        expected = {
+            s.stripe_id: _expected_payload(
+                cluster, s, s.chunk_on_node(failed)
+            )
+            for s in lost
+        }
+        cluster.fail_node(failed, at=0.0)
+        network = StarNetwork.constant(
+            [1e6 + i * 3e4 for i in range(NODE_COUNT)],
+            [1e6 + i * 5e4 for i in range(NODE_COUNT)],
+        )
+        result = repair_full_node(
+            PivotRepairPlanner(), network, lost, failed, concurrency=3,
+            config=config, journal=RepairJournal(),
+            faults=FaultPlan.random(
+                seed, NODE_COUNT, horizon=2.0, crashes=2, degradations=2,
+                stalls=2, read_errors=1,
+            ),
+            retry_policy=RetryPolicy(detection_timeout=0.3),
+        )
+        assert result.chunks_repaired + result.chunks_failed == 3
+        for task in result.task_results:
+            stripe = cluster.stripes[task.plan.notes["stripe_id"]]
+            payload = rebuilt_payload(
+                cluster, stripe, stripe.chunk_on_node(failed), task, config
+            )
+            assert np.array_equal(payload, expected[stripe.stripe_id])
+            assert task.attempts >= 1
+        for failure in result.failures:
+            assert isinstance(failure, RepairFailed)
+            assert failure.stripe_id in expected and failure.reason
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))

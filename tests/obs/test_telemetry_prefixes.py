@@ -96,7 +96,7 @@ def test_scanner_sees_causal_tracing_prefixes():
     found = emitted_prefixes()
     # ``tracer.link`` calls (hedge adoption) emit span.link internally.
     assert "span" in found
-    assert any("executor" in path for path in found["span"])
+    assert any("jobmaster" in path for path in found["span"])
     # Slice-level critical-path drill-down spans.
     assert "slice" in found
     assert any("slicesim" in path for path in found["slice"])

@@ -174,10 +174,10 @@ class TestFullNodeResume:
             PivotRepairPlanner(), network, stripes, failed,
             config=self.CONFIG, faults=faults, journal=RepairJournal(),
         )
-        from repro.repair import fullnode
+        from repro.repair import jobmaster
 
         monkeypatch.setattr(
-            fullnode._FaultDriver, "resume_slice",
+            jobmaster.StripeRepairMaster, "resume_slice",
             lambda self, stripe, plan: 0,
         )
         restart = repair_full_node(
