@@ -215,20 +215,18 @@ def repair_single_chunk_faulted(
     """Single-chunk repair under an injected fault plan.
 
     A one-chunk job on a fresh simulator: the rounds of a full-node
-    repair (:func:`~repro.repair.fullnode.run_rounds`) over the attempt
-    machine every repair shares
-    (:class:`~repro.repair.jobmaster.StripeRepairMaster`: detection,
-    retry budget, backoff, resume, hedging), without the planning clock
-    charge.  Returns a :class:`RepairResult` (``attempts`` > 1 when it
-    re-planned) or a :class:`RepairFailed`; never hangs, never returns
-    short data.  ``bytes_transferred`` is the simulator's accounting:
-    what a cancelled attempt moved is counted exactly once.
+    repair (:func:`~repro.repair.fullnode.run_rounds`, without the
+    planning clock charge) over the attempt machine every repair shares
+    (:class:`~repro.repair.jobmaster.StripeRepairMaster`).  Returns a
+    :class:`RepairResult` (``attempts`` > 1 when it re-planned) or a
+    :class:`RepairFailed`; never hangs, never returns short data.
+    ``bytes_transferred`` is the simulator's accounting: what a
+    cancelled attempt moved is counted exactly once.
 
     With a ``journal`` or a ``health`` policy a re-plan **resumes from
     the last verified slice** and ``result.segments`` says which plan
-    carried which slice range (the cluster layer decode-verifies the
-    stitched chunk); with neither it restarts the chunk.  ``health``
-    also enables hedging (``result.hedges``).
+    carried which slice range; with neither it restarts the chunk.
+    ``health`` also enables hedging (``result.hedges``).
     """
     config = config or ExecutionConfig()
     net = FaultyNetwork.wrap(network, faults)

@@ -112,10 +112,9 @@ def run_rounds(
 ) -> None:
     """Sequence one master on its own simulator until it is done.
 
-    Each round: fault tick, governor, ``dispatch`` (the only step the
-    drivers differ in), then free-run to the next repair completion,
-    the master's next bound (a fault, a stall deadline, a health check,
-    a backoff ending) or governor decision point, and collect.
+    Each round: tick, governor, ``dispatch`` (the only step the drivers
+    differ in), then free-run to the next repair completion, the
+    master's bound or the governor's next look, and collect.
     """
     sim = master.sim
     run_until_event = sim.run_until_completion

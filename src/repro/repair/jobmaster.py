@@ -235,6 +235,9 @@ class _Ledger:
     #: Span of the stripe's most recent flow (a re-plan or resume links
     #: its new flow to the one it replaces).
     last_flow: int | None = None
+    #: Config the stripe was last submitted under; re-submissions reuse
+    #: it so slice watermarks keep their meaning.
+    config: ExecutionConfig | None = None
 
 
 class StripeRepairMaster:
@@ -259,22 +262,18 @@ class StripeRepairMaster:
     and gets none of that.  ``scheme`` is the name results and spans
     report.
 
-    ``faults`` / ``retry_policy`` arm the attempt machine.  ``tick``
-    fails a flight whose tree lost a node (after the policy's detection
-    timeout) or whose rate sat at zero for that long; its verified
-    slice count (pipeline depth subtracted — slices still in flight are
-    not trusted) goes into the stripe's ledger, and the journal when one
-    is attached, and comes back through :meth:`resume_slice` so the
-    re-plan transfers only the remaining slice range.  Each failure
-    costs the stripe one of its ``max_retries`` and holds it back for
-    ``policy.backoff`` while the other stripes proceed; a stripe whose
-    budget is spent, or with fewer than ``k`` helpers left, comes back
-    as a clean :class:`RepairFailed`.  ``health`` (a
+    ``faults`` / ``retry_policy`` arm the attempt machine
+    (docs/fault_injection.md).  ``tick`` fails a flight whose tree lost
+    a node (after the detection timeout) or whose rate sat at zero for
+    that long; its verified slices are checkpointed so the re-plan
+    resumes after them; the failure costs the stripe one of its
+    ``max_retries`` and a ``policy.backoff`` wait while the other stripes
+    proceed; a stripe out of budget, or with fewer than ``k`` helpers
+    left, comes back as a clean :class:`RepairFailed`.  ``health`` (a
     :class:`~repro.resilience.HealthPolicy`) adds the gray-failure
-    detector: a flight observed below its planned rate gets a *hedge* —
-    a second flight of the same stripe, under the ``hedge`` traffic
-    class — and whichever finishes first wins.  With an empty plan and
-    no policy every hook is a no-op behind ``faulted`` / ``health``.
+    detector: a flight below its planned rate is raced by a *hedge*, a
+    second flight of the same stripe.  With an empty plan and no policy
+    every hook is a no-op behind ``faulted`` / ``health``.
 
     ``degrade_to`` implements graceful degradation: level 1 trims the
     helper candidate set to exactly ``k`` (fewer helpers, smaller trees,
@@ -334,9 +333,6 @@ class StripeRepairMaster:
         self.plans = 0
         #: What every plan of a scheduling round reads.
         self.view = ResidualView(network, sim)
-        #: Config each stripe was last submitted under; re-submissions
-        #: reuse it so slice watermarks keep their meaning.
-        self._stripe_config: dict[int, ExecutionConfig] = {}
         #: Completion hook ``(stripe, chunk_index, requestor)``; drivers
         #: with foreground traffic wire it to
         #: ``ForegroundEngine.note_repaired`` so degraded reads stop once
@@ -360,14 +356,11 @@ class StripeRepairMaster:
         #: not pending, so no driver can plan them before they are due.
         self.backing_off: list[tuple[float, Stripe]] = []
 
-        #: stripe_id -> its ``repair.task`` span, the causal root of the
-        #: stripe's repair.  It opens on track ``repair:<stripe_id>`` the
-        #: moment the master accepts the work, so time spent waiting in
-        #: the concurrency window or the Eq. 3 queue is *inside* it, and
-        #: closes when the chunk is rebuilt or abandoned.  Planning
-        #: windows, flows, re-plans, backoffs and resumes hang off it via
-        #: ``parent_id`` / ``links``, which is what
-        #: :mod:`repro.obs.critpath` walks.
+        #: stripe_id -> its ``repair.task`` span, the causal root
+        #: :mod:`repro.obs.critpath` walks.  It opens the moment the
+        #: master accepts the work, so time spent waiting in the
+        #: concurrency window or the Eq. 3 queue is *inside* it, and
+        #: closes when the chunk is rebuilt or abandoned.
         self.spans: dict[int, int] = {}
         for stripe in self.pending:
             self.begin_span(
@@ -375,10 +368,8 @@ class StripeRepairMaster:
                 **self.task_fields(stripe),
             )
 
-    # ------------------------------------------------------------------
-    # How a stripe is named in spans, events, flows and journal records
-    # (the single-chunk driver's master names its one chunk differently)
-    # ------------------------------------------------------------------
+    # -- How a stripe is named in spans, events, flows and journal
+    # -- records (``ChunkRepairMaster`` names its one chunk differently)
     def task_fields(self, stripe: Stripe) -> dict:
         """Fields of the stripe's ``repair.task`` span."""
         return {"stripe": stripe.stripe_id, "scheme": self.scheme}
@@ -396,10 +387,8 @@ class StripeRepairMaster:
         }
 
     def track(self, stripe_id: int) -> str:
-        """The stripe's trace track.  A fleet job's id is folded in (two
-        jobs repair stripes with colliding ids) and stamped on its
-        ``repair.task`` spans, so the critical-path analyzer can blame
-        contention on a *rival repair job*, not just a tenant."""
+        """The stripe's trace track; a fleet job's id is folded in (two
+        jobs repair stripes with colliding ids)."""
         if self.job_id is not None:
             return f"repair:{self.job_id}/{stripe_id}"
         return f"repair:{stripe_id}"
@@ -412,6 +401,7 @@ class StripeRepairMaster:
         if name != "repair.task":
             fields["parent_id"] = self.spans.get(stripe_id)
         elif self.job_id is not None:
+            # Lets the critical path blame a *rival repair job*.
             fields["job"] = self.job_id
         span = self.tracer.begin(
             name, t=t, track=self.track(stripe_id), **fields
@@ -446,11 +436,8 @@ class StripeRepairMaster:
 
     def record(self, kind: str, stripe: Stripe | None = None,
                **data) -> None:
-        """A journal record, about ``stripe`` if one is given.
-
-        Several masters share one journal during a storm; the ``job``
-        field tells their records (and colliding stripe ids) apart.
-        """
+        """A journal record, about ``stripe`` if given; ``job`` tells
+        the masters sharing a storm's journal apart."""
         if self.journal is not None:
             if stripe is not None:
                 data.update(self.ident(stripe))
@@ -732,30 +719,21 @@ class StripeRepairMaster:
     def run_bound(self) -> float:
         """Latest time the clock may free-run to before the next tick.
 
-        The earliest of: a backoff ending, the fault plan changing any
-        capacity (a stall starts there), a failure on a flight's tree,
-        a stalled flight's deadline, a health check.
+        The earliest of: a backoff ending, the fault plan changing
+        anything (every crash, read error and stall window edge is one
+        of its breakpoints), a stalled flight's deadline, a health check.
         """
         if not self.faulted and self.health is None:
             return math.inf
-        now = self.sim.now
         bound = min((t for t, _ in self.backing_off), default=math.inf)
         if self.faulted and self.in_flight:
-            bound = min(bound, self.faults.next_change_after(now))
+            bound = min(bound, self.faults.next_change_after(self.sim.now))
         for flight in self.in_flight.values():
             if flight.primary is not None:
                 continue
-            hedge = flight.hedge
             if self.faulted:
-                watched = flight.tree_nodes
-                if hedge is not None:
-                    watched = watched | hedge.tree_nodes
-                bound = min(
-                    bound,
-                    self.faults.next_failure_affecting(watched, now),
-                    self.stall_deadline(flight),
-                )
-            if hedge is None and flight.monitor is not None:
+                bound = min(bound, self.stall_deadline(flight))
+            if flight.hedge is None and flight.monitor is not None:
                 bound = min(bound, flight.monitor.next_check)
         return bound
 
@@ -800,10 +778,13 @@ class StripeRepairMaster:
 
         A stripe that carries a slice watermark keeps its requestor (the
         verified slices live on that node's disk, so re-planning
-        elsewhere would forfeit them) unless that node has since died.
+        elsewhere would forfeit them) unless that node has since died or
+        is frozen right now.
         """
         holder = self.ledgers[stripe.stripe_id].holder
-        if holder is not None and holder not in dead:
+        if holder is not None and holder not in (
+            dead | self.faults.stalled_nodes(self.sim.now)
+        ):
             return holder
         return choose_requestor(
             snapshot, stripe, self.failed_node, len(self.network),
@@ -846,7 +827,7 @@ class StripeRepairMaster:
 
     def config_for(self, stripe: Stripe) -> ExecutionConfig:
         """Execution config the stripe's next submission is cut with."""
-        known = self._stripe_config.get(stripe.stripe_id)
+        known = self.ledgers[stripe.stripe_id].config
         if known is not None:
             return known
         config = self.config
@@ -908,8 +889,7 @@ class StripeRepairMaster:
             # a requestor that died): earlier ranges count for nothing.
             ledger.segments = []
         ledger.planning_seconds += plan.effective_planning_seconds
-        config = self.config_for(stripe)
-        self._stripe_config[stripe_id] = config
+        config = ledger.config = self.config_for(stripe)
         cap = max_rate
         if self.level >= 2 and plan.bmin > 0:
             degraded_cap = plan.bmin * DEGRADED_RATE_FACTOR
@@ -1087,13 +1067,12 @@ class StripeRepairMaster:
     def pause(self) -> float:
         """Checkpoint and cancel every in-flight task; requeue stripes.
 
-        Each flight's verified slice progress is recorded in its
-        stripe's ledger (journaled as ``progress``), so the eventual
-        resume re-plans from the checkpoint instead of re-transferring
-        delivered slices.  A pause is not a failed attempt: it charges
-        no retry budget and moves no backoff.  Returns the in-flight
-        bytes released back to the admission budget (remaining bytes
-        summed over each task's edges).
+        Each flight's verified slice progress is checkpointed
+        (journaled as ``progress``), so the eventual resume re-plans from
+        there instead of re-transferring delivered slices.  A pause is
+        not a failed attempt: no budget, no backoff.  Returns the
+        in-flight bytes released back to the admission budget (remaining
+        bytes summed over each task's edges).
         """
         released = 0.0
         resumed_stripes: list[Stripe] = []

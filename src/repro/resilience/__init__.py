@@ -13,9 +13,11 @@ retry" into checkpointed, resumable repair:
   crash recovery: the Eq. 3 queue is checkpointed into the journal and
   replayed idempotently (replaying twice adopts nothing twice).
 
-The executors consume these via their ``journal=`` / ``health=``
-parameters (:func:`repro.repair.repair_single_chunk_faulted`,
-:func:`repro.repair.repair_full_node`).
+The repair master (:class:`repro.repair.StripeRepairMaster`) consumes
+the first two: every driver takes ``journal=``, and
+:func:`repro.repair.repair_single_chunk_faulted` hands its ``health=``
+to the master's constructor, where hedging lives for any number of
+stripes.
 """
 
 from repro.resilience.health import (
