@@ -140,9 +140,11 @@ class TestBackpressureArc:
         assert sum(counts.values()) == 49
         assert report.fleet.chunks_repaired == 20
         assert report.fleet.chunks_failed == 23
+        # Re-recorded at PR 21 (was 11724860.081155): the masters honour
+        # the storm's backoff, jitter and retry budget, and watch stalls.
         assert round(
             report.foreground_summary["goodput_bytes_per_second"], 6
-        ) == 11724860.081155
+        ) == 11735347.433642
 
     def test_resumed_stripes_restart_from_checkpoint(self, stormy):
         report, journal = stormy
@@ -180,7 +182,8 @@ class TestBackpressureArc:
         # than under control — which is the point of the comparison.
         baseline = run_stormy(admission_control=False, max_time=3000.0)
         assert report.breach_seconds < baseline.breach_seconds
-        assert (report.breach_seconds, baseline.breach_seconds) == (19.0, 44.0)
+        # Baseline re-recorded at PR 21 (was 44.0), same cause as above.
+        assert (report.breach_seconds, baseline.breach_seconds) == (19.0, 45.0)
         assert all(baseline.fleet.completed.values())
         # Same physical damage either way.
         assert (

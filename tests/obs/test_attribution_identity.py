@@ -18,7 +18,10 @@ commit ``9e996c3`` (the last one with two engines),
 
 A PR that restructures the engine must leave the fixture alone; a PR
 that means to change the rule regenerates the affected entries and says
-so.  ``scenario_events`` is importable so the fixture can be rebuilt by
+so.  (PR 21 changed no rule but what the two *faulted* scenarios do —
+the master honours backoff, budget and the stall watch — and
+regenerated ``faults/crash+stall`` and ``storm/seed0`` on its own tree;
+the four fault-free entries are still the parent's.)  ``scenario_events`` is importable so the fixture can be rebuilt by
 running :func:`parent_payload` against an older checkout.
 """
 

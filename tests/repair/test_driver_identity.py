@@ -13,6 +13,11 @@ A PR that restructures the driver (plan caching, mid-transfer
 re-pivoting) must leave every digest alone; a PR that means to change
 what a run does replaces the affected literals and says so.  A failing
 assertion prints the digest the current tree produces.
+
+PR 21 meant to: the master became the one attempt state machine, so a
+faulted full-node or fleet run now honours the whole ``RetryPolicy``.
+Every fault-free literal stands; the seven faulted ones were re-recorded
+in one commit, each for the cause noted beside it.
 """
 
 import hashlib
@@ -218,32 +223,39 @@ SCENARIOS = {
         "fb2e07345da591076bec4e9eb24b78bf4b3b715db9b3dcf0752c4f6ffe3b0a12",
     ),
     "window-rp/crash1": (
+        # PR 21: backoff honoured; retry / backoff / attempt_failed records.
         lambda: single_job(window(RPPlanner, 4), faults="crash1"),
-        "9a3769a78510e24136691f734e3f2c43d6d374c1c036c0a7a4a85e7016d35d75",
+        "0aaec69dfa6abc495c13ec647d0dc534fa21b2013021fcea9b3c1dd3463148cd",
     ),
     "window/crash2": (
+        # PR 21: backoff honoured; retry / backoff / attempt_failed records.
         lambda: single_job(window(), faults="crash2"),
-        "95e601ca2ac06f1e3cc59cbe36292879f509a38227b1adf926da5763d3f56c0e",
+        "16c82ebd2cf5661138b4722a09904f095d658cfeec911f56bbec0f26ddd17a45",
     ),
     "window/unrepairable": (
+        # PR 21: backoff honoured; failure reason, attempts.
         lambda: single_job(window(), faults="unrepairable"),
-        "029d372058890800886ea06e98064527d01839dca3e8df9094cfda98137e4d19",
+        "49a3796e65a784a0f510f8fb916da6fdb53d71307fa99496e5b750b25719dc0a",
     ),
     "window/readerr": (
+        # PR 21: true kind (readerr); a doomed flow finishing inside
+        # its detection window is no success; backoff honoured.
         lambda: single_job(window(), faults="readerr"),
-        "b66e5e71f93a7b9c406255fde0f2d17bc031d497e41a347dccf29cb17dc3df2c",
+        "253a46b7939b5d629d14ee71138f71afee52fd8b601c3e71aa45a926935e68f0",
     ),
     "adaptive/crash1": (
+        # PR 21: backoff honoured; retry / backoff / attempt_failed records.
         lambda: single_job(adaptive(), faults="crash1"),
-        "3ae0802bd4fd30b2e040c6bea780305a07778bea0271885f86eac473124cd888",
+        "4da97f1c01a9bc3510ef935c2620c2391e1c039dd0ff48a2ecc038375fc1b1ef",
     ),
     "adaptive-tuned/none": (
         lambda: single_job(adaptive(TUNED)),
         "240bf86e07d2809dc88c13a5762f04f1ef79e848bbc361a7c0a09d0304c9bb7d",
     ),
     "adaptive/unrepairable": (
+        # PR 21: backoff honoured; failure reason, attempts.
         lambda: single_job(adaptive(), faults="unrepairable"),
-        "ea214e2ac7d1df6e5c9212abefd20c744495b1d8d43c25253dfcba5c2c9a1dbf",
+        "c8121ff2ff8b0df0f2f89c8a4d141607940124e4cfc545491f1a899a03c97635",
     ),
     "traced-TPC-H/adaptive": (
         lambda: traced(adaptive(FIG7_SCHEDULER), "TPC-H", 10, seed=100),
@@ -262,8 +274,9 @@ SCENARIOS = {
         "d5d31eef595285cd540813dec448c9e30766d7c8ede2ebd57e825662c9c0cc93",
     ),
     "storm/seed0": (
+        # PR 21: keyed, jittered backoff and the budget honoured; stall watch.
         lambda: storm(0),
-        "98f20f300dc3919a4a45ba486e1e223a10c64bdac5e51ebf23002948079ad16a",
+        "e86200c1a21409178385081eae2629cfe1ba6ddb6d1654163e97ad3759f68df9",
     ),
 }
 
