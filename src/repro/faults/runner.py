@@ -62,7 +62,7 @@ class ChaosOutcome:
         )
 
 
-def _expected_payload(
+def expected_payload(
     cluster: Cluster, stripe: Stripe, lost_index: int
 ) -> np.ndarray:
     """Ground truth via an independent decode from k surviving chunks."""
@@ -119,7 +119,7 @@ def run_chaos_single_chunk(
     planner = planner or PivotRepairPlanner()
     config = config or ExecutionConfig()
     failed_node = stripe.placement[lost_index]
-    expected = _expected_payload(cluster, stripe, lost_index)
+    expected = expected_payload(cluster, stripe, lost_index)
     if cluster.nodes[failed_node].alive:
         cluster.fail_node(failed_node, at=0.0)
     snapshot = BandwidthSnapshot.from_network(network, 0.0)

@@ -239,7 +239,6 @@ def repair_single_chunk_faulted(
         sim=sim, scheme=planner.name, config=config, tracer=tracer,
         faults=faults, retry_policy=policy, journal=journal, health=health,
     )
-    master.resilient = journal is not None or health is not None
 
     def start(master, cap):
         planned = master.candidate()

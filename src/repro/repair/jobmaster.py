@@ -1118,6 +1118,7 @@ class LostChunk:
     stripe_id: int
     candidates: tuple[int, ...]
     k: int
+    #: ``stripe.code.k`` is all the master reads of a code.
     code = property(lambda self: self)
 
     def surviving_nodes(self, failed_node=None) -> list[int]:
@@ -1132,10 +1133,13 @@ class ChunkRepairMaster(StripeRepairMaster):
     repair is: no stripe id on its events, ``-a<attempt>`` flow labels,
     a ``repair.task`` span that ends after the pipeline fill."""
 
-    #: A journal or a health policy was given: a re-plan resumes from
-    #: the verified slice watermark instead of restarting the chunk.
-    resilient = False
     transfer_seconds = 0.0
+
+    @property
+    def resilient(self) -> bool:
+        """With a journal or a health policy a re-plan resumes from the
+        verified slice watermark; with neither it restarts the chunk."""
+        return self.journal is not None or self.health is not None
 
     def task_fields(self, chunk):
         return {"scheme": self.scheme, "requestor": chunk.stripe_id}

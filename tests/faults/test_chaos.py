@@ -16,7 +16,7 @@ from repro.core import PivotRepairPlanner
 from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.ec import RSCode
 from repro.faults import FaultPlan, RetryPolicy, run_chaos_single_chunk
-from repro.faults.runner import _expected_payload, rebuilt_payload
+from repro.faults.runner import expected_payload, rebuilt_payload
 from repro.network.topology import StarNetwork
 from repro.obs import Tracer
 from repro.repair import (
@@ -279,7 +279,7 @@ class TestChaosProperty:
         lost = [s for s in stripes if failed in s.placement][:3]
         assert len(lost) == 3
         expected = {
-            s.stripe_id: _expected_payload(
+            s.stripe_id: expected_payload(
                 cluster, s, s.chunk_on_node(failed)
             )
             for s in lost

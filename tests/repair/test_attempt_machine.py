@@ -22,7 +22,7 @@ from repro.core.plan import pin_planning
 from repro.ec import RSCode, place_stripes
 from repro.faults import FaultPlan, RetryPolicy
 from repro.faults.network import FaultyNetwork
-from repro.faults.runner import _expected_payload, rebuilt_payload
+from repro.faults.runner import expected_payload, rebuilt_payload
 from repro.network.simulator import FluidSimulator
 from repro.network.topology import StarNetwork
 from repro.obs import Tracer
@@ -279,7 +279,7 @@ class TestHedgingIsNotSingleStripeSpecial:
             if failed in s.placement and self.VICTIM in s.placement
         ][:3]
         expected = {
-            s.stripe_id: _expected_payload(
+            s.stripe_id: expected_payload(
                 cluster, s, s.chunk_on_node(failed)
             )
             for s in lost
