@@ -362,11 +362,15 @@ class StripeRepairMaster:
         #: concurrency window or the Eq. 3 queue is *inside* it, and
         #: closes when the chunk is rebuilt or abandoned.
         self.spans: dict[int, int] = {}
-        for stripe in self.pending:
-            self.begin_span(
-                "repair.task", stripe.stripe_id, sim.now,
-                **self.task_fields(stripe),
-            )
+        if tracer.enabled:
+            # The job lets the critical path blame a *rival repair job*.
+            job = {} if job_id is None else {"job": job_id}
+            for stripe in self.pending:
+                self.spans[stripe.stripe_id] = tracer.begin(
+                    "repair.task", t=sim.now,
+                    track=self.track(stripe.stripe_id),
+                    **self.task_fields(stripe), **job,
+                )
 
     # -- How a stripe is named in spans, events, flows and journal
     # -- records (``ChunkRepairMaster`` names its one chunk differently)
@@ -395,20 +399,13 @@ class StripeRepairMaster:
 
     def begin_span(self, name: str, stripe_id: int, t: float,
                    **fields) -> int | None:
-        """Open the stripe's root span, or a child span on its track."""
+        """Open a span under the stripe's root span, on its track."""
         if not self.tracer.enabled:
             return None
-        if name != "repair.task":
-            fields["parent_id"] = self.spans.get(stripe_id)
-        elif self.job_id is not None:
-            # Lets the critical path blame a *rival repair job*.
-            fields["job"] = self.job_id
-        span = self.tracer.begin(
-            name, t=t, track=self.track(stripe_id), **fields
+        return self.tracer.begin(
+            name, t=t, track=self.track(stripe_id),
+            parent_id=self.spans.get(stripe_id), **fields,
         )
-        if name == "repair.task":
-            self.spans[stripe_id] = span
-        return span
 
     def end_span(self, name: str, span: int | None, stripe_id: int,
                  t: float, **fields) -> None:
@@ -1121,10 +1118,10 @@ class LostChunk:
     #: ``stripe.code.k`` is all the master reads of a code.
     code = property(lambda self: self)
 
-    def surviving_nodes(self, failed_node=None) -> list[int]:
+    def surviving_nodes(self, failed_node) -> list[int]:
         return list(self.candidates)
 
-    def chunk_on_node(self, failed_node=None) -> int:
+    def chunk_on_node(self, failed_node) -> int:
         return 0
 
 

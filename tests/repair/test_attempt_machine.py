@@ -16,10 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.master import Cluster
-from repro.core import PivotRepairPlanner
 from repro.core.bandwidth_view import BandwidthSnapshot
-from repro.core.plan import pin_planning
-from repro.ec import RSCode, place_stripes
+from repro.ec import place_stripes
 from repro.faults import FaultPlan, RetryPolicy
 from repro.faults.network import FaultyNetwork
 from repro.faults.runner import expected_payload, rebuilt_payload
@@ -34,26 +32,19 @@ from repro.repair import (
 from repro.repair.jobmaster import StripeRepairMaster, choose_requestor
 from repro.repair.pipeline import ExecutionConfig
 from repro.resilience import HealthPolicy, RepairJournal
+from tests.repair.test_driver_identity import (
+    CODE,
+    CONFIG,
+    FAILED,
+    HELPERS,
+    NODES,
+    STRIPES,
+    pinned,
+    star,
+)
 
 MiB = 1024 * 1024
-NODES = 12
-CODE = RSCode(6, 4)
-CONFIG = ExecutionConfig(chunk_size=64 * MiB)
-#: ``test_driver_identity.py``'s fixture: 8 stripes, 5 of them on FAILED.
-STRIPES = place_stripes(8, CODE, NODES, np.random.default_rng(7))
-FAILED = STRIPES[0].placement[0]
-H0 = next(node for node in STRIPES[0].placement if node != FAILED)
-
-
-def star():
-    return StarNetwork.constant(
-        [1e8 + i * 3e6 for i in range(NODES)],
-        [1e8 + i * 5e6 for i in range(NODES)],
-    )
-
-
-def pinned():
-    return pin_planning(PivotRepairPlanner(), 0.0)
+H0 = HELPERS[0]
 
 
 def full_node(faults=None, policy=None, stripes=STRIPES, failed=FAILED,
