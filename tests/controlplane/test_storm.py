@@ -14,11 +14,16 @@ The two satellite guarantees pinned here:
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.controlplane import StormConfig, run_storm
 from repro.resilience import RepairJournal
+from tests.recorded import Recorded, load
+
+#: What the tuned default storm and its flood baseline must produce.
+FIXTURE = Path(__file__).with_name("storm_recorded.json")
 
 #: Small enough to run in about a second, big enough to exercise the
 #: plane (4 jobs on a 3-rack fleet).
@@ -41,6 +46,47 @@ def run_stormy(journal=None, **overrides):
     """The tuned default storm (no SMALL downsizing): heavy enough that
     backpressure sheds and resumes under SLO fire."""
     return run_storm(StormConfig(**overrides), journal=journal)
+
+
+def storm_outcome(report) -> dict:
+    """What the fixture records of a storm: the plane's decisions by
+    count, the damage, the SLO breach and the clients' goodput."""
+    counts = report.fleet.decision_counts()
+    return {
+        "shed": counts.get("shed", 0),
+        "resumes": counts.get("resume", 0) + counts.get("resume_forced", 0),
+        "decisions": sum(counts.values()),
+        "chunks_repaired": report.fleet.chunks_repaired,
+        "chunks_failed": report.fleet.chunks_failed,
+        "breach_seconds": report.breach_seconds,
+        "goodput_bytes_per_second": round(
+            report.foreground_summary["goodput_bytes_per_second"], 6
+        ),
+    }
+
+
+def run_flood():
+    # The flood needs a longer horizon: with every repair admitted at
+    # once the shared links saturate and the fleet drains far slower
+    # than under control — which is the point of the comparison.
+    return run_stormy(admission_control=False, max_time=3000.0)
+
+
+def _recorder(run):
+    def record() -> Recorded:
+        report = run()
+        return Recorded(
+            entry=storm_outcome(report),
+            values={
+                "report": report.as_dict(),
+                "decisions": report.fleet.decisions,
+                "foreground": report.foreground_summary,
+            },
+        )
+    return record
+
+
+RECORDERS = {"stormy": _recorder(run_stormy), "flood": _recorder(run_flood)}
 
 
 def journal_bytes(journal):
@@ -135,16 +181,10 @@ class TestBackpressureArc:
         assert resumes >= counts.get("shed", 0)  # every shed job came back
         assert all(report.fleet.completed.values())
         # Bit-stable for the seed: a value that moves is a behaviour
-        # change of the plane, not noise.
-        assert (counts.get("shed", 0), resumes) == (3, 3)
-        assert sum(counts.values()) == 49
-        assert report.fleet.chunks_repaired == 20
-        assert report.fleet.chunks_failed == 23
-        # Re-recorded at PR 21 (was 11724860.081155): the masters honour
-        # the storm's backoff, jitter and retry budget, and watch stalls.
-        assert round(
-            report.foreground_summary["goodput_bytes_per_second"], 6
-        ) == 11735347.433642
+        # change of the plane, not noise.  (Re-recorded at PR 21: the
+        # masters honour the storm's backoff, jitter and retry budget,
+        # and watch stalls.)
+        assert storm_outcome(report) == load(FIXTURE)["stormy"]
 
     def test_resumed_stripes_restart_from_checkpoint(self, stormy):
         report, journal = stormy
@@ -177,13 +217,9 @@ class TestBackpressureArc:
 
     def test_admission_control_beats_uncontrolled_baseline(self, stormy):
         report, _ = stormy
-        # The flood needs a longer horizon: with every repair admitted at
-        # once the shared links saturate and the fleet drains far slower
-        # than under control — which is the point of the comparison.
-        baseline = run_stormy(admission_control=False, max_time=3000.0)
+        baseline = run_flood()
         assert report.breach_seconds < baseline.breach_seconds
-        # Baseline re-recorded at PR 21 (was 44.0), same cause as above.
-        assert (report.breach_seconds, baseline.breach_seconds) == (19.0, 45.0)
+        assert storm_outcome(baseline) == load(FIXTURE)["flood"]
         assert all(baseline.fleet.completed.values())
         # Same physical damage either way.
         assert (

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,10 @@ from repro.lifetime import (
 )
 from repro.obs import MetricsRegistry, TimeSeriesDB
 from repro.obs.tracer import Tracer
+from tests.recorded import Recorded, load
+
+#: What ``TestPinnedStudies``' two seeded studies must produce.
+FIXTURE = Path(__file__).with_name("pinned_studies.json")
 
 SMALL = LifetimeConfig(
     years=2, runs=3, seed=11, schemes=("pivot", "conventional"),
@@ -32,6 +37,50 @@ PINNED = LifetimeConfig(
     years=4, runs=8, seed=42, schemes=("pivot", "conventional"),
     stripes=64, disk_mttf_days=30.0, repair_streams=1,
 )
+
+
+#: The same outage processes with repair durations calibrated on the
+#: fluid simulator (no ``durations=``): the one lifetime study whose
+#: outcome depends on ``repair_single_chunk``'s simulated seconds.
+CALIBRATED = LifetimeConfig(
+    years=3, runs=8, seed=1234, stripes=32,
+    disk_mttf_days=30.0, repair_streams=1,
+    data_per_chunk_gib=256.0, calibration_instants=4,
+)
+
+
+def study_outcome(report) -> dict:
+    """What the fixture records of a study."""
+    return {
+        "digest": report.digest,
+        "losses": {
+            scheme: summary.total_losses
+            for scheme, summary in report.schemes.items()
+        },
+        "repairs_completed": {
+            scheme: sum(r["repairs_completed"] for r in summary.runs)
+            for scheme, summary in report.schemes.items()
+        },
+    }
+
+
+def _recorder(config, **run_args):
+    def record() -> Recorded:
+        report = run_lifetime(config, **run_args)
+        return Recorded(
+            entry=study_outcome(report),
+            values={
+                scheme: summary.runs
+                for scheme, summary in report.schemes.items()
+            },
+        )
+    return record
+
+
+RECORDERS = {
+    "fixed-durations": _recorder(PINNED, durations=DURATIONS),
+    "calibrated-durations": _recorder(CALIBRATED),
+}
 
 
 @pytest.fixture(scope="module")
@@ -78,27 +127,15 @@ class TestPinnedStudies:
 
     def test_fixed_durations_study(self, pinned):
         report, _ = pinned
-        assert report.digest == (
-            "3f694038078dc4c03f08008a4c41849262cb2a40abb8640994d85fed09ec994c"
-        )
-        pivot = report.schemes["pivot"]
-        assert pivot.total_losses == 232
-        assert report.schemes["conventional"].total_losses == 18232
-        assert sum(r["repairs_completed"] for r in pivot.runs) == 145286
+        assert study_outcome(report) == load(FIXTURE)["fixed-durations"]
 
     def test_calibrated_durations_pivot_loses_strictly_less(self):
-        # Repair durations calibrated on the fluid simulator (no
-        # ``durations=``), where the fixed-duration tests above and below
-        # only ever see the analytic 1 h / 4 h contrast.
-        report = run_lifetime(
-            LifetimeConfig(
-                years=3, runs=8, seed=1234, stripes=32,
-                disk_mttf_days=30.0, repair_streams=1,
-                data_per_chunk_gib=256.0, calibration_instants=4,
-            )
-        )
-        assert report.schemes["pivot"].total_losses == 50
-        assert report.schemes["conventional"].total_losses == 4870
+        # Repair durations calibrated on the fluid simulator, where the
+        # fixed-duration tests above and below only ever see the
+        # analytic 1 h / 4 h contrast.
+        outcome = study_outcome(run_lifetime(CALIBRATED))
+        assert outcome["losses"]["pivot"] < outcome["losses"]["conventional"]
+        assert outcome == load(FIXTURE)["calibrated-durations"]
 
 
 class TestDispatchGate:

@@ -1,4 +1,4 @@
-"""The pinned repair suites whose simulated values tests assert as literals.
+"""The pinned repair suites whose simulated values tests assert as recorded.
 
 Test-side only, the way ``tests/ec/logexp_oracle.py`` sits beside the
 kernel tests: one fixed mildly heterogeneous 16-node star, RS(6,4), 64 MiB
@@ -8,7 +8,13 @@ chunks, planning cost pinned to zero so every number is bit-stable.
 * :func:`full_node` — a seeded 96-stripe full-node repair, optionally
   beside a seeded client workload under the adaptive QoS governor (the
   ``foreground_interference`` suite), with any observer attached.
+
+What each suite must produce is in ``pinned_suites.json`` beside this
+file (``FIXTURE`` / ``RECORDERS``, see ``tests/recorded.py``): seconds
+rounded to nine decimals, counts as they are.
 """
+
+from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +35,9 @@ from repro.repair import (
     repair_single_chunk,
 )
 from repro.resilience import RepairJournal
+from tests.recorded import Recorded
 
+FIXTURE = Path(__file__).with_name("pinned_suites.json")
 NODE_COUNT = 16
 CODE = RSCode(6, 4)
 STRIPES = 96
@@ -51,8 +59,13 @@ def _sim_counters(telemetry: dict) -> dict:
     }
 
 
-def single_chunk() -> dict:
-    """Per scheme, totals over one repair from each of 8 requestors."""
+def _seconds(value: float, exact: bool) -> float:
+    return value if exact else round(value, 9)
+
+
+def single_chunk(exact: bool = False) -> dict:
+    """Per scheme, totals over one repair from each of 8 requestors
+    (``exact``: seconds unrounded)."""
     network = _network()
     config = ExecutionConfig(chunk_size=CHUNK)
     schemes = {
@@ -72,8 +85,8 @@ def single_chunk() -> dict:
         ]
         counters = [_sim_counters(result.telemetry) for result in results]
         sim[name] = {
-            "transfer_seconds": round(
-                sum(result.transfer_seconds for result in results), 9
+            "transfer_seconds": _seconds(
+                sum(result.transfer_seconds for result in results), exact
             ),
             "sim_steps": sum(c["sim_steps"] for c in counters),
             "rate_recomputations": sum(
@@ -85,7 +98,7 @@ def single_chunk() -> dict:
 
 def full_node(
     with_foreground: bool = False, sampler=None, journal=None,
-    tracer=NULL_TRACER,
+    tracer=NULL_TRACER, exact: bool = False,
 ) -> dict:
     network = _network()
     stripes = place_stripes(
@@ -116,7 +129,7 @@ def full_node(
         journal=journal, tracer=tracer,
     )
     sim = {
-        "repair_seconds": round(result.total_seconds, 9),
+        "repair_seconds": _seconds(result.total_seconds, exact),
         "chunks_repaired": result.chunks_repaired,
         **_sim_counters(result.telemetry),
     }
@@ -130,6 +143,16 @@ def full_node(
 
 def foreground_interference(**observers) -> dict:
     return full_node(with_foreground=True, **observers)
+
+
+def _recorder(suite):
+    return lambda: Recorded(entry=suite(), values=suite(exact=True))
+
+
+RECORDERS = {
+    suite.__name__: _recorder(suite)
+    for suite in (single_chunk, full_node, foreground_interference)
+}
 
 
 _RECORDER = dict(interval=0.25, capacity=65536)

@@ -28,6 +28,7 @@ from repro.network.scenario import (
 from repro.obs import critical_paths
 from repro.resilience import RepairJournal
 from tests.network import pinned_suites
+from tests.recorded import load
 
 SEEDS = list(range(50))
 RACKED_SEEDS = [100, 101, 102, 103, 104, 105]
@@ -74,37 +75,13 @@ class TestCommittedBenchSuites:
     their recorded simulated values — under both engines, and with any
     observer attached.
 
-    The literals were last recorded in PR 10 and have held through every
-    PR since; a value that moves is a behaviour change, not noise.
+    The values are in ``pinned_suites.json``; one that moves is a
+    behaviour change, not noise.
     ``rate_recomputations`` is compared on the fast engine only (the
     engines legitimately disagree on how often they solve).
     """
 
-    PINNED = {
-        "single_chunk": {
-            "pivot": {
-                "transfer_seconds": 4.652818525, "sim_steps": 8,
-                "rate_recomputations": 8,
-            },
-            "ppt": {
-                "transfer_seconds": 4.652818525, "sim_steps": 8,
-                "rate_recomputations": 8,
-            },
-            "rp": {
-                "transfer_seconds": 5.40934144, "sim_steps": 8,
-                "rate_recomputations": 8,
-            },
-        },
-        "full_node": {
-            "repair_seconds": 9.996352352, "chunks_repaired": 33,
-            "sim_steps": 33, "rate_recomputations": 64,
-        },
-        "foreground_interference": {
-            "repair_seconds": 12.11357804, "chunks_repaired": 33,
-            "sim_steps": 2925, "rate_recomputations": 2805,
-            "fg_requests": 7116, "fg_degraded_reads": 20,
-        },
-    }
+    PINNED = load(pinned_suites.FIXTURE)
 
     @staticmethod
     def _strip(sim):

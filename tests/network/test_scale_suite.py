@@ -16,9 +16,32 @@ No wall-clock assertion lives here.  Host time is the benchmark's
 measured at is in ``docs/fluid_engine.md``, "Scale numbers".
 """
 
+from pathlib import Path
+
 import repro.network.simulator as simulator
 from repro.network.scenario import replay, storm_scenario
 from repro.network.simulator import FluidSimulator
+from tests.recorded import Recorded, load
+
+#: The 1024-node storm's recorded simulated values.
+FIXTURE = Path(__file__).with_name("scale_storm.json")
+
+
+def storm_outcome(digest: dict) -> dict:
+    """What the fixture records of a storm digest: its floats (the
+    counts are literals in the test below)."""
+    return {
+        "bytes_transferred": round(digest["bytes_transferred"], 6),
+        "end_time": round(digest["end_time"], 9),
+    }
+
+
+def _record_storm() -> Recorded:
+    digest = replay(storm_scenario(1), "fast")
+    return Recorded(entry=storm_outcome(digest), values=digest)
+
+
+RECORDERS = {"storm-1024": _record_storm}
 
 
 def _engine_counters(scenario):
@@ -110,10 +133,9 @@ def test_scale_storm_recomputes_components_not_the_cluster(monkeypatch):
     digest = replay(scenario, "fast")
     assert not rerated  # the reference allocator is not on the fast path
     assert replay(scenario, "reference") == digest
+    assert storm_outcome(digest) == load(FIXTURE)["storm-1024"]
     assert digest["steps"] == 1594
     assert digest["tasks_completed"] == 800
-    assert round(digest["bytes_transferred"], 6) == 383504.822911
-    assert round(digest["end_time"], 9) == 247.637412361
     # Reference: one global solve per step, 12 950 entity re-ratings.
     assert (len(rerated), sum(rerated)) == (1594, 12950)
 

@@ -21,8 +21,16 @@ that means to change the rule regenerates the affected entries and says
 so.  (PR 21 changed no rule but what the two *faulted* scenarios do —
 the master honours backoff, budget and the stall watch — and
 regenerated ``faults/crash+stall`` and ``storm/seed0`` on its own tree;
-the four fault-free entries are still the parent's.)  ``scenario_events`` is importable so the fixture can be rebuilt by
-running :func:`parent_payload` against an older checkout.
+the four fault-free entries are still the parent's.)  ``SCENARIOS`` is
+importable so the fixture can be rebuilt by running
+:func:`parent_payload` against an older checkout.
+
+A PR that moves simulated floats without touching the rule (a new
+float-operation order in the simulator) runs ``scripts/rerecord.py``:
+``RECORDERS`` regenerates what is compared with ``==`` — the critical-
+path digest and every flow's ``(label, submit)`` — and carries the
+parent's per-flow seconds over untouched, since those are history,
+compared within 1e-9.
 """
 
 import hashlib
@@ -51,6 +59,7 @@ from repro.network.topology import StarNetwork
 from repro.obs import FlightRecorder, Tracer, critical_paths, diagnose
 from repro.repair import repair_full_node, repair_full_node_adaptive
 from repro.repair.pipeline import ExecutionConfig
+from tests.recorded import Recorded, load
 
 FIXTURE = Path(__file__).with_name("attribution_identity_parent.json")
 NODES = 12
@@ -176,9 +185,40 @@ def parent_payload() -> dict:
     return payload
 
 
+def _recorder(name):
+    def record() -> Recorded:
+        events, diagnose_args = SCENARIOS[name]()
+        rows = flow_rows(events, **diagnose_args)
+        previous = load(FIXTURE)[name]
+        if [r["label"] for r in rows] != [
+            r["label"] for r in previous["flows"]
+        ]:
+            raise AssertionError(
+                f"{name}: the diagnosed flows changed, which no float "
+                "order does; rebuild the entry from parent_payload()"
+            )
+        entry = {
+            **previous,
+            "critpath_sha256": critpath_digest(events),
+            "flows": [
+                {**theirs, "submit": mine["submit"]}
+                for mine, theirs in zip(rows, previous["flows"])
+            ],
+        }
+        values = {
+            "critpath": json.loads(critical_paths(events).to_json()),
+            "flows": rows,
+        }
+        return Recorded(entry=entry, values=values)
+    return record
+
+
+RECORDERS = {name: _recorder(name) for name in SCENARIOS}
+
+
 @pytest.fixture(scope="module")
 def parent():
-    return json.loads(FIXTURE.read_text())
+    return load(FIXTURE)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -8,22 +8,20 @@ single-chunk runs of ``tests/faults/test_chaos.py``,
 ``tests/resilience/test_hedge.py`` or ``tests/resilience/test_resume.py``
 with planning pinned to 0.0, hashed three ways — the result (plan,
 segments and telemetry included), the trace JSONL and the journal
-records — and the expected digests are literals recorded at commit
-``fe33813``, the last one with a second attempt loop in
-``repair/executor.py``.
+records — and the expected digests, in ``attempt_identity.json`` beside
+this file, were first recorded at commit ``fe33813``, the last one with
+a second attempt loop in ``repair/executor.py``.
 
 A PR that restructures the attempt machine must leave every digest
-alone; a PR that means to change what a run does replaces the affected
-literals and says so.  A failing assertion prints the digests the
-current tree produces.
+alone; a PR that means to change what a run does regenerates the fixture
+with ``scripts/rerecord.py`` in a commit of its own and says so.  A
+failing assertion prints the digests the current tree produces.
 
 The merge itself (PR 21) kept all three digests of 20 of the 26
-scenarios.  The six it moved are marked in ``RECORDED`` with the cause,
-and only the digests named there are this tree's, not ``fe33813``'s.
+scenarios.  The six it moved are marked in ``RECORDERS`` with the cause.
 """
 
-import hashlib
-import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +38,9 @@ from repro.repair import repair_single_chunk_faulted
 from repro.repair.fullnode import choose_requestor
 from repro.repair.pipeline import ExecutionConfig
 from repro.resilience import HealthPolicy, RepairJournal
+from tests.recorded import Recorded, load, run_values, sha256
 
+FIXTURE = Path(__file__).with_name("attempt_identity.json")
 MiB = 1024 * 1024
 NODES = 12
 CODE = RSCode(6, 4)
@@ -105,18 +105,21 @@ def result_payload(result):
 
 
 def sha(payload):
-    blob = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
+    return sha256(payload)[:24]
 
 
-def digests(result, tracer, journal, **extra):
-    """(result, trace, journal) digests; the journal's is ``None``
+def digests(result, tracer, journal, **extra) -> Recorded:
+    """[result, trace, journal] digests; the journal's is ``None``
     for a run without one."""
-    return (
-        sha({**result_payload(result), **extra}),
-        sha(to_jsonl(tracer.events)),
-        None if journal is None
-        else sha([record.to_json() for record in journal.records]),
+    payload = {**result_payload(result), **extra}
+    return Recorded(
+        entry=[
+            sha(payload),
+            sha(to_jsonl(tracer.events)),
+            None if journal is None
+            else sha([record.to_json() for record in journal.records]),
+        ],
+        values=run_values(payload, tracer, journal),
     )
 
 
@@ -206,8 +209,9 @@ def resume(journal):
 STALL_POLICY = RetryPolicy(detection_timeout=0.3)
 MIXED = dict(crashes=2, degradations=2, stalls=2, read_errors=1)
 
-#: name -> scenario.
-SCENARIOS = {
+#: name -> scenario, hashed three ways; what each must produce is in
+#: FIXTURE.  PR 21 moved six, for the cause beside each.
+RECORDERS = {
     "chaos/crash-pivot": lambda: chaos("crash:{victim}@0.2"),
     "chaos/readerr-pivot": lambda: chaos("readerr:{victim}@0.2"),
     "chaos/stall-pivot": lambda: chaos(
@@ -224,6 +228,9 @@ SCENARIOS = {
         "crash:{victim}@0.2",
         RetryPolicy(backoff_base=0.0, backoff_factor=1.0),
     ),
+    # mixed-2 and mixed-55, result + trace (PR 21): a read error on the
+    # *requestor* dooms nothing (it reads no chunk; the old loop failed
+    # every attempt on it, or threw a completed transfer away).
     **{
         f"chaos/mixed-{seed}": (
             lambda seed=seed: chaos_random(seed, STALL_POLICY, **MIXED)
@@ -236,151 +243,34 @@ SCENARIOS = {
         )
         for seed in (0, 8, 37)
     },
+    # result + trace (PR 21): the hedge is planned on the residual view
+    # (the primary's traffic subtracted), not on raw capacities: another
+    # tree, a smaller stamped bmin.
     "hedge/gray-hedged": lambda: gray(HealthPolicy()),
     "hedge/gray-limped": lambda: gray(None),
     "hedge/healthy-monitored": lambda: gray(
         HealthPolicy(), faults=FaultPlan.none()
     ),
+    # all three (PR 21): hedge planned on the residual view (as
+    # gray-hedged); journal vocabulary (as resume/journaled).
     "hedge/harness": lambda: harness(
         13, 8, "degrade:{victim}@0.01-1000x0.05",
         RetryPolicy(detection_timeout=0.02),
         health=HealthPolicy(check_interval=0.05),
     ),
+    # journal (PR 21): one vocabulary for every driver -- a per-flight
+    # task_start replaces task_start + attempt, progress records the
+    # checkpoint, task_done carries start_slice.  Result and trace held.
     "resume/journaled": lambda: resume(True),
     "resume/restart": lambda: resume(False),
+    # journal (PR 21), as resume/journaled.  Result and trace held.
     "resume/harness": lambda: harness(
         11, NODES, "crash:{victim}@0.05",
         RetryPolicy(detection_timeout=0.02),
     ),
 }
 
-#: name -> (result, trace, journal) digests recorded at ``fe33813``.
-RECORDED = {
-    'chaos/crash-pivot': (
-        '558b446c7c6459e8d1ef5b50', 'dc053cc051f7f0d0b5d54e2f',
-        None,
-    ),
-    'chaos/readerr-pivot': (
-        '1413d5bb42b9f2f5c24780e9', 'c8cbf9986a7710974496d535',
-        None,
-    ),
-    'chaos/stall-pivot': (
-        'b7378b913c52ac5f71050954', '68f61533ff1db70a8bd7be28',
-        None,
-    ),
-    'chaos/requestor-crash': (
-        'd42a75d8c21fe9b0ad8a7c8b', '2d295544d5d093ae135b11d6',
-        None,
-    ),
-    'chaos/too-few-survivors': (
-        'e320cc7cbca190a58b2d04b8', 'd76de3dd163d00e9e0c2ad56',
-        None,
-    ),
-    'chaos/budget-exhausted': (
-        '2154e4c887663359e5244c54', 'afa08bb8dae051b5d0368237',
-        None,
-    ),
-    'chaos/no-backoff': (
-        '19db03b8b13f6653133138f7', 'ecf4932fd11ef116cf243561',
-        None,
-    ),
-    'chaos/mixed-0': (
-        'b37479b56b194594b6c95f49', '486beeb803f0322e42855651',
-        None,
-    ),
-    'chaos/mixed-1': (
-        'ab37c36870efb03f320204cd', '6ce01fa7b03311bc70b55f73',
-        None,
-    ),
-    # result + trace are PR 21's: a read error on the *requestor* dooms
-    # nothing (it reads no chunk; the old loop failed every attempt on it).
-    'chaos/mixed-2': (
-        'bea9cf0eac34a04ad98581d2', 'f28cc54ff506ce88583e810b',
-        None,
-    ),
-    'chaos/mixed-12': (
-        '9f027951302ffed8990fabef', '2ba002b1e7f436297ea0b265',
-        None,
-    ),
-    'chaos/mixed-16': (
-        '02d83486f51ac10edf5544fd', '54157771680cf1d6e67eedf1',
-        None,
-    ),
-    'chaos/mixed-25': (
-        '813f417a0c38d6f95b6e1de0', '27a8905ab3c3c33520e9cb43',
-        None,
-    ),
-    'chaos/mixed-27': (
-        '41fdfec14bec3872e7f68559', '99fc4a8db70d7b89562cb241',
-        None,
-    ),
-    'chaos/mixed-41': (
-        '772aa778f3364ff7cfd256dd', '90f935608e46c8f75d3d1975',
-        None,
-    ),
-    # result + trace are PR 21's: read error on the requestor, as mixed-2
-    # (the old loop threw a completed transfer away and then failed).
-    'chaos/mixed-55': (
-        '459a532244cfd96b1c0131b4', '3441219826dde10e4e056b46',
-        None,
-    ),
-    'chaos/crashes-0': (
-        '551f094ac6323d001de79129', '3e94db230afb437a0ade32f6',
-        None,
-    ),
-    'chaos/crashes-8': (
-        '05231b537dc9d72f3e672809', 'ad4dea92796ddf0f275141a9',
-        None,
-    ),
-    'chaos/crashes-37': (
-        '640bde52f7344e14a7776fad', '3f2590cbde80f4660a6a44e5',
-        None,
-    ),
-    # result + trace are PR 21's: the hedge is planned on the residual
-    # view (the primary's traffic subtracted), not on raw capacities:
-    # another tree, a smaller stamped bmin.
-    'hedge/gray-hedged': (
-        '709225573bcfcdc384e2736c', '600a55b7d2658637ed5d167e',
-        None,
-    ),
-    'hedge/gray-limped': (
-        'b3ef765e1b744113af27405f', 'cb7c09f2116f5c9a4888e4d6',
-        None,
-    ),
-    'hedge/healthy-monitored': (
-        'efd495ad640db54e530383e3', '81af0c2607f9bae0d0e370a9',
-        None,
-    ),
-    # all three are PR 21's: hedge planned on the residual view (as
-    # gray-hedged); journal vocabulary (as resume/journaled).
-    'hedge/harness': (
-        '8418cd4b332efd7957a8d3dd', '92271d20b6b991ac006dc1c8',
-        'e8b5551c9d22dc0d13267a16',
-    ),
-    # journal is PR 21's: one vocabulary for every driver -- a per-flight
-    # task_start replaces task_start + attempt, progress records the
-    # checkpoint, task_done carries start_slice.  Result and trace hold.
-    'resume/journaled': (
-        'b35b8d83c436dd45fe07aa95', '22b32dc67e3aac491e1b1870',
-        'a72d16a314c0f6f076046b08',
-    ),
-    'resume/restart': (
-        '02527a5422c3ef49b54b633a', 'f000eb274a61b03d9d14ed02',
-        None,
-    ),
-    # journal is PR 21's, as resume/journaled.  Result and trace hold.
-    'resume/harness': (
-        'ce3fa254dde2dd86fc95f924', '15fcc225c4a006696d8d9b87',
-        'e757982b8e63d583d98e64a9',
-    ),
-}
 
-
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", sorted(RECORDERS))
 def test_bytes_match_the_parent_commit(name):
-    assert SCENARIOS[name]() == RECORDED[name], name
-
-
-if __name__ == "__main__":
-    for name, scenario in SCENARIOS.items():
-        print(f"    {name!r}: {scenario()!r},")
+    assert RECORDERS[name]().entry == load(FIXTURE)[name], name

@@ -5,23 +5,24 @@ reference engine, resumed vs uninterrupted, run twice).  This one pins
 the drivers' observable bytes against the commit before: every scenario
 below hashes the ``FullNodeResult`` (plans, telemetry and failures
 included), the trace JSONL and the journal records into one SHA-256,
-and the expected digests are literals recorded at commit ``1d210d4`` —
-the last one with three separate full-node loops — before the drivers
-were merged onto ``StripeRepairMaster``.
+and the expected digests, in ``driver_identity.json`` beside this file,
+were first recorded at commit ``1d210d4`` — the last one with three
+separate full-node loops — before the drivers were merged onto
+``StripeRepairMaster``.
 
 A PR that restructures the driver (plan caching, mid-transfer
 re-pivoting) must leave every digest alone; a PR that means to change
-what a run does replaces the affected literals and says so.  A failing
-assertion prints the digest the current tree produces.
+what a run does regenerates the fixture with ``scripts/rerecord.py`` in
+a commit of its own and says so.  A failing assertion prints the digest
+the current tree produces.
 
 PR 21 meant to: the master became the one attempt state machine, so a
 faulted full-node or fleet run now honours the whole ``RetryPolicy``.
-Every fault-free literal stands; the seven faulted ones were re-recorded
+Every fault-free digest stood; the seven faulted ones were re-recorded
 in one commit, each for the cause noted beside it.
 """
 
-import hashlib
-import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +49,9 @@ from repro.obs import Tracer, to_jsonl
 from repro.repair import repair_full_node, repair_full_node_adaptive
 from repro.repair.pipeline import ExecutionConfig
 from repro.resilience import RepairJournal
+from tests.recorded import Recorded, load, run_values, sha256
 
+FIXTURE = Path(__file__).with_name("driver_identity.json")
 NODES = 12
 CODE = RSCode(6, 4)
 CONFIG = ExecutionConfig(chunk_size=64 * 1024 * 1024)
@@ -138,16 +141,15 @@ def result_payload(result):
     }
 
 
-def digest(payload, tracer, journal):
-    blob = json.dumps(
-        [
+def digest(payload, tracer, journal) -> Recorded:
+    return Recorded(
+        entry=sha256([
             payload,
             to_jsonl(tracer.events),
             [record.to_json() for record in journal.records],
-        ],
-        sort_keys=True,
+        ]),
+        values=run_values(payload, tracer, journal),
     )
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def single_job(driver, network=None, stripes=STRIPES, failed=FAILED,
@@ -216,72 +218,42 @@ def storm(seed):
 
 TUNED = SchedulerConfig(threshold=0.5, max_concurrency=4)
 
-#: name -> (scenario, SHA-256 recorded at the parent of the driver merge).
-SCENARIOS = {
-    "window/none": (
-        lambda: single_job(window()),
-        "fb2e07345da591076bec4e9eb24b78bf4b3b715db9b3dcf0752c4f6ffe3b0a12",
+#: name -> scenario, hashed; the SHA-256 each must produce is in FIXTURE.
+RECORDERS = {
+    "window/none": lambda: single_job(window()),
+    # PR 21: backoff honoured; retry / backoff / attempt_failed records.
+    "window-rp/crash1": lambda: single_job(
+        window(RPPlanner, 4), faults="crash1"
     ),
-    "window-rp/crash1": (
-        # PR 21: backoff honoured; retry / backoff / attempt_failed records.
-        lambda: single_job(window(RPPlanner, 4), faults="crash1"),
-        "0aaec69dfa6abc495c13ec647d0dc534fa21b2013021fcea9b3c1dd3463148cd",
+    # PR 21: backoff honoured; retry / backoff / attempt_failed records.
+    "window/crash2": lambda: single_job(window(), faults="crash2"),
+    # PR 21: backoff honoured; failure reason, attempts.
+    "window/unrepairable": lambda: single_job(
+        window(), faults="unrepairable"
     ),
-    "window/crash2": (
-        # PR 21: backoff honoured; retry / backoff / attempt_failed records.
-        lambda: single_job(window(), faults="crash2"),
-        "16c82ebd2cf5661138b4722a09904f095d658cfeec911f56bbec0f26ddd17a45",
+    # PR 21: true kind (readerr); a doomed flow finishing inside
+    # its detection window is no success; backoff honoured.
+    "window/readerr": lambda: single_job(window(), faults="readerr"),
+    # PR 21: backoff honoured; retry / backoff / attempt_failed records.
+    "adaptive/crash1": lambda: single_job(adaptive(), faults="crash1"),
+    "adaptive-tuned/none": lambda: single_job(adaptive(TUNED)),
+    # PR 21: backoff honoured; failure reason, attempts.
+    "adaptive/unrepairable": lambda: single_job(
+        adaptive(), faults="unrepairable"
     ),
-    "window/unrepairable": (
-        # PR 21: backoff honoured; failure reason, attempts.
-        lambda: single_job(window(), faults="unrepairable"),
-        "49a3796e65a784a0f510f8fb916da6fdb53d71307fa99496e5b750b25719dc0a",
+    "traced-TPC-H/adaptive": lambda: traced(
+        adaptive(FIG7_SCHEDULER), "TPC-H", 10, seed=100
     ),
-    "window/readerr": (
-        # PR 21: true kind (readerr); a doomed flow finishing inside
-        # its detection window is no success; backoff honoured.
-        lambda: single_job(window(), faults="readerr"),
-        "253a46b7939b5d629d14ee71138f71afee52fd8b601c3e71aa45a926935e68f0",
+    "traced-SWIM/window": lambda: traced(window(), "SWIM", 24, seed=200),
+    "foreground-governed/window": lambda: single_job(
+        window(), foreground=True, governor="adaptive"
     ),
-    "adaptive/crash1": (
-        # PR 21: backoff honoured; retry / backoff / attempt_failed records.
-        lambda: single_job(adaptive(), faults="crash1"),
-        "4da97f1c01a9bc3510ef935c2620c2391e1c039dd0ff48a2ecc038375fc1b1ef",
-    ),
-    "adaptive-tuned/none": (
-        lambda: single_job(adaptive(TUNED)),
-        "240bf86e07d2809dc88c13a5762f04f1ef79e848bbc361a7c0a09d0304c9bb7d",
-    ),
-    "adaptive/unrepairable": (
-        # PR 21: backoff honoured; failure reason, attempts.
-        lambda: single_job(adaptive(), faults="unrepairable"),
-        "c8121ff2ff8b0df0f2f89c8a4d141607940124e4cfc545491f1a899a03c97635",
-    ),
-    "traced-TPC-H/adaptive": (
-        lambda: traced(adaptive(FIG7_SCHEDULER), "TPC-H", 10, seed=100),
-        "ebca04d85576d7bf58d7a8c80a84e2c68b10e88dbb44a529693afad4910c87bf",
-    ),
-    "traced-SWIM/window": (
-        lambda: traced(window(), "SWIM", 24, seed=200),
-        "87d3ea6f295b59dc6a761616f6345bd6b6ac210812df3249d9a90fbb03718386",
-    ),
-    "foreground-governed/window": (
-        lambda: single_job(window(), foreground=True, governor="adaptive"),
-        "864ef5235381be34b6106dcffac08556c3a1015729e7ff0994857f0fd69b7ba8",
-    ),
-    "foreground/adaptive": (
-        lambda: single_job(adaptive(), foreground=True),
-        "d5d31eef595285cd540813dec448c9e30766d7c8ede2ebd57e825662c9c0cc93",
-    ),
-    "storm/seed0": (
-        # PR 21: keyed, jittered backoff and the budget honoured; stall watch.
-        lambda: storm(0),
-        "e86200c1a21409178385081eae2629cfe1ba6ddb6d1654163e97ad3759f68df9",
-    ),
+    "foreground/adaptive": lambda: single_job(adaptive(), foreground=True),
+    # PR 21: keyed, jittered backoff and the budget honoured; stall watch.
+    "storm/seed0": lambda: storm(0),
 }
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", sorted(RECORDERS))
 def test_bytes_match_the_parent_commit(name):
-    scenario, recorded = SCENARIOS[name]
-    assert scenario() == recorded, name
+    assert RECORDERS[name]().entry == load(FIXTURE)[name], name

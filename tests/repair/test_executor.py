@@ -1,7 +1,6 @@
 """Tests for single-chunk repair execution on the fluid simulator."""
 
-import hashlib
-import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +16,7 @@ from repro.repair.executor import execute_plan, repair_single_chunk
 from repro.repair.pipeline import ExecutionConfig
 from repro.repair.telemetry import EVENT_PREFIXES
 from repro.core.bandwidth_view import BandwidthSnapshot
+from tests.recorded import Recorded, load, sha256
 
 # Figure 3/4 bandwidths in *bytes/second* for convenience (values are small
 # but only ratios matter to the fluid model).
@@ -107,24 +107,48 @@ class TestExecutePlan:
         assert result.plan is not None
 
 
-#: (planner, traced) -> SHA-256 of ``json.dumps(telemetry, sort_keys=True)``
-#: of one 64 MiB (9,6) repair on a seeded TPC-DS network, recorded at
-#: commit ``e7f0db8`` — before ``obs.metrics`` got its unlabeled fast path
-#: and the networks their capacity rows.  A PR that restructures the
-#: registry or ``registry_from_run`` leaves these alone.
-TELEMETRY_DIGESTS = {
-    (PivotRepairPlanner, False):
-        "58011875ce953a7c67550b1515ec7f841524314d37da129953d612eafe3486d9",
-    (PivotRepairPlanner, True):
-        "d3923f530201a8106170ccbc2ca1e5593df4945b443de77cf4d7534a9db3b3f2",
-    (RPPlanner, False):
-        "5a0ebf114362f41e45e450c2cc0cc50b5e2878c17e0cd6d0c2da9239dc23e8cf",
-    (RPPlanner, True):
-        "48a21af0a84fc5bbe36fa00147e873e368d3c3518bdb10f8e33c6936f91c5dfa",
-    (PPRPlanner, False):
-        "f1d72e607b1837e17ddb5d2928537b25a27fafc7f9f90ae74e5eb135b01bb4b4",
-    (PPRPlanner, True):
-        "fd2c07a645aeacd7be4079fa30865064cc6f5ae928efd8f25e38e527c1a130f0",
+#: ``"<planner>-<traced>"`` -> SHA-256 of ``json.dumps(telemetry,
+#: sort_keys=True)`` of one 64 MiB (9,6) repair on a seeded TPC-DS
+#: network, first recorded at commit ``e7f0db8`` — before ``obs.metrics``
+#: got its unlabeled fast path and the networks their capacity rows.  A
+#: PR that restructures the registry or ``registry_from_run`` leaves
+#: these alone.
+FIXTURE = Path(__file__).with_name("telemetry_identity.json")
+TELEMETRY_RUNS = [
+    (planner_class, traced)
+    for planner_class in (PivotRepairPlanner, RPPlanner, PPRPlanner)
+    for traced in (False, True)
+]
+
+
+def telemetry_scenario():
+    trace = trace_generators.generate_trace(
+        trace_generators.TPC_DS, 16, 240, seed=11
+    )
+    instant = congested_instants(trace, 1, seed=5)[0]
+    requestor, survivors = stripe_nodes_at(trace, instant, 9, seed=3)
+    return trace.to_network(floor=1e6), instant, requestor, survivors
+
+
+def telemetry_of(scenario, planner_class, traced) -> dict:
+    network, instant, requestor, survivors = scenario
+    return repair_single_chunk(
+        pin_planning(planner_class(), 0.0), network, requestor,
+        survivors, 6, start_time=instant,
+        tracer=Tracer() if traced else NULL_TRACER,
+    ).telemetry
+
+
+def _recorder(planner_class, traced):
+    def record() -> Recorded:
+        telemetry = telemetry_of(telemetry_scenario(), planner_class, traced)
+        return Recorded(entry=sha256(telemetry), values=telemetry)
+    return record
+
+
+RECORDERS = {
+    f"{planner_class.__name__}-{traced}": _recorder(planner_class, traced)
+    for planner_class, traced in TELEMETRY_RUNS
 }
 
 
@@ -134,31 +158,19 @@ class TestTelemetryIdentity:
 
     @pytest.fixture(scope="class")
     def scenario(self):
-        trace = trace_generators.generate_trace(
-            trace_generators.TPC_DS, 16, 240, seed=11
-        )
-        instant = congested_instants(trace, 1, seed=5)[0]
-        requestor, survivors = stripe_nodes_at(trace, instant, 9, seed=3)
-        return trace.to_network(floor=1e6), instant, requestor, survivors
+        return telemetry_scenario()
 
     @pytest.mark.parametrize(
-        "planner_class, traced", TELEMETRY_DIGESTS,
+        "planner_class, traced", TELEMETRY_RUNS,
         ids=lambda value: getattr(value, "__name__", str(value)),
     )
     def test_telemetry_bytes_match_recorded(
         self, scenario, planner_class, traced
     ):
-        network, instant, requestor, survivors = scenario
-        result = repair_single_chunk(
-            pin_planning(planner_class(), 0.0), network, requestor,
-            survivors, 6, start_time=instant,
-            tracer=Tracer() if traced else NULL_TRACER,
-        )
-        telemetry = result.telemetry
-        blob = json.dumps(telemetry, sort_keys=True)
+        telemetry = telemetry_of(scenario, planner_class, traced)
         assert (
-            hashlib.sha256(blob.encode()).hexdigest()
-            == TELEMETRY_DIGESTS[planner_class, traced]
+            sha256(telemetry)
+            == load(FIXTURE)[f"{planner_class.__name__}-{traced}"]
         )
         # What the digest covers, by name, and the order sort_keys hides.
         counters = telemetry["counters"]
