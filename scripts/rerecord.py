@@ -139,14 +139,17 @@ def rerecord(only, check: bool, dump: Path | None) -> int:
     return 0
 
 
-def drift(old_path: Path, new_path: Path, bound: float) -> int:
+def drift(old_path: Path, new_path: Path, bound: float, floor: float) -> int:
     """Compare two ``--dump`` files value by value.
 
     Integers, strings, booleans and the shape of every tree must be
     equal; floats are compared by relative difference ``|a - b| /
     max(|a|, |b|)``.  Prints one line per entry (its largest drift and
     where) and every value beyond ``bound``; exit 1 if there is one, or
-    if anything discrete moved.
+    if anything discrete moved.  A value that is itself a residue of
+    nearly equal times (a tiling error of 0.0 against 9e-16) has no
+    meaningful relative drift: differences of at most ``floor`` seconds
+    or bytes are listed as RESIDUE, and pass.
     """
     old = json.loads(old_path.read_text())
     new = json.loads(new_path.read_text())
@@ -174,8 +177,10 @@ def drift(old_path: Path, new_path: Path, bound: float) -> int:
                 if a == b:
                     continue
                 moved_floats += 1
-                scale = max(abs(a), abs(b))
-                relative = abs(a - b) / scale
+                relative = abs(a - b) / max(abs(a), abs(b))
+                if relative > bound and abs(a - b) <= floor:
+                    print(f"  RESIDUE {path}: {a!r} -> {b!r}")
+                    continue
                 if relative > worst:
                     worst, worst_at = relative, (path, a, b)
                 if relative > bound:
@@ -217,12 +222,16 @@ def main(argv=None) -> int:
         help="largest relative float drift --drift accepts",
     )
     parser.add_argument(
+        "--floor", type=float, default=1e-12,
+        help="absolute difference --drift lists as RESIDUE, not as drift",
+    )
+    parser.add_argument(
         "--only", action="append", default=[], metavar="GLOB",
         help="restrict to '<fixture path>:<entry>' matches (repeatable)",
     )
     args = parser.parse_args(argv)
     if args.drift:
-        return drift(*args.drift, args.bound)
+        return drift(*args.drift, args.bound, args.floor)
     return rerecord(args.only, args.check, args.dump)
 
 

@@ -89,6 +89,13 @@ def test_drift_separates_float_noise_from_discrete_moves(
     assert rerecord.main(
         ["--drift", str(old), str(new), "--bound", "1e-13"]
     ) == 1
+    # A residue of nearly equal times: listed, not counted as drift.
+    values["a:x"]["residual"] = 0.0
+    old.write_text(json.dumps(values))
+    values["a:x"]["residual"] = 9e-16
+    new.write_text(json.dumps(values))
+    assert rerecord.main(["--drift", str(old), str(new)]) == 0
+    assert "RESIDUE /residual: 0.0 -> 9e-16" in capsys.readouterr().out
     values["a:x"]["steps"] = 8
     new.write_text(json.dumps(values))
     assert rerecord.main(["--drift", str(old), str(new)]) == 1
