@@ -22,6 +22,15 @@ foreground client traffic compete max-min on the same links but are
 accounted separately (:attr:`SimulatorStats.bytes_by_kind`) and traced on
 distinguishable tracks, so interference between the two is observable
 rather than baked into the capacities.
+
+An event costs what changed, not what is live.  Each entity keeps its
+residue as of the instant its rate last moved; a heap of finish times
+gives the next finish; carried bytes are booked when an entity leaves.
+A step that only moves the clock — or another component's arrival, or
+a capacity breakpoint that changes no rate — touches no entity, and
+every reader of carried bytes (``task_progress``, ``bytes_up``,
+``stats`` …) computes ``settled + rate * (now - settled_at)`` without
+storing it, so whether anyone looked never changes a float.
 """
 
 from __future__ import annotations
@@ -29,7 +38,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from heapq import heapify, heappop, heappush
 
 from repro.exceptions import SimulationError
 from repro.network.engine import IncrementalEngine
@@ -70,7 +80,8 @@ class SimulatorStats:
     tasks_cancelled: int = 0
     #: Bytes carried per traffic class (summed over edges), e.g.
     #: ``{"repair": ..., "foreground": ...}``.  Partially-finished and
-    #: cancelled tasks count what they actually moved.
+    #: cancelled tasks count what they actually moved.  Both byte
+    #: fields are filled when :attr:`FluidSimulator.stats` is read.
     bytes_by_kind: dict[str, float] = field(default_factory=dict)
     #: Total bytes carried over all links (summed over edges), including
     #: what cancelled tasks moved before cancellation — e.g. the losing
@@ -119,7 +130,12 @@ class TaskHandle:
 
 @dataclass
 class _Entity:
-    """One max-min allocation entity: a set of edges at a common rate."""
+    """One max-min allocation entity: a set of edges at a common rate.
+
+    ``remaining`` is the residue per edge *as of* ``settled_at``, the
+    instant the entity's rate last moved; between two such instants the
+    residue is a closed form, :meth:`residue_at`, that nobody stores.
+    """
 
     task_id: int
     edges: list[tuple[int, int]]
@@ -127,11 +143,55 @@ class _Entity:
     #: Bytes the entity was submitted with (``remaining`` at creation).
     total: float = 0.0
     usage: dict = field(default_factory=dict)
+    #: The allocator's output.  Equal to ``settled_rate`` except inside
+    #: ``_ensure_rates``, between a solve and the settlement it causes.
     rate: float = 0.0
     #: Optional ceiling on the entity's rate (rate-throttled traffic).
     max_rate: float | None = None
     #: Traffic class the entity's bytes are accounted under.
     kind: str = "repair"
+    #: Instant ``remaining`` is valid at.
+    settled_at: float = 0.0
+    #: Rate in force since ``settled_at``.
+    settled_rate: float = 0.0
+    #: ``settled_at + remaining / settled_rate``, computed once per rate
+    #: move; ``inf`` at rate zero.  The heap entry carrying any other
+    #: value for this entity is stale.
+    finish_at: float = math.inf
+
+    def residue_at(self, now: float) -> float:
+        """Bytes per edge still to move at ``now`` (a pure read)."""
+        return self.remaining - self.settled_rate * (now - self.settled_at)
+
+
+@dataclass
+class _Ledger:
+    """Bytes carried: per node and direction, per class, in total.
+
+    The simulator's own ledger is credited only when an entity leaves
+    (its whole size when it finishes, what it carried when cancelled),
+    so a drained run's sums are sums of submitted sizes, with no
+    per-step rounding in them.
+    """
+
+    up: dict[int, float] = field(default_factory=dict)
+    down: dict[int, float] = field(default_factory=dict)
+    by_kind: dict[str, float] = field(default_factory=dict)
+    total: float = 0.0
+
+    def credit(self, entity: _Entity, carried: float) -> float:
+        """Add ``carried`` bytes on each of the entity's edges; return
+        their sum over the edges."""
+        up, down = self.up, self.down
+        for src, dst in entity.edges:
+            up[src] = up.get(src, 0.0) + carried
+            down[dst] = down.get(dst, 0.0) + carried
+        moved = carried * len(entity.edges)
+        self.by_kind[entity.kind] = (
+            self.by_kind.get(entity.kind, 0.0) + moved
+        )
+        self.total += moved
+        return moved
 
 
 class FluidSimulator:
@@ -165,13 +225,23 @@ class FluidSimulator:
         self.sampler = sampler
         if sampler is not None:
             sampler.bind(self)
-        self.stats = SimulatorStats()
-        #: Bytes carried so far per node, split by direction (uplink =
-        #: node uploads, downlink = node receives).  Updated every step
-        #: from the fluid rates, so partially-finished tasks count too.
-        self.bytes_up: dict[int, float] = {}
-        self.bytes_down: dict[int, float] = {}
+        #: The counters behind :attr:`stats` (its byte fields stay
+        #: empty here; ``_ledger`` holds what departed entities carried).
+        self._stats = SimulatorStats()
+        self._ledger = _Ledger()
         self._entities: dict[int, _Entity] = {}
+        #: ``(finish_at, entity_id)`` of every entity with a positive
+        #: rate, plus entries a later rate move or departure made stale
+        #: (dropped when they surface, or by :meth:`_schedule`'s rebuild).
+        self._finish_heap: list[tuple[float, int]] = []
+        #: Exact work counts of the event loop (plain ints, like the
+        #: engine's: ``SimulatorStats.as_dict()`` feeds recorded digests
+        #: and must not grow keys).  ``settlements``: entities whose
+        #: residue was brought up to date — one per rate move, finish
+        #: and cancellation, never one per step.
+        self.settlements = 0
+        self.heap_pushes = 0
+        self.stale_pops = 0
         self._entity_ids = itertools.count()
         #: Live tasks only: a task enters both maps in ``_add_entities``
         #: and leaves them when its last entity finishes or it is
@@ -180,8 +250,9 @@ class FluidSimulator:
         self._handles: dict[int, TaskHandle] = {}
         self._task_ids = itertools.count()
         self._task_entities: dict[int, set[int]] = {}
-        #: Per-task bytes submitted / carried (summed over edges), kept
-        #: across completion and cancellation for progress watermarks.
+        #: Per-task bytes submitted / carried by departed entities
+        #: (summed over edges), kept across completion and cancellation
+        #: for progress watermarks.
         self._task_totals: dict[int, float] = {}
         self._task_bytes: dict[int, float] = {}
         self._task_tracks: dict[int, str] = {}
@@ -200,10 +271,51 @@ class FluidSimulator:
         #: Epoch the entities' ``rate`` fields were last solved in.
         self._rated_epoch = -1
 
+    # ------------------------------------------------------------------
+    # Carried bytes: pure reads of the ledger
+    # ------------------------------------------------------------------
+    def _ledger_now(self) -> _Ledger:
+        """What has crossed the links up to ``now``, as a fresh copy.
+
+        The settled ledger plus each live entity's closed-form share —
+        computed, never stored, so whether anyone looked changes no
+        float of the run.
+        """
+        settled = self._ledger
+        ledger = _Ledger(
+            dict(settled.up), dict(settled.down), dict(settled.by_kind),
+            settled.total,
+        )
+        now = self.now
+        for entity in self._entities.values():
+            carried = entity.total - entity.residue_at(now)
+            if carried > 0:
+                ledger.credit(entity, carried)
+        return ledger
+
+    @property
+    def stats(self) -> SimulatorStats:
+        """Event-loop statistics as of ``now`` (a snapshot)."""
+        ledger = self._ledger_now()
+        return replace(
+            self._stats, bytes_by_kind=ledger.by_kind,
+            bytes_transferred=ledger.total,
+        )
+
+    @property
+    def bytes_up(self) -> dict[int, float]:
+        """Bytes each node has uploaded so far (live tasks included)."""
+        return self._ledger_now().up
+
+    @property
+    def bytes_down(self) -> dict[int, float]:
+        """Bytes each node has received so far (live tasks included)."""
+        return self._ledger_now().down
+
     @property
     def total_bytes_transferred(self) -> float:
         """Total bytes moved over all links so far (sum over edges)."""
-        return sum(self.bytes_up.values())
+        return self._ledger_now().total
 
     # ------------------------------------------------------------------
     # Submission
@@ -363,7 +475,7 @@ class FluidSimulator:
             task_id=task_id, label=label or f"task-{task_id}",
             submit_time=self.now, kind=kind,
         )
-        self.stats.tasks_submitted += 1
+        self._stats.tasks_submitted += 1
         return handle
 
     def _add_entities(
@@ -372,6 +484,7 @@ class FluidSimulator:
         members: set[int] = set()
         for entity in entities:
             entity.total = entity.remaining
+            entity.settled_at = self.now
             entity_id = next(self._entity_ids)
             self._entities[entity_id] = entity
             members.add(entity_id)
@@ -380,7 +493,7 @@ class FluidSimulator:
         self._handles[handle.task_id] = handle
         self._task_entities[handle.task_id] = members
         self._task_totals[handle.task_id] = sum(
-            e.total for e in entities
+            e.total * len(e.edges) for e in entities
         )
         self.rate_epoch += 1
 
@@ -418,15 +531,23 @@ class FluidSimulator:
         total = self._task_totals.get(handle.task_id, 0.0)
         if total <= 0:
             return 0.0
-        remaining = sum(
-            self._entities[i].remaining
-            for i in self._task_entities.get(handle.task_id, set())
-        )
-        return max(0.0, min(1.0, 1.0 - remaining / total))
+        return max(0.0, min(1.0, self.task_bytes_carried(handle) / total))
 
     def task_bytes_carried(self, handle: TaskHandle) -> float:
-        """Bytes the task has moved so far, summed over its edges."""
-        return self._task_bytes.get(handle.task_id, 0.0)
+        """Bytes the task has moved so far, summed over its edges.
+
+        The one ledger of how far a task is: what its departed entities
+        carried plus the closed-form share of the live ones.
+        :meth:`task_progress` is this over the submitted total.
+        """
+        carried = self._task_bytes.get(handle.task_id, 0.0)
+        now = self.now
+        for entity_id in self._task_entities.get(handle.task_id, ()):
+            entity = self._entities[entity_id]
+            carried += (entity.total - entity.residue_at(now)) * len(
+                entity.edges
+            )
+        return carried
 
     def current_usage(self) -> tuple[dict[int, float], dict[int, float]]:
         """Bandwidth currently consumed by live tasks, per node.
@@ -458,10 +579,11 @@ class FluidSimulator:
         ``bytes_transferred`` accounts carried bytes.
         """
         total = 0.0
+        now = self.now
         for entity in self._entities.values():
             if kind is not None and entity.kind != kind:
                 continue
-            total += entity.remaining * len(entity.edges)
+            total += entity.residue_at(now) * len(entity.edges)
         return total
 
     def link_utilization(self) -> float:
@@ -546,11 +668,14 @@ class FluidSimulator:
         self._handles.pop(handle.task_id, None)
         remaining = 0.0
         for entity_id in sorted(entity_ids):
-            remaining += self._entities.pop(entity_id).remaining
+            entity = self._entities.pop(entity_id)
+            self._settle(entity)
+            remaining += entity.remaining
+            self._credit(entity, entity.total - entity.remaining)
             if self._engine is not None:
                 self._engine.remove_entity(entity_id)
         handle.cancelled = True
-        self.stats.tasks_cancelled += 1
+        self._stats.tasks_cancelled += 1
         self.rate_epoch += 1
         if self.tracer.enabled:
             track = self._task_tracks.pop(handle.task_id, "sim")
@@ -629,73 +754,67 @@ class FluidSimulator:
 
         A ``max_time`` already in the past is no event at all: nothing
         moves and the callers' ``now >= max_time`` checks end their
-        loops.  Otherwise two walks over the live entities: earliest
-        finish, then byte accounting fused with the completion scan.
-        Recorded digests depend on the exact float operations here —
-        ``now + remaining / rate``; ``remaining -= rate * elapsed``
-        every step; per-node, per-kind and per-task sums in entity
-        order.
+        loops.  Otherwise the step costs what changed, not what is
+        live: the next finish is the top of ``_finish_heap``, and only
+        the entities finishing at this event are touched — every other
+        residue is a closed form of the clock (:meth:`_Entity.residue_at`)
+        that moves by itself.  An entity finishes in the step that ends
+        within 1e-9 s of its ``finish_at``: once ``now`` is large, a
+        residue draining faster than the float resolution of ``now``
+        would otherwise schedule zero-length advances, and finishers of
+        one instant must reach the orchestrator together.  They are
+        processed in entity-id, i.e. submission, order.  Recorded
+        digests depend on the exact float operations here and in
+        :meth:`_settle` / :meth:`_schedule`.
         """
         now = self.now
         if max_time < now:
             return []
         self._ensure_rates()
         entities = self._entities
-        earliest_finish = math.inf
-        for entity in entities.values():
-            rate = entity.rate
-            if rate > 0:
-                finish = now + entity.remaining / rate
-                if finish < earliest_finish:
-                    earliest_finish = finish
+        heap = self._finish_heap
+        while heap:
+            finish_at, entity_id = heap[0]
+            entity = entities.get(entity_id)
+            if entity is not None and entity.finish_at == finish_at:
+                break
+            heappop(heap)
+            self.stale_pops += 1
         next_event = min(
-            self.network.next_change_after(now), earliest_finish, max_time
+            self.network.next_change_after(now),
+            heap[0][0] if heap else math.inf,
+            max_time,
         )
         if not math.isfinite(next_event):
             raise SimulationError(self._stuck_report())
-        elapsed = next_event - now
-        if elapsed < 0:
+        if next_event < now:
             raise SimulationError("time went backwards")
         if self.sampler is not None:
             self.sampler.on_window(now, next_event, entities.values())
-        bytes_up = self.bytes_up
-        bytes_down = self.bytes_down
-        stats = self.stats
-        bytes_by_kind = stats.bytes_by_kind
-        bytes_transferred = stats.bytes_transferred
-        task_bytes = self._task_bytes
-        # An entity is done when its residue is negligible either in bytes
-        # or in drain time.  The time criterion matters: once `now` is large,
-        # a residue that drains faster than the float resolution of `now`
-        # would otherwise schedule zero-length advances forever.
-        finished_entities: list[int] = []
-        for entity_id, entity in entities.items():
-            rate = entity.rate
-            transferred = rate * elapsed
-            remaining = entity.remaining - transferred
-            entity.remaining = remaining
-            if transferred > 0:
-                edges = entity.edges
-                for src, dst in edges:
-                    bytes_up[src] = bytes_up.get(src, 0.0) + transferred
-                    bytes_down[dst] = bytes_down.get(dst, 0.0) + transferred
-                moved = transferred * len(edges)
-                kind = entity.kind
-                bytes_by_kind[kind] = bytes_by_kind.get(kind, 0.0) + moved
-                bytes_transferred += moved
-                task_id = entity.task_id
-                task_bytes[task_id] = task_bytes.get(task_id, 0.0) + moved
-            if remaining <= 1e-6 or (rate > 0 and remaining / rate < 1e-9):
-                finished_entities.append(entity_id)
-        stats.bytes_transferred = bytes_transferred
         self.now = next_event
+        stats = self._stats
         stats.steps += 1
         self.rate_epoch += 1
 
+        finished: list[tuple[int, _Entity]] = []
+        while heap and heap[0][0] - next_event < 1e-9:
+            finish_at, entity_id = heappop(heap)
+            entity = entities.get(entity_id)
+            if entity is not None and entity.finish_at == finish_at:
+                del entities[entity_id]
+                finished.append((entity_id, entity))
+            else:
+                self.stale_pops += 1
+        if len(finished) > 1:
+            finished.sort()
+
         completed: list[TaskHandle] = []
         tracing = self.tracer.enabled
-        for entity_id in finished_entities:
-            entity = entities.pop(entity_id)
+        for entity_id, entity in finished:
+            # Finishing is exact: whatever rounding the residue picked
+            # up, the entity carried the bytes it was submitted with.
+            self.settlements += 1
+            self._credit(entity, entity.total)
             if self._engine is not None:
                 self._engine.remove_entity(entity_id)
             task_id = entity.task_id
@@ -731,6 +850,57 @@ class FluidSimulator:
                         duration=handle.finish_time - handle.submit_time,
                     )
         return completed
+
+    # ------------------------------------------------------------------
+    # Settlement: the only writers of carried bytes
+    # ------------------------------------------------------------------
+    def _settle(self, entity: _Entity) -> None:
+        """Bring ``entity.remaining`` up to ``now``.
+
+        Called when the simulation itself moves the entity — its rate
+        changed or it was cancelled — and nowhere else; with no time
+        elapsed it subtracts ``rate * 0.0`` and changes no bit, which
+        is what makes an earlier solve (a reader asked for a rate)
+        indistinguishable from a later one.
+        """
+        now = self.now
+        entity.remaining -= entity.settled_rate * (now - entity.settled_at)
+        entity.settled_at = now
+        self.settlements += 1
+
+    def _schedule(self, entity_id: int, entity: _Entity) -> None:
+        """The entity's rate moved at ``now``: settle it at the old
+        rate, adopt the new one, and push its new finish time."""
+        self._settle(entity)
+        rate = entity.settled_rate = entity.rate
+        if rate <= 0:
+            entity.finish_at = math.inf
+            return
+        finish_at = self.now + max(entity.remaining, 0.0) / rate
+        if finish_at == entity.finish_at:
+            return  # moved and moved back within one instant
+        entity.finish_at = finish_at
+        heap = self._finish_heap
+        heappush(heap, (finish_at, entity_id))
+        self.heap_pushes += 1
+        if len(heap) > 2 * len(self._entities) + 64:
+            # Mostly stale (a re-cap storm re-pushes the same entities):
+            # rebuild from the live ones, amortised over the pushes
+            # that grew it.
+            heap[:] = [
+                (e.finish_at, i) for i, e in self._entities.items()
+                if e.finish_at < math.inf
+            ]
+            heapify(heap)
+
+    def _credit(self, entity: _Entity, carried: float) -> None:
+        """Book what a departing entity carried (per edge) in the
+        ledger and under its task."""
+        if carried > 0:
+            task_id = entity.task_id
+            self._task_bytes[task_id] = self._task_bytes.get(
+                task_id, 0.0
+            ) + self._ledger.credit(entity, carried)
 
     def _stuck_report(self) -> str:
         """Message of the stuck error: who starves, and on what.
@@ -768,34 +938,38 @@ class FluidSimulator:
     def _ensure_rates(self) -> None:
         if self._rated_epoch == self.rate_epoch:
             return
+        self._rated_epoch = self.rate_epoch
+        entities = self._entities
         if self._engine is not None:
             # Incremental path: re-solve only the perturbed components
             # (if any).  A pure time advance inside a capacity epoch with
             # nothing dirty recomputes nothing — rates are
             # piecewise-constant between events.
-            if self._engine.ensure(self.now):
-                self.stats.rate_recomputations += 1
-                if self.tracer.enabled and self._entities:
-                    # Only entities the solve actually moved can change a
-                    # task's aggregate; rescanning every live task here
-                    # turns tracing into an O(tasks) tax per
-                    # recomputation.
-                    self._trace_rate_changes(self._engine.last_changed)
-            self._rated_epoch = self.rate_epoch
-            return
-        entities = list(self._entities.values())
-        capacities = self.network.capacities_at(self.now)
-        rates = max_min_allocate(
-            [e.usage for e in entities],
-            capacities,
-            rate_caps=[e.max_rate for e in entities],
-        )
-        for entity, rate in zip(entities, rates):
-            entity.rate = rate
-        self.stats.rate_recomputations += 1
-        self._rated_epoch = self.rate_epoch
+            if not self._engine.ensure(self.now):
+                return
+            # Only entities the solve actually moved can change a
+            # task's aggregate; rescanning every live task here
+            # turns tracing into an O(tasks) tax per recomputation.
+            moved = traced = self._engine.last_changed
+        else:
+            rates = max_min_allocate(
+                [e.usage for e in entities.values()],
+                self.network.capacities_at(self.now),
+                rate_caps=[e.max_rate for e in entities.values()],
+            )
+            moved = []
+            for (entity_id, entity), rate in zip(entities.items(), rates):
+                if entity.rate != rate:
+                    entity.rate = rate
+                    moved.append(entity_id)
+            traced = None
+        self._stats.rate_recomputations += 1
+        # One accounting for both engines: an entity is settled when,
+        # and only when, its rate moved.
+        for entity_id in moved:
+            self._schedule(entity_id, entities[entity_id])
         if self.tracer.enabled and entities:
-            self._trace_rate_changes()
+            self._trace_rate_changes(traced)
 
     def _trace_rate_changes(self, solved=None) -> None:
         """Emit ``flow.rate_change`` for tasks whose aggregate rate moved.

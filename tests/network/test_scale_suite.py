@@ -8,8 +8,8 @@ Two layers, both timing-free and deterministic:
   re-solved component is a handful of tasks while the reference re-rates
   every live task on every event);
 * the full 1024-node storm: equal digests under both engines, the
-  storm's recorded simulated values, and the recomputation work of each
-  engine counted exactly.
+  storm's recorded simulated values, and the work counted exactly:
+  each engine's recomputations and the event loop's settlements.
 
 No wall-clock assertion lives here.  Host time is the benchmark's
 (``benchmarks/perf``, workload ``engine_storm``); what the engines were
@@ -19,6 +19,7 @@ measured at is in ``docs/fluid_engine.md``, "Scale numbers".
 from pathlib import Path
 
 import repro.network.simulator as simulator
+from repro.network.engine import IncrementalEngine
 from repro.network.scenario import replay, storm_scenario
 from repro.network.simulator import FluidSimulator
 from tests.recorded import Recorded, load
@@ -139,8 +140,27 @@ def test_scale_storm_recomputes_components_not_the_cluster(monkeypatch):
     # Reference: one global solve per step, 12 950 entity re-ratings.
     assert (len(rerated), sum(rerated)) == (1594, 12950)
 
+    moved = []
+    ensure = IncrementalEngine.ensure
+
+    def counting_moves(self, now):
+        solved = ensure(self, now)
+        if solved:
+            moved.append(len(self.last_changed))
+        return solved
+
+    monkeypatch.setattr(IncrementalEngine, "ensure", counting_moves)
     sim, engine = _engine_counters(scenario)
     assert sim.stats.steps == 1594
     # Fast: 887 component solves re-rating 1061 entities, 12.2x fewer.
     assert (engine.solves, engine.solved_entities) == (887, 1061)
     assert engine.solves_by_tier == {"single": 770, "small": 117}
+    # The event loop: of those 1061 re-ratings 923 moved a rate, and an
+    # entity's residue is brought up to date only then or when it
+    # leaves — 1723 settlements where a walk per step made 12 950.
+    # Every move pushed one finish time; 123 of the 923 went stale.
+    assert (len(moved), sum(moved)) == (887, 923)
+    assert sim.settlements == 923 + 800
+    assert sim.settlements <= sum(moved) + sim.stats.tasks_completed
+    assert (sim.heap_pushes, sim.stale_pops) == (923, 123)
+    assert not sim._finish_heap
