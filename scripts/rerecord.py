@@ -118,9 +118,11 @@ def rerecord(only, check: bool, dump: Path | None) -> int:
             fixtures[path] = json.loads(path.read_text())
         lines = _diff(fixtures[path].get(name), entry)
         if lines:
+            # An entry that agrees is left as it is written, key order
+            # and all: a re-record's diff is what moved, nothing else.
             disagreements += 1
             print("\n".join(lines))
-        fixtures[path][name] = entry
+            fixtures[path][name] = entry
     if not values:
         print("nothing selected", file=sys.stderr)
         return 2
