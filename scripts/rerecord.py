@@ -188,7 +188,8 @@ def drift(old_path: Path, new_path: Path, bound: float, floor: float) -> int:
                 if relative > bound:
                     print(f"  BEYOND {bound:g} {path}: {a!r} -> {b!r}")
                     failures += 1
-            elif a != b:
+            elif a != b or type(a) is not type(b):
+                # ``0 -> 0.0`` too: it changes the JSON a digest hashes.
                 print(f"  DISCRETE {path}: {a!r} -> {b!r}")
                 failures += 1
         line = (

@@ -100,6 +100,10 @@ def test_drift_separates_float_noise_from_discrete_moves(
     new.write_text(json.dumps(values))
     assert rerecord.main(["--drift", str(old), str(new)]) == 1
     assert "DISCRETE /steps: 7 -> 8" in capsys.readouterr().out
+    values["a:x"]["steps"] = 7.0
+    new.write_text(json.dumps(values))
+    assert rerecord.main(["--drift", str(old), str(new)]) == 1
+    assert "DISCRETE /steps: 7 -> 7.0" in capsys.readouterr().out
     values["a:x"]["tree"].append(0.5)
     new.write_text(json.dumps(values))
     assert rerecord.main(["--drift", str(old), str(new)]) == 1
