@@ -87,33 +87,34 @@ def execute_plan(
             "repair.task", t=start_time + transfer, span_id=task_span,
             track=task_track, transfer_seconds=transfer,
         )
-    logger.info(
-        "%s repair: transfer %.3fs, %.0f bytes over %d links",
-        plan.scheme, transfer, sim.total_bytes_transferred,
-        len(sim.bytes_up),
-    )
+    # The simulator's byte readers build what they return; read once.
+    carried = sim.total_bytes_transferred
+    if logger.isEnabledFor(logging.INFO):
+        logger.info(
+            "%s repair: transfer %.3fs, %.0f bytes over %d links",
+            plan.scheme, transfer, carried, len(sim.bytes_up),
+        )
     return RepairResult(
         scheme=plan.scheme,
         planning_seconds=plan.effective_planning_seconds,
         transfer_seconds=transfer,
         bmin=plan.bmin,
         plan=plan,
-        bytes_transferred=sim.total_bytes_transferred,
-        telemetry=_telemetry(plan, sim, transfer, tracer),
+        bytes_transferred=carried,
+        telemetry=_telemetry(plan, sim, transfer, carried, tracer),
     )
 
 
 def _telemetry(
-    plan: RepairPlan, sim: FluidSimulator, transfer: float, tracer
+    plan: RepairPlan, sim: FluidSimulator, transfer: float,
+    carried: float, tracer,
 ) -> dict:
     """Registry snapshot of one single-chunk run."""
     registry = registry_from_run(sim, tracer)
     if plan.is_pipelined and plan.bmin > 0 and transfer > 0:
         # Achieved pipeline rate over the planner's promised bottleneck:
         # ~1.0 when the plan held, < 1 when congestion moved against it.
-        bytes_per_edge = sim.total_bytes_transferred / max(
-            len(plan.tree.edges()), 1
-        )
+        bytes_per_edge = carried / max(len(plan.tree.edges()), 1)
         registry.gauge("bottleneck_utilization").set(
             bytes_per_edge / transfer / plan.bmin
         )

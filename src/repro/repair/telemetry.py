@@ -47,14 +47,15 @@ def registry_from_run(
     off or the subsystem emitted nothing.
     """
     registry = registry or MetricsRegistry()
-    registry.counter("flows_completed").inc(sim.stats.tasks_completed)
-    registry.counter("flows_submitted").inc(sim.stats.tasks_submitted)
-    registry.counter("sim_steps").inc(sim.stats.steps)
+    stats = sim.stats  # a snapshot: one read
+    registry.counter("flows_completed").inc(stats.tasks_completed)
+    registry.counter("flows_submitted").inc(stats.tasks_submitted)
+    registry.counter("sim_steps").inc(stats.steps)
     registry.counter("sim_rate_recomputations").inc(
-        sim.stats.rate_recomputations
+        stats.rate_recomputations
     )
-    registry.counter("bytes_transferred").inc(sim.total_bytes_transferred)
-    for kind, amount in sorted(sim.stats.bytes_by_kind.items()):
+    registry.counter("bytes_transferred").inc(stats.bytes_transferred)
+    for kind, amount in sorted(stats.bytes_by_kind.items()):
         registry.counter(f"bytes_kind/{kind}").inc(amount)
     for node, amount in sorted(sim.bytes_up.items()):
         registry.counter(f"bytes_up/{node}").inc(amount)
