@@ -35,6 +35,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from tests.recorded import load  # noqa: E402
+
 #: Module -> what its fixture pins.  Each exposes ``FIXTURE`` and
 #: ``RECORDERS`` (``tests/recorded.py``).
 SOURCES = {
@@ -58,8 +60,9 @@ SOURCES = {
 
 
 def _selected(only):
-    """Yield ``(module, fixture path, entry name, recorder)``; ``only``
-    holds globs matched against ``<fixture path>:<entry name>``."""
+    """Yield ``(module, key, entry name, recorder)``, the key being
+    ``<fixture path>:<entry name>``; ``only`` holds globs matched
+    against the key or the fixture path."""
     for module_name in SOURCES:
         module = importlib.import_module(module_name)
         fixture = Path(os.path.relpath(module.FIXTURE, ROOT)).as_posix()
@@ -70,7 +73,7 @@ def _selected(only):
                 or fnmatch.fnmatch(fixture, glob)
                 for glob in only
             ):
-                yield module, fixture, name, recorder
+                yield module, key, name, recorder
 
 
 def _leaves(tree, path=""):
@@ -107,15 +110,15 @@ def rerecord(only, check: bool, dump: Path | None) -> int:
     fixtures: dict[Path, dict] = {}
     values: dict[str, object] = {}
     disagreements = 0
-    for module, fixture, name, recorder in _selected(only):
-        print(f"{fixture}:{name}", flush=True)
+    for module, key, name, recorder in _selected(only):
+        print(key, flush=True)
         recorded = recorder()
         # Through JSON, so a tuple and the list it is stored as agree.
         entry = json.loads(json.dumps(recorded.entry))
-        values[f"{fixture}:{name}"] = recorded.values
+        values[key] = recorded.values
         path = module.FIXTURE
         if path not in fixtures:
-            fixtures[path] = json.loads(path.read_text())
+            fixtures[path] = load(path)
         lines = _diff(fixtures[path].get(name), entry)
         if lines:
             # An entry that agrees is left as it is written, key order
@@ -153,8 +156,7 @@ def drift(old_path: Path, new_path: Path, bound: float, floor: float) -> int:
     meaningful relative drift: differences of at most ``floor`` seconds
     or bytes are listed as RESIDUE, and pass.
     """
-    old = json.loads(old_path.read_text())
-    new = json.loads(new_path.read_text())
+    old, new = load(old_path), load(new_path)
     failures = 0
     for entry in sorted(old.keys() | new.keys()):
         if entry not in old or entry not in new:

@@ -38,7 +38,8 @@ def test_every_source_follows_the_protocol(rerecord):
     assert {module.__name__ for module, *_ in entries} == set(
         rerecord.SOURCES
     )
-    for module, _, name, recorder in entries:
+    for module, key, name, recorder in entries:
+        assert key.endswith(f":{name}")
         assert name in json.loads(module.FIXTURE.read_text()), name
         assert callable(recorder)
 
