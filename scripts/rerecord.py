@@ -58,6 +58,11 @@ SOURCES = {
         "lifetime studies: digest, losses, repairs (TestPinnedStudies)",
 }
 
+#: Largest relative float drift ``--drift`` accepts.
+BOUND = 1e-9
+#: Absolute difference (seconds or bytes) ``--drift`` lists as RESIDUE.
+RESIDUE_FLOOR = 1e-12
+
 
 def _selected(only):
     """Yield ``(module, key, entry name, recorder)``, the key being
@@ -144,17 +149,17 @@ def rerecord(only, check: bool, dump: Path | None) -> int:
     return 0
 
 
-def drift(old_path: Path, new_path: Path, bound: float, floor: float) -> int:
+def drift(old_path: Path, new_path: Path) -> int:
     """Compare two ``--dump`` files value by value.
 
     Integers, strings, booleans and the shape of every tree must be
     equal; floats are compared by relative difference ``|a - b| /
     max(|a|, |b|)``.  Prints one line per entry (its largest drift and
-    where) and every value beyond ``bound``; exit 1 if there is one, or
+    where) and every value beyond ``BOUND``; exit 1 if there is one, or
     if anything discrete moved.  A value that is itself a residue of
     nearly equal times (a tiling error of 0.0 against 9e-16) has no
-    meaningful relative drift: differences of at most ``floor`` seconds
-    or bytes are listed as RESIDUE, and pass.
+    meaningful relative drift: differences of at most ``RESIDUE_FLOOR``
+    are listed as RESIDUE, and pass.
     """
     old, new = load(old_path), load(new_path)
     failures = 0
@@ -182,13 +187,13 @@ def drift(old_path: Path, new_path: Path, bound: float, floor: float) -> int:
                     continue
                 moved_floats += 1
                 relative = abs(a - b) / max(abs(a), abs(b))
-                if relative > bound and abs(a - b) <= floor:
+                if relative > BOUND and abs(a - b) <= RESIDUE_FLOOR:
                     print(f"  RESIDUE {path}: {a!r} -> {b!r}")
                     continue
                 if relative > worst:
                     worst, worst_at = relative, (path, a, b)
-                if relative > bound:
-                    print(f"  BEYOND {bound:g} {path}: {a!r} -> {b!r}")
+                if relative > BOUND:
+                    print(f"  BEYOND {BOUND:g} {path}: {a!r} -> {b!r}")
                     failures += 1
             elif a != b or type(a) is not type(b):
                 # ``0 -> 0.0`` too: it changes the JSON a digest hashes.
@@ -203,7 +208,7 @@ def drift(old_path: Path, new_path: Path, bound: float, floor: float) -> int:
         print(line)
     print(
         "drift: " + ("FAILED" if failures else "ok")
-        + f" ({failures} discrete, missing or beyond {bound:g})"
+        + f" ({failures} discrete, missing or beyond {BOUND:g})"
     )
     return 1 if failures else 0
 
@@ -223,20 +228,12 @@ def main(argv=None) -> int:
         help="compare two --dump files",
     )
     parser.add_argument(
-        "--bound", type=float, default=1e-9,
-        help="largest relative float drift --drift accepts",
-    )
-    parser.add_argument(
-        "--floor", type=float, default=1e-12,
-        help="absolute difference --drift lists as RESIDUE, not as drift",
-    )
-    parser.add_argument(
         "--only", action="append", default=[], metavar="GLOB",
         help="restrict to '<fixture path>:<entry>' matches (repeatable)",
     )
     args = parser.parse_args(argv)
     if args.drift:
-        return drift(*args.drift, args.bound, args.floor)
+        return drift(*args.drift)
     return rerecord(args.only, args.check, args.dump)
 
 

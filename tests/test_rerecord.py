@@ -87,9 +87,12 @@ def test_drift_separates_float_noise_from_discrete_moves(
     new.write_text(json.dumps(values))
     assert rerecord.main(["--drift", str(old), str(new)]) == 0
     assert "1 moved, max relative drift 1e-12" in capsys.readouterr().out
-    assert rerecord.main(
-        ["--drift", str(old), str(new), "--bound", "1e-13"]
-    ) == 1
+    # Just past the bound: a repair time that moved in the ninth digit.
+    values["a:x"]["seconds"] = 2.0 * (1 + 2 * rerecord.BOUND)
+    new.write_text(json.dumps(values))
+    assert rerecord.main(["--drift", str(old), str(new)]) == 1
+    assert "BEYOND 1e-09 /seconds: 2.0 -> " in capsys.readouterr().out
+    values["a:x"]["seconds"] = 2.0
     # A residue of nearly equal times: listed, not counted as drift.
     values["a:x"]["residual"] = 0.0
     old.write_text(json.dumps(values))
@@ -97,6 +100,11 @@ def test_drift_separates_float_noise_from_discrete_moves(
     new.write_text(json.dumps(values))
     assert rerecord.main(["--drift", str(old), str(new)]) == 0
     assert "RESIDUE /residual: 0.0 -> 9e-16" in capsys.readouterr().out
+    values["a:x"]["residual"] = 2 * rerecord.RESIDUE_FLOOR
+    new.write_text(json.dumps(values))
+    assert rerecord.main(["--drift", str(old), str(new)]) == 1
+    assert "BEYOND 1e-09 /residual: 0.0 -> 2e-12" in capsys.readouterr().out
+    values["a:x"]["residual"] = 9e-16
     values["a:x"]["steps"] = 8
     new.write_text(json.dumps(values))
     assert rerecord.main(["--drift", str(old), str(new)]) == 1
