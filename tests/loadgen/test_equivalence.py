@@ -123,11 +123,8 @@ class TestForegroundActuallyCompetes:
         )
         # A storm of large reads overlapping the whole repair window,
         # spread over every stripe, chunk and client so that no tree
-        # the bandwidth-aware planner can pick avoids it.  (Reads of one
-        # chunk by one client are routed around: the repair then takes
-        # exactly as long as unloaded, and "slower" held only by the
-        # 5e-17 s of rounding a per-step byte ledger picked up from the
-        # extra events.)
+        # the bandwidth-aware planner can pick avoids it (reads of one
+        # chunk by one client are routed around: the next test).
         requests = [
             ClientRequest(
                 arrival=0.001 * i, kind="read",
@@ -148,4 +145,35 @@ class TestForegroundActuallyCompetes:
         # Foreground and repair bytes are accounted separately.
         per_kind = loaded.telemetry["per_bytes_kind"]
         assert per_kind["repair"] == pytest.approx(plain.bytes_transferred, rel=0.01)
+        assert per_kind["foreground"] > 0
+
+    def test_traffic_routed_around_costs_the_repair_nothing(self):
+        # 200 reads of one chunk by one client: the bandwidth-aware
+        # planner routes every tree around them.  The repair shares no
+        # link with them, so it takes exactly as long as unloaded,
+        # however many events they add to the loop.
+        from repro.loadgen import ClientRequest
+
+        network, stripes, failed, config = make_setup()
+        plain = repair_full_node(
+            ZeroPlanningPivot(), network, stripes, failed, config=config
+        )
+        requests = [
+            ClientRequest(
+                arrival=0.001 * i, kind="read", stripe_id=stripes[1].stripe_id,
+                chunk_index=0, client=(stripes[1].placement[0] + 1) % NODE_COUNT,
+                size=mib(8),
+            )
+            for i in range(200)
+        ]
+        engine = ForegroundEngine(
+            stripes, requests, PivotRepairPlanner(), failed_nodes={failed}
+        )
+        loaded = repair_full_node(
+            ZeroPlanningPivot(), network, stripes, failed, config=config,
+            foreground=engine,
+        )
+        assert loaded.total_seconds == plain.total_seconds
+        per_kind = loaded.telemetry["per_bytes_kind"]
+        assert per_kind["repair"] == plain.bytes_transferred
         assert per_kind["foreground"] > 0
