@@ -291,6 +291,7 @@ def digest(sim: FluidSimulator, handles, sampler=None) -> dict:
     ``rate_recomputations`` is intentionally excluded — it is the one
     counter the engines are allowed to disagree on.
     """
+    stats = sim.stats
     payload = {
         "tasks": [
             {
@@ -304,12 +305,12 @@ def digest(sim: FluidSimulator, handles, sampler=None) -> dict:
             }
             for h in handles
         ],
-        "steps": sim.stats.steps,
-        "tasks_submitted": sim.stats.tasks_submitted,
-        "tasks_completed": sim.stats.tasks_completed,
-        "tasks_cancelled": sim.stats.tasks_cancelled,
-        "bytes_by_kind": dict(sorted(sim.stats.bytes_by_kind.items())),
-        "bytes_transferred": sim.stats.bytes_transferred,
+        "steps": stats.steps,
+        "tasks_submitted": stats.tasks_submitted,
+        "tasks_completed": stats.tasks_completed,
+        "tasks_cancelled": stats.tasks_cancelled,
+        "bytes_by_kind": dict(sorted(stats.bytes_by_kind.items())),
+        "bytes_transferred": stats.bytes_transferred,
         "bytes_up": dict(sorted(sim.bytes_up.items())),
         "bytes_down": dict(sorted(sim.bytes_down.items())),
         "end_time": sim.now,

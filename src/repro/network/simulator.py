@@ -314,8 +314,18 @@ class FluidSimulator:
 
     @property
     def total_bytes_transferred(self) -> float:
-        """Total bytes moved over all links so far (sum over edges)."""
-        return self._ledger_now().total
+        """Total bytes moved over all links so far (sum over edges).
+
+        ``stats.bytes_transferred`` without the snapshot: the same fold,
+        in the same float order, over no copy.
+        """
+        total = self._ledger.total
+        now = self.now
+        for entity in self._entities.values():
+            carried = entity.total - entity.residue_at(now)
+            if carried > 0:
+                total += carried * len(entity.edges)
+        return total
 
     # ------------------------------------------------------------------
     # Submission
@@ -505,7 +515,12 @@ class FluidSimulator:
         return len(self._task_entities)
 
     def current_rate(self, handle: TaskHandle) -> float:
-        """Aggregate current rate of a task (sum over its live entities)."""
+        """Aggregate current rate of a task (sum over its live entities).
+
+        Forces a solve, like :meth:`current_usage` and
+        :meth:`link_utilization`: a simulation input, not a pure read
+        (:meth:`_settle`).
+        """
         self._ensure_rates()
         ids = self._task_entities.get(handle.task_id, set())
         return sum(self._entities[i].rate for i in ids)
@@ -859,9 +874,14 @@ class FluidSimulator:
 
         Called when the simulation itself moves the entity — its rate
         changed or it was cancelled — and nowhere else; with no time
-        elapsed it subtracts ``rate * 0.0`` and changes no bit, which
-        is what makes an earlier solve (a reader asked for a rate)
-        indistinguishable from a later one.
+        elapsed it subtracts ``rate * 0.0`` and changes no bit.  A
+        solve is such a move, so the readers that force one
+        (:meth:`current_rate`, :meth:`current_usage`,
+        :meth:`link_utilization`) are inputs of the simulation, not
+        free observers: between two mutations of one instant that move
+        a rate and move it back to the bit, a solve settles the entity
+        where none would have, and its finish time may differ in the
+        last bits.  Every other extra solve changes no float.
         """
         now = self.now
         entity.remaining -= entity.settled_rate * (now - entity.settled_at)
@@ -877,8 +897,6 @@ class FluidSimulator:
             entity.finish_at = math.inf
             return
         finish_at = self.now + max(entity.remaining, 0.0) / rate
-        if finish_at == entity.finish_at:
-            return  # moved and moved back within one instant
         entity.finish_at = finish_at
         heap = self._finish_heap
         heappush(heap, (finish_at, entity_id))

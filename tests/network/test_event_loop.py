@@ -7,8 +7,11 @@ it can break:
 
 * one ledger answers "how far is this task" for every reader;
 * observation is free — any interleaving of the pure readers (and of
-  the rate readers, and of extra clock advances) leaves every float of
-  a run where it was, on both engines;
+  extra clock advances) leaves every float of a run where it was, on
+  both engines;
+* the rate readers force a solve, so they are inputs: free around a
+  step of a seeded script, float noise in a finish time when read
+  inside a same-instant round trip of a rate;
 * conservation is exact, not approximate;
 * near-simultaneous finishers complete in one step, in submission order;
 * the heap stays bounded by the live entities;
@@ -229,6 +232,48 @@ class TestObservationIsFree:
                 split = replay(script, engine)
                 assert split.pop("steps") >= plain.pop("steps")
                 assert split == plain
+
+
+class TestRateReadersAreInputs:
+    """``current_rate`` / ``current_usage`` / ``link_utilization`` force
+    a solve, and a solve settles what it moves: read between two
+    mutations of one instant that move a rate and move it back, they do
+    work no unread run does.  What that may cost is stated here."""
+
+    READERS = {
+        "current_rate": lambda sim, handle: sim.current_rate(handle),
+        "current_usage": lambda sim, handle: sim.current_usage(),
+        "link_utilization": lambda sim, handle: sim.link_utilization(),
+    }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_a_read_inside_a_round_trip_moves_float_noise_only(
+        self, engine, reader
+    ):
+        def run(read):
+            sim = FluidSimulator(uniform(), engine=engine)
+            watched = sim.submit_bulk([(0, 1, 1000.0 / 3)])
+            sim.advance_to(0.37)
+            rival = sim.submit_bulk([(0, 2, 50.0)])  # halves the uplink
+            if read:
+                self.READERS[reader](sim, watched)
+            sim.cancel_task(rival)  # and gives it back, at one instant
+            sim.run()
+            return sim, watched
+
+        plain, unread = run(read=False)
+        looked, read = run(read=True)
+        # The unread run never solved with the rival in: nothing of the
+        # watched flow moved.  The read one settled it twice over.
+        assert (plain.settlements, looked.settlements) == (3, 6)
+        assert read.finish_time == pytest.approx(
+            unread.finish_time, rel=1e-12
+        )
+        for sim, handle in ((plain, unread), (looked, read)):
+            assert sim.task_bytes_carried(handle) == 1000.0 / 3
+            assert sim.stats.bytes_transferred == 1000.0 / 3
+        assert looked.stats.steps == plain.stats.steps
 
 
 # ----------------------------------------------------------------------
