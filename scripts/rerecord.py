@@ -56,6 +56,8 @@ SOURCES = {
         "fleet storm and flood: decisions, damage, breach, goodput",
     "tests.lifetime.test_montecarlo":
         "lifetime studies: digest, losses, repairs (TestPinnedStudies)",
+    "tests.test_cli_identity":
+        "what each `repro` subcommand prints: help, payloads, renderings",
 }
 
 #: Largest relative float drift ``--drift`` accepts.
