@@ -1,31 +1,11 @@
 """Command-line interface.
 
-One entry point (``repro``) with subcommands mirroring the library's
-workflow:
-
-* ``repro trace generate``  — synthesise a workload trace to an .npz file;
-* ``repro trace analyze``   — Table I / Observation statistics of a trace;
-* ``repro plan``            — plan one single-chunk repair from a JSON
-  bandwidth snapshot and print the tree;
-* ``repro repair``          — simulate a single-chunk repair on a trace
-  with every scheme and compare timings;
-* ``repro fullnode``        — simulate a full-node repair on a trace
-  (``--journal PATH`` makes the PivotRepair run checkpoint/resumable);
-* ``repro resume``          — finish an interrupted journaled full-node
-  repair: replay the journal, skip completed stripes, repair the rest;
-* ``repro load``            — full-node repair under foreground client
-  load (trace-shaped arrivals, degraded reads, repair QoS governor);
-* ``repro experiment``      — regenerate a paper table or figure
-  (``table1``, ``fig5``, ``fig6a``, ``fig6b``, ``fig7``);
-* ``repro explain``         — run (or re-read) a full-node repair and
-  diagnose where its time went: bottleneck link, achieved vs. oracle
-  ``B_min``, governor throttling, fault stalls;
-* ``repro report``          — the same diagnosis as a self-contained
-  single-file HTML dashboard (``--html out.html``);
-* ``repro critpath``        — reconstruct the causal span DAG of a run
-  and print each repair's exact critical path (ASCII waterfall +
-  per-category / per-tenant seconds, tiling-checked against the
-  measured makespan).
+One entry point (``repro``); ``repro --help`` lists the subcommands and
+``repro <command> --help`` each one's flags.  The parser is a table:
+every subparser carries its handler (``(args, tracer) -> _Output``) and
+its text renderer as defaults, so ``main()`` dispatches without knowing
+a command's name.  The commands that repair a whole node all run the
+one seeded scenario of :mod:`repro.scenario`.
 
 Every command supports ``--json`` for machine-readable output.
 Observability switches work on every simulation command: ``--trace
@@ -37,37 +17,26 @@ for an ASCII timeline, and ``-v``/``-vv`` for stdlib logging.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import logging
 import sys
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 
 import repro
-from repro.baselines import PPTPlanner, RPPlanner
 from repro.controlplane import StormConfig, run_storm
-from repro.core import BandwidthSnapshot, PivotRepairPlanner, pin_planning
-from repro.core.scheduler import SchedulerConfig
-from repro.ec import RSCode, place_stripes
+from repro.core import BandwidthSnapshot
 from repro.exceptions import ReproError
-from repro.faults import FaultPlan, RetryPolicy
 from repro.lifetime import (
     ExponentialDurations,
     FixedDurations,
     LifetimeConfig,
     run_lifetime,
 )
-from repro.loadgen import (
-    ForegroundEngine,
-    LoadProfile,
-    generate_requests,
-    make_governor,
-    rate_profile_from_trace,
-)
-from repro.network.topology import StarNetwork
 from repro.obs import (
     NULL_TRACER,
     Dashboard,
@@ -88,8 +57,6 @@ from repro.obs import (
 )
 from repro.repair import (
     ExecutionConfig,
-    repair_full_node,
-    repair_full_node_adaptive,
     repair_single_chunk,
     repair_single_chunk_faulted,
 )
@@ -100,6 +67,13 @@ from repro.reporting import (
     format_table,
     render_timeline,
 )
+from repro.scenario import (
+    SCHEMES,
+    FullNodeScenario,
+    LiveScenario,
+    parse_fault_specs,
+    resume,
+)
 from repro.traces import (
     PROFILES,
     WorkloadTrace,
@@ -108,13 +82,19 @@ from repro.traces import (
     heterogeneous_congestion_fraction,
     pivot_availability,
 )
-from repro.units import format_latency, kib, mbps, mib, to_mbps
+from repro.units import format_latency, kib, mib, to_mbps
 
-SCHEME_FACTORIES = {
-    "pivot": PivotRepairPlanner,
-    "rp": RPPlanner,
-    "ppt": lambda: PPTPlanner(tree_budget=20_000),
-}
+
+@dataclasses.dataclass
+class _Output:
+    """What a handler hands back: the payload to print, and what the
+    ``--trace`` writer adds to a Chrome export of the run."""
+
+    payload: dict
+    #: Flight-recorder samples (utilization counter tracks).
+    samples: Sequence = ()
+    #: The foreground engine's registry (``top``).
+    registry: MetricsRegistry | None = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,12 +133,24 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fluid-simulator allocation engine (default: fast); the two "
         "are bit-identical, 'reference' is the differential oracle",
     )
+    # Each subparser below sets ``handler`` and ``render``; ``observed``
+    # marks the commands that analyse their own trace, so always get one.
+    parser.set_defaults(observed=False)
     commands = parser.add_subparsers(dest="command", required=True)
+
+    # Flag groups more than one command takes (``parents=``).
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("trace_file", metavar="trace", type=Path)
+    _add_placement_args(seeded)
+    observed = argparse.ArgumentParser(add_help=False)
+    observed.set_defaults(observed=True, render=_render_rendered)
+    _add_observed_args(observed)
 
     trace = commands.add_parser("trace", help="workload traces")
     trace_commands = trace.add_subparsers(dest="trace_command", required=True)
 
     generate = trace_commands.add_parser("generate")
+    generate.set_defaults(handler=_cmd_trace_generate, render=_render_listing)
     generate.add_argument(
         "--workload", choices=sorted(PROFILES), required=True
     )
@@ -168,9 +160,11 @@ def _build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--out", type=Path, required=True)
 
     analyze = trace_commands.add_parser("analyze")
+    analyze.set_defaults(handler=_cmd_trace_analyze, render=_render_listing)
     analyze.add_argument("trace_file", metavar="trace", type=Path)
 
     plan = commands.add_parser("plan", help="plan one single-chunk repair")
+    plan.set_defaults(handler=_cmd_plan, render=_render_plan)
     plan.add_argument(
         "--bandwidths",
         type=Path,
@@ -179,13 +173,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     plan.add_argument("--requestor", type=int, required=True)
     plan.add_argument("--k", type=int, required=True)
-    plan.add_argument(
-        "--scheme", choices=sorted(SCHEME_FACTORIES), default="pivot"
-    )
+    _add_scheme_arg(plan)
 
     repair = commands.add_parser(
         "repair", help="simulate a single-chunk repair on a trace"
     )
+    repair.set_defaults(handler=_cmd_repair, render=_render_repair)
     repair.add_argument("trace_file", metavar="trace", type=Path)
     repair.add_argument("--n", type=int, default=9)
     repair.add_argument("--k", type=int, default=6)
@@ -196,15 +189,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_fault_args(repair)
 
     fullnode = commands.add_parser(
-        "fullnode", help="simulate a full-node repair on a trace"
+        "fullnode", parents=[seeded],
+        help="simulate a full-node repair on a trace",
     )
-    fullnode.add_argument("trace_file", metavar="trace", type=Path)
-    fullnode.add_argument("--n", type=int, default=6)
-    fullnode.add_argument("--k", type=int, default=4)
-    fullnode.add_argument("--stripes", type=int, default=16)
-    fullnode.add_argument("--chunk-mib", type=float, default=64)
-    fullnode.add_argument("--concurrency", type=int, default=4)
-    fullnode.add_argument("--seed", type=int, default=0)
+    fullnode.set_defaults(handler=_cmd_fullnode, render=_render_fullnode)
     fullnode.add_argument(
         "--adaptive", action="store_true",
         help="also run PivotRepair with the adaptive strategy",
@@ -216,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_fault_args(fullnode)
 
-    resume = commands.add_parser(
+    resume_cmd = commands.add_parser(
         "resume",
         help="finish an interrupted journaled full-node repair",
         description="Rebuild the scenario recorded in the journal's "
@@ -224,22 +212,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "stripe the journal marks done, and repair the remainder — "
         "resumed stripes restart from their last verified slice.",
     )
-    resume.add_argument("journal_file", metavar="journal", type=Path)
-    _add_fault_args(resume)
+    resume_cmd.set_defaults(handler=_cmd_resume, render=_render_listing)
+    resume_cmd.add_argument("journal_file", metavar="journal", type=Path)
+    _add_fault_args(resume_cmd)
 
     load = commands.add_parser(
-        "load", help="full-node repair under foreground client load"
+        "load", parents=[seeded],
+        help="full-node repair under foreground client load",
     )
-    load.add_argument("trace_file", metavar="trace", type=Path)
-    load.add_argument("--n", type=int, default=6)
-    load.add_argument("--k", type=int, default=4)
-    load.add_argument("--stripes", type=int, default=16)
-    load.add_argument("--chunk-mib", type=float, default=64)
-    load.add_argument("--concurrency", type=int, default=4)
-    load.add_argument("--seed", type=int, default=0)
-    load.add_argument(
-        "--scheme", choices=sorted(SCHEME_FACTORIES), default="pivot"
-    )
+    load.set_defaults(handler=_cmd_load, render=_render_load)
+    _add_scheme_arg(load)
     load.add_argument(
         "--governor", choices=("none", "static", "adaptive"),
         default="adaptive", help="repair QoS policy",
@@ -275,6 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment = commands.add_parser(
         "experiment", help="regenerate a paper table or figure"
     )
+    experiment.set_defaults(handler=_cmd_experiment, render=_render_json)
     experiment.add_argument(
         "name", choices=["table1", "fig5", "fig6a", "fig6b", "fig7"]
     )
@@ -289,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     explain = commands.add_parser(
-        "explain",
+        "explain", parents=[observed],
         help="diagnose where a full-node repair's time went",
         description="Scenario mode (.npz workload trace): run a seeded "
         "full-node repair with the flight recorder on and attribute its "
@@ -297,14 +280,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace, optionally with its --samples stream (no oracle B_min "
         "without the network).",
     )
-    _add_explain_args(explain)
+    explain.set_defaults(handler=_cmd_explain)
     explain.add_argument(
         "--diagnosis-out", type=Path, default=None, metavar="PATH",
         help="also write the structured diagnosis JSON to PATH",
     )
 
     critpath = commands.add_parser(
-        "critpath",
+        "critpath", parents=[observed],
         help="exact critical-path attribution of each repair",
         description="Reconstruct the causal span DAG (parent_id/links) "
         "of a run and compute the exact critical path of every repair: "
@@ -316,24 +299,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "event trace) analyses an existing trace.  The result is "
         "cross-checked against the `repro explain` flow decomposition.",
     )
-    _add_explain_args(critpath)
+    critpath.set_defaults(handler=_cmd_critpath)
     critpath.add_argument(
         "--critpath-out", type=Path, default=None, metavar="PATH",
         help="also write the structured critical-path JSON to PATH",
     )
 
     report = commands.add_parser(
-        "report",
+        "report", parents=[observed],
         help="render the diagnosis as a single-file HTML dashboard",
     )
-    _add_explain_args(report)
+    report.set_defaults(handler=_cmd_report)
     report.add_argument(
         "--html", type=Path, required=True, metavar="PATH",
         help="output HTML file (self-contained, inline SVG, no assets)",
     )
 
     top = commands.add_parser(
-        "top",
+        "top", parents=[observed],
         help="live telemetry dashboard of a full-node repair run",
         description="Run a seeded full-node repair with the telemetry "
         "plane on (flight recorder feeding the simulated-time TSDB, "
@@ -343,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "firing alerts.  --once renders a single frame at the end of "
         "the run instead (CI snapshot mode).",
     )
-    _add_explain_args(top)
+    top.set_defaults(handler=_cmd_top)
     top.add_argument(
         "--once", action="store_true",
         help="no live view: run to completion, print one final frame",
@@ -386,45 +369,44 @@ def _build_parser() -> argparse.ArgumentParser:
         "baseline (everything starts at once, nothing sheds) for "
         "comparison.  Bit-deterministic for a fixed seed.",
     )
-    storm.add_argument("--seed", type=int, default=42)
-    storm.add_argument("--racks", type=int, default=3)
-    storm.add_argument("--nodes-per-rack", type=int, default=4)
-    storm.add_argument("--stripes", type=int, default=20)
-    storm.add_argument("--n", type=int, default=6)
-    storm.add_argument("--k", type=int, default=4)
-    storm.add_argument("--chunk-mib", type=float, default=24.0)
-    storm.add_argument(
-        "--node-mbs", type=float, default=25.0,
+    storm.set_defaults(handler=_cmd_storm, render=_render_rendered)
+    _add_config_args(
+        storm, StormConfig,
+        "seed", "racks", "nodes_per_rack", "stripes", "n", "k", "chunk_mib",
+    )
+    _add_config_args(
+        storm, StormConfig, "node_mbs",
         help="base per-node link capacity, MB/s",
     )
-    storm.add_argument(
-        "--outage-at", type=float, default=0.05, metavar="SECONDS",
+    _add_config_args(
+        storm, StormConfig, "outage_at", metavar="SECONDS",
         help="rack power loss instant",
     )
     storm.add_argument(
         "--no-gray-wave", action="store_true",
         help="skip the post-outage gray degradation on surviving racks",
     )
-    storm.add_argument("--foreground-rate", type=float, default=80.0)
-    storm.add_argument("--foreground-duration", type=float, default=50.0)
-    storm.add_argument("--tenants", type=int, default=2)
+    _add_config_args(
+        storm, StormConfig,
+        "foreground_rate", "foreground_duration", "tenants",
+    )
     storm.add_argument(
-        "--slo-ms", type=float, default=60.0,
+        "--slo-ms", type=float, default=StormConfig.slo_seconds * 1000.0,
         help="foreground latency SLO threshold",
     )
-    storm.add_argument(
-        "--max-streams", type=int, default=4,
+    _add_config_args(
+        storm, StormConfig, "max_streams",
         help="admission: concurrent repair stream tokens",
     )
-    storm.add_argument(
-        "--max-jobs", type=int, default=3,
+    _add_config_args(
+        storm, StormConfig, "max_jobs",
         help="admission: concurrently admitted repair jobs",
     )
     storm.add_argument(
         "--no-admission-control", action="store_true",
         help="uncontrolled baseline: admit everything, never shed",
     )
-    storm.add_argument("--max-time", type=float, default=600.0)
+    _add_config_args(storm, StormConfig, "max_time")
     storm.add_argument(
         "--journal", type=Path, default=None, metavar="PATH",
         help="append-only fleet journal (pause/resume checkpoints)",
@@ -440,51 +422,49 @@ def _build_parser() -> argparse.ArgumentParser:
         "simulator by default, so faster repair shows up as fewer "
         "losses.  Bit-deterministic for a fixed seed.",
     )
-    lifetime.add_argument("--years", type=float, default=10.0)
-    lifetime.add_argument("--runs", type=int, default=100)
-    lifetime.add_argument("--seed", type=int, default=42)
+    lifetime.set_defaults(handler=_cmd_lifetime, render=_render_lifetime)
+    _add_config_args(lifetime, LifetimeConfig, "years", "runs", "seed")
     lifetime.add_argument(
-        "--schemes", default="pivot,conventional",
+        "--schemes", default=",".join(LifetimeConfig.schemes),
         help="comma-separated subset of pivot,rp,conventional",
     )
-    lifetime.add_argument("--machines", type=int, default=16)
-    lifetime.add_argument("--racks", type=int, default=4)
-    lifetime.add_argument("--disks-per-machine", type=int, default=2)
-    lifetime.add_argument("--stripes", type=int, default=64)
-    lifetime.add_argument("--n", type=int, default=6)
-    lifetime.add_argument("--k", type=int, default=4)
-    lifetime.add_argument(
-        "--disk-mttf-days", type=float, default=120.0,
+    _add_config_args(
+        lifetime, LifetimeConfig,
+        "machines", "racks", "disks_per_machine", "stripes", "n", "k",
+    )
+    _add_config_args(
+        lifetime, LifetimeConfig, "disk_mttf_days",
         help="accelerated disk MTTF (permanent failures; 0 disables)",
     )
-    lifetime.add_argument("--disk-replace-hours", type=float, default=0.0)
-    lifetime.add_argument(
-        "--machine-mttf-days", type=float, default=60.0,
+    _add_config_args(lifetime, LifetimeConfig, "disk_replace_hours")
+    _add_config_args(
+        lifetime, LifetimeConfig, "machine_mttf_days",
         help="transient machine outage MTTF (0 disables)",
     )
-    lifetime.add_argument("--machine-mttr-hours", type=float, default=1.0)
-    lifetime.add_argument(
-        "--rack-mttf-days", type=float, default=180.0,
+    _add_config_args(lifetime, LifetimeConfig, "machine_mttr_hours")
+    _add_config_args(
+        lifetime, LifetimeConfig, "rack_mttf_days",
         help="correlated rack outage MTTF (0 disables)",
     )
-    lifetime.add_argument("--rack-mttr-hours", type=float, default=4.0)
-    lifetime.add_argument("--repair-streams", type=int, default=2)
-    lifetime.add_argument(
-        "--policy", choices=("eager", "lazy"), default="eager",
+    _add_config_args(
+        lifetime, LifetimeConfig, "rack_mttr_hours", "repair_streams"
+    )
+    _add_config_args(
+        lifetime, LifetimeConfig, "policy", choices=("eager", "lazy"),
         help="repair dispatch: eager repairs at once, lazy batches "
         "until --lazy-threshold chunks of a stripe are lost",
     )
-    lifetime.add_argument("--lazy-threshold", type=int, default=2)
-    lifetime.add_argument(
-        "--data-per-chunk-gib", type=float, default=64.0,
+    _add_config_args(lifetime, LifetimeConfig, "lazy_threshold")
+    _add_config_args(
+        lifetime, LifetimeConfig, "data_per_chunk_gib",
         help="real data one simulated chunk stands for (scales repair "
         "durations)",
     )
-    lifetime.add_argument(
-        "--workload", choices=sorted(PROFILES), default="TPC-DS",
+    _add_config_args(
+        lifetime, LifetimeConfig, "workload", choices=sorted(PROFILES),
         help="trace profile the duration model is calibrated against",
     )
-    lifetime.add_argument("--calibration-instants", type=int, default=8)
+    _add_config_args(lifetime, LifetimeConfig, "calibration_instants")
     lifetime.add_argument(
         "--durations", choices=("calibrated", "exponential", "fixed"),
         default="calibrated",
@@ -503,8 +483,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_explain_args(subparser) -> None:
-    """Shared scenario/saved-run options of ``explain`` and ``report``."""
+def _add_config_args(subparser, config, *names, **kwargs) -> None:
+    """One ``--flag`` per named field of the ``config`` dataclass, its
+    type and default read from the field, so the flag cannot restate
+    (and drift from) the library's default."""
+    for name in names:
+        default = getattr(config, name)
+        subparser.add_argument(
+            "--" + name.replace("_", "-"), default=default,
+            type=None if isinstance(default, str) else type(default),
+            **kwargs,
+        )
+
+
+def _config_from_args(config, args, **fields):
+    """``config`` built from the flags named after its fields;
+    ``fields`` are the ones a flag spells differently."""
+    named = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(config)
+        if hasattr(args, field.name)
+    }
+    return config(**{**named, **fields})
+
+
+def _add_placement_args(subparser) -> None:
+    """The code, placement and dispatch window of the seeded scenario."""
+    subparser.add_argument("--n", type=int, default=6)
+    subparser.add_argument("--k", type=int, default=4)
+    subparser.add_argument("--stripes", type=int, default=16)
+    subparser.add_argument("--chunk-mib", type=float, default=64)
+    subparser.add_argument("--concurrency", type=int, default=4)
+    subparser.add_argument("--seed", type=int, default=0)
+
+
+def _add_scheme_arg(subparser) -> None:
+    subparser.add_argument(
+        "--scheme", choices=sorted(SCHEMES), default="pivot"
+    )
+
+
+def _add_observed_args(subparser) -> None:
+    """Scenario / saved-run options shared by the commands that analyse
+    a run's own trace: ``explain``, ``critpath``, ``report``, ``top``."""
     subparser.add_argument(
         "target", type=Path,
         help=".npz workload trace (run a scenario) or .jsonl event trace "
@@ -514,15 +535,8 @@ def _add_explain_args(subparser) -> None:
         "--samples", type=Path, default=None, metavar="PATH",
         help="flight-recorder JSONL matching a saved .jsonl event trace",
     )
-    subparser.add_argument("--n", type=int, default=6)
-    subparser.add_argument("--k", type=int, default=4)
-    subparser.add_argument("--stripes", type=int, default=16)
-    subparser.add_argument("--chunk-mib", type=float, default=64)
-    subparser.add_argument("--concurrency", type=int, default=4)
-    subparser.add_argument("--seed", type=int, default=0)
-    subparser.add_argument(
-        "--scheme", choices=sorted(SCHEME_FACTORIES), default="pivot"
-    )
+    _add_placement_args(subparser)
+    _add_scheme_arg(subparser)
     subparser.add_argument(
         "--governor", choices=("none", "static", "adaptive"),
         default="none", help="repair QoS policy for the scenario run",
@@ -569,64 +583,32 @@ def _add_fault_args(subparser) -> None:
     )
 
 
-def _parse_faults(args) -> tuple[FaultPlan | None, RetryPolicy | None]:
-    faults = None
-    if args.faults is not None:
-        path = Path(args.faults)
-        if path.exists():
-            faults = FaultPlan.from_file(path)
-        else:
-            faults = FaultPlan.from_spec(args.faults)
-    policy = None
-    if args.retry_policy is not None:
-        policy = RetryPolicy.from_spec(args.retry_policy)
-    return faults, policy
-
-
-def _foreground_engine(
-    trace, stripes, failed, make_planner, faults, *, rate, duration,
-    read_fraction, request_mib, zipf_s, seed, tenants=(), tsdb=None,
-) -> ForegroundEngine:
-    """Client load beside a full-node repair of ``failed``: arrivals at
-    mean ``rate`` req/s shaped by the measured ``trace``."""
-    profile = LoadProfile(
-        name=trace.name,
-        arrival_rate=rate,
-        duration=duration,
-        read_fraction=read_fraction,
-        request_size=int(mib(request_mib)),
-        zipf_s=zipf_s,
-        modulation="trace",
-        tenants=tenants,
-    )
-    requests = generate_requests(
-        profile, stripes, trace.node_count, seed=seed,
-        rate_profile=rate_profile_from_trace(trace),
-    )
-    return ForegroundEngine(
-        stripes, requests, make_planner(), failed_nodes={failed},
-        faults=faults, tsdb=tsdb,
-        # A crashed client issues nothing; its requests would sit at
-        # zero rate and wedge the final drain.
-        drop_dead_clients=bool(faults),
+def _scenario(args, trace: Path, **fields) -> FullNodeScenario:
+    """The seeded scenario the placement and fault flags describe, on
+    ``trace``; ``fields`` are what else the command's flags set."""
+    return FullNodeScenario(
+        trace=str(trace), n=args.n, k=args.k, stripes=args.stripes,
+        chunk_mib=args.chunk_mib, concurrency=args.concurrency,
+        seed=args.seed, engine=args.engine, faults=args.faults,
+        retry_policy=args.retry_policy, **fields,
     )
 
 
-def _governor(args):
-    """The ``--governor`` policy with its ``--static-cap-mbps`` /
-    ``--slo-ms`` setting."""
-    kwargs = {
-        "none": {},
-        "static": {"cap": mbps(args.static_cap_mbps)},
-        "adaptive": {"slo_p99": args.slo_ms / 1000.0},
-    }[args.governor]
-    return make_governor(args.governor, **kwargs)
+@contextlib.contextmanager
+def _journal(path: Path | None, tracer):
+    """A new ``--journal`` file (None without the flag), closed on the
+    way out — the tail records' fsync, also on an error."""
+    if path is None:
+        yield None
+        return
+    with RepairJournal(path, tracer=tracer) as journal:
+        yield journal
 
 
 # ----------------------------------------------------------------------
 # Command implementations
 # ----------------------------------------------------------------------
-def _cmd_trace_generate(args) -> dict:
+def _cmd_trace_generate(args, tracer) -> _Output:
     trace = generate_trace(
         PROFILES[args.workload],
         node_count=args.nodes,
@@ -634,18 +616,18 @@ def _cmd_trace_generate(args) -> dict:
         seed=args.seed,
     )
     trace.save(args.out)
-    return {
+    return _Output({
         "workload": args.workload,
         "nodes": trace.node_count,
         "duration": trace.sample_count,
         "out": str(args.out),
-    }
+    })
 
 
-def _cmd_trace_analyze(args) -> dict:
+def _cmd_trace_analyze(args, tracer) -> _Output:
     trace = WorkloadTrace.load(args.trace_file)
     stats = congestion_episode_stats(trace, 0.9)
-    return {
+    return _Output({
         "name": trace.name,
         "nodes": trace.node_count,
         "duration_seconds": trace.sample_count,
@@ -662,10 +644,10 @@ def _cmd_trace_analyze(args) -> dict:
             )
             for threshold in (0.90, 0.95, 1.00)
         },
-    }
+    })
 
 
-def _cmd_plan(args, tracer=NULL_TRACER) -> dict:
+def _cmd_plan(args, tracer) -> _Output:
     payload = json.loads(args.bandwidths.read_text())
     try:
         up = {int(node): float(v) for node, v in payload["up"].items()}
@@ -674,10 +656,10 @@ def _cmd_plan(args, tracer=NULL_TRACER) -> dict:
         raise ReproError(f"malformed bandwidth file: {error}") from error
     snapshot = BandwidthSnapshot(up=up, down=down)
     candidates = [n for n in sorted(up) if n != args.requestor]
-    planner = SCHEME_FACTORIES[args.scheme]()
+    planner = SCHEMES[args.scheme]()
     with planner.traced(tracer):
         plan = planner.plan(snapshot, args.requestor, candidates, args.k)
-    return {
+    return _Output({
         "scheme": plan.scheme,
         "requestor": plan.requestor,
         "helpers": plan.helpers,
@@ -685,10 +667,10 @@ def _cmd_plan(args, tracer=NULL_TRACER) -> dict:
         "tree": plan.tree.render() if plan.tree else None,
         "bmin_mbps": round(to_mbps(plan.bmin), 1),
         "planning_seconds": plan.effective_planning_seconds,
-    }
+    })
 
 
-def _cmd_repair(args, tracer=NULL_TRACER) -> dict:
+def _cmd_repair(args, tracer) -> _Output:
     from repro.experiments.single_chunk import stripe_nodes_at
 
     trace = WorkloadTrace.load(args.trace_file)
@@ -705,9 +687,9 @@ def _cmd_repair(args, tracer=NULL_TRACER) -> dict:
         chunk_size=mib(args.chunk_mib), slice_size=kib(args.slice_kib),
         engine=args.engine,
     )
-    faults, policy = _parse_faults(args)
+    faults, policy = parse_fault_specs(args.faults, args.retry_policy)
     results = {}
-    for name, factory in SCHEME_FACTORIES.items():
+    for name, factory in SCHEMES.items():
         if faults is not None:
             # Spec times are relative to the start of the repair; the
             # simulator clock starts at the congestion instant.
@@ -745,69 +727,36 @@ def _cmd_repair(args, tracer=NULL_TRACER) -> dict:
             results[name]["replans"] = result.replans
         if args.metrics:
             results[name]["telemetry"] = result.telemetry
-    return {
+    return _Output({
         "trace": trace.name,
         "instant": instant,
         "requestor": requestor,
         "n": args.n,
         "k": args.k,
         "schemes": results,
-    }
+    })
 
 
-def _cmd_fullnode(args, tracer=NULL_TRACER) -> dict:
-    trace = WorkloadTrace.load(args.trace_file)
-    network = trace.to_network(floor=1e6)
-    code = RSCode(args.n, args.k)
-    rng = np.random.default_rng(args.seed)
-    stripes = place_stripes(
-        args.stripes, code, trace.node_count, rng
-    )
-    failed = stripes[0].placement[0]
-    config = ExecutionConfig(
-        chunk_size=mib(args.chunk_mib), engine=args.engine
-    )
-    faults, policy = _parse_faults(args)
-    journal = None
-    if args.journal is not None:
-        journal = RepairJournal(args.journal, tracer=tracer)
-        journal.append(
-            "run_config",
-            trace=str(args.trace_file), n=args.n, k=args.k,
-            stripes=args.stripes, chunk_mib=args.chunk_mib,
-            concurrency=args.concurrency, seed=args.seed,
-            failed_node=failed, scheme="pivot",
-        )
-    try:
+def _cmd_fullnode(args, tracer) -> _Output:
+    live = _scenario(args, args.trace_file).build()
+    with _journal(args.journal, tracer) as journal:
         runs = {
-            "rp": repair_full_node(
-                RPPlanner(), network, stripes, failed,
-                concurrency=args.concurrency, config=config, tracer=tracer,
-                faults=faults, retry_policy=policy,
-            ),
-            "pivot": repair_full_node(
-                PivotRepairPlanner(), network, stripes, failed,
-                concurrency=args.concurrency, config=config, tracer=tracer,
-                faults=faults, retry_policy=policy, journal=journal,
-            ),
+            "rp": live.run("rp", tracer=tracer),
+            "pivot": live.run("pivot", tracer=tracer, journal=journal),
         }
-    finally:
-        if journal is not None:
-            journal.close()
     if args.adaptive:
-        runs["pivot+strategy"] = repair_full_node_adaptive(
-            PivotRepairPlanner(), network, stripes, failed,
-            scheduler=SchedulerConfig(threshold=10.0), config=config,
-            tracer=tracer, faults=faults, retry_policy=policy,
+        runs["pivot+strategy"] = live.run(
+            "pivot", tracer=tracer, adaptive=True
         )
     schemes = {}
-    for name, result in runs.items():
+    for name, run in runs.items():
+        result = run.result
         schemes[name] = {
             "total_seconds": round(result.total_seconds, 2),
             "mean_task_seconds": round(result.mean_task_seconds, 2),
             "bytes_transferred": result.bytes_transferred,
         }
-        if faults is not None:
+        if live.faults is not None:
             counters = (result.telemetry or {}).get("counters", {})
             schemes[name]["chunks_repaired"] = result.chunks_repaired
             schemes[name]["chunks_failed"] = result.chunks_failed
@@ -815,72 +764,35 @@ def _cmd_fullnode(args, tracer=NULL_TRACER) -> dict:
         if args.metrics:
             schemes[name]["telemetry"] = result.telemetry
     payload = {
-        "trace": trace.name,
-        "failed_node": failed,
-        "chunks": runs["rp"].chunks_repaired,
+        "trace": live.trace.name,
+        "failed_node": live.failed_node,
+        "chunks": runs["rp"].result.chunks_repaired,
         "schemes": schemes,
     }
     if args.journal is not None:
         payload["journal"] = str(args.journal)
-    return payload
+    return _Output(payload)
 
 
-def _cmd_resume(args, tracer=NULL_TRACER) -> dict:
-    """Finish a journaled full-node repair after an interruption.
-
-    The journal's ``run_config`` record pins everything needed to rebuild
-    the scenario bit-identically (trace file, code, placement seed);
-    ``task_done`` records say which stripes already finished.  The repair
-    then runs over the remainder only, appending to the same journal, so
-    resuming a resume also works.
-    """
-    journal = RepairJournal.load(args.journal_file, tracer=tracer)
-    run = journal.run_config()
-    if run is None:
-        raise ReproError(
-            f"{args.journal_file}: no run_config record — only journals "
-            "written by 'repro fullnode --journal' can be resumed"
+def _cmd_resume(args, tracer) -> _Output:
+    """Finish a journaled full-node repair (:func:`repro.scenario.resume`)."""
+    with RepairJournal.load(args.journal_file, tracer=tracer) as journal:
+        resumed = resume(
+            journal, tracer=tracer, engine=args.engine, faults=args.faults,
+            retry_policy=args.retry_policy,
         )
-    trace = WorkloadTrace.load(Path(run["trace"]))
-    network = trace.to_network(floor=1e6)
-    code = RSCode(int(run["n"]), int(run["k"]))
-    rng = np.random.default_rng(int(run["seed"]))
-    stripes = place_stripes(int(run["stripes"]), code, trace.node_count, rng)
-    failed = int(run["failed_node"])
-    done = journal.done_stripes()
-    remaining = [
-        stripe
-        for stripe in stripes
-        if stripe.chunk_on_node(failed) is not None
-        and stripe.stripe_id not in done
-    ]
     payload = {
         "journal": str(args.journal_file),
-        "trace": trace.name,
-        "failed_node": failed,
-        "stripes_total": sum(
-            1 for s in stripes if s.chunk_on_node(failed) is not None
-        ),
-        "stripes_done": len(done),
-        "stripes_remaining": len(remaining),
+        "trace": resumed.live.trace.name,
+        "failed_node": resumed.live.failed_node,
+        "stripes_total": resumed.stripes_total,
+        "stripes_done": resumed.stripes_done,
+        "stripes_remaining": resumed.stripes_remaining,
     }
-    if not remaining:
+    result = resumed.result
+    if result is None:
         payload["status"] = "nothing to resume"
-        journal.close()
-        return payload
-    config = ExecutionConfig(
-        chunk_size=mib(float(run["chunk_mib"])), engine=args.engine
-    )
-    faults, policy = _parse_faults(args)
-    try:
-        result = repair_full_node(
-            PivotRepairPlanner(), network, remaining, failed,
-            concurrency=int(run["concurrency"]), config=config,
-            tracer=tracer, faults=faults, retry_policy=policy,
-            journal=journal,
-        )
-    finally:
-        journal.close()
+        return _Output(payload)
     payload.update(
         {
             "status": "resumed",
@@ -892,63 +804,36 @@ def _cmd_resume(args, tracer=NULL_TRACER) -> dict:
     )
     if args.metrics:
         payload["telemetry"] = result.telemetry
-    return payload
+    return _Output(payload)
 
 
-def _cmd_load(args, tracer=NULL_TRACER) -> dict:
-    trace = WorkloadTrace.load(args.trace_file)
-    # Foreground traffic is explicit here: the network runs at full
-    # capacity and the measured trace shapes the *arrival rate* instead
-    # of pre-subtracting link bandwidth.
-    network = StarNetwork.uniform(trace.node_count, trace.capacity)
-    code = RSCode(args.n, args.k)
-    rng = np.random.default_rng(args.seed)
-    stripes = place_stripes(args.stripes, code, trace.node_count, rng)
-    failed = stripes[0].placement[0]
-    config = ExecutionConfig(
-        chunk_size=mib(args.chunk_mib), engine=args.engine
-    )
-    faults, policy = _parse_faults(args)
-    make_planner = SCHEME_FACTORIES[args.scheme]
+def _cmd_load(args, tracer) -> _Output:
+    live = _scenario(
+        args, args.trace_file, scheme=args.scheme,
+        foreground_rate=args.arrival_rate,
+        foreground_duration=args.load_duration,
+        read_fraction=args.read_fraction, request_mib=args.request_mib,
+        zipf=args.zipf, governor=args.governor,
+        static_cap_mbps=args.static_cap_mbps, slo_ms=args.slo_ms,
+    ).build()
     baseline_seconds = None
     if not args.no_baseline:
-        baseline_seconds = repair_full_node(
-            make_planner(), network, stripes, failed,
-            concurrency=args.concurrency, config=config,
-            faults=faults, retry_policy=policy,
-        ).total_seconds
-    governor = _governor(args)
-    engine = _foreground_engine(
-        trace, stripes, failed, make_planner, faults,
-        rate=args.arrival_rate,
-        duration=(
-            float(trace.sample_count)
-            if args.load_duration is None
-            else args.load_duration
-        ),
-        read_fraction=args.read_fraction, request_mib=args.request_mib,
-        zipf_s=args.zipf, seed=args.seed,
-    )
-    result = repair_full_node(
-        make_planner(), network, stripes, failed,
-        concurrency=args.concurrency, config=config, tracer=tracer,
-        faults=faults, retry_policy=policy,
-        foreground=engine, governor=governor,
-    )
-    engine.drain()
-    summary = engine.summary()
-    hist = engine.read_latency()
+        baseline_seconds = live.run(foreground=False).result.total_seconds
+    run = live.run(tracer=tracer)
+    result = run.result
+    summary = run.foreground.summary()
+    hist = run.foreground.read_latency()
 
     def pct(q: float) -> float | None:
         value = hist.percentile(q)
         return None if value != value else value
 
     payload = {
-        "trace": trace.name,
+        "trace": live.trace.name,
         "scheme": args.scheme,
-        "governor": governor.name,
-        "failed_node": failed,
-        "stripes": len(stripes),
+        "governor": live.governor.name,
+        "failed_node": live.failed_node,
+        "stripes": len(live.stripes),
         "seed": args.seed,
         "repair_seconds": round(result.total_seconds, 3),
         "repair_baseline_seconds": (
@@ -976,10 +861,10 @@ def _cmd_load(args, tracer=NULL_TRACER) -> dict:
     if args.metrics:
         payload["telemetry"] = result.telemetry
         payload["foreground"] = summary
-    return payload
+    return _Output(payload)
 
 
-def _cmd_experiment(args, tracer=NULL_TRACER) -> dict:
+def _cmd_experiment(args, tracer) -> _Output:
     from repro.experiments import run_figure5
     from repro.experiments.fullnode_experiment import run_figure7
     from repro.experiments.sweeps import (
@@ -994,18 +879,18 @@ def _cmd_experiment(args, tracer=NULL_TRACER) -> dict:
             else run_chunk_size_sweep()
         )
         unit = "KiB" if args.name == "fig6a" else "MiB"
-        return {
+        return _Output({
             "experiment": args.name,
             "unit": unit,
             "rows": {
                 str(size): {k: round(v, 3) for k, v in row.items()}
                 for size, row in sweep.items()
             },
-        }
+        })
     traces = generate_all(duration=args.duration, seed=args.seed)
     if args.name == "table1":
         rows = table1(traces)
-        return {
+        return _Output({
             "experiment": "table1",
             "rows": {
                 row.workload: {
@@ -1014,13 +899,13 @@ def _cmd_experiment(args, tracer=NULL_TRACER) -> dict:
                 }
                 for row in rows
             },
-        }
+        })
     networks = {
         name: trace.to_network(floor=1e6) for name, trace in traces.items()
     }
     if args.name == "fig5":
         results = run_figure5(traces, networks, tracer=tracer)
-        return {
+        return _Output({
             "experiment": "fig5",
             "rows": {
                 name: {
@@ -1036,12 +921,12 @@ def _cmd_experiment(args, tracer=NULL_TRACER) -> dict:
                 }
                 for name, by_code in results.items()
             },
-        }
+        })
     results = run_figure7(
         traces["TPC-DS"], networks["TPC-DS"], chunks=args.chunks,
         tracer=tracer,
     )
-    return {
+    return _Output({
         "experiment": "fig7",
         "chunks": args.chunks,
         "rows": {
@@ -1051,101 +936,54 @@ def _cmd_experiment(args, tracer=NULL_TRACER) -> dict:
             }
             for code, row in results.items()
         },
-    }
+    })
 
 
 # ----------------------------------------------------------------------
-# Diagnosis (explain / report)
+# Diagnosis (explain / critpath / report / top)
 # ----------------------------------------------------------------------
-@dataclass
-class _ObservedScenario:
-    """The seeded full-node scenario ``explain``/``report``/``critpath``
-    and ``top`` all observe: one failed node of a placed stripe set on a
-    workload trace, optionally under foreground load and a QoS governor,
-    with a flight recorder attached."""
-
-    trace: WorkloadTrace
-    network: StarNetwork
-    failed: int
-    sampler: FlightRecorder
-    foreground: ForegroundEngine | None
-    governor: object | None
-    run: Callable  # (tracer) -> FullNodeResult, foreground drained
-
-
-def _observed_scenario(args, tsdb=None, tenants=()) -> _ObservedScenario:
-    """Build the scenario from the shared ``explain``-family options.
+def _observed(
+    args, tenants=(), tsdb=None
+) -> tuple[LiveScenario, FlightRecorder]:
+    """The scenario of the shared ``explain``-family flags, built, and
+    the flight recorder that will observe it.
 
     ``tsdb`` streams the sampler and the foreground engine into the live
     telemetry plane; ``tenants`` labels foreground requests (``top``).
     """
-    trace = WorkloadTrace.load(args.target)
-    code = RSCode(args.n, args.k)
-    rng = np.random.default_rng(args.seed)
-    stripes = place_stripes(args.stripes, code, trace.node_count, rng)
-    failed = stripes[0].placement[0]
-    config = ExecutionConfig(
-        chunk_size=mib(args.chunk_mib), engine=args.engine
-    )
-    faults, policy = _parse_faults(args)
+    live = _scenario(
+        args, args.target, scheme=args.scheme,
+        # These flags spell "off" as 0 and "none".
+        foreground_rate=(
+            args.foreground_rate if args.foreground_rate > 0 else None
+        ),
+        governor=None if args.governor == "none" else args.governor,
+        static_cap_mbps=args.static_cap_mbps, slo_ms=args.slo_ms,
+        planning_seconds=args.planning_seconds, tenants=tenants,
+    ).build()
     sampler = FlightRecorder(
         interval=args.sample_interval, capacity=args.sample_capacity,
         tsdb=tsdb,
     )
-
-    def planner():
-        return pin_planning(
-            SCHEME_FACTORIES[args.scheme](), args.planning_seconds
-        )
-
-    foreground = None
-    if args.foreground_rate > 0:
-        # Mirrors `repro load`: full-capacity links, the measured trace
-        # shapes the client arrival rate.
-        network = StarNetwork.uniform(trace.node_count, trace.capacity)
-        foreground = _foreground_engine(
-            trace, stripes, failed, planner, faults,
-            rate=args.foreground_rate, duration=float(trace.sample_count),
-            read_fraction=0.9, request_mib=1.0, zipf_s=0.9, seed=args.seed,
-            tenants=tenants, tsdb=tsdb,
-        )
-    else:
-        network = trace.to_network(floor=1e6)
-    governor = None if args.governor == "none" else _governor(args)
-
-    def run(tracer):
-        result = repair_full_node(
-            planner(), network, stripes, failed,
-            concurrency=args.concurrency, config=config, tracer=tracer,
-            faults=faults, retry_policy=policy,
-            foreground=foreground, governor=governor, sampler=sampler,
-        )
-        if foreground is not None:
-            foreground.drain()
-        return result
-
-    return _ObservedScenario(
-        trace=trace, network=network, failed=failed,
-        sampler=sampler, foreground=foreground, governor=governor, run=run,
-    )
+    return live, sampler
 
 
 def _run_observed(args, tracer) -> tuple:
-    """Run the observed scenario: (scenario, FullNodeResult, meta)."""
-    scenario = _observed_scenario(args)
-    result = scenario.run(tracer)
+    """Run the observed scenario: (live, sampler, FullNodeResult, meta)."""
+    live, sampler = _observed(args)
+    result = live.run(tracer=tracer, sampler=sampler).result
     meta = {
         "mode": "scenario",
-        "trace": scenario.trace.name,
-        "failed_node": scenario.failed,
+        "trace": live.trace.name,
+        "failed_node": live.failed_node,
         "seed": args.seed,
         "scheme": args.scheme,
         "governor": args.governor,
         "foreground_rate": args.foreground_rate,
         "repair_seconds": round(result.total_seconds, 3),
-        "samples": len(scenario.sampler.samples),
+        "samples": len(sampler.samples),
     }
-    return scenario, result, meta
+    return live, sampler, result, meta
 
 
 def _explain_run(args, tracer) -> tuple:
@@ -1164,18 +1002,16 @@ def _explain_run(args, tracer) -> tuple:
             "samples": len(samples),
         }
         return diagnosis, samples, meta
-    scenario, result, meta = _run_observed(args, tracer)
+    live, sampler, result, meta = _run_observed(args, tracer)
     diagnosis = diagnose(
-        tracer.events, network=scenario.network,
-        telemetry=result.telemetry, sampler=scenario.sampler,
+        tracer.events, network=live.network,
+        telemetry=result.telemetry, sampler=sampler,
     )
-    return diagnosis, list(scenario.sampler.samples), meta
+    return diagnosis, list(sampler.samples), meta
 
 
-def _cmd_explain(args, tracer=NULL_TRACER) -> dict:
+def _cmd_explain(args, tracer) -> _Output:
     diagnosis, samples, meta = _explain_run(args, tracer)
-    # Stash for --trace chrome export (utilization counter tracks).
-    args.recorded_samples = samples
     if args.diagnosis_out is not None:
         args.diagnosis_out.write_text(diagnosis.to_json() + "\n")
     header = (
@@ -1186,22 +1022,24 @@ def _cmd_explain(args, tracer=NULL_TRACER) -> dict:
         else f"saved run: {meta['events']} events, "
         f"{meta['samples']} samples"
     )
-    return {
+    payload = {
         "scenario": meta,
         "diagnosis": diagnosis.to_dict(),
         "rendered": header + "\n" + diagnosis.render(),
     }
+    return _Output(payload, samples)
 
 
-def _cmd_critpath(args, tracer=NULL_TRACER) -> dict:
+def _cmd_critpath(args, tracer) -> _Output:
     """Exact critical-path attribution (``repro critpath``)."""
+    samples = []
     if args.target.suffix == ".jsonl":
         events = events_from_jsonl(args.target.read_text())
         meta = {"mode": "saved", "events": len(events)}
         header = f"saved run: {meta['events']} events"
     else:
-        scenario, _, meta = _run_observed(args, tracer)
-        args.recorded_samples = list(scenario.sampler.samples)
+        _, sampler, _, meta = _run_observed(args, tracer)
+        samples = list(sampler.samples)
         events = list(tracer.events)
         header = (
             f"scenario: {meta['trace']} seed {meta['seed']}, scheme "
@@ -1221,16 +1059,16 @@ def _cmd_critpath(args, tracer=NULL_TRACER) -> dict:
         )
     if args.critpath_out is not None:
         args.critpath_out.write_text(report.to_json() + "\n")
-    return {
+    payload = {
         "scenario": meta,
         "critpath": report.to_dict(),
         "rendered": header + "\n" + report.render(),
     }
+    return _Output(payload, samples)
 
 
-def _cmd_report(args, tracer=NULL_TRACER) -> dict:
+def _cmd_report(args, tracer) -> _Output:
     diagnosis, samples, meta = _explain_run(args, tracer)
-    args.recorded_samples = samples
     title = f"repro run report: {meta.get('trace', args.target.name)}"
     args.html.write_text(
         render_html_report(diagnosis, samples=samples, title=title)
@@ -1245,7 +1083,7 @@ def _cmd_report(args, tracer=NULL_TRACER) -> dict:
     if diagnosis.anomalies:
         summary += f"; {len(diagnosis.anomalies)} ANOMALIES"
     summary += ")"
-    return {
+    payload = {
         "scenario": meta,
         "html": str(args.html),
         "repairs": len(diagnosis.repairs),
@@ -1253,9 +1091,10 @@ def _cmd_report(args, tracer=NULL_TRACER) -> dict:
         "bottleneck": None if top is None else top.describe(),
         "rendered": summary,
     }
+    return _Output(payload, samples)
 
 
-def _cmd_top(args, tracer=NULL_TRACER) -> dict:
+def _cmd_top(args, tracer) -> _Output:
     """Full-node repair with the live telemetry plane and dashboard."""
     if args.target.suffix == ".jsonl":
         raise ReproError(
@@ -1264,12 +1103,10 @@ def _cmd_top(args, tracer=NULL_TRACER) -> dict:
         )
     tsdb = TimeSeriesDB(capacity=args.sample_capacity)
     tenants = tuple(f"tenant-{i}" for i in range(max(args.tenants, 1)))
-    scenario = _observed_scenario(args, tsdb=tsdb, tenants=tenants)
-    trace, failed = scenario.trace, scenario.failed
-    sampler, foreground = scenario.sampler, scenario.foreground
-    governor = scenario.governor
+    live, sampler = _observed(args, tenants=tenants, tsdb=tsdb)
+    governor = live.governor
     specs = []
-    if foreground is not None:
+    if live.spec.foreground_rate is not None:
         specs.extend(
             SLOSpec(
                 name=f"latency-{tenant}", kind="latency", tenant=tenant,
@@ -1289,11 +1126,12 @@ def _cmd_top(args, tracer=NULL_TRACER) -> dict:
     if governor is not None and hasattr(governor, "on_slo_alert"):
         monitor.subscribe(governor.on_slo_alert)
     dashboard = Dashboard(tsdb, slo=monitor)
-    live = None
+    view = None
     if not args.once:
-        live = LiveTop(dashboard, sys.stdout, refresh=args.refresh)
-        sampler.add_listener(live.on_tick)
-    result = scenario.run(tracer)
+        view = LiveTop(dashboard, sys.stdout, refresh=args.refresh)
+        sampler.add_listener(view.on_tick)
+    run = live.run(tracer=tracer, sampler=sampler)
+    result, foreground = run.result, run.foreground
     # ``drain`` advances simulated time past the repair's end, so the
     # closing evaluation happens at the last sampled instant — never
     # rewinding the monitor into an earlier (possibly empty) window.
@@ -1301,29 +1139,26 @@ def _cmd_top(args, tracer=NULL_TRACER) -> dict:
     if sampler.samples:
         end = max(end, sampler.samples[-1].t)
     monitor.evaluate(end)
-    args.recorded_samples = list(sampler.samples)
-    args.recorded_registry = (
-        foreground.registry if foreground is not None else None
-    )
+    registry = foreground.registry if foreground is not None else None
     if args.prom_out is not None:
         args.prom_out.write_text(
-            render_exposition(registry=args.recorded_registry, tsdb=tsdb)
+            render_exposition(registry=registry, tsdb=tsdb)
         )
     if args.tsdb_out is not None:
         args.tsdb_out.write_text(tsdb.to_jsonl())
     final_frame = dashboard.render(end)
-    if live is not None:
+    if view is not None:
         rendered = (
             f"run complete: {end:.2f}s simulated, "
-            f"{live.frames} frames, {len(monitor.alerts)} SLO "
+            f"{view.frames} frames, {len(monitor.alerts)} SLO "
             f"transitions ({len(monitor.firing())} firing)"
         )
     else:
         rendered = final_frame
-    return {
+    payload = {
         "scenario": {
-            "trace": trace.name,
-            "failed_node": failed,
+            "trace": live.trace.name,
+            "failed_node": live.failed_node,
             "seed": args.seed,
             "scheme": args.scheme,
             "governor": args.governor,
@@ -1354,29 +1189,14 @@ def _cmd_top(args, tracer=NULL_TRACER) -> dict:
         },
         "rendered": rendered,
     }
+    return _Output(payload, list(sampler.samples), registry)
 
 
-def _cmd_lifetime(args, tracer=NULL_TRACER) -> dict:
+def _cmd_lifetime(args, tracer) -> _Output:
     schemes = tuple(
         scheme.strip() for scheme in args.schemes.split(",") if scheme.strip()
     )
-    config = LifetimeConfig(
-        years=args.years, runs=args.runs, seed=args.seed, schemes=schemes,
-        machines=args.machines, racks=args.racks,
-        disks_per_machine=args.disks_per_machine, stripes=args.stripes,
-        n=args.n, k=args.k,
-        disk_mttf_days=args.disk_mttf_days,
-        disk_replace_hours=args.disk_replace_hours,
-        machine_mttf_days=args.machine_mttf_days,
-        machine_mttr_hours=args.machine_mttr_hours,
-        rack_mttf_days=args.rack_mttf_days,
-        rack_mttr_hours=args.rack_mttr_hours,
-        repair_streams=args.repair_streams, policy=args.policy,
-        lazy_threshold=args.lazy_threshold,
-        data_per_chunk_gib=args.data_per_chunk_gib,
-        workload=args.workload,
-        calibration_instants=args.calibration_instants,
-    )
+    config = _config_from_args(LifetimeConfig, args, schemes=schemes)
     durations = None  # calibrated lazily by run_lifetime
     if args.durations == "exponential":
         durations = ExponentialDurations(
@@ -1413,7 +1233,21 @@ def _cmd_lifetime(args, tracer=NULL_TRACER) -> dict:
         }
     if args.metrics:
         payload["telemetry"] = registry.snapshot()
-    return payload
+    return _Output(payload)
+
+
+def _cmd_storm(args, tracer) -> _Output:
+    config = _config_from_args(
+        StormConfig, args,
+        gray_wave=not args.no_gray_wave,
+        slo_seconds=args.slo_ms / 1000.0,
+        admission_control=not args.no_admission_control,
+    )
+    with _journal(args.journal, tracer) as journal:
+        report = run_storm(config, tracer=tracer, journal=journal)
+    payload = report.as_dict()
+    payload["rendered"] = _render_storm(payload)
+    return _Output(payload)
 
 
 # ----------------------------------------------------------------------
@@ -1431,43 +1265,6 @@ def _metrics_block(args, payload: dict) -> str:
     if not telemetry:
         return ""
     return "\ntelemetry:\n" + json.dumps(telemetry, indent=2)
-
-
-def _cmd_storm(args, tracer) -> dict:
-    config = StormConfig(
-        seed=args.seed,
-        racks=args.racks,
-        nodes_per_rack=args.nodes_per_rack,
-        outage_at=args.outage_at,
-        gray_wave=not args.no_gray_wave,
-        stripes=args.stripes,
-        n=args.n,
-        k=args.k,
-        chunk_mib=args.chunk_mib,
-        node_mbs=args.node_mbs,
-        foreground_rate=args.foreground_rate,
-        foreground_duration=args.foreground_duration,
-        tenants=args.tenants,
-        slo_seconds=args.slo_ms / 1000.0,
-        engine=args.engine,
-        admission_control=not args.no_admission_control,
-        max_streams=args.max_streams,
-        max_jobs=args.max_jobs,
-        max_time=args.max_time,
-    )
-    journal = (
-        RepairJournal(args.journal, tracer=tracer)
-        if args.journal is not None
-        else None
-    )
-    try:
-        report = run_storm(config, tracer=tracer, journal=journal)
-    finally:
-        if journal is not None:
-            journal.close()  # the tail records' fsync, also on an error
-    payload = report.as_dict()
-    payload["rendered"] = _render_storm(payload)
-    return payload
 
 
 def _render_storm(payload: dict) -> str:
@@ -1505,163 +1302,174 @@ def _render_storm(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _render(args, payload: dict) -> str:
-    if args.json:
-        payload = {k: v for k, v in payload.items() if k != "rendered"}
-        return json.dumps(payload, indent=2)
-    if args.command in ("explain", "report", "top", "critpath", "storm"):
-        return payload["rendered"]
-    if args.command == "plan":
-        lines = [
-            f"scheme: {payload['scheme']}",
-            f"B_min: {payload['bmin_mbps']} Mb/s",
-            f"planning: {format_seconds(payload['planning_seconds'])}",
-        ]
-        if payload["tree"]:
-            lines.append(payload["tree"])
-        return "\n".join(lines)
-    if args.command == "repair":
-        rows = []
-        for name, values in payload["schemes"].items():
-            if values.get("status") == "failed":
-                rows.append(
-                    (name, "-", "-", "-", f"FAILED: {values['reason']}")
-                )
-                continue
-            total = format_seconds(values["total_seconds"])
-            if values.get("replans"):
-                total += f" ({values['replans']} replans)"
-            rows.append(
-                (
-                    name,
-                    format_mbps(values["bmin_mbps"] * 125_000),
-                    format_seconds(values["planning_seconds"]),
-                    format_seconds(values["transfer_seconds"]),
-                    total,
-                )
-            )
-        header = (
-            f"single-chunk repair on {payload['trace']} at "
-            f"t={payload['instant']:.0f}s, (n,k)=({payload['n']},"
-            f"{payload['k']}), requestor N{payload['requestor']}"
-        )
-        table = format_table(
-            ["scheme", "B_min", "plan", "transfer", "total"], rows
-        )
-        return header + "\n" + table + _metrics_block(args, payload)
-    if args.command == "fullnode":
-        rows = []
-        for name, v in payload["schemes"].items():
-            row = (
-                name, f"{v['total_seconds']} s", f"{v['mean_task_seconds']} s"
-            )
-            if "replans" in v:
-                row += (
-                    f"{v['replans']} replans, {v['chunks_failed']} failed",
-                )
-            rows.append(row)
-        header = (
-            f"full-node repair on {payload['trace']}: node "
-            f"{payload['failed_node']}, {payload['chunks']} chunks"
-        )
-        columns = ["scheme", "total", "mean/task"]
-        if rows and len(rows[0]) == 4:
-            columns.append("faults")
-        table = format_table(columns, rows)
-        return header + "\n" + table + _metrics_block(args, payload)
-    if args.command == "load":
-        latency = payload["read_latency_seconds"]
+def _render_rendered(args, payload: dict) -> str:
+    """The handler rendered its own report."""
+    return payload["rendered"]
 
-        def lat(key: str) -> str:
-            value = latency[key]
-            return "n/a" if value is None else format_latency(value)
 
-        slowdown = payload["repair_slowdown"]
-        repair_line = f"repair: {format_latency(payload['repair_seconds'])}"
-        if slowdown is not None:
-            repair_line += (
-                f" ({slowdown:.2f}x of the "
-                f"{format_latency(payload['repair_baseline_seconds'])} "
-                "repair-only baseline)"
-            )
-        kinds = payload["bytes_by_kind"]
-        lines = [
-            f"foreground load on {payload['trace']}: scheme "
-            f"{payload['scheme']}, governor {payload['governor']}, "
-            f"failed node {payload['failed_node']}",
-            repair_line,
-            f"requests: {payload['requests']} "
-            f"({payload['reads']} reads / {payload['writes']} writes), "
-            f"{payload['degraded_reads']} degraded reads, "
-            f"{payload['read_failures']} failures",
-            f"goodput: {payload['goodput_mbps']} Mb/s",
-            "read latency: "
-            + "  ".join(f"{k} {lat(k)}" for k in ("p50", "p95", "p99", "p99.9")),
-        ]
-        if kinds:
-            lines.append(
-                "bytes by class: "
-                + "  ".join(f"{k} {v:.3g}" for k, v in sorted(kinds.items()))
-            )
-        if args.metrics and "telemetry" in payload:
-            lines.append(
-                "telemetry:\n" + json.dumps(payload["telemetry"], indent=2)
-            )
-        return "\n".join(lines)
-    if args.command == "lifetime":
-        config = payload["config"]
-        rows = []
-        for name, values in payload["schemes"].items():
-            mttdl = values["mttdl_years"]
-            nines = values["durability_nines"]
-            low, high = values["loss_ci95"]
-            rows.append(
-                (
-                    name,
-                    str(values["total_data_loss_events"]),
-                    f"{values['mean_losses_per_run']:.3f} "
-                    f"[{low:.3f}, {high:.3f}]",
-                    "inf" if mttdl is None else f"{mttdl:.1f}",
-                    "inf" if nines is None else f"{nines:.2f}",
-                    f"{values['mean_repair_hours']:.2f} h",
-                    f"{values['unavailable_hours']:.0f} h",
-                )
-            )
-        header = (
-            f"cluster lifetime: {config['runs']} runs x "
-            f"{config['years']:g} simulated years, "
-            f"(n,k)=({config['n']},{config['k']}), "
-            f"{config['stripes']} stripes over {config['machines']} "
-            f"machines / {config['racks']} racks, seed {config['seed']}"
-        )
-        table = format_table(
-            [
-                "scheme", "losses", "losses/run [95% CI]", "MTTDL (y)",
-                "nines", "mean repair", "unavailable",
-            ],
-            rows,
-        )
-        lines = [header, table, f"digest: {payload['digest']}"]
-        comparison = payload.get("comparison")
-        if comparison is not None:
-            verdict = (
-                "strictly fewer data-loss events than conventional"
-                if comparison["pivot_strictly_fewer"]
-                else "NOT fewer data-loss events than conventional"
-            )
-            lines.append(
-                f"PivotRepair: {comparison['pivot_losses']} vs "
-                f"{comparison['conventional_losses']} losses - {verdict}"
-            )
-        if args.metrics and "telemetry" in payload:
-            lines.append(
-                "telemetry:\n" + json.dumps(payload["telemetry"], indent=2)
-            )
-        return "\n".join(lines)
-    if args.command == "experiment":
-        return json.dumps(payload, indent=2)
-    # trace generate/analyze: key-value listing.
+def _render_json(args, payload: dict) -> str:
+    return json.dumps(payload, indent=2)
+
+
+def _render_listing(args, payload: dict) -> str:
     return "\n".join(f"{key}: {value}" for key, value in payload.items())
+
+
+def _render_plan(args, payload: dict) -> str:
+    lines = [
+        f"scheme: {payload['scheme']}",
+        f"B_min: {payload['bmin_mbps']} Mb/s",
+        f"planning: {format_seconds(payload['planning_seconds'])}",
+    ]
+    if payload["tree"]:
+        lines.append(payload["tree"])
+    return "\n".join(lines)
+
+
+def _render_repair(args, payload: dict) -> str:
+    rows = []
+    for name, values in payload["schemes"].items():
+        if values.get("status") == "failed":
+            rows.append(
+                (name, "-", "-", "-", f"FAILED: {values['reason']}")
+            )
+            continue
+        total = format_seconds(values["total_seconds"])
+        if values.get("replans"):
+            total += f" ({values['replans']} replans)"
+        rows.append(
+            (
+                name,
+                format_mbps(values["bmin_mbps"] * 125_000),
+                format_seconds(values["planning_seconds"]),
+                format_seconds(values["transfer_seconds"]),
+                total,
+            )
+        )
+    header = (
+        f"single-chunk repair on {payload['trace']} at "
+        f"t={payload['instant']:.0f}s, (n,k)=({payload['n']},"
+        f"{payload['k']}), requestor N{payload['requestor']}"
+    )
+    table = format_table(
+        ["scheme", "B_min", "plan", "transfer", "total"], rows
+    )
+    return header + "\n" + table + _metrics_block(args, payload)
+
+
+def _render_fullnode(args, payload: dict) -> str:
+    rows = []
+    for name, v in payload["schemes"].items():
+        row = (
+            name, f"{v['total_seconds']} s", f"{v['mean_task_seconds']} s"
+        )
+        if "replans" in v:
+            row += (
+                f"{v['replans']} replans, {v['chunks_failed']} failed",
+            )
+        rows.append(row)
+    header = (
+        f"full-node repair on {payload['trace']}: node "
+        f"{payload['failed_node']}, {payload['chunks']} chunks"
+    )
+    columns = ["scheme", "total", "mean/task"]
+    if rows and len(rows[0]) == 4:
+        columns.append("faults")
+    table = format_table(columns, rows)
+    return header + "\n" + table + _metrics_block(args, payload)
+
+
+def _render_load(args, payload: dict) -> str:
+    latency = payload["read_latency_seconds"]
+
+    def lat(key: str) -> str:
+        value = latency[key]
+        return "n/a" if value is None else format_latency(value)
+
+    slowdown = payload["repair_slowdown"]
+    repair_line = f"repair: {format_latency(payload['repair_seconds'])}"
+    if slowdown is not None:
+        repair_line += (
+            f" ({slowdown:.2f}x of the "
+            f"{format_latency(payload['repair_baseline_seconds'])} "
+            "repair-only baseline)"
+        )
+    kinds = payload["bytes_by_kind"]
+    lines = [
+        f"foreground load on {payload['trace']}: scheme "
+        f"{payload['scheme']}, governor {payload['governor']}, "
+        f"failed node {payload['failed_node']}",
+        repair_line,
+        f"requests: {payload['requests']} "
+        f"({payload['reads']} reads / {payload['writes']} writes), "
+        f"{payload['degraded_reads']} degraded reads, "
+        f"{payload['read_failures']} failures",
+        f"goodput: {payload['goodput_mbps']} Mb/s",
+        "read latency: "
+        + "  ".join(f"{k} {lat(k)}" for k in ("p50", "p95", "p99", "p99.9")),
+    ]
+    if kinds:
+        lines.append(
+            "bytes by class: "
+            + "  ".join(f"{k} {v:.3g}" for k, v in sorted(kinds.items()))
+        )
+    if args.metrics and "telemetry" in payload:
+        lines.append(
+            "telemetry:\n" + json.dumps(payload["telemetry"], indent=2)
+        )
+    return "\n".join(lines)
+
+
+def _render_lifetime(args, payload: dict) -> str:
+    config = payload["config"]
+    rows = []
+    for name, values in payload["schemes"].items():
+        mttdl = values["mttdl_years"]
+        nines = values["durability_nines"]
+        low, high = values["loss_ci95"]
+        rows.append(
+            (
+                name,
+                str(values["total_data_loss_events"]),
+                f"{values['mean_losses_per_run']:.3f} "
+                f"[{low:.3f}, {high:.3f}]",
+                "inf" if mttdl is None else f"{mttdl:.1f}",
+                "inf" if nines is None else f"{nines:.2f}",
+                f"{values['mean_repair_hours']:.2f} h",
+                f"{values['unavailable_hours']:.0f} h",
+            )
+        )
+    header = (
+        f"cluster lifetime: {config['runs']} runs x "
+        f"{config['years']:g} simulated years, "
+        f"(n,k)=({config['n']},{config['k']}), "
+        f"{config['stripes']} stripes over {config['machines']} "
+        f"machines / {config['racks']} racks, seed {config['seed']}"
+    )
+    table = format_table(
+        [
+            "scheme", "losses", "losses/run [95% CI]", "MTTDL (y)",
+            "nines", "mean repair", "unavailable",
+        ],
+        rows,
+    )
+    lines = [header, table, f"digest: {payload['digest']}"]
+    comparison = payload.get("comparison")
+    if comparison is not None:
+        verdict = (
+            "strictly fewer data-loss events than conventional"
+            if comparison["pivot_strictly_fewer"]
+            else "NOT fewer data-loss events than conventional"
+        )
+        lines.append(
+            f"PivotRepair: {comparison['pivot_losses']} vs "
+            f"{comparison['conventional_losses']} losses - {verdict}"
+        )
+    if args.metrics and "telemetry" in payload:
+        lines.append(
+            "telemetry:\n" + json.dumps(payload["telemetry"], indent=2)
+        )
+    return "\n".join(lines)
 
 
 def _configure_logging(verbosity: int) -> None:
@@ -1689,46 +1497,22 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _configure_logging(args.verbose)
     tracing = (
-        args.trace is not None
-        or args.timeline
-        or args.metrics
-        or args.command in ("explain", "report", "top", "critpath")
+        args.trace is not None or args.timeline or args.metrics
+        or args.observed
     )
     tracer = Tracer() if tracing else NULL_TRACER
     try:
-        if args.command == "trace":
-            if args.trace_command == "generate":
-                payload = _cmd_trace_generate(args)
-            else:
-                payload = _cmd_trace_analyze(args)
-        elif args.command == "plan":
-            payload = _cmd_plan(args, tracer)
-        elif args.command == "repair":
-            payload = _cmd_repair(args, tracer)
-        elif args.command == "load":
-            payload = _cmd_load(args, tracer)
-        elif args.command == "experiment":
-            payload = _cmd_experiment(args, tracer)
-        elif args.command == "explain":
-            payload = _cmd_explain(args, tracer)
-        elif args.command == "critpath":
-            payload = _cmd_critpath(args, tracer)
-        elif args.command == "report":
-            payload = _cmd_report(args, tracer)
-        elif args.command == "top":
-            payload = _cmd_top(args, tracer)
-        elif args.command == "storm":
-            payload = _cmd_storm(args, tracer)
-        elif args.command == "lifetime":
-            payload = _cmd_lifetime(args, tracer)
-        elif args.command == "resume":
-            payload = _cmd_resume(args, tracer)
-        else:
-            payload = _cmd_fullnode(args, tracer)
+        output = args.handler(args, tracer)
     except (ReproError, FileNotFoundError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    print(_render(args, payload))
+    if args.json:
+        payload = {
+            k: v for k, v in output.payload.items() if k != "rendered"
+        }
+        print(json.dumps(payload, indent=2))
+    else:
+        print(args.render(args, output.payload))
     if args.timeline and tracer.events:
         print(render_timeline(tracer.events))
     if args.trace is not None:
@@ -1737,8 +1521,8 @@ def main(argv: list[str] | None = None) -> int:
                 tracer.events,
                 args.trace,
                 fmt=args.trace_format,
-                samples=getattr(args, "recorded_samples", ()),
-                registry=getattr(args, "recorded_registry", None),
+                samples=output.samples,
+                registry=output.registry,
             )
         except OSError as error:
             print(f"error: cannot write trace: {error}", file=sys.stderr)

@@ -1,0 +1,357 @@
+"""The seeded full-node scenario: one definition.
+
+Every ``repro`` subcommand that repairs a whole node (``fullnode``,
+``resume``, ``load``, ``explain``, ``report``, ``critpath``, ``top``)
+runs the same object: a workload trace, an (n, k) code, a seeded
+placement, one failed node, optionally faults, client load and a QoS
+governor.  :class:`FullNodeScenario` is that object as plain values;
+``build()`` makes the live objects once, ``run()`` repairs the node.
+
+What this module decides, so that no caller has to remember it:
+
+* **Placement and victim.**  ``place_stripes`` under
+  ``default_rng(seed)``; the failed node is the one holding chunk 0 of
+  stripe 0.
+* **Which network.**  Without foreground load the trace's measured
+  traffic is pre-subtracted from the links (``to_network``).  Once
+  client requests are explicit the links run at full capacity and the
+  trace shapes the *arrival rate* instead.
+* **Dead clients.**  Under a fault plan a crashed client issues nothing
+  (``drop_dead_clients``); its requests would sit at zero rate and
+  wedge the final drain.
+* **Drain before reading.**  The foreground engine is drained before
+  ``run()`` returns, so latencies and counts cover every request.
+* **The planning charge.**  ``planning_seconds=None`` charges each
+  plan its measured wall-clock time; a number pins the charge, which
+  makes the run bit-reproducible per seed.
+* **The journal's** ``run_config`` **record.**  Written from and read
+  back into the scenario (:data:`RUN_CONFIG_KEYS`), so :func:`resume`
+  is: rebuild the scenario from the record, drop the stripes the
+  journal marks done, run.
+"""
+
+from __future__ import annotations
+
+from dataclasses import asdict, dataclass
+from pathlib import Path
+
+import numpy as np
+
+from repro.baselines import PPTPlanner, RPPlanner
+from repro.core import PivotRepairPlanner, pin_planning
+from repro.core.plan import RepairPlanner
+from repro.core.scheduler import SchedulerConfig
+from repro.ec import RSCode, Stripe, place_stripes
+from repro.faults import FaultPlan, RetryPolicy
+from repro.loadgen import (
+    ForegroundEngine,
+    LoadProfile,
+    RepairQoSGovernor,
+    generate_requests,
+    make_governor,
+    rate_profile_from_trace,
+)
+from repro.network.topology import StarNetwork
+from repro.obs import NULL_TRACER
+from repro.repair import (
+    ExecutionConfig,
+    FullNodeResult,
+    repair_full_node,
+    repair_full_node_adaptive,
+)
+from repro.resilience.journal import JournalError, RepairJournal
+from repro.traces import WorkloadTrace
+from repro.units import mbps, mib
+
+#: Planner factories by the scheme names the CLI accepts.
+SCHEMES = {
+    "pivot": PivotRepairPlanner,
+    "rp": RPPlanner,
+    "ppt": lambda: PPTPlanner(tree_budget=20_000),
+}
+
+#: Recommendation-value bar of the adaptive strategy's runs.
+ADAPTIVE_THRESHOLD = 10.0
+
+#: Keys of a journal's ``run_config`` record: enough to rebuild the
+#: scenario bit-identically, plus ``failed_node`` as a check that the
+#: rebuild placed what the interrupted run placed.
+RUN_CONFIG_KEYS = (
+    "trace", "n", "k", "stripes", "chunk_mib", "concurrency", "seed",
+    "failed_node", "scheme",
+)
+
+
+def parse_fault_specs(
+    faults: str | None, retry_policy: str | None
+) -> tuple[FaultPlan | None, RetryPolicy | None]:
+    """``--faults`` (a spec string or a JSON fault-plan file) and
+    ``--retry-policy`` as live objects."""
+    plan = None
+    if faults is not None:
+        plan = (
+            FaultPlan.from_file(faults)
+            if Path(faults).exists()
+            else FaultPlan.from_spec(faults)
+        )
+    policy = None
+    if retry_policy is not None:
+        policy = RetryPolicy.from_spec(retry_policy)
+    return plan, policy
+
+
+@dataclass(frozen=True)
+class FullNodeScenario:
+    """One seeded full-node repair, as plain values."""
+
+    #: Path of the ``.npz`` workload trace.
+    trace: str
+    n: int = 6
+    k: int = 4
+    stripes: int = 16
+    chunk_mib: float = 64
+    concurrency: int = 4
+    seed: int = 0
+    scheme: str = "pivot"
+    #: Fluid-simulator allocation engine (None: the default).
+    engine: str | None = None
+    #: Fault plan (spec string or JSON file) and retry policy spec.
+    faults: str | None = None
+    retry_policy: str | None = None
+    #: Mean client requests per second; None runs the repair alone.
+    foreground_rate: float | None = None
+    #: Request stream length in seconds (None: the trace's length).
+    foreground_duration: float | None = None
+    read_fraction: float = 0.9
+    request_mib: float = 1.0
+    zipf: float = 0.9
+    #: Tenant labels of the foreground requests.
+    tenants: tuple[str, ...] = ()
+    #: Repair QoS policy (``none`` / ``static`` / ``adaptive``; None
+    #: consults no governor at all) and its setting.
+    governor: str | None = None
+    static_cap_mbps: float = 250.0
+    slo_ms: float = 500.0
+    #: Fixed planning charge per stripe; None charges the measured time.
+    planning_seconds: float | None = None
+
+    def build(self) -> LiveScenario:
+        """Load the trace, place the stripes, pick the failed node."""
+        trace = WorkloadTrace.load(Path(self.trace))
+        if self.foreground_rate is None:
+            network = trace.to_network(floor=1e6)
+        else:
+            network = StarNetwork.uniform(trace.node_count, trace.capacity)
+        stripes = place_stripes(
+            self.stripes, RSCode(self.n, self.k), trace.node_count,
+            np.random.default_rng(self.seed),
+        )
+        faults, retry_policy = parse_fault_specs(
+            self.faults, self.retry_policy
+        )
+        governor = None
+        if self.governor is not None:
+            setting = {
+                "static": {"cap": mbps(self.static_cap_mbps)},
+                "adaptive": {"slo_p99": self.slo_ms / 1000.0},
+            }.get(self.governor, {})
+            governor = make_governor(self.governor, **setting)
+        return LiveScenario(
+            spec=self, trace=trace, network=network, stripes=stripes,
+            failed_node=stripes[0].placement[0],
+            config=ExecutionConfig(
+                chunk_size=mib(self.chunk_mib), engine=self.engine
+            ),
+            faults=faults, retry_policy=retry_policy, governor=governor,
+        )
+
+    @classmethod
+    def from_run_config(cls, record: dict, **fields) -> FullNodeScenario:
+        """The scenario a journal's ``run_config`` record describes;
+        ``fields`` are the ones a record does not carry."""
+        try:
+            recorded = {
+                key: record[key]
+                for key in RUN_CONFIG_KEYS
+                if key != "failed_node"
+            }
+        except KeyError as error:
+            raise JournalError(
+                f"run_config record lacks {error}"
+            ) from error
+        return cls(**recorded, **fields)
+
+
+@dataclass
+class ScenarioRun:
+    """One repair of the scenario's failed node."""
+
+    result: FullNodeResult
+    #: The client load that ran beside it, drained; None without one.
+    foreground: ForegroundEngine | None
+
+
+@dataclass
+class LiveScenario:
+    """The live objects of a :class:`FullNodeScenario`, built once;
+    each ``run()`` repairs the failed node on a fresh simulator."""
+
+    spec: FullNodeScenario
+    trace: WorkloadTrace
+    network: StarNetwork
+    stripes: list[Stripe]
+    failed_node: int
+    config: ExecutionConfig
+    faults: FaultPlan | None
+    retry_policy: RetryPolicy | None
+    governor: RepairQoSGovernor | None
+
+    def planner(self, scheme: str | None = None) -> RepairPlanner:
+        planner = SCHEMES[scheme or self.spec.scheme]()
+        if self.spec.planning_seconds is not None:
+            pin_planning(planner, self.spec.planning_seconds)
+        return planner
+
+    def run(
+        self,
+        scheme: str | None = None,
+        *,
+        tracer=NULL_TRACER,
+        journal: RepairJournal | None = None,
+        sampler=None,
+        adaptive: bool = False,
+        foreground: bool = True,
+    ) -> ScenarioRun:
+        """Repair the failed node with ``scheme`` (default: the spec's).
+
+        ``journal`` makes the run resumable: its ``run_config`` record
+        is written here if it has none, and stripes it already marks
+        done are skipped.  ``sampler`` (a flight recorder) observes the
+        run, and its TSDB, if any, also receives the foreground's
+        series.  ``adaptive`` dispatches by recommendation value instead
+        of a fixed window.  ``foreground=False`` repairs alone on the
+        same network: no client load, no governor (a baseline).
+        """
+        spec = self.spec
+        scheme = scheme or spec.scheme
+        stripes = self.stripes
+        if journal is not None:
+            if journal.run_config() is None:
+                values = {
+                    **asdict(spec), "failed_node": self.failed_node,
+                    "scheme": scheme,
+                }
+                journal.append(
+                    "run_config",
+                    **{key: values[key] for key in RUN_CONFIG_KEYS},
+                )
+            done = journal.done_stripes()
+            stripes = [s for s in stripes if s.stripe_id not in done]
+        engine = None
+        if foreground and spec.foreground_rate is not None:
+            engine = self._foreground_engine(scheme, sampler)
+        shared = dict(
+            config=self.config, tracer=tracer, faults=self.faults,
+            retry_policy=self.retry_policy, foreground=engine,
+            governor=self.governor if foreground else None,
+            sampler=sampler, journal=journal,
+        )
+        if adaptive:
+            result = repair_full_node_adaptive(
+                self.planner(scheme), self.network, stripes,
+                self.failed_node,
+                scheduler=SchedulerConfig(threshold=ADAPTIVE_THRESHOLD),
+                **shared,
+            )
+        else:
+            result = repair_full_node(
+                self.planner(scheme), self.network, stripes,
+                self.failed_node, concurrency=spec.concurrency, **shared,
+            )
+        if engine is not None:
+            engine.drain()
+        return ScenarioRun(result, engine)
+
+    def _foreground_engine(self, scheme: str, sampler) -> ForegroundEngine:
+        """Client load beside the repair: arrivals at the spec's mean
+        rate, shaped by the measured trace."""
+        spec, trace = self.spec, self.trace
+        profile = LoadProfile(
+            name=trace.name,
+            arrival_rate=spec.foreground_rate,
+            duration=(
+                float(trace.sample_count)
+                if spec.foreground_duration is None
+                else spec.foreground_duration
+            ),
+            read_fraction=spec.read_fraction,
+            request_size=int(mib(spec.request_mib)),
+            zipf_s=spec.zipf,
+            modulation="trace",
+            tenants=spec.tenants,
+        )
+        requests = generate_requests(
+            profile, self.stripes, trace.node_count, seed=spec.seed,
+            rate_profile=rate_profile_from_trace(trace),
+        )
+        return ForegroundEngine(
+            self.stripes, requests, self.planner(scheme),
+            failed_nodes={self.failed_node}, faults=self.faults,
+            tsdb=getattr(sampler, "tsdb", None),
+            drop_dead_clients=bool(self.faults),
+        )
+
+
+@dataclass
+class Resumed:
+    """What :func:`resume` found in a journal and did about it."""
+
+    live: LiveScenario
+    #: Stripes with a chunk on the failed node / marked done / left.
+    stripes_total: int
+    stripes_done: int
+    stripes_remaining: int
+    #: The repair of the remainder; None when nothing was left.
+    result: FullNodeResult | None
+
+
+def resume(
+    journal: RepairJournal, *, tracer=NULL_TRACER, **fields
+) -> Resumed:
+    """Finish the journaled full-node repair ``journal`` interrupted.
+
+    The ``run_config`` record rebuilds the scenario bit-identically
+    (trace file, code, placement seed); ``task_done`` records say which
+    stripes already finished.  The repair runs over the remainder only,
+    appending to the same journal, so resuming a resume also works.
+    ``fields`` are scenario fields the record does not carry (engine,
+    faults, retry policy).
+    """
+    record = journal.run_config()
+    if record is None:
+        raise JournalError(
+            f"{journal.path}: no run_config record — only journals "
+            "written by 'repro fullnode --journal' can be resumed"
+        )
+    live = FullNodeScenario.from_run_config(record, **fields).build()
+    if live.failed_node != record.get("failed_node"):
+        raise JournalError(
+            f"{journal.path}: run_config repairs node "
+            f"{record.get('failed_node')} but its seed now places node "
+            f"{live.failed_node} first — not the trace it was written on"
+        )
+    done = journal.done_stripes()
+    lost = [
+        stripe for stripe in live.stripes
+        if stripe.chunk_on_node(live.failed_node) is not None
+    ]
+    remaining = sum(1 for stripe in lost if stripe.stripe_id not in done)
+    return Resumed(
+        live=live, stripes_total=len(lost), stripes_done=len(done),
+        stripes_remaining=remaining,
+        result=(
+            live.run(tracer=tracer, journal=journal).result
+            if remaining
+            else None
+        ),
+    )
