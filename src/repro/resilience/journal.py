@@ -94,6 +94,14 @@ class RepairJournal:
         self._next_seq = 0
         self._file = None
         if self.path is not None:
+            if self.path.exists() and self.path.stat().st_size > 0:
+                # Appending a second run would restart ``seq`` at 0 and
+                # leave two run_configs for ``resume`` to pick from.
+                raise JournalError(
+                    f"{self.path} already holds a journal; a new run "
+                    "needs a new file, an interrupted one is finished "
+                    "with 'repro resume' (RepairJournal.load)"
+                )
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._file = open(self.path, "a", encoding="utf-8")
 
@@ -149,7 +157,8 @@ class RepairJournal:
         tracer=NULL_TRACER,
         fsync_interval: int = 8,
     ) -> RepairJournal:
-        """Reopen an existing journal; appends continue the sequence."""
+        """Reopen an existing journal — the one way to; appends continue
+        the sequence."""
         source = Path(path)
         if not source.exists():
             raise JournalError(f"journal not found: {source}")
@@ -158,9 +167,9 @@ class RepairJournal:
             for line in source.read_text(encoding="utf-8").splitlines()
             if line.strip()
         ]
-        journal = cls(
-            path=source, fsync_interval=fsync_interval, tracer=tracer
-        )
+        journal = cls(fsync_interval=fsync_interval, tracer=tracer)
+        journal.path = source
+        journal._file = open(source, "a", encoding="utf-8")
         journal.records = records
         journal._next_seq = (
             max(r.seq for r in records) + 1 if records else 0

@@ -107,6 +107,20 @@ class TestJournal:
         lines = path.read_text().splitlines()
         assert [json.loads(line)["seq"] for line in lines] == [0, 1, 2]
 
+    def test_a_new_run_refuses_a_file_that_holds_a_journal(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with RepairJournal(path) as journal:
+            journal.append("run_config", seed=3)
+        before = path.read_bytes()
+        with pytest.raises(JournalError, match="repro resume"):
+            RepairJournal(path)
+        assert path.read_bytes() == before
+        # An empty file (touched, or a run that wrote nothing) is new.
+        empty = tmp_path / "empty.jsonl"
+        empty.touch()
+        with RepairJournal(empty) as journal:
+            assert journal.append("run_config", seed=4).seq == 0
+
     def test_queries(self):
         journal = RepairJournal()
         journal.append("run_config", n=6, k=4)

@@ -782,6 +782,24 @@ class TestResumeCommand:
         # Resuming a resume: the appended record completes the journal.
         assert self.resume(journal_file, capsys)["stripes_remaining"] == 0
 
+    @pytest.mark.parametrize("command", ["fullnode", "storm"])
+    def test_a_second_run_does_not_reuse_the_journal(
+        self, command, journal_file, trace_file, capsys
+    ):
+        """It used to append: duplicate ``seq`` values, two run_configs,
+        and a ``resume`` that answered from the wrong one."""
+        before = journal_file.read_bytes()
+        argv = {
+            "fullnode": ["fullnode", str(trace_file), "--stripes", "8",
+                         "--chunk-mib", "4", "--seed", "4"],
+            "storm": ["storm", *TestStormCommand.SMALL],
+        }[command]
+        assert main([*argv, "--journal", str(journal_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "repro resume" in err
+        assert journal_file.read_bytes() == before
+        assert self.resume(journal_file, capsys)["stripes_remaining"] == 0
+
     def test_journal_without_run_config_is_a_clean_error(
         self, journal_file, capsys
     ):
