@@ -45,14 +45,6 @@ class BalancedAssignment:
             self.helpers[stripe.stripe_id],
         )
 
-    @property
-    def max_download(self) -> int:
-        return max(self.download_load.values(), default=0)
-
-    @property
-    def max_upload(self) -> int:
-        return max(self.upload_load.values(), default=0)
-
 
 def balance_assignments(
     stripes: Sequence[Stripe],

@@ -136,9 +136,6 @@ class AdmissionController:
     def stream_tokens_free(self, active_streams: int) -> int:
         return max(0, self.config.max_streams - active_streams)
 
-    def bytes_token_free(self, inflight_bytes: float) -> float:
-        return max(0.0, self.config.max_inflight_bytes - inflight_bytes)
-
     def may_admit_job(self, admitted_count: int) -> bool:
         return admitted_count < self.config.max_jobs
 

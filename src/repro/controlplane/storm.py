@@ -66,6 +66,28 @@ __all__ = [
 
 _QOS_ROTATION = ("gold", "silver", "bronze")
 
+# The parts of the scenario no caller varies.
+#: Rack whose power fails at ``outage_at``.
+OUTAGE_RACK = 0
+#: Heterogeneity step between consecutive nodes (fraction of base).
+NODE_SPREAD = 0.04
+#: Rack uplink as a fraction of the rack's summed node capacity
+#: (< 1 = oversubscribed, the usual datacenter shape).
+RACK_OVERSUBSCRIPTION = 0.6
+#: Foreground request size, KiB.
+REQUEST_KIB = 256
+#: Latency SLO: allowed fraction of requests above ``slo_seconds``.
+SLO_BUDGET = 0.05
+#: Burn-rate windows; storm-scale (short) so alerts fire and resolve
+#: within one scenario rather than on SRE dashboards' timescales.
+SLO_SHORT_WINDOW = 3.0
+SLO_LONG_WINDOW = 8.0
+#: Fault-requeue events before a job's degradation level escalates.
+DEGRADE_AFTER = 2
+RETRY_SPEC = "timeout=0.25,retries=4,backoff=0.1x2,jitter=0.5,maxbackoff=2"
+#: Eq. 3 recommendation bar under admission control.
+SCHEDULER_THRESHOLD = 0.0
+
 
 @dataclass(frozen=True)
 class StormConfig:
@@ -74,8 +96,6 @@ class StormConfig:
     seed: int = 42
     racks: int = 3
     nodes_per_rack: int = 4
-    #: Rack whose power fails at ``outage_at``.
-    outage_rack: int = 0
     outage_at: float = 0.05
     #: Degrade one survivor per remaining rack (the gray wave)?
     gray_wave: bool = True
@@ -86,22 +106,11 @@ class StormConfig:
     k: int = 4
     chunk_mib: float = 24.0
     node_mbs: float = 25.0
-    #: Heterogeneity step between consecutive nodes (fraction of base).
-    node_spread: float = 0.04
-    #: Rack uplink as a fraction of the rack's summed node capacity
-    #: (< 1 = oversubscribed, the usual datacenter shape).
-    rack_oversubscription: float = 0.6
     #: Foreground arrivals per second (0 disables foreground + SLOs).
     foreground_rate: float = 80.0
     foreground_duration: float = 50.0
-    request_kib: int = 256
     tenants: int = 2
     slo_seconds: float = 0.06
-    slo_budget: float = 0.05
-    #: Burn-rate windows; storm-scale (short) so alerts fire and resolve
-    #: within one scenario rather than on SRE dashboards' timescales.
-    slo_short_window: float = 3.0
-    slo_long_window: float = 8.0
     planning_seconds: float = 0.002
     sample_interval: float = 0.25
     engine: str | None = None
@@ -115,9 +124,6 @@ class StormConfig:
     resume_breadth: float = 0.30
     min_active_jobs: int = 1
     check_interval: float = 0.5
-    degrade_after: int = 2
-    retry_spec: str = "timeout=0.25,retries=4,backoff=0.1x2,jitter=0.5,maxbackoff=2"
-    scheduler_threshold: float = 0.0
     max_time: float = 600.0
 
 
@@ -166,8 +172,8 @@ def storm_network(config: StormConfig) -> RackNetwork:
     node_racks = [node // config.nodes_per_rack for node in range(node_count)]
     nodes = [
         NodeBandwidth.constant(
-            base * (1.0 + config.node_spread * node),
-            base * (1.0 + config.node_spread * ((node * 7) % node_count)),
+            base * (1.0 + NODE_SPREAD * node),
+            base * (1.0 + NODE_SPREAD * ((node * 7) % node_count)),
         )
         for node in range(node_count)
     ]
@@ -175,20 +181,20 @@ def storm_network(config: StormConfig) -> RackNetwork:
     for rack in range(config.racks):
         members = [n for n, r in enumerate(node_racks) if r == rack]
         pooled = sum(
-            base * (1.0 + config.node_spread * node) for node in members
+            base * (1.0 + NODE_SPREAD * node) for node in members
         )
-        cap = pooled * config.rack_oversubscription
+        cap = pooled * RACK_OVERSUBSCRIPTION
         racks.append(NodeBandwidth.constant(cap, cap))
     return RackNetwork(node_racks, nodes, racks)
 
 
 def storm_fault_plan(config: StormConfig, network: RackNetwork) -> FaultPlan:
     """Correlated rack loss plus the gray wave on surviving racks."""
-    lost = network.nodes_in_rack(config.outage_rack)
+    lost = network.nodes_in_rack(OUTAGE_RACK)
     gray: list[int] = []
     if config.gray_wave:
         for rack in range(network.rack_count):
-            if rack == config.outage_rack:
+            if rack == OUTAGE_RACK:
                 continue
             # The first node of each surviving rack browns out: its
             # uplink serves repair reads, so this is a gray failure the
@@ -237,7 +243,7 @@ def run_storm(
     faults = storm_fault_plan(config, network)
     failed_nodes = [
         node
-        for node in network.nodes_in_rack(config.outage_rack)
+        for node in network.nodes_in_rack(OUTAGE_RACK)
         if any(s.chunk_on_node(node) is not None for s in stripes)
     ]
     if not failed_nodes:
@@ -248,7 +254,7 @@ def run_storm(
     exec_config = ExecutionConfig(
         chunk_size=int(mib(config.chunk_mib)), engine=config.engine,
     )
-    retry_policy = RetryPolicy.from_spec(config.retry_spec)
+    retry_policy = RetryPolicy.from_spec(RETRY_SPEC)
 
     tsdb = TimeSeriesDB()
     sampler = FlightRecorder(interval=config.sample_interval, tsdb=tsdb)
@@ -261,7 +267,7 @@ def run_storm(
             arrival_rate=config.foreground_rate,
             duration=config.foreground_duration,
             read_fraction=0.9,
-            request_size=config.request_kib * 1024,
+            request_size=REQUEST_KIB * 1024,
             zipf_s=0.9,
             tenants=tenant_names,
         )
@@ -278,9 +284,9 @@ def run_storm(
         specs = [
             SLOSpec(
                 name=f"latency-{tenant}", kind="latency", tenant=tenant,
-                threshold=config.slo_seconds, budget=config.slo_budget,
-                short_window=config.slo_short_window,
-                long_window=config.slo_long_window,
+                threshold=config.slo_seconds, budget=SLO_BUDGET,
+                short_window=SLO_SHORT_WINDOW,
+                long_window=SLO_LONG_WINDOW,
             )
             for tenant in tenant_names
         ]
@@ -304,7 +310,7 @@ def run_storm(
             check_interval=config.check_interval,
         )
         slo_for_plane = monitor if specs else None
-        threshold = config.scheduler_threshold
+        threshold = SCHEDULER_THRESHOLD
     else:
         # Uncontrolled baseline: everything admits at once, nothing is
         # ever shed, and dispatch ignores Eq. 3 pacing (a deeply
@@ -325,7 +331,7 @@ def run_storm(
         scheduler=SchedulerConfig(threshold=threshold),
         admission=admission,
         backpressure=backpressure,
-        degradation=DegradationPolicy(escalate_after=config.degrade_after),
+        degradation=DegradationPolicy(escalate_after=DEGRADE_AFTER),
         faults=faults,
         tracer=tracer,
         foreground=foreground,

@@ -21,7 +21,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.ec.field import GF256, GaloisField
-from repro.ec.matrix import gf_identity, gf_inverse, gf_matmul, vandermonde
+from repro.ec.matrix import gf_inverse, gf_matmul, vandermonde
 from repro.exceptions import CodingError, InsufficientChunksError
 
 
@@ -155,8 +155,3 @@ class RSCode:
                 raise CodingError(
                     f"chunk index {index} outside stripe of width {self.n}"
                 )
-
-
-def identity_decode_matrix(k: int) -> np.ndarray:
-    """Decode matrix when all k data chunks survive (trivial identity)."""
-    return gf_identity(k)

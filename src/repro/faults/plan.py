@@ -97,9 +97,6 @@ class LinkDegradation:
         if self.direction not in _DIRECTIONS:
             raise FaultError(f"unknown direction {self.direction!r}")
 
-    def affects(self, direction: str) -> bool:
-        return self.direction == "both" or self.direction == direction
-
     def active(self, t: float) -> bool:
         return self.start <= t < self.end
 

@@ -91,12 +91,6 @@ class LifetimeRunStats:
     dispatches: int = 0
     offers_examined: int = 0
 
-    @property
-    def mean_repair_seconds(self) -> float:
-        if not self.repairs_completed:
-            return 0.0
-        return self.repair_seconds / self.repairs_completed
-
 
 def simulate_lifetime(
     layout: ClusterLayout,

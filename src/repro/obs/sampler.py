@@ -165,11 +165,6 @@ class FlightRecorder:
         """Record the governor's current per-repair-flow rate cap."""
         self._cap = cap
 
-    def attach_tsdb(self, tsdb) -> FlightRecorder:
-        """Mirror every future sample into ``tsdb`` as labeled series."""
-        self.tsdb = tsdb
-        return self
-
     def add_listener(self, listener) -> None:
         """Invoke ``listener(t)`` once per sample tick, in order."""
         self._listeners.append(listener)
