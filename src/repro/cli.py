@@ -296,8 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "contention, governor, stall, queue, planning, pipeline, hedge) "
         "and per foreground tenant.  Scenario mode (.npz workload "
         "trace) runs a seeded full-node repair; saved-run mode (.jsonl "
-        "event trace) analyses an existing trace.  The result is "
-        "cross-checked against the `repro explain` flow decomposition.",
+        "event trace) analyses an existing trace.",
     )
     critpath.set_defaults(handler=_cmd_critpath)
     critpath.add_argument(
@@ -986,6 +985,14 @@ def _run_observed(args, tracer) -> tuple:
     return live, sampler, result, meta
 
 
+def _scenario_header(meta: dict) -> str:
+    return (
+        f"scenario: {meta['trace']} seed {meta['seed']}, scheme "
+        f"{meta['scheme']}, governor {meta['governor']}, failed node "
+        f"{meta['failed_node']}"
+    )
+
+
 def _explain_run(args, tracer) -> tuple:
     """(diagnosis, samples, meta) for ``explain``/``report``, either mode."""
     if args.target.suffix == ".jsonl":
@@ -1015,9 +1022,7 @@ def _cmd_explain(args, tracer) -> _Output:
     if args.diagnosis_out is not None:
         args.diagnosis_out.write_text(diagnosis.to_json() + "\n")
     header = (
-        f"scenario: {meta['trace']} seed {meta['seed']}, scheme "
-        f"{meta['scheme']}, governor {meta['governor']}, failed node "
-        f"{meta['failed_node']}"
+        _scenario_header(meta)
         if meta["mode"] == "scenario"
         else f"saved run: {meta['events']} events, "
         f"{meta['samples']} samples"
@@ -1041,11 +1046,7 @@ def _cmd_critpath(args, tracer) -> _Output:
         _, sampler, _, meta = _run_observed(args, tracer)
         samples = list(sampler.samples)
         events = list(tracer.events)
-        header = (
-            f"scenario: {meta['trace']} seed {meta['seed']}, scheme "
-            f"{meta['scheme']}, governor {meta['governor']}, failed "
-            f"node {meta['failed_node']}"
-        )
+        header = _scenario_header(meta)
     report = critical_paths(events)
     if tracer.enabled:
         # Stamp the analysis into the trace itself, so an exported

@@ -7,27 +7,11 @@ placement, one failed node, optionally faults, client load and a QoS
 governor.  :class:`FullNodeScenario` is that object as plain values;
 ``build()`` makes the live objects once, ``run()`` repairs the node.
 
-What this module decides, so that no caller has to remember it:
-
-* **Placement and victim.**  ``place_stripes`` under
-  ``default_rng(seed)``; the failed node is the one holding chunk 0 of
-  stripe 0.
-* **Which network.**  Without foreground load the trace's measured
-  traffic is pre-subtracted from the links (``to_network``).  Once
-  client requests are explicit the links run at full capacity and the
-  trace shapes the *arrival rate* instead.
-* **Dead clients.**  Under a fault plan a crashed client issues nothing
-  (``drop_dead_clients``); its requests would sit at zero rate and
-  wedge the final drain.
-* **Drain before reading.**  The foreground engine is drained before
-  ``run()`` returns, so latencies and counts cover every request.
-* **The planning charge.**  ``planning_seconds=None`` charges each
-  plan its measured wall-clock time; a number pins the charge, which
-  makes the run bit-reproducible per seed.
-* **The journal's** ``run_config`` **record.**  Written from and read
-  back into the scenario (:data:`RUN_CONFIG_KEYS`), so :func:`resume`
-  is: rebuild the scenario from the record, drop the stripes the
-  journal marks done, run.
+This module alone decides (``docs/architecture.md`` has the reasons):
+placement and victim; which network a run gets; that dead clients are
+dropped under faults; that the foreground is drained before a result is
+read; whether planning is charged as measured or pinned; and the keys of
+the journal's ``run_config`` record, which :func:`resume` reads back.
 """
 
 from __future__ import annotations
@@ -141,6 +125,9 @@ class FullNodeScenario:
         if self.foreground_rate is None:
             network = trace.to_network(floor=1e6)
         else:
+            # Foreground traffic is explicit: the links run at full
+            # capacity and the measured trace shapes the *arrival rate*
+            # instead of pre-subtracting link bandwidth.
             network = StarNetwork.uniform(trace.node_count, trace.capacity)
         stripes = place_stripes(
             self.stripes, RSCode(self.n, self.k), trace.node_count,
@@ -164,22 +151,6 @@ class FullNodeScenario:
             ),
             faults=faults, retry_policy=retry_policy, governor=governor,
         )
-
-    @classmethod
-    def from_run_config(cls, record: dict, **fields) -> FullNodeScenario:
-        """The scenario a journal's ``run_config`` record describes;
-        ``fields`` are the ones a record does not carry."""
-        try:
-            recorded = {
-                key: record[key]
-                for key in RUN_CONFIG_KEYS
-                if key != "failed_node"
-            }
-        except KeyError as error:
-            raise JournalError(
-                f"run_config record lacks {error}"
-            ) from error
-        return cls(**recorded, **fields)
 
 
 @dataclass
@@ -298,6 +269,8 @@ class LiveScenario:
             self.stripes, requests, self.planner(scheme),
             failed_nodes={self.failed_node}, faults=self.faults,
             tsdb=getattr(sampler, "tsdb", None),
+            # A crashed client issues nothing; its requests would sit at
+            # zero rate and wedge the final drain.
             drop_dead_clients=bool(self.faults),
         )
 
@@ -333,12 +306,19 @@ def resume(
             f"{journal.path}: no run_config record — only journals "
             "written by 'repro fullnode --journal' can be resumed"
         )
-    live = FullNodeScenario.from_run_config(record, **fields).build()
-    if live.failed_node != record.get("failed_node"):
+    try:
+        recorded = {key: record[key] for key in RUN_CONFIG_KEYS}
+    except KeyError as error:
         raise JournalError(
-            f"{journal.path}: run_config repairs node "
-            f"{record.get('failed_node')} but its seed now places node "
-            f"{live.failed_node} first — not the trace it was written on"
+            f"{journal.path}: run_config lacks {error}"
+        ) from error
+    failed_node = recorded.pop("failed_node")
+    live = FullNodeScenario(**recorded, **fields).build()
+    if live.failed_node != failed_node:
+        raise JournalError(
+            f"{journal.path}: run_config repairs node {failed_node} but "
+            f"its seed now places node {live.failed_node} first — not "
+            "the trace it was written on"
         )
     done = journal.done_stripes()
     lost = [

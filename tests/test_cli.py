@@ -41,6 +41,38 @@ def bandwidth_file(tmp_path):
     return path
 
 
+class TestParserTable:
+    """``repro --help`` is the list of subcommands (the docs point at
+    it), and ``main()`` dispatches from the parser alone."""
+
+    @staticmethod
+    def subparsers(parser) -> dict:
+        (action,) = (
+            a for a in parser._actions if isinstance(a.choices, dict)
+        )
+        listed = {entry.dest: entry.help for entry in action._choices_actions}
+        return {name: (child, listed.get(name))
+                for name, child in action.choices.items()}
+
+    def test_every_subcommand_is_listed_and_has_a_handler(self):
+        commands = self.subparsers(cli._build_parser())
+        assert len(commands) == 13
+        leaves = {}
+        for name, (parser, listed) in commands.items():
+            assert listed, f"repro {name} has no help= line"
+            if name == "trace":
+                leaves.update(
+                    (f"trace {sub}", child)
+                    for sub, (child, _) in self.subparsers(parser).items()
+                )
+            else:
+                leaves[name] = parser
+        assert len(leaves) == 14
+        for name, parser in leaves.items():
+            assert callable(parser.get_default("handler")), name
+            assert callable(parser.get_default("render")), name
+
+
 class TestTraceCommands:
     def test_generate_writes_loadable_trace(self, trace_file):
         trace = WorkloadTrace.load(trace_file)
