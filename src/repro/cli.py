@@ -593,15 +593,13 @@ def _scenario(args, trace: Path, **fields) -> FullNodeScenario:
     )
 
 
-@contextlib.contextmanager
 def _journal(path: Path | None, tracer):
-    """A new ``--journal`` file (None without the flag), closed on the
-    way out — the tail records' fsync, also on an error."""
+    """``with`` target for ``--journal``: a new journal file, closed on
+    the way out (the tail records' fsync, also on an error), or None
+    without the flag."""
     if path is None:
-        yield None
-        return
-    with RepairJournal(path, tracer=tracer) as journal:
-        yield journal
+        return contextlib.nullcontext()
+    return RepairJournal(path, tracer=tracer)
 
 
 # ----------------------------------------------------------------------

@@ -221,24 +221,21 @@ class LiveScenario:
         engine = None
         if foreground and spec.foreground_rate is not None:
             engine = self._foreground_engine(scheme, sampler)
-        shared = dict(
+        if adaptive:
+            driver = repair_full_node_adaptive
+            dispatch = {
+                "scheduler": SchedulerConfig(threshold=ADAPTIVE_THRESHOLD)
+            }
+        else:
+            driver = repair_full_node
+            dispatch = {"concurrency": spec.concurrency}
+        result = driver(
+            self.planner(scheme), self.network, stripes, self.failed_node,
             config=self.config, tracer=tracer, faults=self.faults,
             retry_policy=self.retry_policy, foreground=engine,
             governor=self.governor if foreground else None,
-            sampler=sampler, journal=journal,
+            sampler=sampler, journal=journal, **dispatch,
         )
-        if adaptive:
-            result = repair_full_node_adaptive(
-                self.planner(scheme), self.network, stripes,
-                self.failed_node,
-                scheduler=SchedulerConfig(threshold=ADAPTIVE_THRESHOLD),
-                **shared,
-            )
-        else:
-            result = repair_full_node(
-                self.planner(scheme), self.network, stripes,
-                self.failed_node, concurrency=spec.concurrency, **shared,
-            )
         if engine is not None:
             engine.drain()
         return ScenarioRun(result, engine)

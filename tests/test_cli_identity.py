@@ -38,6 +38,7 @@ import re
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -143,9 +144,7 @@ def _flag_table(parser) -> dict:
 
 
 def record_help() -> Recorded:
-    previous = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
+    with mock.patch.dict(os.environ, COLUMNS="80"):
         entry = {}
         for name, parser in _parsers(cli._build_parser()):
             parser.description = None
@@ -153,11 +152,6 @@ def record_help() -> Recorded:
                 "help": sha256(parser.format_help()),
                 "flags": _flag_table(parser),
             }
-    finally:
-        if previous is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = previous
     return Recorded(entry=entry, values=entry)
 
 
