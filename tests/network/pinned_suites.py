@@ -14,6 +14,7 @@ file (``FIXTURE`` / ``RECORDERS``, see ``tests/recorded.py``): seconds
 rounded to nine decimals, counts as they are.
 """
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,7 @@ RECORDERS = {
 
 
 _RECORDER = dict(interval=0.25, capacity=65536)
+_RUNS = itertools.count()
 #: name -> (scratch directory) -> the observer as a ``full_node`` keyword.
 OBSERVERS = {
     "recorder": lambda tmp: {"sampler": FlightRecorder(**_RECORDER)},
@@ -165,8 +167,11 @@ OBSERVERS = {
         )
     },
     "tracer": lambda tmp: {"tracer": Tracer()},
-    # A real file with real fsyncs; runs sharing ``tmp`` append to it.
-    "journal": lambda tmp: {"journal": RepairJournal(tmp / "suite.jsonl")},
+    # A real file with real fsyncs, a new one per run: a journal file
+    # belongs to one run, so runs sharing ``tmp`` cannot share it.
+    "journal": lambda tmp: {
+        "journal": RepairJournal(tmp / f"suite-{next(_RUNS)}.jsonl")
+    },
 }
 
 

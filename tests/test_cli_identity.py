@@ -81,10 +81,15 @@ def run(*argv, expect=0) -> str:
     """stdout of one in-process ``repro`` call made from inside the
     workspace, so every path in ``argv`` and in the output is relative."""
     out = io.StringIO()
-    with contextlib.chdir(workspace()), contextlib.redirect_stdout(
-        out
-    ), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(list(argv))
+    back = os.getcwd()
+    os.chdir(workspace())  # contextlib.chdir needs Python 3.11
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = cli.main(list(argv))
+    finally:
+        os.chdir(back)
     assert code == expect, (argv, code)
     return out.getvalue()
 
