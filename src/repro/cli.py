@@ -97,6 +97,18 @@ class _Output:
     registry: MetricsRegistry | None = None
 
 
+#: The QoS governor's two settings, declared once for ``load`` and the
+#: explain family (whose help lists them in a different order).
+_SLO_MS = dict(
+    type=float, default=500.0,
+    help="adaptive governor: foreground p99 objective",
+)
+_STATIC_CAP_MBPS = dict(
+    type=float, default=250.0,
+    help="static governor: per-repair-flow ceiling",
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -240,14 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--zipf", type=float, default=0.9,
         help="Zipf exponent of object popularity",
     )
-    load.add_argument(
-        "--slo-ms", type=float, default=500.0,
-        help="adaptive governor: foreground p99 objective",
-    )
-    load.add_argument(
-        "--static-cap-mbps", type=float, default=250.0,
-        help="static governor: per-repair-flow ceiling",
-    )
+    load.add_argument("--slo-ms", **_SLO_MS)
+    load.add_argument("--static-cap-mbps", **_STATIC_CAP_MBPS)
     load.add_argument(
         "--no-baseline", action="store_true",
         help="skip the repair-only baseline run (no slowdown column)",
@@ -372,14 +378,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_args(
         storm, StormConfig,
         "seed", "racks", "nodes_per_rack", "stripes", "n", "k", "chunk_mib",
-    )
-    _add_config_args(
-        storm, StormConfig, "node_mbs",
-        help="base per-node link capacity, MB/s",
-    )
-    _add_config_args(
-        storm, StormConfig, "outage_at", metavar="SECONDS",
-        help="rack power loss instant",
+        "node_mbs", "outage_at",
+        node_mbs=dict(help="base per-node link capacity, MB/s"),
+        outage_at=dict(metavar="SECONDS", help="rack power loss instant"),
     )
     storm.add_argument(
         "--no-gray-wave", action="store_true",
@@ -394,12 +395,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="foreground latency SLO threshold",
     )
     _add_config_args(
-        storm, StormConfig, "max_streams",
-        help="admission: concurrent repair stream tokens",
-    )
-    _add_config_args(
-        storm, StormConfig, "max_jobs",
-        help="admission: concurrently admitted repair jobs",
+        storm, StormConfig, "max_streams", "max_jobs",
+        max_streams=dict(help="admission: concurrent repair stream tokens"),
+        max_jobs=dict(help="admission: concurrently admitted repair jobs"),
     )
     storm.add_argument(
         "--no-admission-control", action="store_true",
@@ -430,40 +428,31 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_args(
         lifetime, LifetimeConfig,
         "machines", "racks", "disks_per_machine", "stripes", "n", "k",
+        "disk_mttf_days", "disk_replace_hours", "machine_mttf_days",
+        "machine_mttr_hours", "rack_mttf_days", "rack_mttr_hours",
+        "repair_streams", "policy", "lazy_threshold", "data_per_chunk_gib",
+        "workload", "calibration_instants",
+        disk_mttf_days=dict(
+            help="accelerated disk MTTF (permanent failures; 0 disables)"
+        ),
+        machine_mttf_days=dict(
+            help="transient machine outage MTTF (0 disables)"
+        ),
+        rack_mttf_days=dict(help="correlated rack outage MTTF (0 disables)"),
+        policy=dict(
+            choices=("eager", "lazy"),
+            help="repair dispatch: eager repairs at once, lazy batches "
+            "until --lazy-threshold chunks of a stripe are lost",
+        ),
+        data_per_chunk_gib=dict(
+            help="real data one simulated chunk stands for (scales repair "
+            "durations)"
+        ),
+        workload=dict(
+            choices=sorted(PROFILES),
+            help="trace profile the duration model is calibrated against",
+        ),
     )
-    _add_config_args(
-        lifetime, LifetimeConfig, "disk_mttf_days",
-        help="accelerated disk MTTF (permanent failures; 0 disables)",
-    )
-    _add_config_args(lifetime, LifetimeConfig, "disk_replace_hours")
-    _add_config_args(
-        lifetime, LifetimeConfig, "machine_mttf_days",
-        help="transient machine outage MTTF (0 disables)",
-    )
-    _add_config_args(lifetime, LifetimeConfig, "machine_mttr_hours")
-    _add_config_args(
-        lifetime, LifetimeConfig, "rack_mttf_days",
-        help="correlated rack outage MTTF (0 disables)",
-    )
-    _add_config_args(
-        lifetime, LifetimeConfig, "rack_mttr_hours", "repair_streams"
-    )
-    _add_config_args(
-        lifetime, LifetimeConfig, "policy", choices=("eager", "lazy"),
-        help="repair dispatch: eager repairs at once, lazy batches "
-        "until --lazy-threshold chunks of a stripe are lost",
-    )
-    _add_config_args(lifetime, LifetimeConfig, "lazy_threshold")
-    _add_config_args(
-        lifetime, LifetimeConfig, "data_per_chunk_gib",
-        help="real data one simulated chunk stands for (scales repair "
-        "durations)",
-    )
-    _add_config_args(
-        lifetime, LifetimeConfig, "workload", choices=sorted(PROFILES),
-        help="trace profile the duration model is calibrated against",
-    )
-    _add_config_args(lifetime, LifetimeConfig, "calibration_instants")
     lifetime.add_argument(
         "--durations", choices=("calibrated", "exponential", "fixed"),
         default="calibrated",
@@ -482,28 +471,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_config_args(subparser, config, *names, **kwargs) -> None:
+def _add_config_args(subparser, config, *names, **keywords) -> None:
     """One ``--flag`` per named field of the ``config`` dataclass, its
     type and default read from the field, so the flag cannot restate
-    (and drift from) the library's default."""
+    (and drift from) the library's default.  ``keywords`` maps a name to
+    what else its ``add_argument`` takes (help, choices)."""
+    declared = subparser.get_default("config_fields") or ()
+    subparser.set_defaults(config_fields=declared + names)
     for name in names:
         default = getattr(config, name)
         subparser.add_argument(
             "--" + name.replace("_", "-"), default=default,
             type=None if isinstance(default, str) else type(default),
-            **kwargs,
+            **keywords.get(name, {}),
         )
 
 
 def _config_from_args(config, args, **fields):
-    """``config`` built from the flags named after its fields;
-    ``fields`` are the ones a flag spells differently."""
-    named = {
-        field.name: getattr(args, field.name)
-        for field in dataclasses.fields(config)
-        if hasattr(args, field.name)
-    }
-    return config(**{**named, **fields})
+    """``config`` built from the flags :func:`_add_config_args` declared
+    on the command's subparser; ``fields`` are the rest."""
+    declared = {name: getattr(args, name) for name in args.config_fields}
+    return config(**declared, **fields)
 
 
 def _add_placement_args(subparser) -> None:
@@ -540,14 +528,8 @@ def _add_observed_args(subparser) -> None:
         "--governor", choices=("none", "static", "adaptive"),
         default="none", help="repair QoS policy for the scenario run",
     )
-    subparser.add_argument(
-        "--static-cap-mbps", type=float, default=250.0,
-        help="static governor: per-repair-flow ceiling",
-    )
-    subparser.add_argument(
-        "--slo-ms", type=float, default=500.0,
-        help="adaptive governor: foreground p99 objective",
-    )
+    subparser.add_argument("--static-cap-mbps", **_STATIC_CAP_MBPS)
+    subparser.add_argument("--slo-ms", **_SLO_MS)
     subparser.add_argument(
         "--foreground-rate", type=float, default=0.0, metavar="RPS",
         help="mean client requests/second (0 = no foreground load; "
@@ -736,18 +718,19 @@ def _cmd_repair(args, tracer) -> _Output:
 
 def _cmd_fullnode(args, tracer) -> _Output:
     live = _scenario(args, args.trace_file).build()
+    # The journal is opened first, so a path that already holds one is
+    # refused before any repair runs; it records the pivot run only.
     with _journal(args.journal, tracer) as journal:
-        runs = {
-            "rp": live.run("rp", tracer=tracer),
-            "pivot": live.run("pivot", tracer=tracer, journal=journal),
+        results = {
+            "rp": live.run("rp", tracer=tracer)[0],
+            "pivot": live.run("pivot", tracer=tracer, journal=journal)[0],
         }
     if args.adaptive:
-        runs["pivot+strategy"] = live.run(
+        results["pivot+strategy"], _ = live.run(
             "pivot", tracer=tracer, adaptive=True
         )
     schemes = {}
-    for name, run in runs.items():
-        result = run.result
+    for name, result in results.items():
         schemes[name] = {
             "total_seconds": round(result.total_seconds, 2),
             "mean_task_seconds": round(result.mean_task_seconds, 2),
@@ -763,7 +746,7 @@ def _cmd_fullnode(args, tracer) -> _Output:
     payload = {
         "trace": live.trace.name,
         "failed_node": live.failed_node,
-        "chunks": runs["rp"].result.chunks_repaired,
+        "chunks": results["rp"].chunks_repaired,
         "schemes": schemes,
     }
     if args.journal is not None:
@@ -774,19 +757,19 @@ def _cmd_fullnode(args, tracer) -> _Output:
 def _cmd_resume(args, tracer) -> _Output:
     """Finish a journaled full-node repair (:func:`repro.scenario.resume`)."""
     with RepairJournal.load(args.journal_file, tracer=tracer) as journal:
-        resumed = resume(
+        live, done, result = resume(
             journal, tracer=tracer, engine=args.engine, faults=args.faults,
             retry_policy=args.retry_policy,
         )
+    lost = {stripe.stripe_id for stripe in live.lost_stripes()}
     payload = {
         "journal": str(args.journal_file),
-        "trace": resumed.live.trace.name,
-        "failed_node": resumed.live.failed_node,
-        "stripes_total": resumed.stripes_total,
-        "stripes_done": resumed.stripes_done,
-        "stripes_remaining": resumed.stripes_remaining,
+        "trace": live.trace.name,
+        "failed_node": live.failed_node,
+        "stripes_total": len(lost),
+        "stripes_done": len(done),
+        "stripes_remaining": len(lost - done),
     }
-    result = resumed.result
     if result is None:
         payload["status"] = "nothing to resume"
         return _Output(payload)
@@ -815,11 +798,10 @@ def _cmd_load(args, tracer) -> _Output:
     ).build()
     baseline_seconds = None
     if not args.no_baseline:
-        baseline_seconds = live.run(foreground=False).result.total_seconds
-    run = live.run(tracer=tracer)
-    result = run.result
-    summary = run.foreground.summary()
-    hist = run.foreground.read_latency()
+        baseline_seconds = live.run(foreground=False)[0].total_seconds
+    result, foreground = live.run(tracer=tracer)
+    summary = foreground.summary()
+    hist = foreground.read_latency()
 
     def pct(q: float) -> float | None:
         value = hist.percentile(q)
@@ -968,7 +950,7 @@ def _observed(
 def _run_observed(args, tracer) -> tuple:
     """Run the observed scenario: (live, sampler, FullNodeResult, meta)."""
     live, sampler = _observed(args)
-    result = live.run(tracer=tracer, sampler=sampler).result
+    result, _ = live.run(tracer=tracer, sampler=sampler)
     meta = {
         "mode": "scenario",
         "trace": live.trace.name,
@@ -1129,8 +1111,7 @@ def _cmd_top(args, tracer) -> _Output:
     if not args.once:
         view = LiveTop(dashboard, sys.stdout, refresh=args.refresh)
         sampler.add_listener(view.on_tick)
-    run = live.run(tracer=tracer, sampler=sampler)
-    result, foreground = run.result, run.foreground
+    result, foreground = live.run(tracer=tracer, sampler=sampler)
     # ``drain`` advances simulated time past the repair's end, so the
     # closing evaluation happens at the last sampled instant — never
     # rewinding the monitor into an earlier (possibly empty) window.
@@ -1237,7 +1218,7 @@ def _cmd_lifetime(args, tracer) -> _Output:
 
 def _cmd_storm(args, tracer) -> _Output:
     config = _config_from_args(
-        StormConfig, args,
+        StormConfig, args, engine=args.engine,
         gray_wave=not args.no_gray_wave,
         slo_seconds=args.slo_ms / 1000.0,
         admission_control=not args.no_admission_control,

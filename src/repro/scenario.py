@@ -154,15 +154,6 @@ class FullNodeScenario:
 
 
 @dataclass
-class ScenarioRun:
-    """One repair of the scenario's failed node."""
-
-    result: FullNodeResult
-    #: The client load that ran beside it, drained; None without one.
-    foreground: ForegroundEngine | None
-
-
-@dataclass
 class LiveScenario:
     """The live objects of a :class:`FullNodeScenario`, built once;
     each ``run()`` repairs the failed node on a fresh simulator."""
@@ -176,6 +167,13 @@ class LiveScenario:
     faults: FaultPlan | None
     retry_policy: RetryPolicy | None
     governor: RepairQoSGovernor | None
+
+    def lost_stripes(self) -> list[Stripe]:
+        """The stripes with a chunk on the failed node."""
+        return [
+            stripe for stripe in self.stripes
+            if stripe.chunk_on_node(self.failed_node) is not None
+        ]
 
     def planner(self, scheme: str | None = None) -> RepairPlanner:
         planner = SCHEMES[scheme or self.spec.scheme]()
@@ -192,8 +190,10 @@ class LiveScenario:
         sampler=None,
         adaptive: bool = False,
         foreground: bool = True,
-    ) -> ScenarioRun:
-        """Repair the failed node with ``scheme`` (default: the spec's).
+    ) -> tuple[FullNodeResult, ForegroundEngine | None]:
+        """Repair the failed node with ``scheme`` (default: the spec's):
+        the result, and the client load that ran beside it, drained
+        (None without one).
 
         ``journal`` makes the run resumable: its ``run_config`` record
         is written here if it has none, and stripes it already marks
@@ -238,7 +238,7 @@ class LiveScenario:
         )
         if engine is not None:
             engine.drain()
-        return ScenarioRun(result, engine)
+        return result, engine
 
     def _foreground_engine(self, scheme: str, sampler) -> ForegroundEngine:
         """Client load beside the repair: arrivals at the spec's mean
@@ -272,23 +272,12 @@ class LiveScenario:
         )
 
 
-@dataclass
-class Resumed:
-    """What :func:`resume` found in a journal and did about it."""
-
-    live: LiveScenario
-    #: Stripes with a chunk on the failed node / marked done / left.
-    stripes_total: int
-    stripes_done: int
-    stripes_remaining: int
-    #: The repair of the remainder; None when nothing was left.
-    result: FullNodeResult | None
-
-
 def resume(
     journal: RepairJournal, *, tracer=NULL_TRACER, **fields
-) -> Resumed:
-    """Finish the journaled full-node repair ``journal`` interrupted.
+) -> tuple[LiveScenario, set[int], FullNodeResult | None]:
+    """Finish the journaled full-node repair ``journal`` interrupted:
+    the rebuilt scenario, the stripes the journal already marked done,
+    and the repair of the remainder (None when nothing was left).
 
     The ``run_config`` record rebuilds the scenario bit-identically
     (trace file, code, placement seed); ``task_done`` records say which
@@ -300,8 +289,14 @@ def resume(
     record = journal.run_config()
     if record is None:
         raise JournalError(
-            f"{journal.path}: no run_config record — only journals "
-            "written by 'repro fullnode --journal' can be resumed"
+            f"{journal.path}: no run_config record — "
+            + (
+                "only journals written by 'repro fullnode --journal' can "
+                "be resumed"
+                if journal.records
+                else "the run that opened it stopped before its journaled "
+                "repair began; run it again"
+            )
         )
     try:
         recorded = {key: record[key] for key in RUN_CONFIG_KEYS}
@@ -318,17 +313,7 @@ def resume(
             "the trace it was written on"
         )
     done = journal.done_stripes()
-    lost = [
-        stripe for stripe in live.stripes
-        if stripe.chunk_on_node(live.failed_node) is not None
-    ]
-    remaining = sum(1 for stripe in lost if stripe.stripe_id not in done)
-    return Resumed(
-        live=live, stripes_total=len(lost), stripes_done=len(done),
-        stripes_remaining=remaining,
-        result=(
-            live.run(tracer=tracer, journal=journal).result
-            if remaining
-            else None
-        ),
-    )
+    result = None
+    if any(s.stripe_id not in done for s in live.lost_stripes()):
+        result, _ = live.run(tracer=tracer, journal=journal)
+    return live, done, result

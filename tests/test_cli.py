@@ -832,6 +832,32 @@ class TestResumeCommand:
         assert journal_file.read_bytes() == before
         assert self.resume(journal_file, capsys)["stripes_remaining"] == 0
 
+    def test_a_run_stopped_in_the_rp_pass_is_rerun_not_resumed(
+        self, trace_file, tmp_path, monkeypatch, capsys
+    ):
+        """The journal records the pivot run; a run killed in the RP
+        comparison pass before it leaves an empty file, which ``resume``
+        names for what it is and a new run may take."""
+        def interrupted(planner, *args, **kwargs):
+            assert planner.name == "RP"
+            raise ReproError("killed during RP")
+
+        path = tmp_path / "repair.jsonl"
+        argv = ["fullnode", str(trace_file), "--n", "6", "--k", "4",
+                "--stripes", "6", "--chunk-mib", "4", "--seed", "3",
+                "--journal", str(path)]
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.scenario.repair_full_node", interrupted)
+            assert main(argv) == 1
+        assert capsys.readouterr().err == "error: killed during RP\n"
+        assert path.read_bytes() == b""
+        assert main(["resume", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "run it again" in err
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert self.resume(path, capsys)["status"] == "nothing to resume"
+
     def test_journal_without_run_config_is_a_clean_error(
         self, journal_file, capsys
     ):

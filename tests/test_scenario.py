@@ -57,29 +57,30 @@ def test_explicit_foreground_runs_on_full_capacity_links(scenario):
     assert set(loaded.network.capacities_at(7.0).values()) == {capacity}
     assert min(subtracted.network.capacities_at(7.0).values()) < capacity
     # The baseline of a loaded scenario shares its network, not its load.
-    baseline = loaded.run(foreground=False)
-    assert baseline.foreground is None
-    assert baseline.result.chunks_repaired == 3
+    baseline, foreground = loaded.run(foreground=False)
+    assert foreground is None
+    assert baseline.chunks_repaired == 3
 
 
 def test_foreground_is_drained_and_dead_clients_dropped(scenario):
     loaded = dataclasses.replace(scenario, foreground_rate=40.0)
-    run = loaded.build().run()
-    assert run.foreground.drop_dead_clients is False
-    assert run.foreground.requests_remaining == 0
-    assert run.foreground.pending_flows == 0
-    crashed = dataclasses.replace(loaded, faults="crash:3@0.5").build().run()
-    assert crashed.foreground.drop_dead_clients is True
-    assert crashed.foreground.pending_flows == 0
+    _, foreground = loaded.build().run()
+    assert foreground.drop_dead_clients is False
+    assert foreground.requests_remaining == 0
+    assert foreground.pending_flows == 0
+    crashed = dataclasses.replace(loaded, faults="crash:3@0.5")
+    _, foreground = crashed.build().run()
+    assert foreground.drop_dead_clients is True
+    assert foreground.pending_flows == 0
 
 
 def test_planning_is_measured_unless_pinned(scenario):
-    measured = scenario.build().run().result
+    measured, _ = scenario.build().run()
     assert all(
         task.planning_seconds > 0 for task in measured.task_results
     )
     pinned = dataclasses.replace(scenario, planning_seconds=0.25)
-    first, second = (pinned.build().run().result for _ in range(2))
+    first, second = (pinned.build().run()[0] for _ in range(2))
     assert {task.planning_seconds for task in first.task_results} == {0.25}
     assert first.total_seconds == second.total_seconds
 
@@ -117,15 +118,14 @@ class TestResume:
         kept = [line for line in lines if line not in done[1:]]
         journal_file.write_text("".join(line + "\n" for line in kept))
         with RepairJournal.load(journal_file) as journal:
-            resumed = resume(journal)
+            live, done, result = resume(journal)
             assert len(journal.all("run_config")) == 1
-        assert (
-            resumed.stripes_total, resumed.stripes_done,
-            resumed.stripes_remaining, resumed.result.chunks_repaired,
-        ) == (3, 1, 2, 2)
+        lost = {stripe.stripe_id for stripe in live.lost_stripes()}
+        assert len(lost) == 3 and len(done) == 1 and done < lost
+        assert result.chunks_repaired == 2
         with RepairJournal.load(journal_file) as journal:
-            again = resume(journal)
-        assert again.stripes_remaining == 0 and again.result is None
+            _, done, result = resume(journal)
+        assert done == lost and result is None
 
     def test_a_record_from_another_placement_is_refused(
         self, journal_file, tmp_path
