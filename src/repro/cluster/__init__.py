@@ -1,6 +1,6 @@
 """Cluster substrate: Master, DataNodes, placement, failure injection."""
 
-from repro.cluster.master import Cluster, DegradedReadOutcome
+from repro.cluster.master import Cluster
 from repro.cluster.node import DataNode
 
-__all__ = ["Cluster", "DataNode", "DegradedReadOutcome"]
+__all__ = ["Cluster", "DataNode"]

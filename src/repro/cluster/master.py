@@ -9,38 +9,28 @@ Repairs here are *byte-accurate*: the lost chunk is actually recomputed by
 propagating coefficient-scaled partial results up the repair tree, so tests
 can assert the rebuilt payload equals the original.  Timing questions live
 in :mod:`repro.repair`; this module answers correctness questions.
+
+Under faults the cluster executes and never decides: retries, backoff,
+resume points and the order of a full-node repair belong to the one
+attempt machine (:class:`repro.repair.StripeRepairMaster`), and the bytes
+follow through the plans and ``(plan, start_slice)`` segments its results
+carry (:func:`repro.faults.runner.adopt_full_node`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.bandwidth_view import BandwidthSnapshot
+from repro.core.bandwidth_view import BandwidthSnapshot, best_uplinks
 from repro.core.plan import RepairPlan, RepairPlanner
 from repro.ec.chunk import ChunkId
 from repro.ec.reed_solomon import RSCode
 from repro.ec.stripe import Stripe, place_stripes
 from repro.exceptions import ClusterError
 from repro.cluster.node import DataNode
-from repro.faults.policy import RetryPolicy
 from repro.obs.tracer import NULL_TRACER
-
-
-@dataclass
-class DegradedReadOutcome:
-    """A fault-aware degraded read: the bytes plus how the read went."""
-
-    payload: np.ndarray
-    #: Plans attempted; > 1 means a mid-read failure forced a re-plan.
-    attempts: int
-    #: Time the read took, including detection windows and backoff.
-    elapsed_seconds: float
-    #: Helpers of the plan that finally served the read ([] if the
-    #: holder recovered and the read was served directly).
-    helpers: list[int] = field(default_factory=list)
 
 
 class Cluster:
@@ -297,9 +287,7 @@ class Cluster:
                 f"chunks survive, need {self.code.k}"
             )
         # Prefer helpers with the strongest uplinks (they upload chunks).
-        helpers = sorted(
-            alive_holders, key=lambda n: (-snapshot.up_of(n), n)
-        )[: self.code.k]
+        helpers = best_uplinks(snapshot, alive_holders, self.code.k)
         available = {
             stripe.chunk_on_node(node): self._node(node).read(
                 stripe.chunk_id(stripe.chunk_on_node(node))
@@ -345,104 +333,6 @@ class Cluster:
         with planner.traced(self.tracer):
             plan = planner.plan(snapshot, client, candidates, self.code.k)
         return self.rebuild_from_plan(stripe, chunk_index, plan)
-
-    def degraded_read_faulted(
-        self,
-        planner: RepairPlanner,
-        network,
-        stripe: Stripe,
-        chunk_index: int,
-        client: int,
-        faults,
-        policy: RetryPolicy | None = None,
-        start_time: float = 0.0,
-        attempt_seconds: float = 1.0,
-    ) -> DegradedReadOutcome:
-        """Degraded read under an injected fault plan (:mod:`repro.faults`).
-
-        Helpers can crash or lose their chunk while the read is in
-        flight: a plan whose reader set is hit by a fault inside its
-        ``attempt_seconds`` execution window is abandoned after the
-        policy's detection timeout and re-planned over the nodes still
-        usable then, with backoff between attempts.  Returns the
-        byte-accurate payload (callers decode-verify it) together with
-        the attempt count, or raises :class:`ClusterError` once the retry
-        budget is exhausted or fewer than ``k`` helpers survive.
-
-        ``network`` supplies bandwidth snapshots at each (re)plan time —
-        pass the fault-wrapped network so plans see fault capacities.
-        """
-        policy = policy or RetryPolicy()
-        now = start_time
-        attempts = 0
-        while True:
-            attempts += 1
-            if faults.is_dead(client, now):
-                raise ClusterError(
-                    f"client {client} crashed at {now:.3f}s"
-                )
-            holder = stripe.placement[chunk_index]
-            holder_ok = (
-                self._node(holder).alive
-                and self._node(holder).has(stripe.chunk_id(chunk_index))
-                and not faults.is_dead(holder, now)
-                and not faults.chunk_unreadable(holder, now)
-            )
-            if holder_ok:
-                return DegradedReadOutcome(
-                    payload=self._node(holder).read(
-                        stripe.chunk_id(chunk_index)
-                    ),
-                    attempts=attempts,
-                    elapsed_seconds=now - start_time,
-                )
-            candidates = [
-                node
-                for node in stripe.surviving_nodes(holder)
-                if node != client
-                and self._node(node).alive
-                and not faults.is_dead(node, now)
-                and not faults.chunk_unreadable(node, now)
-            ]
-            if len(candidates) < self.code.k:
-                raise ClusterError(
-                    f"stripe {stripe.stripe_id}: only {len(candidates)} "
-                    f"helpers usable at {now:.3f}s, need k={self.code.k}"
-                )
-            snapshot = BandwidthSnapshot.from_network(network, now)
-            with planner.traced(self.tracer):
-                plan = planner.plan(
-                    snapshot, client, candidates, self.code.k
-                )
-            readers = frozenset({client, *plan.helpers})
-            interrupted_at = faults.next_failure_affecting(readers, now)
-            if interrupted_at < now + attempt_seconds:
-                # A reader dies mid-flight: the attempt is lost.  Notice
-                # it (detection timeout), back off, re-plan from there.
-                if attempts > policy.max_retries:
-                    raise ClusterError(
-                        f"degraded read of stripe {stripe.stripe_id} gave "
-                        f"up after {attempts} interrupted attempts"
-                    )
-                now = (
-                    interrupted_at
-                    + policy.detection_timeout
-                    + policy.backoff(attempts - 1, key=stripe.stripe_id)
-                )
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "master.degraded_replan", t=now, track="master",
-                        stripe=stripe.stripe_id, chunk=chunk_index,
-                        client=client, attempt=attempts,
-                    )
-                continue
-            payload = self.rebuild_from_plan(stripe, chunk_index, plan)
-            return DegradedReadOutcome(
-                payload=payload,
-                attempts=attempts,
-                elapsed_seconds=(now + attempt_seconds) - start_time,
-                helpers=sorted(plan.helpers),
-            )
 
     def _coefficients_by_node(
         self, stripe: Stripe, lost_index: int, plan: RepairPlan

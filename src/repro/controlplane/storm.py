@@ -279,7 +279,6 @@ def run_storm(
             stripes, requests,
             pin_planning(PivotRepairPlanner(), config.planning_seconds),
             failed_nodes=set(failed_nodes), faults=faults, tsdb=tsdb,
-            drop_dead_clients=True,
         )
         specs = [
             SLOSpec(

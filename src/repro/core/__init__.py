@@ -7,7 +7,7 @@ from repro.core.algorithm import (
     replace_leaves,
     select_pivots,
 )
-from repro.core.bandwidth_view import BandwidthSnapshot
+from repro.core.bandwidth_view import BandwidthSnapshot, best_uplinks
 from repro.core.compute import (
     ComputeAwarePlanner,
     ComputeView,
@@ -34,6 +34,7 @@ __all__ = [
     "RepairPlanner",
     "RepairTree",
     "SchedulerConfig",
+    "best_uplinks",
     "child_seed_sequence",
     "pin_planning",
     "rack_bmin",

@@ -8,7 +8,7 @@ Section V-A).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from repro.exceptions import PlanningError
@@ -70,6 +70,17 @@ class BandwidthSnapshot:
     def _check(self, node: int) -> None:
         if node not in self.up:
             raise PlanningError(f"node {node} not in snapshot")
+
+
+def best_uplinks(
+    snapshot: BandwidthSnapshot, nodes: Iterable[int], k: int
+) -> list[int]:
+    """The ``k`` of ``nodes`` with the largest uplinks, best first; ties
+    go to the smaller id.  The helper rule wherever whole chunks are
+    uploaded (conventional multi-chunk repair, a degraded master's
+    shrunken helper set): the uplinks are what the transfer waits on.
+    """
+    return sorted(nodes, key=lambda node: (-snapshot.up_of(node), node))[:k]
 
 
 @dataclass(frozen=True)

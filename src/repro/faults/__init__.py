@@ -15,7 +15,10 @@ The pieces:
   events and counters as simulated time passes.
 * :func:`run_chaos_single_chunk` — the chaos harness combining the
   fault-aware executor (timing) with byte-accurate cluster reconstruction
-  (correctness).
+  (correctness); :func:`repro.faults.runner.adopt_full_node` is the same
+  step for every task of a full-node run, journaled and resumed or not.
+  The cluster executes the plans those runs produced and decides nothing
+  itself.
 """
 
 from repro.faults.injector import FaultInjector

@@ -1,12 +1,15 @@
-"""Chaos harness: faulted single-chunk repair with byte verification.
+"""Chaos harness: the byte plane executes what the timing plane decided.
 
 Glues the two halves of the stack together the way the chaos tests (and
-the CLI's ``--faults`` mode) need them: the *timing* half — the
-fault-aware executor retrying and re-planning on the fluid simulator —
-and the *correctness* half — the byte-accurate :class:`~repro.cluster.
-master.Cluster` aggregation, which executes whatever tree the final
-attempt settled on and checks the payload against an independent
-erasure-code decode.
+the CLI's ``--faults`` mode) need them: the *timing* half — the one
+attempt machine retrying, re-planning and resuming on the fluid
+simulator — and the *correctness* half — the byte-accurate
+:class:`~repro.cluster.master.Cluster` aggregation, which executes
+whatever trees the attempts settled on (:func:`rebuilt_payload`), stores
+the chunk where the last plan put it (:func:`adopt_result`, one chunk;
+:func:`adopt_full_node`, every task of a full-node run) and, for the
+chaos runs, checks the payload against an independent erasure-code decode.
+The cluster decides nothing on the way.
 """
 
 from __future__ import annotations
@@ -25,10 +28,16 @@ from repro.network.topology import StarNetwork
 from repro.obs.tracer import NULL_TRACER
 from repro.repair.executor import repair_single_chunk_faulted
 from repro.repair.fullnode import choose_requestor
-from repro.repair.metrics import RepairFailed, RepairResult
+from repro.repair.metrics import FullNodeResult, RepairFailed, RepairResult
 from repro.repair.pipeline import ExecutionConfig
 
-__all__ = ["ChaosOutcome", "rebuilt_payload", "run_chaos_single_chunk"]
+__all__ = [
+    "ChaosOutcome",
+    "adopt_full_node",
+    "adopt_result",
+    "rebuilt_payload",
+    "run_chaos_single_chunk",
+]
 
 
 class ChaosOutcome:
@@ -139,13 +148,8 @@ def run_chaos_single_chunk(
     )
     if not result.ok:
         return ChaosOutcome(result)
-    payload = rebuilt_payload(cluster, stripe, lost_index, result, config)
+    payload = adopt_result(cluster, stripe, lost_index, result, config)
     correct = bool(np.array_equal(payload, expected))
-    cluster.adopt_repair(
-        stripe, lost_index, requestor, payload,
-        at=result.transfer_seconds, scheme=result.scheme,
-        helpers=result.plan.helpers,
-    )
     return ChaosOutcome(result, payload=payload, correct=correct)
 
 
@@ -182,3 +186,43 @@ def rebuilt_payload(
             )
         )
     return np.concatenate(parts)
+
+
+def adopt_result(
+    cluster: Cluster,
+    stripe: Stripe,
+    lost_index: int,
+    result: RepairResult,
+    config: ExecutionConfig,
+) -> np.ndarray:
+    """Rebuild a finished repair's chunk through its segments and store
+    it where its last plan delivered it; returns the payload."""
+    payload = rebuilt_payload(cluster, stripe, lost_index, result, config)
+    cluster.adopt_repair(
+        stripe, lost_index, result.plan.requestor, payload,
+        at=result.transfer_seconds, scheme=result.scheme,
+        helpers=result.plan.helpers,
+    )
+    return payload
+
+
+def adopt_full_node(
+    cluster: Cluster, result: FullNodeResult, config: ExecutionConfig
+) -> list[int]:
+    """Move the bytes of a full-node run: every task of ``result`` is
+    rebuilt and adopted at its requestor; returns their stripe ids.
+
+    The timing plane decided everything (which stripes, in what order,
+    through which trees — ``repair_full_node(..., journal=J)``, or
+    ``scenario.resume(J)`` over the stripes ``J.done_stripes()`` lacks);
+    a stripe whose chunk has already left the failed node is skipped, so
+    adopting the same result twice moves nothing.
+    """
+    adopted = []
+    for task in result.task_results:
+        stripe = cluster.stripes[task.plan.notes["stripe_id"]]
+        lost_index = stripe.chunk_on_node(result.failed_node)
+        if lost_index is not None:
+            adopt_result(cluster, stripe, lost_index, task, config)
+            adopted.append(stripe.stripe_id)
+    return adopted

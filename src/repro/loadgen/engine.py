@@ -56,20 +56,20 @@ class ForegroundEngine:
         planner: repair planner used for degraded-read trees.
         failed_nodes: nodes whose chunks need degraded reads (typically
             the node under full-node repair).
-        faults: optional :class:`~repro.faults.plan.FaultPlan`; nodes it
-            declares dead or unreadable at request time are treated like
-            failed nodes (both as read targets and as helpers).
+        faults: optional :class:`~repro.faults.plan.FaultPlan`; without
+            one the engine follows the plan its driver hands to
+            :meth:`bind`.  Nodes the plan declares dead or unreadable at
+            request time are treated like failed nodes (as read targets
+            and as helpers), and under a plan with any event a request
+            whose *client* is unavailable is dropped (counted under
+            ``fg_client_dead``): a dead client cannot issue traffic, and
+            a flow touching a crashed node (zero capacity) would sit at
+            zero rate forever.  Without faults the repaired node is only
+            logically failed — its links stay up and it keeps reading.
         registry: metrics registry to fill; a private one by default.
         recent_window: seconds of completed reads the governors see.
         tsdb: optional :class:`~repro.obs.timeseries.TimeSeriesDB`;
             every completion appends per-tenant latency and byte series.
-        drop_dead_clients: when True, requests whose *client* node is
-            unavailable at submission time are dropped (counted under
-            ``fg_client_dead``) instead of submitted.  A dead client
-            cannot issue traffic, and a flow touching a crashed node
-            (zero capacity) would sit at zero rate forever.  Off by
-            default: historical scenarios model the repaired node as
-            logically failed while its links stay up.
     """
 
     def __init__(
@@ -82,18 +82,18 @@ class ForegroundEngine:
         registry: MetricsRegistry | None = None,
         recent_window: float = 5.0,
         tsdb=None,
-        drop_dead_clients: bool = False,
     ):
         if recent_window <= 0:
             raise LoadGenError("recent window must be positive")
         self.stripes = {s.stripe_id: s for s in stripes}
         self.planner = planner
         self.failed_nodes = set(failed_nodes)
+        #: The fault plan in force: the constructor's, else the driver's
+        #: (:meth:`bind`); None when there is none or it is empty.
         self.faults = faults
         self.registry = registry or MetricsRegistry()
         self.recent_window = recent_window
         self.tsdb = tsdb
-        self.drop_dead_clients = drop_dead_clients
         self._queue = deque(sorted(requests, key=lambda r: r.arrival))
         for request in self._queue:
             if request.stripe_id not in self.stripes:
@@ -103,9 +103,6 @@ class ForegroundEngine:
         self.outcomes: list[RequestOutcome] = []
         self.sim: FluidSimulator | None = None
         self.network = None
-        #: Whose crashes :meth:`abort_on_crash` follows: ``faults``, or
-        #: the driver's plan handed to :meth:`bind`.
-        self._crash_plan = None
         self._offset = 0.0
         #: task_id -> (request, arrival, degraded?, touched nodes, handle).
         self._pending: dict[
@@ -127,15 +124,16 @@ class ForegroundEngine:
     ) -> ForegroundEngine:
         """Attach to the simulator driving the run (once).
 
-        ``faults`` is the driver's fault plan: :meth:`abort_on_crash`
-        follows it when the engine was built without one.
+        ``faults`` is the driver's fault plan: the engine follows it
+        when it was built without one.
         """
         if self.sim is not None:
             raise LoadGenError("engine is already bound to a simulator")
         self.sim = sim
         self.network = network
         self._offset = sim.now
-        self._crash_plan = self.faults if self.faults is not None else faults
+        plan = self.faults if self.faults is not None else faults
+        self.faults = plan or None
         return self
 
     def _require_bound(self) -> FluidSimulator:
@@ -245,7 +243,7 @@ class ForegroundEngine:
         arrival = request.arrival + self._offset
         self.registry.counter("fg_requests").inc()
         self.registry.counter("fg_requests", tenant=request.tenant).inc()
-        if self.drop_dead_clients and self._unavailable(request.client, now):
+        if self.faults is not None and self._unavailable(request.client, now):
             self.registry.counter("fg_client_dead").inc()
             return
         if request.kind == READ:
@@ -380,9 +378,9 @@ class ForegroundEngine:
         flows cancelled.
         """
         sim = self._require_bound()
-        if self._crash_plan is None:
+        if self.faults is None:
             return 0
-        newly = self._crash_plan.dead_nodes(sim.now) - self._handled_crashes
+        newly = self.faults.dead_nodes(sim.now) - self._handled_crashes
         if not newly:
             return 0
         self._handled_crashes |= newly
@@ -406,9 +404,9 @@ class ForegroundEngine:
 
     def _next_crash(self) -> float:
         """Earliest future failure of a node some pending flow touches."""
-        if self._crash_plan is None:
+        if self.faults is None:
             return math.inf
-        return self._crash_plan.next_failure_affecting(
+        return self.faults.next_failure_affecting(
             (node for entry in self._pending.values() for node in entry[3]),
             self.sim.now,
         )

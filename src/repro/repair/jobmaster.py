@@ -34,7 +34,7 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
-from repro.core.bandwidth_view import BandwidthSnapshot
+from repro.core.bandwidth_view import BandwidthSnapshot, best_uplinks
 from repro.core.plan import RepairPlan, RepairPlanner
 from repro.core.scheduler import RunningTask
 from repro.ec.stripe import Stripe
@@ -758,10 +758,7 @@ class StripeRepairMaster:
             # Graceful degradation, step 1: fewer helpers.  Keep the k
             # best uplinks so the shrunken tree still has the fattest
             # sources; sorted tiebreak keeps the choice deterministic.
-            candidates = sorted(
-                candidates, key=lambda node: (-snapshot.up_of(node), node)
-            )[:k]
-            candidates.sort()
+            candidates = sorted(best_uplinks(snapshot, candidates, k))
         plan = self.planner.plan(snapshot, requestor, candidates, k)
         plan.notes["stripe_id"] = stripe.stripe_id
         plan.notes["planned_at"] = self.sim.now

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.core.bandwidth_view import BandwidthSnapshot
+from repro.core.bandwidth_view import BandwidthSnapshot, best_uplinks
 from repro.exceptions import PlanningError
 from repro.network.simulator import FluidSimulator
 from repro.obs.tracer import NULL_TRACER
@@ -76,12 +76,9 @@ def plan_multi_chunk(
         raise PlanningError(
             f"need {k} helpers for multi-chunk repair, got {len(candidates)}"
         )
-    helpers = sorted(
-        candidates, key=lambda node: (-snapshot.up_of(node), node)
-    )[:k]
     return MultiChunkPlan(
         requestor=requestor,
-        helpers=helpers,
+        helpers=best_uplinks(snapshot, candidates, k),
         placements=dict(lost_to_replacement),
     )
 

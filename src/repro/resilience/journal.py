@@ -1,11 +1,11 @@
 """Durable repair journal: an append-only JSONL write-ahead log.
 
 The journal is the persistence substrate of the resilience layer.  Every
-state transition a repair makes — task started, attempt submitted, slice
-watermark advanced, hedge launched/adopted/cancelled, chunk adopted by the
-master — is appended as one compact JSON record *before* the transition is
-acted on, so a crashed run (helper, orchestrator, or master) can be resumed
-from the last verified slice instead of restarting.
+state transition a repair makes — task started, attempt failed, slice
+watermark advanced, task done, hedge launched/adopted/cancelled — is
+appended as one compact JSON record *before* the transition is acted on,
+so a crashed run (helper, orchestrator, or master) can be resumed from the
+last verified slice instead of restarting.
 
 Records are deterministic: fields serialise with sorted keys and no
 whitespace, sequence numbers are dense, and all timestamps are simulated
@@ -15,8 +15,11 @@ Durability follows the classic WAL discipline: every append is written and
 flushed immediately; an ``os.fsync`` barrier is issued every
 ``fsync_interval`` appends (and on ``close``), trading at most that many
 records on a host crash for not paying a synchronous disk barrier per
-record.  A journal without a path is a coordination-only in-memory log
-(used when only hedging, not durability, is wanted).
+record.  A writer that dies mid-record leaves a last line without its
+newline; :meth:`RepairJournal.load` drops it, so the journal a crash
+leaves is the journal ``repro resume`` takes.  A journal without a path is
+a coordination-only in-memory log (used when only hedging, not
+durability, is wanted).
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ class JournalRecord:
 
     ``seq`` is the dense per-journal sequence number, ``t`` the simulated
     time of the event, ``kind`` the record type (``run_config``,
-    ``task_start``, ``attempt``, ``progress``, ``attempt_failed``,
-    ``task_done``, ``straggler``, ``hedge_launch``, ``hedge_adopt``,
-    ``hedge_cancel``, ``master_checkpoint``, ``chunk_adopted``), and
-    ``data`` the kind-specific payload.
+    ``task_start``, ``progress``, ``attempt_failed``, ``task_done``,
+    ``straggler``, ``hedge_launch``, ``hedge_adopt``, ``hedge_cancel``,
+    ``pause``, ``resume``, ``degrade``, ``job_done``), and ``data`` the
+    kind-specific payload.
     """
 
     seq: int
@@ -91,6 +94,8 @@ class RepairJournal:
         self.records: list[JournalRecord] = []
         self.appends = 0
         self.fsyncs = 0
+        #: Unfinished last lines :meth:`load` dropped (0 or 1).
+        self.torn = 0
         self._next_seq = 0
         self._file = None
         if self.path is not None:
@@ -158,16 +163,27 @@ class RepairJournal:
         fsync_interval: int = 8,
     ) -> RepairJournal:
         """Reopen an existing journal — the one way to; appends continue
-        the sequence."""
+        the sequence.
+
+        A last line without its newline is the record the writer died
+        in: the file is cut back to the last complete record, so the
+        next append starts a line of its own.  A malformed *complete*
+        line is damage of another kind and stays a :class:`JournalError`.
+        """
         source = Path(path)
         if not source.exists():
             raise JournalError(f"journal not found: {source}")
+        raw = source.read_bytes()
+        complete = raw.rfind(b"\n") + 1
         records = [
             JournalRecord.from_json(line)
-            for line in source.read_text(encoding="utf-8").splitlines()
+            for line in raw[:complete].decode("utf-8").splitlines()
             if line.strip()
         ]
         journal = cls(fsync_interval=fsync_interval, tracer=tracer)
+        if complete < len(raw):
+            os.truncate(source, complete)
+            journal.torn = 1
         journal.path = source
         journal._file = open(source, "a", encoding="utf-8")
         journal.records = records
@@ -212,12 +228,4 @@ class RepairJournal:
             int(r.data["stripe"])
             for r in self.records
             if r.kind == "task_done" and "stripe" in r.data
-        }
-
-    def adopted_stripes(self) -> set[int]:
-        """Stripes whose repaired chunk the master already adopted."""
-        return {
-            int(r.data["stripe"])
-            for r in self.records
-            if r.kind == "chunk_adopted" and "stripe" in r.data
         }

@@ -8,10 +8,10 @@ governor.  :class:`FullNodeScenario` is that object as plain values;
 ``build()`` makes the live objects once, ``run()`` repairs the node.
 
 This module alone decides (``docs/architecture.md`` has the reasons):
-placement and victim; which network a run gets; that dead clients are
-dropped under faults; that the foreground is drained before a result is
-read; whether planning is charged as measured or pinned; and the keys of
-the journal's ``run_config`` record, which :func:`resume` reads back.
+placement and victim; which network a run gets; that the foreground is
+drained before a result is read; whether planning is charged as measured
+or pinned; and the keys of the journal's ``run_config`` record, which
+:func:`resume` reads back.
 """
 
 from __future__ import annotations
@@ -266,9 +266,6 @@ class LiveScenario:
             self.stripes, requests, self.planner(scheme),
             failed_nodes={self.failed_node}, faults=self.faults,
             tsdb=getattr(sampler, "tsdb", None),
-            # A crashed client issues nothing; its requests would sit at
-            # zero rate and wedge the final drain.
-            drop_dead_clients=bool(self.faults),
         )
 
 

@@ -1,25 +1,35 @@
-"""Fault-aware degraded reads: re-planning mid-read, decode-verified.
+"""Fault-aware degraded reads: the master re-plans, the cluster executes.
 
-Composes the byte-accurate cluster with :mod:`repro.faults`: a client
-read hits a crashed node, the degraded-read tree loses a helper while
-the read is in flight, and the Master re-plans over the survivors.  The
+A degraded read under faults is the one attempt machine with the client
+as requestor (:func:`repro.repair.repair_single_chunk_faulted`): it
+detects the helper that dies mid-read, backs off, re-plans over the
+survivors or gives up with a reason.  The byte-accurate cluster then
+rebuilds the chunk through the plan(s) the machine settled on
+(:func:`repro.faults.runner.rebuilt_payload`) and stores nothing — the
 payload must still be the exact coded bytes.
 """
 
 import numpy as np
-import pytest
 
 from repro.cluster import Cluster
 from repro.core import BandwidthSnapshot, PivotRepairPlanner
 from repro.ec import RSCode
-from repro.exceptions import ClusterError
 from repro.faults import FaultPlan, RetryPolicy
+from repro.faults.runner import rebuilt_payload
 from repro.network.topology import StarNetwork
+from repro.repair import (
+    ExecutionConfig,
+    RepairFailed,
+    repair_single_chunk_faulted,
+)
 from repro.units import gbps
 
 NODE_COUNT = 10
 CODE = RSCode(5, 3)
 CHUNK = 1024
+#: 64 MiB over 1 Gbps links is a read of ~0.5 s or more: a fault in
+#: [0, 0.5] lands mid-transfer.
+CONFIG = ExecutionConfig(chunk_size=64 * 1024 * 1024)
 
 
 def make_cluster(seed=7):
@@ -34,7 +44,11 @@ def make_cluster(seed=7):
     return cluster, stripe, coded
 
 
-def first_plan_helpers(cluster, network, stripe, chunk_index, client):
+def outside_client(stripe):
+    return next(n for n in range(NODE_COUNT) if n not in stripe.placement)
+
+
+def first_plan_helpers(network, stripe, chunk_index, client):
     """Helpers the first degraded-read plan will pick at t=0."""
     holder = stripe.placement[chunk_index]
     candidates = [
@@ -47,120 +61,139 @@ def first_plan_helpers(cluster, network, stripe, chunk_index, client):
     return sorted(plan.helpers)
 
 
+def degraded_read(
+    cluster, network, stripe, chunk_index, client, faults,
+    policy=None, start_time=0.0,
+):
+    """The machine's outcome, and the bytes its plan(s) deliver at the
+    client (None when it gave up: a failed read delivers no data)."""
+    holder = stripe.placement[chunk_index]
+    before = {
+        node.node_id: node.chunk_ids() for node in cluster.nodes
+    }
+    result = repair_single_chunk_faulted(
+        PivotRepairPlanner(), network, client,
+        stripe.surviving_nodes(holder), CODE.k, faults,
+        policy=policy, start_time=start_time, config=CONFIG,
+    )
+    payload = None
+    if result.ok:
+        payload = rebuilt_payload(
+            cluster, stripe, chunk_index, result, CONFIG
+        )
+    # A read adopts nothing: no chunk stored, no placement moved.
+    assert before == {
+        node.node_id: node.chunk_ids() for node in cluster.nodes
+    }
+    assert stripe.placement[chunk_index] == holder
+    return result, payload
+
+
 class TestDegradedReadFaulted:
     def test_helper_crash_mid_read_replans_and_verifies(self):
         cluster, stripe, coded = make_cluster()
         network = StarNetwork.uniform(NODE_COUNT, gbps(1))
-        holder = stripe.placement[0]
-        cluster.fail_node(holder)
-        client = next(
-            n for n in range(NODE_COUNT) if n not in stripe.placement
-        )
-        victim = first_plan_helpers(cluster, network, stripe, 0, client)[0]
-        # The victim helper crashes inside the first attempt's 1 s window.
+        cluster.fail_node(stripe.placement[0])
+        client = outside_client(stripe)
+        victim = first_plan_helpers(network, stripe, 0, client)[0]
+        # The victim helper crashes inside the first attempt's transfer.
         faults = FaultPlan.from_spec(f"crash:{victim}@0.3")
-        outcome = cluster.degraded_read_faulted(
-            PivotRepairPlanner(), network, stripe, 0, client, faults,
+        result, payload = degraded_read(
+            cluster, network, stripe, 0, client, faults,
             policy=RetryPolicy(detection_timeout=0.5),
         )
-        assert outcome.attempts == 2
-        assert victim not in outcome.helpers
-        np.testing.assert_array_equal(outcome.payload, coded[0])
-        # Elapsed covers the crash, its detection, backoff, and the retry.
-        assert outcome.elapsed_seconds > 1.0
+        assert result.attempts == 2
+        assert victim not in result.plan.helpers
+        np.testing.assert_array_equal(payload, coded[0])
+        # Elapsed covers the crash, its detection, backoff, and the retry
+        # (a whole transfer again: nothing was journaled to resume from).
+        undisturbed, _ = degraded_read(
+            cluster, network, stripe, 0, client, FaultPlan.none()
+        )
+        assert result.transfer_seconds > (
+            0.3 + 0.5 + undisturbed.transfer_seconds
+        )
 
     def test_fault_free_read_takes_one_attempt(self):
         cluster, stripe, coded = make_cluster()
         network = StarNetwork.uniform(NODE_COUNT, gbps(1))
-        holder = stripe.placement[1]
-        cluster.fail_node(holder)
-        client = next(
-            n for n in range(NODE_COUNT) if n not in stripe.placement
-        )
-        outcome = cluster.degraded_read_faulted(
-            PivotRepairPlanner(), network, stripe, 1, client,
+        cluster.fail_node(stripe.placement[1])
+        result, payload = degraded_read(
+            cluster, network, stripe, 1, outside_client(stripe),
             FaultPlan.none(),
         )
-        assert outcome.attempts == 1
-        np.testing.assert_array_equal(outcome.payload, coded[1])
+        assert result.attempts == 1
+        np.testing.assert_array_equal(payload, coded[1])
 
     def test_healthy_holder_served_directly(self):
         cluster, stripe, coded = make_cluster()
         network = StarNetwork.uniform(NODE_COUNT, gbps(1))
-        client = next(
-            n for n in range(NODE_COUNT) if n not in stripe.placement
+
+        class NeverPlans(PivotRepairPlanner):
+            def plan(self, *args, **kwargs):
+                raise AssertionError("a healthy holder needs no plan")
+
+        # No attempt, no helpers, no time: the holder's own bytes.
+        payload = cluster.degraded_read(
+            NeverPlans(), BandwidthSnapshot.from_network(network, 0.0),
+            stripe, 2, outside_client(stripe),
         )
-        outcome = cluster.degraded_read_faulted(
-            PivotRepairPlanner(), network, stripe, 2, client,
-            FaultPlan.none(),
-        )
-        assert outcome.attempts == 1
-        assert outcome.helpers == []
-        assert outcome.elapsed_seconds == 0.0
-        np.testing.assert_array_equal(outcome.payload, coded[2])
+        np.testing.assert_array_equal(payload, coded[2])
 
     def test_fault_dead_holder_forces_degraded_path(self):
         cluster, stripe, coded = make_cluster()
         network = StarNetwork.uniform(NODE_COUNT, gbps(1))
         holder = stripe.placement[0]
-        client = next(
-            n for n in range(NODE_COUNT) if n not in stripe.placement
-        )
         # The holder is alive at the cluster level but dead per the fault
-        # plan (transient failure): the read must reconstruct.
+        # plan (transient failure): the read reconstructs around it.
         faults = FaultPlan.from_spec(f"crash:{holder}@0")
-        outcome = cluster.degraded_read_faulted(
-            PivotRepairPlanner(), network, stripe, 0, client, faults,
+        result, payload = degraded_read(
+            cluster, network, stripe, 0, outside_client(stripe), faults,
             start_time=1.0,
         )
-        assert outcome.helpers != []
-        np.testing.assert_array_equal(outcome.payload, coded[0])
+        assert result.attempts == 1
+        assert len(result.plan.helpers) == CODE.k
+        assert holder not in result.plan.helpers
+        np.testing.assert_array_equal(payload, coded[0])
 
     def test_too_few_survivors_raises(self):
         cluster, stripe, _ = make_cluster()
         network = StarNetwork.uniform(NODE_COUNT, gbps(1))
         holder = stripe.placement[0]
         cluster.fail_node(holder)
-        client = next(
-            n for n in range(NODE_COUNT) if n not in stripe.placement
-        )
         survivors = stripe.surviving_nodes(holder)
         dead = ";".join(f"crash:{n}@0" for n in survivors[: 2])
-        with pytest.raises(ClusterError, match="helpers usable"):
-            cluster.degraded_read_faulted(
-                PivotRepairPlanner(), network, stripe, 0, client,
-                FaultPlan.from_spec(dead), start_time=1.0,
-            )
+        result, payload = degraded_read(
+            cluster, network, stripe, 0, outside_client(stripe),
+            FaultPlan.from_spec(dead), start_time=1.0,
+        )
+        assert isinstance(result, RepairFailed)
+        assert "helpers" in result.reason and payload is None
 
     def test_client_crash_raises(self):
         cluster, stripe, _ = make_cluster()
         network = StarNetwork.uniform(NODE_COUNT, gbps(1))
-        holder = stripe.placement[0]
-        cluster.fail_node(holder)
-        client = next(
-            n for n in range(NODE_COUNT) if n not in stripe.placement
+        cluster.fail_node(stripe.placement[0])
+        client = outside_client(stripe)
+        result, payload = degraded_read(
+            cluster, network, stripe, 0, client,
+            FaultPlan.from_spec(f"crash:{client}@0"), start_time=1.0,
         )
-        with pytest.raises(ClusterError, match="crashed"):
-            cluster.degraded_read_faulted(
-                PivotRepairPlanner(), network, stripe, 0, client,
-                FaultPlan.from_spec(f"crash:{client}@0"), start_time=1.0,
-            )
+        assert isinstance(result, RepairFailed)
+        assert "requestor" in result.reason and payload is None
 
     def test_retry_budget_exhaustion_raises(self):
         cluster, stripe, _ = make_cluster()
         network = StarNetwork.uniform(NODE_COUNT, gbps(1))
-        holder = stripe.placement[0]
-        cluster.fail_node(holder)
-        client = next(
-            n for n in range(NODE_COUNT) if n not in stripe.placement
+        cluster.fail_node(stripe.placement[0])
+        client = outside_client(stripe)
+        # With max_retries=0 the first interruption exhausts the budget.
+        victim = first_plan_helpers(network, stripe, 0, client)[0]
+        faults = FaultPlan.from_spec(f"crash:{victim}@0.3")
+        result, payload = degraded_read(
+            cluster, network, stripe, 0, client, faults,
+            policy=RetryPolicy(max_retries=0),
         )
-        survivors = stripe.surviving_nodes(holder)
-        # Every few seconds another reader-set fault: with max_retries=0
-        # the first interruption exhausts the budget.
-        victim = first_plan_helpers(cluster, network, stripe, 0, client)[0]
-        faults = FaultPlan.from_spec(f"crash:{victim}@0.5")
-        with pytest.raises(ClusterError, match="gave up"):
-            cluster.degraded_read_faulted(
-                PivotRepairPlanner(), network, stripe, 0, client, faults,
-                policy=RetryPolicy(max_retries=0),
-            )
+        assert isinstance(result, RepairFailed)
+        assert "retry budget" in result.reason and payload is None
+        assert result.attempts == 1

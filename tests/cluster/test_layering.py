@@ -1,0 +1,62 @@
+"""The byte plane imports nothing that decides.
+
+``repro.cluster`` and ``repro.ec`` execute: they encode, store, and
+rebuild a chunk through the plan they are handed.  Retry budgets, fault
+plans, journals, client load, admission and the simulated network live
+above them, and the dependency runs one way — the timing plane's results
+are fed *to* the cluster (``repro.faults.runner``), never read by it.
+Walks both packages with :mod:`ast`, so an import inside a function or
+under ``TYPE_CHECKING`` counts too.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+BYTE_PLANE = ("cluster", "ec")
+FORBIDDEN = (
+    "repair", "faults", "resilience", "loadgen", "controlplane", "network",
+)
+
+
+def imported_packages(tree: ast.AST, module: str) -> set[str]:
+    """``repro.<package>`` of every ``repro`` import in ``module``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = module.split(".")[: -node.level]
+                base = ".".join([*parent, base] if base else parent)
+            # ``from repro import faults`` names the package as an alias.
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return {
+        ".".join(name.split(".")[:2])
+        for name in names if name.startswith("repro.")
+    }
+
+
+def test_byte_plane_imports_no_deciding_package():
+    forbidden = {f"repro.{package}" for package in FORBIDDEN}
+    offenders = []
+    scanned = 0
+    for package in BYTE_PLANE:
+        for path in sorted((SRC / package).rglob("*.py")):
+            scanned += 1
+            imported = imported_packages(
+                ast.parse(path.read_text()), f"repro.{package}.{path.stem}"
+            )
+            offenders += [
+                f"{path.relative_to(SRC)}: {name}"
+                for name in sorted(imported & forbidden)
+            ]
+    assert scanned >= 8, "the scan found no byte plane to check"
+    assert not offenders, (
+        "the byte plane must not import the planes that decide:\n  "
+        + "\n  ".join(offenders)
+    )

@@ -207,7 +207,6 @@ class TestCrashUnderForeground:
         engine = ForegroundEngine(
             stripes, generate_requests(profile, stripes, NODE_COUNT, seed=5),
             ZeroCostPlanner(), failed_nodes={failed}, faults=faults,
-            drop_dead_clients=True,
         )
         tracer = Tracer()
         result = DRIVERS[driver](

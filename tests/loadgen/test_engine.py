@@ -45,6 +45,10 @@ def make_engine(requests, failed_nodes=(), stripes=None, **kwargs):
     return engine, sim
 
 
+def pinned_planner():
+    return pin_planning(PivotRepairPlanner(), 0.0)
+
+
 def read_request(arrival=0.0, chunk_index=0, client=5, size=mib(1)):
     return ClientRequest(
         arrival=arrival, kind=READ, stripe_id=0,
@@ -223,9 +227,6 @@ class TestCrashAfterRepair:
 
     @pytest.mark.parametrize("node", sorted(set(range(NODES)) - {FAILED}))
     def test_drain_outlives_a_late_crash(self, node):
-        def planner():
-            return pin_planning(PivotRepairPlanner(), 0.0)
-
         faults = FaultPlan.from_spec(f"crash:{node}@6")
         profile = LoadProfile(
             name="late-crash", arrival_rate=4.0, duration=8.0,
@@ -234,12 +235,12 @@ class TestCrashAfterRepair:
         engine = ForegroundEngine(
             self.STRIPES,
             generate_requests(profile, self.STRIPES, self.NODES, seed=3),
-            planner(), failed_nodes={self.FAILED}, faults=faults,
-            drop_dead_clients=True,
+            pinned_planner(), failed_nodes={self.FAILED}, faults=faults,
         )
         result = repair_full_node(
-            planner(), StarNetwork.uniform(self.NODES, 2e7), self.STRIPES,
-            self.FAILED, config=ExecutionConfig(chunk_size=mib(4)),
+            pinned_planner(), StarNetwork.uniform(self.NODES, 2e7),
+            self.STRIPES, self.FAILED,
+            config=ExecutionConfig(chunk_size=mib(4)),
             faults=faults, retry_policy=RetryPolicy(), foreground=engine,
         )
         assert result.total_seconds < 1.0  # long before the crash
@@ -248,6 +249,63 @@ class TestCrashAfterRepair:
         assert engine.requests_remaining == 0
         aborted = engine.registry.snapshot()["counters"].get("fg_aborted", 0)
         assert (aborted > 0) == (node in self.CROSSED)
+
+
+class TestCrashBesideRepair:
+    """A node crashes 0.2 s into the repair, with the request stream
+    still arriving for seconds: the engine has to know — from its own
+    plan or from the one its driver binds — that the dead node neither
+    serves nor issues requests, or ``drain()`` ends in ``simulation is
+    stuck ... 'fg-read-s4' (zero capacity ...)``."""
+
+    NODES = 12
+    STRIPES = place_stripes(24, RSCode(6, 4), NODES, np.random.default_rng(0))
+    FAILED = STRIPES[0].placement[0]
+    CRASHED = STRIPES[0].placement[1]
+
+    @pytest.mark.parametrize("own_plan", [False, True])
+    def test_drain_terminates_whoever_holds_the_plan(self, own_plan):
+        faults = FaultPlan.from_spec(f"crash:{self.CRASHED}@0.2")
+        profile = LoadProfile(
+            name="crash-beside", arrival_rate=50.0, duration=5.0,
+            read_fraction=0.9, request_size=mib(1), zipf_s=0.9,
+        )
+        engine = ForegroundEngine(
+            self.STRIPES,
+            generate_requests(profile, self.STRIPES, self.NODES, seed=3),
+            pinned_planner(), failed_nodes={self.FAILED},
+            faults=faults if own_plan else None,
+        )
+        result = repair_full_node(
+            pinned_planner(), StarNetwork.uniform(self.NODES, gbps(1)),
+            self.STRIPES, self.FAILED,
+            config=ExecutionConfig(chunk_size=mib(8)), faults=faults,
+            retry_policy=RetryPolicy(), foreground=engine,
+        )
+        engine.drain()
+        assert result.chunks_failed == 0
+        assert engine.faults is faults
+        assert engine.pending_flows == 0
+        assert engine.requests_remaining == 0
+        counters = engine.registry.snapshot()["counters"]
+        assert counters["fg_requests"] == 247
+        # The failed node's and the crashed node's own requests.
+        assert counters["fg_client_dead"] == 42
+
+    def test_no_plan_or_an_empty_one_drops_nobody(self):
+        """Without faults the repaired node is only logically failed:
+        its links are up and it goes on issuing requests."""
+        request = read_request(client=0)
+        for plan in (None, FaultPlan.none()):
+            engine, _ = make_engine(
+                [request], failed_nodes={0},
+                stripes=[make_stripe(placement=(1, 2, 3, 4))], faults=plan,
+            )
+            engine.drain()
+            assert engine.faults is None
+            assert len(engine.outcomes) == 1
+            counters = engine.registry.snapshot()["counters"]
+            assert "fg_client_dead" not in counters
 
 
 class TestRecentWindow:

@@ -414,7 +414,7 @@ def foreground_engine(stripes, failed):
     )
     return ForegroundEngine(
         stripes, generate_requests(profile, stripes, NODES, seed=5),
-        pinned(), failed_nodes={failed}, drop_dead_clients=True,
+        pinned(), failed_nodes={failed},
     )
 
 

@@ -107,6 +107,60 @@ class TestJournal:
         lines = path.read_text().splitlines()
         assert [json.loads(line)["seq"] for line in lines] == [0, 1, 2]
 
+    TORN = '{"data":{"stripe":4},"kind":"task_d'
+
+    def test_a_torn_last_line_is_dropped_and_appends_go_on(self, tmp_path):
+        """The writer died mid-record: that is the journal a crash
+        leaves, and resuming is what it is for."""
+        path = tmp_path / "j.jsonl"
+        with RepairJournal(path) as journal:
+            journal.append("run_config", seed=3)
+            journal.append("task_done", stripe=0)
+        intact = path.read_bytes()
+        with open(path, "a", encoding="utf-8") as crashed:
+            crashed.write(self.TORN)
+        with RepairJournal.load(path) as loaded:
+            assert loaded.torn == 1
+            assert [r.kind for r in loaded.records] == [
+                "run_config", "task_done",
+            ]
+            assert path.read_bytes() == intact
+            assert loaded.append("task_done", stripe=4).seq == 2
+        with RepairJournal.load(path) as again:
+            assert again.torn == 0
+            assert [r.seq for r in again.records] == [0, 1, 2]
+            assert again.done_stripes() == {0, 4}
+        # A last line that parses but lacks its newline is torn too:
+        # its writer never finished it.
+        whole = tmp_path / "whole.jsonl"
+        whole.write_bytes(intact.rstrip(b"\n"))
+        with RepairJournal.load(whole) as loaded:
+            assert loaded.torn == 1 and len(loaded) == 1
+        # Nothing but a torn first record: an empty journal.
+        only = tmp_path / "only.jsonl"
+        only.write_text(self.TORN)
+        with RepairJournal.load(only) as loaded:
+            assert loaded.torn == 1 and len(loaded) == 0
+            assert only.read_bytes() == b""
+
+    def test_a_torn_line_in_the_middle_still_raises(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with RepairJournal(path) as journal:
+            journal.append("run_config", seed=3)
+        good = path.read_text()
+        path.write_text(good + self.TORN + "\n" + good)
+        before = path.read_bytes()
+        with pytest.raises(JournalError, match="malformed"):
+            RepairJournal.load(path)
+        # ... and so does a complete last line that is not a record.
+        path.write_text(good + self.TORN + "\n")
+        with pytest.raises(JournalError, match="malformed"):
+            RepairJournal.load(path)
+        path.write_bytes(before + self.TORN.encode())
+        with pytest.raises(JournalError, match="malformed"):
+            RepairJournal.load(path)
+        assert path.read_bytes() == before + self.TORN.encode()
+
     def test_a_new_run_refuses_a_file_that_holds_a_journal(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with RepairJournal(path) as journal:
@@ -130,11 +184,9 @@ class TestJournal:
         journal.append("progress", t=2.0, stripe=0, watermark=25,
                        requestor=3)
         journal.append("task_done", t=3.0, stripe=0)
-        journal.append("chunk_adopted", t=3.0, stripe=0, requestor=3)
         assert journal.run_config() == {"n": 6, "k": 4}
         assert journal.watermark(0) == (25, 3)  # last record wins
         assert journal.watermark(99) is None
         assert journal.done_stripes() == {0}
-        assert journal.adopted_stripes() == {0}
         assert journal.last("progress").data["watermark"] == 25
         assert len(journal.all("progress")) == 2

@@ -541,7 +541,8 @@ class TestExplainCommands:
         self, command, tmp_path, capsys
     ):
         # A 20 s trace ends while requests of the crashed node are still
-        # queued: without drop_dead_clients they sit at zero rate forever.
+        # queued: were a dead client not dropped, they would sit at zero
+        # rate forever.
         short = tmp_path / "short.npz"
         assert main(
             ["trace", "generate", "--workload", "TPC-H", "--nodes", "12",

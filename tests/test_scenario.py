@@ -65,12 +65,14 @@ def test_explicit_foreground_runs_on_full_capacity_links(scenario):
 def test_foreground_is_drained_and_dead_clients_dropped(scenario):
     loaded = dataclasses.replace(scenario, foreground_rate=40.0)
     _, foreground = loaded.build().run()
-    assert foreground.drop_dead_clients is False
+    counters = foreground.registry.snapshot()["counters"]
+    assert "fg_client_dead" not in counters
     assert foreground.requests_remaining == 0
     assert foreground.pending_flows == 0
     crashed = dataclasses.replace(loaded, faults="crash:3@0.5")
     _, foreground = crashed.build().run()
-    assert foreground.drop_dead_clients is True
+    counters = foreground.registry.snapshot()["counters"]
+    assert counters["fg_client_dead"] > 0
     assert foreground.pending_flows == 0
 
 
