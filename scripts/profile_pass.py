@@ -11,10 +11,16 @@ times, less the imports) and runs no pass.  Hot paths
 are chosen from this, not from intuition (ROADMAP north star); the
 numbers are host seconds under the profiler, good for ranking and call
 counts, not for claims — those come from ``benchmarks/perf/run.py``.
+
+On Linux it also prints the profiled phase's own memory: the resident
+set when it started and its peak while it ran (``VmHWM``, reset through
+``/proc/self/clear_refs`` just before the call, so an earlier phase's
+peak does not hide it).  Where ``/proc`` is absent it prints nothing.
 """
 
 import argparse
 import cProfile
+import gc
 import pstats
 import sys
 from pathlib import Path
@@ -24,6 +30,29 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "perf")]
 
 from harness import Ops  # noqa: E402
 from workloads import REGISTRY  # noqa: E402
+
+
+def _memory_mib() -> dict[str, float]:
+    """``VmRSS`` / ``VmHWM`` of this process in MiB; empty without /proc."""
+    try:
+        status = Path("/proc/self/status").read_text()
+    except OSError:
+        return {}
+    fields = (line.partition(":") for line in status.splitlines())
+    return {
+        key: int(value.split()[0]) / 1024
+        for key, _, value in fields
+        if key in ("VmRSS", "VmHWM")
+    }
+
+
+def _reset_peak() -> bool:
+    """Make ``VmHWM`` the current RSS; False where the kernel can't."""
+    try:
+        Path("/proc/self/clear_refs").write_text("5")
+    except OSError:
+        return False
+    return True
 
 
 def main(argv=None) -> int:
@@ -38,16 +67,30 @@ def main(argv=None) -> int:
     workload = REGISTRY[args.workload](args.seed)
     profiler = cProfile.Profile()
     if args.phase == "setup":
-        profiler.runcall(workload.setup, ops)
+        call = workload.setup
     else:
         workload.setup(ops)
         workload.run_pass(ops)
-        profiler.runcall(workload.run_pass, ops)
+        call = workload.run_pass
+    # The benchmark collects a pass's cyclic garbage (a whole byte-level
+    # cluster, say) before the next; so does this, before measuring.
+    gc.collect()
+    start = _memory_mib() if _reset_peak() else {}
+    profiler.runcall(call, ops)
+    end = _memory_mib()
     for message in ops.messages:
         print(f"FAILED: {message}", file=sys.stderr)
     stats = pstats.Stats(profiler)
     for order in ("cumulative", "tottime"):
         stats.sort_stats(order).print_stats(args.top)
+    if start and end:
+        print(
+            f"memory of the profiled {args.phase}: "
+            f"{start['VmRSS']:.1f} MiB resident at its start, "
+            f"peak {end['VmHWM']:.1f} MiB "
+            f"(+{end['VmHWM'] - start['VmRSS']:.1f} MiB), "
+            f"{end['VmRSS']:.1f} MiB at its end"
+        )
     return 1 if ops.failed else 0
 
 

@@ -23,23 +23,49 @@ class BandwidthTrace:
 
     The trace holds ``values[i]`` on the half-open interval
     ``[times[i], times[i+1])``; the last value extends to infinity.
+    Breakpoints and values are finite, values non-negative.  Traces
+    sampled on one grid (:func:`traces_on_grid`) hold that grid itself.
     """
 
     def __init__(self, times: Sequence[float], values: Sequence[float]):
-        times = [float(t) for t in times]
-        values = [float(v) for v in values]
+        try:
+            times = [float(t) for t in times]
+            values = [float(v) for v in values]
+        except TypeError:
+            raise TraceError(
+                "breakpoints and values must be 1-D sequences of numbers"
+            ) from None
         if not times:
             raise TraceError("a trace needs at least one breakpoint")
         if len(times) != len(values):
             raise TraceError(
                 f"{len(times)} breakpoints but {len(values)} values"
             )
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise TraceError("trace breakpoints must be strictly increasing")
-        if any(v < 0 for v in values):
-            raise TraceError("bandwidth cannot be negative")
+        # ``not b > a`` and ``not 0 <= v < inf`` are also true of NaN; a
+        # strictly increasing run is finite once both its ends are.
+        if (
+            not math.isfinite(times[0])
+            or not math.isfinite(times[-1])
+            or any(not b > a for a, b in zip(times, times[1:]))
+        ):
+            raise _breakpoint_error(times)
+        bad = next(
+            (i for i, v in enumerate(values) if not 0 <= v < math.inf), None
+        )
+        if bad is not None:
+            raise _sample_error(values[bad], f"sample {bad}")
         self._times = times
         self._values = values
+
+    @classmethod
+    def _on_grid(
+        cls, grid: Sequence[float], values: list[float]
+    ) -> BandwidthTrace:
+        """A trace holding ``grid`` and ``values`` themselves, both checked."""
+        trace = cls.__new__(cls)
+        trace._times = grid
+        trace._values = values
+        return trace
 
     @classmethod
     def constant(cls, value: float) -> BandwidthTrace:
@@ -51,10 +77,7 @@ class BandwidthTrace:
         cls, values: Sequence[float], interval: float = 1.0, start: float = 0.0
     ) -> BandwidthTrace:
         """Build a trace from evenly spaced samples (paper: 1 s interval)."""
-        if interval <= 0:
-            raise TraceError(f"interval must be positive, got {interval}")
-        times = [start + i * interval for i in range(len(values))]
-        return cls(times, values)
+        return cls(sample_grid(len(values), interval, start), values)
 
     @property
     def breakpoints(self) -> list[float]:
@@ -114,6 +137,66 @@ class BandwidthTrace:
         )
 
 
+def sample_grid(
+    count: int, interval: float, start: float = 0.0
+) -> tuple[float, ...]:
+    """The breakpoints ``start + i * interval`` of ``count`` samples.
+
+    Computed by numpy with the same IEEE operations as that expression,
+    so the floats are identical; checked once, so every trace sampled
+    on it can share it (:func:`traces_on_grid`).
+    """
+    if interval <= 0:
+        raise TraceError(f"interval must be positive, got {interval}")
+    if count < 1:
+        raise TraceError("a trace needs at least one breakpoint")
+    grid = start + np.arange(count) * interval
+    if not np.isfinite(grid).all() or (np.diff(grid) <= 0).any():
+        raise _breakpoint_error(grid.tolist())
+    return tuple(grid.tolist())
+
+
+def traces_on_grid(
+    grid: tuple[float, ...], samples: np.ndarray, link: str = "link"
+) -> list[BandwidthTrace]:
+    """One trace per row of ``samples`` (nodes x samples), on ``grid``.
+
+    Every trace holds ``grid`` itself, so a network built from them
+    merges one grid (:func:`merge_breakpoints`).  The matrix is checked
+    once (finite, non-negative) and converted by one ``tolist()``; a bad
+    sample is named ``<link> of node <row>, sample <column>``.
+    """
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] != len(grid):
+        raise TraceError(
+            f"{link} samples must be (nodes, {len(grid)}), "
+            f"got shape {samples.shape}"
+        )
+    bad = ~((samples >= 0) & (samples < math.inf))
+    if bad.any():
+        node, sample = np.argwhere(bad)[0]
+        raise _sample_error(
+            float(samples[node, sample]),
+            f"{link} of node {node}, sample {sample}",
+        )
+    return [BandwidthTrace._on_grid(grid, row) for row in samples.tolist()]
+
+
+def _breakpoint_error(times: list[float]) -> TraceError:
+    for index, t in enumerate(times):
+        if not math.isfinite(t):
+            return TraceError(
+                f"breakpoint {index} is {t}: trace breakpoints must be finite"
+            )
+    return TraceError("trace breakpoints must be strictly increasing")
+
+
+def _sample_error(value: float, where: str) -> TraceError:
+    if value < 0:
+        return TraceError("bandwidth cannot be negative")
+    return TraceError(f"{where} is {value}: bandwidth must be finite")
+
+
 class NodeBandwidth:
     """Available uplink and downlink bandwidth of one storage node."""
 
@@ -157,12 +240,21 @@ def merge_breakpoints(links: Sequence[NodeBandwidth]) -> list[float]:
 
     ``min(link.next_change_after(t) for link in links)`` equals the first
     merged breakpoint strictly after ``t`` — the identity the topologies'
-    cached ``next_change_after`` relies on.
+    cached ``next_change_after`` relies on.  Grids are told apart by
+    identity first: links sampled on one shared grid merge to that grid,
+    already sorted and unique, without a union.
     """
+    grids = {
+        id(trace._times): trace._times
+        for link in links
+        for trace in (link.uplink, link.downlink)
+    }
+    if len(grids) == 1:
+        (grid,) = grids.values()
+        return list(grid)
     merged: set[float] = set()
-    for link in links:
-        merged.update(link.uplink.breakpoints)
-        merged.update(link.downlink.breakpoints)
+    for grid in grids.values():
+        merged.update(grid)
     return sorted(merged)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import TraceError
-from repro.network.bandwidth import BandwidthTrace
+from repro.network.bandwidth import sample_grid, traces_on_grid
 from repro.network.topology import StarNetwork
 from repro.units import gbps
 
@@ -47,15 +47,23 @@ class WorkloadTrace:
             raise TraceError("used_up and used_down shapes differ")
         if self.used_up.ndim != 2:
             raise TraceError("usage arrays must be (nodes, samples)")
-        if self.capacity <= 0:
+        if not self.capacity > 0:
             raise TraceError("capacity must be positive")
-        if self.interval <= 0:
+        if not self.interval > 0:
             raise TraceError("interval must be positive")
-        for array in (self.used_up, self.used_down):
-            if (array < 0).any():
-                raise TraceError("used bandwidth cannot be negative")
-            if (array > self.capacity + 1e-6).any():
-                raise TraceError("used bandwidth exceeds capacity")
+        limit = self.capacity + 1e-6
+        for direction, array in (("up", self.used_up), ("down", self.used_down)):
+            # NaN fails both comparisons, so one check finds all three.
+            if not ((array >= 0) & (array <= limit)).all():
+                if (array < 0).any():
+                    raise TraceError("used bandwidth cannot be negative")
+                if (array > limit).any():
+                    raise TraceError("used bandwidth exceeds capacity")
+                node, sample = np.argwhere(np.isnan(array))[0]
+                raise TraceError(
+                    f"used {direction} bandwidth of node {node}, "
+                    f"sample {sample} is nan"
+                )
 
     @property
     def node_count(self) -> int:
@@ -91,11 +99,14 @@ class WorkloadTrace:
                 repair never fully starves (models the rate-throttled repair
                 reservation practical systems keep [24, 48]).
         """
-        up = np.clip(self.available_up(), floor, None)
-        down = np.clip(self.available_down(), floor, None)
+        grid = sample_grid(self.sample_count, self.interval)
         return StarNetwork.from_traces(
-            [BandwidthTrace.from_samples(row, self.interval) for row in up],
-            [BandwidthTrace.from_samples(row, self.interval) for row in down],
+            traces_on_grid(
+                grid, np.clip(self.available_up(), floor, None), "uplink"
+            ),
+            traces_on_grid(
+                grid, np.clip(self.available_down(), floor, None), "downlink"
+            ),
         )
 
     def window(self, start_sample: int, samples: int) -> WorkloadTrace:

@@ -2,12 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import TraceError
-from repro.network.bandwidth import BandwidthTrace, NodeBandwidth
+from repro.network.bandwidth import (
+    BandwidthTrace,
+    NodeBandwidth,
+    merge_breakpoints,
+    sample_grid,
+    traces_on_grid,
+)
 
 
 class TestConstruction:
@@ -36,6 +43,109 @@ class TestConstruction:
     def test_from_samples_rejects_bad_interval(self):
         with pytest.raises(TraceError):
             BandwidthTrace.from_samples([1], interval=0)
+
+    def test_nan_breakpoint_rejected(self):
+        with pytest.raises(TraceError, match="^breakpoint 1 is nan"):
+            BandwidthTrace([0.0, math.nan, 2.0], [1.0, 2.0, 3.0])
+
+    def test_infinite_bandwidth_rejected(self):
+        with pytest.raises(TraceError, match="^sample 1 is inf"):
+            BandwidthTrace([0, 1], [1, math.inf])
+
+    @pytest.mark.parametrize("times, values, message", [
+        ([math.nan], [1.0], "^breakpoint 0 is nan"),
+        ([0.0, math.inf], [1.0, 1.0], "^breakpoint 1 is inf"),
+        ([-math.inf, 0.0], [1.0, 1.0], "^breakpoint 0 is -inf"),
+        ([0.0, 1.0], [math.nan, 1.0], "^sample 0 is nan"),
+        ([0.0, 1.0], [1.0, -1.0], "^bandwidth cannot be negative$"),
+        ([0.0, 0.0], [1.0, 1.0], "^trace breakpoints must be strictly"),
+    ])
+    def test_each_bad_input_is_named(self, times, values, message):
+        with pytest.raises(TraceError, match=message):
+            BandwidthTrace(times, values)
+
+    @pytest.mark.parametrize("times, values", [
+        ([[0.0, 1.0]], [[1.0, 2.0]]),
+        (np.zeros((2, 2)), np.ones((2, 2))),
+        (0.0, 1.0),
+    ])
+    def test_non_1d_input_is_a_trace_error(self, times, values):
+        with pytest.raises(TraceError, match="1-D"):
+            BandwidthTrace(times, values)
+
+
+class TestSampleGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=500),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.floats(min_value=-1e4, max_value=1e4),
+    )
+    def test_grid_is_the_python_expression(self, count, interval, start):
+        """numpy computes ``start + i * interval`` with the same IEEE
+        operations, so every breakpoint is the same float."""
+        grid = sample_grid(count, interval, start)
+        assert type(grid) is tuple
+        assert all(type(t) is float for t in grid)
+        assert list(grid) == [start + i * interval for i in range(count)]
+        trace = BandwidthTrace.from_samples([1.0] * count, interval, start)
+        assert trace.breakpoints == list(grid)
+
+    @pytest.mark.parametrize("count, interval, start, message", [
+        (0, 1.0, 0.0, "^a trace needs at least one breakpoint$"),
+        (3, 0.0, 0.0, "^interval must be positive"),
+        (3, math.nan, 0.0, "^breakpoint 0 is nan"),
+        (3, 1.0, math.inf, "^breakpoint 0 is inf"),
+        (3, 1.0, 1e20, "^trace breakpoints must be strictly increasing$"),
+    ])
+    def test_bad_grid_rejected(self, count, interval, start, message):
+        with pytest.raises(TraceError, match=message):
+            sample_grid(count, interval, start)
+
+
+class TestSharedGrid:
+    def test_traces_on_grid_hold_the_grid_itself(self):
+        grid = sample_grid(3, 0.5)
+        traces = traces_on_grid(grid, np.array([[1, 2, 3], [4, 5, 6]]))
+        assert [trace.values for trace in traces] == [[1, 2, 3], [4, 5, 6]]
+        assert all(trace._times is grid for trace in traces)
+        assert all(
+            type(v) is float for trace in traces for v in trace._values
+        )
+
+    def test_merge_of_one_shared_grid_is_that_grid(self):
+        grid = sample_grid(4, 1.0, start=2.0)
+        up = traces_on_grid(grid, np.ones((3, 4)))
+        down = traces_on_grid(grid, np.zeros((3, 4)))
+        merged = merge_breakpoints(
+            [NodeBandwidth(u, d) for u, d in zip(up, down)]
+        )
+        assert type(merged) is list
+        assert merged == list(grid) == [2.0, 3.0, 4.0, 5.0]
+
+    def test_merge_of_distinct_grids_is_their_union(self):
+        one = traces_on_grid(sample_grid(3, 1.0), np.ones((1, 3)))[0]
+        other = traces_on_grid(sample_grid(2, 0.5), np.ones((1, 2)))[0]
+        small = BandwidthTrace([0.25, 9.0], [1.0, 1.0])
+        links = [NodeBandwidth(one, other), NodeBandwidth(one, small)]
+        assert merge_breakpoints(links) == [0.0, 0.25, 0.5, 1.0, 2.0, 9.0]
+
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "^uplink of node 1, sample 2 is nan: .* must be finite$"),
+        (math.inf, "^uplink of node 1, sample 2 is inf: .* must be finite$"),
+        (-1.0, "^bandwidth cannot be negative$"),
+    ])
+    def test_bad_sample_is_named(self, value, message):
+        samples = np.ones((2, 4))
+        samples[1, 2] = value
+        with pytest.raises(TraceError, match=message):
+            traces_on_grid(sample_grid(4, 1.0), samples, "uplink")
+
+    def test_shape_must_match_the_grid(self):
+        with pytest.raises(TraceError, match="must be"):
+            traces_on_grid(sample_grid(4, 1.0), np.ones((2, 3)))
+        with pytest.raises(TraceError, match="must be"):
+            traces_on_grid(sample_grid(4, 1.0), np.ones(4))
 
 
 class TestLookup:

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import TraceError
+from repro.network.bandwidth import BandwidthTrace, merge_breakpoints
+from repro.network.topology import StarNetwork
+from repro.traces.generators import generate_all
 from repro.traces.workload import WorkloadTrace
 from repro.units import gbps
 
@@ -118,6 +123,110 @@ class TestNetworkConversion:
             assert link.uplink.values == up.tolist()
             assert link.downlink.values == down.tolist()
             assert min(up.min(), down.min()) >= floor
+
+    def test_every_trace_holds_one_grid(self):
+        network = small_trace().to_network()
+        links = [network.node(node) for node in network.node_ids]
+        grid = links[0].uplink._times
+        assert all(
+            trace._times is grid
+            for link in links
+            for trace in (link.uplink, link.downlink)
+        )
+        assert merge_breakpoints(links) == list(grid) == [0.0, 1.0, 2.0]
+        assert network._breakpoints == [0.0, 1.0, 2.0]
+
+
+@st.composite
+def workloads(draw):
+    """A random usage matrix pair: 1-24 nodes, 1-400 samples, a random
+    interval, values continuous or on a coarse ladder (so links tie),
+    touching 0 and the capacity."""
+    nodes = draw(st.integers(min_value=1, max_value=24))
+    samples = draw(st.integers(min_value=1, max_value=400))
+    interval = draw(
+        st.sampled_from([1.0, 0.5, 0.1, 1 / 3])
+        | st.floats(min_value=1e-3, max_value=60.0)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    capacity = 100.0
+    if draw(st.booleans()):
+        used = rng.integers(0, 5, (2, nodes, samples)) * 25.0
+    else:
+        used = rng.uniform(0, capacity, (2, nodes, samples))
+    return WorkloadTrace("random", capacity, used[0], used[1], interval)
+
+
+def reference_network(trace, floor):
+    """``to_network`` as it was: one ``from_samples`` trace per row."""
+    up = np.clip(trace.available_up(), floor, None)
+    down = np.clip(trace.available_down(), floor, None)
+    return StarNetwork.from_traces(
+        [BandwidthTrace.from_samples(row, trace.interval) for row in up],
+        [BandwidthTrace.from_samples(row, trace.interval) for row in down],
+    )
+
+
+class TestMatrixPathDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        workloads(),
+        st.sampled_from([0.0, 30.0]) | st.floats(min_value=0, max_value=150),
+        st.lists(st.floats(min_value=-2.0, max_value=1.2), max_size=12),
+    )
+    def test_network_equals_the_per_trace_construction(
+        self, trace, floor, fractions
+    ):
+        network = trace.to_network(floor=floor)
+        reference = reference_network(trace, floor)
+        grid = [0.0 + i * trace.interval for i in range(trace.sample_count)]
+        assert network._breakpoints == reference._breakpoints == grid
+        assert all(type(t) is float for t in network._breakpoints)
+        assert [(r, list(t), v) for r, t, v in network._columns] == [
+            (r, list(t), v) for r, t, v in reference._columns
+        ]
+        assert all(
+            type(v) is float for _, _, values in network._columns
+            for v in values
+        )
+        # Before 0, on and between breakpoints, past the end; twice each.
+        instants = [fraction * trace.duration for fraction in fractions]
+        for t in instants + instants:
+            assert network.capacities_at(t) == reference.capacities_at(t)
+        assert (network.rows_built, network.row_hits) == (
+            reference.rows_built, reference.row_hits
+        )
+
+    def test_nan_sample_is_rejected_not_planned_on(self):
+        """A NaN written into the usage matrix after construction used to
+        become node 3's uplink at t=12, and PivotRepair chose node 3 as a
+        helper at that bandwidth."""
+        trace = generate_all(16, 200, seed=0)["TPC-DS"]
+        trace.used_up[3, 10:20] = np.nan
+        with pytest.raises(
+            TraceError,
+            match="^uplink of node 3, sample 10 is nan: bandwidth must be finite$",
+        ):
+            trace.to_network(floor=1e6)
+        with pytest.raises(
+            TraceError, match="^used up bandwidth of node 3, sample 10 is nan$"
+        ):
+            WorkloadTrace(
+                trace.name, trace.capacity, trace.used_up, trace.used_down
+            )
+
+    def test_empty_and_negative_messages_unchanged(self):
+        empty = WorkloadTrace("x", 10, np.zeros((2, 0)), np.zeros((2, 0)))
+        with pytest.raises(
+            TraceError, match="^a trace needs at least one breakpoint$"
+        ):
+            empty.to_network()
+        with pytest.raises(
+            TraceError, match="^used bandwidth cannot be negative$"
+        ):
+            WorkloadTrace("x", 10, np.zeros((1, 2)), -np.ones((1, 2)))
+        with pytest.raises(TraceError, match="^bandwidth cannot be negative$"):
+            BandwidthTrace.from_samples([1.0, -1.0])
 
 
 class TestPersistence:
