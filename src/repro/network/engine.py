@@ -10,7 +10,10 @@ cancellation, rate-cap change, or capacity breakpoint.  Untouched
 components keep their piecewise-constant rates.  A component is solved
 by the reference's own water-level rounds, keyed by registered column
 index instead of resource dict (:meth:`IncrementalEngine._solve_small`),
-or in closed form when it is one entity.
+or in closed form when it is one entity.  After the first round the
+rounds pop a heap of column levels instead of scanning every column, so
+a densely coupled component costs what its rounds freeze, not rounds ×
+columns; the heap finds the same level and the same freeze group.
 
 Bit-identity of the incremental scheme rests on two invariants of the
 reference formulation (see the :mod:`repro.network.fairness` docstring):
@@ -25,6 +28,7 @@ tolerance zero.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 from repro.exceptions import SimulationError
@@ -268,6 +272,19 @@ class IncrementalEngine:
         reference's enumeration order.  A component is closed under
         shared columns, so a column's registered ``_users`` are exactly
         its users within the component.
+
+        Round one takes ``min`` over every column's level and scans them
+        once for the tie group: it reads every column anyway, and most
+        components finish in it or one round later.  If entities are
+        still rising after it, the live levels go into a ``(level,
+        col)`` heap; each later round pops the minimum and every entry
+        equal to it, skips an entry whose column has since been
+        re-derived or retired (``levels.get(col) != value``), and pushes
+        each re-derived level.  A round therefore costs what it freezes,
+        not the component's column count.  The rate caps are one sorted
+        ``(cap, entity)`` list read through a moving index.  Float
+        ``min`` and ``==`` are exact, so the level and the set of
+        columns saturated at it are the ones a full scan finds.
         """
         entities = self._entities
         entity_cols = self._entity_cols
@@ -275,44 +292,69 @@ class IncrementalEngine:
         capacity = self._capacity
         users = self._users
         rates = dict.fromkeys(entity_ids, 0.0)
-        #: Still-rising entities -> their rate cap.
-        active: dict[int, float | None] = {}
+        #: Still-rising entities.
+        active: set[int] = set()
+        #: ``(cap, entity)`` of every capped active entity, ascending.
+        capped: list[tuple[float, int]] = []
         active_coeff: dict[int, float] = {}
         for entity_id in entity_ids:
             cols = entity_cols[entity_id]
             max_rate = entities[entity_id].max_rate
             if not cols or (max_rate is not None and max_rate <= 0):
                 continue
-            active[entity_id] = max_rate
+            active.add(entity_id)
+            # An infinite or NaN cap never binds: ``cap < level`` is
+            # false for it, and so is ``cap == level`` at a finite level.
+            if max_rate is not None and max_rate < math.inf:
+                capped.append((max_rate, entity_id))
             for col, coeff in zip(cols, entity_coeffs[entity_id]):
                 active_coeff[col] = active_coeff.get(col, 0.0) + coeff
-        frozen_used = dict.fromkeys(active_coeff, 0.0)
-        # Saturation level per live column.  A round only moves the
-        # columns its freeze group uses, so only those are re-derived;
-        # the rest would recompute to the same bits.
+        capped.sort()
+        capped_count = len(capped)
+        next_cap = 0
+        #: Capacity taken by frozen entities, per column that has any.
+        frozen_used: dict[int, float] = {}
+        # Saturation level per live column: ``capacity - 0.0`` is
+        # ``capacity`` to the bit, so round one divides it directly.  A
+        # round only moves the columns its freeze group uses, so only
+        # those are re-derived; the rest would recompute to the same bits.
         levels = {
-            col: (capacity[col] - frozen_used[col]) / coeff
-            for col, coeff in active_coeff.items()
+            col: capacity[col] / coeff for col, coeff in active_coeff.items()
         }
+        heap: list[tuple[float, int]] | None = None
         while active:
-            level = min(levels.values()) if levels else math.inf
-            for cap in active.values():
-                if cap is not None and cap < level:
-                    level = cap
+            if heap is None:
+                level = min(levels.values()) if levels else math.inf
+            else:
+                while heap and levels.get(heap[0][1]) != heap[0][0]:
+                    heapq.heappop(heap)
+                level = heap[0][0] if heap else math.inf
+            while (
+                next_cap < capped_count and capped[next_cap][1] not in active
+            ):
+                next_cap += 1
+            if next_cap < capped_count and capped[next_cap][0] < level:
+                level = capped[next_cap][0]
             if not math.isfinite(level):
                 raise SimulationError(
                     "unconstrained task in max-min allocation"
                 )
-            newly = {
-                entity_id
-                for entity_id, cap in active.items()
-                if cap == level
-            }
-            for col, value in levels.items():
-                if value == level:
-                    for entity_id in users[col]:
-                        if entity_id in active:
-                            newly.add(entity_id)
+            newly: set[int] = set()
+            index = next_cap
+            while index < capped_count and capped[index][0] == level:
+                entity_id = capped[index][1]
+                if entity_id in active:
+                    newly.add(entity_id)
+                index += 1
+            if heap is None:
+                for col, value in levels.items():
+                    if value == level:
+                        newly.update(users[col] & active)
+            else:
+                while heap and heap[0][0] == level:
+                    value, col = heapq.heappop(heap)
+                    if levels.get(col) == value:
+                        newly.update(users[col] & active)
             if not newly:
                 raise SimulationError(
                     "progressive filling failed to converge"
@@ -321,21 +363,26 @@ class IncrementalEngine:
             freeze_sum: dict[int, float] = {}
             for entity_id in sorted(newly):
                 rates[entity_id] = assigned
-                del active[entity_id]
+                active.remove(entity_id)
                 for col, coeff in zip(
                     entity_cols[entity_id], entity_coeffs[entity_id]
                 ):
                     freeze_sum[col] = freeze_sum.get(col, 0.0) + coeff
             for col, coeff in freeze_sum.items():
-                frozen_used[col] += coeff * assigned
+                used = frozen_used.get(col, 0.0) + coeff * assigned
+                frozen_used[col] = used
                 still_rising = active_coeff[col] - coeff
                 active_coeff[col] = still_rising
                 if still_rising > 0:
-                    levels[col] = (
-                        capacity[col] - frozen_used[col]
-                    ) / still_rising
+                    value = (capacity[col] - used) / still_rising
+                    levels[col] = value
+                    if heap is not None:
+                        heapq.heappush(heap, (value, col))
                 else:
                     del levels[col]
+            if heap is None and active:
+                heap = [(value, col) for col, value in levels.items()]
+                heapq.heapify(heap)
         for entity_id, rate in rates.items():
             entity = entities[entity_id]
             if entity.rate != rate:

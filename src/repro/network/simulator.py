@@ -357,12 +357,13 @@ class FluidSimulator:
             raise SimulationError("bytes_per_edge must be positive")
         if max_rate is not None and max_rate <= 0:
             raise SimulationError("max_rate must be positive")
+        usage = self._usage_of(edges)
         handle = self._new_handle(label, kind)
         entity = _Entity(
             task_id=handle.task_id,
             edges=list(edges),
             remaining=float(bytes_per_edge),
-            usage=self._usage_of(edges),
+            usage=usage,
             max_rate=max_rate,
             kind=kind,
         )
@@ -396,21 +397,23 @@ class FluidSimulator:
             raise SimulationError("a bulk task needs at least one transfer")
         if max_rate is not None and max_rate <= 0:
             raise SimulationError("max_rate must be positive")
-        handle = self._new_handle(label, kind)
-        entities = []
+        usages = []
         for src, dst, size in transfers:
             if size <= 0:
                 raise SimulationError("transfer size must be positive")
-            entities.append(
-                _Entity(
-                    task_id=handle.task_id,
-                    edges=[(src, dst)],
-                    remaining=float(size),
-                    usage=self._usage_of([(src, dst)]),
-                    max_rate=max_rate,
-                    kind=kind,
-                )
+            usages.append(self._usage_of([(src, dst)]))
+        handle = self._new_handle(label, kind)
+        entities = [
+            _Entity(
+                task_id=handle.task_id,
+                edges=[(src, dst)],
+                remaining=float(size),
+                usage=usage,
+                max_rate=max_rate,
+                kind=kind,
             )
+            for (src, dst, size), usage in zip(transfers, usages)
+        ]
         self._add_entities(handle, entities)
         if self.tracer.enabled:
             self._trace_submit(
@@ -468,12 +471,22 @@ class FluidSimulator:
         self._task_spans[handle.task_id] = span_id
 
     def _usage_of(self, edges) -> dict:
-        """Aggregate topology resource usage of a set of edges."""
+        """Aggregate topology resource usage of a set of edges.
+
+        Checked here, before a submission touches any state: a negative
+        coefficient is rejected before the task has a handle or an
+        entity, so the simulator carries on as if it was never asked.
+        """
         usage: dict = {}
         for src, dst in edges:
             for resource, coefficient in self.network.edge_usage(
                 src, dst
             ).items():
+                if coefficient < 0:
+                    raise SimulationError(
+                        f"edge {src}->{dst} has negative usage coefficient "
+                        f"{coefficient} on {resource}"
+                    )
                 usage[resource] = usage.get(resource, 0.0) + coefficient
         return usage
 

@@ -12,8 +12,9 @@ design) and is excluded from the digests by construction
 
 Coverage: ≥50 randomized seeded churn scenarios (arrivals, finishes,
 cancels, re-caps across repair/foreground/hedge classes, same-instant
-bursts, capacity breakpoints), rack topologies, a repair-storm scenario,
-and the pinned repair suites of ``tests/network/pinned_suites.py``.
+bursts, capacity breakpoints), rack topologies, a repair-storm scenario
+staggered and in one burst, and the pinned repair suites of
+``tests/network/pinned_suites.py``.
 """
 
 import pytest
@@ -21,6 +22,7 @@ import pytest
 import repro.network.simulator as simulator_module
 from repro.network import FluidSimulator, StarNetwork
 from repro.network.scenario import (
+    digest,
     random_scenario,
     replay,
     storm_scenario,
@@ -51,11 +53,9 @@ def test_racked_scenarios_bit_identical(seed):
     assert reference == fast
 
 
-def test_storm_scenario_bit_identical():
-    # The recompute-bound shape the fast engine exists for, shrunk to a
-    # size the reference oracle can chew through in CI.
+def _small_storm_bit_identical(burst):
     scenario = storm_scenario(
-        3, node_count=96, repairs=24, foreground_flows=48
+        3, node_count=96, repairs=24, foreground_flows=48, burst=burst
     )
     reference = replay(scenario, "reference")
     fast = replay(scenario, "fast")
@@ -63,11 +63,67 @@ def test_storm_scenario_bit_identical():
     assert reference["tasks_completed"] == 24 + 48
 
 
+def test_storm_scenario_bit_identical():
+    # The recompute-bound shape the fast engine exists for, shrunk to a
+    # size the reference oracle can chew through in CI.
+    _small_storm_bit_identical(burst=False)
+
+
+def test_burst_storm_scenario_bit_identical():
+    # Every repair at t = 0: one densely coupled component, re-solved at
+    # every finish through many water-level rounds (the level heap).
+    _small_storm_bit_identical(burst=True)
+
+
+@pytest.mark.slow
+def test_documented_burst_storm_bit_identical():
+    # The 1024-node, 200 / 600 burst of docs/fluid_engine.md.
+    scenario = storm_scenario(1, burst=True)
+    assert replay(scenario, "reference") == replay(scenario, "fast")
+
+
 def test_unknown_engine_rejected():
     from repro.exceptions import SimulationError
 
     with pytest.raises(SimulationError):
         FluidSimulator(StarNetwork.uniform(4, 100.0), engine="warp")
+
+
+class _NegativeEdge(StarNetwork):
+    """A topology whose edge 2 -> 3 reports a negative coefficient."""
+
+    def edge_usage(self, src, dst):
+        usage = super().edge_usage(src, dst)
+        if (src, dst) == (2, 3):
+            usage[("down", 3)] = -1.0
+        return usage
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_rejected_submit_leaves_no_trace(engine):
+    # A submission the topology makes invalid, or one with a bad size,
+    # is refused before it holds a task id or an entity: the next valid
+    # task runs exactly as on a simulator that never saw it.
+    from repro.exceptions import SimulationError
+
+    def run(reject_first):
+        sim = FluidSimulator(
+            _NegativeEdge.uniform(4, 100.0), engine=engine
+        )
+        if reject_first:
+            with pytest.raises(SimulationError, match="negative usage"):
+                sim.submit_bulk([(2, 3, 100.0)])
+            with pytest.raises(SimulationError, match="negative usage"):
+                sim.submit_pipelined([(0, 1), (2, 3)], 100.0)
+            with pytest.raises(SimulationError, match="size"):
+                sim.submit_bulk([(0, 1, 100.0), (1, 2, 0.0)])
+        handle = sim.submit_bulk([(2, 0, 100.0)])
+        sim.run()
+        return digest(sim, [handle])
+
+    clean = run(reject_first=False)
+    assert run(reject_first=True) == clean
+    assert clean["tasks"][0]["finish_time"] == 1.0
 
 
 class TestCommittedBenchSuites:

@@ -272,6 +272,90 @@ def test_small_kernel_bit_identical_on_large_components(
     )
 
 
+class TestLevelHeapRounds:
+    """One deterministic component per edge case of the level heap.
+
+    ``_solve_small`` scans every column in round one and pops a
+    ``(level, col)`` heap after it.  Each instance below is built so that
+    round one freezes a lone flow at a tiny level (the heap is then
+    built over the rest) and names, in its rates, the rounds it runs.
+    Unlisted links have capacity 1 000.
+    """
+
+    @staticmethod
+    def _solve(node_count, ups, downs, task_edges, rate_caps=None):
+        up = [1000.0] * node_count
+        down = [1000.0] * node_count
+        for node, capacity in ups.items():
+            up[node] = capacity
+        for node, capacity in downs.items():
+            down[node] = capacity
+        usages = [usage_from_edges(edges) for edges in task_edges]
+        if rate_caps is None:
+            rate_caps = [None] * len(usages)
+        network = StarNetwork.constant(up, down)
+        _assert_one_small_solve_matches_oracles(network, usages, rate_caps)
+        return max_min_allocate(
+            usages, network.capacities_at(0.0), rate_caps
+        )
+
+    def test_a_column_re_derived_twice_before_its_entry_surfaces(self):
+        # down0 (100) enters the heap at 100/3; a freezes at 10 and b at
+        # 20, re-deriving it to 45 and then 70.  Its 100/3 and 45 entries
+        # surface stale and are skipped; c rises to 70.
+        rates = self._solve(
+            6, ups={1: 10.0, 2: 20.0, 3: 100.0, 4: 1.0}, downs={0: 100.0},
+            task_edges=[[(4, 5)], [(1, 0)], [(2, 0)], [(3, 0)]],
+        )
+        assert rates == [1.0, 10.0, 20.0, 70.0]
+
+    def test_two_columns_reach_one_level_in_different_rounds(self):
+        # down0 enters the heap at 100/3; down6 reaches (110 - 10) / 3,
+        # the same float, when h1 freezes at 10 in round two.  Both are
+        # popped in round three and freeze together, so up1 (shared by
+        # g1, h2 and w, holding e0's 0.1) takes one ``2 * level`` — two
+        # separate rounds would round it differently and move w's rate.
+        third = 100.0 / 3
+        rates = self._solve(
+            12,
+            ups={1: 200.0, 7: 10.0},
+            downs={0: 100.0, 5: 0.1, 6: 110.0},
+            task_edges=[
+                [(1, 5)],                      # e0: down5, round one
+                [(7, 6)],                      # h1: up7, round two
+                [(1, 0)], [(2, 0)], [(3, 0)],  # g1-g3: down0
+                [(1, 6)], [(8, 6)], [(9, 6)],  # h2-h4: down6
+                [(1, 11)],                     # w: what is left of up1
+            ],
+        )
+        assert rates[:2] == [0.1, 10.0]
+        assert rates[2:8] == [third] * 6
+        assert rates[8] == 200.0 - (0.1 + 2.0 * third)
+        assert rates[8] != 200.0 - ((0.1 + third) + third)
+
+    def test_a_cap_equal_to_a_column_level_after_round_one(self):
+        # a freezes at 10 in round two and re-derives down0 to 45 — c's
+        # cap.  c (cap and column) and d (column) freeze at 45 in one
+        # round; c's cap entry is then passed over and g rises on up3.
+        rates = self._solve(
+            7, ups={1: 10.0, 4: 1.0}, downs={0: 100.0},
+            task_edges=[[(4, 5)], [(1, 0)], [(2, 0)], [(3, 0)], [(3, 6)]],
+            rate_caps=[None, None, 45.0, None, None],
+        )
+        assert rates == [1.0, 10.0, 45.0, 45.0, 955.0]
+
+    def test_inert_entities_inside_a_multi_round_component(self):
+        # The stale-entry component plus an entity with no columns and
+        # one on a's links with a zero cap: both stay at 0 and load
+        # nothing, and every other rate is the one without them.
+        rates = self._solve(
+            6, ups={1: 10.0, 2: 20.0, 3: 100.0, 4: 1.0}, downs={0: 100.0},
+            task_edges=[[(4, 5)], [(1, 0)], [], [(2, 0)], [(1, 0)], [(3, 0)]],
+            rate_caps=[None, None, None, None, 0.0, None],
+        )
+        assert rates == [1.0, 10.0, 0.0, 20.0, 0.0, 70.0]
+
+
 def test_engine_module_holds_no_numpy():
     # The engine is pure Python since its numpy tier moved to
     # tests/network/waterfill_oracle.py: an import check, not a timing.
