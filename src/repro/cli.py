@@ -650,7 +650,8 @@ def _cmd_plan(args, tracer) -> _Output:
 
 
 def _cmd_repair(args, tracer) -> _Output:
-    from repro.experiments.single_chunk import stripe_nodes_at
+    from repro.ec import RSCode, Stripe
+    from repro.experiments.single_chunk import stripe_members_at
 
     trace = WorkloadTrace.load(args.trace_file)
     network = trace.to_network(floor=1e6)
@@ -659,9 +660,10 @@ def _cmd_repair(args, tracer) -> _Output:
         instant = float(np.argmax((rates >= 0.9).sum(axis=0)))
     else:
         instant = args.instant
-    requestor, survivors = stripe_nodes_at(
+    members, failed, requestor = stripe_members_at(
         trace, instant, args.n, args.seed
     )
+    survivors = [node for node in members if node != failed]
     config = ExecutionConfig(
         chunk_size=mib(args.chunk_mib), slice_size=kib(args.slice_kib),
         engine=args.engine,
@@ -673,7 +675,8 @@ def _cmd_repair(args, tracer) -> _Output:
             # Spec times are relative to the start of the repair; the
             # simulator clock starts at the congestion instant.
             result = repair_single_chunk_faulted(
-                factory(), network, requestor, survivors, args.k,
+                factory(), network, requestor,
+                Stripe(0, RSCode(args.n, args.k), members), failed,
                 faults.shifted(instant), policy=policy,
                 start_time=instant, config=config, tracer=tracer,
             )

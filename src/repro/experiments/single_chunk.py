@@ -77,8 +77,11 @@ def congested_instants(
     return [float(t) for t in sorted(chosen)]
 
 
-def stripe_nodes_at(trace: WorkloadTrace, instant: float, n: int, seed: int):
-    """Lay an n-node stripe over the cluster for one repair experiment.
+def stripe_members_at(
+    trace: WorkloadTrace, instant: float, n: int, seed: int
+) -> tuple[list[int], int, int]:
+    """Lay an n-node stripe over the cluster for one repair experiment:
+    ``(members, failed, requestor)``, members in ascending order.
 
     The failed node is the most congested stripe member at the instant
     (hot data is what gets read); the requestor is the node with the most
@@ -94,13 +97,18 @@ def stripe_nodes_at(trace: WorkloadTrace, instant: float, n: int, seed: int):
     second = trace.window(int(instant), 1)
     usage = second.used_node_bandwidth()[:, 0]
     failed = max(members, key=lambda node: usage[node])
-    survivors = [node for node in members if node != failed]
     outside = [
         node for node in range(trace.node_count) if node not in members
     ]
     available = second.available_node_bandwidth()[:, 0]
     requestor = max(outside, key=lambda node: available[node])
-    return requestor, survivors
+    return members, failed, requestor
+
+
+def stripe_nodes_at(trace: WorkloadTrace, instant: float, n: int, seed: int):
+    """:func:`stripe_members_at`'s ``(requestor, surviving helpers)``."""
+    members, failed, requestor = stripe_members_at(trace, instant, n, seed)
+    return requestor, [node for node in members if node != failed]
 
 
 def run_cell(

@@ -118,8 +118,10 @@ def run_chaos_single_chunk(
     ``correct=True`` or a clean :class:`RepairFailed`; never a hang,
     never silently short data.
 
-    ``journal`` / ``health`` thread through to the resilient executor
-    path.  A resumed (or hedged) repair delivers its slice ranges through
+    A helper the cluster already knows is dead is refused with a
+    :class:`ClusterError`: a helper dies mid-repair through the fault
+    plan.  ``journal`` / ``health`` thread through to the executor.  A
+    resumed (or hedged) repair delivers its slice ranges through
     *different* trees; :func:`rebuilt_payload` then rebuilds each
     recorded segment through the plan that actually carried it and
     stitches the ranges before comparing — exactly what a production
@@ -128,6 +130,15 @@ def run_chaos_single_chunk(
     planner = planner or PivotRepairPlanner()
     config = config or ExecutionConfig()
     failed_node = stripe.placement[lost_index]
+    dead = [
+        node for node in stripe.surviving_nodes(failed_node)
+        if not cluster.nodes[node].alive
+    ]
+    if dead:
+        raise ClusterError(
+            f"stripe {stripe.stripe_id}: helpers {dead} are already dead "
+            "in the cluster; crash a helper through the fault plan"
+        )
     expected = expected_payload(cluster, stripe, lost_index)
     if cluster.nodes[failed_node].alive:
         cluster.fail_node(failed_node, at=0.0)
@@ -136,13 +147,8 @@ def run_chaos_single_chunk(
         snapshot, stripe, failed_node, cluster.node_count,
         exclude=faults.dead_nodes(0.0),
     )
-    candidates = [
-        node
-        for node in stripe.surviving_nodes(failed_node)
-        if cluster.nodes[node].alive
-    ]
     result = repair_single_chunk_faulted(
-        planner, network, requestor, candidates, cluster.code.k,
+        planner, network, requestor, stripe, failed_node,
         faults, policy=policy, config=config, tracer=tracer,
         journal=journal, health=health,
     )

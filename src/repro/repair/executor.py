@@ -3,7 +3,7 @@
 * The fault-free path (:func:`execute_plan`, :func:`repair_single_chunk`)
   runs a plan to clean completion.
 * The fault-aware path (:func:`repair_single_chunk_faulted`) is a
-  one-chunk driver over the repair master, whose attempt machine
+  one-stripe driver over the repair master, whose attempt machine
   detects a helper that crashed, stalled or lost its chunk, re-plans
   over the survivors and retries with backoff until the repair
   completes or cleanly aborts with a
@@ -18,6 +18,7 @@ from dataclasses import replace
 
 from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.core.plan import RepairPlan, RepairPlanner
+from repro.ec.stripe import Stripe
 from repro.exceptions import PlanningError
 from repro.faults.network import FaultyNetwork
 from repro.faults.plan import FaultPlan
@@ -26,7 +27,7 @@ from repro.network.simulator import FluidSimulator
 from repro.network.topology import StarNetwork
 from repro.obs.tracer import NULL_TRACER
 from repro.repair.fullnode import run_rounds
-from repro.repair.jobmaster import ChunkRepairMaster, LostChunk
+from repro.repair.jobmaster import StripeRepairMaster
 from repro.repair.metrics import RepairFailed, RepairResult
 from repro.repair.pipeline import (
     ExecutionConfig,
@@ -196,14 +197,14 @@ def repair_single_chunk(
 
 
 # ----------------------------------------------------------------------
-# Fault-aware execution: a one-chunk driver over the repair master
+# Fault-aware execution: a one-stripe driver over the repair master
 # ----------------------------------------------------------------------
 def repair_single_chunk_faulted(
     planner: RepairPlanner,
     network,
     requestor: int,
-    candidates: Sequence[int],
-    k: int,
+    stripe: Stripe,
+    failed_node: int,
     faults: FaultPlan,
     policy: RetryPolicy | None = None,
     start_time: float = 0.0,
@@ -213,21 +214,24 @@ def repair_single_chunk_faulted(
     journal=None,
     health: HealthPolicy | None = None,
 ) -> RepairResult | RepairFailed:
-    """Single-chunk repair under an injected fault plan.
+    """Rebuild ``stripe``'s chunk on ``failed_node`` at ``requestor``
+    under an injected fault plan.
 
-    A one-chunk job on a fresh simulator: the rounds of a full-node
+    A one-stripe job on a fresh simulator: the rounds of a full-node
     repair (:func:`~repro.repair.fullnode.run_rounds`, without the
     planning clock charge) over the attempt machine every repair shares
-    (:class:`~repro.repair.jobmaster.StripeRepairMaster`).  Returns a
-    :class:`RepairResult` (``attempts`` > 1 when it re-planned) or a
-    :class:`RepairFailed`; never hangs, never returns short data.
-    ``bytes_transferred`` is the simulator's accounting: what a
-    cancelled attempt moved is counted exactly once.
+    (:class:`~repro.repair.jobmaster.StripeRepairMaster`).  The caller
+    names the requestor (a degraded read's client), so the repair fails
+    if that node dies.  Returns a :class:`RepairResult` (``attempts`` > 1
+    when it re-planned) or a :class:`RepairFailed`; never hangs, never
+    returns short data.  ``bytes_transferred`` is the simulator's
+    accounting: what a cancelled attempt moved is counted exactly once.
 
-    With a ``journal`` or a ``health`` policy a re-plan **resumes from
-    the last verified slice** and ``result.segments`` says which plan
-    carried which slice range; with neither it restarts the chunk.
-    ``health`` also enables hedging (``result.hedges``).
+    A re-plan resumes from the last verified slice, and
+    ``result.segments`` says which plan carried which slice range.
+    ``health`` enables hedging (``result.hedges``).  ``transfer_seconds``
+    runs from ``start_time`` to the last flow's finish, plus the
+    per-slice tail, as in :func:`execute_plan`.
     """
     config = config or ExecutionConfig()
     net = FaultyNetwork.wrap(network, faults)
@@ -235,11 +239,12 @@ def repair_single_chunk_faulted(
         net, start_time=start_time, tracer=tracer, sampler=sampler,
         engine=config.engine,
     )
-    master = ChunkRepairMaster(
-        None, planner, net, [LostChunk(requestor, tuple(candidates), k)], None,
-        sim=sim, scheme=planner.name, config=config, tracer=tracer,
-        faults=faults, retry_policy=policy, journal=journal, health=health,
+    master = StripeRepairMaster(
+        None, planner, net, [stripe], failed_node, sim=sim,
+        scheme=planner.name, config=config, tracer=tracer, faults=faults,
+        retry_policy=policy, journal=journal, health=health,
     )
+    master.ledgers[stripe.stripe_id].requestor = requestor
 
     def start(master, cap):
         planned = master.candidate()
@@ -252,14 +257,13 @@ def repair_single_chunk_faulted(
     outcome = {"bytes_transferred": sim.total_bytes_transferred}
     if master.failures:
         (record,) = master.failures
-        outcome["stripe_id"] = None
     else:
         (record,) = master.results
-        outcome["transfer_seconds"] = master.transfer_seconds
-        if not master.resilient:
-            outcome["segments"] = []
+        transfer = outcome["transfer_seconds"] = (
+            sim.now - start_time + pipeline_overhead_seconds(config)
+        )
         registry.gauge("planner_seconds").set(record.planning_seconds)
-        registry.histogram("task_seconds").observe(master.transfer_seconds)
+        registry.histogram("task_seconds").observe(transfer)
     return replace(
         record, **outcome,
         telemetry=registry_from_run(sim, tracer, registry).snapshot(),

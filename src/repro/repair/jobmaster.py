@@ -14,7 +14,8 @@ own.  Three drivers sequence those steps:
   simulator and one master, and differs only in *which* pending stripe
   it starts next (FIFO window vs. Eq. 3 recommendation values);
 * :func:`repro.repair.executor.repair_single_chunk_faulted` runs the
-  same loop over a master of one chunk whose requestor is given;
+  same loop over a master of one stripe whose requestor the caller
+  names (a degraded read's client);
 * the fleet control plane (:mod:`repro.controlplane`) runs several
   masters over **one** shared simulator, advancing the clock itself and
   routing each completed task back to the master that owns it.
@@ -22,7 +23,8 @@ own.  Three drivers sequence those steps:
 Each task's requestor is the node with the most available downlink among
 nodes not holding a chunk of the stripe ("PivotRepair always selects the
 node that has the most downlink bandwidth as the requestor"), so
-requestors spread across the cluster.  Planning happens serially at the
+requestors spread across the cluster; a degraded read names its client
+instead, in the stripe's ledger.  Planning happens serially at the
 Master and its wall-clock cost advances the simulated clock — this is
 what sinks PPT at large k in Figure 7.
 """
@@ -49,9 +51,7 @@ from repro.obs.tracer import NULL_TRACER
 from repro.repair.metrics import FullNodeResult, RepairFailed, RepairResult
 from repro.repair.pipeline import (
     ExecutionConfig,
-    pipeline_overhead_seconds,
     remaining_bytes_per_edge,
-    trace_fill,
     verified_watermark,
 )
 from repro.resilience.health import HealthMonitor, HealthPolicy
@@ -59,8 +59,6 @@ from repro.resilience.health import HealthMonitor, HealthPolicy
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "ChunkRepairMaster",
-    "LostChunk",
     "StripeRepairMaster",
     "choose_requestor",
     "residual_snapshot",
@@ -221,6 +219,9 @@ class _Ledger:
     """One stripe's attempt history: what its retry budget and backoff,
     its resume point and its result's provenance are computed from."""
 
+    #: The requestor the caller named, if any: the stripe is rebuilt
+    #: there or not at all (a degraded read cannot move its client).
+    requestor: int | None = None
     #: Attempts that failed (a pause or shed is not one).
     failed: int = 0
     #: A failed attempt's re-plan has not started yet.
@@ -369,27 +370,11 @@ class StripeRepairMaster:
                 self.spans[stripe.stripe_id] = tracer.begin(
                     "repair.task", t=sim.now,
                     track=self.track(stripe.stripe_id),
-                    **self.task_fields(stripe), **job,
+                    stripe=stripe.stripe_id, scheme=scheme, **job,
                 )
 
-    # -- How a stripe is named in spans, events, flows and journal
-    # -- records (``ChunkRepairMaster`` names its one chunk differently)
-    def task_fields(self, stripe: Stripe) -> dict:
-        """Fields of the stripe's ``repair.task`` span."""
-        return {"stripe": stripe.stripe_id, "scheme": self.scheme}
-
-    def ident(self, stripe: Stripe) -> dict:
-        """What says *which* repair an event or record belongs to."""
-        return {"stripe": stripe.stripe_id}
-
-    def flow_name(self, stripe: Stripe, plan: RepairPlan, attempt: int,
-                  start_slice: int) -> tuple[str, dict]:
-        """Label and trace fields of a primary flight."""
-        return f"{plan.scheme}-r{plan.requestor}", {
-            "stripe": stripe.stripe_id, "bmin": plan.bmin,
-            "start_slice": start_slice,
-        }
-
+    # -- How a stripe is named in spans, events and journal records:
+    # -- ``stripe`` says which repair an event or record belongs to
     def track(self, stripe_id: int) -> str:
         """The stripe's trace track; a fleet job's id is folded in (two
         jobs repair stripes with colliding ids)."""
@@ -428,7 +413,7 @@ class StripeRepairMaster:
             self.tracer.instant(
                 name, t=self.sim.now, track=track,
                 parent_id=self.spans.get(stripe.stripe_id),
-                **fields, **self.ident(stripe),
+                **fields, stripe=stripe.stripe_id,
             )
 
     def record(self, kind: str, stripe: Stripe | None = None,
@@ -437,7 +422,7 @@ class StripeRepairMaster:
         the masters sharing a storm's journal apart."""
         if self.journal is not None:
             if stripe is not None:
-                data.update(self.ident(stripe))
+                data["stripe"] = stripe.stripe_id
             if self.job_id is not None:
                 data["job"] = self.job_id
             self.journal.append(kind, t=self.sim.now, **data)
@@ -479,7 +464,13 @@ class StripeRepairMaster:
             if self.faulted:
                 self.injector.announce_until(self.sim.now)
             ledger.segments.append((plan, flight.start_slice))
-            self.close_task(flight, ledger)
+            # The span ends at the flow's exact finish (collection can
+            # lag behind completion by a planning window): its duration
+            # is the makespan the critical path sums to.
+            self.end_task(
+                stripe.stripe_id, t=handle.finish_time,
+                transfer_seconds=handle.duration, requestor=plan.requestor,
+            )
             self.results.append(RepairResult(
                 scheme=plan.scheme,
                 planning_seconds=ledger.planning_seconds,
@@ -503,18 +494,6 @@ class StripeRepairMaster:
                     self.on_chunk_repaired(
                         stripe, chunk_index, plan.requestor
                     )
-
-    def close_task(self, flight: _InFlight, ledger: _Ledger) -> None:
-        """End the stripe's ``repair.task`` span at the flow's exact
-        finish time (collection can lag behind completion by a planning
-        window): its duration is the makespan the critical path sums to.
-        """
-        handle = flight.handle
-        self.end_task(
-            flight.stripe.stripe_id, t=handle.finish_time,
-            transfer_seconds=handle.duration,
-            requestor=flight.plan.requestor,
-        )
 
     def degrade_to(self, level: int) -> bool:
         """Escalate (never relax) the degradation level; True if changed."""
@@ -740,8 +719,14 @@ class StripeRepairMaster:
     def plan(self, stripe: Stripe) -> RepairPlan:
         """Plan one stripe against residual bandwidth.
 
+        The chunk is rebuilt at the requestor the caller named, if any;
+        else a stripe that carries a slice watermark keeps its requestor
+        (the verified slices live on that node's disk, so re-planning
+        elsewhere would forfeit them) unless that node has since died or
+        is frozen right now; else at :func:`choose_requestor`'s pick.
+
         Raises :class:`ClusterError` when fewer than ``k`` helpers
-        survive.
+        survive, or when the named requestor died.
         """
         self.plans += 1
         snapshot = self.view.snapshot()
@@ -750,7 +735,20 @@ class StripeRepairMaster:
         dead = frozenset()
         if self.faulted:
             dead = self.faults.dead_nodes(self.sim.now)
-        requestor = self.requestor_for(stripe, snapshot, dead, survivors)
+        ledger = self.ledgers[stripe.stripe_id]
+        requestor, holder = ledger.requestor, ledger.holder
+        if requestor is not None:
+            if requestor in dead:
+                raise ClusterError(f"requestor {requestor} crashed")
+        elif holder is not None and holder not in (
+            dead | self.faults.stalled_nodes(self.sim.now)
+        ):
+            requestor = holder
+        else:
+            requestor = choose_requestor(
+                snapshot, stripe, self.failed_node, len(self.network),
+                exclude=dead, survivors=survivors,
+            )
         candidates = survivors
         if self.faulted:
             candidates = self.usable(survivors, k)
@@ -765,25 +763,6 @@ class StripeRepairMaster:
         if self.job_id is not None:
             plan.notes["job"] = self.job_id
         return plan
-
-    def requestor_for(self, stripe: Stripe, snapshot: BandwidthSnapshot,
-                      dead, survivors: Sequence[int]) -> int:
-        """Where the stripe's chunk is rebuilt.
-
-        A stripe that carries a slice watermark keeps its requestor (the
-        verified slices live on that node's disk, so re-planning
-        elsewhere would forfeit them) unless that node has since died or
-        is frozen right now.
-        """
-        holder = self.ledgers[stripe.stripe_id].holder
-        if holder is not None and holder not in (
-            dead | self.faults.stalled_nodes(self.sim.now)
-        ):
-            return holder
-        return choose_requestor(
-            snapshot, stripe, self.failed_node, len(self.network),
-            exclude=dead, survivors=survivors,
-        )
 
     def resume_slice(self, stripe: Stripe, plan: RepairPlan) -> int:
         """First slice the stripe's next flight must fetch (0 = all).
@@ -869,13 +848,13 @@ class StripeRepairMaster:
             next(i for i, s in enumerate(self.pending) if s is stripe)
         )
         ledger = self.ledgers[stripe_id]
-        attempt = ledger.failed + 1
         if ledger.replan_due:
             ledger.replan_due = False
             self.registry.counter("replans").inc()
             self.note(
-                "repair.replan", stripe, attempt=attempt, scheme=plan.scheme,
-                helpers=sorted(plan.helpers), bmin=plan.bmin,
+                "repair.replan", stripe, attempt=ledger.failed + 1,
+                scheme=plan.scheme, helpers=sorted(plan.helpers),
+                bmin=plan.bmin,
             )
         start_slice = self.resume_slice(stripe, plan)
         if start_slice == 0:
@@ -898,9 +877,12 @@ class StripeRepairMaster:
             "task_start", stripe, requestor=plan.requestor,
             scheme=plan.scheme, start_slice=start_slice,
         )
-        label, meta = self.flow_name(stripe, plan, attempt, start_slice)
         flight = self._launch(
-            stripe, plan, config, start_slice, label, meta, tuple(
+            stripe, plan, config, start_slice,
+            f"{plan.scheme}-r{plan.requestor}",
+            {"stripe": stripe_id, "bmin": plan.bmin,
+             "start_slice": start_slice},
+            tuple(
                 span for span in (ledger.last_flow, planning_span)
                 if span is not None
             ), max_rate=cap,
@@ -997,7 +979,7 @@ class StripeRepairMaster:
             stripe, plan, primary.config, start_slice,
             f"{plan.scheme}-h{ledger.failed + 1}",
             {"bmin": plan.bmin, "start_slice": start_slice,
-             "hedge_of": task, **self.ident(stripe)},
+             "hedge_of": task, "stripe": stripe.stripe_id},
             # The hedge races the primary it follows from.
             (primary.span,) if primary.span is not None else (),
             kind="hedge",
@@ -1102,69 +1084,3 @@ class StripeRepairMaster:
             failures=list(self.failures),
         )
 
-
-@dataclass(frozen=True)
-class LostChunk:
-    """One lost chunk, requestor and helper candidates already chosen,
-    as the master reads a stripe.  ``stripe_id`` is the requestor, so
-    the track is ``repair:<requestor>``, as an unfaulted repair's is."""
-
-    stripe_id: int
-    candidates: tuple[int, ...]
-    k: int
-    #: ``stripe.code.k`` is all the master reads of a code.
-    code = property(lambda self: self)
-
-    def surviving_nodes(self, failed_node) -> list[int]:
-        return list(self.candidates)
-
-    def chunk_on_node(self, failed_node) -> int:
-        return 0
-
-
-class ChunkRepairMaster(StripeRepairMaster):
-    """The master of one :class:`LostChunk`, named the way a single-chunk
-    repair is: no stripe id on its events, ``-a<attempt>`` flow labels,
-    a ``repair.task`` span that ends after the pipeline fill."""
-
-    transfer_seconds = 0.0
-
-    @property
-    def resilient(self) -> bool:
-        """With a journal or a health policy a re-plan resumes from the
-        verified slice watermark; with neither it restarts the chunk."""
-        return self.journal is not None or self.health is not None
-
-    def task_fields(self, chunk):
-        return {"scheme": self.scheme, "requestor": chunk.stripe_id}
-
-    def ident(self, chunk):
-        return {}
-
-    def flow_name(self, chunk, plan, attempt, start_slice):
-        return f"{plan.scheme}-a{attempt}", {
-            "bmin": plan.bmin, "attempt": attempt, "start_slice": start_slice,
-        }
-
-    def requestor_for(self, chunk, snapshot, dead, survivors):
-        if chunk.stripe_id in dead:
-            raise ClusterError(f"requestor {chunk.stripe_id} crashed")
-        return chunk.stripe_id
-
-    def resume_slice(self, chunk, plan):
-        return super().resume_slice(chunk, plan) if self.resilient else 0
-
-    def close_task(self, flight, ledger):
-        sim, chunk_id = self.sim, flight.stripe.stripe_id
-        overhead = pipeline_overhead_seconds(self.config)
-        self.transfer_seconds = sim.now - self.start_time + overhead
-        trace_fill(
-            sim, self.config, finish=sim.now, flow_span=flight.span,
-            task_span=self.spans.get(chunk_id),
-            task_track=self.track(chunk_id),
-        )
-        self.end_task(
-            chunk_id, t=self.start_time + self.transfer_seconds,
-            transfer_seconds=self.transfer_seconds,
-            attempts=ledger.failed + 1, hedges=ledger.hedges,
-        )

@@ -1,4 +1,4 @@
-"""Resilient repair runtime: never lose work.
+"""Repair runtime that never loses work.
 
 Two cooperating pieces turn the fault-injection layer's "detect and
 retry" into checkpointed, resumable repair:

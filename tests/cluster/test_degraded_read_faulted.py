@@ -26,17 +26,19 @@ from repro.units import gbps
 
 NODE_COUNT = 10
 CODE = RSCode(5, 3)
-CHUNK = 1024
-#: 64 MiB over 1 Gbps links is a read of ~0.5 s or more: a fault in
-#: [0, 0.5] lands mid-transfer.
-CONFIG = ExecutionConfig(chunk_size=64 * 1024 * 1024)
+#: 1 MiB in 1 KiB slices over 1/64 Gbps links (64 MiB over 1 Gbps,
+#: scaled by 1/64) is a read of ~0.5 s or more: a fault in [0, 0.5]
+#: lands mid-transfer.  The cluster stores chunks of the same size, so
+#: a resumed read's slice ranges are the bytes the cluster rebuilds.
+CONFIG = ExecutionConfig(chunk_size=1024 * 1024, slice_size=1024)
+LINK = gbps(1) / 64
 
 
 def make_cluster(seed=7):
     rng = np.random.default_rng(seed)
     cluster = Cluster(NODE_COUNT, CODE)
     data = [
-        rng.integers(0, 256, size=CHUNK, dtype=np.uint8)
+        rng.integers(0, 256, size=CONFIG.chunk_size, dtype=np.uint8)
         for _ in range(CODE.k)
     ]
     stripe = cluster.write_stripe(data, rng)
@@ -72,8 +74,7 @@ def degraded_read(
         node.node_id: node.chunk_ids() for node in cluster.nodes
     }
     result = repair_single_chunk_faulted(
-        PivotRepairPlanner(), network, client,
-        stripe.surviving_nodes(holder), CODE.k, faults,
+        PivotRepairPlanner(), network, client, stripe, holder, faults,
         policy=policy, start_time=start_time, config=CONFIG,
     )
     payload = None
@@ -92,7 +93,7 @@ def degraded_read(
 class TestDegradedReadFaulted:
     def test_helper_crash_mid_read_replans_and_verifies(self):
         cluster, stripe, coded = make_cluster()
-        network = StarNetwork.uniform(NODE_COUNT, gbps(1))
+        network = StarNetwork.uniform(NODE_COUNT, LINK)
         cluster.fail_node(stripe.placement[0])
         client = outside_client(stripe)
         victim = first_plan_helpers(network, stripe, 0, client)[0]
@@ -104,19 +105,16 @@ class TestDegradedReadFaulted:
         )
         assert result.attempts == 2
         assert victim not in result.plan.helpers
+        # The read resumed past the slices the first tree delivered
+        # (no journal needed), and the stitched bytes are still exact.
+        (first, _), (last, resumed_at) = result.segments
+        assert victim in first.helpers and last is result.plan
+        assert resumed_at > 0
         np.testing.assert_array_equal(payload, coded[0])
-        # Elapsed covers the crash, its detection, backoff, and the retry
-        # (a whole transfer again: nothing was journaled to resume from).
-        undisturbed, _ = degraded_read(
-            cluster, network, stripe, 0, client, FaultPlan.none()
-        )
-        assert result.transfer_seconds > (
-            0.3 + 0.5 + undisturbed.transfer_seconds
-        )
 
     def test_fault_free_read_takes_one_attempt(self):
         cluster, stripe, coded = make_cluster()
-        network = StarNetwork.uniform(NODE_COUNT, gbps(1))
+        network = StarNetwork.uniform(NODE_COUNT, LINK)
         cluster.fail_node(stripe.placement[1])
         result, payload = degraded_read(
             cluster, network, stripe, 1, outside_client(stripe),
@@ -127,7 +125,7 @@ class TestDegradedReadFaulted:
 
     def test_healthy_holder_served_directly(self):
         cluster, stripe, coded = make_cluster()
-        network = StarNetwork.uniform(NODE_COUNT, gbps(1))
+        network = StarNetwork.uniform(NODE_COUNT, LINK)
 
         class NeverPlans(PivotRepairPlanner):
             def plan(self, *args, **kwargs):
@@ -142,7 +140,7 @@ class TestDegradedReadFaulted:
 
     def test_fault_dead_holder_forces_degraded_path(self):
         cluster, stripe, coded = make_cluster()
-        network = StarNetwork.uniform(NODE_COUNT, gbps(1))
+        network = StarNetwork.uniform(NODE_COUNT, LINK)
         holder = stripe.placement[0]
         # The holder is alive at the cluster level but dead per the fault
         # plan (transient failure): the read reconstructs around it.
@@ -158,7 +156,7 @@ class TestDegradedReadFaulted:
 
     def test_too_few_survivors_raises(self):
         cluster, stripe, _ = make_cluster()
-        network = StarNetwork.uniform(NODE_COUNT, gbps(1))
+        network = StarNetwork.uniform(NODE_COUNT, LINK)
         holder = stripe.placement[0]
         cluster.fail_node(holder)
         survivors = stripe.surviving_nodes(holder)
@@ -172,7 +170,7 @@ class TestDegradedReadFaulted:
 
     def test_client_crash_raises(self):
         cluster, stripe, _ = make_cluster()
-        network = StarNetwork.uniform(NODE_COUNT, gbps(1))
+        network = StarNetwork.uniform(NODE_COUNT, LINK)
         cluster.fail_node(stripe.placement[0])
         client = outside_client(stripe)
         result, payload = degraded_read(
@@ -184,7 +182,7 @@ class TestDegradedReadFaulted:
 
     def test_retry_budget_exhaustion_raises(self):
         cluster, stripe, _ = make_cluster()
-        network = StarNetwork.uniform(NODE_COUNT, gbps(1))
+        network = StarNetwork.uniform(NODE_COUNT, LINK)
         cluster.fail_node(stripe.placement[0])
         client = outside_client(stripe)
         # With max_retries=0 the first interruption exhausts the budget.

@@ -1,4 +1,4 @@
-"""The byte plane imports nothing that decides.
+"""The byte plane imports nothing that decides; one master decides.
 
 ``repro.cluster`` and ``repro.ec`` execute: they encode, store, and
 rebuild a chunk through the plan they are handed.  Retry budgets, fault
@@ -7,6 +7,10 @@ above them, and the dependency runs one way — the timing plane's results
 are fed *to* the cluster (``repro.faults.runner``), never read by it.
 Walks both packages with :mod:`ast`, so an import inside a function or
 under ``TYPE_CHECKING`` counts too.
+
+Above them, ``StripeRepairMaster`` repairs a chunk whether it is alone
+or one of a failed node's: no class under ``src/`` subclasses it, so a
+second dialect of naming, requestor choice or resume cannot come back.
 """
 
 from __future__ import annotations
@@ -59,4 +63,26 @@ def test_byte_plane_imports_no_deciding_package():
     assert not offenders, (
         "the byte plane must not import the planes that decide:\n  "
         + "\n  ".join(offenders)
+    )
+
+
+def test_the_repair_master_has_no_subclass():
+    master = "StripeRepairMaster"
+    defined, subclasses = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if node.name == master:
+                defined.append(path)
+            bases = {
+                getattr(base, "id", None) or getattr(base, "attr", None)
+                for base in node.bases
+            }
+            if master in bases:
+                subclasses.append(f"{path.relative_to(SRC)}: {node.name}")
+    assert len(defined) == 1, "the scan found no repair master to check"
+    assert not subclasses, (
+        f"one {master} repairs every chunk; subclassed by:\n  "
+        + "\n  ".join(subclasses)
     )

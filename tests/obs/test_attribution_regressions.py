@@ -32,6 +32,7 @@ from repro.repair.pipeline import ExecutionConfig
 from repro.resilience import HealthPolicy
 from tests.obs.test_attribution_identity import SCENARIOS
 from tests.obs.test_critpath import assert_exact_tiling
+from tests.one_stripe import one_stripe
 
 MiB = 1024 * 1024
 CODE = RSCode(6, 4)
@@ -74,7 +75,7 @@ def hedged_events():
     tracer = Tracer()
     result = repair_single_chunk_faulted(
         pin_planning(PivotRepairPlanner(), 0.0),
-        StarNetwork.constant(rates, rates), 0, [1, 2, 3, 4, 5], CODE.k,
+        StarNetwork.constant(rates, rates), 0, *one_stripe(),
         FaultPlan.from_spec("degrade:3@0.1-1000x0.05"),
         policy=RetryPolicy(detection_timeout=0.05),
         config=ExecutionConfig(chunk_size=8 * MiB, slice_size=32 * 1024),

@@ -24,9 +24,10 @@ from repro.repair import (
     repair_single_chunk_faulted,
 )
 from repro.repair.multichunk import execute_multi_chunk, plan_multi_chunk
-from repro.repair.pipeline import ExecutionConfig
+from repro.repair.pipeline import ExecutionConfig, pipeline_overhead_seconds
 from repro.resilience import HealthPolicy
 from repro.units import gbps, mib
+from tests.one_stripe import one_stripe
 
 MiB = 1024 * 1024
 CODE = RSCode(6, 4)
@@ -91,22 +92,30 @@ class TestSingleChunk:
         # An uncontended repair is transfer plus the pipeline-fill tail.
         assert set(path.categories) <= {"transfer", "pipeline"}
 
+    #: The faulted driver's span ends at the last flow's finish, like a
+    #: full-node task's; its result adds the per-slice tail.
+    FAULTED = ExecutionConfig(chunk_size=8 * MiB, slice_size=32768)
+
+    def faulted_makespan(self, result):
+        return result.transfer_seconds - pipeline_overhead_seconds(
+            self.FAULTED
+        )
+
     def test_crash_retry_path_has_stall_and_backoff(self):
         net = StarNetwork.constant([10 * MiB] * 8, [10 * MiB] * 8)
         tracer = Tracer()
         result = repair_single_chunk_faulted(
-            PivotRepairPlanner(), net, 0, [1, 2, 3, 4, 5], CODE.k,
+            PivotRepairPlanner(), net, 0, *one_stripe(),
             FaultPlan.from_spec("crash:3@0.2"),
             policy=RetryPolicy(detection_timeout=0.05, backoff_base=0.1),
-            config=ExecutionConfig(chunk_size=8 * MiB, slice_size=32768),
-            tracer=tracer,
+            config=self.FAULTED, tracer=tracer,
         )
         assert result.ok
         report = critical_paths(tracer.events)
         assert_exact_tiling(report)
         [path] = report.repairs
         assert path.makespan == pytest.approx(
-            result.transfer_seconds, abs=1e-9
+            self.faulted_makespan(result), abs=1e-9
         )
         # Detection window (zero-rate) + explicit backoff span.
         assert path.categories.get("stall", 0.0) >= 0.1
@@ -121,18 +130,17 @@ class TestSingleChunk:
         )
         tracer = Tracer()
         result = repair_single_chunk_faulted(
-            PivotRepairPlanner(), net, 0, [1, 2, 3, 4, 5], CODE.k,
+            PivotRepairPlanner(), net, 0, *one_stripe(),
             FaultPlan.from_spec("degrade:3@0.1-1000x0.05"),
             policy=RetryPolicy(detection_timeout=0.05),
-            config=ExecutionConfig(chunk_size=8 * MiB, slice_size=32768),
-            tracer=tracer, health=HealthPolicy(),
+            config=self.FAULTED, tracer=tracer, health=HealthPolicy(),
         )
         assert result.ok and result.hedges == 1
         report = critical_paths(tracer.events)
         assert_exact_tiling(report)
         [path] = report.repairs
         assert path.makespan == pytest.approx(
-            result.transfer_seconds, abs=1e-9
+            self.faulted_makespan(result), abs=1e-9
         )
         assert path.categories.get("hedge", 0.0) > 0
 

@@ -199,15 +199,19 @@ class TestFaultedDeterminism:
     def faulted_single_chunk():
         from repro.faults import FaultPlan, RetryPolicy
         from repro.repair import repair_single_chunk_faulted
+        from tests.one_stripe import one_stripe
 
         faults = FaultPlan.random(
             21, NODE_COUNT, horizon=0.5, crashes=1, degradations=1,
             stalls=1, protect=(0,),
         )
         tracer = Tracer()
+        stripe, failed = one_stripe(
+            range(1, NODE_COUNT - 1), failed=NODE_COUNT - 1
+        )
         result = repair_single_chunk_faulted(
             ZeroCostPlanner(), seeded_network(), requestor=0,
-            candidates=range(1, NODE_COUNT), k=CODE.k, faults=faults,
+            stripe=stripe, failed_node=failed, faults=faults,
             policy=RetryPolicy(detection_timeout=0.05),
             config=small_config(), tracer=tracer,
         )
@@ -287,6 +291,7 @@ class TestEngineTraceEquivalence:
         from repro.faults import FaultPlan, RetryPolicy
         from repro.repair import repair_single_chunk_faulted
         from repro.resilience import HealthPolicy
+        from tests.one_stripe import one_stripe
 
         def run(engine):
             mib = 1024 * 1024
@@ -297,7 +302,7 @@ class TestEngineTraceEquivalence:
             )
             tracer = Tracer()
             repair_single_chunk_faulted(
-                PivotRepairPlanner(), net, 0, [1, 2, 3, 4, 5], CODE.k,
+                PivotRepairPlanner(), net, 0, *one_stripe(),
                 FaultPlan.from_spec("degrade:3@0.1-1000x0.05"),
                 policy=RetryPolicy(detection_timeout=0.05),
                 config=ExecutionConfig(

@@ -250,12 +250,12 @@ class TestCausalFlowArrows:
         import numpy as np
 
         from repro.core import PivotRepairPlanner
-        from repro.ec import RSCode
         from repro.faults import FaultPlan, RetryPolicy
         from repro.network.topology import StarNetwork
         from repro.repair import repair_single_chunk_faulted
         from repro.repair.pipeline import ExecutionConfig
         from repro.resilience import HealthPolicy
+        from tests.one_stripe import one_stripe
 
         mib = 1024 * 1024
         victim = 3
@@ -265,7 +265,7 @@ class TestCausalFlowArrows:
         )
         tracer = Tracer()
         result = repair_single_chunk_faulted(
-            PivotRepairPlanner(), net, 0, [1, 2, 3, 4, 5], RSCode(6, 4).k,
+            PivotRepairPlanner(), net, 0, *one_stripe(),
             FaultPlan.from_spec("degrade:3@0.1-1000x0.05"),
             policy=RetryPolicy(detection_timeout=0.05),
             config=ExecutionConfig(chunk_size=8 * mib, slice_size=32768),

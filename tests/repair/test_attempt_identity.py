@@ -1,24 +1,23 @@
 """Cross-commit identity of the single-chunk faulted repair.
 
-``test_driver_identity.py`` pins the full-node drivers against the
-commit before they were merged onto ``StripeRepairMaster``; this file
-does the same for ``repair_single_chunk_faulted`` before it became a
-one-stripe driver over that master.  Every scenario below is one of the
+``repair_single_chunk_faulted`` is a one-stripe job of the plain
+``StripeRepairMaster``; ``test_driver_identity.py`` pins the full-node
+drivers of the same master.  Every scenario below is one of the
 single-chunk runs of ``tests/faults/test_chaos.py``,
 ``tests/resilience/test_hedge.py`` or ``tests/resilience/test_resume.py``
-with planning pinned to 0.0, hashed three ways — the result (plan,
+with planning pinned to 0.0, hashed three ways: the result (plan,
 segments and telemetry included), the trace JSONL and the journal
-records — and the expected digests, in ``attempt_identity.json`` beside
-this file, were first recorded at commit ``fe33813``, the last one with
-a second attempt loop in ``repair/executor.py``.
+records.  Together they pin what the attempt machine does to one chunk:
+detection of a crash, a read error and a stall; the retry budget and
+backoff; too few helpers and a dead requestor; resume from the verified
+watermark, journaled or not; hedging a gray failure; and, through the
+chaos harness, the bytes adopted.  The expected digests are in
+``attempt_identity.json`` beside this file.
 
-A PR that restructures the attempt machine must leave every digest
-alone; a PR that means to change what a run does regenerates the fixture
-with ``scripts/rerecord.py`` in a commit of its own and says so.  A
-failing assertion prints the digests the current tree produces.
-
-The merge itself (PR 21) kept all three digests of 20 of the 26
-scenarios.  The six it moved are marked in ``RECORDERS`` with the cause.
+A change that restructures the attempt machine must leave every digest
+alone; a change that means to alter what a run does regenerates the
+fixture with ``scripts/rerecord.py`` in a commit of its own and says so.
+A failing assertion prints the digests the current tree produces.
 """
 
 from pathlib import Path
@@ -38,6 +37,7 @@ from repro.repair import repair_single_chunk_faulted
 from repro.repair.fullnode import choose_requestor
 from repro.repair.pipeline import ExecutionConfig
 from repro.resilience import HealthPolicy, RepairJournal
+from tests.one_stripe import one_stripe
 from tests.recorded import Recorded, load, run_values, sha256
 
 FIXTURE = Path(__file__).with_name("attempt_identity.json")
@@ -123,13 +123,13 @@ def digests(result, tracer, journal, **extra) -> Recorded:
     )
 
 
-def direct(network, requestor, candidates, faults, policy, config,
+def direct(network, requestor, stripe, failed, faults, policy, config,
            journal=False, health=None):
     """One traced ``repair_single_chunk_faulted`` run, hashed."""
     tracer = Tracer()
     journal = RepairJournal() if journal else None
     result = repair_single_chunk_faulted(
-        pinned(), network, requestor, candidates, CODE.k,
+        pinned(), network, requestor, stripe, failed,
         FaultPlan.from_spec(faults) if isinstance(faults, str) else faults,
         policy=policy, config=config, tracer=tracer, journal=journal,
         health=health,
@@ -147,32 +147,37 @@ def chaos_setup(seed=7):
     failed = stripe.placement[0]
     snapshot = BandwidthSnapshot.from_network(network, 0.0)
     requestor = choose_requestor(snapshot, stripe, failed, NODES)
-    survivors = stripe.surviving_nodes(failed)
     tree = PivotRepairPlanner().plan(
-        snapshot, requestor, survivors, CODE.k
+        snapshot, requestor, stripe.surviving_nodes(failed), CODE.k
     ).tree
     victim = next(h for h in tree.helpers if tree.children(h))
-    return cluster, stripe, network, requestor, survivors, victim
+    return cluster, stripe, failed, network, requestor, victim
 
 
 def chaos(faults, policy=None, seed=7, exact_k=False):
-    _, _, network, requestor, survivors, victim = chaos_setup(seed)
+    _, stripe, failed, network, requestor, victim = chaos_setup(seed)
     if exact_k:
-        survivors = survivors[: CODE.k]
-        victim = survivors[0]
+        stripe, failed = one_stripe(
+            stripe.surviving_nodes(failed)[: CODE.k], failed,
+            stripe_id=stripe.stripe_id,
+        )
+        victim = stripe.placement[1]
     spec = faults.format(
         victim=victim, requestor=requestor,
-        everyone=";".join(f"stall:{n}@0+1000" for n in survivors),
+        everyone=";".join(
+            f"stall:{n}@0+1000" for n in stripe.surviving_nodes(failed)
+        ),
     )
     return direct(
-        network, requestor, survivors, spec, policy or RetryPolicy(), BIG,
+        network, requestor, stripe, failed, spec, policy or RetryPolicy(),
+        BIG,
     )
 
 
 def chaos_random(seed, policy, **kinds):
-    _, _, network, requestor, survivors, _ = chaos_setup(seed=3)
+    _, stripe, failed, network, requestor, _ = chaos_setup(seed=3)
     faults = FaultPlan.random(seed, NODES, horizon=2.0, **kinds)
-    return direct(network, requestor, survivors, faults, policy, BIG)
+    return direct(network, requestor, stripe, failed, faults, policy, BIG)
 
 
 def harness(seed, nodes, faults, policy, health=None):
@@ -194,14 +199,14 @@ def harness(seed, nodes, faults, policy, health=None):
 
 def gray(health, faults="degrade:3@0.1-1000x0.05"):
     return direct(
-        one_fast(3, 8), 0, [1, 2, 3, 4, 5], faults,
+        one_fast(3, 8), 0, *one_stripe(), faults,
         RetryPolicy(detection_timeout=0.05), MEDIUM, health=health,
     )
 
 
 def resume(journal):
     return direct(
-        one_fast(3), 0, [1, 2, 3, 4, 5], "crash:3@0.45",
+        one_fast(3), 0, *one_stripe(), "crash:3@0.45",
         RetryPolicy(detection_timeout=0.05), MEDIUM, journal=journal,
     )
 
@@ -210,7 +215,7 @@ STALL_POLICY = RetryPolicy(detection_timeout=0.3)
 MIXED = dict(crashes=2, degradations=2, stalls=2, read_errors=1)
 
 #: name -> scenario, hashed three ways; what each must produce is in
-#: FIXTURE.  PR 21 moved six, for the cause beside each.
+#: FIXTURE.
 RECORDERS = {
     "chaos/crash-pivot": lambda: chaos("crash:{victim}@0.2"),
     "chaos/readerr-pivot": lambda: chaos("readerr:{victim}@0.2"),
@@ -228,9 +233,8 @@ RECORDERS = {
         "crash:{victim}@0.2",
         RetryPolicy(backoff_base=0.0, backoff_factor=1.0),
     ),
-    # mixed-2 and mixed-55, result + trace (PR 21): a read error on the
-    # *requestor* dooms nothing (it reads no chunk; the old loop failed
-    # every attempt on it, or threw a completed transfer away).
+    # mixed-2 and mixed-55: a read error on the *requestor* dooms
+    # nothing (it reads no chunk).
     **{
         f"chaos/mixed-{seed}": (
             lambda seed=seed: chaos_random(seed, STALL_POLICY, **MIXED)
@@ -243,27 +247,22 @@ RECORDERS = {
         )
         for seed in (0, 8, 37)
     },
-    # result + trace (PR 21): the hedge is planned on the residual view
-    # (the primary's traffic subtracted), not on raw capacities: another
-    # tree, a smaller stamped bmin.
+    # The hedge is planned on the residual view (the primary's traffic
+    # subtracted), not on raw capacities.
     "hedge/gray-hedged": lambda: gray(HealthPolicy()),
     "hedge/gray-limped": lambda: gray(None),
     "hedge/healthy-monitored": lambda: gray(
         HealthPolicy(), faults=FaultPlan.none()
     ),
-    # all three (PR 21): hedge planned on the residual view (as
-    # gray-hedged); journal vocabulary (as resume/journaled).
     "hedge/harness": lambda: harness(
         13, 8, "degrade:{victim}@0.01-1000x0.05",
         RetryPolicy(detection_timeout=0.02),
         health=HealthPolicy(check_interval=0.05),
     ),
-    # journal (PR 21): one vocabulary for every driver -- a per-flight
-    # task_start replaces task_start + attempt, progress records the
-    # checkpoint, task_done carries start_slice.  Result and trace held.
+    # One resume rule: "restart" runs without a journal and still
+    # resumes from the verified watermark, as the journaled run does.
     "resume/journaled": lambda: resume(True),
     "resume/restart": lambda: resume(False),
-    # journal (PR 21), as resume/journaled.  Result and trace held.
     "resume/harness": lambda: harness(
         11, NODES, "crash:{victim}@0.05",
         RetryPolicy(detection_timeout=0.02),

@@ -7,12 +7,22 @@ import pytest
 import repro.traces.generators as trace_generators
 from repro.baselines import ConventionalPlanner, PPRPlanner, RPPlanner
 from repro.core import PivotRepairPlanner, pin_planning
-from repro.experiments.single_chunk import congested_instants, stripe_nodes_at
+from repro.ec import RSCode, Stripe
+from repro.experiments.single_chunk import (
+    congested_instants,
+    stripe_members_at,
+    stripe_nodes_at,
+)
+from repro.faults import FaultPlan
 from repro.network.bandwidth import BandwidthTrace
 from repro.network.topology import StarNetwork
 from repro.obs import Tracer
 from repro.obs.tracer import NULL_TRACER
-from repro.repair.executor import execute_plan, repair_single_chunk
+from repro.repair.executor import (
+    execute_plan,
+    repair_single_chunk,
+    repair_single_chunk_faulted,
+)
 from repro.repair.pipeline import ExecutionConfig
 from repro.repair.telemetry import EVENT_PREFIXES
 from repro.core.bandwidth_view import BandwidthSnapshot
@@ -190,6 +200,46 @@ class TestTelemetryIdentity:
                 for key, value in counters.items()
                 if key.startswith(fold + "/")
             }
+
+
+class TestFaultedWithoutFaults:
+    """The faulted driver under no fault is the fault-free path: a
+    one-stripe job of the master plans, moves and times the chunk as
+    ``repair_single_chunk`` does, per-slice tail included."""
+
+    CODE = RSCode(6, 4)
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    @pytest.mark.parametrize(
+        "planner_class", [PivotRepairPlanner, RPPlanner],
+        ids=lambda value: value.__name__,
+    )
+    def test_equals_repair_single_chunk(self, planner_class, seed):
+        trace = trace_generators.generate_trace(
+            trace_generators.TPC_DS, 12, 120, seed=seed
+        )
+        network = trace.to_network(floor=1e6)
+        for instant in congested_instants(trace, 2, seed=seed):
+            members, failed, requestor = stripe_members_at(
+                trace, instant, self.CODE.n, seed
+            )
+            free = repair_single_chunk(
+                pin_planning(planner_class(), 0.25), network, requestor,
+                [node for node in members if node != failed], self.CODE.k,
+                start_time=instant,
+            )
+            faulted = repair_single_chunk_faulted(
+                pin_planning(planner_class(), 0.25), network, requestor,
+                Stripe(0, self.CODE, members), failed, FaultPlan.none(),
+                start_time=instant,
+            )
+            assert faulted.ok and faulted.attempts == 1
+            for name in (
+                "transfer_seconds", "bmin", "bytes_transferred",
+                "planning_seconds",
+            ):
+                assert getattr(faulted, name) == getattr(free, name), name
+            assert faulted.plan.tree.edges() == free.plan.tree.edges()
 
 
 class TestMetrics:

@@ -18,6 +18,7 @@ from repro.obs import Tracer, diagnose
 from repro.repair import repair_single_chunk_faulted
 from repro.repair.pipeline import ExecutionConfig
 from repro.resilience import HealthPolicy, RepairJournal
+from tests.one_stripe import one_stripe
 
 MiB = 1024 * 1024
 CODE = RSCode(6, 4)
@@ -41,8 +42,8 @@ class TestHedgedReplan:
     def run(self, health):
         tracer = Tracer()
         result = repair_single_chunk_faulted(
-            PivotRepairPlanner(), gray_network(), 0, [1, 2, 3, 4, 5],
-            CODE.k, FaultPlan.from_spec(self.FAULTS),
+            PivotRepairPlanner(), gray_network(), 0, *one_stripe(),
+            FaultPlan.from_spec(self.FAULTS),
             policy=RetryPolicy(detection_timeout=0.05),
             config=self.CONFIG, tracer=tracer, health=health,
         )
@@ -94,8 +95,8 @@ class TestHedgedReplan:
     def test_no_hedge_without_gray_failure(self):
         tracer = Tracer()
         result = repair_single_chunk_faulted(
-            PivotRepairPlanner(), gray_network(), 0, [1, 2, 3, 4, 5],
-            CODE.k, FaultPlan.none(),
+            PivotRepairPlanner(), gray_network(), 0, *one_stripe(),
+            FaultPlan.none(),
             policy=RetryPolicy(detection_timeout=0.05),
             config=self.CONFIG, tracer=tracer, health=HealthPolicy(),
         )

@@ -16,12 +16,14 @@ from repro.exceptions import PlanningError
 from repro.faults import FaultPlan, RetryPolicy, run_chaos_single_chunk
 from repro.network.topology import StarNetwork
 from repro.repair import repair_full_node, repair_single_chunk_faulted
+from repro.repair.jobmaster import StripeRepairMaster
 from repro.repair.pipeline import (
     ExecutionConfig,
     pipeline_bytes_per_edge,
     remaining_bytes_per_edge,
 )
 from repro.resilience import RepairJournal
+from tests.one_stripe import one_stripe
 
 MiB = 1024 * 1024
 NODE_COUNT = 12
@@ -70,14 +72,19 @@ class TestSingleChunkResume:
     def run(self, journal=None):
         return repair_single_chunk_faulted(
             PivotRepairPlanner(), uniform_but(self.VICTIM), 0,
-            [1, 2, 3, 4, 5], CODE.k, FaultPlan.from_spec(self.FAULTS),
+            *one_stripe(), FaultPlan.from_spec(self.FAULTS),
             policy=self.POLICY, config=self.CONFIG, journal=journal,
         )
 
-    def test_resume_retransfers_under_60_percent_of_restart(self):
+    def test_resume_retransfers_under_60_percent_of_restart(
+        self, monkeypatch
+    ):
         journal = RepairJournal()
         resumed = self.run(journal=journal)
-        restart = self.run(journal=None)
+        monkeypatch.setattr(
+            StripeRepairMaster, "resume_slice", lambda self, stripe, plan: 0
+        )
+        restart = self.run(journal=RepairJournal())
         assert resumed.ok and restart.ok
         failed = journal.last("attempt_failed")
         assert failed is not None
@@ -101,6 +108,16 @@ class TestSingleChunkResume:
         assert kinds[0] == "task_start"
         assert kinds[-1] == "task_done"
         assert "attempt_failed" in kinds
+
+    def test_resumes_without_a_journal(self):
+        # One resume rule: the journal makes the watermark durable, it
+        # does not decide whether a re-plan resumes.
+        journaled, plain = self.run(journal=RepairJournal()), self.run()
+        assert [start for _, start in plain.segments] == [
+            start for _, start in journaled.segments
+        ]
+        assert plain.segments[1][1] > 0
+        assert plain.bytes_transferred == journaled.bytes_transferred
 
     def test_journal_is_deterministic_across_runs(self, tmp_path):
         blobs = []
@@ -174,10 +191,8 @@ class TestFullNodeResume:
             PivotRepairPlanner(), network, stripes, failed,
             config=self.CONFIG, faults=faults, journal=RepairJournal(),
         )
-        from repro.repair import jobmaster
-
         monkeypatch.setattr(
-            jobmaster.StripeRepairMaster, "resume_slice",
+            StripeRepairMaster, "resume_slice",
             lambda self, stripe, plan: 0,
         )
         restart = repair_full_node(
