@@ -200,7 +200,10 @@ def generate_requests(
         raise LoadGenError("need at least two nodes for client traffic")
     rng = rng_from(seed)
     rate_of, peak = _modulation(profile, rng, rate_profile, profile_interval)
-    weights = zipf_weights(len(stripes), profile.zipf_s)
+    # Generator.choice(len(ordered), p=weights) builds this CDF on every
+    # call and draws ``cdf.searchsorted(rng.random(), side="right")``.
+    cdf = zipf_weights(len(stripes), profile.zipf_s).cumsum()
+    cdf /= cdf[-1]
     ordered = sorted(stripes, key=lambda s: s.stripe_id)
     peak_rate = profile.arrival_rate * peak
     requests: list[ClientRequest] = []
@@ -213,7 +216,7 @@ def generate_requests(
             return requests
         if rng.random() * peak > rate_of(t):
             continue  # thinned out: instantaneous rate below peak
-        stripe = ordered[int(rng.choice(len(ordered), p=weights))]
+        stripe = ordered[int(cdf.searchsorted(rng.random(), side="right"))]
         is_read = rng.random() < profile.read_fraction
         if is_read:
             chunk_index = int(rng.integers(0, stripe.code.k))

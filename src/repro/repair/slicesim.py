@@ -18,11 +18,16 @@ and 5, "a fixed bandwidth situation").  The recurrence per edge
 with ``arrive[node][i]`` the time slice ``i`` is fully aggregated at
 ``node`` (max over its children's ``finish``; 0 for leaves, which hold
 their own data), and the repair completes at ``arrive[root][S-1]``.
+
+Each edge is solved as a numpy scan over gating runs (``_edge_finish``),
+which gives the per-slice loop's floats bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.core.tree import RepairTree
@@ -44,6 +49,50 @@ def edge_rate(
         raise SimulationError(f"node {child} is the root; no upward edge")
     share = snapshot.down_of(parent) / tree.child_count(parent)
     return min(snapshot.up_of(child), share)
+
+
+#: Slices a gating run's first look-ahead covers.  The window doubles while
+#: the gate holds and resets at each switch, so a run of ``L`` slices costs
+#: O(L) vector work even when the gate alternates every slice.
+_FIRST_WINDOW = 64
+
+
+def _edge_finish(arrivals: np.ndarray, per_slice: float) -> np.ndarray:
+    """``finish[i] = max(arrivals[i], finish[i-1]) + per_slice``, exactly.
+
+    ``finish[-1]`` is 0.0.  An edge-gated run (``finish[i-1] >=
+    arrivals[i]``) is a left fold of ``per_slice`` onto the previous
+    finish — ``np.add.accumulate`` is sequential, unlike ``np.sum`` — and
+    an arrival-gated run is ``arrivals + per_slice``.  A run ends at the
+    first slice where the other gate wins; at a tie both gates give the
+    same float, so the current run goes on.
+    """
+    slices = len(arrivals)
+    # finish[i + 1] holds slice i, so finish[i] is the slice before it.
+    finish = np.empty(slices + 1)
+    finish[0] = 0.0
+    i = 0
+    edge_gated = True
+    window = _FIRST_WINDOW
+    while i < slices:
+        end = min(i + window, slices)
+        run = finish[i:end + 1]
+        if edge_gated:
+            run[1:] = per_slice
+            np.add.accumulate(run, out=run)
+            switch = np.flatnonzero(run[:-1] < arrivals[i:end])
+        else:
+            np.add(arrivals[i:end], per_slice, out=run[1:])
+            switch = np.flatnonzero(run[:-1] > arrivals[i:end])
+        if len(switch):
+            # Slices past the switch are recomputed under the other gate.
+            i += int(switch[0])
+            edge_gated = not edge_gated
+            window = _FIRST_WINDOW
+        else:
+            i = end
+            window *= 2
+    return finish[1:]
 
 
 def _solve(
@@ -78,27 +127,20 @@ def _solve(
         stack.extend(tree.children(node))
     order.reverse()  # children before parents
 
+    finish_of: dict[int, np.ndarray] = {}
     finish: dict[int, list[float]] = {}
     arrive: dict[int, list[float]] = {}
     for node in order:
         kids = tree.children(node)
         if kids:
-            arrivals = [
-                max(finish[child][i] for child in kids)
-                for i in range(slices)
-            ]
+            arrivals = np.maximum.reduce([finish_of[child] for child in kids])
         else:
-            arrivals = [0.0] * slices
-        arrive[node] = arrivals
+            arrivals = np.zeros(slices)
+        arrive[node] = arrivals.tolist()
         if node == tree.root:
             continue
-        per_slice = slice_seconds[node]
-        out = []
-        previous = 0.0
-        for i in range(slices):
-            previous = max(arrivals[i], previous) + per_slice
-            out.append(previous)
-        finish[node] = out
+        finish_of[node] = _edge_finish(arrivals, slice_seconds[node])
+        finish[node] = finish_of[node].tolist()
     return arrive, finish, slice_seconds, slices
 
 

@@ -62,6 +62,29 @@ class TestZipfWeights:
             zipf_weights(0, 1.0)
 
 
+class TestZipfDraw:
+    """``generate_requests`` draws its stripe from a CDF built once.
+
+    Every recorded stream was drawn with ``Generator.choice(count,
+    p=weights)``; this pins the draw to it, so a numpy whose ``choice``
+    draws another index, or consumes another amount of the stream,
+    fails here rather than in a digest.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 29])
+    def test_cdf_draw_equals_choice(self, seed):
+        for count, s in [(1, 0.9), (5, 0.0), (160, 0.9), (1000, 1.3)]:
+            weights = zipf_weights(count, s)
+            cdf = weights.cumsum()
+            cdf /= cdf[-1]
+            drawn = np.random.default_rng(seed)
+            chosen = np.random.default_rng(seed)
+            for _ in range(200):
+                index = int(cdf.searchsorted(drawn.random(), side="right"))
+                assert index == int(chosen.choice(count, p=weights))
+            assert drawn.bit_generator.state == chosen.bit_generator.state
+
+
 class TestGenerateRequests:
     def test_deterministic_for_seed(self):
         stripes = make_stripes()
