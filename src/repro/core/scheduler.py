@@ -19,8 +19,10 @@ and beta make running tasks discourage new ones more strongly.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.core.tree import RepairTree
 from repro.exceptions import PlanningError
 from repro.obs.tracer import NULL_TRACER
@@ -97,6 +99,25 @@ def _similarity(
 def tree_similarity(candidate: RepairTree, running: RunningTask) -> int:
     """S(i, c): identical upload nodes + identical download nodes."""
     return _similarity(_transfer_sets(candidate), running)
+
+
+def recommendation_ceiling(
+    snapshot: BandwidthSnapshot,
+    requestor: int,
+    candidates: Sequence[int],
+    k: int,
+) -> float:
+    """An upper bound on Eq. 3 for any pipelined tree over these inputs.
+
+    Lemma 1: the requestor's term is ``down / children <= down``, and
+    each of the (at least) ``k`` helpers' terms is at most its uplink,
+    so ``B_min`` is at most the k-th largest candidate uplink.  The
+    penalty is never negative (alpha, beta, similarity, delay >= 0).
+    Every step is monotone in floats, so the bound is exact.
+    """
+    up = snapshot.up
+    uplinks = sorted([up[node] for node in candidates], reverse=True)
+    return to_mbps(min(snapshot.down[requestor], uplinks[k - 1]))
 
 
 def recommendation_value(

@@ -58,8 +58,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 
 __all__ = [
     "CATEGORIES",
@@ -449,6 +451,36 @@ def _resources(edges) -> set[tuple[str, int]]:
     return out
 
 
+class _Rivals:
+    """The flows contention seconds can be charged to, sorted by start,
+    each with its link set built once."""
+
+    def __init__(self, contenders) -> None:
+        """``contenders``: (blame label, owning task span id or None,
+        flow) triples."""
+        self.entries = sorted(
+            (
+                (flow.start, flow.end, name, owner,
+                 _resources(flow.fields.get("edges", [])))
+                for name, owner, flow in contenders
+            ),
+            key=lambda entry: entry[0],
+        )
+        self.starts = [entry[0] for entry in self.entries]
+
+    def blamed(self, flow: Span, resources, s: float, e: float) -> list[str]:
+        """Labels of the rivals sharing a link with ``flow`` inside
+        ``(s, e)``, sorted; the flow's own repair is no rival."""
+        return sorted({
+            name
+            for _, end, name, owner, links in islice(
+                self.entries, bisect_left(self.starts, e)
+            )
+            if end > s and owner != flow.parent_id
+            and not resources.isdisjoint(links)
+        })
+
+
 # ----------------------------------------------------------------------
 # The covering walk
 # ----------------------------------------------------------------------
@@ -519,7 +551,7 @@ def _flow_categories(
     start: float,
     end: float,
     ref: float | None,
-    contenders: Sequence[tuple[str, Span]] = (),
+    contenders: _Rivals | None = None,
     blame_out: dict[str, float] | None = None,
 ) -> dict[str, float]:
     """Split ``[start, end]`` of a flow into :data:`CATEGORIES`, exactly.
@@ -536,9 +568,9 @@ def _flow_categories(
     sat at the QoS cap, else to ``contention``.  Every dt lands in the
     tallies exactly once, so the values sum to ``end - start``.
 
-    ``contenders`` are (blame label, flow) pairs — foreground tenants
-    and other repairs' flows — charged in ``blame_out`` for contention
-    seconds when they shared a link with this flow at that instant.
+    ``contenders`` are the flows — foreground tenants' and other
+    repairs' — charged in ``blame_out`` for contention seconds when they
+    shared a link with this flow at that instant.
     """
     rates = index.rates.get(flow.span_id)
     if not rates:
@@ -583,16 +615,9 @@ def _flow_categories(
                 bucket = "governor" if at_cap else "contention"
             out[bucket] = out.get(bucket, 0.0) + excess
             if bucket == "contention" and excess > 0 and blame_out is not None:
-                blamed = sorted(
-                    {
-                        name
-                        for name, other in contenders
-                        if other.start < e and other.end > s
-                        and resources & _resources(
-                            other.fields.get("edges", [])
-                        )
-                    }
-                )
+                blamed = []
+                if contenders is not None:
+                    blamed = contenders.blamed(flow, resources, s, e)
                 for tenant in blamed or ["(unattributed)"]:
                     blame_out[tenant] = (
                         blame_out.get(tenant, 0.0) + excess / max(
@@ -619,12 +644,6 @@ def critical_paths(events: Sequence) -> CritPathReport:
     """Reconstruct the exact critical path of every repair in a trace."""
     index = build_spans(events)
     spans = index.spans
-    fg_contenders = [
-        (str(span.fields["tenant"]), span)
-        for span in spans.values()
-        if span.name == "flow" and span.fields.get("kind") == "foreground"
-        and span.fields.get("tenant") is not None
-    ]
     tasks = sorted(
         (s for s in spans.values() if s.name == "repair.task"),
         key=lambda s: (s.start, s.span_id),
@@ -642,6 +661,20 @@ def critical_paths(events: Sequence) -> CritPathReport:
         for task in tasks
     }
     task_flows = {task.span_id: index.flows_of(task.span_id) for task in tasks}
+    rivals = _Rivals(
+        [
+            (str(span.fields["tenant"]), None, span)
+            for span in spans.values()
+            if span.name == "flow"
+            and span.fields.get("kind") == "foreground"
+            and span.fields.get("tenant") is not None
+        ]
+        + [
+            (task_label[task_id], task_id, flow)
+            for task_id, flows in task_flows.items()
+            for flow in flows
+        ]
+    )
     anomalies = [
         f"unclosed span {event.name!r} on {event.track!r} at t={event.t:.6g}"
         for event in index.unclosed
@@ -657,12 +690,6 @@ def critical_paths(events: Sequence) -> CritPathReport:
         first_flow = min(
             (f.start for f in task_flows[task.span_id]), default=None
         )
-        contenders = fg_contenders + [
-            (task_label[other_id], flow)
-            for other_id, other_flows in task_flows.items()
-            if other_id != task.span_id
-            for flow in other_flows
-        ]
         walk = _covering_walk(task, children, first_flow)
         segments: list[PathSegment] = []
         categories: dict[str, float] = {}
@@ -679,7 +706,7 @@ def critical_paths(events: Sequence) -> CritPathReport:
             elif child.name == "flow":
                 seg_cats = _flow_categories(
                     index, child, start, end, _stamped_bmin(child),
-                    contenders, tenants,
+                    rivals, tenants,
                 ) or {"transfer": end - start}
                 segments.append(
                     PathSegment(

@@ -11,9 +11,10 @@ that differ only in which pending stripe starts next:
   in order, keeping ``concurrency`` single-chunk repairs in flight.  Used
   for RP, PPT, and PivotRepair without the adaptive strategy.
 * :func:`repair_full_node_adaptive` — PivotRepair's adaptive scheduling:
-  at every decision point the pending stripes are (re)planned under current
-  bandwidths, ranked by recommendation value (Eq. 3), and started while the
-  best value clears the threshold.
+  at every decision point the pending stripe with the best recommendation
+  value (Eq. 3) under current bandwidths is started while that value
+  clears the threshold; only stripes whose value ceiling can still win
+  are planned.
 
 The fleet control plane (:mod:`repro.controlplane`) is the third driver
 of the same master, over a simulator shared by several repairs.
@@ -26,7 +27,11 @@ import math
 from collections.abc import Callable, Sequence
 
 from repro.core.plan import RepairPlanner
-from repro.core.scheduler import SchedulerConfig, recommendation_value
+from repro.core.scheduler import (
+    SchedulerConfig,
+    recommendation_ceiling,
+    recommendation_value,
+)
 from repro.ec.stripe import Stripe
 from repro.exceptions import ClusterError, PlanningError
 from repro.faults.network import FaultyNetwork
@@ -275,7 +280,15 @@ def _start_recommended(
     scheduler: SchedulerConfig,
     max_rate: float | None,
 ) -> None:
-    """Start best-stripe tasks while their recommendation clears the bar."""
+    """Start best-stripe tasks while their recommendation clears the bar.
+
+    Each round starts the pending stripe with the largest Eq. 3 value
+    under the current residual bandwidths, the first in pending order on
+    a tie.  Planning every pending stripe would find it; the round plans
+    them in descending :func:`recommendation_ceiling` order instead and
+    stops once no ceiling left can beat the best value found (an equal
+    ceiling can only win on a smaller index), which finds the same one.
+    """
     sim, tracer, pending = master.sim, master.tracer, master.pending
     faulted = master.faulted
     idle_since: float | None = None
@@ -286,28 +299,50 @@ def _start_recommended(
         ):
             return
         running = master.running_tasks()
-        best_value = float("-inf")
-        best_plan = None
-        best_stripe = None
         unrepairable: list[tuple[int, Stripe, str]] = []
-        # Every pending stripe is re-planned under the current residual
-        # bandwidths each round (unscoped: the round, not one stripe,
-        # is the planner events' cause).
+        ranked = []
         for index, stripe in enumerate(pending):
             try:
-                plan = master.plan(stripe)
+                inputs = master.plan_inputs(stripe)
             except (ClusterError, PlanningError) as exc:
                 if not faulted:
                     raise
                 unrepairable.append((index, stripe, str(exc)))
                 continue
+            ceiling = recommendation_ceiling(
+                inputs.snapshot, inputs.requestor, inputs.candidates,
+                inputs.k,
+            )
+            ranked.append((ceiling, index, inputs))
+        ranked.sort(key=lambda entry: (-entry[0], entry[1]))
+        best_value = float("-inf")
+        best_index = best_plan = best_stripe = None
+        planned = 0
+        # Unscoped: the round, not one stripe, is the planner events'
+        # cause.
+        for ceiling, index, inputs in ranked:
+            if ceiling < best_value or (
+                ceiling == best_value and index > best_index
+            ):
+                break
+            planned += 1
+            try:
+                plan = master.plan_from(inputs)
+            except (ClusterError, PlanningError) as exc:
+                if not faulted:
+                    raise
+                unrepairable.append((index, inputs.stripe, str(exc)))
+                continue
             value = recommendation_value(
                 plan.tree, plan.bmin, running, sim.now, scheduler,
                 tracer=tracer,
             )
-            if value > best_value:
-                best_value, best_plan, best_stripe = value, plan, stripe
-        for index, stripe, reason in reversed(unrepairable):
+            if value > best_value or (
+                value == best_value and index < best_index
+            ):
+                best_value, best_index = value, index
+                best_plan, best_stripe = plan, inputs.stripe
+        for index, stripe, reason in sorted(unrepairable, reverse=True):
             pending.pop(index)
             master.abort_stripe(stripe, reason)
         if best_plan is None:
@@ -318,7 +353,8 @@ def _start_recommended(
             tracer.instant(
                 "scheduler.round", t=sim.now, track="scheduler",
                 parent_id=master.spans.get(best_stripe.stripe_id),
-                candidates=len(pending), running=len(master.in_flight),
+                candidates=len(pending), planned=planned,
+                running=len(master.in_flight),
                 best_value=best_value, best_stripe=best_stripe.stripe_id,
                 started=best_value >= scheduler.threshold,
             )

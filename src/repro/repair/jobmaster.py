@@ -35,6 +35,7 @@ import logging
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from repro.core.bandwidth_view import BandwidthSnapshot, best_uplinks
 from repro.core.plan import RepairPlan, RepairPlanner
@@ -117,8 +118,9 @@ def choose_requestor(
 class ResidualView:
     """A network's residual bandwidth under one simulator, per change.
 
-    A scheduling round plans every pending stripe against "the instant
-    bandwidths situation"; between two plans of a round nothing moved.
+    A scheduling round reads every pending stripe's planner inputs from
+    "the instant bandwidths situation"; between two reads of a round
+    nothing moved.
     The view keeps the last residual snapshot with what it was read
     from — ``sim.now`` and the simulator's rate epoch — and the
     traffic-free half (``BandwidthSnapshot.from_network``) with the
@@ -186,6 +188,16 @@ def residual_snapshot(
     return ResidualView(network, sim).snapshot()
 
 
+class PlanInputs(NamedTuple):
+    """One stripe's planner arguments, read from one residual snapshot."""
+
+    stripe: Stripe
+    snapshot: BandwidthSnapshot
+    requestor: int
+    candidates: list[int]
+    k: int
+
+
 @dataclass
 class _InFlight:
     handle: TaskHandle
@@ -248,7 +260,8 @@ class StripeRepairMaster:
     the repair as discrete operations a driver sequences::
 
         tick()                  failed flights, stragglers, ended backoffs
-        plan(stripe)            plan one stripe on the residual snapshot
+        plan(stripe)            plan one stripe on the residual snapshot,
+                                = plan_from(plan_inputs(stripe))
         candidate()             plan the head pending stripe (or None)
         charge_planning(...)    advance the clock by the planner's cost
         submit(stripe, plan)    launch the planned stripe on the simulator
@@ -329,7 +342,7 @@ class StripeRepairMaster:
         self.failures: list[RepairFailed] = []
         self.start_time = sim.now
         self.level = 0
-        #: Stripes planned so far (``plan`` calls), a plain int for the
+        #: Planner calls so far (``plan_from``), a plain int for the
         #: runtime's own ledger, like the snapshot counters on ``view``.
         self.plans = 0
         #: What every plan of a scheduling round reads.
@@ -717,7 +730,11 @@ class StripeRepairMaster:
     # Planning and submission
     # ------------------------------------------------------------------
     def plan(self, stripe: Stripe) -> RepairPlan:
-        """Plan one stripe against residual bandwidth.
+        """Plan one stripe against residual bandwidth."""
+        return self.plan_from(self.plan_inputs(stripe))
+
+    def plan_inputs(self, stripe: Stripe) -> PlanInputs:
+        """What the planner is handed for ``stripe``, validated.
 
         The chunk is rebuilt at the requestor the caller named, if any;
         else a stripe that carries a slice watermark keeps its requestor
@@ -726,9 +743,10 @@ class StripeRepairMaster:
         is frozen right now; else at :func:`choose_requestor`'s pick.
 
         Raises :class:`ClusterError` when fewer than ``k`` helpers
-        survive, or when the named requestor died.
+        survive, or when the named requestor died, and the planner's
+        :class:`PlanningError` on inputs it would refuse — so a round
+        can drop an unrepairable stripe without planning it.
         """
-        self.plans += 1
         snapshot = self.view.snapshot()
         survivors = stripe.surviving_nodes(self.failed_node)
         k = stripe.code.k
@@ -757,8 +775,18 @@ class StripeRepairMaster:
             # best uplinks so the shrunken tree still has the fattest
             # sources; sorted tiebreak keeps the choice deterministic.
             candidates = sorted(best_uplinks(snapshot, candidates, k))
-        plan = self.planner.plan(snapshot, requestor, candidates, k)
-        plan.notes["stripe_id"] = stripe.stripe_id
+        candidates = self.planner._validated(
+            snapshot, requestor, candidates, k
+        )
+        return PlanInputs(stripe, snapshot, requestor, candidates, k)
+
+    def plan_from(self, inputs: PlanInputs) -> RepairPlan:
+        """Run the planner on :meth:`plan_inputs`' answer."""
+        self.plans += 1
+        plan = self.planner.plan(
+            inputs.snapshot, inputs.requestor, inputs.candidates, inputs.k
+        )
+        plan.notes["stripe_id"] = inputs.stripe.stripe_id
         plan.notes["planned_at"] = self.sim.now
         if self.job_id is not None:
             plan.notes["job"] = self.job_id

@@ -1,16 +1,23 @@
 """Tests for the adaptive scheduling strategy (Eq. 3)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines import PPTPlanner, RPPlanner
+from repro.core import BandwidthSnapshot, PivotRepairPlanner
+from repro.core.compute import ComputeAwarePlanner, ComputeView
+from repro.core.rack_aware import RackAwarePivotPlanner, RackSnapshot
 from repro.core.scheduler import (
     RunningTask,
     SchedulerConfig,
+    recommendation_ceiling,
     recommendation_value,
     tree_similarity,
 )
 from repro.core.tree import RepairTree
 from repro.exceptions import PlanningError
-from repro.units import mbps
+from repro.units import mbps, to_mbps
 
 
 def make_tree(root=0, parents=None):
@@ -104,3 +111,69 @@ class TestRecommendationValue:
         v1 = recommendation_value(tree, mbps(400), one, 0.0)
         v2 = recommendation_value(tree, mbps(400), two, 0.0)
         assert v2 < v1
+
+
+#: Few distinct bandwidths, zero included: bottlenecks meet the bound.
+TIE_PRONE = (0.0, 1e8, 2e8, 4e8)
+
+
+@st.composite
+def planning_inputs(draw):
+    nodes = draw(st.integers(min_value=5, max_value=10))
+    if draw(st.booleans()):
+        rate = st.sampled_from(TIE_PRONE)
+    else:
+        rate = st.floats(min_value=0.0, max_value=1e9)
+    up = {node: draw(rate) for node in range(nodes)}
+    down = {node: draw(rate) for node in range(nodes)}
+    k = draw(st.integers(min_value=2, max_value=nodes - 2))
+    candidates = list(
+        range(1, draw(st.integers(min_value=k + 1, max_value=nodes)))
+    )
+    cpu = {
+        node: draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+        for node in range(nodes)
+    }
+    return up, down, k, candidates, cpu
+
+
+class TestRecommendationCeiling:
+    """No pipelined planner's ``B_min`` (in Mb/s) exceeds the ceiling,
+    nor does any Eq. 3 value of its tree."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(planning_inputs(), st.floats(min_value=0.0, max_value=50.0))
+    def test_every_pipelined_planner_stays_under(self, inputs, now):
+        up, down, k, candidates, cpu = inputs
+        flat = BandwidthSnapshot(up=up, down=down)
+        racked = RackSnapshot(
+            up=up, down=down, rack_of={node: node % 3 for node in up},
+            rack_up={rack: 3e8 for rack in range(3)},
+            rack_down={rack: 3e8 for rack in range(3)},
+        )
+        planners = [
+            (PivotRepairPlanner(), flat),
+            (RPPlanner(), flat),
+            (RPPlanner(order="greedy"), flat),
+            (PPTPlanner(tree_budget=200), flat),
+            (ComputeAwarePlanner(PivotRepairPlanner(), ComputeView(cpu)),
+             flat),
+            (RackAwarePivotPlanner(), racked),
+        ]
+        for planner, snapshot in planners:
+            ceiling = recommendation_ceiling(snapshot, 0, candidates, k)
+            plan = planner.plan(snapshot, 0, candidates, k)
+            assert to_mbps(plan.bmin) <= ceiling, planner.name
+            running = [RunningTask(plan.tree, 0.0, 1.0)]
+            for tasks in ([], running):
+                value = recommendation_value(plan.tree, plan.bmin, tasks, now)
+                assert value <= ceiling, planner.name
+
+    def test_the_kth_largest_uplink_and_the_requestor_downlink(self):
+        snapshot = BandwidthSnapshot(
+            up={0: 0.0, 1: mbps(500), 2: mbps(100), 3: mbps(300)},
+            down={0: mbps(400), 1: 0.0, 2: 0.0, 3: 0.0},
+        )
+        assert recommendation_ceiling(snapshot, 0, [1, 2, 3], 2) == 300
+        assert recommendation_ceiling(snapshot, 0, [1, 2, 3], 1) == 400
+        assert recommendation_ceiling(snapshot, 0, [1, 2, 3], 3) == 100

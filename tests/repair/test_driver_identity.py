@@ -20,6 +20,13 @@ PR 21 meant to: the master became the one attempt state machine, so a
 faulted full-node or fleet run now honours the whole ``RetryPolicy``.
 Every fault-free digest stood; the seven faulted ones were re-recorded
 in one commit, each for the cause noted beside it.
+
+The five adaptive entries were re-recorded in one commit when the Eq. 3
+round began planning only the stripes whose recommendation ceiling can
+win: their results (but the ``*_events`` counters) and journals stand,
+and so does every trace event but the fewer ``planner.*`` and
+``scheduler.recommendation`` instants; ``scheduler.round`` gained
+``planned``.
 """
 
 from pathlib import Path

@@ -364,46 +364,51 @@ class TestInvalidation:
 
 
 # ----------------------------------------------------------------------
-# The composed drivers: every plan call sees what a rebuild would
+# The composed drivers: every read of the view sees what a rebuild would
 # ----------------------------------------------------------------------
-def plan_facts(plan):
-    return (plan.requestor, plan.helpers, plan.tree.edges(), plan.bmin)
+def input_facts(inputs):
+    return (
+        frozen(inputs.snapshot), inputs.requestor, inputs.candidates,
+        inputs.k,
+    )
 
 
 @pytest.fixture
 def audited_plans(monkeypatch):
-    """Every ``StripeRepairMaster.plan`` is checked against a rebuild.
+    """Every ``StripeRepairMaster.plan_inputs`` is checked against a
+    rebuild: every read of the view, whether a plan follows or not.
 
-    The plan is made twice — with the view replaced by the from-scratch
-    build, then from the view — and both the snapshots and the plans
-    (or the errors) must agree.  Returns the audited-plans counter.
+    The inputs are read twice — with the view replaced by the
+    from-scratch build, then from the view — and both (the snapshot's
+    contents, requestor, candidates, k) or the errors must agree; the
+    plan is a function of them.  Returns the audited-reads counter.
     """
-    real_plan = StripeRepairMaster.plan
+    real_inputs = StripeRepairMaster.plan_inputs
     real_snapshot = ResidualView.snapshot
     audited = [0]
 
     def rebuilt(view):
         return scratch_residual(view.network, view.sim)
 
-    def plan(self, stripe):
+    def plan_inputs(self, stripe):
         cached = self.view.snapshot()
         assert frozen(cached) == frozen(rebuilt(self.view))
         monkeypatch.setattr(ResidualView, "snapshot", rebuilt)
         try:
-            expected = plan_facts(real_plan(self, stripe))
+            expected = input_facts(real_inputs(self, stripe))
         except (ClusterError, PlanningError) as exc:
             expected = str(exc)
         monkeypatch.setattr(ResidualView, "snapshot", real_snapshot)
         audited[0] += 1
         try:
-            planned = real_plan(self, stripe)
+            inputs = real_inputs(self, stripe)
         except (ClusterError, PlanningError) as exc:
             assert str(exc) == expected
             raise
-        assert plan_facts(planned) == expected
-        return planned
+        assert input_facts(inputs) == expected
+        return inputs
 
-    monkeypatch.setattr(StripeRepairMaster, "plan", plan)
+    monkeypatch.setattr(StripeRepairMaster, "plan_inputs", plan_inputs)
     return audited
 
 
@@ -499,15 +504,27 @@ class TestPlanningGate:
         class Recorded(StripeRepairMaster):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                self.planned_at = []
+                self.examined_at = []
                 made.append(self)
 
-            def plan(self, stripe):
-                self.planned_at.append(self.sim.now)
-                return super().plan(stripe)
+            def plan_inputs(self, stripe):
+                self.examined_at.append(self.sim.now)
+                return super().plan_inputs(stripe)
 
         monkeypatch.setattr(fullnode, "StripeRepairMaster", Recorded)
         return made
+
+    @staticmethod
+    def counted(planner):
+        """``planner`` with its ``plan`` calls counted in ``.calls``."""
+        inner = planner.plan
+
+        def plan(*args, **kwargs):
+            planner.calls += 1
+            return inner(*args, **kwargs)
+
+        planner.calls, planner.plan = 0, plan
+        return planner
 
     def scenario(self, chunks):
         trace = trace_generators.generate_all(16, 240, seed=3000)["TPC-H"]
@@ -519,31 +536,36 @@ class TestPlanningGate:
 
     def epochs_planned_in(self, master):
         return len(
-            {master.network.next_change_after(t) for t in master.planned_at}
+            {master.network.next_change_after(t) for t in master.examined_at}
         )
 
     def test_adaptive_builds_one_snapshot_per_round(self, masters):
         network, stripes, failed = self.scenario(16)
+        planner = self.counted(pinned())
         result = repair_full_node_adaptive(
-            pinned(), network, stripes, failed, scheduler=FIG7_SCHEDULER,
+            planner, network, stripes, failed, scheduler=FIG7_SCHEDULER,
             config=ExecutionConfig(), start_time=60.0,
         )
         (master,) = masters
         view = master.view
         rounds = result.telemetry["counters"]["scheduler_rounds"]
+        examined = len(master.examined_at)
         assert result.chunks_repaired == 16
+        # Every pending stripe of a round is examined on one snapshot...
         assert view.snapshots_built == rounds
-        assert view.snapshots_built + view.snapshots_reused == master.plans
-        assert master.plans == len(master.planned_at)
-        # Every pending stripe is still planned every round.
-        assert master.plans > 4 * rounds
+        assert view.snapshots_built + view.snapshots_reused == examined
+        assert examined > 4 * rounds
+        # ...and only those whose ceiling can still win are planned.
+        assert master.plans == planner.calls
+        assert rounds <= master.plans < examined
         assert view.base_builds == self.epochs_planned_in(master)
         assert view.base_builds <= view.snapshots_built
 
     def test_window_builds_one_snapshot_per_refill(self, masters):
         network, stripes, failed = self.scenario(48)
+        planner = self.counted(pinned())
         result = repair_full_node(
-            pinned(), network, stripes, failed, concurrency=4,
+            planner, network, stripes, failed, concurrency=4,
             config=ExecutionConfig(), start_time=60.0,
         )
         (master,) = masters
@@ -551,7 +573,7 @@ class TestPlanningGate:
         assert result.chunks_repaired == 48
         # A refill plans one stripe, charges and submits it: every plan
         # is its own scheduling decision.
-        assert master.plans == 48
+        assert master.plans == planner.calls == len(master.examined_at) == 48
         assert (view.snapshots_built, view.snapshots_reused) == (48, 0)
         assert view.base_builds == self.epochs_planned_in(master)
         assert view.base_builds < 48
