@@ -122,7 +122,7 @@ def repair_full_node_balanced(
     if not affected:
         raise PlanningError(f"node {failed_node} stores no chunk to repair")
     assignment = balance_assignments(affected, failed_node, len(network))
-    sim = FluidSimulator(network, start_time=start_time, engine=config.engine)
+    sim = FluidSimulator(network, start_time=start_time)
     pending = list(affected)
     in_flight: dict[int, Stripe] = {}
     results: list[RepairResult] = []

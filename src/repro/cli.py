@@ -140,11 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--timeline", action="store_true",
         help="print an ASCII timeline of the traced run",
     )
-    parser.add_argument(
-        "--engine", choices=("reference", "fast"), default=None,
-        help="fluid-simulator allocation engine (default: fast); the two "
-        "are bit-identical, 'reference' is the differential oracle",
-    )
     # Each subparser below sets ``handler`` and ``render``; ``observed``
     # marks the commands that analyse their own trace, so always get one.
     parser.set_defaults(observed=False)
@@ -570,7 +565,7 @@ def _scenario(args, trace: Path, **fields) -> FullNodeScenario:
     return FullNodeScenario(
         trace=str(trace), n=args.n, k=args.k, stripes=args.stripes,
         chunk_mib=args.chunk_mib, concurrency=args.concurrency,
-        seed=args.seed, engine=args.engine, faults=args.faults,
+        seed=args.seed, faults=args.faults,
         retry_policy=args.retry_policy, **fields,
     )
 
@@ -665,8 +660,7 @@ def _cmd_repair(args, tracer) -> _Output:
     )
     survivors = [node for node in members if node != failed]
     config = ExecutionConfig(
-        chunk_size=mib(args.chunk_mib), slice_size=kib(args.slice_kib),
-        engine=args.engine,
+        chunk_size=mib(args.chunk_mib), slice_size=kib(args.slice_kib)
     )
     faults, policy = parse_fault_specs(args.faults, args.retry_policy)
     results = {}
@@ -761,7 +755,7 @@ def _cmd_resume(args, tracer) -> _Output:
     """Finish a journaled full-node repair (:func:`repro.scenario.resume`)."""
     with RepairJournal.load(args.journal_file, tracer=tracer) as journal:
         live, done, result = resume(
-            journal, tracer=tracer, engine=args.engine, faults=args.faults,
+            journal, tracer=tracer, faults=args.faults,
             retry_policy=args.retry_policy,
         )
     lost = {stripe.stripe_id for stripe in live.lost_stripes()}
@@ -1221,8 +1215,7 @@ def _cmd_lifetime(args, tracer) -> _Output:
 
 def _cmd_storm(args, tracer) -> _Output:
     config = _config_from_args(
-        StormConfig, args, engine=args.engine,
-        gray_wave=not args.no_gray_wave,
+        StormConfig, args, gray_wave=not args.no_gray_wave,
         slo_seconds=args.slo_ms / 1000.0,
         admission_control=not args.no_admission_control,
     )

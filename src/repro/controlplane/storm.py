@@ -17,8 +17,8 @@ tests:
    backpressure signal.
 
 Planning charges are pinned (``planning_seconds``) so two runs of one
-seed — on either allocation engine — produce byte-identical traces,
-journals and admission decision logs.
+seed produce byte-identical traces, journals and admission decision
+logs.
 """
 
 from __future__ import annotations
@@ -113,7 +113,6 @@ class StormConfig:
     slo_seconds: float = 0.06
     planning_seconds: float = 0.002
     sample_interval: float = 0.25
-    engine: str | None = None
     #: Fleet admission gate; ``admission_control=False`` runs the
     #: uncontrolled baseline (everything admitted, never shed).
     admission_control: bool = True
@@ -143,7 +142,6 @@ class StormReport:
 
     def as_dict(self) -> dict:
         return {
-            "engine": self.config.engine,
             "seed": self.config.seed,
             "admission_control": self.config.admission_control,
             "total_seconds": self.total_seconds,
@@ -251,9 +249,7 @@ def run_storm(
             "storm outage rack holds no chunks; widen placement"
         )
     wrapped = FaultyNetwork.wrap(network, faults)
-    exec_config = ExecutionConfig(
-        chunk_size=int(mib(config.chunk_mib)), engine=config.engine,
-    )
+    exec_config = ExecutionConfig(chunk_size=int(mib(config.chunk_mib)))
     retry_policy = RetryPolicy.from_spec(RETRY_SPEC)
 
     tsdb = TimeSeriesDB()
@@ -293,8 +289,7 @@ def run_storm(
     sampler.add_listener(monitor.on_tick)
 
     sim = FluidSimulator(
-        wrapped, start_time=0.0, tracer=tracer, sampler=sampler,
-        engine=config.engine,
+        wrapped, start_time=0.0, tracer=tracer, sampler=sampler
     )
     if config.admission_control:
         admission = AdmissionConfig(

@@ -166,44 +166,6 @@ def build_pivot_tree(
     return tree
 
 
-def replan_pivot_tree(
-    snapshot: BandwidthSnapshot,
-    requestor: int,
-    candidates: Sequence[int],
-    k: int,
-    failed: Sequence[int],
-    tracer=NULL_TRACER,
-) -> RepairTree:
-    """Mid-repair re-planning: Algorithm 1 over the surviving helpers.
-
-    When a helper in a running pivot tree crashes (or its chunk turns
-    unreadable), the repair restarts from a fresh tree built over the
-    candidates that survive.  Because Algorithm 1 is O(n log n), replanning
-    costs the same as planning — the property that makes PivotRepair
-    viable under churn where enumeration schemes would stall.
-
-    Raises :class:`~repro.exceptions.PlanningError` when fewer than ``k``
-    candidates survive (the caller should abort with a failed result).
-    """
-    dead = set(failed)
-    if requestor in dead:
-        raise PlanningError(
-            f"requestor {requestor} is among the failed nodes"
-        )
-    survivors = [node for node in candidates if node not in dead]
-    if len(survivors) < k:
-        raise PlanningError(
-            f"only {len(survivors)} helpers survive, need k={k}"
-        )
-    if tracer.enabled:
-        tracer.instant(
-            "planner.replan", t=snapshot.time, track="planner",
-            requestor=requestor, failed=sorted(dead),
-            survivors=len(survivors),
-        )
-    return build_pivot_tree(snapshot, requestor, survivors, k, tracer=tracer)
-
-
 class PivotRepairPlanner(RepairPlanner):
     """The paper's scheme: O(n log n) pivot-based tree construction."""
 

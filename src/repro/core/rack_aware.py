@@ -201,20 +201,3 @@ class RackAwarePivotPlanner(RepairPlanner):
             parents.update(insert_pivots(snapshot, head, rest))
             heads.append(head)
         return parents, heads
-
-
-def flat_plan_rack_bmin(
-    planner: RepairPlanner,
-    snapshot: RackSnapshot,
-    requestor: int,
-    candidates: Sequence[int],
-    k: int,
-) -> tuple[RepairPlan, float]:
-    """Plan with a rack-oblivious planner, then score it on the rack model.
-
-    Utility for the rack ablation: the flat planner sees only node links,
-    so its B_min estimate ignores the oversubscribed core; this returns
-    both the plan and its *true* rack-aware bottleneck.
-    """
-    plan = planner.plan(snapshot, requestor, candidates, k)
-    return plan, rack_bmin(plan.tree, snapshot)

@@ -10,7 +10,7 @@ from repro.ec.chunk import (
     split_slices,
 )
 from repro.ec.reed_solomon import RSCode
-from repro.ec.stripe import Stripe, StripeStore, place_stripes
+from repro.ec.stripe import Stripe, place_stripes
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
@@ -18,7 +18,6 @@ __all__ = [
     "ChunkId",
     "RSCode",
     "Stripe",
-    "StripeStore",
     "join_slices",
     "place_stripes",
     "random_chunk",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,25 +73,6 @@ class Stripe:
                 f"{self.stripe_id}"
             )
         self.placement[chunk_index] = node
-
-
-@dataclass
-class StripeStore:
-    """In-memory payload store for a set of stripes (tests / examples)."""
-
-    payloads: dict[ChunkId, np.ndarray] = field(default_factory=dict)
-
-    def put(self, chunk_id: ChunkId, payload: np.ndarray) -> None:
-        self.payloads[chunk_id] = np.asarray(payload)
-
-    def get(self, chunk_id: ChunkId) -> np.ndarray:
-        return self.payloads[chunk_id]
-
-    def drop(self, chunk_id: ChunkId) -> None:
-        self.payloads.pop(chunk_id, None)
-
-    def __contains__(self, chunk_id: ChunkId) -> bool:
-        return chunk_id in self.payloads
 
 
 def place_stripes(

@@ -11,9 +11,8 @@ from a :class:`DurationModel` sampled per repair:
   :func:`repro.lifetime.mttdl.markov_mttdl`.
 * :class:`CalibratedDurations` — the PivotRepair-aware model.  Its
   :meth:`~CalibratedDurations.calibrate` constructor runs the *real*
-  congestion-aware repair machinery (planner + fluid simulator with
-  ``engine="fast"``) for each scheme at congested instants of a workload
-  trace, and keeps the resulting per-chunk transfer times as an empirical
+  congestion-aware repair machinery (planner + fluid simulator) for
+  each scheme at congested instants of a workload trace, and keeps the resulting per-chunk transfer times as an empirical
   distribution.  The lifetime loop then resamples from that distribution,
   so scheme differences measured in seconds (Figure 5) propagate into
   durability differences measured in nines — without paying simulator
@@ -214,7 +213,7 @@ class CalibratedDurations(DurationModel):
         Generates the named synthetic workload trace (Table I profiles),
         samples ``instants`` congested seconds, and at each one lays a
         stripe over the cluster and executes a full single-chunk repair
-        per scheme with the fast fluid engine.  Only the *simulated*
+        per scheme on the fluid simulator.  Only the *simulated*
         transfer time is kept — planner wall clock is a real-world cost
         that neither scales with ``scale`` nor stays bit-deterministic,
         so it is excluded by construction.  Every scheme repairs at the
@@ -243,7 +242,7 @@ class CalibratedDurations(DurationModel):
             seed=trace_seed,
         )
         network = trace.to_network(floor=1e6)
-        config = ExecutionConfig(engine="fast")
+        config = ExecutionConfig()
         planners = {scheme: make_scheme_planner(scheme) for scheme in schemes}
         samples: dict[str, list[float]] = {scheme: [] for scheme in schemes}
         for index, instant in enumerate(

@@ -23,7 +23,9 @@ constraint graph in isolation therefore reproduces, bit for bit, what a
 global allocation assigns to it — the invariant the incremental fast
 engine (:mod:`repro.network.engine`) is built on, and what the
 differential harness (``tests/network/test_engine_differential.py``)
-asserts at float tolerance zero.
+asserts at float tolerance zero.  :class:`ReferenceEngine` is this
+allocator behind the fast engine's interface, so the simulator drives
+both the same way.
 """
 
 from __future__ import annotations
@@ -171,6 +173,48 @@ def max_min_allocate(
             active_coeff[resource] -= coeff
         active -= newly
     return rates
+
+
+class ReferenceEngine:
+    """:func:`max_min_allocate` behind :class:`IncrementalEngine`'s
+    interface: the differential oracle of ``FluidSimulator``.
+
+    Every :meth:`ensure` re-solves every live entity, in registration
+    order, at ``network.capacities_at(now)`` with the entities' rate
+    caps, and reports the entities whose rate moved in
+    :attr:`last_changed`.  It always solves, so ``ensure`` is always
+    True.
+    """
+
+    def __init__(self, network):
+        self.network = network
+        self._entities: dict[int, object] = {}
+        #: Entity ids whose rate moved in the last :meth:`ensure`.
+        self.last_changed: list[int] = []
+
+    def add_entity(self, entity_id: int, entity) -> None:
+        self._entities[entity_id] = entity
+
+    def remove_entity(self, entity_id: int) -> None:
+        del self._entities[entity_id]
+
+    def touch(self, entity_id: int) -> None:
+        """A re-cap needs no bookkeeping: every solve reads every cap."""
+
+    def ensure(self, now: float) -> bool:
+        entities = self._entities
+        rates = max_min_allocate(
+            [e.usage for e in entities.values()],
+            self.network.capacities_at(now),
+            rate_caps=[e.max_rate for e in entities.values()],
+        )
+        moved = []
+        for (entity_id, entity), rate in zip(entities.items(), rates):
+            if entity.rate != rate:
+                entity.rate = rate
+                moved.append(entity_id)
+        self.last_changed = moved
+        return True
 
 
 def allocate_edge_tasks(

@@ -43,17 +43,18 @@ from heapq import heapify, heappop, heappush
 
 from repro.exceptions import SimulationError
 from repro.network.engine import IncrementalEngine
-from repro.network.fairness import max_min_allocate
+from repro.network.fairness import ReferenceEngine
 from repro.network.topology import StarNetwork
 from repro.obs.tracer import NULL_TRACER
 
-#: Engine used when ``FluidSimulator(engine=None)``: ``"fast"``
-#: (component-local incremental recompute) or ``"reference"`` (full
-#: reallocation of every task on every event — the differential oracle).
-#: The two are bit-identical on every observable; see docs/fluid_engine.md.
-DEFAULT_ENGINE = "fast"
+#: Allocation engines by name: ``"fast"`` (component-local incremental
+#: recompute) and ``"reference"`` (full reallocation of every task on
+#: every event — the differential oracle).  The two are bit-identical
+#: on every observable; see docs/fluid_engine.md.
+_ENGINES = {"fast": IncrementalEngine, "reference": ReferenceEngine}
 
-_ENGINES = ("reference", "fast")
+#: Engine used when ``FluidSimulator(engine=None)``.
+DEFAULT_ENGINE = "fast"
 
 #: Traffic classes whose per-reallocation ``flow.rate_change`` instants
 #: are *not* traced.  Foreground flows are short and numerous, and no
@@ -212,13 +213,10 @@ class FluidSimulator:
             engine = DEFAULT_ENGINE
         if engine not in _ENGINES:
             raise SimulationError(
-                f"unknown engine {engine!r}; expected one of {_ENGINES}"
+                f"unknown engine {engine!r}; expected one of "
+                f"{tuple(_ENGINES)}"
             )
-        #: Allocation engine name ("reference" or "fast").
-        self.engine = engine
-        self._engine = (
-            IncrementalEngine(network) if engine == "fast" else None
-        )
+        self._engine = _ENGINES[engine](network)
         #: Optional :class:`~repro.obs.sampler.FlightRecorder`.  ``None``
         #: (the default) costs one ``is not None`` guard per event-loop
         #: step and records nothing.
@@ -260,7 +258,7 @@ class FluidSimulator:
         self._task_rates: dict[int, float] = {}
         #: Tasks whose aggregate may have moved without any surviving
         #: entity being re-rated (a bulk sibling finished); consumed by
-        #: the next restricted :meth:`_trace_rate_changes` scan.
+        #: the next :meth:`_trace_rate_changes` scan.
         self._trace_dirty_tasks: set[int] = set()
         #: Bumped wherever the allocation may have moved (a submission,
         #: a re-cap, a cancellation, every clock advance): equal epochs
@@ -511,8 +509,7 @@ class FluidSimulator:
             entity_id = next(self._entity_ids)
             self._entities[entity_id] = entity
             members.add(entity_id)
-            if self._engine is not None:
-                self._engine.add_entity(entity_id, entity)
+            self._engine.add_entity(entity_id, entity)
         self._handles[handle.task_id] = handle
         self._task_entities[handle.task_id] = members
         self._task_totals[handle.task_id] = sum(
@@ -665,9 +662,7 @@ class FluidSimulator:
             if entity.max_rate != max_rate:
                 entity.max_rate = max_rate
                 changed = True
-                if self._engine is not None:
-                    # Only the re-capped entity's component is perturbed.
-                    self._engine.touch(entity_id)
+                self._engine.touch(entity_id)
         if changed:
             self.rate_epoch += 1
 
@@ -700,8 +695,7 @@ class FluidSimulator:
             self._settle(entity)
             remaining += entity.remaining
             self._credit(entity, entity.total - entity.remaining)
-            if self._engine is not None:
-                self._engine.remove_entity(entity_id)
+            self._engine.remove_entity(entity_id)
         handle.cancelled = True
         self._stats.tasks_cancelled += 1
         self.rate_epoch += 1
@@ -843,8 +837,7 @@ class FluidSimulator:
             # up, the entity carried the bytes it was submitted with.
             self.settlements += 1
             self._credit(entity, entity.total)
-            if self._engine is not None:
-                self._engine.remove_entity(entity_id)
+            self._engine.remove_entity(entity_id)
             task_id = entity.task_id
             members = self._task_entities[task_id]
             members.discard(entity_id)
@@ -852,8 +845,7 @@ class FluidSimulator:
                 if tracing:
                     # The task lives on with one transfer fewer: its
                     # aggregate rate dropped even if no surviving entity
-                    # is re-rated, so the next restricted scan must
-                    # visit it.
+                    # is re-rated, so the next scan must visit it.
                     self._trace_dirty_tasks.add(task_id)
                 continue
             del self._task_entities[task_id]
@@ -970,62 +962,42 @@ class FluidSimulator:
         if self._rated_epoch == self.rate_epoch:
             return
         self._rated_epoch = self.rate_epoch
-        entities = self._entities
-        if self._engine is not None:
-            # Incremental path: re-solve only the perturbed components
-            # (if any).  A pure time advance inside a capacity epoch with
-            # nothing dirty recomputes nothing — rates are
-            # piecewise-constant between events.
-            if not self._engine.ensure(self.now):
-                return
-            # Only entities the solve actually moved can change a
-            # task's aggregate; rescanning every live task here
-            # turns tracing into an O(tasks) tax per recomputation.
-            moved = traced = self._engine.last_changed
-        else:
-            rates = max_min_allocate(
-                [e.usage for e in entities.values()],
-                self.network.capacities_at(self.now),
-                rate_caps=[e.max_rate for e in entities.values()],
-            )
-            moved = []
-            for (entity_id, entity), rate in zip(entities.items(), rates):
-                if entity.rate != rate:
-                    entity.rate = rate
-                    moved.append(entity_id)
-            traced = None
+        # The engine re-solves what the epoch change may have moved (the
+        # fast one only the perturbed components, if any: a pure time
+        # advance inside a capacity epoch with nothing dirty recomputes
+        # nothing) and says whether a solve ran.
+        if not self._engine.ensure(self.now):
+            return
         self._stats.rate_recomputations += 1
-        # One accounting for both engines: an entity is settled when,
-        # and only when, its rate moved.
+        # An entity is settled when, and only when, its rate moved.
+        entities = self._entities
+        moved = self._engine.last_changed
         for entity_id in moved:
             self._schedule(entity_id, entities[entity_id])
         if self.tracer.enabled and entities:
-            self._trace_rate_changes(traced)
+            self._trace_rate_changes(moved)
 
-    def _trace_rate_changes(self, solved=None) -> None:
+    def _trace_rate_changes(self, moved) -> None:
         """Emit ``flow.rate_change`` for tasks whose aggregate rate moved.
 
-        ``solved`` narrows the scan to the tasks owning those entity ids
-        (the incremental engine's last-solved component) — everything
-        else kept its rate by construction.  Task ids are assigned from
-        a monotonic counter, so iterating them sorted reproduces the
-        full scan's insertion order and the emitted event stream stays
-        byte-identical with the reference engine's.
+        Only the tasks owning the ``moved`` entity ids, plus those that
+        lost a bulk sibling since the last scan, are visited: every
+        other task kept its rate by construction, and rescanning every
+        live task would make tracing an O(tasks) tax per solve.  Task
+        ids are assigned from a monotonic counter, so iterating them
+        sorted reproduces a full scan's insertion order
+        (``tests/network/trace_scan_oracle.py`` is that scan).
         """
         entities = self._entities
         task_entities = self._task_entities
         task_rates = self._task_rates
-        if solved is None:
-            task_ids = task_entities
-            self._trace_dirty_tasks.clear()
-        else:
-            seen = self._trace_dirty_tasks
-            for entity_id in solved:
-                entity = entities.get(entity_id)
-                if entity is not None:
-                    seen.add(entity.task_id)
-            task_ids = sorted(seen) if len(seen) > 1 else tuple(seen)
-            self._trace_dirty_tasks = set()
+        seen = self._trace_dirty_tasks
+        for entity_id in moved:
+            entity = entities.get(entity_id)
+            if entity is not None:
+                seen.add(entity.task_id)
+        task_ids = sorted(seen) if len(seen) > 1 else tuple(seen)
+        self._trace_dirty_tasks = set()
         emit = self.tracer.instant
         handles = self._handles
         for task_id in task_ids:

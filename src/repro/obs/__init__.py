@@ -44,8 +44,7 @@ And the streaming telemetry plane (see ``docs/telemetry.md``):
 * :mod:`repro.obs.slo` — per-tenant **SLO burn-rate monitoring**
   (multi-window, Google SRE style) with alert hooks the QoS governor
   and hedging health monitor consume;
-* :mod:`repro.obs.promtext` — Prometheus exposition rendering and a
-  pure-python format lint;
+* :mod:`repro.obs.promtext` — Prometheus exposition rendering;
 * :mod:`repro.obs.top` — the ``repro top`` live terminal dashboard.
 """
 
@@ -74,7 +73,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     render_labels,
 )
-from repro.obs.promtext import lint as prometheus_lint
 from repro.obs.promtext import render_exposition
 from repro.obs.report import render_html_report
 from repro.obs.sampler import FlightRecorder, Sample, samples_from_jsonl
@@ -111,7 +109,6 @@ __all__ = [
     "critical_paths",
     "diagnose",
     "events_from_jsonl",
-    "prometheus_lint",
     "render_exposition",
     "render_html_report",
     "render_labels",

@@ -60,8 +60,7 @@ def execute_plan(
     """
     config = config or ExecutionConfig()
     sim = FluidSimulator(
-        network, start_time=start_time, tracer=tracer, sampler=sampler,
-        engine=config.engine,
+        network, start_time=start_time, tracer=tracer, sampler=sampler
     )
     task_span = None
     task_track = f"repair:{plan.requestor}"
@@ -236,8 +235,7 @@ def repair_single_chunk_faulted(
     config = config or ExecutionConfig()
     net = FaultyNetwork.wrap(network, faults)
     sim = FluidSimulator(
-        net, start_time=start_time, tracer=tracer, sampler=sampler,
-        engine=config.engine,
+        net, start_time=start_time, tracer=tracer, sampler=sampler
     )
     master = StripeRepairMaster(
         None, planner, net, [stripe], failed_node, sim=sim,

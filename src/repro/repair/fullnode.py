@@ -169,8 +169,7 @@ def _repair_single_job(
     config = config or ExecutionConfig()
     network = FaultyNetwork.wrap(network, faults)
     sim = FluidSimulator(
-        network, start_time=start_time, tracer=tracer, sampler=sampler,
-        engine=config.engine,
+        network, start_time=start_time, tracer=tracer, sampler=sampler
     )
     master = StripeRepairMaster(
         None, planner, network, stripes, failed_node, sim=sim, scheme=scheme,

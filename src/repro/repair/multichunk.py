@@ -105,9 +105,7 @@ def execute_multi_chunk(
     config = config or ExecutionConfig()
     if decode_rate <= 0:
         raise PlanningError("decode rate must be positive")
-    sim = FluidSimulator(
-        network, start_time=start_time, tracer=tracer, engine=config.engine
-    )
+    sim = FluidSimulator(network, start_time=start_time, tracer=tracer)
     task_span = None
     task_track = f"repair:{plan.requestor}"
     if tracer.enabled:

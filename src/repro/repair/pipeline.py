@@ -31,11 +31,6 @@ class ExecutionConfig:
     slice_size: int = DEFAULT_SLICE_SIZE
     #: Fixed cost per slice (seconds) not hidden by pipelining.
     per_slice_overhead: float = 2e-6
-    #: Fluid-simulator allocation engine ("reference" or "fast");
-    #: ``None`` uses :data:`repro.network.simulator.DEFAULT_ENGINE`.
-    #: The engines are bit-identical on every observable, so this only
-    #: selects a performance profile (see docs/fluid_engine.md).
-    engine: str | None = None
 
     def __post_init__(self) -> None:
         if self.chunk_size <= 0:
@@ -46,13 +41,6 @@ class ExecutionConfig:
             object.__setattr__(self, "slice_size", self.chunk_size)
         if self.per_slice_overhead < 0:
             raise PlanningError("per-slice overhead cannot be negative")
-        if self.engine is not None and self.engine not in (
-            "reference", "fast"
-        ):
-            raise PlanningError(
-                f"unknown engine {self.engine!r}; "
-                "expected 'reference' or 'fast'"
-            )
 
     @property
     def slices(self) -> int:

@@ -97,8 +97,6 @@ class FullNodeScenario:
     concurrency: int = 4
     seed: int = 0
     scheme: str = "pivot"
-    #: Fluid-simulator allocation engine (None: the default).
-    engine: str | None = None
     #: Fault plan (spec string or JSON file) and retry policy spec.
     faults: str | None = None
     retry_policy: str | None = None
@@ -146,9 +144,7 @@ class FullNodeScenario:
         return LiveScenario(
             spec=self, trace=trace, network=network, stripes=stripes,
             failed_node=stripes[0].placement[0],
-            config=ExecutionConfig(
-                chunk_size=mib(self.chunk_mib), engine=self.engine
-            ),
+            config=ExecutionConfig(chunk_size=mib(self.chunk_mib)),
             faults=faults, retry_policy=retry_policy, governor=governor,
         )
 
@@ -280,8 +276,8 @@ def resume(
     (trace file, code, placement seed); ``task_done`` records say which
     stripes already finished.  The repair runs over the remainder only,
     appending to the same journal, so resuming a resume also works.
-    ``fields`` are scenario fields the record does not carry (engine,
-    faults, retry policy).
+    ``fields`` are scenario fields the record does not carry (faults,
+    retry policy).
     """
     record = journal.run_config()
     if record is None:

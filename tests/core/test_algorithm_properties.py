@@ -168,50 +168,3 @@ class TestPivotSelectionProperties:
         pivots = select_pivots(view, list(range(1, 9)), 6)
         theos = [view.theo(p) for p in pivots]
         assert theos == sorted(theos, reverse=True)
-
-
-class TestReplanOptimality:
-    """Mid-repair re-planning is as optimal as planning from scratch:
-    after a helper crash, the tree Algorithm 1 rebuilds over the
-    survivors reaches the brute-force-optimal B_min on that helper set
-    (the Theorem 1 oracle, restricted to survivors)."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=2**31 - 1),
-        st.integers(min_value=2, max_value=4),
-        st.integers(min_value=1, max_value=2),
-        st.integers(min_value=1, max_value=2),
-    )
-    def test_replan_bmin_matches_brute_force(self, seed, k, extra, dead):
-        from repro.baselines.ppt import PPTPlanner
-        from repro.core.algorithm import replan_pivot_tree
-
-        node_count = 1 + k + extra + dead
-        view = random_snapshot(node_count, seed)
-        candidates = list(range(1, node_count))
-        failed = candidates[:dead]
-        survivors = candidates[dead:]
-        tree = replan_pivot_tree(view, 0, candidates, k, failed)
-        assert set(tree.helpers).isdisjoint(failed)
-        oracle = PPTPlanner(
-            tree_budget=10**6, helper_selection="all_subsets"
-        )
-        best = oracle.plan(view, 0, survivors, k)
-        assert tree.bmin(view) == pytest.approx(best.bmin, rel=1e-9)
-
-    def test_replan_rejects_dead_requestor(self):
-        from repro.core.algorithm import replan_pivot_tree
-        from repro.exceptions import PlanningError
-
-        view = random_snapshot(6, 0)
-        with pytest.raises(PlanningError):
-            replan_pivot_tree(view, 0, [1, 2, 3, 4, 5], 4, failed=[0, 1])
-
-    def test_replan_rejects_too_few_survivors(self):
-        from repro.core.algorithm import replan_pivot_tree
-        from repro.exceptions import PlanningError
-
-        view = random_snapshot(6, 1)
-        with pytest.raises(PlanningError):
-            replan_pivot_tree(view, 0, [1, 2, 3, 4, 5], 4, failed=[1, 2])

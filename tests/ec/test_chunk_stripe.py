@@ -13,7 +13,7 @@ from repro.ec.chunk import (
     split_slices,
 )
 from repro.ec.reed_solomon import RSCode
-from repro.ec.stripe import Stripe, StripeStore, place_stripes
+from repro.ec.stripe import Stripe, place_stripes
 from repro.exceptions import CodingError
 
 
@@ -119,19 +119,3 @@ class TestPlacement:
         a = place_stripes(5, RSCode(6, 4), 16, np.random.default_rng(42))
         b = place_stripes(5, RSCode(6, 4), 16, np.random.default_rng(42))
         assert [s.placement for s in a] == [s.placement for s in b]
-
-
-class TestStripeStore:
-    def test_put_get_contains_drop(self):
-        store = StripeStore()
-        cid = ChunkId(0, 0)
-        store.put(cid, np.arange(8, dtype=np.uint8))
-        assert cid in store
-        np.testing.assert_array_equal(
-            store.get(cid), np.arange(8, dtype=np.uint8)
-        )
-        store.drop(cid)
-        assert cid not in store
-
-    def test_drop_missing_is_noop(self):
-        StripeStore().drop(ChunkId(9, 9))

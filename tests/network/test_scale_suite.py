@@ -18,7 +18,7 @@ measured at is in ``docs/fluid_engine.md``, "Scale numbers".
 
 from pathlib import Path
 
-import repro.network.simulator as simulator
+import repro.network.fairness as fairness
 from repro.network.engine import IncrementalEngine
 from repro.network.scenario import replay, storm_scenario
 from repro.network.simulator import FluidSimulator
@@ -124,13 +124,13 @@ def test_scale_storm_recomputes_components_not_the_cluster(monkeypatch):
     assert scenario.node_count == 1024
 
     rerated = []
-    allocate = simulator.max_min_allocate
+    allocate = fairness.max_min_allocate
 
     def counting(usages, capacities, **kwargs):
         rerated.append(len(usages))
         return allocate(usages, capacities, **kwargs)
 
-    monkeypatch.setattr(simulator, "max_min_allocate", counting)
+    monkeypatch.setattr(fairness, "max_min_allocate", counting)
     digest = replay(scenario, "fast")
     assert not rerated  # the reference allocator is not on the fast path
     assert replay(scenario, "reference") == digest

@@ -19,6 +19,7 @@ from repro.repair import (
     repair_single_chunk,
 )
 from repro.repair.pipeline import ExecutionConfig
+from tests.network.trace_scan_oracle import full_rescan
 
 
 NODE_COUNT = 10
@@ -257,43 +258,52 @@ class TestFaultedDeterminism:
         assert first.bytes_transferred == second.bytes_transferred
 
 
+def solves(result) -> int:
+    return result.telemetry["counters"]["sim_rate_recomputations"]
+
+
 class TestEngineTraceEquivalence:
     """The fast and reference fluid engines must emit byte-identical
     default (no-wall) JSONL traces, including the causal parent/link
-    fields the critical-path reconstruction depends on."""
+    fields the critical-path reconstruction depends on — and so must the
+    reference engine with a scan that revisits every live task after
+    every solve (``tests/network/trace_scan_oracle.py``)."""
 
-    def run(self, engine):
+    @staticmethod
+    def run():
         stripes = place_stripes(6, CODE, NODE_COUNT, np.random.default_rng(3))
         failed = stripes[0].placement[0]
-        config = ExecutionConfig(
-            chunk_size=10_000, slice_size=1000, per_slice_overhead=0.0,
-            engine=engine,
-        )
         tracer = Tracer()
-        repair_full_node_adaptive(
+        result = repair_full_node_adaptive(
             ZeroCostPlanner(), seeded_network(), stripes, failed,
-            config=config, tracer=tracer,
+            config=small_config(), tracer=tracer,
         )
-        return to_jsonl(tracer.events)
+        return result, to_jsonl(tracer.events)
 
-    def test_fast_and_reference_traces_identical(self):
-        fast = self.run("fast")
-        reference = self.run("reference")
+    def test_fast_and_reference_traces_identical(self, reference_engine):
+        fast_result, fast = self.run()
+        with reference_engine():
+            reference_result, reference = self.run()
+        with full_rescan():
+            _, oracle = self.run()
         assert fast
         assert fast == reference
+        assert fast == oracle
+        # The reference really ran: it solves at every event.
+        assert solves(reference_result) > solves(fast_result)
 
     def test_trace_carries_causal_fields(self):
-        jsonl = self.run("fast")
+        _, jsonl = self.run()
         assert '"parent_id"' in jsonl
         assert '"links"' in jsonl
 
-    def test_hedged_trace_identical_across_engines(self):
+    def test_hedged_trace_identical_across_engines(self, reference_engine):
         from repro.faults import FaultPlan, RetryPolicy
         from repro.repair import repair_single_chunk_faulted
         from repro.resilience import HealthPolicy
         from tests.one_stripe import one_stripe
 
-        def run(engine):
+        def run():
             mib = 1024 * 1024
             victim = 3
             net = StarNetwork.constant(
@@ -301,17 +311,21 @@ class TestEngineTraceEquivalence:
                 [12 * mib if i == victim else 10 * mib for i in range(8)],
             )
             tracer = Tracer()
-            repair_single_chunk_faulted(
+            result = repair_single_chunk_faulted(
                 PivotRepairPlanner(), net, 0, *one_stripe(),
                 FaultPlan.from_spec("degrade:3@0.1-1000x0.05"),
                 policy=RetryPolicy(detection_timeout=0.05),
-                config=ExecutionConfig(
-                    chunk_size=8 * mib, slice_size=32768, engine=engine
-                ),
+                config=ExecutionConfig(chunk_size=8 * mib, slice_size=32768),
                 tracer=tracer, health=HealthPolicy(),
             )
-            return to_jsonl(tracer.events)
+            return result, to_jsonl(tracer.events)
 
-        fast = run("fast")
+        fast_result, fast = run()
+        with reference_engine():
+            reference_result, reference = run()
+        with full_rescan():
+            _, oracle = run()
         assert '"span.link"' in fast  # hedge adoption link present
-        assert fast == run("reference")
+        assert fast == reference
+        assert fast == oracle
+        assert solves(reference_result) > solves(fast_result)

@@ -1,16 +1,12 @@
-"""Prometheus exposition rendering and pure-python lint tests."""
+"""Prometheus exposition rendering and the test-side lint's tests."""
 
-from repro.obs import (
-    MetricsRegistry,
-    TimeSeriesDB,
-    prometheus_lint,
-    render_exposition,
-)
+from repro.obs import MetricsRegistry, TimeSeriesDB, render_exposition
 from repro.obs.promtext import (
     render_registry,
     render_tsdb,
     sanitize_metric_name,
 )
+from tests.obs.promtext_lint import lint as prometheus_lint
 
 
 def registry_fixture():

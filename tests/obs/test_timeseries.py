@@ -146,7 +146,7 @@ class TestExport:
         assert len(TimeSeriesDB.from_jsonl("")) == 0
 
     def test_prometheus_exposition_lints(self):
-        from repro.obs import prometheus_lint
+        from tests.obs.promtext_lint import lint as prometheus_lint
 
         text = self.build().to_prometheus()
         assert "# TYPE link_utilization gauge" in text

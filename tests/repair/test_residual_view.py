@@ -423,6 +423,19 @@ def foreground_engine(stripes, failed):
     )
 
 
+def outcome(result):
+    """A full-node result, and apart from it the solves its simulator
+    ran (the one number the two engines may disagree on)."""
+    telemetry = dict(result.telemetry)
+    counters = telemetry["counters"] = dict(telemetry["counters"])
+    solves = counters.pop("sim_rate_recomputations")
+    summary = (
+        result.total_seconds, result.chunks_repaired, result.chunks_failed,
+        result.bytes_transferred, telemetry,
+    )
+    return summary, solves
+
+
 class TestReusedIsFresh:
     @given(
         adaptive=st.booleans(),
@@ -431,7 +444,6 @@ class TestReusedIsFresh:
         ),
         foreground=st.booleans(),
         governed=st.booleans(),
-        engine=st.sampled_from(["fast", "reference"]),
         seed=st.integers(min_value=0, max_value=5),
     )
     @settings(
@@ -439,9 +451,36 @@ class TestReusedIsFresh:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_every_plan_of_a_run(
-        self, audited_plans, adaptive, faults, foreground, governed,
-        engine, seed,
+        self, audited_plans, adaptive, faults, foreground, governed, seed,
     ):
+        before = audited_plans[0]
+        result = self.run(adaptive, faults, foreground, governed, seed)
+        assert result.chunks_repaired + result.chunks_failed > 0
+        assert audited_plans[0] - before >= result.chunks_repaired
+
+    @pytest.mark.parametrize("faults", [None, "crash+degrade"])
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_every_plan_on_the_reference_engine(
+        self, audited_plans, reference_engine, adaptive, faults,
+    ):
+        # Foreground load and a governor on both engines: every plan is
+        # audited, and the runs plan and end alike.
+        fast, fast_solves = outcome(
+            self.run(adaptive, faults, True, True, seed=2)
+        )
+        plans = audited_plans[0]
+        with reference_engine():
+            reference, reference_solves = outcome(
+                self.run(adaptive, faults, True, True, seed=2)
+            )
+        assert audited_plans[0] == 2 * plans > 0
+        assert reference == fast
+        # The reference really ran: it solves at every event.
+        assert reference_solves > fast_solves
+
+    @staticmethod
+    def run(adaptive, faults, foreground, governed, seed):
+        """One composed full-node run on a 12-node star."""
         stripes = place_stripes(
             8, CODE, NODES, np.random.default_rng(seed)
         )
@@ -458,18 +497,12 @@ class TestReusedIsFresh:
         plan = FaultPlan.from_spec(specs[faults]) if faults else None
         fg = foreground_engine(stripes, failed) if foreground else None
         driver = repair_full_node_adaptive if adaptive else repair_full_node
-        before = audited_plans[0]
-        result = driver(
-            pinned(), star(), stripes, failed,
-            config=ExecutionConfig(
-                chunk_size=64 * 1024 * 1024, engine=engine
-            ),
+        return driver(
+            pinned(), star(), stripes, failed, config=CONFIG,
             faults=plan, retry_policy=RetryPolicy() if plan else None,
             foreground=fg,
             governor=make_governor("adaptive") if governed else None,
         )
-        assert result.chunks_repaired + result.chunks_failed > 0
-        assert audited_plans[0] - before >= result.chunks_repaired
 
     def test_on_a_traced_network(self, audited_plans):
         trace = trace_generators.generate_all(16, 240, seed=3000)["TPC-H"]

@@ -652,7 +652,8 @@ class TestTopCommand:
         ]
         assert "rendered" not in payload  # JSON mode strips the frame
 
-        from repro.obs import TimeSeriesDB, prometheus_lint
+        from repro.obs import TimeSeriesDB
+        from tests.obs.promtext_lint import lint as prometheus_lint
 
         assert prometheus_lint(prom.read_text()) == []
         restored = TimeSeriesDB.from_jsonl(tsdb_out.read_text())
