@@ -252,6 +252,16 @@ class _Ledger:
     #: it so slice watermarks keep their meaning.
     config: ExecutionConfig | None = None
 
+    def deliver(self, plan: RepairPlan, start_slice: int) -> None:
+        """A flight delivered slices from ``start_slice`` on.  One from
+        slice 0 supersedes every earlier range; a flight that starts
+        from scratch but delivers nothing leaves them standing, since a
+        later flight may still resume on the requestor that holds them.
+        """
+        if start_slice == 0:
+            self.segments = []
+        self.segments.append((plan, start_slice))
+
 
 class StripeRepairMaster:
     """Repair every lost chunk of one failed node, one step at a time.
@@ -476,7 +486,7 @@ class StripeRepairMaster:
                 self.drop_hedge(flight, "primary_won")
             if self.faulted:
                 self.injector.announce_until(self.sim.now)
-            ledger.segments.append((plan, flight.start_slice))
+            ledger.deliver(plan, flight.start_slice)
             # The span ends at the flow's exact finish (collection can
             # lag behind completion by a planning window): its duration
             # is the makespan the critical path sums to.
@@ -661,7 +671,7 @@ class StripeRepairMaster:
         if verified <= flight.start_slice:
             return
         ledger = self.ledgers[flight.stripe.stripe_id]
-        ledger.segments.append((flight.plan, flight.start_slice))
+        ledger.deliver(flight.plan, flight.start_slice)
         ledger.watermark, ledger.holder = verified, flight.plan.requestor
         self.record(
             "progress", flight.stripe, watermark=verified,
@@ -885,10 +895,6 @@ class StripeRepairMaster:
                 bmin=plan.bmin,
             )
         start_slice = self.resume_slice(stripe, plan)
-        if start_slice == 0:
-            # From scratch (first flight, or the verified slices sit on
-            # a requestor that died): earlier ranges count for nothing.
-            ledger.segments = []
         ledger.planning_seconds += plan.effective_planning_seconds
         config = ledger.config = self.config_for(stripe)
         cap = max_rate
@@ -1062,7 +1068,7 @@ class StripeRepairMaster:
             )
         ledger.last_flow = hedge.span
         if hedge.start_slice > primary.start_slice:
-            ledger.segments.append((primary.plan, primary.start_slice))
+            ledger.deliver(primary.plan, primary.start_slice)
         ledger.planning_seconds += hedge.plan.effective_planning_seconds
 
     # ------------------------------------------------------------------

@@ -286,6 +286,18 @@ class TestChaosProperty:
     def test_random_fault_plans_never_corrupt_a_full_node_repair(self, seed):
         """The same contract through the other driver of the machine:
         three stripes at once, each task's stitched bytes verified."""
+        self.full_node_chaos(seed)
+
+    def test_scratch_flight_that_delivers_nothing_keeps_earlier_ranges(self):
+        # Seed 6062: a stripe's verified slices sit on one requestor, a
+        # re-plan starts from scratch on another and delivers nothing,
+        # and the next flight resumes on the first.  Its result must
+        # still name the flight that delivered the first slices, or the
+        # stitched chunk comes out short.
+        self.full_node_chaos(6062)
+
+    @staticmethod
+    def full_node_chaos(seed):
         # 1 MiB chunks on ~1 MB/s links: faults in [0, 2] land mid-repair,
         # and the byte plane's slices are the timing plane's.
         config = ExecutionConfig(chunk_size=1024 * 1024, slice_size=16384)
