@@ -6,7 +6,7 @@ scales (n, k) from the paper's (14, 10) up to (96, 64) — far beyond what
 GF(2^8)-era deployments used — and shows:
 
 * Algorithm 1's running time stays sub-millisecond (O(n log n)), while
-  PPT's projected enumeration time goes beyond astronomical;
+  PPT's modelled enumeration time goes beyond astronomical;
 * PivotRepair's transfer-time advantage over RP *grows* with k, because a
   longer chain crosses more congested nodes.
 """
@@ -64,7 +64,7 @@ def test_wide_stripe_repair(benchmark):
                 "pivot_plan": pivot.planning_seconds,
                 "pivot_transfer": pivot.transfer_seconds,
                 "rp_transfer": rp.transfer_seconds,
-                "ppt_trees": tree_count(n - 1, k),
+                "ppt_trees": tree_count(k),
             }
         return rows
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from repro.experiments import (  # noqa: F401  (re-exported for benches)
     INSTANTS_PER_CELL,
-    PPT_TREE_BUDGET,
     SCHEMES,
     CellResult,
     make_planner,

@@ -2,18 +2,11 @@
 
 from repro.baselines.conventional import ConventionalPlanner
 from repro.baselines.ppr import PPRPlanner, ppr_stages
-from repro.baselines.ppt import (
-    DEFAULT_TREE_BUDGET,
-    PPTPlanner,
-    prufer_decode,
-    rooted_trees,
-    tree_count,
-)
+from repro.baselines.ppt import PPTPlanner, prufer_decode, tree_count
 from repro.baselines.rp import RPPlanner
 from repro.baselines.smf import SMFPlanner
 
 __all__ = [
-    "DEFAULT_TREE_BUDGET",
     "ConventionalPlanner",
     "PPRPlanner",
     "PPTPlanner",
@@ -21,6 +14,5 @@ __all__ = [
     "SMFPlanner",
     "ppr_stages",
     "prufer_decode",
-    "rooted_trees",
     "tree_count",
 ]

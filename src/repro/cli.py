@@ -640,7 +640,7 @@ def _cmd_plan(args, tracer) -> _Output:
         "edges": plan.tree.edges() if plan.tree else None,
         "tree": plan.tree.render() if plan.tree else None,
         "bmin_mbps": round(to_mbps(plan.bmin), 1),
-        "planning_seconds": plan.effective_planning_seconds,
+        "planning_seconds": plan.planning_seconds,
     })
 
 

@@ -9,7 +9,6 @@ assertions and result recording, and the CLI exposes them as
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.single_chunk import (
     INSTANTS_PER_CELL,
-    PPT_TREE_BUDGET,
     SCHEMES,
     CellResult,
     congested_instants,
@@ -23,7 +22,6 @@ from repro.experiments.fullnode_experiment import run_figure7
 
 __all__ = [
     "INSTANTS_PER_CELL",
-    "PPT_TREE_BUDGET",
     "SCHEMES",
     "CellResult",
     "ExperimentSettings",

@@ -15,7 +15,6 @@ from repro.core import PivotRepairPlanner
 from repro.core.scheduler import SchedulerConfig
 from repro.ec import RSCode, place_stripes
 from repro.experiments.config import DEFAULT_SETTINGS, ExperimentSettings
-from repro.experiments.single_chunk import PPT_TREE_BUDGET
 from repro.obs.tracer import NULL_TRACER
 from repro.repair import (
     ExecutionConfig,
@@ -81,9 +80,8 @@ def run_figure7(
             concurrency=CONCURRENCY, config=config, tracer=tracer,
         )
         row["PPT"] = repair_full_node(
-            PPTPlanner(tree_budget=PPT_TREE_BUDGET), network, stripes,
-            failed_node, concurrency=CONCURRENCY, config=config,
-            tracer=tracer,
+            PPTPlanner(), network, stripes, failed_node,
+            concurrency=CONCURRENCY, config=config, tracer=tracer,
         )
         row["PivotRepair"] = repair_full_node(
             PivotRepairPlanner(), network, stripes, failed_node,

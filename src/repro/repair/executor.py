@@ -96,7 +96,7 @@ def execute_plan(
         )
     return RepairResult(
         scheme=plan.scheme,
-        planning_seconds=plan.effective_planning_seconds,
+        planning_seconds=plan.planning_seconds,
         transfer_seconds=transfer,
         bmin=plan.bmin,
         plan=plan,
@@ -118,7 +118,7 @@ def _telemetry(
         registry.gauge("bottleneck_utilization").set(
             bytes_per_edge / transfer / plan.bmin
         )
-    registry.gauge("planner_seconds").set(plan.effective_planning_seconds)
+    registry.gauge("planner_seconds").set(plan.planning_seconds)
     registry.histogram("task_seconds").observe(transfer)
     return registry.snapshot()
 

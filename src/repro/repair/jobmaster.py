@@ -25,8 +25,9 @@ nodes not holding a chunk of the stripe ("PivotRepair always selects the
 node that has the most downlink bandwidth as the requestor"), so
 requestors spread across the cluster; a degraded read names its client
 instead, in the stripe's ledger.  Planning happens serially at the
-Master and its wall-clock cost advances the simulated clock — this is
-what sinks PPT at large k in Figure 7.
+Master and its cost (wall clock, or PPT's modelled per-tree charge)
+advances the simulated clock — this is what sinks PPT at large k in
+Figure 7.
 """
 
 from __future__ import annotations
@@ -867,7 +868,7 @@ class StripeRepairMaster:
             "repair.planning", stripe_id, self.sim.now, stripe=stripe_id
         )
         done_meanwhile = self.advance(
-            self.sim.now + plan.effective_planning_seconds
+            self.sim.now + plan.planning_seconds
         )
         self.end_span("repair.planning", span, stripe_id, self.sim.now)
         self.collect(done_meanwhile)
@@ -895,7 +896,7 @@ class StripeRepairMaster:
                 bmin=plan.bmin,
             )
         start_slice = self.resume_slice(stripe, plan)
-        ledger.planning_seconds += plan.effective_planning_seconds
+        ledger.planning_seconds += plan.planning_seconds
         config = ledger.config = self.config_for(stripe)
         cap = max_rate
         if self.level >= 2 and plan.bmin > 0:
@@ -1069,7 +1070,7 @@ class StripeRepairMaster:
         ledger.last_flow = hedge.span
         if hedge.start_slice > primary.start_slice:
             ledger.deliver(primary.plan, primary.start_slice)
-        ledger.planning_seconds += hedge.plan.effective_planning_seconds
+        ledger.planning_seconds += hedge.plan.planning_seconds
 
     # ------------------------------------------------------------------
     # Pause / resume (backpressure shedding)

@@ -11,8 +11,8 @@ from repro.core.plan import RepairPlan
 class RepairResult:
     """Outcome of one single-chunk repair.
 
-    ``planning_seconds`` is real wall-clock planner cost (extrapolated for
-    budget-capped enumerators); ``transfer_seconds`` is simulated time.
+    ``planning_seconds`` is real wall-clock planner cost (PPT's is its
+    modelled per-tree charge); ``transfer_seconds`` is simulated time.
     ``bytes_transferred`` sums what every link carried (per-edge bytes ×
     edges, including pipeline fill).  ``telemetry`` is a
     :meth:`repro.obs.MetricsRegistry.snapshot` dict — counters

@@ -51,7 +51,7 @@ from repro.units import mbps, mib
 SCHEMES = {
     "pivot": PivotRepairPlanner,
     "rp": RPPlanner,
-    "ppt": lambda: PPTPlanner(tree_budget=20_000),
+    "ppt": PPTPlanner,
 }
 
 #: Recommendation-value bar of the adaptive strategy's runs.

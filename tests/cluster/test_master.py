@@ -86,7 +86,7 @@ class TestClusterBasics:
         RPPlanner,
         PPRPlanner,
         ConventionalPlanner,
-        lambda: PPTPlanner(tree_budget=2000),
+        PPTPlanner,
     ],
     ids=["pivot", "rp", "ppr", "conventional", "ppt"],
 )

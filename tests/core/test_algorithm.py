@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.ppt import PPTPlanner
 from repro.core.algorithm import (
     PivotRepairPlanner,
     build_pivot_tree,
@@ -16,6 +15,7 @@ from repro.core.algorithm import (
 )
 from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.exceptions import PlanningError
+from tests.baselines.ppt_oracle import all_subsets
 
 # Figure 4's bandwidth table (Mb/s). Node 0 plays the requestor R; node 1
 # is the failed node, nodes 2..6 are helpers N2..N6.
@@ -95,7 +95,6 @@ class TestPlannerInterface:
         assert plan.is_pipelined
         assert plan.planning_seconds > 0
         assert plan.bmin == pytest.approx(450)
-        assert plan.effective_planning_seconds == plan.planning_seconds
 
     def test_requestor_in_candidates_rejected(self):
         with pytest.raises(PlanningError):
@@ -135,8 +134,8 @@ class TestTheorem1Optimality:
         view = random_snapshot(node_count, seed)
         candidates = list(range(1, node_count))
         greedy = build_pivot_tree(view, 0, candidates, k)
-        exhaustive = PPTPlanner(tree_budget=10**6, helper_selection="all_subsets").plan(view, 0, candidates, k)
-        assert greedy.bmin(view) == pytest.approx(exhaustive.bmin, rel=1e-9)
+        optimum, _, _ = all_subsets(view, 0, candidates, k)
+        assert greedy.bmin(view) == pytest.approx(optimum, rel=1e-9)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -151,8 +150,8 @@ class TestTheorem1Optimality:
         view = snap(up, down)
         candidates = list(range(1, node_count))
         greedy = build_pivot_tree(view, 0, candidates, 4)
-        exhaustive = PPTPlanner(tree_budget=10**6, helper_selection="all_subsets").plan(view, 0, candidates, 4)
-        assert greedy.bmin(view) == pytest.approx(exhaustive.bmin, rel=1e-9)
+        optimum, _, _ = all_subsets(view, 0, candidates, 4)
+        assert greedy.bmin(view) == pytest.approx(optimum, rel=1e-9)
 
     def test_structural_invariants(self):
         for seed in range(30):

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.ppt import rooted_trees
 from repro.core.algorithm import (
     build_pivot_tree,
     insert_pivots,
@@ -19,6 +18,7 @@ from repro.core.algorithm import (
 )
 from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.core.tree import RepairTree
+from tests.baselines.ppt_oracle import rooted_trees
 
 
 def snap(up, down):

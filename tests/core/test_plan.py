@@ -38,15 +38,6 @@ class TestRepairPlanValidation:
         assert pipelined.is_pipelined
         assert not staged.is_pipelined
 
-    def test_effective_planning_prefers_extrapolation(self):
-        plan = RepairPlan(
-            scheme="x", requestor=0, helpers=[1, 2], tree=tree(),
-            planning_seconds=0.01, extrapolated_seconds=100.0,
-        )
-        assert plan.effective_planning_seconds == 100.0
-        plan.extrapolated_seconds = None
-        assert plan.effective_planning_seconds == 0.01
-
 
 class _NullPlanner(RepairPlanner):
     name = "null"

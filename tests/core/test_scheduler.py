@@ -155,7 +155,7 @@ class TestRecommendationCeiling:
             (PivotRepairPlanner(), flat),
             (RPPlanner(), flat),
             (RPPlanner(order="greedy"), flat),
-            (PPTPlanner(tree_budget=200), flat),
+            (PPTPlanner(), flat),
             (ComputeAwarePlanner(PivotRepairPlanner(), ComputeView(cpu)),
              flat),
             (RackAwarePivotPlanner(), racked),

@@ -72,7 +72,7 @@ def single_chunk(exact: bool = False) -> dict:
     schemes = {
         "pivot": PivotRepairPlanner,
         "rp": RPPlanner,
-        "ppt": lambda: PPTPlanner(tree_budget=200_000),
+        "ppt": PPTPlanner,
     }
     sim = {}
     for name, factory in schemes.items():

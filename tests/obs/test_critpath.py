@@ -40,7 +40,6 @@ class ZeroPlanningPivot(PivotRepairPlanner):
     def plan(self, *args, **kwargs):
         plan = super().plan(*args, **kwargs)
         plan.planning_seconds = 0.0
-        plan.extrapolated_seconds = None
         return plan
 
 

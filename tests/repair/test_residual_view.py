@@ -162,7 +162,7 @@ class TestSharingIsSafe:
             (PivotRepairPlanner(), flat),
             (RPPlanner(), flat),
             (RPPlanner(order="greedy"), flat),
-            (PPTPlanner(tree_budget=200), flat),
+            (PPTPlanner(), flat),
             (ConventionalPlanner(), flat),
             (PPRPlanner(), flat),
             (RackAwarePivotPlanner(), racked),
