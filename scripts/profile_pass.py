@@ -1,11 +1,13 @@
 """cProfile one pass, or the set-up, of a ``benchmarks/perf`` workload.
 
-    python scripts/profile_pass.py <workload> [--seed N] [--top N]
+    python scripts/profile_pass.py --workload W [--seed N] [--top N]
                                    [--phase {setup,pass}]
 
 Sets the workload up exactly as the benchmark does (its modules are
 imported, not edited), runs one warm-up pass, profiles the next and
-prints the hottest functions by cumulative and by self time; with
+prints the hottest functions by cumulative and by self time, then self
+time summed per module (``repro.obs.metrics``, ``<built-in>``, ...)
+with its share of the profiled total; with
 ``--phase setup`` it profiles the set-up instead (what ``setup_s``
 times, less the imports) and runs no pass.  Hot paths
 are chosen from this, not from intuition (ROADMAP north star); the
@@ -55,9 +57,39 @@ def _reset_peak() -> bool:
     return True
 
 
+def module_of(filename: str) -> str:
+    """Dotted module of a profiled function's file: ``repro.obs.metrics``
+    under ``src/``, ``harness`` under ``benchmarks/perf/``,
+    ``<built-in>`` for C functions, ``<heapq>`` for anything else."""
+    if filename == "~":
+        return "<built-in>"
+    path = Path(filename)
+    for root in (ROOT / "src", ROOT / "benchmarks" / "perf"):
+        if path.is_relative_to(root):
+            return ".".join(path.relative_to(root).with_suffix("").parts)
+    return f"<{path.stem}>"
+
+
+def print_self_by_module(stats: pstats.Stats, top: int) -> None:
+    """Self time per module, largest first, with share and call count."""
+    totals: dict[str, list[float]] = {}
+    for (filename, _, _), (_, calls, self_s, _, _) in stats.stats.items():
+        entry = totals.setdefault(module_of(filename), [0.0, 0])
+        entry[0] += self_s
+        entry[1] += calls
+    whole = sum(self_s for self_s, _ in totals.values()) or 1.0
+    print(f"self time by module (of {whole:.3f} s):")
+    print(f"{'self s':>9} {'share':>6} {'calls':>9}  module")
+    ranked = sorted(totals.items(), key=lambda item: -item[1][0])
+    for module, (self_s, calls) in ranked[:top]:
+        print(f"{self_s:9.4f} {self_s / whole:6.1%} {calls:9d}  {module}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workload", choices=sorted(REGISTRY))
+    parser.add_argument(
+        "--workload", required=True, metavar="W", choices=sorted(REGISTRY)
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--top", type=int, default=40)
     parser.add_argument("--phase", choices=("setup", "pass"), default="pass")
@@ -83,6 +115,7 @@ def main(argv=None) -> int:
     stats = pstats.Stats(profiler)
     for order in ("cumulative", "tottime"):
         stats.sort_stats(order).print_stats(args.top)
+    print_self_by_module(stats, args.top)
     if start and end:
         print(
             f"memory of the profiled {args.phase}: "

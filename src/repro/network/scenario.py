@@ -291,7 +291,7 @@ def digest(sim: FluidSimulator, handles, sampler=None) -> dict:
     ``rate_recomputations`` is intentionally excluded — it is the one
     counter the engines are allowed to disagree on.
     """
-    stats = sim.stats
+    stats, bytes_up, bytes_down = sim.read_ledger()
     payload = {
         "tasks": [
             {
@@ -311,8 +311,8 @@ def digest(sim: FluidSimulator, handles, sampler=None) -> dict:
         "tasks_cancelled": stats.tasks_cancelled,
         "bytes_by_kind": dict(sorted(stats.bytes_by_kind.items())),
         "bytes_transferred": stats.bytes_transferred,
-        "bytes_up": dict(sorted(sim.bytes_up.items())),
-        "bytes_down": dict(sorted(sim.bytes_down.items())),
+        "bytes_up": dict(sorted(bytes_up.items())),
+        "bytes_down": dict(sorted(bytes_down.items())),
         "end_time": sim.now,
     }
     if sampler is not None:

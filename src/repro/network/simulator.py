@@ -291,14 +291,24 @@ class FluidSimulator:
                 ledger.credit(entity, carried)
         return ledger
 
-    @property
-    def stats(self) -> SimulatorStats:
-        """Event-loop statistics as of ``now`` (a snapshot)."""
+    def read_ledger(
+        self,
+    ) -> tuple[SimulatorStats, dict[int, float], dict[int, float]]:
+        """``(stats, bytes_up, bytes_down)`` as of ``now``, from one
+        ledger copy — what :attr:`stats`, :attr:`bytes_up` and
+        :attr:`bytes_down` return, read together for a third of the
+        cost."""
         ledger = self._ledger_now()
-        return replace(
+        stats = replace(
             self._stats, bytes_by_kind=ledger.by_kind,
             bytes_transferred=ledger.total,
         )
+        return stats, ledger.up, ledger.down
+
+    @property
+    def stats(self) -> SimulatorStats:
+        """Event-loop statistics as of ``now`` (a snapshot)."""
+        return self.read_ledger()[0]
 
     @property
     def bytes_up(self) -> dict[int, float]:

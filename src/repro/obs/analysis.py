@@ -19,7 +19,7 @@ far from the oracle-optimal* ``B_min`` *did we land?* — as a per-flow
 
 Every repair and hedge flow — finished or cancelled — has its duration
 ``D`` split exactly (``D = transfer + contention + governor + stall +
-hedge``) by :func:`repro.obs.critpath._flow_categories` against the
+hedge``) by :func:`repro.obs.critpath.flow_categories` against the
 reference rate ``ref``: the oracle ``B_min`` when available, else the
 planner's claimed value stamped on the flow span at submit.  ``B / ref``
 (the time the transfer would take at the reference rate) stays derivable
@@ -44,12 +44,12 @@ from repro.obs.critpath import (
     GLYPHS,
     Span,
     TraceIndex,
-    _cap_at,
-    _flow_categories,
-    _rate_profile,
-    _resources,
-    _stamped_bmin,
     build_spans,
+    cap_at,
+    flow_categories,
+    flow_resources,
+    rate_profile,
+    stamped_bmin,
 )
 
 # NOTE: repro.core imports repro.obs.tracer at module load; the oracle
@@ -410,7 +410,7 @@ def _sampled_bottleneck(
     uplink and its sink's downlink) wins that tick; the link winning the
     most time is the bottleneck.
     """
-    resources = _resources(flow.fields.get("edges", []))
+    resources = flow_resources(flow.fields.get("edges", []))
     if not samples or not resources:
         return None
     won_time: dict[tuple[str, int], float] = {}
@@ -465,13 +465,13 @@ def _diagnose_flow(
     rates = index.rates.get(flow.span_id)
     carried = sum(
         rate * (end - start)
-        for start, end, rate in _rate_profile(flow, rates or [])
+        for start, end, rate in rate_profile(flow, rates or [])
     )
     # A cancelled flow never delivered its byte count: its achieved rate
     # is what the profile says it carried.
     delivered = carried if flow.cancelled and rates else bytes_per_edge
     achieved = delivered / duration if duration > 0 else 0.0
-    claimed = _stamped_bmin(flow)
+    claimed = stamped_bmin(flow)
     located = _tree_at_submit(flow, network)
     oracle = located[0].bmin(located[1]) if located else None
     reference, ref_rate = "none", None
@@ -481,7 +481,7 @@ def _diagnose_flow(
         reference, ref_rate = "claimed", claimed
     components: dict[str, float] = {}
     if duration > 0:
-        components = _flow_categories(
+        components = flow_categories(
             index, flow, flow.start, flow.end, ref_rate
         )
     bottleneck = _sampled_bottleneck(flow, samples, sample_interval)
@@ -690,5 +690,5 @@ def _segments_with_cap(diag: RepairDiagnosis, cap_timeline):
     bounds += [t for t, _ in cap_timeline if diag.submit < t < diag.finish]
     bounds.append(diag.finish)
     for start, end in zip(bounds, bounds[1:]):
-        if end > start and _cap_at(cap_timeline, start) is not None:
+        if end > start and cap_at(cap_timeline, start) is not None:
             yield start, end

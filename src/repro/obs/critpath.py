@@ -6,7 +6,7 @@ view of *where repair time went*:
 * :func:`build_spans` digests an event stream in one pass into a
   :class:`TraceIndex` — the span DAG, each flow's ``flow.rate_change``
   profile, the governor cap timeline and the straggler verdicts;
-* :func:`_flow_categories` is the one rule that splits any
+* :func:`flow_categories` is the one rule that splits any
   ``[start, end]`` of a flow into seconds per category against a
   reference rate (see its docstring for the rule);
 * :func:`critical_paths` applies it to the critical-path segments of
@@ -73,7 +73,12 @@ __all__ = [
     "RepairPath",
     "CritPathReport",
     "build_spans",
+    "cap_at",
     "critical_paths",
+    "flow_categories",
+    "flow_resources",
+    "rate_profile",
+    "stamped_bmin",
 ]
 
 #: Rates below this fraction of the reference count as a stall.
@@ -331,7 +336,7 @@ class TraceIndex:
 
     Built by :func:`build_spans` in one pass over the events; both
     :func:`critical_paths` and :func:`repro.obs.analysis.diagnose` read
-    it and apply :func:`_flow_categories` to its flows.
+    it and apply :func:`flow_categories` to its flows.
     """
 
     #: span id -> closed span, in end order.
@@ -407,7 +412,7 @@ def build_spans(events: Sequence) -> TraceIndex:
     return index
 
 
-def _rate_profile(
+def rate_profile(
     flow: Span, rates: list[tuple[float, float]]
 ) -> list[tuple[float, float, float]]:
     """Piecewise-constant (start, end, rate) intervals covering ``flow``."""
@@ -434,7 +439,8 @@ def _rate_profile(
     return intervals
 
 
-def _cap_at(timeline, t: float) -> float | None:
+def cap_at(timeline, t: float) -> float | None:
+    """The governor cap in force at ``t`` (None before the first)."""
     cap = None
     for at, value in timeline:
         if at > t + 1e-12:
@@ -443,7 +449,9 @@ def _cap_at(timeline, t: float) -> float | None:
     return cap
 
 
-def _resources(edges) -> set[tuple[str, int]]:
+def flow_resources(edges) -> set[tuple[str, int]]:
+    """The ``("up", src)`` / ``("down", dst)`` links a flow's edges
+    cross."""
     out: set[tuple[str, int]] = set()
     for src, dst in edges:
         out.add(("up", int(src)))
@@ -461,7 +469,7 @@ class _Rivals:
         self.entries = sorted(
             (
                 (flow.start, flow.end, name, owner,
-                 _resources(flow.fields.get("edges", [])))
+                 flow_resources(flow.fields.get("edges", [])))
                 for name, owner, flow in contenders
             ),
             key=lambda entry: entry[0],
@@ -545,7 +553,7 @@ def _covering_walk(
 # ----------------------------------------------------------------------
 # The flow-attribution rule
 # ----------------------------------------------------------------------
-def _flow_categories(
+def flow_categories(
     index: TraceIndex,
     flow: Span,
     start: float,
@@ -587,9 +595,9 @@ def _flow_categories(
     cuts = sorted(
         {since}.union(*((other.start, other.end) for other in siblings))
     )
-    resources = _resources(flow.fields.get("edges", []))
+    resources = flow_resources(flow.fields.get("edges", []))
     out: dict[str, float] = {}
-    for s0, e0, rate in _rate_profile(flow, rates):
+    for s0, e0, rate in rate_profile(flow, rates):
         lo, hi = max(s0, start), min(e0, end)
         points = [lo] + [cut for cut in cuts if lo < cut < hi] + [hi]
         for s, e in zip(points, points[1:]):
@@ -610,7 +618,7 @@ def _flow_categories(
             elif s >= since:
                 bucket = "stall"
             else:
-                cap = _cap_at(index.caps, s)
+                cap = cap_at(index.caps, s)
                 at_cap = cap is not None and rate >= cap * (1 - _CAP_TOL)
                 bucket = "governor" if at_cap else "contention"
             out[bucket] = out.get(bucket, 0.0) + excess
@@ -627,7 +635,7 @@ def _flow_categories(
     return out
 
 
-def _stamped_bmin(flow: Span) -> float | None:
+def stamped_bmin(flow: Span) -> float | None:
     """The planner's claimed ``B_min``, stamped on the flow at submit.
 
     A claim of 0 (planning through a saturated link) is no reference:
@@ -704,8 +712,8 @@ def critical_paths(events: Sequence) -> CritPathReport:
                     )
                 )
             elif child.name == "flow":
-                seg_cats = _flow_categories(
-                    index, child, start, end, _stamped_bmin(child),
+                seg_cats = flow_categories(
+                    index, child, start, end, stamped_bmin(child),
                     rivals, tenants,
                 ) or {"transfer": end - start}
                 segments.append(

@@ -263,8 +263,13 @@ class MetricsRegistry:
         """Family name -> type for every registered family, name-sorted."""
         return dict(sorted(self._types.items()))
 
-    def snapshot(self) -> dict:
+    def snapshot(self, counters: dict[str, float] | None = None) -> dict:
         """Plain-dict view of every metric, JSON-serialisable.
+
+        ``counters`` (name -> amount, unlabeled) are merged in as if each
+        had been ``inc``-ed once before the call, without registering
+        anything: a name already counted adds, a name held by a gauge or
+        histogram family raises ``ValueError``.
 
         ``name/key`` counters and gauges are additionally folded into
         nested ``per_<name>`` maps, so ``bytes_up/3`` shows up both as a
@@ -273,26 +278,40 @@ class MetricsRegistry:
         structured labels into ``families`` (present only when at least
         one labeled metric exists, so unlabeled snapshots are unchanged).
         """
-        counters = {
-            key: metric.value for key, metric in sorted(self._counters.items())
+        registered = {
+            key: metric.value for key, metric in self._counters.items()
         }
+        merged = {**registered, **counters} if counters else registered
+        for name in counters.keys() & self._types.keys() if counters else ():
+            if name in registered:
+                merged[name] = registered[name] + counters[name]
+            elif self._types[name] != "counter":
+                raise ValueError(
+                    f"metric {name!r} already registered with another type"
+                )
+        # ``0.0 +`` is what ``inc`` adds to: a float, whatever came in.
+        flat = {key: 0.0 + merged[key] for key in sorted(merged)}
         gauges = {
             key: metric.value for key, metric in sorted(self._gauges.items())
         }
         out: dict = {
-            "counters": counters,
+            "counters": flat,
             "gauges": gauges,
             "histograms": {
                 key: metric.summary()
                 for key, metric in sorted(self._histograms.items())
             },
         }
-        for family in (counters, gauges):
+        for family in (flat, gauges):
+            # Sorted, so one ``name/`` prefix is one run of keys.
+            base = fold = None
             for name, value in family.items():
                 if "/" not in name or "{" in name:
                     continue
-                base, key = name.split("/", 1)
-                out.setdefault(f"per_{base}", {})[key] = value
+                prefix, _, key = name.partition("/")
+                if prefix != base:
+                    base, fold = prefix, out.setdefault(f"per_{prefix}", {})
+                fold[key] = value
         if not self._labeled:
             return out
         families: dict[str, list] = {}

@@ -18,7 +18,7 @@ from repro.repair.multichunk import (
     plan_multi_chunk,
 )
 from repro.repair.slicesim import fluid_estimate, simulate_slices
-from repro.repair.telemetry import registry_from_run
+from repro.repair.telemetry import run_counters
 from repro.repair.pipeline import (
     ExecutionConfig,
     ideal_transfer_seconds,
@@ -42,9 +42,9 @@ __all__ = [
     "ideal_transfer_seconds",
     "pipeline_bytes_per_edge",
     "pipeline_overhead_seconds",
-    "registry_from_run",
     "repair_full_node",
     "repair_full_node_adaptive",
     "repair_single_chunk",
     "repair_single_chunk_faulted",
+    "run_counters",
 ]

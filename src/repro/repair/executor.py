@@ -25,6 +25,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.network.simulator import FluidSimulator
 from repro.network.topology import StarNetwork
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.repair.fullnode import run_rounds
 from repro.repair.jobmaster import StripeRepairMaster
@@ -35,7 +36,7 @@ from repro.repair.pipeline import (
     pipeline_overhead_seconds,
     trace_fill,
 )
-from repro.repair.telemetry import registry_from_run
+from repro.repair.telemetry import run_counters
 from repro.resilience.health import HealthPolicy
 
 logger = logging.getLogger(__name__)
@@ -110,7 +111,7 @@ def _telemetry(
     carried: float, tracer,
 ) -> dict:
     """Registry snapshot of one single-chunk run."""
-    registry = registry_from_run(sim, tracer)
+    registry = MetricsRegistry()
     if plan.is_pipelined and plan.bmin > 0 and transfer > 0:
         # Achieved pipeline rate over the planner's promised bottleneck:
         # ~1.0 when the plan held, < 1 when congestion moved against it.
@@ -120,7 +121,7 @@ def _telemetry(
         )
     registry.gauge("planner_seconds").set(plan.planning_seconds)
     registry.histogram("task_seconds").observe(transfer)
-    return registry.snapshot()
+    return registry.snapshot(run_counters(sim, tracer))
 
 
 def _run_pipelined(
@@ -264,5 +265,5 @@ def repair_single_chunk_faulted(
         registry.histogram("task_seconds").observe(transfer)
     return replace(
         record, **outcome,
-        telemetry=registry_from_run(sim, tracer, registry).snapshot(),
+        telemetry=registry.snapshot(run_counters(sim, tracer)),
     )

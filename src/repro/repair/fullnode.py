@@ -47,7 +47,7 @@ from repro.repair.jobmaster import (  # noqa: F401 - re-exported names
 )
 from repro.repair.metrics import FullNodeResult
 from repro.repair.pipeline import ExecutionConfig
-from repro.repair.telemetry import registry_from_run
+from repro.repair.telemetry import run_counters
 
 logger = logging.getLogger(__name__)
 
@@ -191,7 +191,7 @@ def _repair_single_job(
         registry.histogram("task_seconds").observe(task.transfer_seconds)
         registry.histogram("planner_seconds").observe(task.planning_seconds)
     return master.build_result(
-        registry_from_run(sim, tracer, registry=registry).snapshot()
+        registry.snapshot(run_counters(sim, tracer))
     )
 
 

@@ -121,8 +121,8 @@ class TestExecutePlan:
 #: sort_keys=True)`` of one 64 MiB (9,6) repair on a seeded TPC-DS
 #: network, first recorded at commit ``e7f0db8`` — before ``obs.metrics``
 #: got its unlabeled fast path and the networks their capacity rows.  A
-#: PR that restructures the registry or ``registry_from_run`` leaves
-#: these alone.
+#: PR that restructures the registry, ``run_counters`` or the merge in
+#: ``MetricsRegistry.snapshot`` leaves these alone.
 FIXTURE = Path(__file__).with_name("telemetry_identity.json")
 TELEMETRY_RUNS = [
     (planner_class, traced)

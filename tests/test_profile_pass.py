@@ -40,7 +40,9 @@ def profile_pass(monkeypatch):
 def test_profiles_one_phase_and_prints_both_orderings(
     profile_pass, capsys, flags, profiled
 ):
-    assert profile_pass.main([WORKLOAD, "--top", "5", *flags]) == 0
+    assert profile_pass.main(
+        ["--workload", WORKLOAD, "--top", "5", *flags]
+    ) == 0
     out = capsys.readouterr().out
     assert "Ordered by: cumulative time" in out
     assert "Ordered by: internal time" in out
@@ -48,3 +50,25 @@ def test_profiles_one_phase_and_prints_both_orderings(
     for phase in ("run_pass", "setup"):
         assert (f"({phase})" in out) == (phase == profiled)
 
+
+def test_prints_self_time_by_module(profile_pass, capsys):
+    assert profile_pass.main(["--workload", WORKLOAD, "--top", "5"]) == 0
+    out = capsys.readouterr().out
+    table = out[out.index("self time by module"):].splitlines()
+    assert table[1].split() == ["self", "s", "share", "calls", "module"]
+    rows = [line.split() for line in table[2:] if line.startswith(" ")]
+    assert 1 <= len(rows) <= 5
+    assert any(row[-1].startswith("repro.lifetime") for row in rows)
+    shares = [float(row[1].rstrip("%")) for row in rows]
+    assert shares == sorted(shares, reverse=True)
+
+
+def test_module_of_names_files_by_module(profile_pass):
+    root = profile_pass.ROOT
+    module_of = profile_pass.module_of
+    assert module_of(str(root / "src/repro/obs/metrics.py")) == (
+        "repro.obs.metrics"
+    )
+    assert module_of(str(root / "benchmarks/perf/harness.py")) == "harness"
+    assert module_of("~") == "<built-in>"
+    assert module_of("/usr/lib/python3/heapq.py") == "<heapq>"
