@@ -28,6 +28,7 @@ from repro.network.topology import StarNetwork
 from repro.obs.tracer import NULL_TRACER
 from repro.repair.executor import repair_single_chunk_faulted
 from repro.repair.fullnode import choose_requestor
+from repro.repair.jobmaster import slice_ranges
 from repro.repair.metrics import FullNodeResult, RepairFailed, RepairResult
 from repro.repair.pipeline import ExecutionConfig
 
@@ -168,30 +169,23 @@ def rebuilt_payload(
 ) -> np.ndarray:
     """The bytes a finished repair's tree(s) deliver at the requestor.
 
-    A resumed or hedged repair (single-chunk or one task of a full-node
-    run) records ``(plan, start_slice)`` segments: each covers the slice
-    range up to the next segment's start (the last runs to the end of
-    the chunk) and is rebuilt through its own tree, so the stitched
-    payload reproduces byte-for-byte what each tree actually delivered.
+    A master's result (single-chunk or one task of a full-node run)
+    records ``(plan, start_slice)`` segments; each of
+    :func:`~repro.repair.jobmaster.slice_ranges` is rebuilt through its
+    own tree, so the stitched payload reproduces byte-for-byte what each
+    tree delivered.  Ranges that do not tile the chunk raise
+    :class:`ClusterError`.  An ``execute_plan`` result has no segments.
     """
-    segments = result.segments
-    if not segments:
+    if not result.segments:
         return cluster.rebuild_from_plan(stripe, lost_index, result.plan)
-    total_slices = config.slices
-    parts: list[np.ndarray] = []
-    for i, (plan, start_slice) in enumerate(segments):
-        end_slice = (
-            segments[i + 1][1] if i + 1 < len(segments) else total_slices
+    return np.concatenate([
+        cluster.rebuild_slice_range(
+            stripe, lost_index, plan, first, end, config.slice_size
         )
-        if end_slice <= start_slice:
-            continue
-        parts.append(
-            cluster.rebuild_slice_range(
-                stripe, lost_index, plan, start_slice, end_slice,
-                config.slice_size,
-            )
+        for plan, first, end in slice_ranges(
+            result.segments, config.slices, stripe.stripe_id
         )
-    return np.concatenate(parts)
+    ])
 
 
 def adopt_result(

@@ -243,7 +243,7 @@ def repair_single_chunk_faulted(
         scheme=planner.name, config=config, tracer=tracer, faults=faults,
         retry_policy=policy, journal=journal, health=health,
     )
-    master.ledgers[stripe.stripe_id].requestor = requestor
+    master.pin(stripe, requestor)
 
     def start(master, cap):
         planned = master.candidate()

@@ -64,6 +64,7 @@ __all__ = [
     "StripeRepairMaster",
     "choose_requestor",
     "residual_snapshot",
+    "slice_ranges",
 ]
 
 #: Degradation level 2: submit-rate cap as a fraction of the plan's bmin.
@@ -211,11 +212,6 @@ class _InFlight:
     bytes_per_edge: float
     #: First slice this flight delivers (> 0 on a resumed re-plan).
     start_slice: int
-    #: Execution config the flight was submitted with.  The control plane
-    #: submits degraded flights with a coarser slice width; watermark
-    #: accounting must use the config the bytes were actually cut with,
-    #: not the master-wide default.
-    config: ExecutionConfig
     #: The flow's trace span (the simulator forgets it at completion).
     span: int | None = None
     #: On a hedge, the primary it races; on a primary, its live hedge.
@@ -229,10 +225,13 @@ class _InFlight:
 
 @dataclass
 class _Ledger:
-    """One stripe's attempt history: what its retry budget and backoff,
-    its resume point and its result's provenance are computed from."""
+    """One stripe's attempt history and slice provenance (which slices
+    are verified, on which requestor, by which flight), moved only by
+    the transitions below.  A flight is anything with a ``plan`` and a
+    ``start_slice`` (a hedge also its ``primary``); slices index
+    ``config``, the slicing of the stripe's first submission."""
 
-    #: The requestor the caller named, if any: the stripe is rebuilt
+    #: The requestor the caller pinned, if any: the stripe is rebuilt
     #: there or not at all (a degraded read cannot move its client).
     requestor: int | None = None
     #: Attempts that failed (a pause or shed is not one).
@@ -249,19 +248,90 @@ class _Ledger:
     #: Span of the stripe's most recent flow (a re-plan or resume links
     #: its new flow to the one it replaces).
     last_flow: int | None = None
-    #: Config the stripe was last submitted under; re-submissions reuse
-    #: it so slice watermarks keep their meaning.
     config: ExecutionConfig | None = None
 
-    def deliver(self, plan: RepairPlan, start_slice: int) -> None:
-        """A flight delivered slices from ``start_slice`` on.  One from
-        slice 0 supersedes every earlier range; a flight that starts
-        from scratch but delivers nothing leaves them standing, since a
-        later flight may still resume on the requestor that holds them.
-        """
-        if start_slice == 0:
+    def pin(self, requestor: int) -> None:
+        """Rebuild the stripe at ``requestor`` or not at all."""
+        self.requestor = requestor
+
+    def launch(self, plan: RepairPlan, config: ExecutionConfig) -> bool:
+        """A flight of ``plan`` starts; True if it re-plans a failure.
+        No range is dropped: a flight from scratch on another requestor
+        may deliver nothing, and the next resume on the holder."""
+        self.planning_seconds += plan.planning_seconds
+        self.config = config
+        replan, self.replan_due = self.replan_due, False
+        return replan
+
+    def verified(self, flight, fraction: float) -> int:
+        """The slice ``flight`` verifiably reached at ``fraction``."""
+        depth = flight.plan.tree.depth()
+        return verified_watermark(
+            self.config, depth, flight.start_slice, fraction
+        )
+
+    def progress(self, flight, fraction: float) -> int | None:
+        """Checkpoint ``flight``: the new watermark, or None (and no
+        change) when it verified nothing past its start."""
+        verified = self.verified(flight, fraction)
+        if verified <= flight.start_slice:
+            return None
+        self._deliver(flight)
+        self.watermark, self.holder = verified, flight.plan.requestor
+        return verified
+
+    def fail(self) -> int:
+        """An attempt failed (after its checkpoint); the watermark."""
+        self.failed += 1
+        self.replan_due = True
+        return self.watermark
+
+    def finish(self, flight) -> list:
+        """``flight`` delivered the rest: the result's segments.  An
+        adopted hedge adds its planning and its primary's verified
+        slices below it."""
+        primary = flight.primary
+        if primary is not None:
+            self.planning_seconds += flight.plan.planning_seconds
+            if flight.start_slice > primary.start_slice:
+                self._deliver(primary)
+        self._deliver(flight)
+        return self.segments
+
+    def resume_slice(self, requestor: int) -> int:
+        """The watermark if ``requestor`` holds the verified slices."""
+        return self.watermark if requestor == self.holder else 0
+
+    def requestor_for(self, dead, stalled) -> int | None:
+        """The pinned requestor (ClusterError once dead), else the holder
+        while neither dead nor stalled, else None (the caller picks)."""
+        if self.requestor is not None:
+            if self.requestor in dead:
+                raise ClusterError(f"requestor {self.requestor} crashed")
+            return self.requestor
+        return None if self.holder in dead | stalled else self.holder
+
+    def _deliver(self, flight) -> None:
+        if flight.start_slice == 0:
+            # A range from scratch supersedes every earlier one.
             self.segments = []
-        self.segments.append((plan, start_slice))
+        self.segments.append((flight.plan, flight.start_slice))
+
+
+def slice_ranges(segments: list, slices: int, stripe_id: int) -> list:
+    """A result's ``(plan, start_slice)`` segments as ``(plan, first,
+    end)`` slice ranges: each ends where the next starts, the last at
+    ``slices``.  Raises :class:`ClusterError`, naming the stripe, unless
+    they tile ``[0, slices)``: a gap or an overlap would stitch a short
+    or long chunk."""
+    starts = [start for _, start in segments]
+    ends = starts[1:] + [slices]
+    if starts[:1] != [0] or any(b <= a for a, b in zip(starts, ends)):
+        raise ClusterError(
+            f"stripe {stripe_id}: slice ranges "
+            f"{list(zip(starts, ends))} do not tile [0, {slices})"
+        )
+    return [(plan, a, b) for (plan, a), b in zip(segments, ends)]
 
 
 class StripeRepairMaster:
@@ -303,13 +373,11 @@ class StripeRepairMaster:
     ``degrade_to`` implements graceful degradation: level 1 trims the
     helper candidate set to exactly ``k`` (fewer helpers, smaller trees,
     less fan-in on congested links); level 2 additionally coarsens the
-    slice width for stripes that have no checkpoint yet (fewer, larger
-    slices cut pipeline bookkeeping under churn) and caps the submit
-    rate below the plan's ``bmin`` whenever the plan saw real headroom
-    (a saturated snapshot yields a meaningless near-zero ``bmin``; such
-    a cap is skipped rather than wedging the flight).  A stripe that
-    already carries a slice watermark keeps the config it was
-    checkpointed under — the watermark is an index into *that* slicing.
+    slice width for stripes not yet submitted (fewer, larger slices cut
+    pipeline bookkeeping under churn) and caps the submit rate below
+    the plan's ``bmin`` whenever the plan saw real headroom (a saturated
+    snapshot yields a meaningless near-zero ``bmin``; such a cap is
+    skipped rather than wedging the flight).
     """
 
     def __init__(
@@ -480,14 +548,14 @@ class StripeRepairMaster:
                 # window, or the loser of a race already settled.
                 continue
             stripe, plan = flight.stripe, flight.plan
-            ledger = self.ledgers[stripe.stripe_id]
             if flight.primary is not None:
-                self._adopt(flight, ledger)
+                self._adopt(flight)
             else:
                 self.drop_hedge(flight, "primary_won")
             if self.faulted:
                 self.injector.announce_until(self.sim.now)
-            ledger.deliver(plan, flight.start_slice)
+            ledger = self.ledgers[stripe.stripe_id]
+            segments = ledger.finish(flight)
             # The span ends at the flow's exact finish (collection can
             # lag behind completion by a planning window): its duration
             # is the makespan the critical path sums to.
@@ -505,7 +573,7 @@ class StripeRepairMaster:
                 bytes_transferred=(
                     flight.bytes_per_edge * len(plan.tree.edges())
                 ),
-                attempts=ledger.failed + 1, segments=ledger.segments,
+                attempts=ledger.failed + 1, segments=segments,
                 hedges=ledger.hedges,
             ))
             self.record(
@@ -608,12 +676,11 @@ class StripeRepairMaster:
         """One failed attempt: checkpoint, cancel, budget, backoff."""
         sim, stripe = self.sim, flight.stripe
         ledger = self.ledgers[stripe.stripe_id]
-        ledger.failed += 1
+        attempt = ledger.failed + 1
         self.requeue_events += 1
         self.registry.counter("fault_detections").inc()
         self.note(
-            "repair.detect", stripe, kind=kind, nodes=nodes,
-            attempt=ledger.failed,
+            "repair.detect", stripe, kind=kind, nodes=nodes, attempt=attempt,
         )
         # A read error leaves link capacity intact, so the flow may have
         # "completed" inside the detection window — nothing is left to
@@ -622,18 +689,18 @@ class StripeRepairMaster:
         live = not flight.handle.done
         if live and kind != "readerr":
             self.checkpoint(flight)
+        watermark = ledger.fail()
         self.record(
-            "attempt_failed", stripe, attempt=ledger.failed, failure=kind,
-            watermark=ledger.watermark,
-            bytes_transferred=sim.total_bytes_transferred,
+            "attempt_failed", stripe, attempt=attempt, failure=kind,
+            watermark=watermark, bytes_transferred=sim.total_bytes_transferred,
         )
         if live:
             sim.cancel_task(flight.handle)
             self.registry.counter("flows_cancelled").inc()
-        if ledger.failed > self.policy.max_retries:
+        if attempt > self.policy.max_retries:
             self.abort_stripe(
                 stripe,
-                f"retry budget exhausted after {ledger.failed} attempts "
+                f"retry budget exhausted after {attempt} attempts "
                 f"(last failure: {kind})",
             )
             return
@@ -641,43 +708,34 @@ class StripeRepairMaster:
         # at different ones under ``jitter``.
         stripe_id = stripe.stripe_id
         backoff = self.policy.backoff(
-            ledger.failed - 1,
+            attempt - 1,
             key=stripe_id if self.job_id is None
             else f"{self.job_id}/{stripe_id}",
         )
         self.registry.counter("retries").inc()
         self.note(
-            "repair.retry", stripe, attempt=ledger.failed, backoff=backoff
+            "repair.retry", stripe, attempt=attempt, backoff=backoff
         )
         if backoff > 0:
             # Explicit span so the wait shows up as stall time on the
             # repair's critical path.
             self.end_span("repair.backoff", self.begin_span(
                 "repair.backoff", stripe_id, sim.now,
-                attempt=ledger.failed, seconds=backoff,
+                attempt=attempt, seconds=backoff,
             ), stripe_id, sim.now + backoff)
-        ledger.replan_due = True
         self.backing_off.append((sim.now + backoff, stripe))
 
     def checkpoint(self, flight: _InFlight) -> None:
-        """Advance the stripe's watermark past what the flight delivered.
-
-        Slices still inside the pipeline (one per tree level) have not
-        reached the requestor, so they are subtracted.
-        """
-        verified = verified_watermark(
-            flight.config, flight.plan.tree.depth(), flight.start_slice,
-            self.sim.task_progress(flight.handle),
+        """Checkpoint what the flight verifiably delivered; a watermark
+        that advanced is journaled as ``progress``."""
+        verified = self.ledgers[flight.stripe.stripe_id].progress(
+            flight, self.sim.task_progress(flight.handle)
         )
-        if verified <= flight.start_slice:
-            return
-        ledger = self.ledgers[flight.stripe.stripe_id]
-        ledger.deliver(flight.plan, flight.start_slice)
-        ledger.watermark, ledger.holder = verified, flight.plan.requestor
-        self.record(
-            "progress", flight.stripe, watermark=verified,
-            requestor=flight.plan.requestor,
-        )
+        if verified is not None:
+            self.record(
+                "progress", flight.stripe, watermark=verified,
+                requestor=flight.plan.requestor,
+            )
 
     def usable(self, survivors: Sequence[int], k: int) -> list[int]:
         """Helpers a plan made now may use: alive and readable, and not
@@ -761,19 +819,12 @@ class StripeRepairMaster:
         snapshot = self.view.snapshot()
         survivors = stripe.surviving_nodes(self.failed_node)
         k = stripe.code.k
-        dead = frozenset()
+        dead = stalled = frozenset()
         if self.faulted:
             dead = self.faults.dead_nodes(self.sim.now)
-        ledger = self.ledgers[stripe.stripe_id]
-        requestor, holder = ledger.requestor, ledger.holder
-        if requestor is not None:
-            if requestor in dead:
-                raise ClusterError(f"requestor {requestor} crashed")
-        elif holder is not None and holder not in (
-            dead | self.faults.stalled_nodes(self.sim.now)
-        ):
-            requestor = holder
-        else:
+            stalled = self.faults.stalled_nodes(self.sim.now)
+        requestor = self.ledgers[stripe.stripe_id].requestor_for(dead, stalled)
+        if requestor is None:
             requestor = choose_requestor(
                 snapshot, stripe, self.failed_node, len(self.network),
                 exclude=dead, survivors=survivors,
@@ -803,14 +854,13 @@ class StripeRepairMaster:
             plan.notes["job"] = self.job_id
         return plan
 
-    def resume_slice(self, stripe: Stripe, plan: RepairPlan) -> int:
-        """First slice the stripe's next flight must fetch (0 = all).
+    def pin(self, stripe: Stripe, requestor: int) -> None:
+        """Rebuild ``stripe`` at ``requestor`` or not at all."""
+        self.ledgers[stripe.stripe_id].pin(requestor)
 
-        The watermark is only honoured when the plan lands on the
-        requestor that holds the verified slices.
-        """
-        ledger = self.ledgers[stripe.stripe_id]
-        return ledger.watermark if plan.requestor == ledger.holder else 0
+    def resume_slice(self, stripe: Stripe, plan: RepairPlan) -> int:
+        """First slice the stripe's next flight must fetch (0 = all)."""
+        return self.ledgers[stripe.stripe_id].resume_slice(plan.requestor)
 
     def candidate(self) -> tuple[Stripe, RepairPlan] | None:
         """Plan the head pending stripe against residual bandwidth.
@@ -844,9 +894,9 @@ class StripeRepairMaster:
             return known
         config = self.config
         if self.level >= 2:
-            # Graceful degradation, step 2: coarser slices.  Only for
-            # stripes with no checkpoint yet — a watermark indexes the
-            # slicing it was recorded under.
+            # Graceful degradation, step 2: coarser slices, only for a
+            # stripe never submitted: its ledger's slice indices keep the
+            # slicing of its first submission.
             config = replace(
                 config,
                 slice_size=min(
@@ -887,8 +937,7 @@ class StripeRepairMaster:
             next(i for i, s in enumerate(self.pending) if s is stripe)
         )
         ledger = self.ledgers[stripe_id]
-        if ledger.replan_due:
-            ledger.replan_due = False
+        if ledger.launch(plan, self.config_for(stripe)):
             self.registry.counter("replans").inc()
             self.note(
                 "repair.replan", stripe, attempt=ledger.failed + 1,
@@ -896,8 +945,6 @@ class StripeRepairMaster:
                 bmin=plan.bmin,
             )
         start_slice = self.resume_slice(stripe, plan)
-        ledger.planning_seconds += plan.planning_seconds
-        config = ledger.config = self.config_for(stripe)
         cap = max_rate
         if self.level >= 2 and plan.bmin > 0:
             degraded_cap = plan.bmin * DEGRADED_RATE_FACTOR
@@ -913,7 +960,7 @@ class StripeRepairMaster:
             scheme=plan.scheme, start_slice=start_slice,
         )
         flight = self._launch(
-            stripe, plan, config, start_slice,
+            stripe, plan, start_slice,
             f"{plan.scheme}-r{plan.requestor}",
             {"stripe": stripe_id, "bmin": plan.bmin,
              "start_slice": start_slice},
@@ -933,7 +980,7 @@ class StripeRepairMaster:
             )
         return flight
 
-    def _launch(self, stripe, plan, config, start_slice, label, meta, links,
+    def _launch(self, stripe, plan, start_slice, label, meta, links,
                 max_rate=None, kind="repair") -> _InFlight:
         """Put one flow of ``stripe`` on the simulator."""
         if not plan.is_pipelined:
@@ -942,7 +989,7 @@ class StripeRepairMaster:
             )
         tree = plan.tree
         bytes_per_edge = remaining_bytes_per_edge(
-            config, tree.depth(), start_slice
+            self.ledgers[stripe.stripe_id].config, tree.depth(), start_slice
         )
         handle = self.sim.submit_pipelined(
             tree.edges(), bytes_per_edge, label=label, kind=kind,
@@ -961,7 +1008,7 @@ class StripeRepairMaster:
             stripe=stripe,
             tree_nodes=frozenset({tree.root, *tree.helpers}),
             bytes_per_edge=bytes_per_edge, start_slice=start_slice,
-            config=config, span=self.sim.task_span(handle),
+            span=self.sim.task_span(handle),
         )
         self.in_flight[handle.task_id] = flight
         return flight
@@ -1005,13 +1052,12 @@ class StripeRepairMaster:
         except (ClusterError, PlanningError):
             return
         plan.notes.update(primary.plan.notes, planned_at=self.sim.now)
-        start_slice = verified_watermark(
-            primary.config, primary.plan.tree.depth(), primary.start_slice,
-            self.sim.task_progress(primary.handle),
-        )
         ledger = self.ledgers[stripe.stripe_id]
+        start_slice = ledger.verified(
+            primary, self.sim.task_progress(primary.handle)
+        )
         hedge = self._launch(
-            stripe, plan, primary.config, start_slice,
+            stripe, plan, start_slice,
             f"{plan.scheme}-h{ledger.failed + 1}",
             {"bmin": plan.bmin, "start_slice": start_slice,
              "hedge_of": task, "stripe": stripe.stripe_id},
@@ -1049,7 +1095,7 @@ class StripeRepairMaster:
                 bytes_remaining=remaining,
             )
 
-    def _adopt(self, hedge: _InFlight, ledger: _Ledger) -> None:
+    def _adopt(self, hedge: _InFlight) -> None:
         """The hedge finished first: it is the stripe's repair now."""
         primary = hedge.primary
         stripe_id = hedge.stripe.stripe_id
@@ -1067,10 +1113,6 @@ class StripeRepairMaster:
                 hedge.span, parent, t=self.sim.now, track="executor",
                 reason="hedge_adopt",
             )
-        ledger.last_flow = hedge.span
-        if hedge.start_slice > primary.start_slice:
-            ledger.deliver(primary.plan, primary.start_slice)
-        ledger.planning_seconds += hedge.plan.planning_seconds
 
     # ------------------------------------------------------------------
     # Pause / resume (backpressure shedding)

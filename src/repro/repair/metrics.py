@@ -31,11 +31,11 @@ class RepairResult:
     telemetry: dict | None = None
     #: Execution attempts the repair needed (> 1 after mid-repair re-plans).
     attempts: int = 1
-    #: Checkpoint/resume provenance: ``(plan, start_slice)`` per verified
-    #: slice range, in delivery order (each range ends where the next
-    #: starts; the last ends at the chunk's slice count).  Empty unless
-    #: the run was journaled/hedged — the cluster layer stitches and
-    #: decode-verifies these via ``rebuild_slice_range``.
+    #: Slice provenance: ``(plan, start_slice)`` per verified slice range,
+    #: delivery order; ``repro.repair.jobmaster.slice_ranges`` ends each
+    #: where the next starts.  At least one per master result, none from
+    #: ``execute_plan``.  Slices index the slicing of the stripe's first
+    #: submission (``config_for``): coarser after ``degrade_to(2)``.
     segments: list = field(default_factory=list)
     #: Hedged re-plans launched against gray failures (adopted or not).
     hedges: int = 0

@@ -22,6 +22,7 @@ from repro.network.topology import StarNetwork
 from repro.obs import Tracer
 from repro.repair import (
     RepairFailed,
+    RepairResult,
     repair_full_node,
     repair_single_chunk_faulted,
 )
@@ -174,6 +175,52 @@ class TestBytesAccounting:
         # (the naive per-attempt accounting this test pins against).
         assert result.bytes_transferred > full_attempt
         assert result.bytes_transferred < 2 * full_attempt
+
+
+class TestStitching:
+    """The byte plane stitches the ranges a result hands it, and refuses
+    ranges that do not tile the chunk instead of returning short or long
+    data."""
+
+    CONFIG = ExecutionConfig(chunk_size=64 * 1024, slice_size=1024)
+
+    def stitch(self, starts):
+        cluster, (stripe,) = seeded_cluster(chunk_bytes=self.CONFIG.chunk_size)
+        failed = stripe.placement[0]
+        network = heterogeneous_network()
+        requestor = choose_requestor(
+            BandwidthSnapshot.from_network(network, 0.0), stripe, failed,
+            NODE_COUNT,
+        )
+        plan = plan_without_faults(
+            network, requestor, stripe.surviving_nodes(failed)
+        )
+        result = RepairResult(
+            scheme=plan.scheme, planning_seconds=0.0, transfer_seconds=1.0,
+            bmin=plan.bmin, plan=plan,
+            segments=[(plan, start) for start in starts],
+        )
+        expected = expected_payload(cluster, stripe, 0)
+        return expected, rebuilt_payload(cluster, stripe, 0, result,
+                                         self.CONFIG)
+
+    def test_ranges_that_tile_rebuild_the_chunk(self):
+        expected, payload = self.stitch([0, 20, 41])
+        assert np.array_equal(payload, expected)
+
+    @pytest.mark.parametrize("starts, covered", [
+        # The first range starts at slice 5: slices 0-4 came from nowhere.
+        ([5, 30], "[(5, 30), (30, 64)]"),
+        # A start below the previous one: slices 20-29 twice.
+        ([0, 30, 20], "[(0, 30), (30, 20), (20, 64)]"),
+        ([0, 64], "[(0, 64), (64, 64)]"),
+    ], ids=["gap", "overlap", "past-the-end"])
+    def test_ranges_that_do_not_tile_are_refused(self, starts, covered):
+        with pytest.raises(ClusterError) as refused:
+            self.stitch(starts)
+        assert str(refused.value) == (
+            f"stripe 0: slice ranges {covered} do not tile [0, 64)"
+        )
 
 
 class TestFailurePaths:

@@ -8,6 +8,7 @@ from repro.repair.pipeline import (
     ideal_transfer_seconds,
     pipeline_bytes_per_edge,
     pipeline_overhead_seconds,
+    verified_watermark,
 )
 from repro.units import kib, mib
 
@@ -69,3 +70,53 @@ class TestPipelineModel:
         config = ExecutionConfig()
         fill = pipeline_bytes_per_edge(config, 10) - config.chunk_size
         assert fill / config.chunk_size < 0.005
+
+
+class TestVerifiedWatermark:
+    """The slice an interrupted flight has verifiably delivered: a
+    fraction ``f`` of a flight from slice ``s`` of ``S`` carried
+    ``f * (S - s)`` slices, the last ``depth - 1`` of which may still sit
+    inside the pipeline and are not trusted."""
+
+    CONFIG = ExecutionConfig(chunk_size=64, slice_size=1)  # S = 64
+
+    def test_zero_progress_returns_the_start(self):
+        for start in (0, 1, 17, 63):
+            for depth in (1, 2, 5):
+                assert verified_watermark(self.CONFIG, depth, start, 0.0) == (
+                    start
+                )
+
+    def test_never_more_than_the_pipeline_allows(self):
+        slices = self.CONFIG.slices
+        for start in (0, 10, 40):
+            for depth in (1, 2, 4):
+                for step in range(101):
+                    fraction = step / 100
+                    got = verified_watermark(
+                        self.CONFIG, depth, start, fraction
+                    )
+                    bound = start + fraction * (slices - start) - (depth - 1)
+                    assert start <= got <= max(start, bound)
+
+    def test_undercounts_by_up_to_depth_minus_one(self):
+        # Half of 64 slices from slice 0 through a depth-3 tree: 32
+        # carried, the 2 still in the pipeline not counted.  Conservative
+        # on purpose: a resume re-fetches them rather than trusting them.
+        assert verified_watermark(self.CONFIG, 3, 0, 0.5) == 30
+        assert verified_watermark(self.CONFIG, 1, 0, 0.5) == 32
+        # From slice 16: 24 of 48 carried, 2 in flight.
+        assert verified_watermark(self.CONFIG, 3, 16, 0.5) == 38
+
+    def test_clamped_to_the_last_slice(self):
+        # A finished flight still leaves one slice to fetch on resume.
+        assert verified_watermark(self.CONFIG, 1, 0, 1.0) == 63
+        assert verified_watermark(self.CONFIG, 1, 63, 1.0) == 63
+
+    def test_depth_beyond_the_slice_count_verifies_nothing(self):
+        config = ExecutionConfig(chunk_size=4, slice_size=1)
+        for fraction in (0.0, 0.5, 1.0):
+            assert verified_watermark(config, 6, 0, fraction) == 0
+            assert verified_watermark(config, 6, 2, fraction) == 2
+        # At depth == slices, a whole flight's worth minus the fill.
+        assert verified_watermark(config, 4, 0, 1.0) == 1
