@@ -14,6 +14,11 @@ or in closed form when it is one entity.  After the first round the
 rounds pop a heap of column levels instead of scanning every column, so
 a densely coupled component costs what its rounds freeze, not rounds ×
 columns; the heap finds the same level and the same freeze group.
+Before any of that, an arrival or a departure that provably moves no
+other entity's rate is settled by an exact certificate over the
+perturbed entity's own columns, and no component is gathered or solved
+(:meth:`IncrementalEngine._arrival_rate`,
+:meth:`IncrementalEngine._departure_is_quiet`).
 
 Bit-identity of the incremental scheme rests on two invariants of the
 reference formulation (see the :mod:`repro.network.fairness` docstring):
@@ -49,9 +54,12 @@ class IncrementalEngine:
 
     Perturbation sources and who reports them:
 
-    * arrival — :meth:`add_entity` (the new entity is dirty)
+    * arrival — :meth:`add_entity` (the new entity is dirty; if it
+      is the only dirty entity, :meth:`ensure` first tries to rate it
+      alone, see :meth:`_arrival_rate`)
     * finish / cancellation — :meth:`remove_entity` (remaining users of
-      the departed entity's links are dirty)
+      the departed entity's links are dirty, unless
+      :meth:`_departure_is_quiet` shows that none of their rates moves)
     * rate-cap change — :meth:`touch` (the re-capped entity is dirty)
     * capacity breakpoint — detected inside :meth:`ensure` by diffing the
       snapshot against ``network.capacities_at(now)`` whenever ``now``
@@ -72,9 +80,14 @@ class IncrementalEngine:
         self._capacity: list[float] = []
         self._users: list[set[int]] = []
         self._entities: dict[int, object] = {}
-        self._entity_cols: dict[int, list[int]] = {}
-        self._entity_coeffs: dict[int, list[float]] = {}
+        #: Per entity, ``{column: coefficient}`` in usage order.
+        self._usage: dict[int, dict[int, float]] = {}
         self._dirty: set[int] = set()
+        #: An entity that :meth:`add_entity` registered onto a column
+        #: someone else uses while nothing else was dirty: if it is
+        #: still the whole dirty set at :meth:`ensure`, the arrival
+        #: certificate may rate it alone.
+        self._fresh: int | None = None
         self._new_cols: list[int] = []
         self._snapshot_time: float | None = None
         self._snapshot_until: float = -math.inf
@@ -83,6 +96,14 @@ class IncrementalEngine:
         #: Engine-side only: ``SimulatorStats.as_dict()`` feeds recorded
         #: digests and must not grow keys.
         self.solves_by_tier: dict[str, int] = {"single": 0, "small": 0}
+        #: Perturbations settled by a certificate instead of a solve
+        #: (:meth:`_arrival_rate`, :meth:`_departure_is_quiet`).
+        self.certified: dict[str, int] = {"arrival": 0, "departure": 0}
+        #: False once a premise of the certificates failed: a
+        #: coefficient that is not integer-valued was registered, or a
+        #: solve's round level was not strictly above the previous one.
+        #: Nothing is certified after that.
+        self.certifying = True
         #: Entities re-rated across all solves (component sizes summed);
         #: ``solved_entities / (solves * len(entities))`` ≪ 1 is the
         #: incremental win becoming visible.
@@ -102,8 +123,8 @@ class IncrementalEngine:
     # -- registration --------------------------------------------------
     def add_entity(self, entity_id: int, entity) -> None:
         """Register a live entity; it joins the dirty set."""
-        cols: list[int] = []
-        coeffs: list[float] = []
+        usage: dict[int, float] = {}
+        shared = False
         for resource, coeff in entity.usage.items():
             if coeff < 0:
                 raise SimulationError(
@@ -119,36 +140,64 @@ class IncrementalEngine:
                 self._capacity.append(0.0)
                 self._users.append(set())
                 self._new_cols.append(col)
-            cols.append(col)
-            coeffs.append(float(coeff))
-            self._users[col].add(entity_id)
+            coeff = float(coeff)
+            if coeff % 1.0:
+                self.certifying = False
+            usage[col] = coeff
+            users = self._users[col]
+            if users:
+                shared = True
+            users.add(entity_id)
         self._entities[entity_id] = entity
-        self._entity_cols[entity_id] = cols
-        self._entity_coeffs[entity_id] = coeffs
+        self._usage[entity_id] = usage
+        self._fresh = (
+            entity_id if shared and not self._dirty and self.certifying
+            else None
+        )
         self._dirty.add(entity_id)
 
     def remove_entity(self, entity_id: int) -> None:
         """Unregister a finished/cancelled entity; its neighbours become
-        dirty (their component lost a competitor)."""
-        cols = self._entity_cols.pop(entity_id)
-        self._entity_coeffs.pop(entity_id)
-        self._entities.pop(entity_id)
-        self._dirty.discard(entity_id)
-        for col in cols:
-            users = self._users[col]
+        dirty (their component lost a competitor) unless the departure
+        is certified quiet."""
+        usage = self._usage.pop(entity_id)
+        entity = self._entities.pop(entity_id)
+        dirty = self._dirty
+        dirty.discard(entity_id)
+        users_of = self._users
+        shared = False
+        for col in usage:
+            users = users_of[col]
             users.discard(entity_id)
-            self._dirty.update(users)
+            if users:
+                shared = True
+        if not shared:
+            return
+        if (
+            self.certifying
+            and not dirty
+            and not self._new_cols
+            and self._departure_is_quiet(entity.rate, usage)
+        ):
+            self.certified["departure"] += 1
+            return
+        self._fresh = None
+        for col in usage:
+            dirty.update(users_of[col])
 
     def touch(self, entity_id: int) -> None:
         """Mark an entity perturbed in place (rate-cap change)."""
         if entity_id in self._entities:
+            if entity_id != self._fresh:
+                self._fresh = None
             self._dirty.add(entity_id)
 
     # -- solving -------------------------------------------------------
     def ensure(self, now: float) -> bool:
         """Bring every registered entity's rate up to date at ``now``.
 
-        Returns True if a solve actually ran.
+        Returns True if a solve actually ran, or the arrival certificate
+        rated the one new entity in its place.
         """
         if (
             self._new_cols
@@ -156,8 +205,24 @@ class IncrementalEngine:
             or now >= self._snapshot_until
         ):
             self._refresh_capacities(now)
-        if not self._dirty:
+        dirty = self._dirty
+        if not dirty:
             return False
+        fresh = self._fresh
+        if fresh is not None:
+            self._fresh = None
+            if len(dirty) == 1 and fresh in dirty:
+                rate = self._arrival_rate(fresh)
+                if rate is not None:
+                    dirty.clear()
+                    self.certified["arrival"] += 1
+                    entity = self._entities[fresh]
+                    if entity.rate != rate:
+                        entity.rate = rate
+                        self.last_changed = [fresh]
+                    else:
+                        self.last_changed = []
+                    return True
         component = self._closure()
         if component:
             self.last_changed = []
@@ -203,7 +268,7 @@ class IncrementalEngine:
         seen_cols: set[int] = set()
         while todo:
             entity_id = todo.pop()
-            for col in self._entity_cols[entity_id]:
+            for col in self._usage[entity_id]:
                 if col in seen_cols:
                     continue
                 seen_cols.add(col)
@@ -238,15 +303,15 @@ class IncrementalEngine:
         zero on assignment.
         """
         entity = self._entities[entity_id]
-        cols = self._entity_cols[entity_id]
+        usage = self._usage[entity_id]
         max_rate = entity.max_rate
-        if not cols or (max_rate is not None and max_rate <= 0):
+        if not usage or (max_rate is not None and max_rate <= 0):
             if entity.rate != 0.0:
                 entity.rate = 0.0
                 self.last_changed.append(entity_id)
             return
         level = math.inf
-        for col, coeff in zip(cols, self._entity_coeffs[entity_id]):
+        for col, coeff in usage.items():
             value = self._capacity[col] / coeff
             if value < level:
                 level = value
@@ -285,10 +350,13 @@ class IncrementalEngine:
         ``(cap, entity)`` list read through a moving index.  Float
         ``min`` and ``==`` are exact, so the level and the set of
         columns saturated at it are the ones a full scan finds.
+
+        A round whose level is not strictly above the previous one's
+        turns :attr:`certifying` off for good: the certificates read
+        each distinct rate as one round.
         """
         entities = self._entities
-        entity_cols = self._entity_cols
-        entity_coeffs = self._entity_coeffs
+        entity_usage = self._usage
         capacity = self._capacity
         users = self._users
         rates = dict.fromkeys(entity_ids, 0.0)
@@ -298,16 +366,16 @@ class IncrementalEngine:
         capped: list[tuple[float, int]] = []
         active_coeff: dict[int, float] = {}
         for entity_id in entity_ids:
-            cols = entity_cols[entity_id]
+            usage = entity_usage[entity_id]
             max_rate = entities[entity_id].max_rate
-            if not cols or (max_rate is not None and max_rate <= 0):
+            if not usage or (max_rate is not None and max_rate <= 0):
                 continue
             active.add(entity_id)
             # An infinite or NaN cap never binds: ``cap < level`` is
             # false for it, and so is ``cap == level`` at a finite level.
             if max_rate is not None and max_rate < math.inf:
                 capped.append((max_rate, entity_id))
-            for col, coeff in zip(cols, entity_coeffs[entity_id]):
+            for col, coeff in usage.items():
                 active_coeff[col] = active_coeff.get(col, 0.0) + coeff
         capped.sort()
         capped_count = len(capped)
@@ -322,6 +390,7 @@ class IncrementalEngine:
             col: capacity[col] / coeff for col, coeff in active_coeff.items()
         }
         heap: list[tuple[float, int]] | None = None
+        previous = -math.inf
         while active:
             if heap is None:
                 level = min(levels.values()) if levels else math.inf
@@ -339,6 +408,9 @@ class IncrementalEngine:
                 raise SimulationError(
                     "unconstrained task in max-min allocation"
                 )
+            if level <= previous:
+                self.certifying = False
+            previous = level
             newly: set[int] = set()
             index = next_cap
             while index < capped_count and capped[index][0] == level:
@@ -364,9 +436,7 @@ class IncrementalEngine:
             for entity_id in sorted(newly):
                 rates[entity_id] = assigned
                 active.remove(entity_id)
-                for col, coeff in zip(
-                    entity_cols[entity_id], entity_coeffs[entity_id]
-                ):
+                for col, coeff in entity_usage[entity_id].items():
                     freeze_sum[col] = freeze_sum.get(col, 0.0) + coeff
             for col, coeff in freeze_sum.items():
                 used = frozen_used.get(col, 0.0) + coeff * assigned
@@ -388,3 +458,176 @@ class IncrementalEngine:
             if entity.rate != rate:
                 entity.rate = rate
                 self.last_changed.append(entity_id)
+
+    # -- certificates --------------------------------------------------
+    #
+    # Both certificates replay the water-level rounds of
+    # :meth:`_solve_small` on the perturbed entity's own columns only,
+    # from their users' current rates, with the operations it applies
+    # to a column in the same order: ``(capacity - used) / active``,
+    # then ``used + freeze_sum * level``, then ``active - freeze_sum``.
+    # They are exact under these premises:
+    #
+    # * coefficients are integer-valued, so a coefficient sum is the
+    #   same float in any order (:meth:`add_entity` stops certifying
+    #   otherwise);
+    # * every rate read is positive and finite, so it is the level of
+    #   the round that froze it, unclamped (a certificate that meets
+    #   another rate says unknown);
+    # * each distinct rate is one round: round levels rise strictly
+    #   (:meth:`_solve_small` stops certifying when one does not), so a
+    #   column's users that share a rate froze together, and a column's
+    #   float state after any round follows from the rates alone;
+    # * the rates read are the solve of the current state: departures
+    #   certify only when nothing else is dirty and no column is
+    #   pending, arrivals only when the new entity is the whole dirty
+    #   set after the capacity refresh.
+    #
+    # A column not replayed has the same users at the same rates before
+    # and after the perturbation, so the full solve walks it through
+    # the same states; the replayed columns decide whether the full
+    # solve's rounds are the old ones, plus or minus the perturbed
+    # entity's own.
+
+    def _arrival_rate(self, entity_id: int) -> float | None:
+        """The rate a full solve gives a just-registered entity, if it
+        moves no other entity's rate; None when that is not certain.
+
+        The new entity's columns are replayed with it still rising
+        through every rate their other users froze at, lowest first.
+        It freezes at the first level where one of its columns, or its
+        cap, is the minimum: that is its rate.  Certain when no user of
+        a column at that level is left rising (the column would freeze
+        it lower), and when every column, its use now subtracted, stays
+        strictly above each later rate of its users (it would bind them
+        otherwise).  Columns only fall by an arrival, so no other round
+        moves.
+        """
+        max_rate = self._entities[entity_id].max_rate
+        if max_rate is None:
+            max_rate = math.inf
+        elif not max_rate > 0.0:
+            return None
+        entities = self._entities
+        entity_usage = self._usage
+        capacity = self._capacity
+        own = entity_usage[entity_id]
+        active: dict[int, float] = {}
+        used: dict[int, float] = {}
+        levels: dict[int, float] = {}
+        #: ``(rate, col, freeze_sum)`` of every other user group.
+        events: list[tuple[float, int, float]] = []
+        for col, coeff in own.items():
+            total = coeff
+            by_rate: dict[float, float] = {}
+            for other in self._users[col]:
+                if other == entity_id:
+                    continue
+                rate = entities[other].rate
+                if not 0.0 < rate < math.inf:
+                    return None
+                share = entity_usage[other][col]
+                total += share
+                by_rate[rate] = by_rate.get(rate, 0.0) + share
+            active[col] = total
+            levels[col] = capacity[col] / total
+            for rate, share in by_rate.items():
+                events.append((rate, col, share))
+        events.sort()
+        count = len(events)
+        index = 0
+        level = min(levels.values())
+        if max_rate < level:
+            level = max_rate
+        # Every group below the entity's own level freezes first; its
+        # columns stay at or above that level, so strictly above the
+        # group's rate.  Levels must keep rising, as the rounds do.
+        while index < count and events[index][0] < level:
+            rate = events[index][0]
+            while index < count and events[index][0] == rate:
+                _, col, share = events[index]
+                index += 1
+                value = used.get(col, 0.0) + share * rate
+                used[col] = value
+                left = active[col] - share
+                active[col] = left
+                levels[col] = (capacity[col] - value) / left
+            level = min(levels.values())
+            if max_rate < level:
+                level = max_rate
+            if not level > rate:
+                return None
+        if not 0.0 < level < math.inf:
+            return None
+        joint: dict[int, float] = {}
+        while index < count and events[index][0] == level:
+            _, col, share = events[index]
+            index += 1
+            joint[col] = share
+        for col, coeff in own.items():
+            share = coeff + joint.get(col, 0.0)
+            left = active[col] - share
+            if left > 0:
+                if levels[col] == level:
+                    return None
+                value = used.get(col, 0.0) + share * level
+                used[col] = value
+                active[col] = left
+                levels[col] = (capacity[col] - value) / left
+        while index < count:
+            rate, col, share = events[index]
+            index += 1
+            if not levels[col] > rate:
+                return None
+            value = used.get(col, 0.0) + share * rate
+            used[col] = value
+            left = active[col] - share
+            active[col] = left
+            if left > 0:
+                levels[col] = (capacity[col] - value) / left
+        return level
+
+    def _departure_is_quiet(self, rate: float, usage: dict) -> bool:
+        """True when removing an entity that ran at ``rate`` over
+        ``usage`` moves no other entity's rate.
+
+        Replays each of its columns with it still registered.  Certain
+        when, at every rate the column's users froze at, its level was
+        strictly above that rate, except where the departing entity
+        froze there alone: the column bound nobody else.  Without the
+        entity a column's level is at least what it was at every round,
+        so it binds nobody in the full solve either, and every other
+        round is the old one.
+        """
+        if not 0.0 < rate < math.inf:
+            return False
+        entities = self._entities
+        entity_usage = self._usage
+        capacity = self._capacity
+        for col, coeff in usage.items():
+            others = self._users[col]
+            if not others:
+                continue
+            total = coeff
+            by_rate = {rate: coeff}
+            for other in others:
+                other_rate = entities[other].rate
+                if not 0.0 < other_rate < math.inf:
+                    return False
+                share = entity_usage[other][col]
+                total += share
+                by_rate[other_rate] = by_rate.get(other_rate, 0.0) + share
+            used = 0.0
+            cap = capacity[col]
+            for group_rate in sorted(by_rate):
+                share = by_rate[group_rate]
+                level = (cap - used) / total
+                if not level > group_rate and not (
+                    level == group_rate
+                    and group_rate == rate
+                    and share == coeff
+                ):
+                    return False
+                used = used + share * group_rate
+                total -= share
+        return True

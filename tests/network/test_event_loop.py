@@ -18,7 +18,9 @@ it can break:
 * a zero-rate entity is never scheduled, wakes at the breakpoint that
   frees it, and is named by the stuck error when none does;
 * each settlement site — rate moved, finish, cancel, a re-cap that moves
-  a rate — is counted, and the steps that change nothing settle nothing.
+  a rate — is counted, and the steps that change nothing settle nothing;
+* a bulk task whose sibling finished is traced at that instant, whether
+  or not the engine solved anything there.
 """
 
 import math
@@ -34,6 +36,7 @@ from repro.network.bandwidth import BandwidthTrace, NodeBandwidth
 from repro.network.scenario import digest, random_scenario, replay
 from repro.network.simulator import FluidSimulator
 from repro.network.topology import StarNetwork
+from repro.obs import Tracer
 
 ENGINES = ["reference", "fast"]
 
@@ -562,3 +565,35 @@ class TestSettlementSites:
         assert sim.settlements == before[0] + 2
         assert sim._entities[0].remaining == before[1] == 1e6
         assert sim.task_bytes_carried(capped) == 30.0
+
+
+# ----------------------------------------------------------------------
+# A bulk task's rate drop is traced when it happens
+# ----------------------------------------------------------------------
+class TestTracedBulkDrop:
+    @staticmethod
+    def rate_changes(engine, second_flow):
+        tracer = Tracer()
+        sim = FluidSimulator(uniform(), engine=engine, tracer=tracer)
+        sim.submit_bulk([(0, 1, 100.0), (2, 3, 300.0)])
+        sim.advance_to(2.5)
+        if second_flow:
+            sim.submit_bulk([(4, 5, 50.0)])
+        sim.run()
+        return [
+            (event.t, event.fields["task"], event.fields["rate"])
+            for event in tracer.events
+            if event.name == "flow.rate_change"
+        ]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("second_flow", [False, True])
+    def test_a_finished_sibling_is_traced_at_its_finish(
+        self, engine, second_flow
+    ):
+        # The 100-byte flow finishes at t = 1.0 and no rate moves, so
+        # the fast engine solves nothing there; the task's drop from
+        # 200 to 100 must still be traced at t = 1.0.
+        changes = self.rate_changes(engine, second_flow)
+        assert changes[:2] == [(0.0, 0, 200.0), (1.0, 0, 100.0)]
+        assert changes[2:] == ([(2.5, 1, 100.0)] if second_flow else [])
