@@ -152,14 +152,17 @@ def test_scale_storm_recomputes_components_not_the_cluster(monkeypatch):
     monkeypatch.setattr(IncrementalEngine, "ensure", counting_moves)
     sim, engine = _engine_counters(scenario)
     assert sim.stats.steps == 1594
-    # Fast: 887 component solves re-rating 1061 entities, 12.2x fewer.
-    assert (engine.solves, engine.solved_entities) == (887, 1061)
-    assert engine.solves_by_tier == {"single": 770, "small": 117}
-    # The event loop: of those 1061 re-ratings 923 moved a rate, and an
+    # Fast: 817 component solves re-rating 915 entities, 14.2x fewer;
+    # 37 arrivals were rated alone and 33 departures moved nobody, by
+    # certificate, with no solve.
+    assert (engine.solves, engine.solved_entities) == (817, 915)
+    assert engine.solves_by_tier == {"single": 749, "small": 68}
+    assert engine.certified == {"arrival": 37, "departure": 33}
+    # The event loop: of those 952 ratings 923 moved a rate, and an
     # entity's residue is brought up to date only then or when it
     # leaves — 1723 settlements where a walk per step made 12 950.
     # Every move pushed one finish time; 123 of the 923 went stale.
-    assert (len(moved), sum(moved)) == (887, 923)
+    assert (len(moved), sum(moved)) == (817 + 37, 923)
     assert sim.settlements == 923 + 800
     assert sim.settlements <= sum(moved) + sim.stats.tasks_completed
     assert (sim.heap_pushes, sim.stale_pops) == (923, 123)
