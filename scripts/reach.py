@@ -13,9 +13,9 @@ package's ``__init__.py`` does not: it only re-exports, so a name the
 tests import through a package is still listed.
 
 Matching is by bare name, so a name another module merely shares
-hides it (a miss, never a false listing).  The listing is
-informational; the exit status is 0 whatever it finds.  Standard
-library only.
+hides it (a miss, never a false listing).  The exit status is 0
+whatever it finds; ``tests/test_reach.py`` is the gate, pinning the
+listing to the names it allows and why.  Standard library only.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ ROOT = Path(__file__).resolve().parents[1]
 CALLERS = ("src", "benchmarks", "examples", "scripts")
 
 
-def _modules(tree: str):
-    for path in sorted((ROOT / tree).rglob("*.py")):
+def _modules(root: Path, tree: str):
+    for path in sorted((root / tree).rglob("*.py")):
         if path.name != "__init__.py":
             yield path, ast.parse(path.read_text(), filename=str(path))
 
@@ -62,18 +62,20 @@ def _referenced(module: ast.Module) -> set[str]:
     return names
 
 
-def reach() -> list[str]:
-    """``module:name`` of every public name only ``tests/`` references."""
+def reach(root: Path = ROOT) -> list[str]:
+    """``module:name`` of every public name only ``tests/`` references,
+    in the tree checked out at ``root``."""
     tests: set[str] = set()
-    for _, module in _modules("tests"):
+    for _, module in _modules(root, "tests"):
         tests |= _referenced(module)
     reached: set[str] = set()
     for tree in CALLERS:
-        for _, module in _modules(tree):
+        for _, module in _modules(root, tree):
             reached |= _referenced(module)
     listed = []
-    for path, module in _modules("src"):
-        dotted = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+    for path, module in _modules(root, "src"):
+        relative = path.relative_to(root / "src").with_suffix("")
+        dotted = ".".join(relative.parts)
         listed.extend(
             f"{dotted}:{name}"
             for name in _defined(module)

@@ -27,8 +27,6 @@ from repro.baselines import (
 from repro.cluster import Cluster, DataNode
 from repro.core import (
     BandwidthSnapshot,
-    ComputeAwarePlanner,
-    ComputeView,
     PivotRepairPlanner,
     RackAwarePivotPlanner,
     RackSnapshot,
@@ -61,8 +59,6 @@ __all__ = [
     "BandwidthSnapshot",
     "BandwidthTrace",
     "Cluster",
-    "ComputeAwarePlanner",
-    "ComputeView",
     "ConventionalPlanner",
     "DataNode",
     "ExecutionConfig",

@@ -6,37 +6,20 @@ another, but the chain is congestion-oblivious: the slowest node on the path
 bottlenecks the whole pipeline (Section III-B, Figure 3(a)).
 
 Helper choice and ordering follow the supplied candidate order (node-id
-order in our experiments), mirroring RP's lack of bandwidth awareness.  A
-``shuffle`` option randomises the chain instead, and ``greedy`` provides an
-ablation that orders the chain bandwidth-aware (not part of RP proper).
+order in our experiments), mirroring RP's lack of bandwidth awareness.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.core.plan import RepairPlan, RepairPlanner
 from repro.core.tree import RepairTree
-from repro.exceptions import PlanningError
 
 
 class RPPlanner(RepairPlanner):
-    """Chain-pipeline planner."""
+    """Chain-pipeline planner: the first k candidates, in the order given."""
 
     name = "RP"
-
-    def __init__(
-        self,
-        order: str = "given",
-        rng: np.random.Generator | None = None,
-    ):
-        if order not in ("given", "shuffle", "greedy"):
-            raise PlanningError(f"unknown RP ordering {order!r}")
-        if order == "shuffle" and rng is None:
-            rng = np.random.default_rng(0)
-        self.order = order
-        self._rng = rng
 
     def _build(
         self,
@@ -45,15 +28,7 @@ class RPPlanner(RepairPlanner):
         candidates: list[int],
         k: int,
     ) -> RepairPlan:
-        if self.order == "shuffle":
-            helpers = list(candidates)
-            self._rng.shuffle(helpers)
-            helpers = helpers[:k]
-        elif self.order == "greedy":
-            helpers = _greedy_chain(snapshot, requestor, candidates, k)
-        else:
-            helpers = list(candidates)[:k]
-        tree = RepairTree.chain(requestor, helpers)
+        tree = RepairTree.chain(requestor, list(candidates)[:k])
         return RepairPlan(
             scheme=self.name,
             requestor=requestor,
@@ -61,29 +36,3 @@ class RPPlanner(RepairPlanner):
             tree=tree,
             bmin=tree.bmin(snapshot),
         )
-
-
-def _greedy_chain(
-    snapshot: BandwidthSnapshot,
-    requestor: int,
-    candidates: list[int],
-    k: int,
-) -> list[int]:
-    """Bandwidth-aware chain (ablation): grow the chain from the requestor,
-    always appending the candidate whose link to the current tail is widest.
-    """
-    remaining = set(candidates)
-    chain: list[int] = []
-    tail = requestor
-    for _ in range(k):
-        best = max(
-            remaining,
-            key=lambda node: (
-                min(snapshot.up_of(node), snapshot.down_of(tail)),
-                -node,
-            ),
-        )
-        chain.append(best)
-        remaining.discard(best)
-        tail = best
-    return chain

@@ -8,11 +8,6 @@ from repro.core.algorithm import (
     select_pivots,
 )
 from repro.core.bandwidth_view import BandwidthSnapshot, best_uplinks
-from repro.core.compute import (
-    ComputeAwarePlanner,
-    ComputeView,
-    timeslot_schedule,
-)
 from repro.core.plan import RepairPlan, RepairPlanner, pin_planning
 from repro.core.rack_aware import (
     RackAwarePivotPlanner,
@@ -25,8 +20,6 @@ from repro.core.tree import RepairTree
 
 __all__ = [
     "BandwidthSnapshot",
-    "ComputeAwarePlanner",
-    "ComputeView",
     "PivotRepairPlanner",
     "RackAwarePivotPlanner",
     "RackSnapshot",
@@ -41,7 +34,6 @@ __all__ = [
     "rng_from",
     "spawn_rng",
     "recommendation_value",
-    "timeslot_schedule",
     "build_pivot_tree",
     "insert_pivots",
     "replace_leaves",

@@ -36,7 +36,8 @@ class SimulationError(ReproError):
 
 
 class TraceError(ReproError):
-    """A bandwidth trace is malformed or out of range."""
+    """A bandwidth trace, or a saved event or sample trace, is malformed
+    or out of range."""
 
 
 class ClusterError(ReproError):

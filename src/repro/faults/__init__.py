@@ -13,12 +13,11 @@ The pieces:
   backoff.
 * :class:`FaultInjector` — turns plan events into ``fault.*`` trace
   events and counters as simulated time passes.
-* :func:`run_chaos_single_chunk` — the chaos harness combining the
-  fault-aware executor (timing) with byte-accurate cluster reconstruction
-  (correctness); :func:`repro.faults.runner.adopt_full_node` is the same
-  step for every task of a full-node run, journaled and resumed or not.
-  The cluster executes the plans those runs produced and decides nothing
-  itself.
+* :mod:`repro.faults.runner` — moves the bytes the attempt machine's
+  results describe: :func:`~repro.faults.runner.adopt_result` for one
+  chunk, :func:`~repro.faults.runner.adopt_full_node` for every task of
+  a full-node run, journaled and resumed or not.  The cluster executes
+  the plans those runs produced and decides nothing itself.
 """
 
 from repro.faults.injector import FaultInjector
@@ -33,18 +32,7 @@ from repro.faults.plan import (
 )
 from repro.faults.policy import RetryPolicy
 
-
-def __getattr__(name: str):
-    # The chaos runner sits on top of the repair stack, which itself
-    # imports this package — load it lazily to keep the import acyclic.
-    if name in ("ChaosOutcome", "run_chaos_single_chunk"):
-        from repro.faults import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
-    "ChaosOutcome",
     "ChunkReadError",
     "FaultEvent",
     "FaultInjector",
@@ -54,5 +42,4 @@ __all__ = [
     "LinkDegradation",
     "NodeCrash",
     "RetryPolicy",
-    "run_chaos_single_chunk",
 ]

@@ -59,10 +59,6 @@ class FaultInjector:
         self._pending = pending
         self._cursor = 0
 
-    @property
-    def exhausted(self) -> bool:
-        return self._cursor >= len(self._pending)
-
     def announce_until(self, t: float) -> int:
         """Fire every not-yet-announced event with time <= ``t``.
 

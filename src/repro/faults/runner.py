@@ -1,15 +1,12 @@
-"""Chaos harness: the byte plane executes what the timing plane decided.
+"""The byte plane executes what the timing plane decided.
 
-Glues the two halves of the stack together the way the chaos tests (and
-the CLI's ``--faults`` mode) need them: the *timing* half — the one
-attempt machine retrying, re-planning and resuming on the fluid
-simulator — and the *correctness* half — the byte-accurate
-:class:`~repro.cluster.master.Cluster` aggregation, which executes
-whatever trees the attempts settled on (:func:`rebuilt_payload`), stores
-the chunk where the last plan put it (:func:`adopt_result`, one chunk;
-:func:`adopt_full_node`, every task of a full-node run) and, for the
-chaos runs, checks the payload against an independent erasure-code decode.
-The cluster decides nothing on the way.
+The *timing* half — the one attempt machine retrying, re-planning and
+resuming on the fluid simulator — settles which trees carried which
+slices; the byte-accurate :class:`~repro.cluster.master.Cluster`
+executes them (:func:`rebuilt_payload`) and stores the chunk where the
+last plan put it (:func:`adopt_result`, one chunk;
+:func:`adopt_full_node`, every task of a full-node run).  The cluster
+decides nothing on the way.
 """
 
 from __future__ import annotations
@@ -17,147 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.master import Cluster
-from repro.core.algorithm import PivotRepairPlanner
-from repro.core.bandwidth_view import BandwidthSnapshot
-from repro.core.plan import RepairPlanner
 from repro.ec.stripe import Stripe
-from repro.exceptions import ClusterError
-from repro.faults.plan import FaultPlan
-from repro.faults.policy import RetryPolicy
-from repro.network.topology import StarNetwork
-from repro.obs.tracer import NULL_TRACER
-from repro.repair.executor import repair_single_chunk_faulted
-from repro.repair.fullnode import choose_requestor
 from repro.repair.jobmaster import slice_ranges
-from repro.repair.metrics import FullNodeResult, RepairFailed, RepairResult
+from repro.repair.metrics import FullNodeResult, RepairResult
 from repro.repair.pipeline import ExecutionConfig
 
-__all__ = [
-    "ChaosOutcome",
-    "adopt_full_node",
-    "adopt_result",
-    "rebuilt_payload",
-    "run_chaos_single_chunk",
-]
-
-
-class ChaosOutcome:
-    """What one chaos run produced: a timing result plus verified bytes.
-
-    ``result`` is the executor's :class:`RepairResult` or
-    :class:`RepairFailed`.  On success ``payload`` holds the bytes the
-    final repair tree reconstructed and ``correct`` says whether they
-    match an independent decode of the stripe; on failure both stay
-    ``None`` — a failed repair must deliver *no* data, not short data.
-    """
-
-    def __init__(
-        self,
-        result: RepairResult | RepairFailed,
-        payload: np.ndarray | None = None,
-        correct: bool | None = None,
-    ):
-        self.result = result
-        self.payload = payload
-        self.correct = correct
-
-    @property
-    def ok(self) -> bool:
-        return self.result.ok
-
-    def __repr__(self) -> str:
-        return (
-            f"ChaosOutcome(ok={self.ok}, correct={self.correct}, "
-            f"attempts={self.result.attempts})"
-        )
-
-
-def expected_payload(
-    cluster: Cluster, stripe: Stripe, lost_index: int
-) -> np.ndarray:
-    """Ground truth via an independent decode from k surviving chunks."""
-    holders = [
-        node
-        for index, node in enumerate(stripe.placement)
-        if index != lost_index and cluster.nodes[node].alive
-    ]
-    if len(holders) < cluster.code.k:
-        raise ClusterError(
-            f"stripe {stripe.stripe_id}: cannot decode ground truth, "
-            f"only {len(holders)} chunks survive"
-        )
-    available = {
-        stripe.chunk_on_node(node): cluster.nodes[node].read(
-            stripe.chunk_id(stripe.chunk_on_node(node))
-        )
-        for node in holders[: cluster.code.k]
-    }
-    data = cluster.code.decode(available)
-    return cluster.code.encode(data)[lost_index]
-
-
-def run_chaos_single_chunk(
-    cluster: Cluster,
-    network: StarNetwork,
-    stripe: Stripe,
-    lost_index: int,
-    faults: FaultPlan,
-    policy: RetryPolicy | None = None,
-    planner: RepairPlanner | None = None,
-    config: ExecutionConfig | None = None,
-    tracer=NULL_TRACER,
-    journal=None,
-    health=None,
-) -> ChaosOutcome:
-    """Repair one lost chunk under a fault plan; verify the bytes.
-
-    The holder of ``lost_index`` is crashed (if it still lives), the
-    fault-aware executor runs the repair on the simulator, and — when it
-    completes — the plan's tree is executed byte-accurately through the
-    cluster and compared against an independent decode.  The contract the
-    chaos tests pin down: the outcome is either a completed repair with
-    ``correct=True`` or a clean :class:`RepairFailed`; never a hang,
-    never silently short data.
-
-    A helper the cluster already knows is dead is refused with a
-    :class:`ClusterError`: a helper dies mid-repair through the fault
-    plan.  ``journal`` / ``health`` thread through to the executor.  A
-    resumed (or hedged) repair delivers its slice ranges through
-    *different* trees; :func:`rebuilt_payload` then rebuilds each
-    recorded segment through the plan that actually carried it and
-    stitches the ranges before comparing — exactly what a production
-    requestor would hold on disk.
-    """
-    planner = planner or PivotRepairPlanner()
-    config = config or ExecutionConfig()
-    failed_node = stripe.placement[lost_index]
-    dead = [
-        node for node in stripe.surviving_nodes(failed_node)
-        if not cluster.nodes[node].alive
-    ]
-    if dead:
-        raise ClusterError(
-            f"stripe {stripe.stripe_id}: helpers {dead} are already dead "
-            "in the cluster; crash a helper through the fault plan"
-        )
-    expected = expected_payload(cluster, stripe, lost_index)
-    if cluster.nodes[failed_node].alive:
-        cluster.fail_node(failed_node, at=0.0)
-    snapshot = BandwidthSnapshot.from_network(network, 0.0)
-    requestor = choose_requestor(
-        snapshot, stripe, failed_node, cluster.node_count,
-        exclude=faults.dead_nodes(0.0),
-    )
-    result = repair_single_chunk_faulted(
-        planner, network, requestor, stripe, failed_node,
-        faults, policy=policy, config=config, tracer=tracer,
-        journal=journal, health=health,
-    )
-    if not result.ok:
-        return ChaosOutcome(result)
-    payload = adopt_result(cluster, stripe, lost_index, result, config)
-    correct = bool(np.array_equal(payload, expected))
-    return ChaosOutcome(result, payload=payload, correct=correct)
+__all__ = ["adopt_full_node", "adopt_result", "rebuilt_payload"]
 
 
 def rebuilt_payload(

@@ -8,7 +8,7 @@ show up as measurably better durability, not just lower latency.
 Layers (see docs/lifetime.md):
 
 * :mod:`repro.lifetime.units` — the rack / machine / disk hierarchy;
-* :mod:`repro.lifetime.failure` — pluggable outage processes;
+* :mod:`repro.lifetime.failure` — exponential outage schedules;
 * :mod:`repro.lifetime.durations` — repair-duration models, including
   calibration against the fluid simulator;
 * :mod:`repro.lifetime.simulate` — the event-driven lifetime loop;
@@ -27,11 +27,7 @@ from repro.lifetime.failure import (
     DAY,
     YEAR,
     ExponentialFailures,
-    FailureProcess,
     Outage,
-    PeriodicFailures,
-    TraceFailures,
-    WeibullFailures,
 )
 from repro.lifetime.montecarlo import (
     LifetimeConfig,
@@ -52,17 +48,13 @@ __all__ = [
     "DurationModel",
     "ExponentialDurations",
     "ExponentialFailures",
-    "FailureProcess",
     "FixedDurations",
     "LifetimeConfig",
     "LifetimeReport",
     "LifetimeRunStats",
     "Outage",
-    "PeriodicFailures",
     "SchemeSummary",
-    "TraceFailures",
     "UnitRef",
-    "WeibullFailures",
     "default_processes",
     "markov_mttdl",
     "run_lifetime",

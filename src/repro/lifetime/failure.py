@@ -1,7 +1,7 @@
-"""Pluggable failure/recovery processes for lifetime simulation.
+"""Failure/recovery schedules for lifetime simulation.
 
-A :class:`FailureProcess` turns a child RNG into the full outage schedule
-of **one unit** over the simulated horizon — a sorted list of
+:class:`ExponentialFailures` turns a child RNG into the full outage
+schedule of **one unit** over the simulated horizon — a sorted list of
 :class:`Outage` windows.  Generating schedules up front (instead of
 sampling lazily inside the event loop) buys two properties the
 Monte-Carlo driver depends on:
@@ -15,16 +15,6 @@ Monte-Carlo driver depends on:
   exactly the Markov chain that :func:`repro.lifetime.mttdl.markov_mttdl`
   solves in closed form (the golden regression).
 
-Four process families, mirroring the simulator blueprints in the
-related-work SMRSU repo (``simulator/failure/``):
-
-* :class:`ExponentialFailures` — memoryless, the classic MTTF/MTTR model;
-* :class:`WeibullFailures` — shape < 1 infant mortality, > 1 wear-out;
-* :class:`PeriodicFailures` — deterministic maintenance windows with
-  optional jitter (piecewise/periodic processes);
-* :class:`TraceFailures` — replay of measured outage windows (e.g. a
-  GFS-style availability trace), cycled over the horizon.
-
 ``permanent=True`` marks outages that destroy the unit's data (disk
 death, machine loss); the ``duration`` is then the replacement lead time
 before the unit is back in service *empty* — restoring the chunks is the
@@ -35,23 +25,13 @@ themselves.
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import LifetimeError
 
-__all__ = [
-    "DAY",
-    "ExponentialFailures",
-    "FailureProcess",
-    "Outage",
-    "PeriodicFailures",
-    "TraceFailures",
-    "WeibullFailures",
-]
+__all__ = ["DAY", "ExponentialFailures", "Outage"]
 
 #: Seconds per day / per (365-day) year — the time units of this module.
 DAY = 86_400.0
@@ -82,229 +62,41 @@ class Outage:
         return self.start + self.duration
 
 
-class FailureProcess(ABC):
-    """Outage schedule generator for one unit."""
-
-    #: Do this process's outages destroy data?
-    permanent: bool = False
-
-    @abstractmethod
-    def schedule(
-        self, rng: np.random.Generator, horizon: float
-    ) -> list[Outage]:
-        """Sorted outages of one unit over ``[0, horizon)``."""
-
-    def describe(self) -> str:
-        return type(self).__name__
-
-
-class _RenewalProcess(FailureProcess):
-    """Alternating up/down renewal: sample uptime, then downtime, repeat."""
-
-    def __init__(self, *, mttr: float, permanent: bool):
-        if mttr < 0:
-            raise LifetimeError(f"negative MTTR {mttr}")
-        self.mttr = mttr
-        self.permanent = permanent
-
-    @abstractmethod
-    def _uptime(self, rng: np.random.Generator) -> float:
-        """Sample one time-to-failure (seconds of service)."""
-
-    def _downtime(self, rng: np.random.Generator) -> float:
-        """Sample one outage length; exponential around MTTR."""
-        if self.mttr == 0:
-            return 0.0
-        return float(rng.exponential(self.mttr))
-
-    def schedule(
-        self, rng: np.random.Generator, horizon: float
-    ) -> list[Outage]:
-        if horizon <= 0:
-            raise LifetimeError(f"horizon must be positive, got {horizon}")
-        outages: list[Outage] = []
-        t = 0.0
-        while True:
-            t += self._uptime(rng)
-            if not math.isfinite(t) or t >= horizon:
-                return outages
-            downtime = self._downtime(rng)
-            outages.append(
-                Outage(start=t, duration=downtime, permanent=self.permanent)
-            )
-            t += downtime
-
-
-class ExponentialFailures(_RenewalProcess):
-    """Memoryless failures: uptime ~ Exp(MTTF), downtime ~ Exp(MTTR)."""
+class ExponentialFailures:
+    """Memoryless alternating renewal: uptime ~ Exp(MTTF), then
+    downtime ~ Exp(MTTR) (none when ``mttr`` is 0), repeated."""
 
     def __init__(
         self, mttf: float, mttr: float = 0.0, *, permanent: bool = False
     ):
         if mttf <= 0:
             raise LifetimeError(f"MTTF must be positive, got {mttf}")
-        super().__init__(mttr=mttr, permanent=permanent)
+        if mttr < 0:
+            raise LifetimeError(f"negative MTTR {mttr}")
         self.mttf = mttf
-
-    def _uptime(self, rng: np.random.Generator) -> float:
-        return float(rng.exponential(self.mttf))
-
-    def describe(self) -> str:
-        return f"exp(mttf={self.mttf / DAY:.3g}d)"
-
-
-class WeibullFailures(_RenewalProcess):
-    """Weibull time-to-failure: shape < 1 infant mortality, > 1 wear-out.
-
-    Parameterised by the *mean* time to failure; the scale is derived as
-    ``mttf / Γ(1 + 1/shape)`` so exchanging this for
-    :class:`ExponentialFailures` keeps the long-run failure rate while
-    changing the burstiness.
-    """
-
-    def __init__(
-        self,
-        mttf: float,
-        shape: float,
-        mttr: float = 0.0,
-        *,
-        permanent: bool = False,
-    ):
-        if mttf <= 0:
-            raise LifetimeError(f"MTTF must be positive, got {mttf}")
-        if shape <= 0:
-            raise LifetimeError(f"Weibull shape must be positive, got {shape}")
-        super().__init__(mttr=mttr, permanent=permanent)
-        self.mttf = mttf
-        self.shape = shape
-        self.scale = mttf / math.gamma(1.0 + 1.0 / shape)
-
-    def _uptime(self, rng: np.random.Generator) -> float:
-        return float(self.scale * rng.weibull(self.shape))
-
-    def describe(self) -> str:
-        return f"weibull(mttf={self.mttf / DAY:.3g}d, k={self.shape:g})"
-
-
-class PeriodicFailures(FailureProcess):
-    """Deterministic maintenance windows: every ``period``, ± jitter.
-
-    The piecewise/periodic process of planned reboots and rolling
-    upgrades.  ``phase`` staggers units (pass e.g. ``index * period /
-    units`` per unit) so the whole fleet does not blink at once; jitter
-    draws uniformly from ``[-jitter, +jitter]`` per occurrence.
-    """
-
-    def __init__(
-        self,
-        period: float,
-        downtime: float,
-        *,
-        phase: float = 0.0,
-        jitter: float = 0.0,
-        permanent: bool = False,
-    ):
-        if period <= 0:
-            raise LifetimeError(f"period must be positive, got {period}")
-        if downtime < 0:
-            raise LifetimeError(f"negative downtime {downtime}")
-        if jitter < 0 or jitter >= period / 2:
-            raise LifetimeError(
-                f"jitter {jitter} must be in [0, period/2)"
-            )
-        if phase < 0:
-            raise LifetimeError(f"negative phase {phase}")
-        self.period = period
-        self.downtime = downtime
-        self.phase = phase
-        self.jitter = jitter
+        self.mttr = mttr
         self.permanent = permanent
 
     def schedule(
         self, rng: np.random.Generator, horizon: float
     ) -> list[Outage]:
+        """Sorted outages of one unit over ``[0, horizon)``.
+
+        Draws one ``rng.exponential(mttf)`` per uptime and, when
+        ``mttr > 0``, one ``rng.exponential(mttr)`` per downtime.
+        """
         if horizon <= 0:
             raise LifetimeError(f"horizon must be positive, got {horizon}")
         outages: list[Outage] = []
-        occurrence = 1
+        t = 0.0
         while True:
-            start = self.phase + occurrence * self.period
-            if self.jitter > 0:
-                start += float(rng.uniform(-self.jitter, self.jitter))
-            if start >= horizon:
+            t += float(rng.exponential(self.mttf))
+            if not math.isfinite(t) or t >= horizon:
                 return outages
-            if start > 0:
-                outages.append(
-                    Outage(
-                        start=start,
-                        duration=self.downtime,
-                        permanent=self.permanent,
-                    )
-                )
-            occurrence += 1
-
-    def describe(self) -> str:
-        return f"periodic(every={self.period / DAY:.3g}d)"
-
-
-class TraceFailures(FailureProcess):
-    """Replay measured outage windows, cycled over the horizon.
-
-    ``windows`` is a sequence of ``(start_seconds, duration_seconds)``
-    pairs covering ``trace_span`` seconds of observation (defaults to the
-    end of the last window).  Horizons longer than the span repeat the
-    trace; no randomness is consumed, so trace-driven units are identical
-    across runs by construction.
-    """
-
-    def __init__(
-        self,
-        windows: Sequence[tuple[float, float]],
-        *,
-        trace_span: float | None = None,
-        permanent: bool = False,
-    ):
-        ordered = sorted((float(s), float(d)) for s, d in windows)
-        for start, duration in ordered:
-            if start < 0 or duration < 0:
-                raise LifetimeError(
-                    f"bad trace window ({start}, {duration})"
-                )
-        span = (
-            float(trace_span)
-            if trace_span is not None
-            else (ordered[-1][0] + ordered[-1][1] if ordered else 0.0)
-        )
-        if ordered and span <= 0:
-            raise LifetimeError("trace span must be positive")
-        self.windows = ordered
-        self.trace_span = span
-        self.permanent = permanent
-
-    def schedule(
-        self, rng: np.random.Generator, horizon: float
-    ) -> list[Outage]:
-        if horizon <= 0:
-            raise LifetimeError(f"horizon must be positive, got {horizon}")
-        if not self.windows:
-            return []
-        outages: list[Outage] = []
-        base = 0.0
-        while base < horizon:
-            for start, duration in self.windows:
-                t = base + start
-                if t >= horizon:
-                    break
-                if t > 0:
-                    outages.append(
-                        Outage(
-                            start=t,
-                            duration=duration,
-                            permanent=self.permanent,
-                        )
-                    )
-            base += self.trace_span
-        return outages
-
-    def describe(self) -> str:
-        return f"trace({len(self.windows)} windows)"
+            downtime = (
+                float(rng.exponential(self.mttr)) if self.mttr else 0.0
+            )
+            outages.append(
+                Outage(start=t, duration=downtime, permanent=self.permanent)
+            )
+            t += downtime

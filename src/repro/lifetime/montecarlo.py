@@ -39,7 +39,7 @@ from repro.lifetime.durations import (
     CalibratedDurations,
     DurationModel,
 )
-from repro.lifetime.failure import DAY, YEAR, ExponentialFailures, FailureProcess
+from repro.lifetime.failure import DAY, YEAR, ExponentialFailures
 from repro.lifetime.simulate import POLICIES, simulate_lifetime
 from repro.lifetime.units import ClusterLayout
 from repro.obs.tracer import NULL_TRACER
@@ -165,7 +165,9 @@ class LifetimeConfig:
         }
 
 
-def default_processes(config: LifetimeConfig) -> dict[str, FailureProcess]:
+def default_processes(
+    config: LifetimeConfig,
+) -> dict[str, ExponentialFailures]:
     """The three-layer failure model a config describes.
 
     Disks fail *permanently* (the data on them is gone) and return after
@@ -173,7 +175,7 @@ def default_processes(config: LifetimeConfig) -> dict[str, FailureProcess]:
     outages — data survives, but chunks behind them are unreachable,
     repairs reading from them stall, and exposure windows stretch.
     """
-    processes: dict[str, FailureProcess] = {}
+    processes: dict[str, ExponentialFailures] = {}
     if config.disk_mttf_days > 0:
         processes["disk"] = ExponentialFailures(
             mttf=config.disk_mttf_days * DAY,
@@ -321,21 +323,19 @@ def _run_record(stats) -> dict:
 def run_lifetime(
     config: LifetimeConfig,
     durations: DurationModel | None = None,
-    processes: dict[str, FailureProcess] | None = None,
     registry=None,
     tsdb=None,
     tracer=NULL_TRACER,
-    progress=None,
 ) -> LifetimeReport:
     """Run the full Monte-Carlo study a config describes.
 
     ``durations`` defaults to :meth:`CalibratedDurations.calibrate` on
     the config's workload (the congestion-aware model); pass an analytic
-    model for Markov golden tests.  ``processes`` overrides the failure
-    layers.  ``registry`` (:class:`~repro.obs.metrics.MetricsRegistry`)
-    and ``tsdb`` (:class:`~repro.obs.timeseries.TimeSeriesDB`) receive
-    durability metrics when provided; ``progress`` is an optional
-    ``callable(run_index, runs)`` for CLI feedback.
+    model for Markov golden tests.  The failure layers are
+    :func:`default_processes`.  ``registry``
+    (:class:`~repro.obs.metrics.MetricsRegistry`) and ``tsdb``
+    (:class:`~repro.obs.timeseries.TimeSeriesDB`) receive durability
+    metrics when provided.
     """
     if durations is None:
         durations = CalibratedDurations.calibrate(
@@ -346,16 +346,13 @@ def run_lifetime(
             node_count=config.machines,
             scale=config.duration_scale,
         )
-    if processes is None:
-        processes = default_processes(config)
+    processes = default_processes(config)
     layout = config.layout
     code = RSCode(config.n, config.k)
     horizon = config.horizon
     summaries = {scheme: SchemeSummary(scheme) for scheme in config.schemes}
 
     for run_index in range(config.runs):
-        if progress is not None:
-            progress(run_index, config.runs)
         # One timeline per run, shared by every scheme (paired design).
         placement_rng = spawn_rng(config.seed, "lifetime", run_index, "placement")
         stripes = place_stripes(

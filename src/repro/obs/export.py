@@ -1,8 +1,7 @@
 """Trace exporters: JSONL and Chrome ``trace_event`` JSON.
 
-* :func:`to_jsonl` — one compact JSON object per event per line.  Wall
-  times are excluded by default so that two runs with the same seed
-  produce byte-identical streams.
+* :func:`to_jsonl` — one compact JSON object per event per line; two
+  runs with the same seed produce byte-identical streams.
 * :func:`to_chrome_trace` — the Chrome trace-event format (the
   ``{"traceEvents": [...]}`` JSON object), loadable in
   ``chrome://tracing`` and Perfetto.  Simulated seconds map to trace
@@ -19,6 +18,7 @@ import json
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
+from repro.exceptions import TraceError
 from repro.obs.metrics import render_labels
 from repro.obs.tracer import TraceEvent
 
@@ -33,41 +33,63 @@ __all__ = [
 TRACE_PID = 1
 
 
-def to_jsonl(
-    events: Sequence[TraceEvent], include_wall: bool = False
-) -> str:
+def to_jsonl(events: Sequence[TraceEvent]) -> str:
     """Serialise events as JSON Lines (trailing newline included)."""
     lines = [
-        json.dumps(
-            event.to_dict(include_wall=include_wall),
-            separators=(",", ":"),
-        )
+        json.dumps(event.to_dict(), separators=(",", ":"))
         for event in events
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def events_from_jsonl(text: str) -> list[TraceEvent]:
-    """Parse a JSONL stream back into :class:`TraceEvent` records."""
-    events = []
-    for line in text.splitlines():
+    """Parse a JSONL stream back into :class:`TraceEvent` records.
+
+    A line that is not a JSON object with ``name``, ``kind``, ``t`` and
+    ``track`` (a torn last record included) raises :class:`TraceError`
+    naming its line.  Keys the stream no longer writes (an old file's
+    ``wall``) are ignored.
+    """
+    return parse_jsonl(text, "trace event", _event_from_dict)
+
+
+def _event_from_dict(raw: dict) -> TraceEvent:
+    return TraceEvent(
+        name=raw["name"],
+        kind=raw["kind"],
+        t=float(raw["t"]),
+        track=raw["track"],
+        span_id=raw.get("span_id"),
+        fields=raw.get("fields", {}),
+        parent_id=raw.get("parent_id"),
+        links=tuple(raw.get("links", ())),
+    )
+
+
+def parse_jsonl(text: str, what: str, build) -> list:
+    """``build(record)`` for each non-blank line of ``text`` parsed as
+    JSON; a parse error, a missing key or a bad value raises
+    :class:`TraceError` naming the 1-based line."""
+    out = []
+    for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        raw = json.loads(line)
-        events.append(
-            TraceEvent(
-                name=raw["name"],
-                kind=raw["kind"],
-                t=float(raw["t"]),
-                track=raw["track"],
-                span_id=raw.get("span_id"),
-                wall=raw.get("wall"),
-                fields=raw.get("fields", {}),
-                parent_id=raw.get("parent_id"),
-                links=tuple(raw.get("links", ())),
-            )
-        )
-    return events
+        try:
+            out.append(build(json.loads(line)))
+        except json.JSONDecodeError as error:
+            raise TraceError(
+                f"line {number}: malformed {what}: {error.msg} "
+                f"at column {error.colno}"
+            ) from error
+        except KeyError as error:
+            raise TraceError(
+                f"line {number}: {what} lacks key {error.args[0]!r}"
+            ) from error
+        except (AttributeError, TypeError, ValueError) as error:
+            raise TraceError(
+                f"line {number}: malformed {what}: {error}"
+            ) from error
+    return out
 
 
 def _track_order(tracks: Iterable[str]) -> dict[str, int]:
@@ -318,7 +340,6 @@ def write_trace(
     events: Sequence[TraceEvent],
     path: str | Path,
     fmt: str = "jsonl",
-    include_wall: bool = False,
     samples: Sequence = (),
     registry=None,
 ) -> Path:
@@ -330,7 +351,7 @@ def write_trace(
     """
     path = Path(path)
     if fmt == "jsonl":
-        path.write_text(to_jsonl(events, include_wall=include_wall))
+        path.write_text(to_jsonl(events))
     elif fmt == "chrome":
         path.write_text(
             json.dumps(

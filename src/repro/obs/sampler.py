@@ -38,6 +38,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.exceptions import SimulationError
+from repro.obs.export import parse_jsonl
 
 __all__ = ["Sample", "FlightRecorder", "samples_from_jsonl"]
 
@@ -282,10 +283,6 @@ class FlightRecorder:
 
 
 def samples_from_jsonl(text: str) -> list[Sample]:
-    """Parse a JSONL sample stream back into :class:`Sample` records."""
-    samples = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        samples.append(Sample.from_dict(json.loads(line)))
-    return samples
+    """Parse a JSONL sample stream back into :class:`Sample` records;
+    a torn or malformed line raises :class:`TraceError` naming it."""
+    return parse_jsonl(text, "sample", Sample.from_dict)

@@ -163,7 +163,6 @@ class SLOMonitor:
         specs,
         tracer=NULL_TRACER,
         interval: float = 1.0,
-        repair_start: float = 0.0,
     ):
         if interval <= 0:
             raise SLOError("evaluation interval must be positive")
@@ -174,8 +173,6 @@ class SLOMonitor:
         self.specs: list[SLOSpec] = list(specs)
         self.tracer = tracer
         self.interval = float(interval)
-        #: When the repair-deadline clocks started.
-        self.repair_start = float(repair_start)
         self.alerts: list[SLOAlert] = []
         self._firing: set[str] = set()
         self._hooks: list = []
@@ -258,8 +255,8 @@ class SLOMonitor:
             return math.nan
         if progress >= 1.0 - _EPS:
             return 0.0
-        elapsed = t1 - self.repair_start
-        consumed = elapsed / spec.deadline
+        # The repair-deadline clock starts at simulated time 0.
+        consumed = t1 / spec.deadline
         return consumed / max(progress, _EPS)
 
     def _record_burn(

@@ -6,10 +6,9 @@ so a run without tracing pays one attribute load per site and never
 formats an event.  With a real :class:`Tracer`, each site records a
 :class:`TraceEvent` carrying
 
-* ``t`` — **simulated** seconds (the timeline the paper's figures use);
-* ``wall`` — wall-clock seconds (``time.perf_counter``), recorded only
-  when the tracer was built with ``record_wall=True`` so that the default
-  event stream is byte-for-byte deterministic for a fixed seed;
+* ``t`` — **simulated** seconds (the timeline the paper's figures use),
+  the only clock an event carries, so the stream is byte-for-byte
+  deterministic for a fixed seed;
 * ``track`` — the timeline the event belongs to (``node:<id>``,
   ``planner``, ``scheduler``, ``sim``, ``master``);
 * ``fields`` — event-specific structured payload.
@@ -32,7 +31,6 @@ extra argument through every call.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
@@ -56,15 +54,14 @@ class TraceEvent:
     t: float  # simulated seconds
     track: str
     span_id: int | None = None
-    wall: float | None = None
     fields: dict[str, Any] = field(default_factory=dict)
     #: Causal parent span (may live on another track).
     parent_id: int | None = None
     #: Spans this event *follows from* (cross-track causal links).
     links: tuple[int, ...] = ()
 
-    def to_dict(self, include_wall: bool = False) -> dict[str, Any]:
-        """Plain-dict form (JSONL line payload), deterministic by default."""
+    def to_dict(self) -> dict[str, Any]:
+        """Plain-dict form (JSONL line payload)."""
         payload: dict[str, Any] = {
             "name": self.name,
             "kind": self.kind,
@@ -77,8 +74,6 @@ class TraceEvent:
             payload["parent_id"] = self.parent_id
         if self.links:
             payload["links"] = list(self.links)
-        if include_wall and self.wall is not None:
-            payload["wall"] = self.wall
         if self.fields:
             payload["fields"] = self.fields
         return payload
@@ -89,17 +84,13 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, record_wall: bool = False):
+    def __init__(self):
         self.events: list[TraceEvent] = []
-        self.record_wall = record_wall
         self._span_ids = 0
         self._scope: list[int] = []
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def _wall(self) -> float | None:
-        return time.perf_counter() if self.record_wall else None
 
     @property
     def current_parent(self) -> int | None:
@@ -129,14 +120,13 @@ class Tracer:
         **fields,
     ) -> None:
         """Record a point event at simulated time ``t``."""
-        # Hot path: helpers (_wall, current_parent) are inlined — a
-        # traced run emits tens of thousands of instants.
+        # Hot path: current_parent is inlined — a traced run emits tens
+        # of thousands of instants.
         if parent_id is None and self._scope:
             parent_id = self._scope[-1]
         self.events.append(
             TraceEvent(
                 name=name, kind="instant", t=float(t), track=track,
-                wall=time.perf_counter() if self.record_wall else None,
                 fields=fields, parent_id=parent_id,
             )
         )
@@ -164,9 +154,7 @@ class Tracer:
         self.events.append(
             TraceEvent(
                 name=name, kind="begin", t=float(t), track=track,
-                span_id=span_id,
-                wall=time.perf_counter() if self.record_wall else None,
-                fields=fields, parent_id=parent_id,
+                span_id=span_id, fields=fields, parent_id=parent_id,
                 links=tuple(links),
             )
         )
@@ -185,7 +173,7 @@ class Tracer:
         self.events.append(
             TraceEvent(
                 name="span.link", kind="instant", t=float(t), track=track,
-                wall=self._wall(), parent_id=to_span,
+                parent_id=to_span,
                 fields={"from_span": from_span, "to_span": to_span, **fields},
             )
         )
@@ -197,9 +185,7 @@ class Tracer:
         self.events.append(
             TraceEvent(
                 name=name, kind="end", t=float(t), track=track,
-                span_id=span_id,
-                wall=time.perf_counter() if self.record_wall else None,
-                fields=fields,
+                span_id=span_id, fields=fields,
             )
         )
 

@@ -4,7 +4,9 @@
 rebuild a chunk through the plan they are handed.  Retry budgets, fault
 plans, journals, client load, admission and the simulated network live
 above them, and the dependency runs one way — the timing plane's results
-are fed *to* the cluster (``repro.faults.runner``), never read by it.
+are fed *to* the cluster (``repro.faults.runner``'s ``adopt_result`` and
+``adopt_full_node``, which the chaos harness in ``tests/chaos_harness.py``
+also goes through), never read by it.
 Walks both packages with :mod:`ast`, so an import inside a function or
 under ``TYPE_CHECKING`` counts too.
 

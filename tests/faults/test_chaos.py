@@ -16,8 +16,8 @@ from repro.core import PivotRepairPlanner
 from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.ec import RSCode
 from repro.exceptions import ClusterError
-from repro.faults import FaultPlan, RetryPolicy, run_chaos_single_chunk
-from repro.faults.runner import expected_payload, rebuilt_payload
+from repro.faults import FaultPlan, RetryPolicy
+from repro.faults.runner import rebuilt_payload
 from repro.network.topology import StarNetwork
 from repro.obs import Tracer
 from repro.repair import (
@@ -29,6 +29,7 @@ from repro.repair import (
 from repro.repair.fullnode import choose_requestor
 from repro.repair.pipeline import ExecutionConfig
 from repro.resilience import RepairJournal
+from tests.chaos_harness import expected_payload, run_chaos_single_chunk
 from tests.one_stripe import one_stripe
 
 NODE_COUNT = 12

@@ -1,18 +1,11 @@
-"""Tests for the pluggable failure/recovery processes."""
+"""Tests for the exponential failure/recovery schedules."""
 
 import numpy as np
 import pytest
 
 from repro.core.seeding import spawn_rng
 from repro.exceptions import LifetimeError
-from repro.lifetime.failure import (
-    DAY,
-    ExponentialFailures,
-    Outage,
-    PeriodicFailures,
-    TraceFailures,
-    WeibullFailures,
-)
+from repro.lifetime.failure import DAY, ExponentialFailures, Outage
 
 HORIZON = 2000 * DAY
 
@@ -39,12 +32,7 @@ class TestOutage:
 
 class TestSeededDeterminism:
     @pytest.mark.parametrize(
-        "process",
-        [
-            ExponentialFailures(mttf=30 * DAY, mttr=3600.0),
-            WeibullFailures(mttf=30 * DAY, shape=1.4, mttr=3600.0),
-            PeriodicFailures(period=45 * DAY, downtime=1800.0, jitter=3600.0),
-        ],
+        "process", [ExponentialFailures(mttf=30 * DAY, mttr=3600.0)]
     )
     def test_same_stream_same_schedule(self, process):
         a = process.schedule(spawn_rng(9, "unit", 0), HORIZON)
@@ -68,34 +56,6 @@ class TestStatisticalSanity:
         assert len(gaps) > 1000
         assert np.mean(gaps) == pytest.approx(mttf, rel=0.1)
 
-    @pytest.mark.parametrize("shape", [0.7, 1.0, 2.0])
-    def test_weibull_interarrival_mean_matches_mttf(self, shape):
-        # The scale is derived from the mean, so every shape must land on
-        # the same long-run failure rate.
-        mttf = 20 * DAY
-        process = WeibullFailures(mttf=mttf, shape=shape)
-        outages = process.schedule(spawn_rng(4, "weibull"), 40_000 * DAY)
-        gaps = interarrivals(outages)
-        assert len(gaps) > 1000
-        assert np.mean(gaps) == pytest.approx(mttf, rel=0.1)
-
-    def test_weibull_shape_controls_burstiness(self):
-        # Coefficient of variation: > 1 for infant mortality, < 1 for
-        # wear-out.
-        horizon = 30_000 * DAY
-        infant = interarrivals(
-            WeibullFailures(mttf=20 * DAY, shape=0.6).schedule(
-                spawn_rng(5, "a"), horizon
-            )
-        )
-        wearout = interarrivals(
-            WeibullFailures(mttf=20 * DAY, shape=3.0).schedule(
-                spawn_rng(5, "b"), horizon
-            )
-        )
-        assert np.std(infant) / np.mean(infant) > 1.2
-        assert np.std(wearout) / np.mean(wearout) < 0.6
-
     def test_downtime_mean(self):
         process = ExponentialFailures(mttf=5 * DAY, mttr=2 * 3600.0)
         outages = process.schedule(spawn_rng(6, "mttr"), 20_000 * DAY)
@@ -103,53 +63,33 @@ class TestStatisticalSanity:
         assert np.mean(downtimes) == pytest.approx(2 * 3600.0, rel=0.1)
 
 
-class TestPeriodic:
-    def test_no_jitter_is_exact(self):
-        process = PeriodicFailures(period=10 * DAY, downtime=600.0)
-        outages = process.schedule(spawn_rng(0, "p"), 35 * DAY)
-        assert [o.start for o in outages] == [
-            10 * DAY, 20 * DAY, 30 * DAY
-        ]
+class TestDrawOrder:
+    """One ``exponential(mttf)`` per uptime, then one
+    ``exponential(mttr)`` per downtime, and none when ``mttr`` is 0."""
 
-    def test_phase_staggers(self):
-        process = PeriodicFailures(
-            period=10 * DAY, downtime=600.0, phase=5 * DAY
+    @pytest.mark.parametrize("mttr", [0.0, 3600.0])
+    def test_schedule_replays_the_draws(self, mttr):
+        horizon = 200 * DAY
+        process = ExponentialFailures(
+            mttf=10 * DAY, mttr=mttr, permanent=True
         )
-        outages = process.schedule(spawn_rng(0, "p"), 30 * DAY)
-        assert [o.start for o in outages] == [15 * DAY, 25 * DAY]
+        outages = process.schedule(spawn_rng(7, "order"), horizon)
+        rng = spawn_rng(7, "order")
+        expected, t = [], 0.0
+        while True:
+            t += float(rng.exponential(10 * DAY))
+            if t >= horizon:
+                break
+            downtime = float(rng.exponential(mttr)) if mttr else 0.0
+            expected.append(Outage(t, downtime, permanent=True))
+            t += downtime
+        assert len(expected) > 5
+        assert outages == expected
 
-    def test_jitter_stays_near_schedule(self):
-        process = PeriodicFailures(
-            period=10 * DAY, downtime=600.0, jitter=DAY
-        )
-        outages = process.schedule(spawn_rng(1, "p"), 200 * DAY)
-        for index, outage in enumerate(outages, start=1):
-            assert abs(outage.start - index * 10 * DAY) <= DAY
-
-    def test_rejects_wild_jitter(self):
+    def test_rejects_bad_parameters(self):
         with pytest.raises(LifetimeError):
-            PeriodicFailures(period=10.0, downtime=1.0, jitter=5.0)
-
-
-class TestTraceReplay:
-    def test_replays_and_cycles(self):
-        process = TraceFailures(
-            [(DAY, 3600.0), (5 * DAY, 7200.0)], trace_span=10 * DAY
-        )
-        outages = process.schedule(spawn_rng(0, "t"), 20 * DAY)
-        assert [o.start for o in outages] == [
-            DAY, 5 * DAY, 11 * DAY, 15 * DAY
-        ]
-        assert [o.duration for o in outages] == [
-            3600.0, 7200.0, 3600.0, 7200.0
-        ]
-
-    def test_consumes_no_randomness(self):
-        process = TraceFailures([(DAY, 60.0)], trace_span=2 * DAY)
-        rng = spawn_rng(0, "t")
-        before = rng.bit_generator.state
-        process.schedule(rng, 10 * DAY)
-        assert rng.bit_generator.state == before
-
-    def test_empty_trace(self):
-        assert TraceFailures([]).schedule(spawn_rng(0, "t"), DAY) == []
+            ExponentialFailures(mttf=0.0)
+        with pytest.raises(LifetimeError):
+            ExponentialFailures(mttf=DAY, mttr=-1.0)
+        with pytest.raises(LifetimeError):
+            ExponentialFailures(mttf=DAY).schedule(spawn_rng(0, "h"), 0.0)

@@ -5,10 +5,12 @@ import math
 
 import pytest
 
+from repro.exceptions import TraceError
 from repro.obs import (
     Sample,
     Tracer,
     events_from_jsonl,
+    samples_from_jsonl,
     to_chrome_trace,
     to_jsonl,
     write_trace,
@@ -42,26 +44,54 @@ class TestJsonl:
             payload = json.loads(line)
             assert {"name", "kind", "t", "track"} <= set(payload)
 
-    def test_wall_excluded_unless_requested(self):
-        tracer = Tracer(record_wall=True)
-        tracer.instant("x", t=0.0)
-        assert "wall" not in to_jsonl(tracer.events)
-        assert "wall" in to_jsonl(tracer.events, include_wall=True)
-
     def test_empty_stream(self):
         assert to_jsonl([]) == ""
         assert events_from_jsonl("") == []
 
-    def test_round_trip_with_wall_times(self):
-        tracer = Tracer(record_wall=True)
-        span = tracer.begin("flow", t=0.5, track="node:1", label="x")
-        tracer.instant("flow.rate_change", t=0.75, track="node:1", rate=3.0)
-        tracer.end("flow", t=1.5, span_id=span, track="node:1")
-        parsed = events_from_jsonl(
-            to_jsonl(tracer.events, include_wall=True)
-        )
-        assert parsed == list(tracer.events)
-        assert all(event.wall is not None for event in parsed)
+    def test_an_old_stream_with_wall_times_loads(self):
+        # Streams written before the tracer dropped host time carry a
+        # "wall" key per event; it is read past, not refused.
+        tracer = sample_tracer()
+        lines = [
+            json.dumps({**event.to_dict(), "wall": 12.5})
+            for event in tracer.events
+        ]
+        assert events_from_jsonl("\n".join(lines)) == list(tracer.events)
+
+
+class TestMalformedStreams:
+    """A torn or malformed line is a TraceError naming it, never a
+    JSONDecodeError or KeyError from inside the reader."""
+
+    GOOD = '{"name":"x","kind":"instant","t":0.0,"track":"sim"}'
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"name":"y","ki', "line 2: malformed trace event"),
+            ('{"name":"y","kind":"instant","track":"sim"}',
+             "line 2: trace event lacks key 't'"),
+            ('{"name":"y","kind":"instant","t":"soon","track":"sim"}',
+             "line 2: malformed trace event"),
+            ("[1, 2]", "line 2: malformed trace event"),
+        ],
+        ids=["torn", "missing-key", "bad-value", "not-an-object"],
+    )
+    def test_events(self, line, message):
+        with pytest.raises(TraceError, match=message):
+            events_from_jsonl(f"{self.GOOD}\n{line}")
+
+    def test_line_numbers_count_blank_lines(self):
+        with pytest.raises(TraceError, match="line 3: "):
+            events_from_jsonl(f"{self.GOOD}\n\n{{")
+
+    def test_samples(self):
+        good = json.dumps(Sample(t=1.0).to_dict())
+        assert len(samples_from_jsonl(f"{good}\n{good}\n")) == 2
+        with pytest.raises(TraceError, match="line 2: malformed sample"):
+            samples_from_jsonl(f"{good}\n{good[:7]}")
+        with pytest.raises(TraceError, match="line 1: sample lacks key 't'"):
+            samples_from_jsonl("{}")
 
 
 class TestChromeTrace:

@@ -25,16 +25,6 @@ class TestTracer:
         assert kinds == ["begin", "begin", "end", "end"]
         assert tracer.events[3].span_id == first
 
-    def test_wall_time_off_by_default(self):
-        tracer = Tracer()
-        tracer.instant("x", t=0.0)
-        assert tracer.events[0].wall is None
-
-    def test_wall_time_recorded_when_requested(self):
-        tracer = Tracer(record_wall=True)
-        tracer.instant("x", t=0.0)
-        assert isinstance(tracer.events[0].wall, float)
-
     def test_counts_and_prefixes(self):
         tracer = Tracer()
         tracer.instant("planner.insert", t=0.0, track="planner")
@@ -51,15 +41,12 @@ class TestTracer:
         assert tracer.tracks() == ["scheduler", "node:4"]
 
     def test_to_dict_deterministic_payload(self):
-        tracer = Tracer(record_wall=True)
+        tracer = Tracer()
         tracer.instant("x", t=1.0, track="sim", value=2)
-        payload = tracer.events[0].to_dict()
-        assert "wall" not in payload
-        assert payload == {
+        assert tracer.events[0].to_dict() == {
             "name": "x", "kind": "instant", "t": 1.0, "track": "sim",
             "fields": {"value": 2},
         }
-        assert "wall" in tracer.events[0].to_dict(include_wall=True)
 
 
 class TestNullTracer:

@@ -30,13 +30,14 @@ from repro.core import PivotRepairPlanner
 from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.core.plan import pin_planning
 from repro.ec import RSCode
-from repro.faults import FaultPlan, RetryPolicy, run_chaos_single_chunk
+from repro.faults import FaultPlan, RetryPolicy
 from repro.network.topology import StarNetwork
 from repro.obs import Tracer, to_jsonl
 from repro.repair import repair_single_chunk_faulted
 from repro.repair.fullnode import choose_requestor
 from repro.repair.pipeline import ExecutionConfig
 from repro.resilience import HealthPolicy, RepairJournal
+from tests.chaos_harness import run_chaos_single_chunk
 from tests.one_stripe import one_stripe
 from tests.recorded import Recorded, load, run_values, sha256
 

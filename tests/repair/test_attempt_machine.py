@@ -20,7 +20,7 @@ from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.ec import place_stripes
 from repro.faults import FaultPlan, RetryPolicy
 from repro.faults.network import FaultyNetwork
-from repro.faults.runner import expected_payload, rebuilt_payload
+from repro.faults.runner import rebuilt_payload
 from repro.network.simulator import FluidSimulator
 from repro.network.topology import StarNetwork
 from repro.obs import Tracer
@@ -32,6 +32,7 @@ from repro.repair import (
 from repro.repair.jobmaster import StripeRepairMaster, choose_requestor
 from repro.repair.pipeline import ExecutionConfig
 from repro.resilience import HealthPolicy, RepairJournal
+from tests.chaos_harness import expected_payload
 from tests.repair.test_driver_identity import (
     CODE,
     CONFIG,

@@ -161,7 +161,6 @@ class TestSharingIsSafe:
         planners = [
             (PivotRepairPlanner(), flat),
             (RPPlanner(), flat),
-            (RPPlanner(order="greedy"), flat),
             (PPTPlanner(), flat),
             (ConventionalPlanner(), flat),
             (PPRPlanner(), flat),

@@ -12,12 +12,13 @@ import numpy as np
 from repro.cluster.master import Cluster
 from repro.core import PivotRepairPlanner
 from repro.ec import RSCode
-from repro.faults import FaultPlan, RetryPolicy, run_chaos_single_chunk
+from repro.faults import FaultPlan, RetryPolicy
 from repro.network.topology import StarNetwork
 from repro.obs import Tracer, diagnose
 from repro.repair import repair_single_chunk_faulted
 from repro.repair.pipeline import ExecutionConfig
 from repro.resilience import HealthPolicy, RepairJournal
+from tests.chaos_harness import run_chaos_single_chunk
 from tests.one_stripe import one_stripe
 
 MiB = 1024 * 1024

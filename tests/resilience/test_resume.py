@@ -13,7 +13,7 @@ from repro.cluster.master import Cluster
 from repro.core import PivotRepairPlanner
 from repro.ec import RSCode, place_stripes
 from repro.exceptions import PlanningError
-from repro.faults import FaultPlan, RetryPolicy, run_chaos_single_chunk
+from repro.faults import FaultPlan, RetryPolicy
 from repro.network.topology import StarNetwork
 from repro.repair import repair_full_node, repair_single_chunk_faulted
 from repro.repair.jobmaster import StripeRepairMaster
@@ -23,6 +23,7 @@ from repro.repair.pipeline import (
     remaining_bytes_per_edge,
 )
 from repro.resilience import RepairJournal
+from tests.chaos_harness import run_chaos_single_chunk
 from tests.one_stripe import one_stripe
 
 MiB = 1024 * 1024

@@ -522,6 +522,21 @@ class TestExplainCommands:
         assert "saved run:" in out
         assert "diagnosed" in out
 
+    @pytest.mark.parametrize("command", ["explain", "critpath"])
+    def test_torn_saved_trace_is_a_clean_error(
+        self, command, tmp_path, capsys
+    ):
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text(
+            '{"name":"x","kind":"instant","t":0.0,"track":"sim"}\n'
+            '{"name":"y","ki'
+        )
+        assert main([command, str(torn)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: malformed trace event")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_explain_governed_run_reports_governor(self, trace_file, capsys):
         code = main(
             ["explain", str(trace_file), *self.FAST,
