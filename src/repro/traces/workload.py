@@ -47,6 +47,11 @@ class WorkloadTrace:
             raise TraceError("used_up and used_down shapes differ")
         if self.used_up.ndim != 2:
             raise TraceError("usage arrays must be (nodes, samples)")
+        if self.used_up.shape[1] < 1:
+            raise TraceError(
+                f"usage arrays hold {self.used_up.shape[1]} samples: "
+                "a trace needs at least one"
+            )
         if not self.capacity > 0:
             raise TraceError("capacity must be positive")
         if not self.interval > 0:
@@ -113,6 +118,10 @@ class WorkloadTrace:
         """A sub-trace of ``samples`` samples starting at ``start_sample``."""
         if not 0 <= start_sample < self.sample_count:
             raise TraceError(f"start sample {start_sample} out of range")
+        if samples < 1:
+            raise TraceError(
+                f"a window of {samples} samples: it needs at least one"
+            )
         end = min(start_sample + samples, self.sample_count)
         return WorkloadTrace(
             name=self.name,
