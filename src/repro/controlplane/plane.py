@@ -4,9 +4,11 @@ One :class:`ControlPlane` arbitrates N concurrent full-node repair jobs
 (:class:`~repro.repair.jobmaster.StripeRepairMaster`, one per failed
 node) over a single shared :class:`~repro.network.simulator.FluidSimulator`:
 
-* a global Eq. 3-style priority queue picks *which* admitted job's head
-  stripe starts next (recommendation value across the whole fleet's
-  running tasks; QoS acts through admission and shed order);
+* the single job's Eq. 3 round (:func:`~repro.repair.fullnode.eq3_round`)
+  picks *which* admitted job's head stripe starts next (recommendation
+  value across the whole fleet's running tasks, the earlier job on a
+  tie; QoS acts through admission and shed order), gated by the
+  admission tokens;
 * the admission gate (:mod:`repro.controlplane.admission`) bounds
   concurrent repair streams and in-flight bytes, with priority aging so
   no queued job starves;
@@ -21,7 +23,7 @@ node) over a single shared :class:`~repro.network.simulator.FluidSimulator`:
 terminal state — all of its stripes repaired or surfaced as clean
 ``RepairFailed`` — because (i) at least ``min_active_jobs`` admitted
 jobs always keep running, (ii) a fleet that has gone idle force-starts
-the best candidate below the Eq. 3 threshold after ``max_idle_wait``,
+the best head below the Eq. 3 threshold after ``max_idle_wait``,
 and (iii) paused jobs are force-resumed once no admitted job has work
 left, even if pressure never formally relieves.
 See docs/control_plane.md for the state machine.
@@ -33,13 +35,14 @@ import contextlib
 import math
 from dataclasses import dataclass, field
 
-from repro.core.scheduler import SchedulerConfig, recommendation_value
+from repro.core.scheduler import SchedulerConfig
 from repro.exceptions import ClusterError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.network.simulator import FluidSimulator
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
+from repro.repair.fullnode import eq3_round
 from repro.repair.jobmaster import StripeRepairMaster
 from repro.repair.metrics import FullNodeResult
 from repro.repair.pipeline import ExecutionConfig, remaining_bytes_per_edge
@@ -177,8 +180,6 @@ class ControlPlane:
             tracer, self.registry,
         )
         self.jobs: list[RepairJob] = []
-        self._owner: dict[int, StripeRepairMaster] = {}
-        self._idle_since: float | None = None
         if foreground is not None:
             foreground.bind(sim, network, faults)
 
@@ -229,7 +230,7 @@ class ControlPlane:
         return job
 
     # ------------------------------------------------------------------
-    # Clock plumbing: every advance routes completions to their owner
+    # Clock plumbing: every advance routes completions to their master
     # ------------------------------------------------------------------
     def _routed_advance(self, t: float) -> list:
         """Advance the shared clock to ``t``; deliver completions.
@@ -258,23 +259,12 @@ class ControlPlane:
             self._routed_advance(bound)
 
     def _route(self, handles) -> None:
+        """Hand each finished task to the master it is in flight for."""
         for handle in handles:
-            master = self._owner.pop(handle.task_id, None)
-            if master is not None:
-                master.collect([handle])
-
-    def _reconcile_owners(self) -> None:
-        """Drop ownership of tasks their master no longer tracks.
-
-        Fault ticks and pauses cancel tasks inside the master; the
-        cancelled ids will never complete, so routing entries for them
-        are dead weight.
-        """
-        self._owner = {
-            task_id: master
-            for task_id, master in self._owner.items()
-            if task_id in master.in_flight
-        }
+            for job in self.jobs:
+                if handle.task_id in job.master.in_flight:
+                    job.master.collect([handle])
+                    break
 
     # ------------------------------------------------------------------
     # Control steps
@@ -287,9 +277,6 @@ class ControlPlane:
 
     def _queued(self) -> list[RepairJob]:
         return [job for job in self.jobs if job.state == "queued"]
-
-    def _active_streams(self) -> int:
-        return sum(len(job.master.in_flight) for job in self._admitted())
 
     def _tick_faults(self) -> None:
         self.injector.announce_until(self.sim.now)
@@ -304,7 +291,6 @@ class ControlPlane:
                     self.sim.now, "degrade", job, level=level,
                     requeues=requeues,
                 )
-        self._reconcile_owners()
 
     def _backpressure_step(self) -> None:
         now = self.sim.now
@@ -320,7 +306,6 @@ class ControlPlane:
             if victim is not None:
                 released = victim.master.pause()
                 victim.state = "paused"
-                self._reconcile_owners()
                 self.admission.record(
                     now, "shed", victim,
                     breadth=round(detail["breadth"], 6),
@@ -383,80 +368,42 @@ class ControlPlane:
                 )
 
     def _dispatch(self) -> None:
-        """Start admitted jobs' head stripes while tokens and Eq. 3 allow."""
-        while True:
-            streams = self._active_streams()
-            inflight = self.sim.inflight_bytes(kind="repair")
-            if not self.admission.may_start_stream(streams, inflight, 0.0):
-                return
-            candidates = []
-            running = [
-                task
-                for job in self._admitted()
-                for task in job.master.running_tasks()
-            ]
-            for job in self._admitted():
-                if not job.master.pending:
-                    continue
-                planned = job.master.candidate()
-                if planned is None:
-                    continue
-                stripe, plan = planned
-                value = recommendation_value(
-                    plan.tree, plan.bmin, running, self.sim.now,
-                    self.scheduler, tracer=self.tracer,
-                )
-                candidates.append((value, -job.index, job, stripe, plan))
-            if not candidates:
-                return
-            candidates.sort(key=lambda c: (c[0], c[1]), reverse=True)
-            score, _, job, stripe, plan = candidates[0]
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "plane.round", t=self.sim.now, track="plane",
-                    candidates=len(candidates), streams=streams,
-                    best_job=job.job_id,
-                    best_stripe=stripe.stripe_id, best_value=score,
-                )
-            if score < self.scheduler.threshold:
-                if streams > 0:
-                    return
-                if self._idle_since is None:
-                    self._idle_since = self.sim.now
-                if (
-                    self.sim.now - self._idle_since
-                    < self.scheduler.max_idle_wait
-                ):
-                    return
-                # Idle too long below threshold: force-start the best
-                # candidate so the fleet always drains.
-            self._idle_since = None
-            if not self.admission.may_start_stream(
-                streams, inflight, self._plan_bytes(job, stripe, plan),
-            ):
-                return
-            planning_span = job.master.charge_planning(stripe, plan)
-            # The planning window may have killed or finished things;
-            # re-check the stripe is still this master's to start.
-            if stripe not in job.master.pending:
-                continue
-            flight = job.master.submit(
-                stripe, plan, planning_span=planning_span,
-            )
-            self._owner[flight.handle.task_id] = job.master
-            self.admission.record(
-                self.sim.now, "start", job, stripe=stripe.stripe_id,
-                value=score, start_slice=flight.start_slice,
-            )
+        """The Eq. 3 round over admitted jobs' head stripes, gated by
+        the stream / byte tokens."""
+        eq3_round(
+            self._offers, self.scheduler,
+            may_start=lambda *offer: self._may_start(
+                self._plan_bytes(*offer)
+            ),
+            on_start=self._started,
+        )
 
-    def _plan_bytes(self, job, stripe, plan) -> float:
+    def _offers(self) -> list[tuple[StripeRepairMaster, int]]:
+        if not self._may_start(0.0):
+            return []
+        return [(job.master, 1) for job in self._admitted()]
+
+    def _may_start(self, new_bytes: float) -> bool:
+        return self.admission.may_start_stream(
+            sum(len(job.master.in_flight) for job in self._admitted()),
+            self.sim.inflight_bytes(kind="repair"), new_bytes,
+        )
+
+    def _started(self, master, flight, value: float) -> None:
+        job = next(job for job in self.jobs if job.master is master)
+        self.admission.record(
+            self.sim.now, "start", job, stripe=flight.stripe.stripe_id,
+            value=value, start_slice=flight.start_slice,
+        )
+
+    @staticmethod
+    def _plan_bytes(master, stripe, plan) -> float:
         """Bytes the stripe's submission would put in flight."""
-        config = job.master.config_for(stripe)
-        depth = plan.tree.depth() if plan.tree is not None else 1
-        start = job.master.resume_slice(stripe, plan)
-        per_edge = remaining_bytes_per_edge(config, depth, start)
-        edges = len(plan.tree.edges()) if plan.tree is not None else 1
-        return per_edge * edges
+        per_edge = remaining_bytes_per_edge(
+            master.config_for(stripe), plan.tree.depth(),
+            master.resume_slice(stripe, plan),
+        )
+        return per_edge * len(plan.tree.edges())
 
     def _finalize_done(self) -> None:
         for job in self.jobs:

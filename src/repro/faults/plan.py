@@ -319,15 +319,15 @@ class FaultPlan:
         """A correlated rack power loss, optionally with a gray tail.
 
         Every node in ``rack_nodes`` crashes simultaneously at ``at`` —
-        the storm scenario of ROADMAP item 5, where one failure domain
-        takes out several chunk holders at once and triggers as many
-        concurrent full-node repairs.  ``gray_nodes`` models the
-        cascading gray failure that often follows a power event (PSU
-        failover browning out neighbouring racks' links): each listed
-        survivor's ``gray_direction`` link degrades to ``gray_factor``
-        of capacity for ``gray_duration`` seconds starting at
-        ``gray_start`` (default: the outage instant plus one second, so
-        repairs are already in flight when the links sag).
+        the storm scenario of :mod:`repro.controlplane.storm`, where one
+        failure domain takes out several chunk holders at once and
+        triggers as many concurrent full-node repairs.  ``gray_nodes``
+        models the cascading gray failure that often follows a power
+        event (PSU failover browning out neighbouring racks' links):
+        each listed survivor's ``gray_direction`` link degrades to
+        ``gray_factor`` of capacity for ``gray_duration`` seconds
+        starting at ``gray_start`` (default: the outage instant plus one
+        second, so repairs are already in flight when the links sag).
         """
         if not rack_nodes:
             raise FaultError("a rack outage needs at least one node")

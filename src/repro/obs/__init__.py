@@ -4,9 +4,9 @@ Three pieces, all dependency-free and usable independently:
 
 * :mod:`repro.obs.tracer` — a structured event tracer.  Modules accept a
   :class:`Tracer` and emit *instant* events and *spans* carrying simulated
-  time (and optionally wall time).  The default :data:`NULL_TRACER` is a
-  zero-cost no-op: hot paths guard on ``tracer.enabled`` and never build
-  an event payload when tracing is off.
+  time.  The default :data:`NULL_TRACER` is a zero-cost no-op: hot paths
+  guard on ``tracer.enabled`` and never build an event payload when
+  tracing is off.
 * :mod:`repro.obs.metrics` — a metrics registry (counters, gauges,
   histograms with percentile summaries).  Repair entry points fill one
   per run and expose its snapshot as the ``telemetry`` field of
