@@ -20,6 +20,11 @@ so adding a scheme or reordering the loop never perturbs another
 scheme's results.  Everything derives from one root seed via
 :func:`repro.core.seeding.spawn_rng` paths, making the whole report —
 and its SHA-256 digest — bit-reproducible.
+
+Because a run draws only from its own streams, runs are independent:
+:func:`run_lifetime` maps :func:`_simulate_run` over forked worker
+processes and observes the results in run order in the parent, so the
+report and everything it feeds are the same for any worker count.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,7 +46,11 @@ from repro.lifetime.durations import (
     DurationModel,
 )
 from repro.lifetime.failure import DAY, YEAR, ExponentialFailures
-from repro.lifetime.simulate import POLICIES, simulate_lifetime
+from repro.lifetime.simulate import (
+    POLICIES,
+    LifetimeRunStats,
+    simulate_lifetime,
+)
 from repro.lifetime.units import ClusterLayout
 from repro.obs.tracer import NULL_TRACER
 
@@ -320,6 +330,99 @@ def _run_record(stats) -> dict:
     }
 
 
+def _simulate_run(
+    config: LifetimeConfig, durations: DurationModel, run_index: int
+) -> tuple[LifetimeRunStats, ...]:
+    """One run of a study: its placement and outage schedules, replayed
+    by every scheme (stats in ``config.schemes`` order).
+
+    Draws only from the run's own named streams, so the result is the
+    same whichever process computes it and whatever ran before.
+    """
+    # One timeline per run, shared by every scheme (paired design).
+    layout = config.layout
+    stripes = place_stripes(
+        config.stripes, RSCode(config.n, config.k), config.machines,
+        spawn_rng(config.seed, "lifetime", run_index, "placement"),
+    )
+    outages = {}
+    for kind, process in sorted(default_processes(config).items()):
+        for unit in layout.units(kind):
+            schedule = process.schedule(
+                spawn_rng(
+                    config.seed, "lifetime", run_index, "failures",
+                    str(unit),
+                ),
+                config.horizon,
+            )
+            if schedule:
+                outages[unit] = schedule
+    return tuple(
+        simulate_lifetime(
+            layout, stripes, outages, scheme, durations,
+            spawn_rng(config.seed, "lifetime", run_index, "repairs", scheme),
+            config.horizon,
+            repair_streams=config.repair_streams,
+            policy=config.policy,
+            lazy_threshold=config.lazy_threshold,
+        )
+        for scheme in config.schemes
+    )
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: A worker's study, set once by ``_adopt_study`` when the worker starts.
+_study: tuple[LifetimeConfig, DurationModel] | None = None
+
+
+def _adopt_study(config: LifetimeConfig, durations: DurationModel) -> None:
+    global _study
+    _study = (config, durations)
+
+
+def _simulate_adopted(run_index: int) -> tuple[LifetimeRunStats, ...]:
+    return _simulate_run(*_study, run_index)
+
+
+def _simulate_runs(
+    config: LifetimeConfig, durations: DurationModel
+) -> list[tuple[LifetimeRunStats, ...]]:
+    """Every run's stats, in run order.
+
+    Runs go to one forked worker per available CPU (at most one per
+    run); a single CPU, a single run or a platform without ``fork``
+    runs them here.  ``fork`` hands the workers the study as memory, so
+    nothing but run indices and stats crosses a pipe, and any duration
+    model works.  A run that raises raises here, in run order.
+    """
+    workers = min(_cpu_count(), config.runs)
+    if workers > 1:
+        # Imported here: nothing else in the package starts processes,
+        # and importing multiprocessing costs every other entry point.
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_adopt_study,
+                initargs=(config, durations),
+            ) as pool:
+                return list(pool.map(_simulate_adopted, range(config.runs)))
+    return [
+        _simulate_run(config, durations, run_index)
+        for run_index in range(config.runs)
+    ]
+
+
 def run_lifetime(
     config: LifetimeConfig,
     durations: DurationModel | None = None,
@@ -335,7 +438,9 @@ def run_lifetime(
     :func:`default_processes`.  ``registry``
     (:class:`~repro.obs.metrics.MetricsRegistry`) and ``tsdb``
     (:class:`~repro.obs.timeseries.TimeSeriesDB`) receive durability
-    metrics when provided.
+    metrics when provided.  The runs may execute in worker processes
+    (:func:`_simulate_runs`); the parent alone builds the report and
+    feeds ``registry``, ``tsdb`` and ``tracer``, in run order.
     """
     if durations is None:
         durations = CalibratedDurations.calibrate(
@@ -346,45 +451,20 @@ def run_lifetime(
             node_count=config.machines,
             scale=config.duration_scale,
         )
-    processes = default_processes(config)
-    layout = config.layout
-    code = RSCode(config.n, config.k)
-    horizon = config.horizon
     summaries = {scheme: SchemeSummary(scheme) for scheme in config.schemes}
 
-    for run_index in range(config.runs):
-        # One timeline per run, shared by every scheme (paired design).
-        placement_rng = spawn_rng(config.seed, "lifetime", run_index, "placement")
-        stripes = place_stripes(
-            config.stripes, code, config.machines, placement_rng
-        )
-        outages = {}
-        for kind, process in sorted(processes.items()):
-            for unit in layout.units(kind):
-                schedule = process.schedule(
-                    spawn_rng(
-                        config.seed, "lifetime", run_index, "failures",
-                        str(unit),
-                    ),
-                    horizon,
-                )
-                if schedule:
-                    outages[unit] = schedule
-        for scheme in config.schemes:
-            stats = simulate_lifetime(
-                layout, stripes, outages, scheme, durations,
-                spawn_rng(
-                    config.seed, "lifetime", run_index, "repairs", scheme
-                ),
-                horizon,
-                repair_streams=config.repair_streams,
-                policy=config.policy,
-                lazy_threshold=config.lazy_threshold,
-                tracer=tracer,
-            )
-            record = _run_record(stats)
-            summaries[scheme].runs.append(record)
+    for run_index, run in enumerate(_simulate_runs(config, durations)):
+        for stats in run:
+            scheme = stats.scheme
+            summaries[scheme].runs.append(_run_record(stats))
             if tracer.enabled:
+                for event, (loss_time, stripe) in enumerate(
+                    zip(stats.loss_times, stats.loss_stripes), start=1
+                ):
+                    tracer.instant(
+                        "lifetime.loss", loss_time, track="lifetime",
+                        stripe=stripe, scheme=scheme, event=event,
+                    )
                 tracer.instant(
                     "lifetime.run", float(run_index), track="lifetime",
                     scheme=scheme, losses=stats.data_loss_events,

@@ -56,7 +56,6 @@ from repro.exceptions import LifetimeError
 from repro.lifetime.durations import DurationModel
 from repro.lifetime.failure import Outage
 from repro.lifetime.units import ClusterLayout, UnitRef
-from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["POLICIES", "LifetimeRunStats", "simulate_lifetime"]
 
@@ -79,6 +78,8 @@ class LifetimeRunStats:
     stripes: int
     data_loss_events: int = 0
     loss_times: list[float] = field(default_factory=list)
+    #: ``stripe_id`` of each loss, aligned with ``loss_times``.
+    loss_stripes: list[int] = field(default_factory=list)
     unavailable_events: int = 0
     unavailable_seconds: float = 0.0
     repairs_completed: int = 0
@@ -103,7 +104,6 @@ def simulate_lifetime(
     repair_streams: int = 4,
     policy: str = "eager",
     lazy_threshold: int = 2,
-    tracer=NULL_TRACER,
 ) -> LifetimeRunStats:
     """Replay one outage timeline against one repair scheme.
 
@@ -188,6 +188,7 @@ def simulate_lifetime(
     chunk_failures = repairs_completed = repairs_aborted = 0
     repair_seconds = unavailable_seconds = 0.0
     loss_times: list[float] = []
+    loss_stripes: list[int] = []
 
     def offer(s_index: int, admit: bool) -> None:
         """(Re-)offer a stripe's waiting chunks under its current key.
@@ -298,12 +299,7 @@ def simulate_lifetime(
                             continue
                         # Fewer than k intact: a data-loss event.
                         loss_times.append(now)
-                        if tracer.enabled:
-                            tracer.instant(
-                                "lifetime.loss", now, track="lifetime",
-                                stripe=stripe_ids[s_index], scheme=scheme,
-                                event=len(loss_times),
-                            )
+                        loss_stripes.append(stripe_ids[s_index])
                         # Restore from backup by fiat: the estimator
                         # counts events, so the stripe re-enters service
                         # fully intact, the clock keeps running (MTTDL =
@@ -353,6 +349,7 @@ def simulate_lifetime(
     return LifetimeRunStats(
         scheme=scheme, horizon=horizon, stripes=stripe_count,
         data_loss_events=len(loss_times), loss_times=loss_times,
+        loss_stripes=loss_stripes,
         unavailable_events=unavailable_events,
         unavailable_seconds=unavailable_seconds,
         repairs_completed=repairs_completed,

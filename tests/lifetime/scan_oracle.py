@@ -8,7 +8,9 @@ whole ``pending`` set for its minimum on every free stream.  It shares
 only the ``LifetimeRunStats`` type with the module under test; the three
 self-observation counters are the only lines added (``offers_examined``
 counts the pending entries a scan looks at, so it is the one field the
-two loops are *meant* to disagree on).
+two loops are *meant* to disagree on).  Like the loop under test it
+traces nothing: each loss's stripe goes to ``loss_stripes``, from which
+``run_lifetime`` builds the ``lifetime.loss`` instants.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from repro.lifetime.durations import DurationModel
 from repro.lifetime.failure import Outage
 from repro.lifetime.simulate import POLICIES, LifetimeRunStats
 from repro.lifetime.units import ClusterLayout, UnitRef
-from repro.obs.tracer import NULL_TRACER
 
 # Event kinds, in tie-break order of arrival (heap is insertion-stable
 # per timestamp via the monotonic sequence number).
@@ -62,7 +63,6 @@ def scan_simulate_lifetime(
     repair_streams: int = 4,
     policy: str = "eager",
     lazy_threshold: int = 2,
-    tracer=NULL_TRACER,
 ) -> LifetimeRunStats:
     """Replay one outage timeline against one repair scheme.
 
@@ -180,12 +180,7 @@ def scan_simulate_lifetime(
     def data_loss(state: _StripeState, s_index: int, now: float) -> None:
         stats.data_loss_events += 1
         stats.loss_times.append(now)
-        if tracer.enabled:
-            tracer.instant(
-                "lifetime.loss", now, track="lifetime",
-                stripe=state.stripe_id, scheme=scheme,
-                event=stats.data_loss_events,
-            )
+        stats.loss_stripes.append(state.stripe_id)
         # Restore from backup by fiat: the estimator counts events, so
         # the stripe re-enters service fully intact and the clock keeps
         # running (renewal-reward gives MTTDL = horizon / events).

@@ -3,9 +3,10 @@
 ``scan_oracle.scan_simulate_lifetime`` is the previous event loop kept
 verbatim (one event heap, a ``pending`` set re-scanned per free stream).
 Both loops must tell the same story to the last bit: every count, every
-loss time and both float sums compare with ``==``.  ``offers_examined``
-is the one field left out — it counts the entries each dispatch looks
-at, which is exactly what the two data structures do differently.
+loss time and its stripe, and both float sums compare with ``==``.
+``offers_examined`` is the one field left out — it counts the entries
+each dispatch looks at, which is exactly what the two data structures
+do differently.
 """
 
 import dataclasses

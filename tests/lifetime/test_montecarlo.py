@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo driver: pairing, determinism, artifacts."""
 
+import faulthandler
 import json
 import math
 from pathlib import Path
@@ -91,7 +92,9 @@ def report():
 @pytest.fixture(scope="module")
 def pinned():
     """The pinned study, run once: its report and every run's
-    ``LifetimeRunStats`` (the report keeps only ``_run_record`` of them)."""
+    ``LifetimeRunStats`` (the report keeps only ``_run_record`` of them).
+    One worker, so the spy sees every call: a worker's calls happen in
+    another process."""
     recorded = []
 
     def recording(*args, **kwargs):
@@ -99,9 +102,48 @@ def pinned():
         return recorded[-1]
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_cpu_count", lambda: 1)
         patch.setattr(montecarlo, "simulate_lifetime", recording)
         report = run_lifetime(PINNED, durations=DURATIONS)
     return report, recorded
+
+
+#: The studies ``TestWorkerCount`` runs on 1, 2 and 3 workers; each one
+#: loses data, so ``lifetime.loss`` events are among those compared.
+STUDIES = {
+    "small": (SMALL, {"durations": DURATIONS}),
+    "pinned": (PINNED, {"durations": DURATIONS}),
+    "calibrated": (CALIBRATED, {}),
+}
+
+
+def observed(config, workers: int, **run_args) -> dict:
+    """Everything a study reports, run as if on ``workers`` CPUs."""
+    registry, tsdb, tracer = MetricsRegistry(), TimeSeriesDB(), Tracer()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_cpu_count", lambda: workers)
+        report = run_lifetime(
+            config, registry=registry, tsdb=tsdb, tracer=tracer, **run_args
+        )
+    return {
+        "digest": report.digest,
+        "runs": {
+            scheme: summary.runs
+            for scheme, summary in report.schemes.items()
+        },
+        "registry": registry.snapshot(),
+        "tsdb": tsdb.to_jsonl(),
+        "events": tracer.events,
+    }
+
+
+class FailingDurations(FixedDurations):
+    """Fixed durations, except that conventional repairs cannot be timed."""
+
+    def sample(self, rng, scheme: str) -> float:
+        if scheme == "conventional":
+            raise LifetimeError("no duration for a conventional repair")
+        return super().sample(rng, scheme)
 
 
 class TestDeterminism:
@@ -183,6 +225,58 @@ class TestDispatchGate:
                 assert not {
                     "events", "dispatches", "offers_examined"
                 } & set(record)
+
+
+class TestWorkerCount:
+    """Runs spread over worker processes: the count is not an input.
+    Each run draws from its own named streams, results come back in run
+    order, and only the parent observes them."""
+
+    @pytest.mark.parametrize("study", sorted(STUDIES))
+    def test_every_worker_count_reports_the_same(self, study):
+        config, run_args = STUDIES[study]
+        inline = observed(config, 1, **run_args)
+        assert any(
+            event.name == "lifetime.loss" for event in inline["events"]
+        )
+        for workers in (2, 3):
+            assert observed(config, workers, **run_args) == inline, workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_runs_leave_the_parent_only_with_workers(self, workers):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return simulate_lifetime(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_cpu_count", lambda: workers)
+            patch.setattr(montecarlo, "simulate_lifetime", counting)
+            run_lifetime(SMALL, durations=DURATIONS)
+        inline = SMALL.runs * len(SMALL.schemes)
+        assert len(calls) == (inline if workers == 1 else 0)
+
+    def test_a_failing_worker_raises_the_inline_error(self):
+        durations = FailingDurations(
+            {"pivot": 3600.0, "conventional": 4 * 3600.0}
+        )
+        raised = []
+        # A pool that waits forever on a dead run ends the session with
+        # a traceback instead of hanging it.
+        faulthandler.dump_traceback_later(60, exit=True)
+        try:
+            for workers in (1, 2):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(montecarlo, "_cpu_count", lambda: workers)
+                    with pytest.raises(LifetimeError) as error:
+                        run_lifetime(SMALL, durations=durations)
+                raised.append((type(error.value), str(error.value)))
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        assert raised == [
+            (LifetimeError, "no duration for a conventional repair")
+        ] * 2
 
 
 class TestPairedDesign:

@@ -925,7 +925,7 @@ class TestLifetimeCommand:
         self, tmp_path, capsys
     ):
         # 100 runs x 10 simulated years, durations calibrated on
-        # congested instants of a trace (~20 s).
+        # congested instants of a trace (~8 s on a 2-vCPU host).
         out = tmp_path / "lifetime.jsonl"
         code = main(
             ["--json", "lifetime", "--years", "10", "--runs", "100",
