@@ -22,8 +22,8 @@ scheme's results.  Everything derives from one root seed via
 and its SHA-256 digest — bit-reproducible.
 
 Because a run draws only from its own streams, runs are independent:
-:func:`run_lifetime` maps :func:`_simulate_run` over forked worker
-processes and observes the results in run order in the parent, so the
+:func:`run_lifetime` shares :func:`_simulate_run` between itself and
+forked worker processes and observes the results in run order, so the
 report and everything it feeds are the same for any worker count.
 """
 
@@ -395,14 +395,16 @@ def _simulate_runs(
 ) -> list[tuple[LifetimeRunStats, ...]]:
     """Every run's stats, in run order.
 
-    Runs go to one forked worker per available CPU (at most one per
-    run); a single CPU, a single run or a platform without ``fork``
-    runs them here.  ``fork`` hands the workers the study as memory, so
-    nothing but run indices and stats crosses a pipe, and any duration
-    model works.  A run that raises raises here, in run order.
+    One process per available CPU (at most one per run) computes runs:
+    the parent computes the last ``runs // processes`` of them while
+    forked workers take the others.  A single CPU, a single run or a
+    platform without ``fork`` leaves every run to the parent.  ``fork``
+    hands the workers the study as memory, so nothing but run indices
+    and stats crosses a pipe, and any duration model works.  A run that
+    raises raises here, in run order.
     """
-    workers = min(_cpu_count(), config.runs)
-    if workers > 1:
+    processes = min(_cpu_count(), config.runs)
+    if processes > 1:
         # Imported here: nothing else in the package starts processes,
         # and importing multiprocessing costs every other entry point.
         import multiprocessing
@@ -410,13 +412,23 @@ def _simulate_runs(
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
 
+            split = config.runs - config.runs // processes
             with ProcessPoolExecutor(
-                workers,
+                processes - 1,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_adopt_study,
                 initargs=(config, durations),
             ) as pool:
-                return list(pool.map(_simulate_adopted, range(config.runs)))
+                pooled = pool.map(_simulate_adopted, range(split))
+                try:
+                    own = [
+                        _simulate_run(config, durations, run_index)
+                        for run_index in range(split, config.runs)
+                    ]
+                except Exception:
+                    list(pooled)  # an earlier run's error comes first
+                    raise
+                return [*pooled, *own]
     return [
         _simulate_run(config, durations, run_index)
         for run_index in range(config.runs)
@@ -438,8 +450,8 @@ def run_lifetime(
     :func:`default_processes`.  ``registry``
     (:class:`~repro.obs.metrics.MetricsRegistry`) and ``tsdb``
     (:class:`~repro.obs.timeseries.TimeSeriesDB`) receive durability
-    metrics when provided.  The runs may execute in worker processes
-    (:func:`_simulate_runs`); the parent alone builds the report and
+    metrics when provided.  Worker processes may compute some of the
+    runs (:func:`_simulate_runs`); the parent alone builds the report and
     feeds ``registry``, ``tsdb`` and ``tracer``, in run order.
     """
     if durations is None:

@@ -3,6 +3,10 @@
 import faulthandler
 import json
 import math
+import os
+import signal
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -137,6 +141,26 @@ def observed(config, workers: int, **run_args) -> dict:
     }
 
 
+@contextmanager
+def deadline(seconds: int = 60):
+    """End the session with every thread's traceback if the body takes
+    longer than ``seconds``: a pool that hangs would also hang its
+    shutdown.  An alarm, not faulthandler's watchdog thread, which would
+    make the pool fork a multi-threaded process."""
+
+    def hung(signum, frame) -> None:
+        faulthandler.dump_traceback()
+        os._exit(1)
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class FailingDurations(FixedDurations):
     """Fixed durations, except that conventional repairs cannot be timed."""
 
@@ -144,6 +168,18 @@ class FailingDurations(FixedDurations):
         if scheme == "conventional":
             raise LifetimeError("no duration for a conventional repair")
         return super().sample(rng, scheme)
+
+
+class WhereDurations(FixedDurations):
+    """Durations that cannot be sampled; the error names the process."""
+
+    def __init__(self, seconds: float):
+        super().__init__(seconds)
+        self.parent = os.getpid()
+
+    def sample(self, rng, scheme: str) -> float:
+        where = "the parent" if os.getpid() == self.parent else "a worker"
+        raise LifetimeError(f"sampled in {where}")
 
 
 class TestDeterminism:
@@ -239,11 +275,22 @@ class TestWorkerCount:
         assert any(
             event.name == "lifetime.loss" for event in inline["events"]
         )
-        for workers in (2, 3):
-            assert observed(config, workers, **run_args) == inline, workers
+        threads_at_fork = []
+        fork = os.fork
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_runs_leave_the_parent_only_with_workers(self, workers):
+        def counting_fork():
+            threads_at_fork.append(threading.active_count())
+            return fork()
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "fork", counting_fork)
+            for workers in (2, 3):
+                assert observed(config, workers, **run_args) == inline, workers
+        # fork copies only the calling thread: the pool forks every
+        # worker before it starts a thread of its own.
+        assert threads_at_fork == [1] * 3
+
+    def test_the_parent_computes_its_share_of_runs(self):
         calls = []
 
         def counting(*args, **kwargs):
@@ -251,32 +298,34 @@ class TestWorkerCount:
             return simulate_lifetime(*args, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(montecarlo, "_cpu_count", lambda: workers)
+            patch.setattr(montecarlo, "_cpu_count", lambda: 2)
             patch.setattr(montecarlo, "simulate_lifetime", counting)
             run_lifetime(SMALL, durations=DURATIONS)
-        inline = SMALL.runs * len(SMALL.schemes)
-        assert len(calls) == (inline if workers == 1 else 0)
+        # The worker's calls happen in its own process, unseen here.
+        assert len(calls) == SMALL.runs // 2 * len(SMALL.schemes)
 
     def test_a_failing_worker_raises_the_inline_error(self):
         durations = FailingDurations(
             {"pivot": 3600.0, "conventional": 4 * 3600.0}
         )
         raised = []
-        # A pool that waits forever on a dead run ends the session with
-        # a traceback instead of hanging it.
-        faulthandler.dump_traceback_later(60, exit=True)
-        try:
+        with deadline():
             for workers in (1, 2):
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(montecarlo, "_cpu_count", lambda: workers)
                     with pytest.raises(LifetimeError) as error:
                         run_lifetime(SMALL, durations=durations)
                 raised.append((type(error.value), str(error.value)))
-        finally:
-            faulthandler.cancel_dump_traceback_later()
         assert raised == [
             (LifetimeError, "no duration for a conventional repair")
         ] * 2
+
+    def test_the_first_failing_run_raises_whoever_computed_it(self):
+        # Run 0 is a worker's: its error wins over the parent's own.
+        with deadline(), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_cpu_count", lambda: 2)
+            with pytest.raises(LifetimeError, match="^sampled in a worker$"):
+                run_lifetime(SMALL, durations=WhereDurations(3600.0))
 
 
 class TestPairedDesign:
