@@ -622,11 +622,12 @@ def _cmd_trace_analyze(args, tracer) -> _Output:
 
 
 def _cmd_plan(args, tracer) -> _Output:
-    payload = json.loads(args.bandwidths.read_text())
+    text = args.bandwidths.read_text()
     try:
+        payload = json.loads(text)
         up = {int(node): float(v) for node, v in payload["up"].items()}
         down = {int(node): float(v) for node, v in payload["down"].items()}
-    except (KeyError, TypeError, ValueError) as error:
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
         raise ReproError(f"malformed bandwidth file: {error}") from error
     snapshot = BandwidthSnapshot(up=up, down=down)
     candidates = [n for n in sorted(up) if n != args.requestor]

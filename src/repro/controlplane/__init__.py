@@ -19,7 +19,6 @@ from repro.controlplane.backpressure import (
 )
 from repro.controlplane.plane import (
     ControlPlane,
-    DegradationPolicy,
     FleetResult,
     RepairJob,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "BackpressureConfig",
     "BackpressureMonitor",
     "ControlPlane",
-    "DegradationPolicy",
     "FleetResult",
     "QoSClass",
     "RepairJob",

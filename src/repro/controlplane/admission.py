@@ -3,10 +3,9 @@
 A correlated rack outage enqueues one repair *job* per lost node.  Running
 them all at once collapses foreground SLOs — every job saturates its
 bottleneck links and the max-min allocator happily splits the cluster
-between them.  The admission gate bounds the blast radius with two token
-pools: concurrent repair **streams** (in-flight pipelined tasks, fleet
-wide) and in-flight repair **bytes** (remaining bytes the admitted tasks
-still have to move).  Jobs queue until both pools have room.
+between them.  The admission gate bounds the blast radius with a token
+pool of concurrent repair **streams** (in-flight pipelined tasks, fleet
+wide) and a cap on admitted jobs.  Jobs queue until there is room.
 
 Starvation freedom comes from **priority aging**: a job's effective
 priority is its QoS base priority plus ``aging_rate`` points per
@@ -21,7 +20,6 @@ log; the storm determinism test diffs two runs' logs byte for byte.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.exceptions import ClusterError
@@ -53,26 +51,22 @@ QOS_CLASSES = {
 
 @dataclass(frozen=True)
 class AdmissionConfig:
-    """Token pools and aging for the fleet admission gate.
+    """Token pool and aging for the fleet admission gate.
 
     ``max_streams`` bounds concurrent repair pipelines fleet-wide (the
-    knob production systems call "recovery streams"); ``max_inflight_bytes``
-    bounds the repair bytes outstanding on the wire at once;
-    ``max_jobs`` bounds concurrently *admitted* jobs (each job may run
-    several streams).  ``aging_rate`` is priority points per simulated
-    second a job waits un-admitted.
+    knob production systems call "recovery streams"); ``max_jobs``
+    bounds concurrently *admitted* jobs (each job may run several
+    streams).  ``aging_rate`` is priority points per simulated second a
+    job waits un-admitted.
     """
 
     max_streams: int = 8
-    max_inflight_bytes: float = math.inf
     max_jobs: int = 4
     aging_rate: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_streams < 1:
             raise ClusterError("max_streams must be >= 1")
-        if self.max_inflight_bytes <= 0:
-            raise ClusterError("max_inflight_bytes must be positive")
         if self.max_jobs < 1:
             raise ClusterError("max_jobs must be >= 1")
         if self.aging_rate < 0:
@@ -139,22 +133,6 @@ class AdmissionController:
     def may_admit_job(self, admitted_count: int) -> bool:
         return admitted_count < self.config.max_jobs
 
-    def may_start_stream(
-        self,
-        active_streams: int,
-        inflight_bytes: float,
-        new_bytes: float,
-    ) -> bool:
-        """May one more repair stream of ``new_bytes`` start right now?
-
-        The byte check admits a stream that *starts* within budget even
-        if it overshoots (otherwise a budget smaller than one chunk
-        would deadlock the fleet); the stream pool is the hard bound on
-        concurrency.
-        """
-        if self.stream_tokens_free(active_streams) < 1:
-            return False
-        if not math.isfinite(self.config.max_inflight_bytes):
-            return True
-        return inflight_bytes + new_bytes <= self.config.max_inflight_bytes \
-            or inflight_bytes == 0.0
+    def may_start_stream(self, active_streams: int) -> bool:
+        """May one more repair stream start right now?"""
+        return self.stream_tokens_free(active_streams) >= 1

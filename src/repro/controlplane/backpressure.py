@@ -11,7 +11,7 @@ Two inputs, either of which means "overloaded":
   bottleneck, so the peak sits at 1.0 whenever anything runs); what
   distinguishes a storm from a single healthy repair is *how many*
   links are saturated at once.  Breadth is the fraction of node-link
-  resources (with nonzero capacity) running at ≥ ``saturated`` of
+  resources (with nonzero capacity) running at ≥ :data:`SATURATED` of
   capacity.
 
 Relief is hysteretic: the plane resumes shed jobs only when no alert is
@@ -28,23 +28,24 @@ from repro.exceptions import ClusterError
 
 __all__ = ["BackpressureConfig", "BackpressureMonitor"]
 
+#: A resource counts as saturated at this utilization.
+SATURATED = 0.99
+#: Never pause below this many running jobs (drain-order invariant:
+#: something always makes progress, so shed jobs eventually resume).
+MIN_ACTIVE_JOBS = 1
+#: Seconds between backpressure evaluations when nothing else wakes the
+#: plane.
+CHECK_INTERVAL = 0.5
+
 
 @dataclass(frozen=True)
 class BackpressureConfig:
-    """Watermarks and cadence for the shed/resume decision."""
+    """Watermarks of the shed/resume decision."""
 
     #: Shed when saturated-resource fraction exceeds this.
     breadth_watermark: float = 0.45
     #: Resume only when the fraction is back under this (hysteresis).
     resume_breadth: float = 0.30
-    #: A resource counts as saturated at this utilization.
-    saturated: float = 0.99
-    #: Never pause below this many running jobs (drain-order invariant:
-    #: something always makes progress, so shed jobs eventually resume).
-    min_active_jobs: int = 1
-    #: Seconds between backpressure evaluations when nothing else wakes
-    #: the plane.
-    check_interval: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 < self.breadth_watermark <= 1.0:
@@ -53,12 +54,6 @@ class BackpressureConfig:
             raise ClusterError(
                 "resume_breadth must be in [0, breadth_watermark]"
             )
-        if not 0.0 < self.saturated <= 1.0:
-            raise ClusterError("saturated must be in (0, 1]")
-        if self.min_active_jobs < 1:
-            raise ClusterError("min_active_jobs must be >= 1")
-        if self.check_interval <= 0:
-            raise ClusterError("check_interval must be positive")
 
 
 class BackpressureMonitor:
@@ -75,7 +70,8 @@ class BackpressureMonitor:
         self.slo_monitor = slo_monitor
 
     def saturation_breadth(self, sim) -> float:
-        """Fraction of node-link resources at ≥ ``saturated`` utilization.
+        """Fraction of node-link resources at ≥ :data:`SATURATED`
+        utilization.
 
         Only per-node up/down resources are counted (rack links are not
         reported by ``current_usage``); foreground traffic counts toward
@@ -95,7 +91,7 @@ class BackpressureMonitor:
             total += 1
             node = resource[1]
             used = (used_up if kind == "up" else used_down).get(node, 0.0)
-            if used / capacity >= self.config.saturated:
+            if used / capacity >= SATURATED:
                 saturated += 1
         if total == 0:
             return 0.0

@@ -10,20 +10,20 @@ node) over a single shared :class:`~repro.network.simulator.FluidSimulator`:
   tie; QoS acts through admission and shed order), gated by the
   admission tokens;
 * the admission gate (:mod:`repro.controlplane.admission`) bounds
-  concurrent repair streams and in-flight bytes, with priority aging so
+  concurrent repair streams and admitted jobs, with priority aging so
   no queued job starves;
 * the backpressure monitor (:mod:`repro.controlplane.backpressure`)
   sheds load — pausing the lowest-priority admitted job, checkpointed
   through the resilience journal so resume re-transfers nothing — when
   foreground SLOs burn or link saturation spreads;
-* the degradation policy escalates repeatedly-faulted jobs to fewer
+* a degradation ladder escalates repeatedly-faulted jobs to fewer
   helpers and coarser slices instead of letting them fail.
 
 **Drain-order invariant**: every enqueued job eventually reaches a
 terminal state — all of its stripes repaired or surfaced as clean
-``RepairFailed`` — because (i) at least ``min_active_jobs`` admitted
+``RepairFailed`` — because (i) at least ``MIN_ACTIVE_JOBS`` admitted
 jobs always keep running, (ii) a fleet that has gone idle force-starts
-the best head below the Eq. 3 threshold after ``max_idle_wait``,
+the best head below the Eq. 3 threshold after ``MAX_IDLE_WAIT``,
 and (iii) paused jobs are force-resumed once no admitted job has work
 left, even if pressure never formally relieves.
 See docs/control_plane.md for the state machine.
@@ -45,7 +45,7 @@ from repro.obs.tracer import NULL_TRACER
 from repro.repair.fullnode import eq3_round
 from repro.repair.jobmaster import StripeRepairMaster
 from repro.repair.metrics import FullNodeResult
-from repro.repair.pipeline import ExecutionConfig, remaining_bytes_per_edge
+from repro.repair.pipeline import ExecutionConfig
 
 from repro.controlplane.admission import (
     AdmissionConfig,
@@ -54,44 +54,27 @@ from repro.controlplane.admission import (
     QoSClass,
 )
 from repro.controlplane.backpressure import (
+    CHECK_INTERVAL,
+    MIN_ACTIVE_JOBS,
     BackpressureConfig,
     BackpressureMonitor,
 )
 
 __all__ = [
-    "DegradationPolicy",
     "RepairJob",
     "FleetResult",
     "ControlPlane",
 ]
 
-
-@dataclass(frozen=True)
-class DegradationPolicy:
-    """When do a job's fault requeues escalate its degradation level?
-
-    Level 0 is normal planning; level 1 trims helper candidate sets to
-    exactly ``k``; level 2 additionally coarsens slice width and caps
-    the submit rate (see ``StripeRepairMaster``).  A job escalates one
-    level per ``escalate_after`` cumulative fault-requeue events, up to
-    ``max_level``; levels never relax within a run (a cluster sick
-    enough to escalate does not deserve the benefit of the doubt
-    mid-storm).
-    """
-
-    escalate_after: int = 2
-    max_level: int = 2
-
-    def __post_init__(self) -> None:
-        if self.escalate_after < 0:
-            raise ClusterError("escalate_after cannot be negative")
-        if self.max_level < 0:
-            raise ClusterError("max_level cannot be negative")
-
-    def level_for(self, requeue_events: int) -> int:
-        if self.escalate_after == 0:
-            return 0
-        return min(self.max_level, requeue_events // self.escalate_after)
+# A job's degradation level: 0 is normal planning; level 1 trims helper
+# candidate sets to exactly ``k``; level 2 additionally coarsens slice
+# width and caps the submit rate (see ``StripeRepairMaster``).  Levels
+# never relax within a run (a cluster sick enough to escalate does not
+# deserve the benefit of the doubt mid-storm).
+#: Cumulative fault-requeue events per escalation step.
+DEGRADE_AFTER = 2
+#: The highest degradation level.
+MAX_DEGRADE_LEVEL = 2
 
 
 @dataclass
@@ -153,7 +136,6 @@ class ControlPlane:
         scheduler: SchedulerConfig | None = None,
         admission: AdmissionConfig | None = None,
         backpressure: BackpressureConfig | None = None,
-        degradation: DegradationPolicy | None = None,
         faults: FaultPlan | None = None,
         tracer=NULL_TRACER,
         foreground=None,
@@ -167,7 +149,6 @@ class ControlPlane:
         self.scheduler = scheduler or SchedulerConfig()
         self.admission = AdmissionController(admission)
         self.backpressure = BackpressureMonitor(backpressure, slo_monitor)
-        self.degradation = degradation or DegradationPolicy()
         self.faults = faults
         self.tracer = tracer
         self.foreground = foreground
@@ -285,7 +266,7 @@ class ControlPlane:
         for job in self._admitted():
             job.master.tick()
             requeues = job.master.requeue_events
-            level = self.degradation.level_for(requeues)
+            level = min(MAX_DEGRADE_LEVEL, requeues // DEGRADE_AFTER)
             if job.master.degrade_to(level):
                 self.admission.record(
                     self.sim.now, "degrade", job, level=level,
@@ -297,8 +278,7 @@ class ControlPlane:
         admitted = self._admitted()
         paused = self._paused()
         overloaded, detail = self.backpressure.overloaded(self.sim)
-        min_active = self.backpressure.config.min_active_jobs
-        if overloaded and len(admitted) > min_active:
+        if overloaded and len(admitted) > MIN_ACTIVE_JOBS:
             # Shed one job per evaluation — gentle, hysteresis does the
             # rest.  Only jobs actually holding streams relieve pressure.
             candidates = [j for j in admitted if j.master.in_flight]
@@ -369,25 +349,16 @@ class ControlPlane:
 
     def _dispatch(self) -> None:
         """The Eq. 3 round over admitted jobs' head stripes, gated by
-        the stream / byte tokens."""
-        eq3_round(
-            self._offers, self.scheduler,
-            may_start=lambda *offer: self._may_start(
-                self._plan_bytes(*offer)
-            ),
-            on_start=self._started,
-        )
+        the stream tokens."""
+        eq3_round(self._offers, self.scheduler, on_start=self._started)
 
     def _offers(self) -> list[tuple[StripeRepairMaster, int]]:
-        if not self._may_start(0.0):
+        admitted = self._admitted()
+        if not self.admission.may_start_stream(
+            sum(len(job.master.in_flight) for job in admitted)
+        ):
             return []
-        return [(job.master, 1) for job in self._admitted()]
-
-    def _may_start(self, new_bytes: float) -> bool:
-        return self.admission.may_start_stream(
-            sum(len(job.master.in_flight) for job in self._admitted()),
-            self.sim.inflight_bytes(kind="repair"), new_bytes,
-        )
+        return [(job.master, 1) for job in admitted]
 
     def _started(self, master, flight, value: float) -> None:
         job = next(job for job in self.jobs if job.master is master)
@@ -395,15 +366,6 @@ class ControlPlane:
             self.sim.now, "start", job, stripe=flight.stripe.stripe_id,
             value=value, start_slice=flight.start_slice,
         )
-
-    @staticmethod
-    def _plan_bytes(master, stripe, plan) -> float:
-        """Bytes the stripe's submission would put in flight."""
-        per_edge = remaining_bytes_per_edge(
-            master.config_for(stripe), plan.tree.depth(),
-            master.resume_slice(stripe, plan),
-        )
-        return per_edge * len(plan.tree.edges())
 
     def _finalize_done(self) -> None:
         for job in self.jobs:
@@ -465,7 +427,7 @@ class ControlPlane:
         return result
 
     def _event_bound(self, max_time: float) -> float:
-        bound = self.sim.now + self.backpressure.config.check_interval
+        bound = self.sim.now + CHECK_INTERVAL
         for job in self._admitted():
             bound = min(
                 bound,

@@ -16,8 +16,8 @@ tests:
    burn-rate monitor on the foreground tenants supplies the
    backpressure signal.
 
-Planning charges are pinned (``planning_seconds``) so two runs of one
-seed produce byte-identical traces, journals and admission decision
+Planning charges are pinned (:data:`PLANNING_SECONDS`) so two runs of
+one seed produce byte-identical traces, journals and admission decision
 logs.
 """
 
@@ -28,11 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.controlplane.admission import AdmissionConfig
 from repro.controlplane.backpressure import BackpressureConfig
-from repro.controlplane.plane import (
-    ControlPlane,
-    DegradationPolicy,
-    FleetResult,
-)
+from repro.controlplane.plane import ControlPlane, FleetResult
 from repro.core import PivotRepairPlanner, pin_planning
 from repro.core.scheduler import SchedulerConfig
 from repro.core.seeding import spawn_rng
@@ -82,8 +78,19 @@ SLO_BUDGET = 0.05
 #: within one scenario rather than on SRE dashboards' timescales.
 SLO_SHORT_WINDOW = 3.0
 SLO_LONG_WINDOW = 8.0
-#: Fault-requeue events before a job's degradation level escalates.
-DEGRADE_AFTER = 2
+#: The gray wave: survivors' uplinks keep this fraction of capacity for
+#: this many seconds.
+GRAY_FACTOR = 0.35
+GRAY_DURATION = 6.0
+#: Pinned planning charge per plan, seconds.
+PLANNING_SECONDS = 0.002
+#: Flight-recorder window, seconds.
+SAMPLE_INTERVAL = 0.25
+#: Admission priority points per second waited.
+AGING_RATE = 5.0
+#: Backpressure watermarks under admission control.
+BREADTH_WATERMARK = 0.45
+RESUME_BREADTH = 0.30
 RETRY_SPEC = "timeout=0.25,retries=4,backoff=0.1x2,jitter=0.5,maxbackoff=2"
 #: Eq. 3 recommendation bar under admission control.
 SCHEDULER_THRESHOLD = 0.0
@@ -99,8 +106,6 @@ class StormConfig:
     outage_at: float = 0.05
     #: Degrade one survivor per remaining rack (the gray wave)?
     gray_wave: bool = True
-    gray_factor: float = 0.35
-    gray_duration: float = 6.0
     stripes: int = 20
     n: int = 6
     k: int = 4
@@ -111,18 +116,11 @@ class StormConfig:
     foreground_duration: float = 50.0
     tenants: int = 2
     slo_seconds: float = 0.06
-    planning_seconds: float = 0.002
-    sample_interval: float = 0.25
     #: Fleet admission gate; ``admission_control=False`` runs the
     #: uncontrolled baseline (everything admitted, never shed).
     admission_control: bool = True
     max_streams: int = 4
     max_jobs: int = 3
-    aging_rate: float = 5.0
-    breadth_watermark: float = 0.45
-    resume_breadth: float = 0.30
-    min_active_jobs: int = 1
-    check_interval: float = 0.5
     max_time: float = 600.0
 
 
@@ -202,8 +200,8 @@ def storm_fault_plan(config: StormConfig, network: RackNetwork) -> FaultPlan:
         lost, config.outage_at,
         gray_nodes=gray,
         gray_start=config.outage_at + 1.0,
-        gray_duration=config.gray_duration,
-        gray_factor=config.gray_factor,
+        gray_duration=GRAY_DURATION,
+        gray_factor=GRAY_FACTOR,
         gray_direction="up",
     )
 
@@ -253,7 +251,7 @@ def run_storm(
     retry_policy = RetryPolicy.from_spec(RETRY_SPEC)
 
     tsdb = TimeSeriesDB()
-    sampler = FlightRecorder(interval=config.sample_interval, tsdb=tsdb)
+    sampler = FlightRecorder(interval=SAMPLE_INTERVAL, tsdb=tsdb)
     tenant_names = tuple(f"tenant-{i}" for i in range(max(config.tenants, 1)))
     foreground = None
     specs = []
@@ -273,7 +271,7 @@ def run_storm(
         )
         foreground = ForegroundEngine(
             stripes, requests,
-            pin_planning(PivotRepairPlanner(), config.planning_seconds),
+            pin_planning(PivotRepairPlanner(), PLANNING_SECONDS),
             failed_nodes=set(failed_nodes), faults=faults, tsdb=tsdb,
         )
         specs = [
@@ -295,13 +293,11 @@ def run_storm(
         admission = AdmissionConfig(
             max_streams=config.max_streams,
             max_jobs=config.max_jobs,
-            aging_rate=config.aging_rate,
+            aging_rate=AGING_RATE,
         )
         backpressure = BackpressureConfig(
-            breadth_watermark=config.breadth_watermark,
-            resume_breadth=config.resume_breadth,
-            min_active_jobs=config.min_active_jobs,
-            check_interval=config.check_interval,
+            breadth_watermark=BREADTH_WATERMARK,
+            resume_breadth=RESUME_BREADTH,
         )
         slo_for_plane = monitor if specs else None
         threshold = SCHEDULER_THRESHOLD
@@ -311,12 +307,10 @@ def run_storm(
         # negative threshold starts every plannable stripe immediately)
         # — what a fleet without a control plane does.
         admission = AdmissionConfig(
-            max_streams=10**6, max_jobs=10**6, aging_rate=config.aging_rate,
+            max_streams=10**6, max_jobs=10**6, aging_rate=AGING_RATE,
         )
         backpressure = BackpressureConfig(
             breadth_watermark=1.0, resume_breadth=1.0,
-            min_active_jobs=config.min_active_jobs,
-            check_interval=config.check_interval,
         )
         slo_for_plane = None
         threshold = -1e30
@@ -325,14 +319,13 @@ def run_storm(
         scheduler=SchedulerConfig(threshold=threshold),
         admission=admission,
         backpressure=backpressure,
-        degradation=DegradationPolicy(escalate_after=DEGRADE_AFTER),
         faults=faults,
         tracer=tracer,
         foreground=foreground,
         slo_monitor=slo_for_plane,
         journal=journal,
     )
-    planner = pin_planning(PivotRepairPlanner(), config.planning_seconds)
+    planner = pin_planning(PivotRepairPlanner(), PLANNING_SECONDS)
     for position, node in enumerate(failed_nodes):
         plane.add_job(
             f"node{node}", planner, stripes, node,

@@ -29,6 +29,16 @@ from repro.obs.tracer import NULL_TRACER
 from repro.units import to_mbps
 
 
+#: When idle and below threshold, re-check bandwidths this often, in
+#: seconds ("check periodically until available bandwidths turn
+#: sufficient").
+IDLE_CHECK_INTERVAL = 1.0
+#: Give up waiting for bandwidth after this many seconds and start the
+#: best candidate anyway, so a permanently congested network still
+#: repairs.
+MAX_IDLE_WAIT = 30.0
+
+
 @dataclass(frozen=True)
 class SchedulerConfig:
     """Knobs of the adaptive scheduling strategy."""
@@ -40,22 +50,12 @@ class SchedulerConfig:
     threshold: float = 0.0
     #: Hard cap on concurrently running repair tasks (None = unbounded).
     max_concurrency: int | None = None
-    #: When idle and below threshold, re-check bandwidths this often
-    #: ("check periodically until available bandwidths turn sufficient").
-    check_interval: float = 1.0
-    #: Give up waiting for bandwidth after this long and start the best
-    #: candidate anyway, so a permanently congested network still repairs.
-    max_idle_wait: float = 30.0
 
     def __post_init__(self) -> None:
         if self.alpha < 0 or self.beta < 0:
             raise PlanningError("alpha and beta must be non-negative")
         if self.max_concurrency is not None and self.max_concurrency < 1:
             raise PlanningError("max_concurrency must be >= 1")
-        if self.check_interval <= 0:
-            raise PlanningError("check_interval must be positive")
-        if self.max_idle_wait < 0:
-            raise PlanningError("max_idle_wait cannot be negative")
 
 
 def _transfer_sets(tree: RepairTree) -> tuple[frozenset[int], frozenset[int]]:

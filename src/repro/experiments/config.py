@@ -10,38 +10,27 @@ from repro.exceptions import PlanningError
 PAPER_CODES: list[tuple[int, int]] = [(6, 4), (9, 6), (12, 8), (14, 10)]
 
 
+#: Nodes in the measured cluster (the paper uses 16 machines).
+NODE_COUNT = 16
+
+
 @dataclass(frozen=True)
 class ExperimentSettings:
-    """Cluster and measurement parameters of the paper's evaluation."""
+    """Codes of the paper's evaluation."""
 
-    #: Nodes in the measured cluster (the paper uses 16 machines).
-    node_count: int = 16
-    #: Trace length in one-second samples (the paper records 6000 s).
-    trace_seconds: int = 6000
-    #: Minimum bandwidth reserved for repair traffic, bytes/second
-    #: (practical systems rate-reserve repair [24, 48]).
-    repair_floor: float = 1e6
     #: Codes to evaluate.
     codes: list[tuple[int, int]] = field(
         default_factory=lambda: list(PAPER_CODES)
     )
-    #: Base RNG seed for trace generation and stripe placement.
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.node_count < 2:
-            raise PlanningError("need at least two nodes")
-        if self.trace_seconds < 1:
-            raise PlanningError("trace must have at least one sample")
-        if self.repair_floor < 0:
-            raise PlanningError("repair floor cannot be negative")
         for n, k in self.codes:
             if not 0 < k < n:
                 raise PlanningError(f"bad code parameters ({n}, {k})")
-            if n > self.node_count - 2:
+            if n > NODE_COUNT - 2:
                 raise PlanningError(
                     f"(n={n}) stripes need n + requestor + failed node "
-                    f"<= {self.node_count} cluster nodes"
+                    f"<= {NODE_COUNT} cluster nodes"
                 )
 
 

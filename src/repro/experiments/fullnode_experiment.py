@@ -14,7 +14,11 @@ from repro.baselines import PPTPlanner, RPPlanner
 from repro.core import PivotRepairPlanner
 from repro.core.scheduler import SchedulerConfig
 from repro.ec import RSCode, place_stripes
-from repro.experiments.config import DEFAULT_SETTINGS, ExperimentSettings
+from repro.experiments.config import (
+    DEFAULT_SETTINGS,
+    NODE_COUNT,
+    ExperimentSettings,
+)
 from repro.obs.tracer import NULL_TRACER
 from repro.repair import (
     ExecutionConfig,
@@ -71,7 +75,7 @@ def run_figure7(
     results: dict[tuple[int, int], dict[str, FullNodeResult]] = {}
     for n, k in settings.codes:
         stripes = stripes_with_failures(
-            RSCode(n, k), failed_node, settings.node_count,
+            RSCode(n, k), failed_node, NODE_COUNT,
             seed=n * 7 + k, count=chunks,
         )
         row: dict[str, FullNodeResult] = {}

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.baselines import PPTPlanner, RPPlanner
 from repro.core import PivotRepairPlanner
-from repro.exceptions import PlanningError
+from repro.exceptions import CodingError, PlanningError
 from repro.experiments.config import DEFAULT_SETTINGS, ExperimentSettings
 from repro.obs.tracer import NULL_TRACER
 from repro.repair import ExecutionConfig, repair_single_chunk
@@ -84,8 +84,14 @@ def stripe_members_at(
     available bandwidth outside the stripe.  Both are computed on the
     instant's one-sample window, not on the whole trace; an instant
     outside the trace (negative, or past its last sample) is a
-    ``TraceError``.
+    ``TraceError``, and a stripe that leaves no node outside it for the
+    requestor is a ``CodingError``.
     """
+    if n >= trace.node_count:
+        raise CodingError(
+            f"cannot place an (n={n}) stripe and a requestor outside it "
+            f"on {trace.node_count} nodes"
+        )
     rng = np.random.default_rng(seed)
     members = sorted(
         rng.choice(trace.node_count, size=n, replace=False).tolist()

@@ -12,7 +12,6 @@ See ``docs/foreground_traffic.md`` for the subsystem tour.  Typical use:
 
 from repro.loadgen.engine import FOREGROUND, ForegroundEngine
 from repro.loadgen.generator import (
-    MODULATIONS,
     LoadProfile,
     generate_requests,
     rate_profile_from_trace,
@@ -31,7 +30,6 @@ __all__ = [
     "FOREGROUND",
     "READ",
     "WRITE",
-    "MODULATIONS",
     "ClientRequest",
     "RequestOutcome",
     "LoadProfile",

@@ -1,29 +1,23 @@
 """Seeded open-loop request generators.
 
-Arrivals follow a (possibly modulated) Poisson process — the open-loop
-model of client traffic: request times do not depend on completions, so a
-slow system builds queues instead of silently back-pressuring the load.
-Object popularity is Zipfian over stripes (hot storage concentrates reads
-on few objects), and the arrival *rate* can be modulated three ways:
-
-* ``"none"`` — homogeneous Poisson at ``arrival_rate``;
-* ``"diurnal"`` — a sinusoid around the base rate (day/night cycles
-  compressed to ``diurnal_period`` seconds);
-* ``"bursts"`` — Poisson burst episodes multiply the base rate (flash
-  crowds).
-
-Modulated processes are sampled by thinning (Lewis & Shedler): candidate
-arrivals are drawn at the peak rate and accepted with probability
-``rate(t) / peak``, which is exact for any bounded rate function.  A
-:func:`rate_profile_from_trace` helper converts a measured
-:class:`~repro.traces.workload.WorkloadTrace` into a modulation profile so
+Arrivals follow a Poisson process — the open-loop model of client
+traffic: request times do not depend on completions, so a slow system
+builds queues instead of silently back-pressuring the load.  Object
+popularity is Zipfian over stripes (hot storage concentrates reads on
+few objects).  The arrival *rate* is ``arrival_rate`` throughout, or,
+when a ``rate_profile`` is passed, that rate times the profile's
+per-sample multiplier: :func:`rate_profile_from_trace` converts a
+measured :class:`~repro.traces.workload.WorkloadTrace` into one, so
 foreground load can follow, e.g., the TPC-DS intensity shape while the
 flows themselves compete for full link capacity.
+
+Both are sampled by thinning (Lewis & Shedler): candidate arrivals are
+drawn at the peak rate and accepted with probability ``rate(t) / peak``,
+which is exact for any bounded rate function.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -36,15 +30,13 @@ from repro.loadgen.requests import READ, WRITE, ClientRequest
 from repro.traces.workload import WorkloadTrace
 from repro.units import mib
 
-MODULATIONS = ("none", "diurnal", "bursts", "trace")
-
 
 @dataclass(frozen=True)
 class LoadProfile:
     """Parameters of one synthetic foreground workload."""
 
     name: str = "synthetic"
-    #: Mean request arrivals per second (before modulation).
+    #: Mean request arrivals per second (before a rate profile's shape).
     arrival_rate: float = 50.0
     #: Length of the generated request stream, seconds.
     duration: float = 60.0
@@ -54,16 +46,6 @@ class LoadProfile:
     request_size: int = mib(1)
     #: Zipf exponent of object popularity over stripes (0 = uniform).
     zipf_s: float = 0.9
-    #: Arrival-rate modulation: none / diurnal / bursts / trace.
-    modulation: str = "none"
-    diurnal_period: float = 120.0
-    #: Relative swing of the diurnal sinusoid, in [0, 1).
-    diurnal_amplitude: float = 0.5
-    #: Burst episodes per second and their mean duration (seconds).
-    burst_rate: float = 0.02
-    burst_duration: float = 5.0
-    #: Rate multiplier inside a burst episode.
-    burst_multiplier: float = 4.0
     #: Tenant names requests are attributed to (telemetry/SLO labels).
     #: Empty = single anonymous tenant ("default"); with one name every
     #: request carries it; with several, each request draws a tenant
@@ -82,19 +64,6 @@ class LoadProfile:
             raise LoadGenError("request size must be positive")
         if self.zipf_s < 0:
             raise LoadGenError("zipf exponent cannot be negative")
-        if self.modulation not in MODULATIONS:
-            raise LoadGenError(
-                f"unknown modulation {self.modulation!r}; "
-                f"expected one of {MODULATIONS}"
-            )
-        if not 0 <= self.diurnal_amplitude < 1:
-            raise LoadGenError("diurnal amplitude must be in [0, 1)")
-        if self.diurnal_period <= 0:
-            raise LoadGenError("diurnal period must be positive")
-        if self.burst_rate < 0 or self.burst_duration <= 0:
-            raise LoadGenError("bad burst parameters")
-        if self.burst_multiplier < 1:
-            raise LoadGenError("burst multiplier must be >= 1")
         if len(set(self.tenants)) != len(self.tenants) or any(
             not name for name in self.tenants
         ):
@@ -123,46 +92,10 @@ def rate_profile_from_trace(trace: WorkloadTrace) -> np.ndarray:
     return np.clip(mean_used / base, 0.05, None)
 
 
-def _modulation(
-    profile: LoadProfile,
-    rng: np.random.Generator,
-    rate_profile: np.ndarray | None,
-    profile_interval: float,
-):
+def _rate_shape(rate_profile: np.ndarray | None, profile_interval: float):
     """(rate multiplier fn, peak multiplier) for the thinning sampler."""
-    if profile.modulation == "none":
-        return (lambda t: 1.0), 1.0
-    if profile.modulation == "diurnal":
-        amplitude = profile.diurnal_amplitude
-        omega = 2 * math.pi / profile.diurnal_period
-
-        return (lambda t: 1.0 + amplitude * math.sin(omega * t)), (
-            1.0 + amplitude
-        )
-    if profile.modulation == "bursts":
-        episodes = []
-        t = 0.0
-        while profile.burst_rate > 0:
-            t += rng.exponential(1.0 / profile.burst_rate)
-            if t >= profile.duration:
-                break
-            episodes.append(
-                (t, t + rng.exponential(profile.burst_duration))
-            )
-
-        def bursty(t: float) -> float:
-            for start, end in episodes:
-                if start <= t < end:
-                    return profile.burst_multiplier
-            return 1.0
-
-        return bursty, profile.burst_multiplier
-    # "trace": follow the supplied per-sample profile.
     if rate_profile is None:
-        raise LoadGenError(
-            'modulation "trace" needs a rate_profile '
-            "(see rate_profile_from_trace)"
-        )
+        return (lambda t: 1.0), 1.0
     samples = np.asarray(rate_profile, dtype=float)
     if samples.ndim != 1 or not len(samples):
         raise LoadGenError("rate_profile must be a non-empty 1-D array")
@@ -189,7 +122,9 @@ def generate_requests(
     Reads target a Zipf-popular stripe's data chunk from a uniformly
     random client node (never the chunk's holder — that read is local and
     moves no network bytes); writes store a fresh object across a
-    stripe's placement.  Deterministic for a given seed.  ``seed`` is an
+    stripe's placement.  With ``rate_profile`` the arrival rate follows
+    its multipliers, one per ``profile_interval`` seconds (the last
+    holds beyond its end).  Deterministic for a given seed.  ``seed`` is an
     integer (historical streams, unchanged) or a child generator spawned
     from a composite run's root seed
     (:func:`repro.core.seeding.spawn_rng`).
@@ -199,7 +134,7 @@ def generate_requests(
     if node_count < 2:
         raise LoadGenError("need at least two nodes for client traffic")
     rng = rng_from(seed)
-    rate_of, peak = _modulation(profile, rng, rate_profile, profile_interval)
+    rate_of, peak = _rate_shape(rate_profile, profile_interval)
     # Generator.choice(len(ordered), p=weights) builds this CDF on every
     # call and draws ``cdf.searchsorted(rng.random(), side="right")``.
     cdf = zipf_weights(len(stripes), profile.zipf_s).cumsum()

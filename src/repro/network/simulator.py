@@ -609,22 +609,6 @@ class FluidSimulator:
                 # Rack-level resources are not per-node usage.
         return up, down
 
-    def inflight_bytes(self, kind: str | None = None) -> float:
-        """Total bytes live tasks still have to move, per edge-traversal.
-
-        ``kind`` restricts the sum to one traffic class (e.g.
-        ``"repair"``); ``None`` counts every class.  Each entity's
-        residue counts once per edge it spans, matching how
-        ``bytes_transferred`` accounts carried bytes.
-        """
-        total = 0.0
-        now = self.now
-        for entity in self._entities.values():
-            if kind is not None and entity.kind != kind:
-                continue
-            total += entity.residue_at(now) * len(entity.edges)
-        return total
-
     def link_utilization(self) -> float:
         """Peak used/capacity ratio over the network's resources *now*.
 

@@ -5,7 +5,7 @@ An :class:`SLOSpec` states an objective over one telemetry series in the
 evaluates every spec on a fixed simulated-time grid and classifies each
 as healthy or **firing** using the multi-window burn-rate rule (the
 Google SRE alerting recipe): the error-budget burn must exceed
-``max_burn`` over *both* a short window (fast detection) and a long
+:data:`MAX_BURN` over *both* a short window (fast detection) and a long
 window (noise rejection) before an alert fires, and the alert resolves
 once either window recovers.
 
@@ -41,14 +41,17 @@ __all__ = ["SLOError", "SLOSpec", "SLOStatus", "SLOAlert", "SLOMonitor"]
 
 _KINDS = ("latency", "repair_deadline", "durability")
 
-#: Series each kind reads when the spec does not name one.
-_DEFAULT_SERIES = {
+#: Series each kind reads.
+_SERIES = {
     "latency": "fg_read_latency",
     "repair_deadline": "repair_progress",
     "durability": "chunks_at_risk",
 }
 
 _EPS = 1e-9
+
+#: Burn level both windows must exceed before an alert fires.
+MAX_BURN = 1.0
 
 
 class SLOError(ReproError):
@@ -71,10 +74,6 @@ class SLOSpec:
     deadline: float = 120.0
     short_window: float = 5.0
     long_window: float = 30.0
-    #: Burn level both windows must exceed before the alert fires.
-    max_burn: float = 1.0
-    #: Series name override (defaults per kind, see module docs).
-    series: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -91,13 +90,11 @@ class SLOSpec:
             raise SLOError("repair deadline must be positive")
         if not 0 < self.short_window <= self.long_window:
             raise SLOError("need 0 < short_window <= long_window")
-        if self.max_burn <= 0:
-            raise SLOError("max burn rate must be positive")
 
     @property
     def source(self) -> str:
         """Series the spec evaluates against."""
-        return self.series or _DEFAULT_SERIES[self.kind]
+        return _SERIES[self.kind]
 
     def to_dict(self) -> dict:
         return {
@@ -109,7 +106,7 @@ class SLOSpec:
             "deadline": self.deadline,
             "short_window": self.short_window,
             "long_window": self.long_window,
-            "max_burn": self.max_burn,
+            "max_burn": MAX_BURN,
             "series": self.source,
         }
 
@@ -220,13 +217,9 @@ class SLOMonitor:
         was_firing = spec.name in self._firing
         if was_firing:
             # Hysteresis: stay lit until both windows recover.
-            firing = (
-                burn_short > spec.max_burn or burn_long > spec.max_burn
-            )
+            firing = burn_short > MAX_BURN or burn_long > MAX_BURN
         else:
-            firing = (
-                burn_short > spec.max_burn and burn_long > spec.max_burn
-            )
+            firing = burn_short > MAX_BURN and burn_long > MAX_BURN
         return SLOStatus(
             spec=spec, t=now, burn_short=burn_short, burn_long=burn_long,
             firing=firing, no_data=no_data,

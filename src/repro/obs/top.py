@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 
+from repro.obs.slo import MAX_BURN
+
 __all__ = ["Dashboard", "LiveTop"]
 
 #: ANSI sequence between live frames: cursor home, then erase below.
@@ -226,7 +228,7 @@ class Dashboard:
                 lines.append(f"  {spec.name:<20} (not evaluated yet)")
                 continue
             gauge = _bar(
-                min(status.burn_short / (2 * spec.max_burn), 1.0), 12
+                min(status.burn_short / (2 * MAX_BURN), 1.0), 12
             )
             state = "FIRING" if status.firing else (
                 "no data" if status.no_data else "ok"

@@ -30,6 +30,8 @@ from collections.abc import Callable, Sequence
 
 from repro.core.plan import RepairPlanner
 from repro.core.scheduler import (
+    IDLE_CHECK_INTERVAL,
+    MAX_IDLE_WAIT,
     SchedulerConfig,
     recommendation_ceiling,
     recommendation_value,
@@ -289,7 +291,6 @@ def eq3_round(
     offers: Callable[[], list[tuple[StripeRepairMaster, int]]],
     scheduler: SchedulerConfig,
     max_rate: float | None = None,
-    may_start: Callable[..., bool] | None = None,
     on_start: Callable[..., None] | None = None,
 ) -> None:
     """Start the best offered stripe while Eq. 3 says so (Section IV-E).
@@ -305,11 +306,11 @@ def eq3_round(
     aborted after the ranking (master by master, last place first), and
     its next pending stripe beyond ``count`` takes the offer's place.
     Below ``scheduler.threshold`` the round waits for a completion; with
-    nothing running it re-checks every ``check_interval`` and starts the
-    best anyway after ``max_idle_wait``.  A start needs
-    ``may_start(master, stripe, plan)``, is charged its planning time,
-    goes ahead if the stripe is still pending, and is shown to
-    ``on_start(master, flight, value)``.  Nothing offered ends the round.
+    nothing running it re-checks every :data:`IDLE_CHECK_INTERVAL` and
+    starts the best anyway after :data:`MAX_IDLE_WAIT`.  A start is
+    charged its planning time, goes ahead if the stripe is still
+    pending, and is shown to ``on_start(master, flight, value)``.
+    Nothing offered ends the round.
     """
     idle_since: float | None = None
     while True:
@@ -407,14 +408,10 @@ def eq3_round(
                 return
             if idle_since is None:
                 idle_since = sim.now
-            if sim.now - idle_since < scheduler.max_idle_wait:
-                master.advance(sim.now + scheduler.check_interval)
+            if sim.now - idle_since < MAX_IDLE_WAIT:
+                master.advance(sim.now + IDLE_CHECK_INTERVAL)
                 continue
         idle_since = None
-        if may_start is not None and not may_start(
-            master, best_stripe, best_plan
-        ):
-            return
         planning_span = master.charge_planning(best_stripe, best_plan)
         # The planning window may have killed or finished things.
         if best_stripe not in master.pending:

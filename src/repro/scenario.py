@@ -251,7 +251,6 @@ class LiveScenario:
             read_fraction=spec.read_fraction,
             request_size=int(mib(spec.request_mib)),
             zipf_s=spec.zipf,
-            modulation="trace",
             tenants=spec.tenants,
         )
         requests = generate_requests(

@@ -37,6 +37,9 @@ import numpy as np
 from repro.exceptions import TraceError
 from repro.traces.workload import DEFAULT_CAPACITY, WorkloadTrace
 
+#: Always-on background load on every node, fraction of capacity.
+BACKGROUND = 0.02
+
 
 @dataclass(frozen=True)
 class WorkloadProfile:
@@ -62,8 +65,6 @@ class WorkloadProfile:
     #: Hotspot load per touched node, uniform bounds (fraction of capacity).
     hotspot_low: float
     hotspot_high: float
-    #: Always-on background load fraction.
-    background: float = 0.02
 
     def __post_init__(self) -> None:
         if self.wave_rate < 0 or self.hotspot_rate < 0:
@@ -78,8 +79,6 @@ class WorkloadProfile:
             raise TraceError("bad hotspot load bounds")
         if not 1 <= self.hotspot_nodes_min <= self.hotspot_nodes_max:
             raise TraceError("bad hotspot node bounds")
-        if not 0 <= self.background < 1:
-            raise TraceError("background must be in [0, 1)")
 
 
 #: Decision-support benchmark: mixes cluster scans with skewed joins.
@@ -174,7 +173,7 @@ def generate_trace(
         raise TraceError("duration must be positive")
     rng = np.random.default_rng(seed)
     used_up = np.full(
-        (node_count, duration), profile.background * capacity, dtype=float
+        (node_count, duration), BACKGROUND * capacity, dtype=float
     )
     used_down = used_up.copy()
 

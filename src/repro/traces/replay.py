@@ -142,6 +142,7 @@ class ForegroundReplay:
                 [(flow.src, flow.dst, flow.size)],
                 label=f"fg-{self._cursor}",
                 max_rate=flow.rate,
+                kind="foreground",
             )
             self._cursor += 1
             submitted += 1

@@ -10,6 +10,7 @@ experiments run on.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -146,14 +147,24 @@ class WorkloadTrace:
 
     @classmethod
     def load(cls, path: str | Path) -> WorkloadTrace:
-        with np.load(path, allow_pickle=False) as data:
-            return cls(
-                name=str(data["name"]),
-                capacity=float(data["capacity"]),
-                used_up=data["used_up"],
-                used_down=data["used_down"],
-                interval=float(data["interval"]),
-            )
+        """The trace :meth:`save` wrote to ``path``; any other file is a
+        :class:`TraceError` naming it."""
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                fields = dict(
+                    name=str(data["name"]),
+                    capacity=float(data["capacity"]),
+                    used_up=data["used_up"],
+                    used_down=data["used_down"],
+                    interval=float(data["interval"]),
+                )
+        except (
+            EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile
+        ) as error:
+            raise TraceError(
+                f"{path} is not a saved workload trace"
+            ) from error
+        return cls(**fields)
 
 
 DEFAULT_CAPACITY = gbps(1.0)

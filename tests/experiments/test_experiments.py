@@ -15,6 +15,7 @@ from repro.experiments import (
     run_figure7,
     stripe_nodes_at,
 )
+from repro.experiments.config import NODE_COUNT
 from repro.experiments.sweeps import (
     fixed_network,
     run_chunk_size_sweep,
@@ -36,21 +37,14 @@ def small_world():
 class TestSettings:
     def test_defaults_match_paper(self):
         settings = ExperimentSettings()
-        assert settings.node_count == 16
-        assert settings.trace_seconds == 6000
+        assert NODE_COUNT == 16
         assert (14, 10) in settings.codes
 
     def test_bad_values_rejected(self):
         with pytest.raises(PlanningError):
-            ExperimentSettings(node_count=1)
-        with pytest.raises(PlanningError):
-            ExperimentSettings(trace_seconds=0)
-        with pytest.raises(PlanningError):
-            ExperimentSettings(repair_floor=-1)
-        with pytest.raises(PlanningError):
             ExperimentSettings(codes=[(4, 6)])
         with pytest.raises(PlanningError):
-            ExperimentSettings(node_count=8, codes=[(9, 6)])
+            ExperimentSettings(codes=[(15, 10)])
 
 
 class TestHelpers:

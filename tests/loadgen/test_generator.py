@@ -36,10 +36,8 @@ class TestLoadProfile:
             {"read_fraction": 1.5},
             {"request_size": 0},
             {"zipf_s": -0.1},
-            {"modulation": "lunar"},
-            {"diurnal_amplitude": 1.0},
-            {"diurnal_period": 0.0},
-            {"burst_multiplier": 0.5},
+            {"tenants": ("a", "a")},
+            {"tenants": ("",)},
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
@@ -137,41 +135,17 @@ class TestGenerateRequests:
         )
         assert hottest == lowest
 
-    def test_diurnal_modulates_rate_over_period(self):
-        stripes = make_stripes()
-        profile = LoadProfile(
-            arrival_rate=100.0, duration=100.0, modulation="diurnal",
-            diurnal_period=100.0, diurnal_amplitude=0.9,
-        )
-        requests = generate_requests(profile, stripes, NODE_COUNT, seed=0)
-        # sin() peaks in the first half of the period and dips in the
-        # second: the halves should differ markedly in arrival count.
-        first = sum(r.arrival < 50.0 for r in requests)
-        second = len(requests) - first
-        assert first > 1.5 * second
-
-    def test_burst_modulation_generates_more_than_base(self):
-        stripes = make_stripes()
-        base = LoadProfile(arrival_rate=50.0, duration=40.0)
-        bursty = LoadProfile(
-            arrival_rate=50.0, duration=40.0, modulation="bursts",
-            burst_rate=0.2, burst_duration=5.0, burst_multiplier=6.0,
-        )
-        n_base = len(generate_requests(base, stripes, NODE_COUNT, seed=0))
-        n_burst = len(generate_requests(bursty, stripes, NODE_COUNT, seed=0))
-        assert n_burst > n_base * 1.2
-
-    def test_trace_modulation_requires_profile(self):
-        stripes = make_stripes()
-        profile = LoadProfile(modulation="trace")
-        with pytest.raises(LoadGenError):
-            generate_requests(profile, stripes, NODE_COUNT, seed=0)
+    def test_rate_profile_must_be_a_non_negative_vector(self):
+        for shape in ([], [[1.0, 2.0]], [1.0, -0.5]):
+            with pytest.raises(LoadGenError):
+                generate_requests(
+                    LoadProfile(), make_stripes(), NODE_COUNT, seed=0,
+                    rate_profile=np.array(shape),
+                )
 
     def test_trace_modulation_follows_shape(self):
         stripes = make_stripes()
-        profile = LoadProfile(
-            arrival_rate=100.0, duration=20.0, modulation="trace"
-        )
+        profile = LoadProfile(arrival_rate=100.0, duration=20.0)
         shape = np.array([2.0] * 10 + [0.1] * 10)
         requests = generate_requests(
             profile, stripes, NODE_COUNT, seed=0, rate_profile=shape

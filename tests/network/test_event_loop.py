@@ -147,8 +147,6 @@ def looking_simulator(look_seed, rates=False, extra_advances=False):
             readers = [
                 lambda: [self.task_progress(h) for h in self.seen],
                 lambda: [self.task_bytes_carried(h) for h in self.seen],
-                lambda: self.inflight_bytes(),
-                lambda: self.inflight_bytes("repair"),
                 lambda: self.bytes_up,
                 lambda: self.bytes_down,
                 lambda: self.total_bytes_transferred,
@@ -460,7 +458,7 @@ class TestZeroRate:
         sim.advance_to(4.0)
         assert sim.heap_pushes == 1 and not sim._finish_heap
         assert sim.task_progress(blocked) == 0.0
-        assert sim.inflight_bytes() == 300.0
+        assert sim.task_bytes_carried(blocked) == 0.0
         assert sim.run() == [blocked]
         assert blocked.finish_time == 8.0
         assert sim.heap_pushes == 2

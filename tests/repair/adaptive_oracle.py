@@ -11,7 +11,12 @@ error types with the package, nothing of the ceiling.
 
 from __future__ import annotations
 
-from repro.core.scheduler import SchedulerConfig, recommendation_value
+from repro.core.scheduler import (
+    IDLE_CHECK_INTERVAL,
+    MAX_IDLE_WAIT,
+    SchedulerConfig,
+    recommendation_value,
+)
 from repro.ec.stripe import Stripe
 from repro.exceptions import ClusterError, PlanningError
 from repro.repair.jobmaster import StripeRepairMaster
@@ -78,8 +83,8 @@ def start_recommended(
                 return
             if idle_since is None:
                 idle_since = sim.now
-            if sim.now - idle_since < scheduler.max_idle_wait:
-                master.advance(sim.now + scheduler.check_interval)
+            if sim.now - idle_since < MAX_IDLE_WAIT:
+                master.advance(sim.now + IDLE_CHECK_INTERVAL)
                 continue
         idle_since = None
         planning_span = master.charge_planning(best_stripe, best_plan)

@@ -134,6 +134,21 @@ class TestPlanCommand:
         assert code == 1
         assert "malformed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text", ['{"up": {"0": 1e8', '{"up": [1e8], "down": {}}'],
+        ids=["torn-json", "list-for-map"],
+    )
+    def test_torn_or_misshapen_bandwidths_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = main(
+            ["plan", "--bandwidths", str(path), "--requestor", "0", "--k", "2"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: malformed bandwidth file: "
+        )
+
 
 class TestRepairCommand:
     def test_repair_compares_schemes(self, trace_file, capsys):
@@ -168,6 +183,17 @@ class TestRepairCommand:
         assert code == 1
         assert "error: start sample 99999 out of range" in (
             capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_stripe_wider_than_the_cluster_is_a_clean_error(
+        self, trace_file, capsys, n
+    ):
+        code = main(["repair", str(trace_file), "--n", str(n), "--k", "4"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot place an (n={n}) stripe and a requestor "
+            "outside it on 12 nodes\n"
         )
 
 

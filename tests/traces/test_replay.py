@@ -89,6 +89,15 @@ class TestReplayPump:
         assert replay.pending == 1
         assert replay.next_start() == 5
 
+    def test_pumped_flows_are_booked_as_foreground(self):
+        sim = FluidSimulator(StarNetwork.uniform(3, 100.0))
+        ForegroundReplay([ForegroundFlow(0, 2, 0, 1, 10)]).pump(sim)
+        sim.submit_bulk([(2, 0, 300.0)])
+        sim.run()
+        assert sim.stats.bytes_by_kind == {
+            "foreground": 20.0, "repair": 300.0,
+        }
+
     def test_rate_cap_enforced(self):
         sim = FluidSimulator(StarNetwork.uniform(2, 100.0))
         handle = sim.submit_bulk([(0, 1, 100.0)], max_rate=10.0)

@@ -54,6 +54,16 @@ class TestValidation:
                 "x", 10, np.zeros((1, 1)), np.zeros((1, 1)), interval=0
             )
 
+    def test_load_rejects_a_file_that_is_not_a_saved_trace(self, tmp_path):
+        garbage = tmp_path / "garbage.npz"
+        garbage.write_bytes(b"not a trace\n")
+        partial = tmp_path / "partial.npz"
+        np.savez(partial, name="x", capacity=10.0, interval=1.0)
+        for path in (garbage, partial):
+            with pytest.raises(TraceError) as raised:
+                WorkloadTrace.load(path)
+            assert str(raised.value) == f"{path} is not a saved workload trace"
+
 
 class TestDerivedQuantities:
     def test_shape_accessors(self):
