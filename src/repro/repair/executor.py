@@ -253,17 +253,15 @@ def repair_single_chunk_faulted(
     with planner.traced(tracer):
         run_rounds(master, start)
     registry = master.registry
-    outcome = {"bytes_transferred": sim.total_bytes_transferred}
     if master.failures:
         (record,) = master.failures
     else:
         (record,) = master.results
-        transfer = outcome["transfer_seconds"] = (
-            sim.now - start_time + pipeline_overhead_seconds(config)
-        )
+        transfer = sim.now - start_time + pipeline_overhead_seconds(config)
         registry.gauge("planner_seconds").set(record.planning_seconds)
         registry.histogram("task_seconds").observe(transfer)
+        record = replace(record, transfer_seconds=transfer)
     return replace(
-        record, **outcome,
+        record, bytes_transferred=sim.total_bytes_transferred,
         telemetry=registry.snapshot(run_counters(sim, tracer)),
     )
