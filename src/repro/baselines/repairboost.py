@@ -106,7 +106,6 @@ def repair_full_node_balanced(
     failed_node: int,
     concurrency: int = 4,
     config=None,
-    start_time: float = 0.0,
 ):
     """Run a full-node repair with RepairBoost-style balanced chains."""
     from repro.network.simulator import FluidSimulator
@@ -122,7 +121,7 @@ def repair_full_node_balanced(
     if not affected:
         raise PlanningError(f"node {failed_node} stores no chunk to repair")
     assignment = balance_assignments(affected, failed_node, len(network))
-    sim = FluidSimulator(network, start_time=start_time)
+    sim = FluidSimulator(network)
     pending = list(affected)
     in_flight: dict[int, Stripe] = {}
     results: list[RepairResult] = []
@@ -152,6 +151,6 @@ def repair_full_node_balanced(
     return FullNodeResult(
         scheme="RepairBoost",
         failed_node=failed_node,
-        total_seconds=sim.now - start_time,
+        total_seconds=sim.now,
         task_results=results,
     )

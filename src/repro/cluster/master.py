@@ -99,11 +99,11 @@ class Cluster:
     # ------------------------------------------------------------------
     # Failure injection
     # ------------------------------------------------------------------
-    def fail_node(self, node_id: int, at: float = 0.0) -> list[ChunkId]:
+    def fail_node(self, node_id: int) -> list[ChunkId]:
         """Crash a node; returns the chunk ids that became unavailable.
 
-        ``at`` stamps the trace event with the (simulated) failure time so
-        fault-injected runs line up with the simulator's clock.
+        The trace event is stamped at time 0.0: the byte plane has no
+        clock of its own.
         """
         node = self._node(node_id)
         if not node.alive:
@@ -112,7 +112,7 @@ class Cluster:
         node.fail()
         if self.tracer.enabled:
             self.tracer.instant(
-                "master.fail_node", t=at, track="master",
+                "master.fail_node", t=0.0, track="master",
                 node=node_id, lost_chunks=len(lost),
             )
         return lost

@@ -55,10 +55,6 @@ class DataNode:
             self._chunks, key=lambda c: (c.stripe_id, c.chunk_index)
         )
 
-    @property
-    def chunk_count(self) -> int:
-        return len(self._chunks)
-
     # ------------------------------------------------------------------
     # Failure
     # ------------------------------------------------------------------

@@ -23,9 +23,9 @@ mapping is stable across processes and Python versions — no reliance on
 ``hash()`` randomisation.
 
 :func:`rng_from` is the adoption shim: APIs that historically took an
-integer seed (``FaultPlan.random``, ``loadgen.generate_requests``) now
-accept either that integer (bit-identical streams to before) or an
-already-spawned child generator.
+integer seed (``loadgen.generate_requests``) now accept either that
+integer (bit-identical streams to before) or an already-spawned child
+generator.
 """
 
 from __future__ import annotations

@@ -57,16 +57,6 @@ class RSCode:
     def __hash__(self) -> int:
         return hash((RSCode, self.n, self.k, self.field))
 
-    @property
-    def generator(self) -> np.ndarray:
-        """The ``n x k`` systematic generator matrix (read-only copy)."""
-        return self._generator.copy()
-
-    @property
-    def parity_count(self) -> int:
-        """Number of parity chunks (n - k)."""
-        return self.n - self.k
-
     # ------------------------------------------------------------------
     # Encode / decode
     # ------------------------------------------------------------------

@@ -119,16 +119,15 @@ def run_cell(
     n: int,
     k: int,
     scheme: str,
-    config: ExecutionConfig | None = None,
-    instants: int = INSTANTS_PER_CELL,
     tracer=NULL_TRACER,
 ) -> CellResult:
-    """Run one (workload, code, scheme) cell and average its timings."""
-    config = config or ExecutionConfig()
+    """Run one (workload, code, scheme) cell over
+    :data:`INSTANTS_PER_CELL` instants and average its timings."""
+    config = ExecutionConfig()
     planner = make_planner(scheme)
     planning, transfer = [], []
     for index, instant in enumerate(
-        congested_instants(trace, instants, seed=n * 100 + k)
+        congested_instants(trace, INSTANTS_PER_CELL, seed=n * 100 + k)
     ):
         requestor, survivors = stripe_nodes_at(
             trace, instant, n, seed=1000 * index + n * 10 + k

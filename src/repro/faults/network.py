@@ -59,9 +59,6 @@ class FaultyNetwork:
             node_id, "down", t
         )
 
-    def link_bandwidth(self, src: int, dst: int, t: float) -> float:
-        return min(self.up_at(src, t), self.down_at(dst, t))
-
     # ------------------------------------------------------------------
     # Fluid-simulator topology interface
     # ------------------------------------------------------------------

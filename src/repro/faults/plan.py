@@ -37,9 +37,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from repro.core.seeding import rng_from
 from repro.exceptions import FaultError
 
 __all__ = [
@@ -243,68 +240,6 @@ class FaultPlan:
         return cls(_event_from_dict(entry) for entry in payload["events"])
 
     @classmethod
-    def random(
-        cls,
-        seed: int | np.random.Generator,
-        node_count: int,
-        *,
-        horizon: float = 30.0,
-        crashes: int = 1,
-        degradations: int = 1,
-        stalls: int = 1,
-        read_errors: int = 0,
-        protect: Sequence[int] = (),
-    ) -> FaultPlan:
-        """A seeded random plan over ``node_count`` nodes — the chaos source.
-
-        ``protect`` lists nodes never chosen as fault targets (e.g. the
-        requestor, when a test wants the repair to remain possible).
-        ``seed`` is an integer (historical streams, unchanged) or an
-        already-spawned child generator (see
-        :func:`repro.core.seeding.spawn_rng`), so a composite run can
-        derive its fault plan from one root seed.
-        """
-        rng = rng_from(seed)
-        targets = [n for n in range(node_count) if n not in set(protect)]
-        if not targets:
-            raise FaultError("no nodes left to inject faults into")
-        events: list[FaultEvent] = []
-        for _ in range(crashes):
-            events.append(
-                NodeCrash(
-                    node=int(rng.choice(targets)),
-                    time=float(rng.uniform(0.0, horizon)),
-                )
-            )
-        for _ in range(degradations):
-            start = float(rng.uniform(0.0, horizon))
-            events.append(
-                LinkDegradation(
-                    node=int(rng.choice(targets)),
-                    start=start,
-                    end=start + float(rng.uniform(horizon / 20, horizon / 2)),
-                    factor=float(rng.uniform(0.05, 0.8)),
-                    direction=str(rng.choice(_DIRECTIONS)),
-                )
-            )
-        for _ in range(stalls):
-            events.append(
-                HelperStall(
-                    node=int(rng.choice(targets)),
-                    start=float(rng.uniform(0.0, horizon)),
-                    duration=float(rng.uniform(horizon / 20, horizon / 4)),
-                )
-            )
-        for _ in range(read_errors):
-            events.append(
-                ChunkReadError(
-                    node=int(rng.choice(targets)),
-                    time=float(rng.uniform(0.0, horizon)),
-                )
-            )
-        return cls(events)
-
-    @classmethod
     def rack_outage(
         cls,
         rack_nodes: Sequence[int],
@@ -396,10 +331,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self._events)
 
-    def crash_time(self, node: int) -> float:
-        """When ``node`` crashes (+inf if never)."""
-        return self._crash_time.get(node, math.inf)
-
     def is_dead(self, node: int, t: float) -> bool:
         return t >= self._crash_time.get(node, math.inf)
 
@@ -466,12 +397,6 @@ class FaultPlan:
             if t < at < math.inf
         ]
         return min(times, default=math.inf)
-
-    def affected_nodes(self) -> list[int]:
-        """Every node any event targets, sorted."""
-        return sorted(
-            {e.node for e in self._events}  # every event kind has .node
-        )
 
     # ------------------------------------------------------------------
     # Serialisation

@@ -46,6 +46,10 @@ __all__ = [
 #: importable without dragging the whole planning stack in).
 SCHEME_KEYS = ("pivot", "rp", "conventional")
 
+#: Seconds and seed of the synthetic trace a calibration repairs on.
+CALIBRATION_TRACE_SECONDS = 600
+CALIBRATION_TRACE_SEED = 1
+
 
 def make_scheme_planner(scheme: str):
     """Planner for a lifetime scheme key ("pivot", "rp", "conventional")."""
@@ -204,16 +208,16 @@ class CalibratedDurations(DurationModel):
         schemes: Sequence[str] = SCHEME_KEYS,
         instants: int = 8,
         node_count: int = 16,
-        trace_duration: int = 600,
-        trace_seed: int = 1,
         scale: float = 1.0,
     ) -> "CalibratedDurations":
         """Measure per-chunk repair times under a congested trace.
 
-        Generates the named synthetic workload trace (Table I profiles),
-        samples ``instants`` congested seconds, and at each one lays a
-        stripe over the cluster and executes a full single-chunk repair
-        per scheme on the fluid simulator.  Only the *simulated*
+        Generates the named synthetic workload trace (Table I profiles;
+        :data:`CALIBRATION_TRACE_SECONDS` long, seed
+        :data:`CALIBRATION_TRACE_SEED`), samples ``instants`` congested
+        seconds, and at each one lays a stripe over the cluster and
+        executes a full single-chunk repair per scheme on the fluid
+        simulator.  Only the *simulated*
         transfer time is kept — planner wall clock is a real-world cost
         that neither scales with ``scale`` nor stays bit-deterministic,
         so it is excluded by construction.  Every scheme repairs at the
@@ -238,15 +242,15 @@ class CalibratedDurations(DurationModel):
         trace = generate_trace(
             PROFILES[workload],
             node_count=node_count,
-            duration=trace_duration,
-            seed=trace_seed,
+            duration=CALIBRATION_TRACE_SECONDS,
+            seed=CALIBRATION_TRACE_SEED,
         )
         network = trace.to_network(floor=1e6)
         config = ExecutionConfig()
         planners = {scheme: make_scheme_planner(scheme) for scheme in schemes}
         samples: dict[str, list[float]] = {scheme: [] for scheme in schemes}
         for index, instant in enumerate(
-            congested_instants(trace, instants, seed=trace_seed)
+            congested_instants(trace, instants, seed=CALIBRATION_TRACE_SEED)
         ):
             requestor, survivors = stripe_nodes_at(
                 trace, instant, n, seed=1000 * index + n * 10 + k

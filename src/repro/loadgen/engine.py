@@ -188,10 +188,10 @@ class ForegroundEngine:
             if sim.now >= max_time:
                 return []
 
-    def drain(self, max_time: float = math.inf) -> None:
+    def drain(self) -> None:
         """Finish every remaining arrival and in-flight foreground flow."""
         sim = self._require_bound()
-        while sim.now < max_time:
+        while True:
             self.abort_on_crash()
             self.pump()
             arrival = self.next_arrival()
@@ -200,11 +200,11 @@ class ForegroundEngine:
                 # the next crash under a pending flow and abort it there.
                 self.absorb(
                     sim.run_until_completion(
-                        min(max_time, arrival, self._next_crash())
+                        min(arrival, self._next_crash())
                     )
                 )
             elif math.isfinite(arrival):
-                self.absorb(sim.advance_to(min(max_time, arrival)))
+                self.absorb(sim.advance_to(arrival))
             else:
                 return
 
@@ -512,11 +512,9 @@ class ForegroundEngine:
         rank = max(1, math.ceil(0.99 * len(ordered)))
         return ordered[rank - 1]
 
-    def goodput(self, now: float | None = None) -> float:
+    def goodput(self) -> float:
         """Foreground bytes delivered per second of elapsed run time."""
-        sim = self._require_bound()
-        now = sim.now if now is None else now
-        elapsed = now - self._offset
+        elapsed = self._require_bound().now - self._offset
         if elapsed <= 0:
             return 0.0
         return self.registry.counter("fg_bytes").value / elapsed

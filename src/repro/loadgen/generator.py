@@ -30,6 +30,9 @@ from repro.loadgen.requests import READ, WRITE, ClientRequest
 from repro.traces.workload import WorkloadTrace
 from repro.units import mib
 
+#: Seconds each multiplier of a ``rate_profile`` covers.
+PROFILE_INTERVAL = 1.0
+
 
 @dataclass(frozen=True)
 class LoadProfile:
@@ -92,7 +95,7 @@ def rate_profile_from_trace(trace: WorkloadTrace) -> np.ndarray:
     return np.clip(mean_used / base, 0.05, None)
 
 
-def _rate_shape(rate_profile: np.ndarray | None, profile_interval: float):
+def _rate_shape(rate_profile: np.ndarray | None):
     """(rate multiplier fn, peak multiplier) for the thinning sampler."""
     if rate_profile is None:
         return (lambda t: 1.0), 1.0
@@ -103,7 +106,7 @@ def _rate_shape(rate_profile: np.ndarray | None, profile_interval: float):
         raise LoadGenError("rate_profile multipliers cannot be negative")
 
     def traced(t: float) -> float:
-        index = min(int(t / profile_interval), len(samples) - 1)
+        index = min(int(t / PROFILE_INTERVAL), len(samples) - 1)
         return float(samples[index])
 
     return traced, float(samples.max())
@@ -115,7 +118,6 @@ def generate_requests(
     node_count: int,
     seed: int | np.random.Generator = 0,
     rate_profile: np.ndarray | None = None,
-    profile_interval: float = 1.0,
 ) -> list[ClientRequest]:
     """Generate a seeded, time-ordered foreground request stream.
 
@@ -123,7 +125,7 @@ def generate_requests(
     random client node (never the chunk's holder — that read is local and
     moves no network bytes); writes store a fresh object across a
     stripe's placement.  With ``rate_profile`` the arrival rate follows
-    its multipliers, one per ``profile_interval`` seconds (the last
+    its multipliers, one per :data:`PROFILE_INTERVAL` seconds (the last
     holds beyond its end).  Deterministic for a given seed.  ``seed`` is an
     integer (historical streams, unchanged) or a child generator spawned
     from a composite run's root seed
@@ -134,7 +136,7 @@ def generate_requests(
     if node_count < 2:
         raise LoadGenError("need at least two nodes for client traffic")
     rng = rng_from(seed)
-    rate_of, peak = _rate_shape(rate_profile, profile_interval)
+    rate_of, peak = _rate_shape(rate_profile)
     # Generator.choice(len(ordered), p=weights) builds this CDF on every
     # call and draws ``cdf.searchsorted(rng.random(), side="right")``.
     cdf = zipf_weights(len(stripes), profile.zipf_s).cumsum()

@@ -87,13 +87,6 @@ class BandwidthTrace:
         """A trace that never changes."""
         return cls([0.0], [value])
 
-    @classmethod
-    def from_samples(
-        cls, values: Sequence[float], interval: float = 1.0, start: float = 0.0
-    ) -> BandwidthTrace:
-        """Build a trace from evenly spaced samples (paper: 1 s interval)."""
-        return cls(sample_grid(len(values), interval, start), values)
-
     @property
     def breakpoints(self) -> list[float]:
         return list(self._times)
@@ -238,10 +231,6 @@ class NodeBandwidth:
 
     def down_at(self, t: float) -> float:
         return self.downlink.value_at(t)
-
-    def theo_at(self, t: float) -> float:
-        """Theoretical available node bandwidth: min(up, down) (§IV-B)."""
-        return min(self.up_at(t), self.down_at(t))
 
     def next_change_after(self, t: float) -> float:
         return min(

@@ -116,27 +116,6 @@ class RackNetwork(CapacityRows):
         self._check(node)
         return self.capacities_at(t)["down", node]
 
-    def rack_up_at(self, rack: int, t: float) -> float:
-        self._check_rack(rack)
-        return self.capacities_at(t)["rack_up", rack]
-
-    def rack_down_at(self, rack: int, t: float) -> float:
-        self._check_rack(rack)
-        return self.capacities_at(t)["rack_down", rack]
-
-    def link_bandwidth(self, src: int, dst: int, t: float) -> float:
-        """Available bandwidth src -> dst including rack links if crossed."""
-        if src == dst:
-            raise SimulationError(f"self-link on node {src}")
-        value = min(self.up_at(src, t), self.down_at(dst, t))
-        if not self.same_rack(src, dst):
-            value = min(
-                value,
-                self.rack_up_at(self.rack_of(src), t),
-                self.rack_down_at(self.rack_of(dst), t),
-            )
-        return value
-
     # ------------------------------------------------------------------
     # Fluid-simulator topology interface
     # ------------------------------------------------------------------

@@ -35,6 +35,8 @@ from repro.network.simulator import FluidSimulator
 from repro.network.topology import StarNetwork
 
 KINDS = ("repair", "foreground", "hedge")
+#: Helpers per repair chain of a :func:`storm_scenario`.
+STORM_FANIN = 6
 
 
 @dataclass(frozen=True)
@@ -176,15 +178,14 @@ def storm_scenario(
     node_count: int = 1024,
     repairs: int = 200,
     foreground_flows: int = 600,
-    fanin: int = 6,
     horizon: float = 240.0,
     burst: bool = False,
 ) -> Scenario:
     """A full-node repair storm under sustained foreground load.
 
-    ``repairs`` pipelined repair trees (each a ``fanin``-helper chain
-    into a requestor — the failed node's stripes re-rooted across the
-    cluster) run against ``foreground_flows`` short client flows with
+    ``repairs`` pipelined repair trees (each a :data:`STORM_FANIN`-helper
+    chain into a requestor — the failed node's stripes re-rooted across
+    the cluster) run against ``foreground_flows`` short client flows with
     Poisson arrivals, over static capacities so the run's cost is pure
     recompute (arrivals/finishes), not breakpoint churn.
 
@@ -204,7 +205,7 @@ def storm_scenario(
     ops: list[Op] = []
     for _ in range(repairs):
         arrival = 0.0 if burst else rng.uniform(0.0, horizon)
-        nodes = rng.sample(range(node_count), fanin + 1)
+        nodes = rng.sample(range(node_count), STORM_FANIN + 1)
         edges = tuple(zip(nodes, nodes[1:]))
         ops.append(Op(
             time=arrival, action="pipelined", edges=edges,

@@ -121,6 +121,12 @@ class TaskHandle:
     #: cancellation time for cancelled tasks (1.0 once finished).  Live
     #: tasks are read through :meth:`FluidSimulator.task_progress`.
     progress: float = 0.0
+    #: Bytes submitted, summed over the task's edges.
+    submitted_bytes: float = 0.0
+    #: Bytes its departed entities carried, summed over their edges
+    #: (everything it carried once finished or cancelled).  Live tasks
+    #: are read through :meth:`FluidSimulator.task_bytes_carried`.
+    departed_bytes: float = 0.0
 
     @property
     def done(self) -> bool:
@@ -252,11 +258,6 @@ class FluidSimulator:
         self._handles: dict[int, TaskHandle] = {}
         self._task_ids = itertools.count()
         self._task_entities: dict[int, set[int]] = {}
-        #: Per-task bytes submitted / carried by departed entities
-        #: (summed over edges), kept across completion and cancellation
-        #: for progress watermarks.
-        self._task_totals: dict[int, float] = {}
-        self._task_bytes: dict[int, float] = {}
         self._task_tracks: dict[int, str] = {}
         self._task_spans: dict[int, int] = {}
         self._task_rates: dict[int, float] = {}
@@ -526,9 +527,7 @@ class FluidSimulator:
             self._engine.add_entity(entity_id, entity)
         self._handles[handle.task_id] = handle
         self._task_entities[handle.task_id] = members
-        self._task_totals[handle.task_id] = sum(
-            e.total * len(e.edges) for e in entities
-        )
+        handle.submitted_bytes = sum(e.total * len(e.edges) for e in entities)
         self.rate_epoch += 1
 
     # ------------------------------------------------------------------
@@ -541,9 +540,8 @@ class FluidSimulator:
     def current_rate(self, handle: TaskHandle) -> float:
         """Aggregate current rate of a task (sum over its live entities).
 
-        Forces a solve, like :meth:`current_usage` and
-        :meth:`link_utilization`: a simulation input, not a pure read
-        (:meth:`_settle`).
+        Forces a solve, like :meth:`current_usage`: a simulation input,
+        not a pure read (:meth:`_settle`).
         """
         self._ensure_rates()
         ids = self._task_entities.get(handle.task_id, set())
@@ -567,7 +565,7 @@ class FluidSimulator:
         """
         if handle.done or handle.cancelled:
             return handle.progress
-        total = self._task_totals.get(handle.task_id, 0.0)
+        total = handle.submitted_bytes
         if total <= 0:
             return 0.0
         return max(0.0, min(1.0, self.task_bytes_carried(handle) / total))
@@ -579,7 +577,7 @@ class FluidSimulator:
         carried plus the closed-form share of the live ones.
         :meth:`task_progress` is this over the submitted total.
         """
-        carried = self._task_bytes.get(handle.task_id, 0.0)
+        carried = handle.departed_bytes
         now = self.now
         for entity_id in self._task_entities.get(handle.task_id, ()):
             entity = self._entities[entity_id]
@@ -608,36 +606,6 @@ class FluidSimulator:
                     )
                 # Rack-level resources are not per-node usage.
         return up, down
-
-    def link_utilization(self) -> float:
-        """Peak used/capacity ratio over the network's resources *now*.
-
-        The backpressure watermark signal: 1.0 means at least one link
-        (node uplink/downlink, or rack link on hierarchical topologies)
-        is saturated by the current max-min allocation.  Resources with
-        zero capacity count as fully utilised only when something is
-        actually trying to cross them.
-        """
-        self._ensure_rates()
-        used: dict = {}
-        for entity in self._entities.values():
-            if entity.rate <= 0:
-                continue
-            for resource, coefficient in entity.usage.items():
-                used[resource] = (
-                    used.get(resource, 0.0) + coefficient * entity.rate
-                )
-        if not used:
-            return 0.0
-        capacities = self.network.capacities_at(self.now)
-        peak = 0.0
-        for resource in sorted(used):
-            capacity = capacities.get(resource, 0.0)
-            if capacity <= 0.0:
-                peak = max(peak, 1.0)
-            else:
-                peak = max(peak, used[resource] / capacity)
-        return peak
 
     # ------------------------------------------------------------------
     # Rate control
@@ -692,7 +660,7 @@ class FluidSimulator:
             entity = self._entities.pop(entity_id)
             self._settle(entity)
             remaining += entity.remaining
-            self._credit(entity, entity.total - entity.remaining)
+            self._credit(handle, entity, entity.total - entity.remaining)
             self._engine.remove_entity(entity_id)
         handle.cancelled = True
         self._stats.tasks_cancelled += 1
@@ -834,9 +802,9 @@ class FluidSimulator:
             # Finishing is exact: whatever rounding the residue picked
             # up, the entity carried the bytes it was submitted with.
             self.settlements += 1
-            self._credit(entity, entity.total)
-            self._engine.remove_entity(entity_id)
             task_id = entity.task_id
+            self._credit(self._handles[task_id], entity, entity.total)
+            self._engine.remove_entity(entity_id)
             members = self._task_entities[task_id]
             members.discard(entity_id)
             if members:
@@ -879,12 +847,11 @@ class FluidSimulator:
         changed or it was cancelled — and nowhere else; with no time
         elapsed it subtracts ``rate * 0.0`` and changes no bit.  A
         solve is such a move, so the readers that force one
-        (:meth:`current_rate`, :meth:`current_usage`,
-        :meth:`link_utilization`) are inputs of the simulation, not
-        free observers: between two mutations of one instant that move
-        a rate and move it back to the bit, a solve settles the entity
-        where none would have, and its finish time may differ in the
-        last bits.  Every other extra solve changes no float.
+        (:meth:`current_rate`, :meth:`current_usage`) are inputs of the
+        simulation, not free observers: between two mutations of one
+        instant that move a rate and move it back to the bit, a solve
+        settles the entity where none would have, and its finish time
+        may differ in the last bits.  Every other extra solve changes no float.
         """
         now = self.now
         entity.remaining -= entity.settled_rate * (now - entity.settled_at)
@@ -914,14 +881,13 @@ class FluidSimulator:
             ]
             heapify(heap)
 
-    def _credit(self, entity: _Entity, carried: float) -> None:
+    def _credit(
+        self, handle: TaskHandle, entity: _Entity, carried: float
+    ) -> None:
         """Book what a departing entity carried (per edge) in the
-        ledger and under its task."""
+        ledger and on its task's handle."""
         if carried > 0:
-            task_id = entity.task_id
-            self._task_bytes[task_id] = self._task_bytes.get(
-                task_id, 0.0
-            ) + self._ledger.credit(entity, carried)
+            handle.departed_bytes += self._ledger.credit(entity, carried)
 
     def _stuck_report(self) -> str:
         """Message of the stuck error: who starves, and on what.

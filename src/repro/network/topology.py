@@ -82,12 +82,6 @@ class StarNetwork(CapacityRows):
         self._check(node_id)
         return self.capacities_at(t)["down", node_id]
 
-    def link_bandwidth(self, src: int, dst: int, t: float) -> float:
-        """Available bandwidth of the directed link src -> dst at time t."""
-        if src == dst:
-            raise SimulationError(f"self-link on node {src}")
-        return min(self.up_at(src, t), self.down_at(dst, t))
-
     def next_change_after(self, t: float) -> float:
         """Earliest capacity breakpoint strictly after ``t`` on any node."""
         index = bisect_right(self._breakpoints, t)

@@ -66,6 +66,9 @@ __all__ = [
 #: Achieved/claimed ratios above this are flagged as anomalous.
 _EXCEED_TOL = 1.01
 
+#: Characters of the inline waterfall bar of a diagnosis.
+_WATERFALL_WIDTH = 20
+
 #: A sampled link above this utilization counts as saturated.
 SATURATION = 0.95
 
@@ -317,7 +320,7 @@ class RunDiagnosis:
         return "\n".join(lines)
 
 
-def _waterfall(diag: RepairDiagnosis, width: int = 20) -> str:
+def _waterfall(diag: RepairDiagnosis) -> str:
     """Tiny inline stacked bar of a diagnosis' time components."""
     duration = diag.duration
     if duration <= 0:
@@ -325,8 +328,10 @@ def _waterfall(diag: RepairDiagnosis, width: int = 20) -> str:
     out = []
     for key in FLOW_CATEGORIES:
         seconds = diag.components.get(key, 0.0)
-        out.append(GLYPHS[key] * round(width * seconds / duration))
-    return "".join(out)[:width] or "#"
+        out.append(
+            GLYPHS[key] * round(_WATERFALL_WIDTH * seconds / duration)
+        )
+    return "".join(out)[:_WATERFALL_WIDTH] or "#"
 
 
 # ----------------------------------------------------------------------

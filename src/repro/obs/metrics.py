@@ -33,14 +33,14 @@ __all__ = [
 ]
 
 
-def _label_items(labels: dict) -> tuple[tuple[str, str], ...]:
+def label_items(labels: dict) -> tuple[tuple[str, str], ...]:
     """Canonical (sorted, stringified) form of a label set."""
     return tuple(sorted((key, str(value)) for key, value in labels.items()))
 
 
 def render_labels(labels: dict) -> str:
     """Render a label set as ``{k="v",...}`` (empty string when none)."""
-    items = _label_items(labels)
+    items = label_items(labels)
     if not items:
         return ""
     body = ",".join(f'{key}="{value}"' for key, value in items)
@@ -57,7 +57,7 @@ class Counter:
         self.value = 0.0
         # The unlabeled case canonicalises nothing: an object, a dict.
         self.labels: dict[str, str] = (
-            dict(_label_items(labels)) if labels else {}
+            dict(label_items(labels)) if labels else {}
         )
 
     def inc(self, amount: float = 1.0) -> None:
@@ -75,7 +75,7 @@ class Gauge:
         self.name = name
         self.value = 0.0
         self.labels: dict[str, str] = (
-            dict(_label_items(labels)) if labels else {}
+            dict(label_items(labels)) if labels else {}
         )
 
     def set(self, value: float) -> None:
@@ -118,7 +118,7 @@ class Histogram:
             raise ValueError("reservoir size must be >= 1")
         self.name = name
         self.labels: dict[str, str] = (
-            dict(_label_items(labels)) if labels else {}
+            dict(label_items(labels)) if labels else {}
         )
         self.samples: list[float] = []
         self.count = 0
@@ -129,11 +129,6 @@ class Histogram:
         # Lazily created on first eviction: deterministic per name, so
         # seeded runs stay reproducible without a global RNG.
         self._rng: random.Random | None = None
-
-    @property
-    def exact(self) -> bool:
-        """True while every observation is still held verbatim."""
-        return self.count == len(self.samples)
 
     @property
     def total(self) -> float:

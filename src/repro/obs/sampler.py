@@ -268,19 +268,6 @@ class FlightRecorder:
         ]
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def peak_utilization(self) -> dict[tuple[str, int], float]:
-        """Highest observed utilization per (direction, node) link."""
-        peaks: dict[tuple[str, int], float] = {}
-        for sample in self.samples:
-            for direction, series in (
-                ("up", sample.up_util), ("down", sample.down_util)
-            ):
-                for node, value in series.items():
-                    key = (direction, node)
-                    if value > peaks.get(key, 0.0):
-                        peaks[key] = value
-        return peaks
-
 
 def samples_from_jsonl(text: str) -> list[Sample]:
     """Parse a JSONL sample stream back into :class:`Sample` records;

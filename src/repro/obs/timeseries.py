@@ -34,7 +34,7 @@ import math
 from collections import deque
 
 from repro.exceptions import ReproError
-from repro.obs import promtext
+from repro.obs.metrics import label_items
 
 __all__ = ["TimeSeriesError", "Series", "TimeSeriesDB"]
 
@@ -48,10 +48,6 @@ class TimeSeriesError(ReproError):
     """Invalid time-series operation or query."""
 
 
-def _label_items(labels: dict) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted((key, str(value)) for key, value in labels.items()))
-
-
 class Series:
     """One named, labeled time series backed by a bounded ring."""
 
@@ -59,7 +55,7 @@ class Series:
 
     def __init__(self, name: str, labels: dict, kind: str, capacity: int):
         self.name = name
-        self.labels: dict[str, str] = dict(_label_items(labels))
+        self.labels: dict[str, str] = dict(label_items(labels))
         self.kind = kind
         self.points: deque[tuple[float, float]] = deque(maxlen=capacity)
         self.dropped = 0
@@ -135,7 +131,7 @@ class TimeSeriesDB:
     # Ingest
     # ------------------------------------------------------------------
     def _get(self, name: str, labels: dict, kind: str) -> Series:
-        key = (name, _label_items(labels))
+        key = (name, label_items(labels))
         series = self._series.get(key)
         if series is None:
             if kind not in _KINDS:
@@ -292,32 +288,3 @@ class TimeSeriesDB:
             for series in self.all_series()
         ]
         return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_jsonl(cls, text: str, capacity: int = DEFAULT_CAPACITY):
-        """Rebuild a database from :meth:`to_jsonl` output."""
-        db = cls(capacity=capacity)
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            raw = json.loads(line)
-            labels = raw.get("labels", {})
-            kind = raw.get("kind", "gauge")
-            series = db._get(raw["name"], labels, kind)
-            for t, value in raw.get("points", []):
-                series.append(float(t), float(value))
-            if series.points:
-                series._total = series.points[-1][1]
-            series.dropped = int(raw.get("dropped", 0))
-        return db
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition of the latest point per series."""
-        return promtext.render_exposition(tsdb=self)
-
-    def merge_counts(self) -> dict[str, int]:
-        """Series count per family name (debug/CLI surface)."""
-        out: dict[str, int] = {}
-        for series in self.all_series():
-            out[series.name] = out.get(series.name, 0) + 1
-        return out

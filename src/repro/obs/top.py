@@ -28,6 +28,13 @@ __all__ = ["Dashboard", "LiveTop"]
 
 #: ANSI sequence between live frames: cursor home, then erase below.
 _FRAME_PREFIX = "\x1b[H\x1b[J"
+#: Trailing seconds the rate/percentile queries of a frame cover.
+WINDOW = 5.0
+#: Most-utilized nodes a frame shows before it truncates the list.
+MAX_NODES = 12
+#: Prefix frames with the ANSI home+clear sequence (a refreshing
+#: terminal view); off, frames are separated by a blank line.
+ANSI = True
 
 _BAR_FULL = "#"
 _BAR_EMPTY = "."
@@ -66,16 +73,11 @@ class Dashboard:
         tsdb: the telemetry database the frames read.
         slo: optional :class:`~repro.obs.slo.SLOMonitor` for burn gauges
             and the alert feed.
-        window: trailing seconds the rate/percentile queries cover.
-        max_nodes: most-utilized links shown before truncation.
     """
 
-    def __init__(self, tsdb, slo=None, window: float = 5.0,
-                 max_nodes: int = 12):
+    def __init__(self, tsdb, slo=None):
         self.tsdb = tsdb
         self.slo = slo
-        self.window = float(window)
-        self.max_nodes = int(max_nodes)
 
     # ------------------------------------------------------------------
     # Queries
@@ -116,7 +118,7 @@ class Dashboard:
     def render(self, now: float | None = None, width: int = 78) -> str:
         """One full dashboard frame as plain text."""
         now = self.now() if now is None else float(now)
-        t0 = max(0.0, now - self.window)
+        t0 = max(0.0, now - WINDOW)
         lines = [f"repro top · t={now:.2f}s (sim)"]
         lines += self._header_lines(now)
         lines += self._node_lines()
@@ -156,14 +158,14 @@ class Dashboard:
             utilization.items(),
             key=lambda kv: -max(kv[1].values(), default=0.0),
         )
-        for node, directions in ranked[: self.max_nodes]:
+        for node, directions in ranked[:MAX_NODES]:
             up = directions.get("up", math.nan)
             down = directions.get("down", math.nan)
             lines.append(
                 f"  node {node:>3}  [{_bar(up, 14)}] "
                 f"{self._pct(up)} | [{_bar(down, 14)}] {self._pct(down)}"
             )
-        hidden = len(ranked) - self.max_nodes
+        hidden = len(ranked) - MAX_NODES
         if hidden > 0:
             lines.append(f"  … {hidden} quieter nodes not shown")
         return lines
@@ -184,7 +186,7 @@ class Dashboard:
             rows.append((series.labels["kind"], mean))
         if not rows:
             return []
-        lines = ["", f"throughput by class (last {self.window:g}s)"]
+        lines = ["", f"throughput by class (last {WINDOW:g}s)"]
         for kind, mean in sorted(rows):
             lines.append(f"  {kind:<12} {_rate(mean)}")
         return lines
@@ -195,7 +197,7 @@ class Dashboard:
             return []
         lines = [
             "",
-            f"tenants (last {self.window:g}s)",
+            f"tenants (last {WINDOW:g}s)",
             "  tenant        req/s     p99       bytes",
         ]
         for tenant in tenants:
@@ -255,20 +257,16 @@ class LiveTop:
 
     Register on the flight recorder
     (``sampler.add_listener(live.on_tick)``): every ``refresh``
-    simulated seconds the next sample tick renders a frame.  Frames are
-    prefixed with the ANSI home+clear sequence so a terminal shows a
-    refreshing view; ``ansi=False`` separates frames with a blank line
-    instead (tests, piped output).
+    simulated seconds the next sample tick renders a frame, prefixed as
+    :data:`ANSI` says.
     """
 
-    def __init__(self, dashboard: Dashboard, stream, refresh: float = 1.0,
-                 ansi: bool = True):
+    def __init__(self, dashboard: Dashboard, stream, refresh: float = 1.0):
         if refresh <= 0:
             raise ValueError("refresh interval must be positive")
         self.dashboard = dashboard
         self.stream = stream
         self.refresh = float(refresh)
-        self.ansi = ansi
         self.frames = 0
         self._next_frame: float | None = None
 
@@ -283,6 +281,6 @@ class LiveTop:
     def emit(self, now: float | None = None) -> None:
         """Render and write one frame unconditionally."""
         frame = self.dashboard.render(now)
-        prefix = _FRAME_PREFIX if self.ansi else ("\n" if self.frames else "")
+        prefix = _FRAME_PREFIX if ANSI else ("\n" if self.frames else "")
         self.stream.write(prefix + frame + "\n")
         self.frames += 1

@@ -92,11 +92,6 @@ class Tracer:
     def __len__(self) -> int:
         return len(self.events)
 
-    @property
-    def current_parent(self) -> int | None:
-        """Innermost ambient parent span pushed with :meth:`scope`."""
-        return self._scope[-1] if self._scope else None
-
     @contextmanager
     def scope(self, span_id: int):
         """Make ``span_id`` the ambient causal parent inside the block.
@@ -120,8 +115,7 @@ class Tracer:
         **fields,
     ) -> None:
         """Record a point event at simulated time ``t``."""
-        # Hot path: current_parent is inlined — a traced run emits tens
-        # of thousands of instants.
+        # Hot path: a traced run emits tens of thousands of instants.
         if parent_id is None and self._scope:
             parent_id = self._scope[-1]
         self.events.append(
@@ -224,7 +218,6 @@ class NullTracer:
 
     enabled = False
     events: tuple = ()
-    current_parent: int | None = None
 
     def instant(
         self, name: str, t: float, track: str = "sim",

@@ -5,12 +5,8 @@ from repro.repair.executor import (
     repair_single_chunk,
     repair_single_chunk_faulted,
 )
-from repro.repair.fullnode import (
-    choose_requestor,
-    repair_full_node,
-    repair_full_node_adaptive,
-)
-from repro.repair.jobmaster import StripeRepairMaster
+from repro.repair.fullnode import repair_full_node, repair_full_node_adaptive
+from repro.repair.jobmaster import StripeRepairMaster, choose_requestor
 from repro.repair.metrics import FullNodeResult, RepairFailed, RepairResult
 from repro.repair.multichunk import (
     MultiChunkPlan,

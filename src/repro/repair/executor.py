@@ -48,7 +48,6 @@ def execute_plan(
     start_time: float = 0.0,
     config: ExecutionConfig | None = None,
     tracer=NULL_TRACER,
-    sampler=None,
 ) -> RepairResult:
     """Run a repair plan on a fresh simulator and time the transfer.
 
@@ -56,13 +55,9 @@ def execute_plan(
     rate); staged plans run their rounds back-to-back, each round a set of
     independent whole-chunk flows.  With a live ``tracer`` the simulator
     emits flow events and the result carries a ``telemetry`` snapshot.
-    ``sampler`` (a :class:`~repro.obs.FlightRecorder`) records aligned
-    utilization time series for post-run diagnosis.
     """
     config = config or ExecutionConfig()
-    sim = FluidSimulator(
-        network, start_time=start_time, tracer=tracer, sampler=sampler
-    )
+    sim = FluidSimulator(network, start_time=start_time, tracer=tracer)
     task_span = None
     task_track = f"repair:{plan.requestor}"
     if tracer.enabled:
@@ -184,15 +179,13 @@ def repair_single_chunk(
     start_time: float = 0.0,
     config: ExecutionConfig | None = None,
     tracer=NULL_TRACER,
-    sampler=None,
 ) -> RepairResult:
     """Plan (from a snapshot at ``start_time``) and execute one repair."""
     snapshot = BandwidthSnapshot.from_network(network, start_time)
     with planner.traced(tracer):
         plan = planner.plan(snapshot, requestor, candidates, k)
     return execute_plan(
-        plan, network, start_time=start_time, config=config, tracer=tracer,
-        sampler=sampler,
+        plan, network, start_time=start_time, config=config, tracer=tracer
     )
 
 
@@ -210,7 +203,6 @@ def repair_single_chunk_faulted(
     start_time: float = 0.0,
     config: ExecutionConfig | None = None,
     tracer=NULL_TRACER,
-    sampler=None,
     journal=None,
     health: HealthPolicy | None = None,
 ) -> RepairResult | RepairFailed:
@@ -235,9 +227,7 @@ def repair_single_chunk_faulted(
     """
     config = config or ExecutionConfig()
     net = FaultyNetwork.wrap(network, faults)
-    sim = FluidSimulator(
-        net, start_time=start_time, tracer=tracer, sampler=sampler
-    )
+    sim = FluidSimulator(net, start_time=start_time, tracer=tracer)
     master = StripeRepairMaster(
         None, planner, net, [stripe], failed_node, sim=sim,
         scheme=planner.name, config=config, tracer=tracer, faults=faults,

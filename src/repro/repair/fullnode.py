@@ -44,11 +44,7 @@ from repro.faults.policy import RetryPolicy
 from repro.network.simulator import FluidSimulator
 from repro.network.topology import StarNetwork
 from repro.obs.tracer import NULL_TRACER
-from repro.repair.jobmaster import (  # noqa: F401 - re-exported names
-    StripeRepairMaster,
-    choose_requestor,
-    residual_snapshot,
-)
+from repro.repair.jobmaster import StripeRepairMaster
 from repro.repair.metrics import FullNodeResult
 from repro.repair.pipeline import ExecutionConfig
 from repro.repair.telemetry import run_counters

@@ -63,7 +63,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "StripeRepairMaster",
     "choose_requestor",
-    "residual_snapshot",
     "slice_ranges",
 ]
 
@@ -120,6 +119,12 @@ def choose_requestor(
 class ResidualView:
     """A network's residual bandwidth under one simulator, per change.
 
+    Residual bandwidth is the available bandwidth net of in-flight
+    repair traffic.  The Master measures instantaneous link usage (the
+    paper uses ``nload``), which includes the repair tasks already
+    running; planning against the residual keeps concurrent repair
+    trees from piling onto the same pivots.
+
     A scheduling round reads every pending stripe's planner inputs from
     "the instant bandwidths situation"; between two reads of a round
     nothing moved.
@@ -173,21 +178,6 @@ class ResidualView:
         self._now, self._epoch = now, sim.rate_epoch
         self.snapshots_built += 1
         return self._snapshot
-
-
-def residual_snapshot(
-    network: StarNetwork, sim: FluidSimulator
-) -> BandwidthSnapshot:
-    """Available bandwidth net of in-flight repair traffic.
-
-    The Master measures instantaneous link usage (the paper uses ``nload``),
-    which includes the repair tasks already running; planning against the
-    residual keeps concurrent repair trees from piling onto the same pivots.
-
-    A from-scratch build; a caller that asks repeatedly (the master, once
-    per plan) keeps a :class:`ResidualView` instead.
-    """
-    return ResidualView(network, sim).snapshot()
 
 
 class PlanInputs(NamedTuple):
@@ -1124,8 +1114,9 @@ class StripeRepairMaster:
         (journaled as ``progress``), so the eventual resume re-plans from
         there instead of re-transferring delivered slices.  A pause is
         not a failed attempt: no budget, no backoff.  Returns the
-        in-flight bytes released back to the admission budget (remaining
-        bytes summed over each task's edges).
+        in-flight bytes the cancelled tasks left uncarried (summed over
+        each task's edges); the control plane reports it as the
+        ``released_bytes`` of its ``shed`` decision.
         """
         released = 0.0
         resumed_stripes: list[Stripe] = []

@@ -11,6 +11,9 @@ from collections.abc import Sequence
 
 from repro.units import format_latency, to_mbps
 
+#: Columns of a :func:`render_timeline` bar.
+TIMELINE_WIDTH = 60
+
 
 def format_seconds(value: float) -> str:
     """Human-scaled duration: us / ms / s with sensible precision."""
@@ -89,8 +92,9 @@ def sparkline(values: Sequence[float]) -> str:
 # ----------------------------------------------------------------------
 # Trace timelines
 # ----------------------------------------------------------------------
-def render_timeline(events: Sequence, width: int = 60) -> str:
-    """ASCII timeline of a traced run, one row per tracer track.
+def render_timeline(events: Sequence) -> str:
+    """ASCII timeline of a traced run, one row per tracer track,
+    :data:`TIMELINE_WIDTH` columns wide.
 
     ``events`` is a sequence of :class:`repro.obs.TraceEvent` (straight
     from a :class:`~repro.obs.Tracer` or re-read from a JSONL dump).
@@ -105,6 +109,7 @@ def render_timeline(events: Sequence, width: int = 60) -> str:
     t0 = min(event.t for event in events)
     t1 = max(event.t for event in events)
     span = (t1 - t0) or 1.0
+    width = TIMELINE_WIDTH
 
     def column(t: float) -> int:
         return min(int((t - t0) / span * (width - 1)), width - 1)

@@ -26,6 +26,12 @@ TABLE1_THRESHOLDS = (0.90, 0.95, 1.00)
 #: The C_v cut-off used throughout Section III-A.
 CV_THRESHOLD = 0.5
 
+#: Observation 2: a second is congested when some node's usage rate
+#: reaches this, and a node is a pivot when both its available uplink
+#: and downlink exceed the fraction of capacity after it.
+PIVOT_USAGE_THRESHOLD = 0.9
+PIVOT_AVAILABLE_FRACTION = 0.5
+
 
 def usage_rates(trace: WorkloadTrace) -> np.ndarray:
     """Per-node per-second usage rate: used node bandwidth / capacity."""
@@ -55,16 +61,14 @@ def congested_seconds(trace: WorkloadTrace, threshold: float) -> np.ndarray:
 
 
 def heterogeneous_congestion_fraction(
-    trace: WorkloadTrace,
-    threshold: float,
-    cv_threshold: float = CV_THRESHOLD,
+    trace: WorkloadTrace, threshold: float
 ) -> float:
-    """Table I cell: P(C_v > cv_threshold | congestion at threshold)."""
+    """Table I cell: P(C_v > CV_THRESHOLD | congestion at threshold)."""
     congested = congested_seconds(trace, threshold)
     if not congested.any():
         return 0.0
     cv = cv_per_second(trace)
-    return float((cv[congested] > cv_threshold).mean())
+    return float((cv[congested] > CV_THRESHOLD).mean())
 
 
 @dataclass(frozen=True)
@@ -131,19 +135,15 @@ def congestion_episode_stats(
     }
 
 
-def pivot_availability(
-    trace: WorkloadTrace,
-    usage_threshold: float = 0.9,
-    pivot_available_fraction: float = 0.5,
-) -> float:
+def pivot_availability(trace: WorkloadTrace) -> float:
     """Observation 2: mean number of pivots during congested seconds.
 
     A node counts as a pivot when *both* its available uplink and downlink
-    exceed ``pivot_available_fraction`` of capacity.
+    exceed :data:`PIVOT_AVAILABLE_FRACTION` of capacity.
     """
-    congested = congested_seconds(trace, usage_threshold)
+    congested = congested_seconds(trace, PIVOT_USAGE_THRESHOLD)
     if not congested.any():
         return float(trace.node_count)
     available = trace.available_node_bandwidth() / trace.capacity
-    pivots = (available > pivot_available_fraction).sum(axis=0)
+    pivots = (available > PIVOT_AVAILABLE_FRACTION).sum(axis=0)
     return float(pivots[congested].mean())

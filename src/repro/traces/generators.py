@@ -241,15 +241,12 @@ def generate_trace(
 
 
 def generate_all(
-    node_count: int = 16,
-    duration: int = 6000,
-    capacity: float = DEFAULT_CAPACITY,
-    seed: int = 0,
+    node_count: int = 16, duration: int = 6000, seed: int = 0
 ) -> dict[str, WorkloadTrace]:
     """Generate the paper's three workload traces with one call."""
     return {
         name: generate_trace(
-            profile, node_count, duration, capacity, seed=seed + index
+            profile, node_count, duration, DEFAULT_CAPACITY, seed=seed + index
         )
         for index, (name, profile) in enumerate(PROFILES.items())
     }

@@ -26,6 +26,9 @@ from repro.network.simulator import FluidSimulator
 from repro.network.topology import StarNetwork
 from repro.traces.workload import WorkloadTrace
 
+#: Seconds of trace :func:`repair_under_competition` replays.
+COMPETITION_HORIZON = 120.0
+
 
 @dataclass(frozen=True)
 class ForegroundFlow:
@@ -160,16 +163,15 @@ def repair_under_competition(
     bytes_per_edge: float,
     start_time: float,
     seed: int = 0,
-    horizon: float = 120.0,
 ) -> float:
     """Transfer time of one pipelined repair competing with foreground.
 
-    Replays the trace window ``[start_time, start_time + horizon)`` as
-    rate-capped flows on a full-capacity network, submits the repair tree,
-    and returns its duration.
+    Replays the trace window ``[start_time, start_time +
+    COMPETITION_HORIZON)`` as rate-capped flows on a full-capacity
+    network, submits the repair tree, and returns its duration.
     """
     window = trace.window(
-        int(start_time), int(np.ceil(horizon / trace.interval))
+        int(start_time), int(np.ceil(COMPETITION_HORIZON / trace.interval))
     )
     flows = [
         ForegroundFlow(

@@ -1,4 +1,5 @@
-"""Chaos harness: one faulted single-chunk repair whose bytes are checked.
+"""Chaos harness: seeded random fault plans, and one faulted single-chunk
+repair whose bytes are checked.
 
 Glues the two halves of the stack together the way the chaos tests need
 them: the *timing* half — the one attempt machine retrying, re-planning
@@ -11,23 +12,96 @@ independent erasure-code decode (:func:`expected_payload`).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.cluster.master import Cluster
 from repro.core.algorithm import PivotRepairPlanner
 from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.core.plan import RepairPlanner
+from repro.core.seeding import rng_from
 from repro.ec.stripe import Stripe
-from repro.exceptions import ClusterError
-from repro.faults.plan import FaultPlan
+from repro.exceptions import ClusterError, FaultError
+from repro.faults.plan import (
+    ChunkReadError,
+    FaultEvent,
+    FaultPlan,
+    HelperStall,
+    LinkDegradation,
+    NodeCrash,
+)
 from repro.faults.policy import RetryPolicy
 from repro.faults.runner import adopt_result
 from repro.network.topology import StarNetwork
 from repro.obs.tracer import NULL_TRACER
 from repro.repair.executor import repair_single_chunk_faulted
-from repro.repair.fullnode import choose_requestor
+from repro.repair.jobmaster import choose_requestor
 from repro.repair.metrics import RepairFailed, RepairResult
 from repro.repair.pipeline import ExecutionConfig
+
+#: Degradation directions, in the order a random plan draws from.
+DIRECTIONS = ("up", "down", "both")
+
+
+def random_fault_plan(
+    seed: int | np.random.Generator,
+    node_count: int,
+    *,
+    horizon: float = 30.0,
+    crashes: int = 1,
+    degradations: int = 1,
+    stalls: int = 1,
+    read_errors: int = 0,
+    protect: Sequence[int] = (),
+) -> FaultPlan:
+    """A seeded random plan over ``node_count`` nodes — the chaos source.
+
+    ``protect`` lists nodes never chosen as fault targets (e.g. the
+    requestor, when a test wants the repair to remain possible).
+    ``seed`` is an integer or an already-spawned child generator (see
+    :func:`repro.core.seeding.spawn_rng`).  The draws are in a fixed
+    order, so the recorded attempt digests stay valid.
+    """
+    rng = rng_from(seed)
+    targets = [n for n in range(node_count) if n not in set(protect)]
+    if not targets:
+        raise FaultError("no nodes left to inject faults into")
+    events: list[FaultEvent] = []
+    for _ in range(crashes):
+        events.append(
+            NodeCrash(
+                node=int(rng.choice(targets)),
+                time=float(rng.uniform(0.0, horizon)),
+            )
+        )
+    for _ in range(degradations):
+        start = float(rng.uniform(0.0, horizon))
+        events.append(
+            LinkDegradation(
+                node=int(rng.choice(targets)),
+                start=start,
+                end=start + float(rng.uniform(horizon / 20, horizon / 2)),
+                factor=float(rng.uniform(0.05, 0.8)),
+                direction=str(rng.choice(DIRECTIONS)),
+            )
+        )
+    for _ in range(stalls):
+        events.append(
+            HelperStall(
+                node=int(rng.choice(targets)),
+                start=float(rng.uniform(0.0, horizon)),
+                duration=float(rng.uniform(horizon / 20, horizon / 4)),
+            )
+        )
+    for _ in range(read_errors):
+        events.append(
+            ChunkReadError(
+                node=int(rng.choice(targets)),
+                time=float(rng.uniform(0.0, horizon)),
+            )
+        )
+    return FaultPlan(events)
 
 
 class ChaosOutcome:
@@ -131,7 +205,7 @@ def run_chaos_single_chunk(
         )
     expected = expected_payload(cluster, stripe, lost_index)
     if cluster.nodes[failed_node].alive:
-        cluster.fail_node(failed_node, at=0.0)
+        cluster.fail_node(failed_node)
     snapshot = BandwidthSnapshot.from_network(network, 0.0)
     requestor = choose_requestor(
         snapshot, stripe, failed_node, cluster.node_count,

@@ -20,7 +20,7 @@ class TestStorage:
         node.store(cid, payload(1))
         np.testing.assert_array_equal(node.read(cid), payload(1))
         assert node.has(cid)
-        assert node.chunk_count == 1
+        assert node.chunk_ids() == [cid]
 
     def test_read_missing_raises(self):
         with pytest.raises(ClusterError):
@@ -78,7 +78,7 @@ class TestFailure:
         node.fail()
         node.recover()
         assert node.alive
-        assert node.chunk_count == 0
+        assert node.chunk_ids() == []
         node.store(ChunkId(0, 0), payload(2))  # writable again
 
 

@@ -175,7 +175,7 @@ class TestMegabyteRoundTrips:
         rng = np.random.default_rng(n * 100 + k)
         data = [words(GF256, rng, MIB) for _ in range(k)]
         stripe = code.encode(data)
-        for row, parity in zip(code.generator[k:], stripe[k:]):
+        for row, parity in zip(code._generator[k:], stripe[k:]):
             np.testing.assert_array_equal(
                 parity, logexp_linear_combination(GF256, row, data)
             )

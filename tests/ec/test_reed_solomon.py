@@ -30,16 +30,13 @@ class TestConstruction:
     def test_systematic_prefix_is_identity(self):
         code = RSCode(6, 4)
         np.testing.assert_array_equal(
-            code.generator[:4], np.eye(4, dtype=np.uint8)
+            code._generator[:4], np.eye(4, dtype=np.uint8)
         )
 
     def test_equality_and_hash(self):
         assert RSCode(6, 4) == RSCode(6, 4)
         assert RSCode(6, 4) != RSCode(9, 6)
         assert hash(RSCode(6, 4)) == hash(RSCode(6, 4))
-
-    def test_parity_count(self):
-        assert RSCode(14, 10).parity_count == 4
 
     def test_repr(self):
         assert repr(RSCode(6, 4)) == "RSCode(n=6, k=4, GF(2^8))"

@@ -15,6 +15,7 @@ from repro.experiments import (
     run_figure7,
     stripe_nodes_at,
 )
+from repro.experiments import single_chunk
 from repro.experiments.config import NODE_COUNT
 from repro.experiments.sweeps import (
     fixed_network,
@@ -126,12 +127,11 @@ class TestStripePlacementReadsAColumn:
 
 
 class TestRunners:
-    def test_run_cell_returns_positive_timings(self, small_world):
+    def test_run_cell_returns_positive_timings(self, small_world, monkeypatch):
+        monkeypatch.setattr(single_chunk, "INSTANTS_PER_CELL", 2)
         traces, networks = small_world
         cell = run_cell(
-            traces["SWIM"], networks["SWIM"], 6, 4, "PivotRepair",
-            config=ExecutionConfig(chunk_size=1_000_000),
-            instants=2,
+            traces["SWIM"], networks["SWIM"], 6, 4, "PivotRepair"
         )
         assert cell.planning_seconds > 0
         assert cell.transfer_seconds > 0

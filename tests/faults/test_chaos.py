@@ -26,10 +26,14 @@ from repro.repair import (
     repair_full_node,
     repair_single_chunk_faulted,
 )
-from repro.repair.fullnode import choose_requestor
+from repro.repair.jobmaster import choose_requestor
 from repro.repair.pipeline import ExecutionConfig
 from repro.resilience import RepairJournal
-from tests.chaos_harness import expected_payload, run_chaos_single_chunk
+from tests.chaos_harness import (
+    expected_payload,
+    random_fault_plan,
+    run_chaos_single_chunk,
+)
 from tests.one_stripe import one_stripe
 
 NODE_COUNT = 12
@@ -264,7 +268,7 @@ class TestFailurePaths:
         # cluster already lost is a caller's error, not a candidate.
         cluster, (stripe,) = seeded_cluster()
         helper = stripe.placement[2]
-        cluster.fail_node(helper, at=0.0)
+        cluster.fail_node(helper)
         with pytest.raises(ClusterError, match=rf"helpers \[{helper}\]"):
             run_chaos_single_chunk(
                 cluster, heterogeneous_network(), stripe, 0,
@@ -307,7 +311,7 @@ class TestChaosProperty:
     def test_random_fault_plans_never_corrupt(self, seed):
         cluster, (stripe,) = seeded_cluster(seed=3)
         network = heterogeneous_network()
-        faults = FaultPlan.random(
+        faults = random_fault_plan(
             seed, NODE_COUNT, horizon=2.0, crashes=2, degradations=2,
             stalls=2, read_errors=1,
         )
@@ -361,7 +365,7 @@ class TestChaosProperty:
             )
             for s in lost
         }
-        cluster.fail_node(failed, at=0.0)
+        cluster.fail_node(failed)
         network = StarNetwork.constant(
             [1e6 + i * 3e4 for i in range(NODE_COUNT)],
             [1e6 + i * 5e4 for i in range(NODE_COUNT)],
@@ -369,7 +373,7 @@ class TestChaosProperty:
         result = repair_full_node(
             PivotRepairPlanner(), network, lost, failed, concurrency=3,
             config=config, journal=RepairJournal(),
-            faults=FaultPlan.random(
+            faults=random_fault_plan(
                 seed, NODE_COUNT, horizon=2.0, crashes=2, degradations=2,
                 stalls=2, read_errors=1,
             ),
@@ -390,7 +394,7 @@ class TestChaosProperty:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_same_seed_same_outcome(self, seed):
-        faults = FaultPlan.random(seed, NODE_COUNT, horizon=2.0, crashes=2)
+        faults = random_fault_plan(seed, NODE_COUNT, horizon=2.0, crashes=2)
 
         def run():
             cluster, (stripe,) = seeded_cluster(seed=3)

@@ -5,6 +5,7 @@ import math
 from repro.faults import FaultPlan, FaultyNetwork
 from repro.network.hierarchical import RackNetwork
 from repro.network.topology import StarNetwork
+from tests.network.links import link_bandwidth
 
 
 def star():
@@ -56,7 +57,7 @@ class TestCapacities:
         net = FaultyNetwork.wrap(
             star(), FaultPlan.from_spec("degrade:0@0-10x0.1:up")
         )
-        assert net.link_bandwidth(0, 1, 5.0) == 10.0
+        assert link_bandwidth(net, 0, 1, 5.0) == 10.0
 
     def test_rack_network_keys_pass_through(self):
         base = RackNetwork.uniform(

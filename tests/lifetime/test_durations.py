@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.seeding import spawn_rng
 from repro.exceptions import LifetimeError
+from repro.lifetime import durations
 from repro.lifetime.durations import (
     CalibratedDurations,
     ExponentialDurations,
@@ -58,11 +59,14 @@ class TestCalibratedModel:
         with pytest.raises(LifetimeError):
             CalibratedDurations({"pivot": [1.0, -2.0]})
 
+    @pytest.fixture(autouse=True)
+    def short_trace(self, monkeypatch):
+        monkeypatch.setattr(durations, "CALIBRATION_TRACE_SECONDS", 300)
+
     def test_calibrate_runs_real_repairs(self):
         model = CalibratedDurations.calibrate(
             workload="TPC-DS", code=(6, 4),
-            schemes=("pivot", "conventional"), instants=3,
-            trace_duration=300, scale=2.0,
+            schemes=("pivot", "conventional"), instants=3, scale=2.0,
         )
         assert len(model.samples["pivot"]) == 3
         assert len(model.samples["conventional"]) == 3
@@ -73,8 +77,7 @@ class TestCalibratedModel:
 
     def test_calibrate_is_deterministic(self):
         kwargs = dict(
-            workload="TPC-H", code=(6, 4), schemes=("pivot",),
-            instants=2, trace_duration=300,
+            workload="TPC-H", code=(6, 4), schemes=("pivot",), instants=2,
         )
         a = CalibratedDurations.calibrate(**kwargs)
         b = CalibratedDurations.calibrate(**kwargs)

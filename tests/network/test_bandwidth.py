@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.exceptions import TraceError
 from repro.network.bandwidth import (
     BandwidthTrace,
@@ -16,6 +17,8 @@ from repro.network.bandwidth import (
     sample_grid,
     traces_on_grid,
 )
+from repro.network.topology import StarNetwork
+from tests.network.links import trace_from_samples
 
 
 class TestConstruction:
@@ -38,12 +41,12 @@ class TestConstruction:
             BandwidthTrace([0], [-1])
 
     def test_from_samples_interval(self):
-        trace = BandwidthTrace.from_samples([10, 20, 30], interval=2.0)
+        trace = trace_from_samples([10, 20, 30], interval=2.0)
         assert trace.breakpoints == [0.0, 2.0, 4.0]
 
     def test_from_samples_rejects_bad_interval(self):
         with pytest.raises(TraceError):
-            BandwidthTrace.from_samples([1], interval=0)
+            trace_from_samples([1], interval=0)
 
     def test_nan_breakpoint_rejected(self):
         with pytest.raises(TraceError, match="^breakpoint 1 is nan"):
@@ -89,9 +92,9 @@ class TestSampleGrid:
         assert type(grid) is tuple
         assert all(type(t) is float for t in grid)
         assert list(grid) == [start + i * interval for i in range(count)]
-        ramp = BandwidthTrace.from_samples(range(count), interval, start)
+        ramp = trace_from_samples(range(count), interval, start)
         assert ramp.breakpoints == list(grid)
-        flat = BandwidthTrace.from_samples([1.0] * count, interval, start)
+        flat = trace_from_samples([1.0] * count, interval, start)
         assert flat.breakpoints == [grid[0]]
 
     @pytest.mark.parametrize("count, interval, start, message", [
@@ -122,7 +125,7 @@ class TestSharedGrid:
         )
         assert [(t.breakpoints, t.values) for t in traces] == [
             (t.breakpoints, t.values)
-            for t in (BandwidthTrace.from_samples(row, 0.5) for row in samples)
+            for t in (trace_from_samples(row, 0.5) for row in samples)
         ]
 
     def test_merge_of_one_grid_is_where_a_link_changes(self):
@@ -224,9 +227,9 @@ class TestNodeBandwidth:
             BandwidthTrace([0, 10], [100, 30]),
             BandwidthTrace([0, 5], [80, 200]),
         )
-        assert node.theo_at(0) == 80
-        assert node.theo_at(5) == 100
-        assert node.theo_at(10) == 30
+        network = StarNetwork([node])
+        for t, theo in ((0, 80), (5, 100), (10, 30)):
+            assert BandwidthSnapshot.from_network(network, t).theo(0) == theo
 
     def test_next_change_merges_links(self):
         node = NodeBandwidth(
@@ -252,7 +255,7 @@ class TestProperties:
         st.floats(min_value=0, max_value=100, allow_nan=False),
     )
     def test_value_at_matches_sample(self, values, query):
-        trace = BandwidthTrace.from_samples(values, interval=1.0)
+        trace = trace_from_samples(values, interval=1.0)
         index = min(int(query), len(values) - 1)
         assert trace.value_at(query) == values[index]
 
@@ -265,7 +268,7 @@ class TestProperties:
         )
     )
     def test_mean_bounded_by_extremes(self, values):
-        trace = BandwidthTrace.from_samples(values)
+        trace = trace_from_samples(values)
         mean = trace.mean(0, len(values))
         assert min(values) - 1e-6 <= mean <= max(values) + 1e-6
 

@@ -1,8 +1,8 @@
 """One capacity row per network epoch: the invariant and its gate.
 
 ``StarNetwork`` / ``RackNetwork`` answer ``capacities_at``, ``up_at``,
-``down_at``, ``link_bandwidth`` and (through them)
-``BandwidthSnapshot.from_network`` from one read-only row per visited
+``down_at`` and (through them) ``BandwidthSnapshot.from_network`` and a
+link's capacity over its ``edge_usage`` from one read-only row per visited
 capacity epoch.  The differential below rebuilds every answer from
 scratch through ``BandwidthTrace.value_at`` — the three-deep call chain
 the rows replaced, kept here as the oracle — on traces whose breakpoint
@@ -27,6 +27,7 @@ from repro.network.bandwidth import BandwidthTrace, NodeBandwidth
 from repro.network.hierarchical import RackNetwork
 from repro.network.topology import StarNetwork
 from repro.repair.executor import repair_single_chunk
+from tests.network.links import link_bandwidth
 
 NODES = 4
 RACKS = [0, 0, 1, 1]
@@ -114,7 +115,7 @@ def assert_answers(network, row, t, rack_of=None):
         assert snapshot.down[node] == row["down", node]
         for dst in range(NODES):
             if dst != node:
-                assert network.link_bandwidth(node, dst, t) == oracle_link(
+                assert link_bandwidth(network, node, dst, t) == oracle_link(
                     row, node, dst, rack_of
                 )
 
@@ -145,14 +146,13 @@ class TestRowsEqualARebuild:
         for t in instants:
             row = oracle_row(nodes, racks, t)
             assert_answers(network, row, t, RACKS)
-            assert network.rack_up_at(1, t) == row["rack_up", 1]
-            assert network.rack_down_at(0, t) == row["rack_down", 0]
             # Rack links pass through a fault plan untouched.
-            assert_answers(faulty, faulted(row, t), t)
+            assert_answers(faulty, faulted(row, t), t, RACKS)
 
     def test_a_link_outside_the_network_is_a_named_error(self):
-        """Per-link reads validate the index before they touch the row:
-        no ``KeyError`` from the mapping, no negative index wrapping."""
+        """Per-link and per-rack reads validate the index before they
+        touch the row: no ``KeyError`` from the mapping, no negative index
+        wrapping."""
         for network in (star(), rack()):
             for node in (-1, NODES):
                 with pytest.raises(SimulationError, match="outside network"):
@@ -161,9 +161,7 @@ class TestRowsEqualARebuild:
                     network.down_at(node, 0.0)
         for bad in (-1, 2):
             with pytest.raises(SimulationError, match="unknown rack"):
-                rack().rack_up_at(bad, 0.0)
-            with pytest.raises(SimulationError, match="unknown rack"):
-                rack().rack_down_at(bad, 0.0)
+                rack().nodes_in_rack(bad)
 
     def test_next_change_after_is_the_epoch_boundary(self):
         """A row holds for ``[t, next_change_after(t))`` and no longer."""

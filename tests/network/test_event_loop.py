@@ -5,7 +5,8 @@ rate last moved and finds the next finish on a heap, so a step touches
 only the entities that finish at it.  These tests hold that loop where
 it can break:
 
-* one ledger answers "how far is this task" for every reader;
+* one ledger answers "how far is this task" for every reader, and a
+  task that left keeps its answer on its handle, not in the simulator;
 * observation is free — any interleaving of the pure readers (and of
   extra clock advances) leaves every float of a run where it was, on
   both engines;
@@ -36,7 +37,7 @@ from repro.network.bandwidth import BandwidthTrace, NodeBandwidth
 from repro.network.scenario import digest, random_scenario, replay
 from repro.network.simulator import FluidSimulator
 from repro.network.topology import StarNetwork
-from repro.obs import Tracer
+from repro.obs import NULL_TRACER, Tracer
 
 ENGINES = ["reference", "fast"]
 
@@ -120,6 +121,41 @@ class TestOneLedger:
         assert sim.task_bytes_carried(handle) == 500.0
         assert handle.progress == 0.25
 
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_a_drained_simulator_holds_no_per_task_entry(self, traced):
+        sim = FluidSimulator(
+            uniform(), tracer=Tracer() if traced else NULL_TRACER
+        )
+        rng = random.Random(5)
+        handles = []
+        for step in range(40):
+            if step % 3:
+                handles.append(sim.submit_bulk(
+                    [(rng.randrange(5), 5, rng.uniform(50.0, 150.0))]
+                ))
+            else:
+                handles.append(sim.submit_pipelined(
+                    [(0, 1), (1, 2)], rng.uniform(50.0, 150.0)
+                ))
+            if step % 7 == 6:
+                sim.cancel_task(handles[-2])
+            sim.advance_to(sim.now + 0.3)
+        sim.run()
+        per_task = {
+            name: len(value) for name, value in vars(sim).items()
+            if name.startswith(("_task", "_handles"))
+            and isinstance(value, dict)
+        }
+        assert per_task and not any(per_task.values()), per_task
+        # What a finished or cancelled task carried is still readable.
+        for handle in handles:
+            carried = sim.task_bytes_carried(handle)
+            assert carried == handle.departed_bytes
+            if handle.done:
+                assert carried == handle.submitted_bytes
+            else:
+                assert handle.cancelled and carried < handle.submitted_bytes
+
 
 # ----------------------------------------------------------------------
 # Observation is free
@@ -158,7 +194,6 @@ def looking_simulator(look_seed, rates=False, extra_advances=False):
                 readers += [
                     lambda: [self.current_rate(h) for h in self.seen],
                     lambda: self.current_usage(),
-                    lambda: self.link_utilization(),
                 ]
             for reader in rng.sample(readers, rng.randint(0, len(readers))):
                 reader()
@@ -236,15 +271,14 @@ class TestObservationIsFree:
 
 
 class TestRateReadersAreInputs:
-    """``current_rate`` / ``current_usage`` / ``link_utilization`` force
-    a solve, and a solve settles what it moves: read between two
-    mutations of one instant that move a rate and move it back, they do
-    work no unread run does.  What that may cost is stated here."""
+    """``current_rate`` / ``current_usage`` force a solve, and a solve
+    settles what it moves: read between two mutations of one instant
+    that move a rate and move it back, they do work no unread run does.
+    What that may cost is stated here."""
 
     READERS = {
         "current_rate": lambda sim, handle: sim.current_rate(handle),
         "current_usage": lambda sim, handle: sim.current_usage(),
-        "link_utilization": lambda sim, handle: sim.link_utilization(),
     }
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -509,7 +543,7 @@ class TestSettlementSites:
         assert sim.settlements == 2
         assert sim._ledger.total == 200.0
         assert sim._ledger.up == {0: 100.0, 1: 100.0}
-        assert sim._task_bytes == {handle.task_id: 200.0}
+        assert handle.departed_bytes == 200.0
 
     def test_a_cancel_settles_and_books_what_was_carried(self):
         sim = FluidSimulator(uniform())

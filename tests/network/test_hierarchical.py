@@ -8,6 +8,7 @@ from repro.exceptions import SimulationError
 from repro.network.bandwidth import BandwidthTrace, NodeBandwidth
 from repro.network.hierarchical import RackNetwork
 from repro.network.simulator import FluidSimulator
+from tests.network.links import link_bandwidth
 
 
 def two_racks(node_cap=100.0, rack_cap=150.0):
@@ -45,16 +46,16 @@ class TestLinkSemantics:
     def test_intra_rack_ignores_rack_links(self):
         net = two_racks(node_cap=100, rack_cap=10)
         assert net.same_rack(0, 1)
-        assert net.link_bandwidth(0, 1, 0.0) == 100
+        assert link_bandwidth(net, 0, 1, 0.0) == 100
 
     def test_cross_rack_limited_by_rack_links(self):
         net = two_racks(node_cap=100, rack_cap=10)
         assert not net.same_rack(0, 2)
-        assert net.link_bandwidth(0, 2, 0.0) == 10
+        assert link_bandwidth(net, 0, 2, 0.0) == 10
 
     def test_self_link_rejected(self):
         with pytest.raises(SimulationError):
-            two_racks().link_bandwidth(1, 1, 0.0)
+            link_bandwidth(two_racks(), 1, 1, 0.0)
 
     def test_unknown_node_rejected(self):
         with pytest.raises(SimulationError):

@@ -180,8 +180,8 @@ class TestLiveTaskAccounting:
     def test_finished_tasks_leave_no_state_for_the_guards_to_walk(self):
         # Counter-based, no wall-clock: 2000 short tasks one after the
         # other beside one long-lived task.  What the per-step guards
-        # and the rate tracer look at stays bounded by the live tasks;
-        # only the progress watermarks keep one float per task.
+        # and the rate tracer look at stays bounded by the live tasks,
+        # and so does everything else the simulator holds per task.
         network = StarNetwork.constant([100.0] * 4, [100.0] * 4)
         sim = FluidSimulator(network)
         background = sim.submit_bulk([(2, 3, 1e9)])
@@ -197,7 +197,8 @@ class TestLiveTaskAccounting:
         assert sim.task_bytes_carried(short) == pytest.approx(100.0)
         sim.cancel_task(background)
         assert not sim._task_entities and not sim._handles
-        assert len(sim._task_bytes) == 2001
+        # What each task carried lives on its handle, not in the simulator.
+        assert short.departed_bytes == 100.0
 
 
 class TestRepairedPlacementIntegration:

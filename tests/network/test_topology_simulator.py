@@ -8,6 +8,7 @@ from repro.exceptions import SimulationError
 from repro.network.bandwidth import BandwidthTrace, NodeBandwidth
 from repro.network.simulator import FluidSimulator
 from repro.network.topology import StarNetwork
+from tests.network.links import link_bandwidth
 
 
 def static_network(ups, downs):
@@ -31,13 +32,13 @@ class TestStarNetwork:
 
     def test_link_bandwidth_is_min(self):
         net = static_network([30, 100], [100, 20])
-        assert net.link_bandwidth(0, 1, 0) == 20
-        assert net.link_bandwidth(1, 0, 0) == 100
+        assert link_bandwidth(net, 0, 1, 0) == 20
+        assert link_bandwidth(net, 1, 0, 0) == 100
 
     def test_self_link_rejected(self):
         net = StarNetwork.uniform(2, 1)
         with pytest.raises(SimulationError):
-            net.link_bandwidth(1, 1, 0)
+            link_bandwidth(net, 1, 1, 0)
 
     def test_bad_node_rejected(self):
         net = StarNetwork.uniform(2, 1)

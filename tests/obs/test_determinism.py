@@ -19,6 +19,7 @@ from repro.repair import (
     repair_single_chunk,
 )
 from repro.repair.pipeline import ExecutionConfig
+from tests.chaos_harness import random_fault_plan
 from tests.network.trace_scan_oracle import full_rescan
 
 
@@ -198,11 +199,11 @@ class TestFaultedDeterminism:
 
     @staticmethod
     def faulted_single_chunk():
-        from repro.faults import FaultPlan, RetryPolicy
+        from repro.faults import RetryPolicy
         from repro.repair import repair_single_chunk_faulted
         from tests.one_stripe import one_stripe
 
-        faults = FaultPlan.random(
+        faults = random_fault_plan(
             21, NODE_COUNT, horizon=0.5, crashes=1, degradations=1,
             stalls=1, protect=(0,),
         )

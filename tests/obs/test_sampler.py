@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import PivotRepairPlanner
+from repro.core import PivotRepairPlanner, pin_planning
 from repro.ec import RSCode, place_stripes
 from repro.exceptions import SimulationError
 from repro.network.topology import StarNetwork
 from repro.obs import FlightRecorder, Sample, samples_from_jsonl
-from repro.repair import repair_full_node, repair_single_chunk
+from repro.repair import repair_full_node
 from repro.repair.pipeline import ExecutionConfig
 
 
@@ -26,11 +26,12 @@ def config():
     )
 
 
-def sampled_single_chunk(sampler):
-    return repair_single_chunk(
-        PivotRepairPlanner(), network(), requestor=0,
-        candidates=range(1, NODE_COUNT), k=CODE.k, config=config(),
-        sampler=sampler,
+def sampled_one_stripe(sampler):
+    """Rebuild one lost chunk (a one-stripe full-node repair), sampled."""
+    stripes = place_stripes(1, CODE, NODE_COUNT, np.random.default_rng(3))
+    return repair_full_node(
+        pin_planning(PivotRepairPlanner(), 0.0), network(), stripes,
+        stripes[0].placement[0], config=config(), sampler=sampler,
     )
 
 
@@ -45,15 +46,15 @@ class TestValidation:
 
     def test_double_bind_rejected(self):
         sampler = FlightRecorder(interval=0.1)
-        sampled_single_chunk(sampler)
+        sampled_one_stripe(sampler)
         with pytest.raises(SimulationError):
-            sampled_single_chunk(sampler)
+            sampled_one_stripe(sampler)
 
 
 class TestSampling:
     def test_ticks_are_interval_aligned(self):
         sampler = FlightRecorder(interval=0.5)
-        sampled_single_chunk(sampler)
+        sampled_one_stripe(sampler)
         assert len(sampler) > 1
         ticks = [sample.t for sample in sampler.samples]
         assert ticks == sorted(ticks)
@@ -62,7 +63,7 @@ class TestSampling:
 
     def test_samples_see_repair_traffic(self):
         sampler = FlightRecorder(interval=0.5)
-        result = sampled_single_chunk(sampler)
+        result = sampled_one_stripe(sampler)
         busy = [s for s in sampler.samples if s.rate_by_kind]
         assert busy, "an active repair must show up in the samples"
         for sample in busy:
@@ -72,32 +73,22 @@ class TestSampling:
             for series in (sample.up_util, sample.down_util):
                 for value in series.values():
                     assert 0 < value <= 1.0 + 1e-9
-        assert result.transfer_seconds > 0
+        assert result.total_seconds > 0
 
     def test_ring_buffer_bounds_memory_and_counts_drops(self):
         sampler = FlightRecorder(interval=0.01, capacity=8)
-        sampled_single_chunk(sampler)
+        sampled_one_stripe(sampler)
         assert len(sampler) == 8
         assert sampler.dropped > 0
         # The ring keeps the newest samples.
         ticks = [sample.t for sample in sampler.samples]
         assert ticks == sorted(ticks)
 
-    def test_peak_utilization_tracks_hot_links(self):
-        sampler = FlightRecorder(interval=0.1)
-        sampled_single_chunk(sampler)
-        peaks = sampler.peak_utilization()
-        assert peaks
-        assert max(peaks.values()) <= 1.0 + 1e-9
-        assert all(
-            direction in ("up", "down") for direction, _ in peaks
-        )
-
     def test_disabled_by_default_and_observation_only(self):
-        plain = sampled_single_chunk(None)
+        plain = sampled_one_stripe(None)
         sampler = FlightRecorder(interval=0.05)
-        sampled = sampled_single_chunk(sampler)
-        assert plain.transfer_seconds == sampled.transfer_seconds
+        sampled = sampled_one_stripe(sampler)
+        assert plain.total_seconds == sampled.total_seconds
         assert plain.bytes_transferred == sampled.bytes_transferred
 
 
@@ -146,40 +137,13 @@ class TestSampleRoundTrip:
         assert list(sample.to_dict()["up"]) == ["2", "9"]
 
 
-class TestPeakUtilizationEdges:
-    def test_empty_recorder_has_no_peaks(self):
-        assert FlightRecorder().peak_utilization() == {}
-
-    def test_single_window_run(self):
-        # Interval longer than the transfer: at most a couple of ticks,
-        # but the peak map still reflects the lone busy window.
-        sampler = FlightRecorder(interval=1000.0)
-        sampled_single_chunk(sampler)
-        peaks = sampler.peak_utilization()
-        assert peaks
-        assert all(0 < value <= 1.0 + 1e-9 for value in peaks.values())
-
-    def test_ring_overflow_keeps_peaks_of_surviving_samples(self):
-        tight = FlightRecorder(interval=0.01, capacity=4)
-        sampled_single_chunk(tight)
-        assert tight.dropped > 0
-        peaks = tight.peak_utilization()
-        # Peaks are computed over what the ring still holds (the newest
-        # samples), never over evicted history.
-        survivors = set()
-        for sample in tight.samples:
-            survivors.update(("up", node) for node in sample.up_util)
-            survivors.update(("down", node) for node in sample.down_util)
-        assert set(peaks) == survivors
-
-
 class TestTsdbFeed:
     def test_samples_mirror_into_labeled_series(self):
         from repro.obs import TimeSeriesDB
 
         tsdb = TimeSeriesDB()
         sampler = FlightRecorder(interval=0.5, tsdb=tsdb)
-        sampled_single_chunk(sampler)
+        sampled_one_stripe(sampler)
         names = tsdb.names()
         assert {"link_utilization", "class_rate", "active_tasks",
                 "repair_cap"} <= set(names)
@@ -194,12 +158,12 @@ class TestTsdbFeed:
         tsdb = TimeSeriesDB()
         sampler = FlightRecorder(interval=0.5, tsdb=tsdb)
         sampler.note_governor_cap(123.0)
-        sampled_single_chunk(sampler)
+        sampled_one_stripe(sampler)
         assert tsdb.latest("repair_cap") == 123.0
 
     def test_listeners_fire_once_per_tick_in_order(self):
         sampler = FlightRecorder(interval=0.5)
         seen = []
         sampler.add_listener(seen.append)
-        sampled_single_chunk(sampler)
+        sampled_one_stripe(sampler)
         assert seen == [sample.t for sample in sampler.samples]

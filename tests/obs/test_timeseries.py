@@ -5,7 +5,9 @@ import math
 import pytest
 
 from repro.obs import TimeSeriesDB
+from repro.obs import promtext
 from repro.obs.timeseries import TimeSeriesError
+from tests.obs.tsdb_reader import tsdb_from_jsonl
 
 
 def feed_gauge(db, name, points, **labels):
@@ -133,7 +135,7 @@ class TestExport:
         db = self.build()
         text = db.to_jsonl()
         assert text.endswith("\n")
-        back = TimeSeriesDB.from_jsonl(text)
+        back = tsdb_from_jsonl(text)
         assert back.to_jsonl() == text
         assert len(back) == len(db)
         # Counter totals survive, so rates keep working after reload.
@@ -143,18 +145,12 @@ class TestExport:
 
     def test_empty_round_trip(self):
         assert TimeSeriesDB().to_jsonl() == ""
-        assert len(TimeSeriesDB.from_jsonl("")) == 0
+        assert len(tsdb_from_jsonl("")) == 0
 
     def test_prometheus_exposition_lints(self):
         from tests.obs.promtext_lint import lint as prometheus_lint
 
-        text = self.build().to_prometheus()
+        text = promtext.render_exposition(tsdb=self.build())
         assert "# TYPE link_utilization gauge" in text
         assert 'node="3"' in text
         assert prometheus_lint(text) == []
-
-    def test_merge_counts(self):
-        assert self.build().merge_counts() == {
-            "fg_bytes_total": 1,
-            "link_utilization": 1,
-        }

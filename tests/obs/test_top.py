@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.obs import Dashboard, LiveTop, SLOMonitor, SLOSpec, TimeSeriesDB
+from repro.obs import top
 from repro.obs.top import _bar, _latency, _rate
 
 
@@ -71,9 +72,10 @@ class TestDashboard:
         frame = Dashboard(db).render()
         assert "governor  cap 3.0 MB/s per flow" in frame
 
-    def test_busiest_nodes_first_and_truncation(self):
+    def test_busiest_nodes_first_and_truncation(self, monkeypatch):
+        monkeypatch.setattr(top, "MAX_NODES", 2)
         db = populated_tsdb(node_count=5)
-        frame = Dashboard(db, max_nodes=2).render()
+        frame = Dashboard(db).render()
         lines = frame.splitlines()
         node_lines = [line for line in lines if line.startswith("  node")]
         assert len(node_lines) == 2
@@ -136,9 +138,7 @@ class TestLiveTop:
 
     def test_emits_on_refresh_grid(self):
         stream = io.StringIO()
-        live = LiveTop(
-            Dashboard(populated_tsdb()), stream, refresh=1.0, ansi=False
-        )
+        live = LiveTop(Dashboard(populated_tsdb()), stream, refresh=1.0)
         for t in (0.0, 0.25, 0.5, 1.0, 1.25, 2.0, 2.25):
             live.on_tick(t)
         assert live.frames == 3  # t=0.0, 1.0, 2.0
@@ -152,11 +152,10 @@ class TestLiveTop:
         assert output.count("\x1b[H\x1b[J") == 2
         assert output.endswith("\n")
 
-    def test_plain_frames_are_blank_line_separated(self):
+    def test_plain_frames_are_blank_line_separated(self, monkeypatch):
+        monkeypatch.setattr(top, "ANSI", False)
         stream = io.StringIO()
-        live = LiveTop(
-            Dashboard(populated_tsdb()), stream, refresh=1.0, ansi=False
-        )
+        live = LiveTop(Dashboard(populated_tsdb()), stream, refresh=1.0)
         live.emit(1.0)
         live.emit(2.0)
         output = stream.getvalue()

@@ -81,18 +81,17 @@ class TestCausalPrimitives:
     def test_scope_sets_ambient_parent(self):
         tracer = Tracer()
         outer = tracer.begin("repair.task", t=0.0, track="repair:1")
-        assert tracer.current_parent is None
         with tracer.scope(outer):
-            assert tracer.current_parent == outer
             tracer.instant("planner.plan", t=0.5, track="planner")
             inner = tracer.begin("flow", t=0.5, track="node:1")
             with tracer.scope(inner):
                 tracer.instant("flow.submit", t=0.5)
-        assert tracer.current_parent is None
-        plan, flow_begin, submit = tracer.events[1:4]
+        tracer.instant("repair.done", t=1.0)
+        plan, flow_begin, submit, done = tracer.events[1:5]
         assert plan.parent_id == outer
         assert flow_begin.parent_id == outer
         assert submit.parent_id == inner
+        assert done.parent_id is None  # the scope is gone on exit
 
     def test_explicit_parent_overrides_scope(self):
         tracer = Tracer()
@@ -117,7 +116,6 @@ class TestCausalPrimitives:
 
     def test_null_tracer_mirrors_causal_api(self):
         tracer = NullTracer()
-        assert tracer.current_parent is None
         with tracer.scope(7) as span:
             assert span == 7
         tracer.link(1, 2, t=0.0)

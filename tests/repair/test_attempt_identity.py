@@ -34,10 +34,10 @@ from repro.faults import FaultPlan, RetryPolicy
 from repro.network.topology import StarNetwork
 from repro.obs import Tracer, to_jsonl
 from repro.repair import repair_single_chunk_faulted
-from repro.repair.fullnode import choose_requestor
+from repro.repair.jobmaster import choose_requestor
 from repro.repair.pipeline import ExecutionConfig
 from repro.resilience import HealthPolicy, RepairJournal
-from tests.chaos_harness import run_chaos_single_chunk
+from tests.chaos_harness import random_fault_plan, run_chaos_single_chunk
 from tests.one_stripe import one_stripe
 from tests.recorded import Recorded, load, run_values, sha256
 
@@ -177,7 +177,7 @@ def chaos(faults, policy=None, seed=7, exact_k=False):
 
 def chaos_random(seed, policy, **kinds):
     _, stripe, failed, network, requestor, _ = chaos_setup(seed=3)
-    faults = FaultPlan.random(seed, NODES, horizon=2.0, **kinds)
+    faults = random_fault_plan(seed, NODES, horizon=2.0, **kinds)
     return direct(network, requestor, stripe, failed, faults, policy, BIG)
 
 

@@ -276,7 +276,7 @@ class TestHedgingIsNotSingleStripeSpecial:
             )
             for s in lost
         }
-        cluster.fail_node(failed, at=0.0)
+        cluster.fail_node(failed)
         return cluster, lost, failed, expected
 
     def run(self, health):

@@ -10,11 +10,8 @@ from repro.core.scheduler import SchedulerConfig
 from repro.ec import RSCode, Stripe, place_stripes
 from repro.exceptions import ClusterError
 from repro.network.topology import StarNetwork
-from repro.repair.fullnode import (
-    choose_requestor,
-    repair_full_node,
-    repair_full_node_adaptive,
-)
+from repro.repair.fullnode import repair_full_node, repair_full_node_adaptive
+from repro.repair.jobmaster import choose_requestor
 from repro.repair.pipeline import ExecutionConfig
 
 

@@ -72,14 +72,14 @@ class TestFullNodeOnRacks:
         assert thin.total_seconds > fat.total_seconds
 
     def test_residual_snapshot_covers_rack_nodes(self):
-        # residual_snapshot must enumerate RackNetwork nodes correctly.
+        # A residual snapshot must enumerate RackNetwork nodes correctly.
         from repro.network.simulator import FluidSimulator
-        from repro.repair.fullnode import residual_snapshot
+        from repro.repair.jobmaster import ResidualView
 
         net = rack_network(4000.0)
         sim = FluidSimulator(net)
         sim.submit_bulk([(0, 4, 1e6)])  # cross-rack background
-        view = residual_snapshot(net, sim)
+        view = ResidualView(net, sim).snapshot()
         assert set(view.up) == set(range(NODE_COUNT))
         assert view.up_of(0) < 1000.0  # uplink usage subtracted
         assert view.down_of(4) < 1000.0

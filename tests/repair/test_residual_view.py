@@ -54,7 +54,6 @@ from repro.repair.jobmaster import (
     ResidualView,
     StripeRepairMaster,
     choose_requestor,
-    residual_snapshot,
 )
 from repro.repair.pipeline import ExecutionConfig
 
@@ -348,9 +347,9 @@ class TestInvalidation:
         site = Site(star())
         site.sim.submit_pipelined([(1, 0), (2, 1)], 1e9)
         kept = site.view.snapshot()
-        built = residual_snapshot(site.network, site.sim)
+        built = ResidualView(site.network, site.sim).snapshot()
         assert built is not kept and frozen(built) == frozen(kept)
-        assert residual_snapshot(site.network, site.sim) is not built
+        assert ResidualView(site.network, site.sim).snapshot() is not built
 
     def test_a_snapshot_short_of_the_cluster_is_a_planning_error(self):
         # StripeRepairMaster.candidate() aborts a stripe cleanly on

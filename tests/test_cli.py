@@ -693,11 +693,11 @@ class TestTopCommand:
         ]
         assert "rendered" not in payload  # JSON mode strips the frame
 
-        from repro.obs import TimeSeriesDB
         from tests.obs.promtext_lint import lint as prometheus_lint
+        from tests.obs.tsdb_reader import tsdb_from_jsonl
 
         assert prometheus_lint(prom.read_text()) == []
-        restored = TimeSeriesDB.from_jsonl(tsdb_out.read_text())
+        restored = tsdb_from_jsonl(tsdb_out.read_text())
         assert len(restored) == payload["tsdb"]["series"]
         assert restored.total_points > 0
 

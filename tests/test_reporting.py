@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import reporting
 from repro.obs import Tracer
 from repro.reporting import (
     bar_chart,
@@ -109,8 +110,9 @@ class TestRenderTimeline:
     def test_empty_events(self):
         assert render_timeline([]) == "(no events)"
 
-    def test_width_respected(self):
-        out = render_timeline(self.traced().events, width=20)
+    def test_width_respected(self, monkeypatch):
+        monkeypatch.setattr(reporting, "TIMELINE_WIDTH", 20)
+        out = render_timeline(self.traced().events)
         # Every track row fits the bar width plus label gutter and frame.
         for line in out.splitlines()[1:]:
             label, bars = line.split("|", 1)

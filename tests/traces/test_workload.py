@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import TraceError
-from repro.network.bandwidth import BandwidthTrace, merge_breakpoints
+from repro.network.bandwidth import merge_breakpoints
 from repro.network.topology import StarNetwork
 from repro.traces.generators import TPC_DS, generate_all, generate_trace
 from repro.traces.workload import WorkloadTrace
 from repro.units import gbps
+from tests.network.links import trace_from_samples
 
 
 def small_trace():
@@ -206,12 +207,12 @@ def workloads(draw):
 
 
 def reference_network(trace, floor):
-    """``to_network`` as it was: one ``from_samples`` trace per row."""
+    """``to_network`` as it was: one ``trace_from_samples`` trace per row."""
     up = np.clip(trace.available_up(), floor, None)
     down = np.clip(trace.available_down(), floor, None)
     return StarNetwork.from_traces(
-        [BandwidthTrace.from_samples(row, trace.interval) for row in up],
-        [BandwidthTrace.from_samples(row, trace.interval) for row in down],
+        [trace_from_samples(row, trace.interval) for row in up],
+        [trace_from_samples(row, trace.interval) for row in down],
     )
 
 
@@ -273,13 +274,13 @@ class TestMatrixPathDifferential:
         with pytest.raises(
             TraceError, match="^a trace needs at least one breakpoint$"
         ):
-            BandwidthTrace.from_samples([])
+            trace_from_samples([])
         with pytest.raises(
             TraceError, match="^used bandwidth cannot be negative$"
         ):
             WorkloadTrace("x", 10, np.zeros((1, 2)), -np.ones((1, 2)))
         with pytest.raises(TraceError, match="^bandwidth cannot be negative$"):
-            BandwidthTrace.from_samples([1.0, -1.0])
+            trace_from_samples([1.0, -1.0])
 
 
 class TestPersistence:
