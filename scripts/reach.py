@@ -29,11 +29,15 @@ be resolved counts as set: ``Config(**mapping)`` sets every field, and
 ``replace(obj, **mapping)`` every field of every config class.  So the
 scan may miss a field but never lists a set one.
 
-It lists the public methods of ``src/``'s top-level classes that only
-``tests/`` references, by the same rule as names: a method is a
-function in a class body whose name does not start with ``_``, and a
-call or attribute read of that name anywhere in the four trees (its own
-class included) reaches it.
+It lists the public methods of ``src/``'s top-level classes that
+``tests/`` references and no reached code does.  A method is a function
+in a class body whose name does not start with ``_``.  Reached code is
+a fixpoint: it starts as ``benchmarks/``, ``examples/`` and
+``scripts/``, the code of ``src/`` outside function bodies (module and
+class bodies, decorators, defaults) and the bodies of dunder methods,
+which run implicitly; and the body of every ``src/`` function whose
+name reached code reads is reached too.  So a method only another
+test-only method calls is listed, and so is a cycle of them.
 
 And it lists the defaulted parameters of the functions and methods
 under ``src/`` that no caller passes.  A call passes the parameters it
@@ -94,6 +98,28 @@ class Checkout:
         return ".".join(relative.parts)
 
     @functools.cached_property
+    def running(self) -> set[str]:
+        """Identifiers that reached code reads: the fixpoint above."""
+        reached: set[str] = set()
+        bodies: dict[str, list[set[str]]] = {}
+        for tree in CALLERS:
+            for _, module in self.modules(tree):
+                if tree != "src":
+                    reached |= _referenced(module, reexports=False)
+                    continue
+                split = _Bodies(module)
+                reached |= split.outside
+                for name, body in split.functions:
+                    bodies.setdefault(name, []).append(body)
+        todo = [name for name in bodies if name in reached]
+        while todo:
+            for body in bodies.pop(todo.pop(), ()):
+                new = body - reached
+                reached |= new
+                todo.extend(name for name in new if name in bodies)
+        return reached
+
+    @functools.cached_property
     def references(self) -> tuple[set[str], set[str]]:
         """(identifiers ``tests/`` reads, identifiers the callers read)."""
         tests: set[str] = set()
@@ -139,6 +165,50 @@ def _referenced(module: ast.Module, reexports: bool = True) -> set[str]:
         if reexports or bound in names
     )
     return names
+
+
+class _Bodies(ast.NodeVisitor):
+    """Split the identifiers a module reads into those outside function
+    bodies (``outside``, dunder bodies included) and, per other function,
+    those its body reads (``functions``: name, identifiers).  A name
+    imported ``as`` an alias reads the imported name too."""
+
+    def __init__(self, module: ast.Module):
+        self.aliases = {
+            alias.asname: alias.name
+            for node in ast.walk(module) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.asname
+        }
+        self.outside: set[str] = set()
+        self.functions: list[tuple[str, set[str]]] = []
+        self.into = self.outside
+        self.visit(module)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if isinstance(node.ctx, ast.Load):
+            self.into.add(node.id)
+            if node.id in self.aliases:
+                self.into.add(self.aliases[node.id])
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self.into.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_FunctionDef(self, node) -> None:
+        if node.name.startswith("__") and node.name.endswith("__"):
+            self.generic_visit(node)
+            return
+        # Decorators, defaults and annotations run where the def is.
+        for part in (*node.decorator_list, node.args, node.returns):
+            if part is not None:
+                self.visit(part)
+        outer, self.into = self.into, set()
+        self.functions.append((node.name, self.into))
+        for statement in node.body:
+            self.visit(statement)
+        self.into = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef
 
 
 def reach(checkout: Checkout) -> list[str]:
@@ -261,8 +331,9 @@ def unset_fields(checkout: Checkout) -> list[str]:
 
 def test_only_methods(checkout: Checkout) -> list[str]:
     """``module:Class.method`` of every public method of a top-level
-    ``src/`` class that only ``tests/`` references."""
-    tests, reached = checkout.references
+    ``src/`` class that ``tests/`` references and no reached code does."""
+    tests, _ = checkout.references
+    reached = checkout.running
     listed = []
     for path, module in checkout.modules("src"):
         dotted = checkout.dotted(path)

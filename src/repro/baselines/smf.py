@@ -23,7 +23,6 @@ from __future__ import annotations
 from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.core.plan import RepairPlan, RepairPlanner
 from repro.core.tree import RepairTree
-from repro.exceptions import PlanningError
 
 
 def pairwise_bmin(tree: RepairTree, snapshot: BandwidthSnapshot) -> float:
@@ -45,14 +44,6 @@ class SMFPlanner(RepairPlanner):
 
     name = "SMFRepair"
 
-    def __init__(self, idle_pool: list[int] | None = None):
-        """Args:
-        idle_pool: nodes available as forwarders (storing no chunk of
-            the stripe).  When None, the planner uses every snapshot
-            node that is neither requestor nor candidate.
-        """
-        self.idle_pool = idle_pool
-
     def _build(
         self,
         snapshot: BandwidthSnapshot,
@@ -61,7 +52,10 @@ class SMFPlanner(RepairPlanner):
         k: int,
     ) -> RepairPlan:
         helpers = list(candidates)[:k]
-        available = self._idle_nodes(snapshot, requestor, candidates)
+        # Forwarders store no chunk of the stripe: every snapshot node
+        # that is neither the requestor nor a candidate.
+        used = {requestor, *candidates}
+        available = [node for node in snapshot.nodes if node not in used]
         parents: dict[int, int] = {}
         forwarders: list[int] = []
         parent = requestor
@@ -94,24 +88,3 @@ class SMFPlanner(RepairPlanner):
             bmin=pairwise_bmin(tree, snapshot),
             notes={"forwarders": sorted(forwarders)},
         )
-
-    def _idle_nodes(
-        self,
-        snapshot: BandwidthSnapshot,
-        requestor: int,
-        candidates: list[int],
-    ) -> list[int]:
-        if self.idle_pool is None:
-            used = {requestor, *candidates}
-            return [node for node in snapshot.nodes if node not in used]
-        idle = [
-            node
-            for node in self.idle_pool
-            if node != requestor and node not in set(candidates)
-        ]
-        missing = set(idle) - set(snapshot.nodes)
-        if missing:
-            raise PlanningError(
-                f"idle nodes missing from snapshot: {sorted(missing)}"
-            )
-        return idle

@@ -63,10 +63,6 @@ class DataNode:
         self.alive = False
         self._chunks.clear()
 
-    def recover(self) -> None:
-        """Bring the node back empty (a replacement node)."""
-        self.alive = True
-
     def _require_alive(self) -> None:
         if not self.alive:
             raise ClusterError(f"node {self.node_id} is down")

@@ -187,11 +187,6 @@ class GaloisField:
             return int(result)
         return result
 
-    def div(self, a, b):
-        if np.any(self.as_words(b) == 0):
-            raise GaloisFieldError(f"division by zero in GF(2^{self.w})")
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, exponent: int) -> int:
         if not 0 <= a < self.order:
             raise GaloisFieldError(f"element {a} outside GF(2^{self.w})")

@@ -41,24 +41,6 @@ class FaultyNetwork:
     def node_ids(self):
         return self.base.node_ids
 
-    def node(self, node_id: int):
-        """The *base* (fault-free) node record; use ``up_at``/``down_at``
-        on this wrapper for fault-adjusted capacities."""
-        return self.base.node(node_id)
-
-    # ------------------------------------------------------------------
-    # Capacities
-    # ------------------------------------------------------------------
-    def up_at(self, node_id: int, t: float) -> float:
-        return self.base.up_at(node_id, t) * self.plan.capacity_factor(
-            node_id, "up", t
-        )
-
-    def down_at(self, node_id: int, t: float) -> float:
-        return self.base.down_at(node_id, t) * self.plan.capacity_factor(
-            node_id, "down", t
-        )
-
     # ------------------------------------------------------------------
     # Fluid-simulator topology interface
     # ------------------------------------------------------------------

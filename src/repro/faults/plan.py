@@ -66,9 +66,6 @@ class NodeCrash:
     def as_dict(self) -> dict:
         return {"kind": "crash", "node": self.node, "time": self.time}
 
-    def to_spec(self) -> str:
-        return f"crash:{self.node}@{_num(self.time)}"
-
 
 @dataclass(frozen=True)
 class LinkDegradation:
@@ -104,13 +101,6 @@ class LinkDegradation:
             "direction": self.direction,
         }
 
-    def to_spec(self) -> str:
-        suffix = "" if self.direction == "both" else f":{self.direction}"
-        return (
-            f"degrade:{self.node}@{_num(self.start)}-{_num(self.end)}"
-            f"x{_num(self.factor)}{suffix}"
-        )
-
 
 @dataclass(frozen=True)
 class HelperStall:
@@ -142,9 +132,6 @@ class HelperStall:
             "duration": self.duration,
         }
 
-    def to_spec(self) -> str:
-        return f"stall:{self.node}@{_num(self.start)}+{_num(self.duration)}"
-
 
 @dataclass(frozen=True)
 class ChunkReadError:
@@ -164,16 +151,8 @@ class ChunkReadError:
     def as_dict(self) -> dict:
         return {"kind": "readerr", "node": self.node, "time": self.time}
 
-    def to_spec(self) -> str:
-        return f"readerr:{self.node}@{_num(self.time)}"
-
 
 FaultEvent = NodeCrash | LinkDegradation | HelperStall | ChunkReadError
-
-
-def _num(value: float) -> str:
-    """Render a number for a spec string (drop the trailing .0)."""
-    return f"{value:g}"
 
 
 class FaultPlan:
@@ -403,9 +382,6 @@ class FaultPlan:
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:
         return {"events": [event.as_dict() for event in self._events]}
-
-    def to_spec(self) -> str:
-        return ";".join(event.to_spec() for event in self._events)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.as_dict(), indent=2))

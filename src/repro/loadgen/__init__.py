@@ -13,6 +13,7 @@ See ``docs/foreground_traffic.md`` for the subsystem tour.  Typical use:
 from repro.loadgen.engine import FOREGROUND, ForegroundEngine
 from repro.loadgen.generator import (
     LoadProfile,
+    RateShape,
     generate_requests,
     rate_profile_from_trace,
     zipf_weights,
@@ -33,6 +34,7 @@ __all__ = [
     "ClientRequest",
     "RequestOutcome",
     "LoadProfile",
+    "RateShape",
     "generate_requests",
     "rate_profile_from_trace",
     "zipf_weights",

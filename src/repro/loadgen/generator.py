@@ -7,7 +7,8 @@ popularity is Zipfian over stripes (hot storage concentrates reads on
 few objects).  The arrival *rate* is ``arrival_rate`` throughout, or,
 when a ``rate_profile`` is passed, that rate times the profile's
 per-sample multiplier: :func:`rate_profile_from_trace` converts a
-measured :class:`~repro.traces.workload.WorkloadTrace` into one, so
+measured :class:`~repro.traces.workload.WorkloadTrace` into one, a
+:class:`RateShape` on the trace's own sample clock, so
 foreground load can follow, e.g., the TPC-DS intensity shape while the
 flows themselves compete for full link capacity.
 
@@ -29,10 +30,6 @@ from repro.exceptions import LoadGenError
 from repro.loadgen.requests import READ, WRITE, ClientRequest
 from repro.traces.workload import WorkloadTrace
 from repro.units import mib
-
-#: Seconds each multiplier of a ``rate_profile`` covers.
-PROFILE_INTERVAL = 1.0
-
 
 @dataclass(frozen=True)
 class LoadProfile:
@@ -81,32 +78,47 @@ def zipf_weights(count: int, s: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def rate_profile_from_trace(trace: WorkloadTrace) -> np.ndarray:
-    """Per-second arrival-rate multipliers following a measured trace.
+@dataclass(frozen=True)
+class RateShape:
+    """Arrival-rate multipliers, one per ``interval`` seconds of the
+    trace they follow; the last holds beyond its end."""
+
+    multipliers: np.ndarray
+    interval: float
+
+
+def rate_profile_from_trace(trace: WorkloadTrace) -> RateShape:
+    """Arrival-rate multipliers following a measured trace, one per
+    sample on the trace's interval.
 
     The cluster-mean used node bandwidth, normalised to mean 1.0 (so the
     profile modulates shape, not volume) and floored at 0.05 (quiet
-    seconds still see trickle traffic).
+    samples still see trickle traffic).
     """
     mean_used = trace.used_node_bandwidth().mean(axis=0)
     base = mean_used.mean()
     if base <= 0:
-        return np.ones_like(mean_used)
-    return np.clip(mean_used / base, 0.05, None)
+        multipliers = np.ones_like(mean_used)
+    else:
+        multipliers = np.clip(mean_used / base, 0.05, None)
+    return RateShape(multipliers, trace.interval)
 
 
-def _rate_shape(rate_profile: np.ndarray | None):
+def _rate_shape(rate_profile: RateShape | None):
     """(rate multiplier fn, peak multiplier) for the thinning sampler."""
     if rate_profile is None:
         return (lambda t: 1.0), 1.0
-    samples = np.asarray(rate_profile, dtype=float)
+    samples = np.asarray(rate_profile.multipliers, dtype=float)
+    interval = rate_profile.interval
     if samples.ndim != 1 or not len(samples):
         raise LoadGenError("rate_profile must be a non-empty 1-D array")
     if (samples < 0).any():
         raise LoadGenError("rate_profile multipliers cannot be negative")
+    if not interval > 0:
+        raise LoadGenError("rate_profile interval must be positive")
 
     def traced(t: float) -> float:
-        index = min(int(t / PROFILE_INTERVAL), len(samples) - 1)
+        index = min(int(t / interval), len(samples) - 1)
         return float(samples[index])
 
     return traced, float(samples.max())
@@ -117,7 +129,7 @@ def generate_requests(
     stripes: Sequence[Stripe],
     node_count: int,
     seed: int | np.random.Generator = 0,
-    rate_profile: np.ndarray | None = None,
+    rate_profile: RateShape | None = None,
 ) -> list[ClientRequest]:
     """Generate a seeded, time-ordered foreground request stream.
 
@@ -125,7 +137,7 @@ def generate_requests(
     random client node (never the chunk's holder — that read is local and
     moves no network bytes); writes store a fresh object across a
     stripe's placement.  With ``rate_profile`` the arrival rate follows
-    its multipliers, one per :data:`PROFILE_INTERVAL` seconds (the last
+    its multipliers, one per ``rate_profile.interval`` seconds (the last
     holds beyond its end).  Deterministic for a given seed.  ``seed`` is an
     integer (historical streams, unchanged) or a child generator spawned
     from a composite run's root seed

@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from repro.exceptions import TraceError
+from repro.exceptions import SimulationError, TraceError
 
 
 class BandwidthTrace:
@@ -94,49 +94,6 @@ class BandwidthTrace:
     @property
     def values(self) -> list[float]:
         return list(self._values)
-
-    def value_at(self, t: float) -> float:
-        """Available bandwidth at time ``t`` (bytes/second)."""
-        if t < self._times[0]:
-            # Before the first sample the first value applies.
-            return self._values[0]
-        index = bisect_right(self._times, t) - 1
-        return self._values[index]
-
-    def next_change_after(self, t: float) -> float:
-        """The first breakpoint strictly after ``t``, or +inf if none."""
-        index = bisect_right(self._times, t)
-        if index >= len(self._times):
-            return math.inf
-        return self._times[index]
-
-    def mean(self, start: float, end: float) -> float:
-        """Time-weighted mean bandwidth over ``[start, end)``."""
-        if end <= start:
-            raise TraceError("mean() needs end > start")
-        total = 0.0
-        t = start
-        while t < end:
-            nxt = min(self.next_change_after(t), end)
-            total += self.value_at(t) * (nxt - t)
-            t = nxt
-        return total / (end - start)
-
-    def scaled(self, factor: float) -> BandwidthTrace:
-        """A copy with every value multiplied by ``factor``."""
-        if factor < 0:
-            raise TraceError("scale factor cannot be negative")
-        return BandwidthTrace(self._times, [v * factor for v in self._values])
-
-    def clipped(self, low: float, high: float) -> BandwidthTrace:
-        """A copy with values clipped into ``[low, high]``."""
-        return BandwidthTrace(
-            self._times, [min(max(v, low), high) for v in self._values]
-        )
-
-    def as_array(self) -> tuple[np.ndarray, np.ndarray]:
-        """(times, values) as numpy arrays, for analysis code."""
-        return np.asarray(self._times), np.asarray(self._values)
 
     def __repr__(self) -> str:
         return (
@@ -226,36 +183,13 @@ class NodeBandwidth:
     def constant(cls, up: float, down: float) -> NodeBandwidth:
         return cls(BandwidthTrace.constant(up), BandwidthTrace.constant(down))
 
-    def up_at(self, t: float) -> float:
-        return self.uplink.value_at(t)
-
-    def down_at(self, t: float) -> float:
-        return self.downlink.value_at(t)
-
-    def next_change_after(self, t: float) -> float:
-        return min(
-            self.uplink.next_change_after(t),
-            self.downlink.next_change_after(t),
-        )
-
-    @property
-    def breakpoints(self) -> list[float]:
-        """Sorted union of uplink and downlink breakpoints.
-
-        Topologies merge these once into a single sorted array so the
-        event loop's ``next_change_after`` is one binary search instead
-        of a scan over every node (see :func:`merge_breakpoints`).
-        """
-        return sorted({*self.uplink.breakpoints, *self.downlink.breakpoints})
-
 
 def merge_breakpoints(links: Sequence[NodeBandwidth]) -> list[float]:
     """Sorted union of every link's breakpoints, deduplicated.
 
-    ``min(link.next_change_after(t) for link in links)`` equals the first
-    merged breakpoint strictly after ``t`` — the identity the topologies'
-    cached ``next_change_after`` relies on.  Each merged breakpoint is
-    an instant where some link's value changes.
+    The first merged breakpoint strictly after ``t`` is the first instant
+    after ``t`` where some link's value changes: the topologies'
+    ``next_change_after`` is one bisect into this list.
     """
     merged: set[float] = set()
     for link in links:
@@ -276,7 +210,24 @@ class CapacityRows:
     only the instants where its value changes, so at every merged
     breakpoint some link's capacity changes.  Merging the
     breakpoints once also makes ``next_change_after`` one bisect.
+
+    A topology keeps its per-node links in ``_nodes``; the node count,
+    the node ids and the check that a node is in the network are
+    defined here once for all of them.
     """
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    @property
+    def node_ids(self) -> range:
+        return range(len(self._nodes))
+
+    def _check(self, node_id: int) -> None:
+        if not 0 <= node_id < len(self._nodes):
+            raise SimulationError(
+                f"node {node_id} outside network of {len(self._nodes)} nodes"
+            )
 
     def _keep_rows(
         self, *groups: tuple[str, str, Sequence[NodeBandwidth]]
@@ -301,9 +252,9 @@ class CapacityRows:
         epoch = bisect_right(self._breakpoints, t)
         row = self._rows.get(epoch)
         if row is None:
-            # One bisect per trace, straight into its arrays (``max(.., 0)``
-            # is ``value_at``'s "before the first sample" rule); the values
-            # are the float objects the traces already hold.
+            # One bisect per trace, straight into its arrays: the last
+            # sample at or before ``t``, else the first (``max(.., 0)``);
+            # the values are the float objects the traces already hold.
             self.rows_built += 1
             row = self._rows[epoch] = MappingProxyType({
                 resource: values[max(bisect_right(times, t) - 1, 0)]

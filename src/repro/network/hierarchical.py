@@ -21,11 +21,7 @@ from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 
 from repro.exceptions import SimulationError
-from repro.network.bandwidth import (
-    BandwidthTrace,
-    CapacityRows,
-    NodeBandwidth,
-)
+from repro.network.bandwidth import CapacityRows, NodeBandwidth
 
 
 class RackNetwork(CapacityRows):
@@ -60,36 +56,6 @@ class RackNetwork(CapacityRows):
             ("rack_up", "rack_down", self._rack_links),
         )
 
-    @classmethod
-    def uniform(
-        cls,
-        rack_count: int,
-        nodes_per_rack: int,
-        node_capacity: float,
-        rack_capacity: float,
-    ) -> RackNetwork:
-        """Homogeneous racks; ``rack_capacity < nodes_per_rack *
-        node_capacity`` models oversubscription."""
-        node_racks = [
-            rack for rack in range(rack_count) for _ in range(nodes_per_rack)
-        ]
-        nodes = [
-            NodeBandwidth.constant(node_capacity, node_capacity)
-            for _ in node_racks
-        ]
-        racks = [
-            NodeBandwidth.constant(rack_capacity, rack_capacity)
-            for _ in range(rack_count)
-        ]
-        return cls(node_racks, nodes, racks)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def node_ids(self) -> range:
-        return range(len(self._nodes))
-
     @property
     def rack_count(self) -> int:
         return len(self._rack_links)
@@ -104,17 +70,6 @@ class RackNetwork(CapacityRows):
 
     def same_rack(self, a: int, b: int) -> bool:
         return self.rack_of(a) == self.rack_of(b)
-
-    # ------------------------------------------------------------------
-    # Per-link lookups
-    # ------------------------------------------------------------------
-    def up_at(self, node: int, t: float) -> float:
-        self._check(node)
-        return self.capacities_at(t)["up", node]
-
-    def down_at(self, node: int, t: float) -> float:
-        self._check(node)
-        return self.capacities_at(t)["down", node]
 
     # ------------------------------------------------------------------
     # Fluid-simulator topology interface
@@ -140,12 +95,6 @@ class RackNetwork(CapacityRows):
         if index >= len(self._breakpoints):
             return math.inf
         return self._breakpoints[index]
-
-    def _check(self, node: int) -> None:
-        if not 0 <= node < len(self._nodes):
-            raise SimulationError(
-                f"node {node} outside network of {len(self._nodes)} nodes"
-            )
 
     def _check_rack(self, rack: int) -> None:
         if not 0 <= rack < self.rack_count:

@@ -63,25 +63,6 @@ class StarNetwork(CapacityRows):
             [NodeBandwidth(u, d) for u, d in zip(up_traces, down_traces)]
         )
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def node_ids(self) -> range:
-        return range(len(self._nodes))
-
-    def node(self, node_id: int) -> NodeBandwidth:
-        self._check(node_id)
-        return self._nodes[node_id]
-
-    def up_at(self, node_id: int, t: float) -> float:
-        self._check(node_id)
-        return self.capacities_at(t)["up", node_id]
-
-    def down_at(self, node_id: int, t: float) -> float:
-        self._check(node_id)
-        return self.capacities_at(t)["down", node_id]
-
     def next_change_after(self, t: float) -> float:
         """Earliest capacity breakpoint strictly after ``t`` on any node."""
         index = bisect_right(self._breakpoints, t)
@@ -108,9 +89,3 @@ class StarNetwork(CapacityRows):
         if src == dst:
             raise SimulationError(f"self-edge on node {src}")
         return {("up", src): 1.0, ("down", dst): 1.0}
-
-    def _check(self, node_id: int) -> None:
-        if not 0 <= node_id < len(self._nodes):
-            raise SimulationError(
-                f"node {node_id} outside network of {len(self._nodes)} nodes"
-            )

@@ -6,7 +6,7 @@ bandwidth (``WorkloadTrace.to_network``).  Real clusters are messier —
 repair and application flows *compete* for the same links, and the repair
 job's throughput depends on the transport's sharing behaviour.
 
-This module provides the competition model: each second of a workload
+This module provides the competition model: each sample of a workload
 trace is replayed as rate-capped background flows inside the fluid
 simulator, with the cap equal to the recorded per-node usage.  Repair
 tasks then share links with the foreground under max-min fairness.  The
@@ -54,20 +54,17 @@ class ForegroundFlow:
 
 
 def synthesize_flows(
-    trace: WorkloadTrace,
-    seed: int = 0,
-    resolution: float = 1.0,
+    trace: WorkloadTrace, seed: int = 0
 ) -> list[ForegroundFlow]:
     """Turn a trace's per-node usage marginals into concrete flows.
 
     Each sample interval pairs uploaders with downloaders greedily (largest
     residual first), emitting one flow per pair whose rate is the smaller
-    residual.  The resulting flow set reproduces the trace's per-node
-    up/down usage up to the truncation of unmatched residual (a node
-    uploading to a client outside the cluster has no in-cluster partner).
+    residual and which lasts the whole interval.  The resulting flow set
+    reproduces the trace's per-node up/down usage up to the truncation of
+    unmatched residual (a node uploading to a client outside the cluster
+    has no in-cluster partner).
     """
-    if resolution <= 0:
-        raise TraceError("resolution must be positive")
     rng = np.random.default_rng(seed)
     flows: list[ForegroundFlow] = []
     for sample in range(trace.sample_count):
@@ -96,7 +93,7 @@ def synthesize_flows(
             flows.append(
                 ForegroundFlow(
                     start=start,
-                    end=start + resolution,
+                    end=start + trace.interval,
                     src=src,
                     dst=dst,
                     rate=float(rate),

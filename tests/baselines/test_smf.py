@@ -108,15 +108,6 @@ class TestForwarding:
         assert pairwise_bmin(rp.tree, view) == 5.0
         assert smf.bmin == 100.0
 
-    def test_explicit_idle_pool_respected(self):
-        view = pairwise(8, {(1, 0): 5.0})
-        plan = SMFPlanner(idle_pool=[6]).plan(view, 0, [1, 2, 3], 3)
-        assert plan.notes["forwarders"] == [6]
-
-    def test_unknown_idle_node_rejected(self):
-        with pytest.raises(PlanningError):
-            SMFPlanner(idle_pool=[99]).plan(uniform(8), 0, [1, 2, 3], 3)
-
     def test_helpers_are_chunk_holders_only(self):
         plan = SMFPlanner().plan(uniform(10), 0, [1, 2, 3, 4, 5], 4)
         assert plan.helpers == [1, 2, 3, 4]
@@ -148,15 +139,17 @@ class TestByteAccurateForwarding:
             for n in stripe.surviving_nodes(failed)
             if cluster.nodes[n].alive
         ]
-        # Degrade the first helper's direct link so the idle node relays.
+        # Degrade the first helper's direct link so the idle node relays;
+        # the view holds the survivors, the requestor and that one idle
+        # node, so it is the only forwarder the planner can pick.
+        nodes = [*survivors, requestor, idle]
         view = PairwiseBandwidthSnapshot(
-            up={i: 100.0 for i in range(12)},
-            down={i: 100.0 for i in range(12)},
+            up={i: 100.0 for i in nodes},
+            down={i: 100.0 for i in nodes},
             link_caps={(survivors[0], requestor): 5.0},
         )
         plan, rebuilt = cluster.repair_chunk(
-            SMFPlanner(idle_pool=[idle]), view, stripe, lost_index,
-            requestor,
+            SMFPlanner(), view, stripe, lost_index, requestor,
         )
         assert plan.notes["forwarders"] == [idle]
         np.testing.assert_array_equal(rebuilt, original)

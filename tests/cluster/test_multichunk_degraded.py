@@ -150,7 +150,7 @@ class TestDegradedRead:
         np.testing.assert_array_equal(first, original)
         # The node comes back empty (transient failure lost its disk here),
         # so reads keep being served degraded.
-        cluster.nodes[holder].recover()
+        cluster.nodes[holder].alive = True
         second = cluster.degraded_read(
             PivotRepairPlanner(), uniform_snapshot(), stripe, 0, client
         )

@@ -72,15 +72,6 @@ class TestFailure:
         with pytest.raises(ClusterError):
             node.store(cid, payload(1))
 
-    def test_recover_comes_back_empty(self):
-        node = DataNode(0)
-        node.store(ChunkId(0, 0), payload(1))
-        node.fail()
-        node.recover()
-        assert node.alive
-        assert node.chunk_ids() == []
-        node.store(ChunkId(0, 0), payload(2))  # writable again
-
 
 class TestPartialResult:
     def test_scales_own_chunk(self):

@@ -11,12 +11,12 @@ from repro.core.rack_aware import (
 )
 from repro.core.tree import RepairTree
 from repro.exceptions import PlanningError
-from repro.network.hierarchical import RackNetwork
+from tests.network.links import uniform_racks
 
 
 def snapshot_2x4(node_cap=1000.0, rack_cap=1500.0):
     """2 racks x 4 nodes, homogeneous, oversubscribed core."""
-    net = RackNetwork.uniform(2, 4, node_cap, rack_cap)
+    net = uniform_racks(2, 4, node_cap, rack_cap)
     return RackSnapshot.from_network(net, 0.0)
 
 

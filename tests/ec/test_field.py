@@ -68,10 +68,6 @@ class TestAxioms:
         with pytest.raises(GaloisFieldError):
             field.inv(0)
 
-    def test_div_by_zero_rejected(self, field):
-        with pytest.raises(GaloisFieldError):
-            field.div(1, 0)
-
     def test_mul_slice_matches_elementwise(self, field):
         rng = np.random.default_rng(3)
         data = rng.integers(0, field.order, size=200).astype(field.dtype)

@@ -36,10 +36,6 @@ class TestScalarArithmetic:
         with pytest.raises(GaloisFieldError):
             GF256.inv(0)
 
-    def test_div_by_zero_raises(self):
-        with pytest.raises(GaloisFieldError):
-            GF256.div(5, 0)
-
     def test_pow_identities(self):
         assert GF256.pow(0, 0) == 1
         assert GF256.pow(0, 5) == 0
@@ -81,11 +77,6 @@ class TestFieldAxioms:
     @given(nonzero)
     def test_inverse_round_trip(self, a):
         assert GF256.mul(a, GF256.inv(a)) == 1
-
-    @given(elements, nonzero)
-    def test_div_is_mul_by_inverse(self, a, b):
-        quotient = GF256.div(a, b)
-        assert GF256.mul(quotient, b) == a
 
 
 class TestVectorised:

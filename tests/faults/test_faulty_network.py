@@ -3,9 +3,8 @@
 import math
 
 from repro.faults import FaultPlan, FaultyNetwork
-from repro.network.hierarchical import RackNetwork
 from repro.network.topology import StarNetwork
-from tests.network.links import link_bandwidth
+from tests.network.links import link_bandwidth, uniform_racks
 
 
 def star():
@@ -33,18 +32,18 @@ class TestWrap:
 class TestCapacities:
     def test_crash_zeroes_both_directions(self):
         net = FaultyNetwork.wrap(star(), FaultPlan.from_spec("crash:1@5"))
-        assert net.up_at(1, 4.9) == 200.0
-        assert net.up_at(1, 5.0) == 0.0
-        assert net.down_at(1, 5.0) == 0.0
-        assert net.up_at(2, 5.0) == 300.0  # others untouched
+        assert net.capacities_at(4.9)["up", 1] == 200.0
+        assert net.capacities_at(5.0)["up", 1] == 0.0
+        assert net.capacities_at(5.0)["down", 1] == 0.0
+        assert net.capacities_at(5.0)["up", 2] == 300.0  # others untouched
 
     def test_degradation_scales_one_direction(self):
         net = FaultyNetwork.wrap(
             star(), FaultPlan.from_spec("degrade:2@2-8x0.5:up")
         )
-        assert net.up_at(2, 4.0) == 150.0
-        assert net.down_at(2, 4.0) == 350.0
-        assert net.up_at(2, 9.0) == 300.0
+        assert net.capacities_at(4.0)["up", 2] == 150.0
+        assert net.capacities_at(4.0)["down", 2] == 350.0
+        assert net.capacities_at(9.0)["up", 2] == 300.0
 
     def test_capacities_at_scales_node_keys(self):
         net = FaultyNetwork.wrap(star(), FaultPlan.from_spec("stall:0@1+2"))
@@ -60,7 +59,7 @@ class TestCapacities:
         assert link_bandwidth(net, 0, 1, 5.0) == 10.0
 
     def test_rack_network_keys_pass_through(self):
-        base = RackNetwork.uniform(
+        base = uniform_racks(
             rack_count=2, nodes_per_rack=2, node_capacity=100.0,
             rack_capacity=150.0,
         )

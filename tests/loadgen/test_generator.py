@@ -9,12 +9,14 @@ from repro.loadgen import (
     READ,
     WRITE,
     LoadProfile,
+    RateShape,
     generate_requests,
     rate_profile_from_trace,
     zipf_weights,
 )
 from repro.traces import generate_trace
 from repro.traces.generators import PROFILES
+from repro.traces.workload import WorkloadTrace
 
 CODE = RSCode(5, 3)
 NODE_COUNT = 12
@@ -136,17 +138,19 @@ class TestGenerateRequests:
         assert hottest == lowest
 
     def test_rate_profile_must_be_a_non_negative_vector(self):
-        for shape in ([], [[1.0, 2.0]], [1.0, -0.5]):
+        for shape, interval in (
+            ([], 1.0), ([[1.0, 2.0]], 1.0), ([1.0, -0.5], 1.0), ([1.0], 0.0),
+        ):
             with pytest.raises(LoadGenError):
                 generate_requests(
                     LoadProfile(), make_stripes(), NODE_COUNT, seed=0,
-                    rate_profile=np.array(shape),
+                    rate_profile=RateShape(np.array(shape), interval),
                 )
 
     def test_trace_modulation_follows_shape(self):
         stripes = make_stripes()
         profile = LoadProfile(arrival_rate=100.0, duration=20.0)
-        shape = np.array([2.0] * 10 + [0.1] * 10)
+        shape = RateShape(np.array([2.0] * 10 + [0.1] * 10), 1.0)
         requests = generate_requests(
             profile, stripes, NODE_COUNT, seed=0, rate_profile=shape
         )
@@ -167,6 +171,27 @@ class TestRateProfileFromTrace:
             PROFILES["TPC-DS"], node_count=8, duration=120, seed=0
         )
         profile = rate_profile_from_trace(trace)
-        assert profile.shape == (120,)
-        assert profile.min() >= 0.05
-        assert profile.mean() == pytest.approx(1.0, rel=0.25)
+        assert profile.interval == 1.0
+        assert profile.multipliers.shape == (120,)
+        assert profile.multipliers.min() >= 0.05
+        assert profile.multipliers.mean() == pytest.approx(1.0, rel=0.25)
+
+    def test_arrivals_follow_the_traces_clock(self):
+        """A 2 s trace busy for its first three samples: arrivals are
+        dense over [0, 6) s, sample by sample, and trickle after."""
+        busy = [[80.0] * 3 + [0.0] * 3] * 4
+        trace = WorkloadTrace(
+            "two-second", 100.0, busy, busy, interval=2.0
+        )
+        profile = rate_profile_from_trace(trace)
+        assert profile.interval == 2.0
+        requests = generate_requests(
+            LoadProfile(arrival_rate=50.0, duration=12.0), make_stripes(),
+            NODE_COUNT, seed=0, rate_profile=profile,
+        )
+        arrivals = np.array([r.arrival for r in requests])
+        first = np.count_nonzero(arrivals < 3.0)
+        second = np.count_nonzero((arrivals >= 3.0) & (arrivals < 6.0))
+        after = np.count_nonzero(arrivals >= 6.0)
+        assert second > first / 2
+        assert after < second / 10

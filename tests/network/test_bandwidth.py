@@ -166,59 +166,41 @@ class TestSharedGrid:
             traces_on_grid(sample_grid(4, 1.0), np.ones(4))
 
 
+def one_link(trace):
+    """A one-node network whose uplink and downlink are ``trace``: its
+    capacity rows are how the library reads a trace."""
+    return StarNetwork([NodeBandwidth(trace, trace)])
+
+
+def read(network, t):
+    return network.capacities_at(t)["up", 0]
+
+
 class TestLookup:
     def test_piecewise_values(self):
-        trace = BandwidthTrace([0, 10, 20], [100, 50, 75])
-        assert trace.value_at(0) == 100
-        assert trace.value_at(9.999) == 100
-        assert trace.value_at(10) == 50
-        assert trace.value_at(15) == 50
-        assert trace.value_at(20) == 75
-        assert trace.value_at(1e9) == 75
+        network = one_link(BandwidthTrace([0, 10, 20], [100, 50, 75]))
+        assert read(network, 0) == 100
+        assert read(network, 9.999) == 100
+        assert read(network, 10) == 50
+        assert read(network, 15) == 50
+        assert read(network, 20) == 75
+        assert read(network, 1e9) == 75
 
     def test_before_first_breakpoint(self):
-        trace = BandwidthTrace([5], [42])
-        assert trace.value_at(0) == 42
+        network = one_link(BandwidthTrace([5], [42]))
+        assert read(network, 0) == 42
 
     def test_constant(self):
-        trace = BandwidthTrace.constant(7)
-        assert trace.value_at(0) == 7
-        assert trace.next_change_after(0) == math.inf
+        network = one_link(BandwidthTrace.constant(7))
+        assert read(network, 0) == 7
+        assert network.next_change_after(0) == math.inf
 
     def test_next_change_after(self):
-        trace = BandwidthTrace([0, 10, 20], [1, 2, 3])
-        assert trace.next_change_after(-1) == 0
-        assert trace.next_change_after(0) == 10
-        assert trace.next_change_after(10) == 20
-        assert trace.next_change_after(20) == math.inf
-
-    def test_mean_time_weighted(self):
-        trace = BandwidthTrace([0, 10], [100, 0])
-        assert trace.mean(0, 20) == pytest.approx(50)
-        assert trace.mean(5, 15) == pytest.approx(50)
-
-    def test_mean_rejects_empty_interval(self):
-        with pytest.raises(TraceError):
-            BandwidthTrace.constant(1).mean(5, 5)
-
-
-class TestTransforms:
-    def test_scaled(self):
-        trace = BandwidthTrace([0, 1], [10, 20]).scaled(0.5)
-        assert trace.values == [5, 10]
-
-    def test_scaled_rejects_negative(self):
-        with pytest.raises(TraceError):
-            BandwidthTrace.constant(1).scaled(-1)
-
-    def test_clipped(self):
-        trace = BandwidthTrace([0, 1, 2], [5, 50, 500]).clipped(10, 100)
-        assert trace.values == [10, 50, 100]
-
-    def test_as_array(self):
-        times, values = BandwidthTrace([0, 1], [2, 3]).as_array()
-        assert list(times) == [0, 1]
-        assert list(values) == [2, 3]
+        network = one_link(BandwidthTrace([0, 10, 20], [1, 2, 3]))
+        assert network.next_change_after(-1) == 0
+        assert network.next_change_after(0) == 10
+        assert network.next_change_after(10) == 20
+        assert network.next_change_after(20) == math.inf
 
 
 class TestNodeBandwidth:
@@ -232,16 +214,16 @@ class TestNodeBandwidth:
             assert BandwidthSnapshot.from_network(network, t).theo(0) == theo
 
     def test_next_change_merges_links(self):
-        node = NodeBandwidth(
+        network = StarNetwork([NodeBandwidth(
             BandwidthTrace([0, 10], [1, 2]), BandwidthTrace([0, 4], [1, 2])
-        )
-        assert node.next_change_after(0) == 4
-        assert node.next_change_after(4) == 10
+        )])
+        assert network.next_change_after(0) == 4
+        assert network.next_change_after(4) == 10
 
     def test_constant_helper(self):
-        node = NodeBandwidth.constant(5, 9)
-        assert node.up_at(123) == 5
-        assert node.down_at(123) == 9
+        network = StarNetwork([NodeBandwidth.constant(5, 9)])
+        assert network.capacities_at(123) == {("up", 0): 5, ("down", 0): 9}
+        assert network.next_change_after(0) == math.inf
 
 
 class TestProperties:
@@ -257,20 +239,7 @@ class TestProperties:
     def test_value_at_matches_sample(self, values, query):
         trace = trace_from_samples(values, interval=1.0)
         index = min(int(query), len(values) - 1)
-        assert trace.value_at(query) == values[index]
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.lists(
-            st.floats(min_value=0, max_value=1e6, allow_nan=False),
-            min_size=1,
-            max_size=10,
-        )
-    )
-    def test_mean_bounded_by_extremes(self, values):
-        trace = trace_from_samples(values)
-        mean = trace.mean(0, len(values))
-        assert min(values) - 1e-6 <= mean <= max(values) + 1e-6
+        assert read(one_link(trace), query) == values[index]
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -286,7 +255,7 @@ class TestProperties:
         """Values on a ladder, so runs of equal samples are common
         (``-0.0 == 0.0`` is one of them): the trace keeps the first
         sample and each one that differs from the sample before it, and
-        answers ``value_at`` as the raw samples do."""
+        a network on it reads as the raw samples do."""
         values = data.draw(st.lists(
             st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e9]),
             min_size=len(times), max_size=len(times),
@@ -304,8 +273,11 @@ class TestProperties:
 
         between = [(a + b) / 2 for a, b in zip(times, times[1:])]
         instants = [times[0] - 1.0, *times, *between, times[-1] + 1.0]
+        network = one_link(trace)
         for t in instants:
-            assert trace.value_at(t) == raw(t)
+            assert read(network, t) == raw(t)
         for t in instants:
             later = [c for c in changes if c > t]
-            assert trace.next_change_after(t) == min(later, default=math.inf)
+            assert network.next_change_after(t) == min(
+                later, default=math.inf
+            )

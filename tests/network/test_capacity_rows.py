@@ -1,14 +1,15 @@
 """One capacity row per network epoch: the invariant and its gate.
 
-``StarNetwork`` / ``RackNetwork`` answer ``capacities_at``, ``up_at``,
-``down_at`` and (through them) ``BandwidthSnapshot.from_network`` and a
-link's capacity over its ``edge_usage`` from one read-only row per visited
-capacity epoch.  The differential below rebuilds every answer from
-scratch through ``BandwidthTrace.value_at`` — the three-deep call chain
-the rows replaced, kept here as the oracle — on traces whose breakpoint
-grids differ, at instants before the first sample, exactly on a
-breakpoint, between two and after the last, asked in any order and more
-than once.  ``TestRowGate`` holds the exact build counts.
+``StarNetwork`` / ``RackNetwork`` answer ``capacities_at`` and (through
+it) ``BandwidthSnapshot.from_network`` and a link's capacity over its
+``edge_usage`` from one read-only row per visited capacity epoch: the
+only way the library reads a capacity.  The differential below rebuilds
+every answer from scratch, one trace at a time, through
+``tests.network.links.value_at`` (a trace's last sample at or before
+``t``, else its first) on traces whose breakpoint grids differ, at
+instants before the first sample, exactly on a breakpoint, between two
+and after the last, asked in any order and more than once.
+``TestRowGate`` holds the exact build counts.
 """
 
 import math
@@ -27,7 +28,7 @@ from repro.network.bandwidth import BandwidthTrace, NodeBandwidth
 from repro.network.hierarchical import RackNetwork
 from repro.network.topology import StarNetwork
 from repro.repair.executor import repair_single_chunk
-from tests.network.links import link_bandwidth
+from tests.network.links import link_bandwidth, value_at
 
 NODES = 4
 RACKS = [0, 0, 1, 1]
@@ -67,20 +68,24 @@ rack_links = link_sets(2)
 
 def probes(all_links):
     """Before the first breakpoint, on each, between each two, after."""
-    points = sorted({t for link in all_links for t in link.breakpoints})
+    points = sorted({
+        t for link in all_links
+        for trace in (link.uplink, link.downlink)
+        for t in trace.breakpoints
+    })
     between = [(a + b) / 2 for a, b in zip(points, points[1:])]
     return [points[0] - 1.0, *points, *between, points[-1] + 1.0]
 
 
 def oracle_row(nodes, racks, t):
-    """``capacities_at`` rebuilt through ``BandwidthTrace.value_at``."""
+    """``capacities_at`` rebuilt trace by trace through ``value_at``."""
     row = {}
     for index, link in enumerate(nodes):
-        row["up", index] = link.uplink.value_at(t)
-        row["down", index] = link.downlink.value_at(t)
+        row["up", index] = value_at(link.uplink, t)
+        row["down", index] = value_at(link.downlink, t)
     for index, link in enumerate(racks):
-        row["rack_up", index] = link.uplink.value_at(t)
-        row["rack_down", index] = link.downlink.value_at(t)
+        row["rack_up", index] = value_at(link.uplink, t)
+        row["rack_down", index] = value_at(link.downlink, t)
     return row
 
 
@@ -109,8 +114,6 @@ def assert_answers(network, row, t, rack_of=None):
     snapshot = BandwidthSnapshot.from_network(network, t)
     assert snapshot.time == t
     for node in range(NODES):
-        assert network.up_at(node, t) == row["up", node]
-        assert network.down_at(node, t) == row["down", node]
         assert snapshot.up[node] == row["up", node]
         assert snapshot.down[node] == row["down", node]
         for dst in range(NODES):
@@ -156,9 +159,9 @@ class TestRowsEqualARebuild:
         for network in (star(), rack()):
             for node in (-1, NODES):
                 with pytest.raises(SimulationError, match="outside network"):
-                    network.up_at(node, 0.0)
+                    link_bandwidth(network, node, 0, 0.0)
                 with pytest.raises(SimulationError, match="outside network"):
-                    network.down_at(node, 0.0)
+                    link_bandwidth(network, 0, node, 0.0)
         for bad in (-1, 2):
             with pytest.raises(SimulationError, match="unknown rack"):
                 rack().nodes_in_rack(bad)
@@ -226,8 +229,8 @@ class TestRowsAreReadNotWritten:
         except TypeError:
             pass
         assert dict(network.capacities_at(3.5)) == before
-        assert network.up_at(0, 3.5) == before["up", 0]
         snapshot = BandwidthSnapshot.from_network(network, 3.5)
+        assert snapshot.up[0] == before["up", 0]
         assert snapshot.down[1] == before["down", 1]
 
     @pytest.mark.parametrize("build", [star, rack])
@@ -316,7 +319,7 @@ class TestRowGate:
         assert network.row_hits == 0
         for t in (-1.0, 0.5, 1.0, 4.9, 5.0, 1e9):
             network.capacities_at(t)
-            network.up_at(1, t)
+            link_bandwidth(network, 1, 0, t)
         assert network.rows_built == len(breakpoints) + 1
         assert network.row_hits == 12
 

@@ -8,12 +8,12 @@ from repro.exceptions import SimulationError
 from repro.network.bandwidth import BandwidthTrace, NodeBandwidth
 from repro.network.hierarchical import RackNetwork
 from repro.network.simulator import FluidSimulator
-from tests.network.links import link_bandwidth
+from tests.network.links import link_bandwidth, uniform_racks
 
 
 def two_racks(node_cap=100.0, rack_cap=150.0):
     """2 racks x 2 nodes; rack links oversubscribed below 2x node capacity."""
-    return RackNetwork.uniform(2, 2, node_cap, rack_cap)
+    return uniform_racks(2, 2, node_cap, rack_cap)
 
 
 class TestConstruction:
@@ -34,7 +34,7 @@ class TestConstruction:
             )
 
     def test_uniform_layout(self):
-        net = RackNetwork.uniform(3, 4, 100, 200)
+        net = uniform_racks(3, 4, 100, 200)
         assert len(net) == 12
         assert net.rack_count == 3
         assert net.rack_of(0) == 0
@@ -59,7 +59,7 @@ class TestLinkSemantics:
 
     def test_unknown_node_rejected(self):
         with pytest.raises(SimulationError):
-            two_racks().up_at(9, 0.0)
+            link_bandwidth(two_racks(), 9, 0, 0.0)
         with pytest.raises(SimulationError):
             two_racks().nodes_in_rack(7)
 

@@ -27,8 +27,8 @@ class TestStarNetwork:
     def test_uniform(self):
         net = StarNetwork.uniform(4, 100)
         assert len(net) == 4
-        assert net.up_at(2, 0) == 100
-        assert net.down_at(3, 99) == 100
+        assert net.capacities_at(0)["up", 2] == 100
+        assert net.capacities_at(99)["down", 3] == 100
 
     def test_link_bandwidth_is_min(self):
         net = static_network([30, 100], [100, 20])
@@ -43,7 +43,7 @@ class TestStarNetwork:
     def test_bad_node_rejected(self):
         net = StarNetwork.uniform(2, 1)
         with pytest.raises(SimulationError):
-            net.up_at(5, 0)
+            link_bandwidth(net, 5, 0, 0)
 
     def test_next_change_across_nodes(self):
         net = StarNetwork.from_traces(

@@ -10,16 +10,16 @@ import pytest
 
 from repro.core import PivotRepairPlanner
 from repro.ec import RSCode, place_stripes
-from repro.network.hierarchical import RackNetwork
 from repro.repair import ExecutionConfig, repair_full_node
 from repro.repair.fullnode import repair_full_node_adaptive
+from tests.network.links import uniform_racks
 
 NODE_COUNT = 12  # 3 racks x 4 nodes
 CODE = RSCode(6, 4)
 
 
 def rack_network(rack_capacity):
-    return RackNetwork.uniform(3, 4, 1000.0, rack_capacity)
+    return uniform_racks(3, 4, 1000.0, rack_capacity)
 
 
 def make_stripes(failed_node, count=6, seed=0):

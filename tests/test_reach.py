@@ -8,10 +8,11 @@ and so does an allowed name that gains a driver (strike it here).
 
 Likewise a config dataclass field that no caller sets is a constant
 waiting to happen, unless :data:`UNSET` says why it stays a field; a
-public method only the tests reach is dead code or a test helper,
-unless :data:`METHODS` says why it stays; and a defaulted parameter no
-caller passes is a constant waiting to happen, unless :data:`UNPASSED`
-says why it stays a parameter.
+public method the tests reference and no reached code calls (reached
+transitively: a caller counts only if something reached calls it) is
+dead code or a test helper, unless :data:`METHODS` says why it stays;
+and a defaulted parameter no caller passes is a constant waiting to
+happen, unless :data:`UNPASSED` says why it stays a parameter.
 """
 
 import functools
@@ -85,29 +86,20 @@ UNSET = {
 }
 
 
-_DEFERRED = (
-    "ROADMAP item 11: leaves with the tests that check only it, in a "
-    "later step"
-)
+_MULTI_CHUNK = "ROADMAP item 12: the multi-chunk fallback, reached or removed"
 
 #: ``module:Class.method`` -> why only the tests reach it.
 METHODS = {
     "repro.network.engine:IncrementalEngine.solves": (
         "runtime counter ROADMAP item 9 exports"
     ),
-    **{
-        name: _DEFERRED
-        for name in (
-            "repro.cluster.node:DataNode.recover",
-            "repro.ec.field:GaloisField.div",
-            "repro.network.bandwidth:BandwidthTrace.scaled",
-            "repro.network.bandwidth:BandwidthTrace.clipped",
-            "repro.network.bandwidth:BandwidthTrace.as_array",
-        )
-    },
+    "repro.cluster.master:Cluster.rebuild_slice_range": (
+        "ROADMAP item 7: adopt_full_node calls it, and its composed-fault "
+        "generator is the driver"
+    ),
+    "repro.repair.multichunk:MultiChunkPlan.download_edges": _MULTI_CHUNK,
+    "repro.repair.multichunk:MultiChunkPlan.upload_edges": _MULTI_CHUNK,
 }
-
-_MULTI_CHUNK = "ROADMAP item 12: the multi-chunk fallback, reached or removed"
 
 #: ``module:function.parameter`` -> why no caller passes it and it
 #: stays a parameter.
@@ -144,8 +136,6 @@ UNPASSED = {
         "the one-stripe journal and resume tests run through it and pin "
         "its journal to a one-stripe full-node repair's"
     ),
-    "repro.baselines.smf:SMFPlanner.__init__.idle_pool": _DEFERRED,
-    "repro.traces.replay:synthesize_flows.resolution": _DEFERRED,
 }
 
 
@@ -266,6 +256,37 @@ def test_a_test_only_method_is_found(tmp_path):
     checkout = planted(tmp_path, files)
     assert load_reach().test_only_methods(checkout) == [
         "pkg.mod:Toy.orphan"
+    ]
+
+
+def test_a_method_only_a_test_only_method_calls_is_found(tmp_path):
+    # ``orphan`` calls ``inner``, ``loop_a`` and ``loop_b`` call each
+    # other, ``run`` (reached from the CLI) calls ``kept``, and
+    # ``__repr__`` (a dunder, run implicitly) calls ``shown``: the calls
+    # of unreached code reach nothing.
+    files = {
+        "src/pkg/mod.py": (
+            "class Toy:\n"
+            "    def orphan(self):\n        self.inner()\n\n"
+            "    def inner(self): pass\n\n"
+            "    def loop_a(self):\n        self.loop_b()\n\n"
+            "    def loop_b(self):\n        self.loop_a()\n\n"
+            "    def run(self):\n        self.kept()\n\n"
+            "    def kept(self): pass\n\n"
+            "    def shown(self): pass\n\n"
+            "    def __repr__(self):\n        return str(self.shown())\n"
+        ),
+        "src/pkg/cli.py": "from pkg.mod import Toy\n\nToy().run()\n",
+        "tests/test_mod.py": (
+            "from pkg.mod import Toy\n\n"
+            "t = Toy()\nt.orphan()\nt.inner()\nt.loop_a()\nt.loop_b()\n"
+            "t.kept()\nt.shown()\n"
+        ),
+    }
+    checkout = planted(tmp_path, files)
+    assert load_reach().test_only_methods(checkout) == [
+        "pkg.mod:Toy.orphan", "pkg.mod:Toy.inner",
+        "pkg.mod:Toy.loop_a", "pkg.mod:Toy.loop_b",
     ]
 
 

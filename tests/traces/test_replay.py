@@ -16,9 +16,10 @@ from repro.traces.replay import (
 from repro.traces.workload import WorkloadTrace
 
 
-def toy_trace(used_up, used_down, capacity=100.0):
+def toy_trace(used_up, used_down, capacity=100.0, interval=1.0):
     return WorkloadTrace(
-        "toy", capacity, np.asarray(used_up, float), np.asarray(used_down, float)
+        "toy", capacity, np.asarray(used_up, float),
+        np.asarray(used_down, float), interval=interval,
     )
 
 
@@ -72,9 +73,16 @@ class TestSynthesizeFlows:
         b = synthesize_flows(trace, seed=5)
         assert a == b
 
-    def test_bad_resolution_rejected(self):
-        with pytest.raises(TraceError):
-            synthesize_flows(toy_trace([[1]], [[1]]), resolution=0)
+    def test_each_flow_covers_its_whole_sample(self):
+        # Three 2 s samples of node 0 uploading 60 to node 1: the flows
+        # tile [0, 6) and carry the 360 bytes the trace records.
+        trace = toy_trace(
+            [[60] * 3, [0] * 3], [[0] * 3, [60] * 3], interval=2.0
+        )
+        flows = synthesize_flows(trace)
+        assert [(f.start, f.end) for f in flows] == [(0, 2), (2, 4), (4, 6)]
+        assert sum(f.size for f in flows) == 360
+
 
 
 class TestReplayPump:
@@ -140,4 +148,4 @@ class TestRepairUnderCompetition:
     def test_competition_network_capacity(self):
         trace = toy_trace([[1]], [[1]], capacity=42.0)
         net = competition_network(trace)
-        assert net.up_at(0, 0) == 42.0
+        assert net.capacities_at(0) == {("up", 0): 42.0, ("down", 0): 42.0}

@@ -123,15 +123,15 @@ class TestNetworkConversion:
     def test_to_network_replays_availability(self):
         trace = small_trace()
         net = trace.to_network()
-        assert net.up_at(0, 0.0) == 90
-        assert net.up_at(0, 1.0) == 10
-        assert net.up_at(0, 2.5) == 50
-        assert net.down_at(1, 2.0) == 0
+        assert net.capacities_at(0.0)["up", 0] == 90
+        assert net.capacities_at(1.0)["up", 0] == 10
+        assert net.capacities_at(2.5)["up", 0] == 50
+        assert net.capacities_at(2.0)["down", 1] == 0
 
     def test_floor_prevents_starvation(self):
         trace = small_trace()
         net = trace.to_network(floor=5.0)
-        assert net.down_at(1, 2.0) == 5.0
+        assert net.capacities_at(2.0)["down", 1] == 5.0
 
     def test_network_size(self):
         assert len(small_trace().to_network()) == 2
@@ -151,7 +151,7 @@ class TestNetworkConversion:
         for node in range(5):
             up = np.clip(trace.available_up()[node], floor, None)
             down = np.clip(trace.available_down()[node], floor, None)
-            link = network.node(node)
+            link = network._nodes[node]
             for kept, row in ((link.uplink, up), (link.downlink, down)):
                 changes = first_and_changes(row.tolist())
                 assert kept.breakpoints == [times[i] for i in changes]
@@ -163,7 +163,7 @@ class TestNetworkConversion:
         node 0's downlink throughout: the network has two epochs, not
         three."""
         network = small_trace().to_network(floor=85.0)
-        links = [network.node(node) for node in network.node_ids]
+        links = [network._nodes[node] for node in network.node_ids]
         assert [
             (trace.breakpoints, trace.values)
             for link in links
