@@ -14,6 +14,12 @@ are chosen from this, not from intuition (ROADMAP north star); the
 numbers are host seconds under the profiler, good for ranking and call
 counts, not for claims — those come from ``benchmarks/perf/run.py``.
 
+The warm-up pass, unprofiled, also takes the fluid engine's component
+census: the count of its small solves (``IncrementalEngine._solve`` on
+two or more entities) and, per solve, the mean entities, columns and
+private columns (one registered user).  The script tallies them by
+wrapping ``_solve`` for that pass alone; nothing under ``src/`` counts.
+
 On Linux it also prints the profiled phase's own memory: the resident
 set when it started and its peak while it ran (``VmHWM``, reset through
 ``/proc/self/clear_refs`` just before the call, so an earlier phase's
@@ -32,6 +38,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "perf")]
 
 from harness import Ops  # noqa: E402
 from workloads import REGISTRY  # noqa: E402
+
+from repro.network.engine import IncrementalEngine  # noqa: E402
 
 
 def _memory_mib() -> dict[str, float]:
@@ -55,6 +63,50 @@ def _reset_peak() -> bool:
     except OSError:
         return False
     return True
+
+
+def census(call, *args) -> dict[str, int]:
+    """Run ``call(*args)`` and tally the engine's small solves in it.
+
+    Totals over every ``IncrementalEngine._solve`` of two or more
+    entities: ``solves``, and the ``entities``, ``columns`` (distinct
+    columns the entities use) and ``private`` columns (one registered
+    user) of each, read before the solve runs.
+    """
+    tally = dict.fromkeys(("solves", "entities", "columns", "private"), 0)
+    solve = IncrementalEngine._solve
+
+    def counted(engine, entity_ids):
+        if len(entity_ids) > 1:
+            columns = {
+                col for entity in entity_ids for col in engine._usage[entity]
+            }
+            tally["solves"] += 1
+            tally["entities"] += len(entity_ids)
+            tally["columns"] += len(columns)
+            tally["private"] += sum(
+                len(engine._users[col]) == 1 for col in columns
+            )
+        return solve(engine, entity_ids)
+
+    IncrementalEngine._solve = counted
+    try:
+        call(*args)
+    finally:
+        IncrementalEngine._solve = solve
+    return tally
+
+
+def print_census(tally: dict[str, int]) -> None:
+    """One line: the small solves, then their means per solve."""
+    count = tally["solves"]
+    line = f"census of the warm-up pass: {count} small solves"
+    if count:
+        line += ", mean per solve: " + ", ".join(
+            f"{tally[key] / count:.1f} {key}"
+            for key in ("entities", "columns", "private")
+        )
+    print(line)
 
 
 def module_of(filename: str) -> str:
@@ -102,7 +154,7 @@ def main(argv=None) -> int:
         call = workload.setup
     else:
         workload.setup(ops)
-        workload.run_pass(ops)
+        tally = census(workload.run_pass, ops)
         call = workload.run_pass
     # The benchmark collects a pass's cyclic garbage (a whole byte-level
     # cluster, say) before the next; so does this, before measuring.
@@ -116,6 +168,8 @@ def main(argv=None) -> int:
     for order in ("cumulative", "tottime"):
         stats.sort_stats(order).print_stats(args.top)
     print_self_by_module(stats, args.top)
+    if args.phase == "pass":
+        print_census(tally)
     if start and end:
         print(
             f"memory of the profiled {args.phase}: "

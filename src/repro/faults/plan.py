@@ -265,10 +265,6 @@ class FaultPlan:
                 )
         return cls(events)
 
-    def merged(self, other: FaultPlan) -> FaultPlan:
-        """Union of two plans' events (storm = outage plan + chaos plan)."""
-        return FaultPlan(self._events + other._events)
-
     def shifted(self, delta: float) -> FaultPlan:
         """A copy with every event time offset by ``delta`` seconds.
 

@@ -13,10 +13,12 @@ index instead of resource dict (:meth:`IncrementalEngine._solve_small`),
 or in closed form when it is one entity.  After the first round the
 rounds pop a heap of column levels instead of scanning every column, so
 a densely coupled component costs what its rounds freeze, not rounds ×
-columns; the heap finds the same level and the same freeze group.
-Before any of that, an arrival or a departure that provably moves no
-other entity's rate is settled by an exact certificate over the
-perturbed entity's own columns, and no component is gathered or solved
+columns; the heap finds the same level and the same freeze group.  A
+column that only one entity uses enters the rounds as that entity's
+rate cap, not as a column.  Before any of that, an arrival or a
+departure that provably moves no other entity's rate is settled by an
+exact certificate over the perturbed entity's own columns, and no
+component is gathered or solved
 (:meth:`IncrementalEngine._arrival_rate`,
 :meth:`IncrementalEngine._departure_is_quiet`).
 
@@ -266,13 +268,16 @@ class IncrementalEngine:
         self._dirty.clear()
         seen_entities = set(todo)
         seen_cols: set[int] = set()
+        users_of = self._users
         while todo:
             entity_id = todo.pop()
             for col in self._usage[entity_id]:
-                if col in seen_cols:
+                users = users_of[col]
+                # A private column's one user is the entity walked.
+                if len(users) == 1 or col in seen_cols:
                     continue
                 seen_cols.add(col)
-                for other in self._users[col]:
+                for other in users:
                     if other not in seen_entities:
                         seen_entities.add(other)
                         todo.append(other)
@@ -338,6 +343,15 @@ class IncrementalEngine:
         shared columns, so a column's registered ``_users`` are exactly
         its users within the component.
 
+        A private column (one registered user) is a rate cap: until its
+        user freezes its level stays ``capacity / coeff``, and when the
+        round reaches it, it freezes that user alone.  So each entity's
+        cap is the least of its finite ``max_rate`` and its private
+        levels, and only shared columns enter the rounds.  Every round
+        sees the same candidate levels and the same freeze group as
+        with the private columns inside, so every rate and every float
+        of a shared column is the same.
+
         Round one takes ``min`` over every column's level and scans them
         once for the tie group: it reads every column anyway, and most
         components finish in it or one round later.  If entities are
@@ -346,8 +360,8 @@ class IncrementalEngine:
         equal to it, skips an entry whose column has since been
         re-derived or retired (``levels.get(col) != value``), and pushes
         each re-derived level.  A round therefore costs what it freezes,
-        not the component's column count.  The rate caps are one sorted
-        ``(cap, entity)`` list read through a moving index.  Float
+        not the component's shared column count.  The rate caps are one
+        sorted ``(cap, entity)`` list read through a moving index.  Float
         ``min`` and ``==`` are exact, so the level and the set of
         columns saturated at it are the ones a full scan finds.
 
@@ -365,18 +379,32 @@ class IncrementalEngine:
         #: ``(cap, entity)`` of every capped active entity, ascending.
         capped: list[tuple[float, int]] = []
         active_coeff: dict[int, float] = {}
+        #: Per active entity, its ``(col, coeff)`` on shared columns, in
+        #: usage order.
+        shared: dict[int, list[tuple[int, float]]] = {}
         for entity_id in entity_ids:
             usage = entity_usage[entity_id]
             max_rate = entities[entity_id].max_rate
             if not usage or (max_rate is not None and max_rate <= 0):
                 continue
             active.add(entity_id)
-            # An infinite or NaN cap never binds: ``cap < level`` is
-            # false for it, and so is ``cap == level`` at a finite level.
+            # An infinite or NaN cap never binds, so the fold starts at
+            # inf for it: a NaN start would lose every private level.
+            cap = math.inf
             if max_rate is not None and max_rate < math.inf:
-                capped.append((max_rate, entity_id))
+                cap = max_rate
+            pairs = []
             for col, coeff in usage.items():
-                active_coeff[col] = active_coeff.get(col, 0.0) + coeff
+                if len(users[col]) == 1:
+                    value = capacity[col] / coeff
+                    if value < cap:
+                        cap = value
+                else:
+                    pairs.append((col, coeff))
+                    active_coeff[col] = active_coeff.get(col, 0.0) + coeff
+            shared[entity_id] = pairs
+            if cap < math.inf:
+                capped.append((cap, entity_id))
         capped.sort()
         capped_count = len(capped)
         next_cap = 0
@@ -436,7 +464,7 @@ class IncrementalEngine:
             for entity_id in sorted(newly):
                 rates[entity_id] = assigned
                 active.remove(entity_id)
-                for col, coeff in entity_usage[entity_id].items():
+                for col, coeff in shared[entity_id]:
                     freeze_sum[col] = freeze_sum.get(col, 0.0) + coeff
             for col, coeff in freeze_sum.items():
                 used = frozen_used.get(col, 0.0) + coeff * assigned

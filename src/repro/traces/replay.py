@@ -163,12 +163,14 @@ def repair_under_competition(
 ) -> float:
     """Transfer time of one pipelined repair competing with foreground.
 
-    Replays the trace window ``[start_time, start_time +
-    COMPETITION_HORIZON)`` as rate-capped flows on a full-capacity
-    network, submits the repair tree, and returns its duration.
+    Replays ``COMPETITION_HORIZON`` seconds of the trace, from the
+    sample that holds ``start_time``, as rate-capped flows from
+    ``start_time`` on a full-capacity network, submits the repair tree,
+    and returns its duration.
     """
     window = trace.window(
-        int(start_time), int(np.ceil(COMPETITION_HORIZON / trace.interval))
+        int(start_time // trace.interval),
+        int(np.ceil(COMPETITION_HORIZON / trace.interval)),
     )
     flows = [
         ForegroundFlow(

@@ -16,6 +16,7 @@ from repro.core.algorithm import (
 from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.exceptions import PlanningError
 from tests.baselines.ppt_oracle import all_subsets
+from tests.core.threshold_oracle import optimal_bmin
 
 # Figure 4's bandwidth table (Mb/s). Node 0 plays the requestor R; node 1
 # is the failed node, nodes 2..6 are helpers N2..N6.
@@ -120,6 +121,43 @@ def random_snapshot(node_count, seed, low=1, high=1000):
     return snap(up, down)
 
 
+@st.composite
+def wide_snapshots(draw):
+    """``(view, k)`` with k up to 64 and up to 40 spare candidates.
+
+    Integer, bimodal (20 / 900: hot storage's congested nodes), float
+    and three-value (ties everywhere) bandwidths; optionally some links
+    at zero, and optionally a requestor downlink under 10, below every
+    link but a zero one, so that the root's own share is the
+    bottleneck.
+    """
+    k = draw(st.integers(min_value=1, max_value=64))
+    node_count = 1 + k + draw(st.integers(min_value=0, max_value=40))
+    kind = draw(st.sampled_from(["integer", "bimodal", "float", "ties"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def links():
+        if kind == "integer":
+            return rng.integers(1, 1000, node_count).astype(float)
+        if kind == "bimodal":
+            return rng.choice([20.0, 900.0], node_count)
+        if kind == "float":
+            return rng.uniform(0.5, 1000.0, node_count)
+        return rng.choice([100.0, 200.0, 300.0], node_count)
+
+    up, down = links(), links()
+    if draw(st.booleans()):
+        up[rng.random(node_count) < 0.1] = 0.0
+        down[rng.random(node_count) < 0.1] = 0.0
+    if draw(st.booleans()):
+        down[0] = float(rng.uniform(0.0, 10.0))
+    view = snap(
+        {i: float(v) for i, v in enumerate(up)},
+        {i: float(v) for i, v in enumerate(down)},
+    )
+    return view, k
+
+
 class TestTheorem1Optimality:
     """Algorithm 1's B_min must match exhaustive enumeration (Theorem 1)."""
 
@@ -152,6 +190,53 @@ class TestTheorem1Optimality:
         greedy = build_pivot_tree(view, 0, candidates, 4)
         optimum, _, _ = all_subsets(view, 0, candidates, 4)
         assert greedy.bmin(view) == pytest.approx(optimum, rel=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_snapshots())
+    def test_matches_threshold_oracle_at_every_width(self, instance):
+        # k up to 64, far past what enumeration reaches: the oracle
+        # bisects over bottleneck values with slot counting
+        # (tests/core/threshold_oracle.py), and the optimum is a float
+        # the tree computes the same way, so `==` is exact.
+        view, k = instance
+        candidates = list(range(1, len(view.up)))
+        tree = build_pivot_tree(view, 0, candidates, k)
+        assert tree.bmin(view) == optimal_bmin(view, 0, candidates, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=2),
+    )
+    def test_threshold_oracle_matches_exhaustive_optimum(
+        self, seed, k, extra
+    ):
+        # The oracle itself, against Prüfer enumeration where that runs.
+        node_count = 1 + k + extra
+        view = random_snapshot(node_count, seed)
+        candidates = list(range(1, node_count))
+        optimum, _, _ = all_subsets(view, 0, candidates, k)
+        assert optimal_bmin(view, 0, candidates, k) == optimum
+
+    @pytest.mark.parametrize(
+        "root_down, link, k, expected",
+        [
+            (5.0, 1000.0, 8, 5.0),      # the root's one child is the limit
+            (0.0, 1000.0, 8, 0.0),      # a dead requestor downlink
+            (1000.0, 0.0, 8, 0.0),      # every helper link dead
+            (300.0, 300.0, 64, 300.0),  # ties everywhere: a 64-long chain
+        ],
+    )
+    def test_threshold_oracle_edge_cases(self, root_down, link, k, expected):
+        up = {i: link for i in range(k + 3)}
+        down = dict(up)
+        down[0] = root_down
+        view = snap(up, down)
+        candidates = list(range(1, k + 3))
+        assert optimal_bmin(view, 0, candidates, k) == expected
+        tree = build_pivot_tree(view, 0, candidates, k)
+        assert tree.bmin(view) == expected
 
     def test_structural_invariants(self):
         for seed in range(30):

@@ -9,6 +9,7 @@ import functools
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -72,3 +73,48 @@ def test_module_of_names_files_by_module(profile_pass):
     assert module_of(str(root / "benchmarks/perf/harness.py")) == "harness"
     assert module_of("~") == "<built-in>"
     assert module_of("/usr/lib/python3/heapq.py") == "<heapq>"
+
+
+def test_census_tallies_small_solves_only(profile_pass):
+    # a and b share down0 and each has a private uplink: one small
+    # solve of 2 entities over 3 columns, 2 of them private.  c, alone
+    # on its links, is a single-entity solve and is not counted.
+    from repro.network.fairness import usage_from_edges
+    from repro.network.topology import StarNetwork
+
+    engine_class = profile_pass.IncrementalEngine
+    solve = engine_class._solve
+    engine = engine_class(StarNetwork.constant([100.0] * 5, [100.0] * 5))
+
+    def run():
+        for entity_id, edges in enumerate([[(1, 0)], [(2, 0)]]):
+            engine.add_entity(entity_id, SimpleNamespace(
+                usage=usage_from_edges(edges), max_rate=None, rate=0.0,
+            ))
+        engine.ensure(0.0)
+        engine.add_entity(2, SimpleNamespace(
+            usage=usage_from_edges([(3, 4)]), max_rate=None, rate=0.0,
+        ))
+        engine.ensure(0.0)
+
+    assert profile_pass.census(run) == {
+        "solves": 1, "entities": 2, "columns": 3, "private": 2,
+    }
+    assert engine.solves_by_tier == {"single": 1, "small": 1}
+    # The wrapper is gone once the census returns.
+    assert engine_class._solve is solve
+
+
+@pytest.mark.parametrize(
+    "phase, printed", [("pass", True), ("setup", False)], ids=["pass", "setup"]
+)
+def test_prints_the_census_of_the_warm_up_pass(
+    profile_pass, capsys, phase, printed
+):
+    assert profile_pass.main(
+        ["--workload", WORKLOAD, "--top", "5", "--phase", phase]
+    ) == 0
+    out = capsys.readouterr().out
+    # lifetime_mc never reaches the fluid engine.
+    line = "census of the warm-up pass: 0 small solves\n"
+    assert (line in out) == printed

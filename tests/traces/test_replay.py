@@ -145,6 +145,28 @@ class TestRepairUnderCompetition:
         )
         assert slow > fast
 
+    @pytest.mark.parametrize("start_time", [0.0, 2.0, 4.0])
+    def test_window_starts_at_the_sample_holding_start_time(
+        self, start_time
+    ):
+        # A 2 s trace busy only in [2, 4) and its 1 s twin (each sample
+        # repeated) are the same foreground: a repair started at the
+        # same time must take the same time on both.  Indexing the
+        # window by seconds started the 2 s replay at sample 2 (4 s),
+        # which misses the busy sample (1.5 s against 2.3 s from 2 s).
+        def trace(busy, interval):
+            up = np.zeros((3, len(busy)))
+            up[1, busy] = 40.0
+            return toy_trace(up, up[[1, 0, 2]], interval=interval)
+
+        two = trace([False, True, False, False], 2.0)
+        one = trace([False, False, True, True] + [False] * 4, 1.0)
+        assert repair_under_competition(
+            two, [(2, 0)], bytes_per_edge=150.0, start_time=start_time
+        ) == repair_under_competition(
+            one, [(2, 0)], bytes_per_edge=150.0, start_time=start_time
+        )
+
     def test_competition_network_capacity(self):
         trace = toy_trace([[1]], [[1]], capacity=42.0)
         net = competition_network(trace)
