@@ -58,9 +58,6 @@ class RackSnapshot(BandwidthSnapshot):
             rack_down={r: capacities["rack_down", r] for r in racks},
         )
 
-    def same_rack(self, a: int, b: int) -> bool:
-        return self.rack_of[a] == self.rack_of[b]
-
 
 def cross_rack_edges(
     tree: RepairTree, rack_of: Mapping[int, int]

@@ -82,13 +82,6 @@ class RepairTree:
     def child_count(self, node: int) -> int:
         return len(self.children(node))
 
-    def leaves(self) -> list[int]:
-        return sorted(
-            node
-            for node, kids in self._children.items()
-            if not kids and node != self.root
-        )
-
     def non_leaf_helpers(self) -> list[int]:
         return sorted(
             node
@@ -189,12 +182,4 @@ class RepairTree:
             previous = node
         if not parents:
             raise PlanningError("a chain needs at least one helper")
-        return cls(root, parents)
-
-    @classmethod
-    def star(cls, root: int, helpers: Iterable[int]) -> RepairTree:
-        """All helpers directly under the root (conventional repair shape)."""
-        parents = {node: root for node in helpers}
-        if not parents:
-            raise PlanningError("a star needs at least one helper")
         return cls(root, parents)

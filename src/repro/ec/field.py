@@ -158,12 +158,6 @@ class GaloisField:
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------
-    def add(self, a, b):
-        """Addition is bitwise XOR in characteristic 2."""
-        return np.bitwise_xor(a, b)
-
-    sub = add
-
     def mul(self, a, b):
         """Element-wise product of scalars or word arrays."""
         exp, log = self._tables()

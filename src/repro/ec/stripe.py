@@ -44,10 +44,6 @@ class Stripe:
         except ValueError:
             return None
 
-    def nodes(self) -> list[int]:
-        """All nodes storing a chunk of this stripe."""
-        return list(self.placement)
-
     def surviving_nodes(self, failed_node: int) -> list[int]:
         """Nodes of this stripe other than the failed one."""
         return [node for node in self.placement if node != failed_node]

@@ -91,9 +91,6 @@ class LinkDegradation:
         if self.direction not in _DIRECTIONS:
             raise FaultError(f"unknown direction {self.direction!r}")
 
-    def active(self, t: float) -> bool:
-        return self.start <= t < self.end
-
     def as_dict(self) -> dict:
         return {
             "kind": "degrade", "node": self.node, "start": self.start,
@@ -122,9 +119,6 @@ class HelperStall:
     @property
     def end(self) -> float:
         return self.start + self.duration
-
-    def active(self, t: float) -> bool:
-        return self.start <= t < self.end
 
     def as_dict(self) -> dict:
         return {
@@ -346,10 +340,6 @@ class FaultPlan:
                 if not self.is_dead(node, t):
                     out.add(node)
         return out
-
-    def breakpoints(self) -> list[float]:
-        """Every time at which the plan changes something, sorted."""
-        return list(self._breakpoints)
 
     def next_change_after(self, t: float) -> float:
         """First plan breakpoint strictly after ``t`` (+inf if none)."""

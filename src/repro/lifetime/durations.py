@@ -33,6 +33,8 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from repro.baselines import ConventionalPlanner, RPPlanner
+from repro.core import PivotRepairPlanner
 from repro.exceptions import LifetimeError
 
 __all__ = [
@@ -42,8 +44,7 @@ __all__ = [
     "FixedDurations",
 ]
 
-#: Scheme key -> planner factory, lazily resolved (keeps this module
-#: importable without dragging the whole planning stack in).
+#: The schemes :func:`make_scheme_planner` builds a planner for.
 SCHEME_KEYS = ("pivot", "rp", "conventional")
 
 #: Seconds and seed of the synthetic trace a calibration repairs on.
@@ -54,16 +55,10 @@ CALIBRATION_TRACE_SEED = 1
 def make_scheme_planner(scheme: str):
     """Planner for a lifetime scheme key ("pivot", "rp", "conventional")."""
     if scheme == "pivot":
-        from repro.core import PivotRepairPlanner
-
         return PivotRepairPlanner()
     if scheme == "rp":
-        from repro.baselines import RPPlanner
-
         return RPPlanner()
     if scheme == "conventional":
-        from repro.baselines import ConventionalPlanner
-
         return ConventionalPlanner()
     raise LifetimeError(
         f"unknown repair scheme {scheme!r}; expected one of {SCHEME_KEYS}"
@@ -93,9 +88,6 @@ class DurationModel(ABC):
         """Expected repair duration (seconds) — reporting only."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 class FixedDurations(DurationModel):
     """Every repair of a scheme takes exactly its configured time."""
@@ -119,9 +111,6 @@ class FixedDurations(DurationModel):
     def mean(self, scheme: str) -> float:
         return self._of(scheme)
 
-    def describe(self) -> str:
-        return "fixed"
-
 
 class ExponentialDurations(DurationModel):
     """Exponential repair times — the Markov-chain repair model."""
@@ -143,9 +132,6 @@ class ExponentialDurations(DurationModel):
             raise LifetimeError(
                 f"no repair duration configured for scheme {scheme!r}"
             ) from None
-
-    def describe(self) -> str:
-        return "exponential"
 
 
 class CalibratedDurations(DurationModel):
@@ -195,10 +181,6 @@ class CalibratedDurations(DurationModel):
 
     def mean(self, scheme: str) -> float:
         return float(self._of(scheme).mean()) * self.scale
-
-    def describe(self) -> str:
-        sizes = {s: len(a) for s, a in sorted(self.samples.items())}
-        return f"calibrated({sizes}, scale={self.scale:g})"
 
     @classmethod
     def calibrate(

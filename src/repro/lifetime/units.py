@@ -75,11 +75,6 @@ class ClusterLayout:
     def disks(self) -> int:
         return self.machines * self.disks_per_machine
 
-    def rack_of(self, machine: int) -> int:
-        """Rack of ``machine`` (round-robin assignment)."""
-        self._check_machine(machine)
-        return machine % self.racks
-
     def machines_in_rack(self, rack: int) -> list[int]:
         if not 0 <= rack < self.racks:
             raise LifetimeError(f"rack {rack} outside [0, {self.racks})")

@@ -46,28 +46,6 @@ class RepairQoSGovernor:
         """Per-flow byte-rate ceiling for repair tasks (None = uncapped)."""
         raise NotImplementedError
 
-    @property
-    def current_cap(self) -> float | None:
-        """Cap currently in force, without advancing the policy.
-
-        What observers (flight recorder, diagnosis, reports) read between
-        decision points; ``repair_rate_cap`` is the mutating decision.
-        """
-        return None
-
-    def state(self) -> dict:
-        """JSON-friendly view of the governor's live control state."""
-        cap = self.current_cap
-        return {
-            "policy": self.name,
-            "cap": cap,
-            "decision_interval": (
-                None
-                if math.isinf(self.decision_interval)
-                else self.decision_interval
-            ),
-        }
-
 
 class NoGovernor(RepairQoSGovernor):
     """Repair is never throttled."""
@@ -89,10 +67,6 @@ class StaticCapGovernor(RepairQoSGovernor):
         self.cap = float(cap)
 
     def repair_rate_cap(self, now, foreground):
-        return self.cap
-
-    @property
-    def current_cap(self):
         return self.cap
 
 
@@ -178,10 +152,6 @@ class AdaptiveSLOGovernor(RepairQoSGovernor):
         self.slo_alerts += 1
         base = self._cap if self._cap is not None else self.reference_rate
         self._cap = max(self.floor_rate, base * self.decrease)
-
-    @property
-    def current_cap(self):
-        return self._cap
 
 
 def make_governor(name: str, **kwargs) -> RepairQoSGovernor:

@@ -87,14 +87,6 @@ class BandwidthTrace:
         """A trace that never changes."""
         return cls([0.0], [value])
 
-    @property
-    def breakpoints(self) -> list[float]:
-        return list(self._times)
-
-    @property
-    def values(self) -> list[float]:
-        return list(self._values)
-
     def __repr__(self) -> str:
         return (
             f"BandwidthTrace({len(self._times)} breakpoints, "

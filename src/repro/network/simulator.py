@@ -65,6 +65,13 @@ DEFAULT_ENGINE = "fast"
 _RATE_TRACE_EXCLUDE = frozenset({"foreground"})
 
 
+def _check_max_rate(max_rate: float | None) -> None:
+    """A rate cap is ``None`` (uncapped) or a positive number, ``inf``
+    included; ``not > 0`` also refuses NaN, which no comparison binds."""
+    if max_rate is not None and not max_rate > 0:
+        raise SimulationError(f"max_rate must be positive, got {max_rate}")
+
+
 @dataclass
 class SimulatorStats:
     """Event-loop statistics: what the fluid model itself costs.
@@ -368,8 +375,7 @@ class FluidSimulator:
             raise SimulationError("a pipelined task needs at least one edge")
         if bytes_per_edge <= 0:
             raise SimulationError("bytes_per_edge must be positive")
-        if max_rate is not None and max_rate <= 0:
-            raise SimulationError("max_rate must be positive")
+        _check_max_rate(max_rate)
         usage = self._usage_of(edges)
         handle = self._new_handle(label, kind)
         entity = _Entity(
@@ -408,8 +414,7 @@ class FluidSimulator:
         """
         if not transfers:
             raise SimulationError("a bulk task needs at least one transfer")
-        if max_rate is not None and max_rate <= 0:
-            raise SimulationError("max_rate must be positive")
+        _check_max_rate(max_rate)
         usages = []
         for src, dst, size in transfers:
             if size <= 0:
@@ -619,8 +624,7 @@ class FluidSimulator:
         individually, matching submission semantics); ``None`` removes the
         cap.  A no-op on finished or cancelled tasks.
         """
-        if max_rate is not None and max_rate <= 0:
-            raise SimulationError("max_rate must be positive")
+        _check_max_rate(max_rate)
         entity_ids = self._task_entities.get(handle.task_id, set())
         changed = False
         for entity_id in entity_ids:

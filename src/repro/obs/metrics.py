@@ -237,9 +237,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def family_type(self, name: str) -> str | None:
-        """Registered type of a family (None when unknown)."""
-        return self._types.get(name)
 
     def series(self, name: str) -> list:
         """Every child metric of a family, label sets key-sorted."""

@@ -123,11 +123,6 @@ class SLOStatus:
     #: True when neither window held any points (no evidence either way).
     no_data: bool = False
 
-    @property
-    def burn(self) -> float:
-        """Headline burn (the short window — what the dashboard shows)."""
-        return self.burn_short
-
 
 @dataclass(frozen=True)
 class SLOAlert:

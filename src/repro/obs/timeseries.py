@@ -80,9 +80,6 @@ class Series:
         """Points with ``t0 <= t <= t1``, in insertion order."""
         return [(t, v) for t, v in self.points if t0 <= t <= t1]
 
-    def key(self) -> tuple[str, tuple[tuple[str, str], ...]]:
-        return self.name, tuple(sorted(self.labels.items()))
-
     def matches(self, labels: dict) -> bool:
         """True when ``labels`` is a subset of this series' label set."""
         for key, value in labels.items():
@@ -181,9 +178,6 @@ class TimeSeriesDB:
             if s.name == name and s.matches(labels)
         ]
 
-    def names(self) -> list[str]:
-        return sorted({series.name for series in self._series.values()})
-
     def latest(self, name: str, **labels) -> float | None:
         """Value of the most recent point across matching series."""
         best: tuple[float, float] | None = None
@@ -243,13 +237,6 @@ class TimeSeriesDB:
         if not values:
             return math.nan
         return sum(values) / len(values)
-
-    def max(self, name: str, t0: float, t1: float, **labels) -> float:
-        """Maximum pooled point value in the window (nan when empty)."""
-        values = self._values(name, t0, t1, labels)
-        if not values:
-            return math.nan
-        return max(values)
 
     def percentile(
         self, name: str, q: float, t0: float, t1: float, **labels

@@ -82,14 +82,6 @@ class Dashboard:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def now(self) -> float:
-        """Latest timestamp anywhere in the database (0.0 when empty)."""
-        latest = 0.0
-        for series in self.tsdb.all_series():
-            point = series.latest()
-            if point is not None and point[0] > latest:
-                latest = point[0]
-        return latest
 
     def node_utilization(self) -> dict[int, dict[str, float]]:
         """Latest up/down utilization per node, from the sampler feed."""
@@ -115,9 +107,9 @@ class Dashboard:
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------
-    def render(self, now: float | None = None, width: int = 78) -> str:
-        """One full dashboard frame as plain text."""
-        now = self.now() if now is None else float(now)
+    def render(self, now: float, width: int = 78) -> str:
+        """One full dashboard frame as plain text at simulated ``now``."""
+        now = float(now)
         t0 = max(0.0, now - WINDOW)
         lines = [f"repro top · t={now:.2f}s (sim)"]
         lines += self._header_lines(now)
@@ -278,7 +270,7 @@ class LiveTop:
         self.emit(t)
         self._next_frame = t + self.refresh
 
-    def emit(self, now: float | None = None) -> None:
+    def emit(self, now: float) -> None:
         """Render and write one frame unconditionally."""
         frame = self.dashboard.render(now)
         prefix = _FRAME_PREFIX if ANSI else ("\n" if self.frames else "")

@@ -186,12 +186,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def counts(self) -> dict[str, int]:
-        """Event count per event name."""
-        out: dict[str, int] = {}
-        for event in self.events:
-            out[event.name] = out.get(event.name, 0) + 1
-        return out
 
     def counts_by_prefix(self) -> dict[str, int]:
         """Event count per dotted name prefix (``flow.submit`` -> ``flow``)."""
@@ -200,13 +194,6 @@ class Tracer:
             prefix = event.name.split(".", 1)[0]
             out[prefix] = out.get(prefix, 0) + 1
         return out
-
-    def tracks(self) -> list[str]:
-        """Track names in first-seen order."""
-        seen: dict[str, None] = {}
-        for event in self.events:
-            seen.setdefault(event.track, None)
-        return list(seen)
 
 
 class NullTracer:
@@ -246,14 +233,8 @@ class NullTracer:
     ) -> None:
         pass
 
-    def counts(self) -> dict[str, int]:
-        return {}
-
     def counts_by_prefix(self) -> dict[str, int]:
         return {}
-
-    def tracks(self) -> list[str]:
-        return []
 
 
 #: Shared module-level no-op tracer; the default everywhere.

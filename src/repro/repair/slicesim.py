@@ -179,10 +179,6 @@ class SliceSegment:
     end: float
     kind: str
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 def slice_critical_path(
     tree: RepairTree,

@@ -195,8 +195,6 @@ class RepairJournal:
     # ------------------------------------------------------------------
     # Queries (replay helpers)
     # ------------------------------------------------------------------
-    def all(self, kind: str) -> list[JournalRecord]:
-        return [r for r in self.records if r.kind == kind]
 
     def last(self, kind: str) -> JournalRecord | None:
         for record in reversed(self.records):
@@ -208,19 +206,6 @@ class RepairJournal:
         """The run's reproducibility envelope, if one was recorded."""
         record = self.last("run_config")
         return dict(record.data) if record is not None else None
-
-    def watermark(self, stripe: int) -> tuple[int, int] | None:
-        """Last recorded (slice watermark, requestor) for a stripe."""
-        for record in reversed(self.records):
-            if (
-                record.kind == "progress"
-                and record.data.get("stripe") == stripe
-            ):
-                return (
-                    int(record.data["watermark"]),
-                    int(record.data.get("requestor", -1)),
-                )
-        return None
 
     def done_stripes(self) -> set[int]:
         """Stripes whose repair task completed (simulator orchestrators)."""

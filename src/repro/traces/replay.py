@@ -122,10 +122,6 @@ class ForegroundReplay:
         self._flows = sorted(flows, key=lambda f: f.start)
         self._cursor = 0
 
-    @property
-    def pending(self) -> int:
-        return len(self._flows) - self._cursor
-
     def next_start(self) -> float | None:
         if self._cursor >= len(self._flows):
             return None

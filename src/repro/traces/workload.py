@@ -79,10 +79,6 @@ class WorkloadTrace:
     def sample_count(self) -> int:
         return self.used_up.shape[1]
 
-    @property
-    def duration(self) -> float:
-        return self.sample_count * self.interval
-
     def used_node_bandwidth(self) -> np.ndarray:
         """max(used up, used down) per node per second (§III-A)."""
         return np.maximum(self.used_up, self.used_down)

@@ -26,8 +26,8 @@ class TestRackSnapshot:
         assert view.rack_of[0] == 0
         assert view.rack_of[7] == 1
         assert view.rack_up[0] == 1500
-        assert view.same_rack(0, 3)
-        assert not view.same_rack(0, 4)
+        assert view.rack_of[0] == view.rack_of[3]
+        assert view.rack_of[0] != view.rack_of[4]
 
     def test_rack_of_must_cover_nodes(self):
         with pytest.raises(PlanningError):

@@ -20,7 +20,7 @@ class TestStructure:
         assert tree.parent(0) is None
         assert tree.children(0) == [1, 2]
         assert tree.child_count(1) == 1
-        assert tree.leaves() == [2, 3]
+        assert [n for n in tree.helpers if not tree.child_count(n)] == [2, 3]
         assert tree.non_leaf_helpers() == [1]
         assert tree.edges() == [(1, 0), (2, 0), (3, 1)]
         assert len(tree) == 4
@@ -75,13 +75,11 @@ class TestStructure:
             RepairTree.chain(0, [])
 
     def test_star_constructor(self):
-        tree = RepairTree.star(0, [1, 2, 3])
-        assert tree.leaves() == [1, 2, 3]
+        tree = RepairTree(0, {1: 0, 2: 0, 3: 0})
+        assert [n for n in tree.helpers if not tree.child_count(n)] == [
+            1, 2, 3,
+        ]
         assert tree.depth() == 1
-
-    def test_star_needs_helpers(self):
-        with pytest.raises(PlanningError):
-            RepairTree.star(0, [])
 
 
 class TestBmin:
@@ -95,13 +93,13 @@ class TestBmin:
 
     def test_root_downlink_split_among_children(self):
         view = snap({0: 10_000, 1: 10_000, 2: 10_000}, {0: 90, 1: 1, 2: 1})
-        tree = RepairTree.star(0, [1, 2])
+        tree = RepairTree(0, {1: 0, 2: 0})
         assert tree.bmin(view) == pytest.approx(45)
 
     def test_root_uplink_never_constrains(self):
         # The requestor only downloads; up(root)=0 must not matter.
         view = snap({0: 0, 1: 100}, {0: 100, 1: 100})
-        tree = RepairTree.star(0, [1])
+        tree = RepairTree(0, {1: 0})
         assert tree.bmin(view) == 100
 
     def test_non_leaf_helper_downlink_split(self):
@@ -123,7 +121,7 @@ class TestBmin:
         assert tree.bmin(view) == pytest.approx(450)
 
     def test_childless_root_rejected_in_bottleneck(self):
-        tree = RepairTree.star(0, [1])
+        tree = RepairTree(0, {1: 0})
         view = snap({0: 1, 1: 1}, {0: 1, 1: 1})
         # Construct a degenerate query directly.
         with pytest.raises(PlanningError):

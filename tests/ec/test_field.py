@@ -11,6 +11,12 @@ from repro.ec.reed_solomon import RSCode
 from repro.exceptions import GaloisFieldError
 
 
+def add(field, a, b):
+    """Field addition as the data plane does it: a sum of two words
+    with coefficient 1 each."""
+    return int(field.linear_combination([1, 1], [[a], [b]])[0])
+
+
 class TestConstruction:
     def test_unsupported_width_rejected(self):
         with pytest.raises(GaloisFieldError):
@@ -36,7 +42,7 @@ class TestConstruction:
 @pytest.mark.parametrize("field", [GF256, GF65536], ids=["gf256", "gf65536"])
 class TestAxioms:
     def test_add_is_xor(self, field):
-        assert field.add(0b1010, 0b0110) == 0b1100
+        assert add(field, 0b1010, 0b0110) == 0b1100
 
     def test_one_is_multiplicative_identity(self, field):
         for a in (1, 2, 77, field.order - 1):
@@ -54,8 +60,8 @@ class TestAxioms:
         rng = np.random.default_rng(2)
         for _ in range(50):
             a, b, c = (int(x) for x in rng.integers(0, field.order, size=3))
-            left = field.mul(a, field.add(b, c))
-            right = field.add(field.mul(a, b), field.mul(a, c))
+            left = field.mul(a, add(field, b, c))
+            right = add(field, field.mul(a, b), field.mul(a, c))
             assert left == right
 
     def test_pow_matches_repeated_mul(self, field):

@@ -8,17 +8,23 @@ from hypothesis import strategies as st
 from repro.ec.field import GF256
 from repro.exceptions import GaloisFieldError
 
+
+def add(field, a, b):
+    """Field addition as the data plane does it: a sum of two words
+    with coefficient 1 each."""
+    return int(field.linear_combination([1, 1], [[a], [b]])[0])
+
 elements = st.integers(min_value=0, max_value=255)
 nonzero = st.integers(min_value=1, max_value=255)
 
 
 class TestScalarArithmetic:
     def test_add_is_xor(self):
-        assert GF256.add(0b1010, 0b0110) == 0b1100
+        assert add(GF256, 0b1010, 0b0110) == 0b1100
 
     def test_add_self_is_zero(self):
         for a in (0, 1, 17, 255):
-            assert GF256.add(a, a) == 0
+            assert add(GF256, a, a) == 0
 
     def test_mul_by_zero(self):
         assert GF256.mul(0, 123) == 0
@@ -70,8 +76,8 @@ class TestFieldAxioms:
 
     @given(elements, elements, elements)
     def test_distributive(self, a, b, c):
-        left = GF256.mul(a, GF256.add(b, c))
-        right = GF256.add(GF256.mul(a, b), GF256.mul(a, c))
+        left = GF256.mul(a, add(GF256, b, c))
+        right = add(GF256, GF256.mul(a, b), GF256.mul(a, c))
         assert left == right
 
     @given(nonzero)

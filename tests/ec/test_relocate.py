@@ -36,5 +36,5 @@ class TestRelocate:
     def test_surviving_nodes_reflect_relocation(self):
         s = stripe()
         s.relocate(0, 7)
-        assert 7 in s.nodes()
-        assert 0 not in s.nodes()
+        assert 7 in s.placement
+        assert 0 not in s.placement

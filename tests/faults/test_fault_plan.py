@@ -150,7 +150,7 @@ class TestQueries:
         plan = FaultPlan.from_spec(
             "crash:3@5;degrade:2@2-8x0.25;stall:4@3+2"
         )
-        assert plan.breakpoints() == [2.0, 3.0, 5.0, 8.0]
+        assert plan._breakpoints == [2.0, 3.0, 5.0, 8.0]
         assert plan.next_change_after(0.0) == 2.0
         assert plan.next_change_after(3.0) == 5.0
         assert plan.next_change_after(8.0) == math.inf

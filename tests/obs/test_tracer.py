@@ -1,5 +1,7 @@
 """Tracer unit tests: events, spans, no-op behaviour."""
 
+from collections import Counter
+
 from repro.obs import NULL_TRACER, NullTracer, Tracer
 
 
@@ -30,7 +32,9 @@ class TestTracer:
         tracer.instant("planner.insert", t=0.0, track="planner")
         tracer.instant("planner.insert", t=0.0, track="planner")
         tracer.instant("flow.submit", t=0.0, track="node:0")
-        assert tracer.counts() == {"planner.insert": 2, "flow.submit": 1}
+        assert Counter(e.name for e in tracer.events) == {
+            "planner.insert": 2, "flow.submit": 1,
+        }
         assert tracer.counts_by_prefix() == {"planner": 2, "flow": 1}
 
     def test_tracks_first_seen_order(self):
@@ -38,7 +42,9 @@ class TestTracer:
         tracer.instant("a", t=0.0, track="scheduler")
         tracer.instant("b", t=0.0, track="node:4")
         tracer.instant("c", t=0.0, track="scheduler")
-        assert tracer.tracks() == ["scheduler", "node:4"]
+        assert list(dict.fromkeys(e.track for e in tracer.events)) == [
+            "scheduler", "node:4",
+        ]
 
     def test_to_dict_deterministic_payload(self):
         tracer = Tracer()
@@ -57,8 +63,8 @@ class TestNullTracer:
         tracer.end("flow", t=1.0, span_id=span)
         tracer.instant("x", t=0.0)
         assert len(tracer.events) == 0
-        assert tracer.counts() == {}
-        assert tracer.tracks() == []
+        assert Counter(e.name for e in tracer.events) == {}
+        assert list(dict.fromkeys(e.track for e in tracer.events)) == []
 
     def test_shared_singleton_is_disabled(self):
         assert NULL_TRACER.enabled is False

@@ -34,7 +34,7 @@ class TestEdgeRate:
         assert edge_rate(uniform(2), tree, 1) == 100
 
     def test_fanin_splits_downlink(self):
-        tree = RepairTree.star(0, [1, 2])
+        tree = RepairTree(0, {1: 0, 2: 0})
         view = snapshot({0: 1000, 1: 1000, 2: 1000}, {0: 100, 1: 1, 2: 1})
         assert edge_rate(view, tree, 1) == 50
 
@@ -145,7 +145,7 @@ class TestSliceCriticalPath:
             cfg = config(chunk=1000, slice_size=50, overhead=1e-4)
             makespan = simulate_slices(tree, snap, cfg)
             segments = slice_critical_path(tree, snap, cfg)
-            assert sum(s.duration for s in segments) == pytest.approx(
+            assert sum(s.end - s.start for s in segments) == pytest.approx(
                 makespan, abs=1e-9
             )
             assert segments[0].start == pytest.approx(0.0, abs=1e-12)
@@ -165,7 +165,7 @@ class TestSliceCriticalPath:
             segments = slice_critical_path(
                 tree, snap, cfg, start_slice=start_slice
             )
-            assert sum(s.duration for s in segments) == pytest.approx(
+            assert sum(s.end - s.start for s in segments) == pytest.approx(
                 makespan, abs=1e-9
             )
             # Slice indices are absolute, not relative to the resume.

@@ -120,7 +120,9 @@ def rebuilt_chunks(cluster: Cluster, live) -> dict:
 
 def done_records(path) -> list[int]:
     with RepairJournal.load(path) as journal:
-        return [r.data["stripe"] for r in journal.all("task_done")]
+        return [
+            r.data["stripe"] for r in journal.records if r.kind == "task_done"
+        ]
 
 
 def crash_and_resume(scenario, full_journal, full, boundary, path, **torn):

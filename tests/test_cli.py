@@ -337,6 +337,21 @@ class TestFaultFlags:
             else:
                 assert values["reason"]
 
+    def test_repair_with_helper_stall(self, trace_file, capsys):
+        # A stalled helper moves nothing until its stall ends at 0 + 30 s.
+        code = main(
+            [
+                "--json", "repair", str(trace_file), "--n", "6", "--k", "4",
+                "--chunk-mib", "4", "--faults", "stall:1@0+30",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        for values in payload["schemes"].values():
+            assert values["status"] in ("ok", "failed")
+            if values["status"] == "failed":
+                assert "stall" in values["reason"]
+
     def test_repair_with_fault_file(self, trace_file, tmp_path, capsys):
         plan_file = tmp_path / "faults.json"
         plan_file.write_text(
@@ -548,6 +563,46 @@ class TestExplainCommands:
         assert "saved run:" in out
         assert "diagnosed" in out
 
+    def test_explain_unsampled_repair_falls_back_to_tree_shape(
+        self, trace_file, capsys
+    ):
+        # One sample, at t = 0, and repairs that start after it: no sample
+        # covers a flow, so its bottleneck is named from the tree shape.
+        code = main(
+            ["--json", "explain", str(trace_file), *self.FAST,
+             "--sample-interval", "1000", "--planning-seconds", "0.01"]
+        )
+        assert code == 0
+        repairs = json.loads(capsys.readouterr().out)["diagnosis"]["repairs"]
+        assert repairs
+        for repair in repairs:
+            assert repair["bottleneck"]["utilization"] is None
+
+    def test_explain_saved_trace_with_samples(
+        self, trace_file, tmp_path, capsys
+    ):
+        from repro.obs import FlightRecorder, Sample
+
+        saved = tmp_path / "run.jsonl"
+        code = main(
+            ["--trace", str(saved), "fullnode", str(trace_file),
+             "--n", "6", "--k", "4", "--stripes", "4", "--chunk-mib", "4"]
+        )
+        assert code == 0
+        recorder = FlightRecorder()
+        recorder.samples.extend(
+            Sample(t=t, up={0: 1.0e6}, up_util={0: 0.5}) for t in (0.0, 1.0)
+        )
+        samples = tmp_path / "samples.jsonl"
+        samples.write_text(recorder.to_jsonl())
+        capsys.readouterr()
+        code = main(
+            ["--json", "explain", str(saved), "--samples", str(samples)]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["scenario"]["samples"] == 2
+
     @pytest.mark.parametrize("command", ["explain", "critpath"])
     def test_torn_saved_trace_is_a_clean_error(
         self, command, tmp_path, capsys
@@ -718,6 +773,20 @@ class TestTopCommand:
         assert payload["slo"]["firing"]
         fires = [a for a in payload["slo"]["alerts"] if a["kind"] == "fire"]
         assert fires and fires[0]["t"] > 0
+
+    def test_top_repair_deadline_slo(self, trace_file, capsys):
+        code = main(
+            ["--json", "top", str(trace_file), *self.FAST, "--once",
+             "--repair-deadline", "1000"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        [spec] = [
+            spec for spec in payload["slo"]["specs"]
+            if spec["kind"] == "repair_deadline"
+        ]
+        assert spec["deadline"] == 1000.0
+        assert spec["name"] not in payload["slo"]["firing"]
 
     def test_top_rejects_saved_jsonl_target(self, trace_file, tmp_path,
                                             capsys):

@@ -56,8 +56,9 @@ _RETRY = (
     "storm's RETRY_SPEC"
 )
 _HEALTH = (
-    "hedging has no driver (ROADMAP Parked, --health); "
-    "benchmarks/perf/layers.py wraps HealthMonitor.observe"
+    "hedging goes (benchmarks/results/decision_hedging.txt, ROADMAP item "
+    "22); benchmarks/perf/layers.py wraps HealthMonitor.observe, so the "
+    "deletion waits for the benchmark change that drops that layer"
 )
 
 #: ``module:Class.field`` -> why no caller sets it and it stays a field.

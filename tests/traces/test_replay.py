@@ -94,7 +94,7 @@ class TestReplayPump:
         sim = FluidSimulator(StarNetwork.uniform(2, 100.0))
         replay = ForegroundReplay(flows)
         assert replay.pump(sim) == 1
-        assert replay.pending == 1
+        assert len(replay._flows) - replay._cursor == 1
         assert replay.next_start() == 5
 
     def test_pumped_flows_are_booked_as_foreground(self):

@@ -71,7 +71,7 @@ class TestDerivedQuantities:
         trace = small_trace()
         assert trace.node_count == 2
         assert trace.sample_count == 3
-        assert trace.duration == 3.0
+        assert trace.sample_count * trace.interval == 3.0
 
     def test_used_node_bandwidth_is_max(self):
         trace = small_trace()
@@ -154,8 +154,8 @@ class TestNetworkConversion:
             link = network._nodes[node]
             for kept, row in ((link.uplink, up), (link.downlink, down)):
                 changes = first_and_changes(row.tolist())
-                assert kept.breakpoints == [times[i] for i in changes]
-                assert kept.values == row[changes].tolist()
+                assert kept._times == [times[i] for i in changes]
+                assert kept._values == row[changes].tolist()
             assert min(up.min(), down.min()) >= floor
 
     def test_every_trace_keeps_only_its_changes(self):
@@ -165,7 +165,7 @@ class TestNetworkConversion:
         network = small_trace().to_network(floor=85.0)
         links = [network._nodes[node] for node in network.node_ids]
         assert [
-            (trace.breakpoints, trace.values)
+            (trace._times, trace._values)
             for link in links
             for trace in (link.uplink, link.downlink)
         ] == [
@@ -245,7 +245,7 @@ class TestMatrixPathDifferential:
             for v in values
         )
         # Before 0, on and between breakpoints, past the end; twice each.
-        instants = [fraction * trace.duration for fraction in fractions]
+        instants = [fraction * trace.sample_count * trace.interval for fraction in fractions]
         for t in instants + instants:
             assert network.capacities_at(t) == reference.capacities_at(t)
         assert (network.rows_built, network.row_hits) == (
