@@ -21,8 +21,6 @@ seed and a re-run rewrites ``benchmarks/results/decision_hedging.txt``
 byte for byte.
 """
 
-from collections import Counter
-from statistics import median
 from unittest import mock
 
 import pytest
@@ -30,8 +28,8 @@ import pytest
 import repro.controlplane.plane as plane
 import repro.controlplane.storm as storm
 from conftest import record
+from decisions import paired, rack_capped
 from repro.controlplane.storm import StormConfig, run_storm
-from repro.ec.stripe import Stripe
 from repro.resilience import HealthPolicy
 
 SEEDS = range(6)
@@ -39,24 +37,6 @@ SEEDS = range(6)
 #: makespan changes by more than WORST.
 GAIN = -0.05
 WORST = 0.05
-
-
-def rack_capped(count, code, node_count, rng, start_id=0):
-    """``place_stripes``' uniform draw, redrawn until no rack of the
-    storm's topology holds more than ``n - k`` chunks of the stripe."""
-    per_rack = StormConfig.nodes_per_rack
-    stripes = []
-    for i in range(count):
-        while True:
-            nodes = [
-                int(x) for x in rng.choice(node_count, size=code.n,
-                                           replace=False)
-            ]
-            racks = Counter(node // per_rack for node in nodes)
-            if max(racks.values()) <= code.n - code.k:
-                break
-        stripes.append(Stripe(start_id + i, code, nodes))
-    return stripes
 
 
 def storm_run(seed: int, hedged: bool, capped: bool) -> dict:
@@ -93,24 +73,22 @@ def decide(rows: dict) -> tuple[dict, bool]:
     hedging under any placement."""
     summary = {}
     for name, by_seed in rows.items():
-        changes = [
-            by_seed[seed][True]["makespan"] / by_seed[seed][False]["makespan"]
-            - 1.0
-            for seed in SEEDS
-        ]
+        makespan = paired(
+            [by_seed[seed][False]["makespan"] for seed in SEEDS],
+            [by_seed[seed][True]["makespan"] for seed in SEEDS],
+        )
         breach = [
             sum(by_seed[seed][arm]["breach"] for seed in SEEDS)
             for arm in (False, True)
         ]
         summary[name] = {
-            "changes": changes,
-            "median": median(changes),
+            "makespan": makespan,
             "breach": breach,
             "breach_change": breach[1] / breach[0] - 1.0,
         }
     stays = any(
-        (s["median"] <= GAIN or s["breach_change"] <= GAIN)
-        and max(s["changes"]) <= WORST
+        (s["makespan"].median <= GAIN or s["breach_change"] <= GAIN)
+        and s["makespan"].worst <= WORST
         for s in summary.values()
     )
     return summary, stays
@@ -132,25 +110,26 @@ def report_lines(rows: dict, summary: dict, stays: bool) -> list[str]:
             "seed  makespan off -> on (s)  change   breach off -> on (s)"
             "  hedges  repaired"
         )
+        s = summary[name]
+        makespan = s["makespan"]
         for seed in SEEDS:
             off, on = by_seed[seed][False], by_seed[seed][True]
-            change = summary[name]["changes"][seed]
+            change = makespan.changes[seed]
             lines.append(
                 f"{seed:>4}  {off['makespan']:>8.2f} -> {on['makespan']:<8.2f}"
                 f"     {change:+6.1%}   {off['breach']:>7.2f} -> "
                 f"{on['breach']:<7.2f}    {on['hedges']:>4.0f}  "
                 f"{on['repaired']:>3}/{on['lost']}"
             )
-        s = summary[name]
         idle = [
-            abs(s["changes"][seed]) for seed in SEEDS
+            abs(makespan.changes[seed]) for seed in SEEDS
             if by_seed[seed][True]["hedges"] == 0
         ]
         lines.append(
-            f"median makespan change {s['median']:+.1%}; summed breach "
+            f"median makespan change {makespan.median:+.1%}; summed breach "
             f"{s['breach'][0]:.2f} -> {s['breach'][1]:.2f} s "
             f"({s['breach_change']:+.1%}); worst seed "
-            f"{max(s['changes']):+.1%}"
+            f"{makespan.worst:+.1%}"
         )
         if idle:
             lines.append(
