@@ -7,9 +7,9 @@ escalating failure scenario:
 1. one node fails: its chunk is rebuilt through a PivotRepair tree;
 2. a client reads a chunk on another failed node: served as a degraded
    read, reconstructed on the fly, nothing persisted;
-3. a second and third node of the same stripe fail: the stripe falls back
-   to conventional multi-chunk repair (decode + re-encode), and placement
-   metadata tracks the rebuilt chunks' new homes;
+3. a second and third node of the same stripe fail: each lost chunk is
+   rebuilt through its own PivotRepair tree over the surviving chunks,
+   and placement metadata tracks the rebuilt chunks' new homes;
 4. five simultaneous failures exceed n - k = 4: correctly reported as
    unrecoverable.
 
@@ -74,7 +74,7 @@ def main() -> None:
     print(f"2. chunk 7 served to client N{client} as a degraded read "
           "(nothing persisted)")
 
-    # 3. Two simultaneous losses: conventional multi-chunk fallback.
+    # 3. Two simultaneous losses: one pivot tree per lost chunk.
     cluster.fail_node(stripe.placement[11])
     replacement_nodes = spares(cluster, stripe, 3)[1:3]
     rebuilt = cluster.repair_stripe(
@@ -83,8 +83,8 @@ def main() -> None:
     )
     assert np.array_equal(rebuilt[7], originals[7])
     assert np.array_equal(rebuilt[11], originals[11])
-    print("3. chunks 7 and 11 rebuilt together via conventional "
-          "multi-chunk repair (byte-verified)")
+    print("3. chunks 7 and 11 rebuilt, each through its own pivot tree "
+          "(byte-verified)")
 
     # 4. Beyond n - k failures: unrecoverable, loudly.
     doomed = [0, 1, 2, 5, 6]

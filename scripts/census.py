@@ -54,7 +54,7 @@ LISTING = ROOT / "scripts" / "census.txt"
 #: What a listed function may be kept as; anything else is deleted.
 CATEGORIES = (
     "oracle", "generator", "error-path", "protocol", "cli", "worker",
-    "item-7", "item-9", "item-12", "item-22",
+    "item-7", "item-9", "item-22",
 )
 #: Left out of the copy the drivers run in.
 NOT_COPIED = (".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -23,7 +23,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.bandwidth_view import BandwidthSnapshot, best_uplinks
+from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.core.plan import RepairPlan, RepairPlanner
 from repro.ec.chunk import ChunkId
 from repro.ec.reed_solomon import RSCode
@@ -237,13 +237,12 @@ class Cluster:
         lost_indices: Sequence[int],
         replacements: Mapping[int, int],
     ) -> dict[int, np.ndarray]:
-        """Repair one or more lost chunks of a stripe (Section IV-F).
+        """Repair one or more lost chunks of a stripe, each through its
+        own pipelined tree.
 
-        A single lost chunk goes through the pipelined tree planner; two or
-        more fall back to conventional repair — every lost chunk is
-        rebuilt from the same k surviving chunks (the repair equation of
-        Section II-B, once per lost chunk) and stored on its replacement
-        node.
+        Every lost chunk is planned at its replacement node over the
+        stripe's surviving chunks only (no lost index's node helps, not
+        even once its chunk is rebuilt), executed and stored there.
 
         Args:
             lost_indices: chunk indices that became unavailable.
@@ -259,50 +258,29 @@ class Cluster:
         missing = [i for i in lost if i not in replacements]
         if missing:
             raise ClusterError(f"no replacement node for chunks {missing}")
-        if len(lost) == 1:
-            index = lost[0]
-            _, payload = self.repair_chunk(
-                planner, snapshot, stripe, index, replacements[index]
-            )
-            return {index: payload}
-        return self._conventional_multi_repair(
-            snapshot, stripe, lost, replacements
-        )
-
-    def _conventional_multi_repair(
-        self,
-        snapshot: BandwidthSnapshot,
-        stripe: Stripe,
-        lost: list[int],
-        replacements: Mapping[int, int],
-    ) -> dict[int, np.ndarray]:
-        alive_holders = [
+        survivors = [
             node
             for index, node in enumerate(stripe.placement)
             if index not in lost and self._node(node).alive
         ]
-        if len(alive_holders) < self.code.k:
+        if len(survivors) < self.code.k:
             raise ClusterError(
-                f"stripe {stripe.stripe_id}: only {len(alive_holders)} "
+                f"stripe {stripe.stripe_id}: only {len(survivors)} "
                 f"chunks survive, need {self.code.k}"
             )
-        # Prefer helpers with the strongest uplinks (they upload chunks).
-        helpers = best_uplinks(snapshot, alive_holders, self.code.k)
-        available = {
-            stripe.chunk_on_node(node): self._node(node).read(
-                stripe.chunk_id(stripe.chunk_on_node(node))
-            )
-            for node in helpers
-        }
         rebuilt: dict[int, np.ndarray] = {}
         for index in lost:
-            # Straight from the k helper chunks: |lost| * k products,
-            # not a full decode (k * k) plus a full re-encode.
-            payload = self.code.repair_chunk(index, available)
-            self._node(replacements[index]).store(
-                stripe.chunk_id(index), payload
+            requestor = replacements[index]
+            candidates = [node for node in survivors if node != requestor]
+            with planner.traced(self.tracer):
+                plan = planner.plan(
+                    snapshot, requestor, candidates, self.code.k
+                )
+            payload = self.rebuild_from_plan(stripe, index, plan)
+            self.adopt_repair(
+                stripe, index, requestor, payload, at=snapshot.time,
+                scheme=plan.scheme, helpers=plan.helpers,
             )
-            stripe.relocate(index, replacements[index])
             rebuilt[index] = payload
         return rebuilt
 

@@ -76,9 +76,8 @@ def best_uplinks(
     snapshot: BandwidthSnapshot, nodes: Iterable[int], k: int
 ) -> list[int]:
     """The ``k`` of ``nodes`` with the largest uplinks, best first; ties
-    go to the smaller id.  The helper rule wherever whole chunks are
-    uploaded (conventional multi-chunk repair, a degraded master's
-    shrunken helper set): the uplinks are what the transfer waits on.
+    go to the smaller id.  A degraded master's shrunken helper set: the
+    helpers' uplinks are what its repair waits on.
     """
     return sorted(nodes, key=lambda node: (-snapshot.up_of(node), node))[:k]
 

@@ -130,15 +130,6 @@ class RSCode:
         )[0]
         return {h: int(c) for h, c in zip(helpers, coeff_row)}
 
-    def repair_chunk(
-        self, lost_index: int, helper_chunks: Mapping[int, np.ndarray]
-    ) -> np.ndarray:
-        """Reconstruct one lost chunk from exactly ``k`` helper chunks."""
-        coeffs = self.repair_coefficients(lost_index, sorted(helper_chunks))
-        return self.field.linear_combination(
-            coeffs.values(), [helper_chunks[index] for index in coeffs]
-        )
-
     def _check_indices(self, indices: Sequence[int]) -> None:
         for index in indices:
             if not 0 <= index < self.n:

@@ -22,7 +22,7 @@ Every repair executor opens a ``repair.task`` span when the repair is
 *handed to the orchestrator* (so scheduler queueing is inside the span)
 and closes it when the rebuilt chunk lands.  Everything the repair does
 — attempt flows, hedge flows, planning charges, retry backoffs, the
-pipeline-fill tail, multi-chunk decode — is emitted as a child interval
+pipeline-fill tail — is emitted as a child interval
 (``parent_id`` pointing at the task span) with ``links`` recording what
 each interval *followed from* (the previous attempt, the planning span,
 the racing primary).  The critical path of a repair is then recovered by
@@ -41,7 +41,7 @@ assert at ``1e-9``.
 
 Each segment's seconds are then attributed to categories: flow segments
 by the flow rule, explicit spans directly — ``repair.planning`` →
-``planning``, ``repair.fill``/``repair.decode`` → ``pipeline``,
+``planning``, ``repair.fill`` → ``pipeline``,
 ``repair.backoff`` → ``stall``.  Contention seconds are further charged
 to the *rivals* whose flows shared a link with the repair at that
 instant: foreground **tenants** (``tenant`` is stamped on foreground
@@ -106,7 +106,6 @@ FLOW_CATEGORIES = ("transfer", "contention", "governor", "stall", "hedge")
 _EXPLICIT = {
     "repair.planning": "planning",
     "repair.fill": "pipeline",
-    "repair.decode": "pipeline",
     "repair.backoff": "stall",
 }
 

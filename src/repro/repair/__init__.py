@@ -8,11 +8,6 @@ from repro.repair.executor import (
 from repro.repair.fullnode import repair_full_node, repair_full_node_adaptive
 from repro.repair.jobmaster import StripeRepairMaster, choose_requestor
 from repro.repair.metrics import FullNodeResult, RepairFailed, RepairResult
-from repro.repair.multichunk import (
-    MultiChunkPlan,
-    execute_multi_chunk,
-    plan_multi_chunk,
-)
 from repro.repair.slicesim import fluid_estimate, simulate_slices
 from repro.repair.telemetry import run_counters
 from repro.repair.pipeline import (
@@ -25,13 +20,10 @@ from repro.repair.pipeline import (
 __all__ = [
     "ExecutionConfig",
     "FullNodeResult",
-    "MultiChunkPlan",
     "RepairFailed",
     "RepairResult",
     "StripeRepairMaster",
-    "execute_multi_chunk",
     "fluid_estimate",
-    "plan_multi_chunk",
     "simulate_slices",
     "choose_requestor",
     "execute_plan",

@@ -10,6 +10,10 @@ also goes through), never read by it.
 Walks both packages with :mod:`ast`, so an import inside a function or
 under ``TYPE_CHECKING`` counts too.
 
+Nor does the cluster choose helpers or requestors of its own: every
+chunk it rebuilds, one lost or several, goes through the plan a planner
+hands it.
+
 Above them, ``StripeRepairMaster`` repairs a chunk whether it is alone
 or one of a failed node's: no class under ``src/`` subclasses it, so a
 second dialect of naming, requestor choice or resume cannot come back.
@@ -26,6 +30,8 @@ BYTE_PLANE = ("cluster", "ec")
 FORBIDDEN = (
     "repair", "faults", "resilience", "loadgen", "controlplane", "network",
 )
+#: The rules that pick a repair's helpers or its requestor.
+HELPER_CHOICE = ("best_uplinks", "choose_requestor")
 
 
 def imported_packages(tree: ast.AST, module: str) -> set[str]:
@@ -64,6 +70,30 @@ def test_byte_plane_imports_no_deciding_package():
     assert scanned >= 8, "the scan found no byte plane to check"
     assert not offenders, (
         "the byte plane must not import the planes that decide:\n  "
+        + "\n  ".join(offenders)
+    )
+
+
+def test_the_cluster_chooses_no_helpers():
+    offenders = []
+    paths = sorted((SRC / "cluster").rglob("*.py"))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name in HELPER_CHOICE:
+                offenders.append(
+                    f"{path.relative_to(SRC)}:{node.lineno}: {name}"
+                )
+    assert len(paths) >= 3, "the scan found no cluster to check"
+    assert not offenders, (
+        "the cluster executes plans and chooses no helpers:\n  "
         + "\n  ".join(offenders)
     )
 

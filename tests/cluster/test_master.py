@@ -150,9 +150,10 @@ class TestFullNodeByteAccuracy:
 
 
 class TestConventionalMultiRepair:
-    """Two or more lost chunks are rebuilt straight from k helper chunks
-    (|lost| * k products); the bytes must equal what the old path —
-    decode all k data chunks, re-encode the whole stripe — produced."""
+    """Two or more lost chunks are each rebuilt through their own tree
+    over the surviving chunks; the bytes must equal what conventional
+    repair — decode all k data chunks, re-encode the whole stripe —
+    produces."""
 
     @pytest.mark.parametrize("lost", [[1, 7], [0, 6, 8], [6, 7, 8]])
     def test_equals_decode_then_encode(self, lost):
@@ -168,7 +169,7 @@ class TestConventionalMultiRepair:
         }
         for index in lost:
             cluster.fail_node(stripe.placement[index])
-        # The old path, by hand, over the helpers the Master picks.
+        # Conventional repair, by hand, over the k best uplinks.
         helpers = sorted(
             (n for i, n in enumerate(stripe.placement) if i not in lost),
             key=lambda n: (-snapshot.up_of(n), n),

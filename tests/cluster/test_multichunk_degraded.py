@@ -70,6 +70,29 @@ class TestRepairStripe:
         assert cluster.nodes[spares[0]].has(stripe.chunk_id(1))
         assert cluster.nodes[spares[1]].has(stripe.chunk_id(7))
 
+    def test_double_loss_plans_one_tree_per_lost_chunk(self, cluster):
+        class Counting(PivotRepairPlanner):
+            def plan(self, snapshot, requestor, candidates, k):
+                plan = super().plan(snapshot, requestor, candidates, k)
+                plans.append(plan)
+                return plan
+
+        plans = []
+        stripe = cluster.stripes[0]
+        lost = [1, 7]
+        lost_nodes = {stripe.placement[i] for i in lost}
+        for node in lost_nodes:
+            cluster.fail_node(node)
+        spares = spare_nodes(cluster, stripe, 2)
+        cluster.repair_stripe(
+            Counting(), uniform_snapshot(), stripe, lost,
+            {1: spares[0], 7: spares[1]},
+        )
+        assert [plan.requestor for plan in plans] == spares
+        for plan in plans:
+            assert len(plan.helpers) == cluster.code.k
+            assert not set(plan.helpers) & (lost_nodes | set(spares))
+
     def test_triple_loss_including_parity(self, cluster):
         stripe = cluster.stripes[1]
         lost = [0, 6, 8]  # one data, two parity chunks

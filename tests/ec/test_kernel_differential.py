@@ -25,6 +25,7 @@ from repro.ec.field import GF256, GF65536
 from repro.ec.reed_solomon import RSCode
 
 from tests.ec.logexp_oracle import logexp_linear_combination, logexp_mul_slice
+from tests.ec.repair_equation import repair
 
 FIELDS = {"gf256": GF256, "gf65536": GF65536}
 MIB = 1 << 20
@@ -186,7 +187,7 @@ class TestMegabyteRoundTrips:
         for got, want in zip(decoded, data):
             np.testing.assert_array_equal(got, want)
         lost = next(i for i in range(n) if i not in survivors)
-        rebuilt = code.repair_chunk(lost, {i: stripe[i] for i in survivors})
+        rebuilt = repair(code, lost, {i: stripe[i] for i in survivors})
         np.testing.assert_array_equal(rebuilt, stripe[lost])
 
 

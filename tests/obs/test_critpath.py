@@ -1,8 +1,8 @@
 """Exact critical-path reconstruction acceptance tests.
 
 The central invariant: for *every* repair in a trace — plain, retried,
-hedged, multi-chunk, or one of several racing full-node stripes under
-foreground load — the reconstructed critical-path segments tile the
+hedged, or one of several racing full-node stripes under foreground
+load — the reconstructed critical-path segments tile the
 repair's ``repair.task`` span exactly, so their durations sum to the
 measured makespan within 1e-9, and the per-category seconds do too.
 """
@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.core import PivotRepairPlanner
-from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.ec import RSCode, place_stripes
 from repro.faults import FaultPlan, RetryPolicy
 from repro.loadgen import ClientRequest, ForegroundEngine
@@ -23,7 +22,6 @@ from repro.repair import (
     repair_single_chunk,
     repair_single_chunk_faulted,
 )
-from repro.repair.multichunk import execute_multi_chunk, plan_multi_chunk
 from repro.repair.pipeline import ExecutionConfig, pipeline_overhead_seconds
 from repro.resilience import HealthPolicy
 from repro.units import gbps, mib
@@ -142,26 +140,6 @@ class TestSingleChunk:
             self.faulted_makespan(result), abs=1e-9
         )
         assert path.categories.get("hedge", 0.0) > 0
-
-    def test_multichunk_chain_download_decode_upload(self):
-        net = StarNetwork.uniform(8, 100 * MiB)
-        snap = BandwidthSnapshot.from_network(net, 0.0)
-        plan = plan_multi_chunk(snap, 0, [2, 3, 4, 5, 6, 7], CODE.k,
-                                {1: 1, 2: 0})
-        tracer = Tracer()
-        result = execute_multi_chunk(
-            plan, net, config=ExecutionConfig(chunk_size=4 * MiB),
-            decode_rate=200 * MiB, tracer=tracer,
-        )
-        report = critical_paths(tracer.events)
-        assert_exact_tiling(report)
-        [path] = report.repairs
-        assert path.makespan == pytest.approx(
-            result.transfer_seconds, abs=1e-9
-        )
-        categories = [seg.category for seg in path.segments]
-        assert categories == ["transfer", "pipeline", "transfer"]
-        assert path.segments[1].name == "repair.decode"
 
 
 class TestConcurrentFullNodeUnderLoad:

@@ -39,12 +39,6 @@ ALLOWED = {
     "repro.ec.field:GF65536": _GENERATOR,
     "repro.network.scenario:random_scenario": _GENERATOR,
     "repro.units:GIB": _GENERATOR,
-    "repro.repair.multichunk:execute_multi_chunk": (
-        "ROADMAP item 12: the multi-chunk fallback, reached or removed"
-    ),
-    "repro.repair.multichunk:plan_multi_chunk": (
-        "ROADMAP item 12: the multi-chunk fallback, reached or removed"
-    ),
     "repro.faults.runner:adopt_full_node": (
         "ROADMAP item 7: its composed-fault generator is the driver"
     ),
@@ -87,8 +81,6 @@ UNSET = {
 }
 
 
-_MULTI_CHUNK = "ROADMAP item 12: the multi-chunk fallback, reached or removed"
-
 #: ``module:Class.method`` -> why only the tests reach it.
 METHODS = {
     "repro.network.engine:IncrementalEngine.solves": (
@@ -98,8 +90,6 @@ METHODS = {
         "ROADMAP item 7: adopt_full_node calls it, and its composed-fault "
         "generator is the driver"
     ),
-    "repro.repair.multichunk:MultiChunkPlan.download_edges": _MULTI_CHUNK,
-    "repro.repair.multichunk:MultiChunkPlan.upload_edges": _MULTI_CHUNK,
 }
 
 #: ``module:function.parameter`` -> why no caller passes it and it
@@ -128,10 +118,6 @@ UNPASSED = {
     "repro.network.bandwidth:sample_grid.start": (
         "tests check the grid's floats and errors at any origin"
     ),
-    **{
-        f"repro.repair.multichunk:execute_multi_chunk.{name}": _MULTI_CHUNK
-        for name in ("start_time", "config", "decode_rate", "tracer")
-    },
     "repro.repair.executor:repair_single_chunk_faulted.health": _HEALTH,
     "repro.repair.executor:repair_single_chunk_faulted.journal": (
         "the one-stripe journal and resume tests run through it and pin "
