@@ -9,7 +9,7 @@ Google SRE alerting recipe): the error-budget burn must exceed
 window (noise rejection) before an alert fires, and the alert resolves
 once either window recovers.
 
-Three objective kinds:
+Two objective kinds:
 
 * ``latency`` — client-visible latency: the fraction of request-latency
   points above ``threshold`` may not exceed ``budget``; burn is
@@ -18,9 +18,6 @@ Three objective kinds:
   simulated seconds: burn compares budget consumed (elapsed/deadline)
   against work done (the windowed mean of the ``repair_progress``
   series), so a repair on pace burns at 1.0 and a stalled one diverges.
-* ``durability`` — chunks at risk: the windowed mean of the
-  ``chunks_at_risk`` series may not exceed ``budget`` chunks; burn is
-  ``mean / budget``.
 
 Transitions emit ``slo.alert`` / ``slo.resolve`` tracer events (track
 ``slo``) and invoke subscribed hooks — the AIMD repair governor backs
@@ -39,13 +36,12 @@ from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["SLOError", "SLOSpec", "SLOStatus", "SLOAlert", "SLOMonitor"]
 
-_KINDS = ("latency", "repair_deadline", "durability")
+_KINDS = ("latency", "repair_deadline")
 
 #: Series each kind reads.
 _SERIES = {
     "latency": "fg_read_latency",
     "repair_deadline": "repair_progress",
-    "durability": "chunks_at_risk",
 }
 
 _EPS = 1e-9
@@ -67,8 +63,7 @@ class SLOSpec:
     tenant: str = "default"
     #: ``latency``: seconds a request may take before it is budget-bad.
     threshold: float = 0.5
-    #: ``latency``: allowed bad fraction; ``durability``: allowed mean
-    #: chunks at risk.
+    #: ``latency``: allowed bad fraction.
     budget: float = 0.01
     #: ``repair_deadline``: seconds the full repair may take.
     deadline: float = 120.0
@@ -224,19 +219,13 @@ class SLOMonitor:
         t0 = max(t0, 0.0)
         if t1 <= t0:
             return math.nan
-        labels = {"tenant": spec.tenant} if spec.kind == "latency" else {}
         if spec.kind == "latency":
             bad = self.tsdb.fraction_over(
-                spec.source, spec.threshold, t0, t1, **labels
+                spec.source, spec.threshold, t0, t1, tenant=spec.tenant
             )
             if math.isnan(bad):
                 return math.nan
             return bad / spec.budget
-        if spec.kind == "durability":
-            mean = self.tsdb.avg(spec.source, t0, t1)
-            if math.isnan(mean):
-                return math.nan
-            return mean / spec.budget
         # repair_deadline: budget consumed over work done.
         progress = self.tsdb.avg(spec.source, t0, t1)
         if math.isnan(progress):

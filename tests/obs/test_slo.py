@@ -136,18 +136,6 @@ class TestBurnRates:
         [status] = monitor.evaluate(60.0)
         assert status.burn_short == pytest.approx(0.0)
 
-    def test_durability_burn(self):
-        db = TimeSeriesDB()
-        spec = SLOSpec(
-            name="dur", kind="durability", budget=2.0,
-            short_window=5.0, long_window=10.0,
-        )
-        db.record("chunks_at_risk", 9.0, 8.0)
-        monitor = SLOMonitor(db, [spec])
-        [status] = monitor.evaluate(10.0)
-        assert status.burn_short == pytest.approx(4.0)
-        assert status.firing
-
 
 class TestMonitorPlumbing:
     def test_on_tick_respects_interval_grid(self):
