@@ -75,7 +75,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.promtext import render_exposition
 from repro.obs.report import render_html_report
-from repro.obs.sampler import FlightRecorder, Sample, samples_from_jsonl
+from repro.obs.sampler import FlightRecorder, Sample
 from repro.obs.slo import SLOAlert, SLOMonitor, SLOSpec, SLOStatus
 from repro.obs.timeseries import Series, TimeSeriesDB
 from repro.obs.top import Dashboard, LiveTop
@@ -112,7 +112,6 @@ __all__ = [
     "render_exposition",
     "render_html_report",
     "render_labels",
-    "samples_from_jsonl",
     "to_chrome_trace",
     "to_jsonl",
     "write_trace",

@@ -341,21 +341,6 @@ def _edges_of(flow: Span) -> list[tuple[int, int]]:
     return [(int(src), int(dst)) for src, dst in flow.fields.get("edges", [])]
 
 
-def _caps_from_samples(samples) -> list[tuple[float, float | None]]:
-    """Governor cap step function from flight-recorder samples.
-
-    Single-chunk governed runs note the cap on the sampler without a
-    ``governor.decision`` event; the index's timeline is empty for them.
-    """
-    points: list[tuple[float, float | None]] = []
-    previous: float | None = None
-    for sample in samples:
-        if sample.repair_cap != previous:
-            points.append((sample.t, sample.repair_cap))
-            previous = sample.repair_cap
-    return points
-
-
 def _tree_at_submit(flow: Span, network):
     """(executed tree, bandwidth snapshot at submit) of a pipelined flow.
 
@@ -578,7 +563,6 @@ def _is_repair(fields: dict) -> bool:
 
 def diagnose(
     events: Sequence,
-    samples: Sequence | None = None,
     network=None,
     telemetry: dict | None = None,
     sampler=None,
@@ -589,25 +573,22 @@ def diagnose(
         events: the run's :class:`~repro.obs.TraceEvent` stream (live
             from a tracer or re-read via
             :func:`~repro.obs.events_from_jsonl`).
-        samples: flight-recorder samples aligned with the events (a
-            bound :class:`~repro.obs.FlightRecorder` may be passed as
-            ``sampler`` instead).
         network: the simulated network; enables the oracle ``B_min``
             recomputation and static bottleneck naming.
         telemetry: a run's registry snapshot, for byte-conservation
             invariant checks.
+        sampler: the run's :class:`~repro.obs.FlightRecorder`; its
+            samples name each flow's sampled bottleneck link.
     """
     sample_interval = 0.25
+    samples = []
     if sampler is not None:
-        samples = list(sampler.samples) if samples is None else samples
+        samples = list(sampler.samples)
         sample_interval = sampler.interval
-    samples = list(samples or [])
     if len(samples) >= 2:
         sample_interval = max(samples[1].t - samples[0].t, 1e-9)
     events = list(events)
     index = build_spans(events)
-    if not index.caps:
-        index.caps = _caps_from_samples(samples)
     anomalies = [
         f"flow {begin.fields.get('label', '')!r} never finished "
         "(unmatched span)"

@@ -26,21 +26,19 @@ The recorder is **off by default** — ``FluidSimulator`` carries a
 ``sampler=None`` slot and its advance loop pays exactly one ``is not
 None`` guard per step when disabled.  Samples live in a bounded ring
 buffer (oldest dropped first, ``dropped`` counts evictions) and are
-deterministic for a fixed seed: timestamps are simulated time and every
-serialised mapping is key-sorted.
+deterministic for a fixed seed: timestamps are simulated time and
+:meth:`Sample.to_dict` sorts every mapping by key.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
 
 from repro.exceptions import SimulationError
-from repro.obs.export import parse_jsonl
 
-__all__ = ["Sample", "FlightRecorder", "samples_from_jsonl"]
+__all__ = ["Sample", "FlightRecorder"]
 
 #: Default sampling period, simulated seconds.
 DEFAULT_INTERVAL = 0.25
@@ -71,7 +69,7 @@ class Sample:
     repair_cap: float | None = None
 
     def to_dict(self) -> dict:
-        """Deterministic plain-dict form (JSONL line payload)."""
+        """Deterministic plain-dict form (a scenario digest's record)."""
         payload: dict = {"t": self.t}
         for name in ("up", "down", "up_util", "down_util"):
             series = getattr(self, name)
@@ -88,31 +86,6 @@ class Sample:
         if self.repair_cap is not None:
             payload["repair_cap"] = self.repair_cap
         return payload
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> Sample:
-        def nodes(name: str) -> dict[int, float]:
-            return {
-                int(node): float(value)
-                for node, value in raw.get(name, {}).items()
-            }
-
-        return cls(
-            t=float(raw["t"]),
-            up=nodes("up"),
-            down=nodes("down"),
-            up_util=nodes("up_util"),
-            down_util=nodes("down_util"),
-            rate_by_kind={
-                kind: float(v)
-                for kind, v in raw.get("rate_by_kind", {}).items()
-            },
-            active_by_kind={
-                kind: int(v)
-                for kind, v in raw.get("active_by_kind", {}).items()
-            },
-            repair_cap=raw.get("repair_cap"),
-        )
 
 
 class FlightRecorder:
@@ -255,21 +228,7 @@ class FlightRecorder:
         )
 
     # ------------------------------------------------------------------
-    # Introspection and export
+    # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.samples)
-
-    def to_jsonl(self) -> str:
-        """Serialise samples as JSON Lines (byte-identical across seeds)."""
-        lines = [
-            json.dumps(sample.to_dict(), separators=(",", ":"))
-            for sample in self.samples
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-def samples_from_jsonl(text: str) -> list[Sample]:
-    """Parse a JSONL sample stream back into :class:`Sample` records;
-    a torn or malformed line raises :class:`TraceError` naming it."""
-    return parse_jsonl(text, "sample", Sample.from_dict)

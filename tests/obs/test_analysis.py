@@ -13,7 +13,7 @@ import pytest
 from repro.core import PivotRepairPlanner, pin_planning
 from repro.ec import RSCode, place_stripes
 from repro.network.topology import StarNetwork
-from repro.obs import Sample, Tracer, diagnose
+from repro.obs import FlightRecorder, Sample, Tracer, diagnose
 from repro.repair import repair_full_node
 from repro.repair.pipeline import ExecutionConfig
 
@@ -241,7 +241,9 @@ class TestBottleneckNaming:
             )
             for t in range(11)
         ]
-        run = diagnose(tracer.events, samples=samples)
+        recorder = FlightRecorder()
+        recorder.samples.extend(samples)
+        run = diagnose(tracer.events, sampler=recorder)
         [diag] = run.repairs
         assert diag.bottleneck is not None
         assert (diag.bottleneck.direction, diag.bottleneck.node) == ("up", 1)

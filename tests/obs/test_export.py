@@ -10,7 +10,6 @@ from repro.obs import (
     Sample,
     Tracer,
     events_from_jsonl,
-    samples_from_jsonl,
     to_chrome_trace,
     to_jsonl,
     write_trace,
@@ -84,15 +83,6 @@ class TestMalformedStreams:
     def test_line_numbers_count_blank_lines(self):
         with pytest.raises(TraceError, match="line 3: "):
             events_from_jsonl(f"{self.GOOD}\n\n{{")
-
-    def test_samples(self):
-        good = json.dumps(Sample(t=1.0).to_dict())
-        assert len(samples_from_jsonl(f"{good}\n{good}\n")) == 2
-        with pytest.raises(TraceError, match="line 2: malformed sample"):
-            samples_from_jsonl(f"{good}\n{good[:7]}")
-        with pytest.raises(TraceError, match="line 1: sample lacks key 't'"):
-            samples_from_jsonl("{}")
-
 
 class TestChromeTrace:
     def test_schema_fields(self):

@@ -35,7 +35,7 @@ def diagnosed_run():
         tracer=tracer, sampler=sampler,
     )
     samples = list(sampler.samples)
-    return diagnose(tracer.events, samples=samples, network=network), samples
+    return diagnose(tracer.events, network=network, sampler=sampler), samples
 
 
 class TestHtmlReport:

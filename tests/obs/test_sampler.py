@@ -7,7 +7,7 @@ from repro.core import PivotRepairPlanner, pin_planning
 from repro.ec import RSCode, place_stripes
 from repro.exceptions import SimulationError
 from repro.network.topology import StarNetwork
-from repro.obs import FlightRecorder, Sample, samples_from_jsonl
+from repro.obs import FlightRecorder, Sample
 from repro.repair import repair_full_node
 from repro.repair.pipeline import ExecutionConfig
 
@@ -92,45 +92,10 @@ class TestSampling:
         assert plain.bytes_transferred == sampled.bytes_transferred
 
 
-class TestExport:
-    def test_jsonl_round_trip(self):
-        sampler = FlightRecorder(interval=0.25)
-        stripes = place_stripes(4, CODE, NODE_COUNT, np.random.default_rng(3))
-        repair_full_node(
-            PivotRepairPlanner(), network(), stripes,
-            stripes[0].placement[0], config=config(), sampler=sampler,
-        )
-        text = sampler.to_jsonl()
-        assert text.endswith("\n")
-        parsed = samples_from_jsonl(text)
-        assert parsed == list(sampler.samples)
-
-    def test_empty_recorder_serialises_to_empty_stream(self):
-        assert FlightRecorder().to_jsonl() == ""
-        assert samples_from_jsonl("") == []
-
-
 class TestSampleRoundTrip:
-    def test_to_dict_from_dict_round_trip(self):
-        sample = Sample(
-            t=1.5,
-            up={3: 400.0, 1: 100.0},
-            down={2: 250.0},
-            up_util={3: 0.8, 1: 0.2},
-            down_util={2: 0.5},
-            rate_by_kind={"repair": 500.0, "foreground": 250.0},
-            active_by_kind={"repair": 2, "foreground": 1},
-            repair_cap=1e6,
-        )
-        assert Sample.from_dict(sample.to_dict()) == sample
-
     def test_uncapped_sample_omits_repair_cap(self):
         sample = Sample(t=0.0)
-        payload = sample.to_dict()
-        assert payload == {"t": 0.0}
-        back = Sample.from_dict(payload)
-        assert back.repair_cap is None
-        assert back == sample
+        assert sample.to_dict() == {"t": 0.0}
 
     def test_to_dict_keys_are_sorted_strings(self):
         sample = Sample(t=0.0, up={9: 1.0, 2: 2.0})

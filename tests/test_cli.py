@@ -578,31 +578,6 @@ class TestExplainCommands:
         for repair in repairs:
             assert repair["bottleneck"]["utilization"] is None
 
-    def test_explain_saved_trace_with_samples(
-        self, trace_file, tmp_path, capsys
-    ):
-        from repro.obs import FlightRecorder, Sample
-
-        saved = tmp_path / "run.jsonl"
-        code = main(
-            ["--trace", str(saved), "fullnode", str(trace_file),
-             "--n", "6", "--k", "4", "--stripes", "4", "--chunk-mib", "4"]
-        )
-        assert code == 0
-        recorder = FlightRecorder()
-        recorder.samples.extend(
-            Sample(t=t, up={0: 1.0e6}, up_util={0: 0.5}) for t in (0.0, 1.0)
-        )
-        samples = tmp_path / "samples.jsonl"
-        samples.write_text(recorder.to_jsonl())
-        capsys.readouterr()
-        code = main(
-            ["--json", "explain", str(saved), "--samples", str(samples)]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["scenario"]["samples"] == 2
-
     @pytest.mark.parametrize("command", ["explain", "critpath"])
     def test_torn_saved_trace_is_a_clean_error(
         self, command, tmp_path, capsys
