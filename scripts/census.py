@@ -114,14 +114,11 @@ def drivers() -> list[list[str]]:
     ]
 
 
-def entered(root: Path, commands: list[list[str]]) -> set[tuple[str, int]]:
+def entered(tree: Path, commands: list[list[str]]) -> set[tuple[str, int]]:
     """``(path relative to src/, first line)`` of every function under
-    ``src/repro`` that one of ``commands`` entered, run in a copy of the
-    tree at ``root``."""
-    with tempfile.TemporaryDirectory(prefix="census-") as scratch:
+    ``tree/src/repro`` that one of ``commands`` entered, run in ``tree``."""
+    with tempfile.TemporaryDirectory(prefix="census-hook-") as scratch:
         scratch = Path(scratch)
-        tree = scratch / "tree"
-        shutil.copytree(root, tree, ignore=shutil.ignore_patterns(*NOT_COPIED))
         (scratch / "hook").mkdir()
         (scratch / "hook" / "sitecustomize.py").write_text(HOOK)
         (scratch / "out").mkdir()
@@ -191,8 +188,13 @@ def unentered(
 
 def census(root: Path = ROOT, commands=None) -> list[tuple[str, int]]:
     """The listing: what ``commands`` (the drivers by default) leave
-    unentered under ``root``."""
-    return unentered(root, entered(root, commands or drivers()))
+    unentered under ``root``.  The drivers run in a copy of ``root``,
+    and the listing parses that copy, so an edit to ``root`` while they
+    run moves no line the hook recorded."""
+    with tempfile.TemporaryDirectory(prefix="census-") as scratch:
+        tree = Path(scratch) / "tree"
+        shutil.copytree(root, tree, ignore=shutil.ignore_patterns(*NOT_COPIED))
+        return unentered(tree, entered(tree, commands or drivers()))
 
 
 def read_listing(path: Path = LISTING) -> dict[str, tuple[int, str, str]]:

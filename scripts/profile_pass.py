@@ -19,6 +19,12 @@ census: the count of its small solves (``IncrementalEngine._solve`` on
 two or more entities) and, per solve, the mean entities, columns and
 private columns (one registered user).  The script tallies them by
 wrapping ``_solve`` for that pass alone; nothing under ``src/`` counts.
+The same pass also counts the labeled look-ups (a
+``MetricsRegistry.counter`` / ``gauge`` / ``histogram`` call with a
+label, a ``TimeSeriesDB`` series look-up with one) and the label-set
+canonicalisations (``render_labels`` and ``label_items`` calls in
+``repro.obs.metrics`` and ``repro.obs.timeseries``), wrapped the same
+way: a look-up the registry or the TSDB has seen before renders nothing.
 
 On Linux it also prints the profiled phase's own memory: the resident
 set when it started and its peak while it ran (``VmHWM``, reset through
@@ -39,6 +45,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "perf")]
 from harness import Ops  # noqa: E402
 from workloads import REGISTRY  # noqa: E402
 
+import repro.obs.metrics as obs_metrics  # noqa: E402
+import repro.obs.timeseries as timeseries  # noqa: E402
 from repro.network.engine import IncrementalEngine  # noqa: E402
 
 
@@ -109,6 +117,62 @@ def print_census(tally: dict[str, int]) -> None:
     print(line)
 
 
+def label_census(call, *args) -> dict[str, int]:
+    """Run ``call(*args)`` and tally its labeled look-ups and the
+    canonicalisations of label sets in it.
+
+    ``lookups`` counts ``MetricsRegistry.counter`` / ``gauge`` /
+    ``histogram`` calls with a label and ``TimeSeriesDB._get`` calls
+    with one; ``render_labels`` and ``label_items`` count the calls of
+    those functions from ``repro.obs.metrics`` (``render_labels`` calls
+    ``label_items`` too) and from ``repro.obs.timeseries``.
+    """
+    tally = dict.fromkeys(("lookups", "render_labels", "label_items"), 0)
+
+    def counting(fn, key, labeled):
+        def counted(*args, **kwargs):
+            if labeled(args, kwargs):
+                tally[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def every(args, kwargs):
+        return True
+
+    registry, tsdb = obs_metrics.MetricsRegistry, timeseries.TimeSeriesDB
+    counted = [
+        (obs_metrics, "render_labels", "render_labels", every),
+        (obs_metrics, "label_items", "label_items", every),
+        (timeseries, "label_items", "label_items", every),
+        *(
+            (registry, access, "lookups", lambda args, kwargs: bool(kwargs))
+            for access in ("counter", "gauge", "histogram")
+        ),
+        # ``_get(self, name, labels, kind)``
+        (tsdb, "_get", "lookups", lambda args, kwargs: bool(args[2])),
+    ]
+    originals = [
+        (owner, name, getattr(owner, name)) for owner, name, _, _ in counted
+    ]
+    for (owner, name, key, labeled), (_, _, fn) in zip(counted, originals):
+        setattr(owner, name, counting(fn, key, labeled))
+    try:
+        call(*args)
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+    return tally
+
+
+def print_label_census(tally: dict[str, int]) -> None:
+    """One line: the labeled look-ups and what rendering they took."""
+    print(
+        f"labels of the warm-up pass: {tally['lookups']} labeled look-ups, "
+        f"{tally['render_labels']} render_labels + "
+        f"{tally['label_items']} label_items calls"
+    )
+
+
 def module_of(filename: str) -> str:
     """Dotted module of a profiled function's file: ``repro.obs.metrics``
     under ``src/``, ``harness`` under ``benchmarks/perf/``,
@@ -154,7 +218,10 @@ def main(argv=None) -> int:
         call = workload.setup
     else:
         workload.setup(ops)
-        tally = census(workload.run_pass, ops)
+        labels: dict[str, int] = {}
+        tally = census(
+            lambda: labels.update(label_census(workload.run_pass, ops))
+        )
         call = workload.run_pass
     # The benchmark collects a pass's cyclic garbage (a whole byte-level
     # cluster, say) before the next; so does this, before measuring.
@@ -170,6 +237,7 @@ def main(argv=None) -> int:
     print_self_by_module(stats, args.top)
     if args.phase == "pass":
         print_census(tally)
+        print_label_census(labels)
     if start and end:
         print(
             f"memory of the profiled {args.phase}: "

@@ -648,7 +648,8 @@ def _cmd_repair(args, tracer) -> _Output:
     network = trace.to_network(floor=1e6)
     if args.instant is None:
         rates = trace.used_node_bandwidth() / trace.capacity
-        instant = float(np.argmax((rates >= 0.9).sum(axis=0)))
+        busiest = int(np.argmax((rates >= 0.9).sum(axis=0)))
+        instant = busiest * trace.interval
     else:
         instant = args.instant
     members, failed, requestor = stripe_members_at(

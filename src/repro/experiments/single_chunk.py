@@ -61,8 +61,9 @@ class CellResult:
 def congested_instants(
     trace: WorkloadTrace, count: int, seed: int = 1
 ) -> list[float]:
-    """Sample ``count`` congested seconds of a trace ("we randomly select
-    a set of bandwidths situations with congestions", Section V-B)."""
+    """Sample ``count`` congested samples of a trace ("we randomly select
+    a set of bandwidths situations with congestions", Section V-B) and
+    return the instants, in seconds, at which they start."""
     candidates = np.flatnonzero(congested_seconds(trace, 0.9))
     if len(candidates) == 0:
         candidates = np.arange(trace.sample_count)
@@ -70,7 +71,7 @@ def congested_instants(
     chosen = rng.choice(
         candidates, size=min(count, len(candidates)), replace=False
     )
-    return [float(t) for t in sorted(chosen)]
+    return [float(index * trace.interval) for index in sorted(chosen)]
 
 
 def stripe_members_at(
@@ -82,7 +83,8 @@ def stripe_members_at(
     The failed node is the most congested stripe member at the instant
     (hot data is what gets read); the requestor is the node with the most
     available bandwidth outside the stripe.  Both are computed on the
-    instant's one-sample window, not on the whole trace; an instant
+    window of the one sample holding the instant (in seconds), not on
+    the whole trace; an instant
     outside the trace (negative, or past its last sample) is a
     ``TraceError``, and a stripe that leaves no node outside it for the
     requestor is a ``CodingError``.
@@ -96,7 +98,7 @@ def stripe_members_at(
     members = sorted(
         rng.choice(trace.node_count, size=n, replace=False).tolist()
     )
-    second = trace.window(int(instant), 1)
+    second = trace.window(int(instant // trace.interval), 1)
     usage = second.used_node_bandwidth()[:, 0]
     failed = max(members, key=lambda node: usage[node])
     outside = [

@@ -16,6 +16,10 @@ sites and the :meth:`MetricsRegistry.snapshot` schema are unchanged:
 labeled children appear in the same flat sections under their canonical
 rendered name (``repair_bytes{kind="hedge",node="7"}``, keys sorted) and
 additionally under a ``families`` map that keeps the labels structured.
+
+A labeled look-up canonicalises its label set (stringify, sort, render)
+once per call shape: the registry remembers which child each shape
+resolved to, so a repeated look-up costs one dict probe.
 """
 
 from __future__ import annotations
@@ -36,6 +40,16 @@ __all__ = [
 def label_items(labels: dict) -> tuple[tuple[str, str], ...]:
     """Canonical (sorted, stringified) form of a label set."""
     return tuple(sorted((key, str(value)) for key, value in labels.items()))
+
+
+def call_shape(kind: str, name: str, labels: dict) -> tuple:
+    """What a look-up of ``name`` with ``labels`` is remembered by: the
+    kind, the name, the label keys in the order the call passed them and
+    each value's ``str``, which is all :func:`label_items` keeps of it.
+    One shape names one child or series (``node=1`` and ``node="1"``
+    share one; ``True``, ``1`` and ``1.0`` do not), and a look-up under
+    another kind than the first has a shape of its own."""
+    return (kind, name, *labels, *map(str, labels.values()))
 
 
 def render_labels(labels: dict) -> str:
@@ -181,6 +195,10 @@ class Histogram:
         }
 
 
+#: Family type -> the class of its children.
+_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+
+
 class MetricsRegistry:
     """Named counters, gauges, and histograms for one run.
 
@@ -200,38 +218,65 @@ class MetricsRegistry:
         #: Does a labeled child exist?  Until one does, ``snapshot`` has
         #: no ``families`` section to look for.
         self._labeled = False
+        self._stores = {
+            "counter": self._counters,
+            "gauge": self._gauges,
+            "histogram": self._histograms,
+        }
+        #: A labeled look-up's :func:`call_shape` -> the child
+        #: :meth:`_resolve` found for it.  A look-up under another type
+        #: than the family's misses, and raises in ``_resolve``.
+        self._memo: dict[tuple, Counter | Gauge | Histogram] = {}
 
-    def _claim(self, name: str, metric_type: str, labels: dict) -> None:
-        """Register a new child of family ``name`` (one type per family)."""
-        if self._types.setdefault(name, metric_type) != metric_type:
-            raise ValueError(
-                f"metric {name!r} already registered with another type"
+    def _resolve(self, metric_type: str, name: str, labels: dict):
+        """The canonical look-up: render the key, then find or create
+        the child (one type per family)."""
+        store = self._stores[metric_type]
+        key = name + render_labels(labels) if labels else name
+        metric = store.get(key)
+        if metric is None:
+            if self._types.setdefault(name, metric_type) != metric_type:
+                raise ValueError(
+                    f"metric {name!r} already registered with another type"
+                )
+            if labels:
+                self._labeled = True
+            metric = store[key] = _TYPES[metric_type](name, labels=labels)
+        return metric
+
+    def _memoized(self, metric_type: str, name: str, labels: dict):
+        """A labeled look-up: one probe of ``_memo`` once its call shape
+        has been resolved."""
+        shape = call_shape(metric_type, name, labels)
+        metric = self._memo.get(shape)
+        if metric is None:
+            metric = self._memo[shape] = self._resolve(
+                metric_type, name, labels
             )
-        if labels:
-            self._labeled = True
+        return metric
 
     def counter(self, name: str, **labels) -> Counter:
-        key = name + render_labels(labels) if labels else name
-        metric = self._counters.get(key)
+        if labels:
+            return self._memoized("counter", name, labels)
+        metric = self._counters.get(name)
         if metric is None:
-            self._claim(name, "counter", labels)
-            metric = self._counters[key] = Counter(name, labels)
+            metric = self._resolve("counter", name, labels)
         return metric
 
     def gauge(self, name: str, **labels) -> Gauge:
-        key = name + render_labels(labels) if labels else name
-        metric = self._gauges.get(key)
+        if labels:
+            return self._memoized("gauge", name, labels)
+        metric = self._gauges.get(name)
         if metric is None:
-            self._claim(name, "gauge", labels)
-            metric = self._gauges[key] = Gauge(name, labels)
+            metric = self._resolve("gauge", name, labels)
         return metric
 
     def histogram(self, name: str, **labels) -> Histogram:
-        key = name + render_labels(labels) if labels else name
-        metric = self._histograms.get(key)
+        if labels:
+            return self._memoized("histogram", name, labels)
+        metric = self._histograms.get(name)
         if metric is None:
-            self._claim(name, "histogram", labels)
-            metric = self._histograms[key] = Histogram(name, labels=labels)
+            metric = self._resolve("histogram", name, labels)
         return metric
 
     # ------------------------------------------------------------------
@@ -240,11 +285,7 @@ class MetricsRegistry:
 
     def series(self, name: str) -> list:
         """Every child metric of a family, label sets key-sorted."""
-        store = {
-            "counter": self._counters,
-            "gauge": self._gauges,
-            "histogram": self._histograms,
-        }.get(self._types.get(name, ""), {})
+        store = self._stores.get(self._types.get(name, ""), {})
         return [
             metric
             for key, metric in sorted(store.items())

@@ -34,7 +34,7 @@ import math
 from collections import deque
 
 from repro.exceptions import ReproError
-from repro.obs.metrics import label_items
+from repro.obs.metrics import call_shape, label_items
 
 __all__ = ["TimeSeriesError", "Series", "TimeSeriesDB"]
 
@@ -110,6 +110,10 @@ class TimeSeriesDB:
             raise TimeSeriesError("series capacity must be >= 1")
         self.capacity = int(capacity)
         self._series: dict[tuple, Series] = {}
+        #: A look-up's :func:`~repro.obs.metrics.call_shape` -> the
+        #: series :meth:`_resolve` found for it.  A look-up under another
+        #: kind than the series' misses, and raises in ``_resolve``.
+        self._memo: dict[tuple, Series] = {}
 
     def __len__(self) -> int:
         """Number of distinct series."""
@@ -128,6 +132,15 @@ class TimeSeriesDB:
     # Ingest
     # ------------------------------------------------------------------
     def _get(self, name: str, labels: dict, kind: str) -> Series:
+        shape = call_shape(kind, name, labels)
+        series = self._memo.get(shape)
+        if series is None:
+            series = self._memo[shape] = self._resolve(name, labels, kind)
+        return series
+
+    def _resolve(self, name: str, labels: dict, kind: str) -> Series:
+        """The canonical look-up: sort the label set, then find or
+        create the series (one kind per series)."""
         key = (name, label_items(labels))
         series = self._series.get(key)
         if series is None:

@@ -22,8 +22,15 @@ from repro.experiments.sweeps import (
     run_chunk_size_sweep,
     run_slice_size_sweep,
 )
-from repro.repair import ExecutionConfig
-from repro.traces import generate_all
+from repro.core import PivotRepairPlanner
+from repro.repair import ExecutionConfig, repair_single_chunk
+from repro.traces import (
+    TPC_DS,
+    congested_seconds,
+    generate_all,
+    generate_trace,
+)
+from repro.traces.workload import WorkloadTrace
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +131,45 @@ class TestStripePlacementReadsAColumn:
         for instant in (-1.0, float(trace.sample_count)):
             with pytest.raises(TraceError, match="out of range"):
                 stripe_nodes_at(trace, instant, 6, seed=0)
+
+
+class TestInstantsAreSeconds:
+    def test_a_2s_trace_repairs_as_its_1s_twin(self):
+        """A 2 s trace and its 1 s twin (each sample repeated) are the
+        same foreground, so an instant sampled on the 2 s one must lay
+        out and repair the same on both, at a congested sample.  Taken
+        as seconds, the sample indices the instants used to be placed
+        the stripe on another sample than the repair replayed: index 59
+        replayed second 59, sample 29 of the 2 s trace, not congested."""
+        base = generate_trace(TPC_DS, 16, 600, seed=0)
+        two = WorkloadTrace(
+            base.name, base.capacity, base.used_up, base.used_down,
+            interval=2.0,
+        )
+        one = WorkloadTrace(
+            base.name, base.capacity, np.repeat(base.used_up, 2, axis=1),
+            np.repeat(base.used_down, 2, axis=1),
+        )
+        congested = congested_seconds(one, 0.9)
+        networks = [trace.to_network(floor=1e6) for trace in (two, one)]
+        instants = congested_instants(two, 5, seed=3)
+        assert len(instants) == 5
+        for index, instant in enumerate(instants):
+            placed = [
+                stripe_nodes_at(trace, instant, 6, seed=index)
+                for trace in (two, one)
+            ]
+            assert placed[0] == placed[1], instant
+            requestor, survivors = placed[0]
+            seconds = [
+                repair_single_chunk(
+                    PivotRepairPlanner(), network, requestor, survivors, 4,
+                    start_time=instant,
+                ).transfer_seconds
+                for network in networks
+            ]
+            assert seconds[0] == seconds[1], instant
+            assert congested[int(instant)], instant
 
 
 class TestRunners:

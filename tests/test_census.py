@@ -66,6 +66,28 @@ def test_a_function_no_driver_enters_is_listed(tmp_path):
     assert listed == [("repro.mod:orphan", 5)]
 
 
+def test_an_edit_to_the_live_tree_during_the_census_moves_nothing(
+    tmp_path,
+):
+    # The driver runs in the copy; three lines put at the top of the
+    # live module meanwhile would shift ``used`` and ``decorated`` off
+    # the lines the hook recorded, were the live tree parsed.
+    for name, text in PLANTED.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    live = tmp_path / "src" / "repro" / "mod.py"
+    edit = (
+        "import pathlib, runpy\n"
+        f"live = pathlib.Path({str(live)!r})\n"
+        "live.write_text('\\n\\n\\n' + live.read_text())\n"
+        "runpy.run_path('examples/run.py')\n"
+    )
+    listed = load_census().census(tmp_path, [[sys.executable, "-c", edit]])
+    assert live.read_text().startswith("\n\n\nimport functools")
+    assert listed == [("repro.mod:orphan", 5)]
+
+
 def test_a_failing_driver_stops_the_census(tmp_path):
     (tmp_path / "src" / "repro").mkdir(parents=True)
     with pytest.raises(SystemExit, match="exited 3"):

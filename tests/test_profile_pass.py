@@ -115,6 +115,42 @@ def test_prints_the_census_of_the_warm_up_pass(
         ["--workload", WORKLOAD, "--top", "5", "--phase", phase]
     ) == 0
     out = capsys.readouterr().out
-    # lifetime_mc never reaches the fluid engine.
+    # lifetime_mc never reaches the fluid engine, nor a labeled metric.
     line = "census of the warm-up pass: 0 small solves\n"
     assert (line in out) == printed
+    line = (
+        "labels of the warm-up pass: 0 labeled look-ups, "
+        "0 render_labels + 0 label_items calls\n"
+    )
+    assert (line in out) == printed
+
+
+def test_label_census_counts_lookups_and_canonicalisations(profile_pass):
+    # Five labeled look-ups each of one registry child and one series
+    # canonicalise once each; the unlabeled ones are not look-ups, and
+    # only the TSDB sorts their empty label set (once for the key, once
+    # for the new series, as for the labeled one).
+    metrics, timeseries = profile_pass.obs_metrics, profile_pass.timeseries
+    registry_class = metrics.MetricsRegistry
+    tsdb_class = timeseries.TimeSeriesDB
+    before = [
+        metrics.render_labels, metrics.label_items, timeseries.label_items,
+        registry_class.counter, tsdb_class._get,
+    ]
+
+    def run():
+        registry, tsdb = registry_class(), tsdb_class()
+        for t in range(5):
+            registry.counter("x", tenant="a").inc()
+            registry.counter("y").inc()
+            tsdb.record("s", float(t), 1.0, node=1)
+            tsdb.record("u", float(t), 1.0)
+
+    assert profile_pass.label_census(run) == {
+        "lookups": 10, "render_labels": 1, "label_items": 6,
+    }
+    # The wrappers are gone once the census returns.
+    assert [
+        metrics.render_labels, metrics.label_items, timeseries.label_items,
+        registry_class.counter, tsdb_class._get,
+    ] == before
