@@ -6,10 +6,15 @@ scales (n, k) from the paper's (14, 10) up to (96, 64) — far beyond what
 GF(2^8)-era deployments used — and shows:
 
 * Algorithm 1's running time stays sub-millisecond (O(n log n)), while
-  PPT's modelled enumeration time goes beyond astronomical;
+  PPT's modelled enumeration time goes beyond astronomical.  The table's
+  ``pivot plan`` column is the modelled charge; the bench times the
+  planner on this host for its assertion and records nothing of it;
 * PivotRepair's transfer-time advantage over RP *grows* with k, because a
   longer chain crosses more congested nodes.
 """
+
+import timeit
+from functools import partial
 
 import numpy as np
 import pytest
@@ -60,7 +65,13 @@ def test_wide_stripe_repair(benchmark):
             rp = repair_single_chunk(
                 RPPlanner(), network, requestor, survivors, k, config=config,
             )
+            plan = partial(
+                PivotRepairPlanner().plan,
+                BandwidthSnapshot.from_network(network, 0.0), requestor,
+                survivors, k,
+            )
             rows[(n, k)] = {
+                "pivot_host": min(timeit.repeat(plan, number=1, repeat=5)),
                 "pivot_plan": pivot.planning_seconds,
                 "pivot_transfer": pivot.transfer_seconds,
                 "rp_transfer": rp.transfer_seconds,
@@ -85,7 +96,7 @@ def test_wide_stripe_repair(benchmark):
 
     for code, row in rows.items():
         # O(n log n) planning holds at every width.
-        assert row["pivot_plan"] < 5e-3, code
+        assert row["pivot_host"] < 5e-3, code
         assert row["pivot_transfer"] <= row["rp_transfer"] * 1.01, code
     # The chain's exposure to congested nodes grows with k.
     small_gain = (

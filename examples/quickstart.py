@@ -42,7 +42,10 @@ def main() -> None:
     print("PivotRepair tree (Algorithm 1):")
     print(plan.tree.render())
     print(f"  B_min = {to_mbps(plan.bmin):.0f} Mb/s")
-    print(f"  planned in {plan.planning_seconds * 1e6:.1f} us")
+    print(
+        f"  planning charge = {plan.planning_seconds * 1e6:.1f} us "
+        f"(modelled, {len(candidates)} candidates)"
+    )
     print()
 
     for planner in (PivotRepairPlanner(), RPPlanner()):

@@ -82,7 +82,7 @@ def main() -> None:
         ConventionalPlanner(),
     ]
     print(
-        f"{'scheme':>14} {'B_min (Mb/s)':>13} {'plan':>10} "
+        f"{'scheme':>14} {'B_min (Mb/s)':>13} {'plan (model)':>12} "
         f"{'transfer (s)':>13} {'total (s)':>11}"
     )
     for planner in planners:
@@ -98,7 +98,7 @@ def main() -> None:
         )
         print(
             f"{planner.name:>14} {to_mbps(plan.bmin):>13.0f} "
-            f"{plan_label:>10} {timing.transfer_seconds:>13.2f} "
+            f"{plan_label:>12} {timing.transfer_seconds:>13.2f} "
             f"{timing.total_seconds:>11.2f}"
         )
     print("\nAll five schemes rebuilt byte-identical data.")

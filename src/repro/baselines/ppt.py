@@ -141,18 +141,9 @@ class PPTPlanner(RepairPlanner):
     """
 
     name = "PPT"
-
-    def plan(
-        self,
-        snapshot: BandwidthSnapshot,
-        requestor: int,
-        candidates: Sequence[int],
-        k: int,
-    ) -> RepairPlan:
-        """Plan as every planner does, then charge the modelled cost."""
-        plan = super().plan(snapshot, requestor, candidates, k)
-        plan.planning_seconds = SECONDS_PER_TREE * plan.trees_examined
-        return plan
+    #: The enumeration's cost is all per tree.
+    SECONDS_PER_CANDIDATE = 0.0
+    SECONDS_PER_TREE = SECONDS_PER_TREE
 
     def _build(
         self,

@@ -20,6 +20,8 @@ class RPPlanner(RepairPlanner):
     """Chain-pipeline planner: the first k candidates, in the order given."""
 
     name = "RP"
+    #: Fitted like PivotRepair's constant (5.9-9.1 us at (6, 4)-(14, 10)).
+    SECONDS_PER_CANDIDATE = 0.8e-6
 
     def _build(
         self,

@@ -533,11 +533,6 @@ def _add_observed_args(subparser) -> None:
         "--sample-capacity", type=int, default=65536,
         help="flight-recorder ring size (samples kept)",
     )
-    subparser.add_argument(
-        "--planning-seconds", type=float, default=0.0,
-        help="fixed planning charge per stripe; pinned (instead of "
-        "wall-clock measured) so output is bit-reproducible per seed",
-    )
     _add_fault_args(subparser)
 
 
@@ -932,7 +927,7 @@ def _observed(
         ),
         governor=None if args.governor == "none" else args.governor,
         static_cap_mbps=args.static_cap_mbps, slo_ms=args.slo_ms,
-        planning_seconds=args.planning_seconds, tenants=tenants,
+        tenants=tenants,
     ).build()
     sampler = FlightRecorder(
         interval=args.sample_interval, capacity=args.sample_capacity,

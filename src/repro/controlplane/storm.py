@@ -16,9 +16,10 @@ tests:
    burn-rate monitor on the foreground tenants supplies the
    backpressure signal.
 
-Planning charges are pinned (:data:`PLANNING_SECONDS`) so two runs of
-one seed produce byte-identical traces, journals and admission decision
-logs.
+Planning charges are pinned (:data:`PLANNING_SECONDS`) rather than
+modelled: the storm's recorded traces, journals and admission decision
+logs were fixed with that charge, and the benchmark's storm workloads pin
+the same way.
 """
 
 from __future__ import annotations

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -49,10 +48,22 @@ class RepairPlan:
 
 
 class RepairPlanner(ABC):
-    """Common interface: compute a repair plan from a bandwidth snapshot."""
+    """Common interface: compute a repair plan from a bandwidth snapshot.
+
+    Planning is charged a modelled cost, never timed: seconds per helper
+    candidate offered plus seconds per tree examined.
+    """
 
     #: Human-readable scheme name, e.g. "PivotRepair".
     name: str = "base"
+
+    #: PivotRepair's host cost per candidate, which planners without a
+    #: measurement of their own inherit: a proportional fit of the
+    #: (6, 4)-(14, 10) medians of ``bench_fig5_running_time.py``'s
+    #: microbenchmark (13.8-24.1 us), on a 2-vCPU Intel Xeon host.
+    SECONDS_PER_CANDIDATE = 2.0e-6
+    #: A greedy planner's one tree costs nothing beyond its scan.
+    SECONDS_PER_TREE = 0.0
 
     #: Structured event tracer; reassign to a live Tracer to observe
     #: planning decisions (subclasses may emit richer per-step events).
@@ -75,7 +86,7 @@ class RepairPlanner(ABC):
         candidates: Sequence[int],
         k: int,
     ) -> RepairPlan:
-        """Plan a single-chunk repair; wall-clock times the planning step.
+        """Plan a single-chunk repair and charge its modelled cost.
 
         Args:
             snapshot: available bandwidths at planning time.
@@ -85,9 +96,11 @@ class RepairPlanner(ABC):
             k: number of helpers the code requires.
         """
         candidates = self._validated(snapshot, requestor, candidates, k)
-        started = time.perf_counter()
         plan = self._build(snapshot, requestor, candidates, k)
-        plan.planning_seconds = time.perf_counter() - started
+        plan.planning_seconds = (
+            self.SECONDS_PER_CANDIDATE * len(candidates)
+            + self.SECONDS_PER_TREE * plan.trees_examined
+        )
         if self.tracer.enabled:
             self.tracer.instant(
                 "planner.plan", t=snapshot.time, track="planner",
@@ -105,7 +118,7 @@ class RepairPlanner(ABC):
         candidates: list[int],
         k: int,
     ) -> RepairPlan:
-        """Scheme-specific planning; must fill everything but timing."""
+        """Scheme-specific planning; must fill everything but the charge."""
 
     def _validated(
         self,
@@ -133,12 +146,10 @@ class RepairPlanner(ABC):
 
 
 def pin_planning(planner: RepairPlanner, seconds: float) -> RepairPlanner:
-    """Charge a fixed planning cost instead of measured wall time.
+    """Charge a fixed planning cost instead of the modelled one.
 
-    Wall-clock planning durations advance the simulated clock and differ
-    between runs of one seed; pinning them keeps a run (``repro explain``
-    / ``report`` / ``storm``, the bench and identity tests)
-    bit-reproducible.  Wraps ``planner.plan`` in place.
+    The storm, the benchmark workloads and the pinned test suites keep
+    the charge they were recorded with.  Wraps ``planner.plan`` in place.
     """
     inner = planner.plan
 

@@ -7,8 +7,10 @@ executes a 64 MiB single-chunk repair.  The three Figure 5 rows read
 different columns of the same runs:
 
 * (a-c) overall repair time = algorithm running time + transfer time,
-* (d-f) algorithm running time (wall clock for RP and PivotRepair; PPT's
-  is modelled, a fixed per-tree cost x its (k+1)^(k-1) trees),
+* (d-f) algorithm running time, modelled: a per-candidate cost x the n-1
+  candidates for RP and PivotRepair, a per-tree cost x the (k+1)^(k-1)
+  trees for PPT (``benchmarks/bench_fig5_running_time.py`` times the
+  greedy planners on the host),
 * (g-i) transfer time (simulated).
 """
 

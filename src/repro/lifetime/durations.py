@@ -200,9 +200,8 @@ class CalibratedDurations(DurationModel):
         seconds, and at each one lays a stripe over the cluster and
         executes a full single-chunk repair per scheme on the fluid
         simulator.  Only the *simulated*
-        transfer time is kept — planner wall clock is a real-world cost
-        that neither scales with ``scale`` nor stays bit-deterministic,
-        so it is excluded by construction.  Every scheme repairs at the
+        transfer time is kept — the planning charge is a host cost that
+        does not scale with ``scale``, so it is excluded by construction.  Every scheme repairs at the
         same instants with the same stripe layout: the calibration is a
         paired sample.
         """

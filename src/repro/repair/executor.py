@@ -77,8 +77,7 @@ def execute_plan(
             plan, sim, config, task_span=task_span
         )
     if tracer.enabled:
-        # Only simulated-time-derived fields here: wall-clock planning
-        # seconds would break byte-determinism of the default stream.
+        # The transfer alone: the planning charge is not in the task span.
         tracer.end(
             "repair.task", t=start_time + transfer, span_id=task_span,
             track=task_track, transfer_seconds=transfer,

@@ -25,8 +25,8 @@ nodes not holding a chunk of the stripe ("PivotRepair always selects the
 node that has the most downlink bandwidth as the requestor"), so
 requestors spread across the cluster; a degraded read names its client
 instead, in the stripe's ledger.  Planning happens serially at the
-Master and its cost (wall clock, or PPT's modelled per-tree charge)
-advances the simulated clock — this is what sinks PPT at large k in
+Master and its modelled cost (``RepairPlanner.plan``) advances the
+simulated clock — this is what sinks PPT at large k in
 Figure 7.
 """
 

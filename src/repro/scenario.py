@@ -9,9 +9,8 @@ governor.  :class:`FullNodeScenario` is that object as plain values;
 
 This module alone decides (``docs/architecture.md`` has the reasons):
 placement and victim; which network a run gets; that the foreground is
-drained before a result is read; whether planning is charged as measured
-or pinned; and the keys of the journal's ``run_config`` record, which
-:func:`resume` reads back.
+drained before a result is read; and the keys of the journal's
+``run_config`` record, which :func:`resume` reads back.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.baselines import PPTPlanner, RPPlanner
-from repro.core import PivotRepairPlanner, pin_planning
+from repro.core import PivotRepairPlanner
 from repro.core.plan import RepairPlanner
 from repro.core.scheduler import SchedulerConfig
 from repro.ec import RSCode, Stripe, place_stripes
@@ -114,8 +113,6 @@ class FullNodeScenario:
     governor: str | None = None
     static_cap_mbps: float = 250.0
     slo_ms: float = 500.0
-    #: Fixed planning charge per stripe; None charges the measured time.
-    planning_seconds: float | None = None
 
     def build(self) -> LiveScenario:
         """Load the trace, place the stripes, pick the failed node."""
@@ -172,10 +169,7 @@ class LiveScenario:
         ]
 
     def planner(self, scheme: str | None = None) -> RepairPlanner:
-        planner = SCHEMES[scheme or self.spec.scheme]()
-        if self.spec.planning_seconds is not None:
-            pin_planning(planner, self.spec.planning_seconds)
-        return planner
+        return SCHEMES[scheme or self.spec.scheme]()
 
     def run(
         self,

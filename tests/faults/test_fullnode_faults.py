@@ -32,15 +32,6 @@ def network():
     )
 
 
-class ZeroCostPlanner(PivotRepairPlanner):
-    """Planning wall-clock pinned to 0 so runs compare deterministically."""
-
-    def plan(self, *args, **kwargs):
-        plan = super().plan(*args, **kwargs)
-        plan.planning_seconds = 0.0
-        return plan
-
-
 def setup(seed=7, count=6):
     stripes = place_stripes(
         count, CODE, NODE_COUNT, np.random.default_rng(seed)
@@ -109,10 +100,10 @@ class TestFixedConcurrency:
     def test_faultless_run_is_unchanged(self):
         stripes, failed, _ = setup()
         plain = repair_full_node(
-            ZeroCostPlanner(), network(), stripes, failed, config=CONFIG,
+            PivotRepairPlanner(), network(), stripes, failed, config=CONFIG,
         )
         with_empty = repair_full_node(
-            ZeroCostPlanner(), network(), stripes, failed, config=CONFIG,
+            PivotRepairPlanner(), network(), stripes, failed, config=CONFIG,
             faults=FaultPlan.none(), retry_policy=RetryPolicy(),
         )
         assert with_empty.chunks_repaired == plain.chunks_repaired
@@ -206,11 +197,11 @@ class TestCrashUnderForeground:
         )
         engine = ForegroundEngine(
             stripes, generate_requests(profile, stripes, NODE_COUNT, seed=5),
-            ZeroCostPlanner(), failed_nodes={failed}, faults=faults,
+            PivotRepairPlanner(), failed_nodes={failed}, faults=faults,
         )
         tracer = Tracer()
         result = DRIVERS[driver](
-            ZeroCostPlanner(), network(), stripes, failed, config=CONFIG,
+            PivotRepairPlanner(), network(), stripes, failed, config=CONFIG,
             tracer=tracer, faults=faults, retry_policy=RetryPolicy(),
             foreground=engine,
         )

@@ -25,22 +25,6 @@ NODE_COUNT = 12
 CODE = RSCode(6, 4)
 
 
-class ZeroPlanningPivot(PivotRepairPlanner):
-    """PivotRepair with planning cost pinned to zero.
-
-    Real planning time is measured with ``perf_counter`` and advances the
-    simulated clock, so two otherwise-identical runs differ in the last
-    digits.  Zeroing it makes runs exactly reproducible, which is what
-    lets these tests assert *bitwise* time/byte equality instead of
-    approximate closeness.
-    """
-
-    def plan(self, *args, **kwargs):
-        plan = super().plan(*args, **kwargs)
-        plan.planning_seconds = 0.0
-        return plan
-
-
 def make_setup(seed=0):
     network = StarNetwork.uniform(NODE_COUNT, gbps(1))
     stripes = place_stripes(
@@ -75,10 +59,10 @@ class TestFullNodeEquivalence:
     def test_fixed_concurrency_identical(self):
         network, stripes, failed, config = make_setup()
         plain = repair_full_node(
-            ZeroPlanningPivot(), network, stripes, failed, config=config
+            PivotRepairPlanner(), network, stripes, failed, config=config
         )
         loaded = repair_full_node(
-            ZeroPlanningPivot(), network, stripes, failed, config=config,
+            PivotRepairPlanner(), network, stripes, failed, config=config,
             foreground=empty_engine(stripes, failed),
         )
         assert_full_node_identical(plain, loaded)
@@ -87,11 +71,11 @@ class TestFullNodeEquivalence:
         network, stripes, failed, config = make_setup()
         scheduler = SchedulerConfig(threshold=10.0)
         plain = repair_full_node_adaptive(
-            ZeroPlanningPivot(), network, stripes, failed,
+            PivotRepairPlanner(), network, stripes, failed,
             scheduler=scheduler, config=config,
         )
         loaded = repair_full_node_adaptive(
-            ZeroPlanningPivot(), network, stripes, failed,
+            PivotRepairPlanner(), network, stripes, failed,
             scheduler=scheduler, config=config,
             foreground=empty_engine(stripes, failed),
         )
@@ -100,10 +84,10 @@ class TestFullNodeEquivalence:
     def test_no_governor_policy_identical_timing(self):
         network, stripes, failed, config = make_setup()
         plain = repair_full_node(
-            ZeroPlanningPivot(), network, stripes, failed, config=config
+            PivotRepairPlanner(), network, stripes, failed, config=config
         )
         governed = repair_full_node(
-            ZeroPlanningPivot(), network, stripes, failed, config=config,
+            PivotRepairPlanner(), network, stripes, failed, config=config,
             foreground=empty_engine(stripes, failed), governor=NoGovernor(),
         )
         assert governed.total_seconds == plain.total_seconds
@@ -118,7 +102,7 @@ class TestForegroundActuallyCompetes:
 
         network, stripes, failed, config = make_setup()
         plain = repair_full_node(
-            ZeroPlanningPivot(), network, stripes, failed, config=config
+            PivotRepairPlanner(), network, stripes, failed, config=config
         )
         # A storm of large reads overlapping the whole repair window,
         # spread over every stripe, chunk and client so that no tree
@@ -137,7 +121,7 @@ class TestForegroundActuallyCompetes:
             stripes, requests, PivotRepairPlanner(), failed_nodes={failed}
         )
         loaded = repair_full_node(
-            ZeroPlanningPivot(), network, stripes, failed, config=config,
+            PivotRepairPlanner(), network, stripes, failed, config=config,
             foreground=engine,
         )
         assert loaded.total_seconds > plain.total_seconds
@@ -155,7 +139,7 @@ class TestForegroundActuallyCompetes:
 
         network, stripes, failed, config = make_setup()
         plain = repair_full_node(
-            ZeroPlanningPivot(), network, stripes, failed, config=config
+            PivotRepairPlanner(), network, stripes, failed, config=config
         )
         requests = [
             ClientRequest(
@@ -169,7 +153,7 @@ class TestForegroundActuallyCompetes:
             stripes, requests, PivotRepairPlanner(), failed_nodes={failed}
         )
         loaded = repair_full_node(
-            ZeroPlanningPivot(), network, stripes, failed, config=config,
+            PivotRepairPlanner(), network, stripes, failed, config=config,
             foreground=engine,
         )
         assert loaded.total_seconds == plain.total_seconds

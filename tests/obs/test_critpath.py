@@ -32,15 +32,6 @@ CODE = RSCode(6, 4)
 NODE_COUNT = 12
 
 
-class ZeroPlanningPivot(PivotRepairPlanner):
-    """Pins wall-clock planning charges to zero for reproducible runs."""
-
-    def plan(self, *args, **kwargs):
-        plan = super().plan(*args, **kwargs)
-        plan.planning_seconds = 0.0
-        return plan
-
-
 def assert_exact_tiling(report):
     """Every repair's path must tile its makespan to float precision."""
     assert report.repairs, "no repair.task spans reconstructed"
@@ -167,11 +158,11 @@ class TestConcurrentFullNodeUnderLoad:
                     tenant="analytics" if i % 2 else "web",
                 ))
         engine = ForegroundEngine(
-            stripes, reqs, ZeroPlanningPivot(), failed_nodes={failed}
+            stripes, reqs, PivotRepairPlanner(), failed_nodes={failed}
         )
         tracer = Tracer()
         result = repair_full_node(
-            ZeroPlanningPivot(), network, stripes, failed, config=config,
+            PivotRepairPlanner(), network, stripes, failed, config=config,
             foreground=engine, tracer=tracer, concurrency=concurrency,
         )
         return result, tracer

@@ -1,9 +1,6 @@
 """Determinism and telemetry-consistency tests for traced repairs.
 
 Same seed + same inputs must give a byte-identical JSONL event stream.
-The only nondeterministic input is wall-clock planner time, which the
-full-node orchestrators fold into the simulated clock — so those tests
-pin ``planning_seconds`` to zero via a planner subclass.
 """
 
 import numpy as np
@@ -25,19 +22,6 @@ from tests.network.trace_scan_oracle import full_rescan
 
 NODE_COUNT = 10
 CODE = RSCode(6, 4)
-
-
-class ZeroCostPlanner(PivotRepairPlanner):
-    """PivotRepair planner whose wall-clock planning time is pinned to 0.
-
-    Full-node orchestrators advance the simulated clock by the measured
-    planning time, which would make event timestamps nondeterministic.
-    """
-
-    def plan(self, *args, **kwargs):
-        plan = super().plan(*args, **kwargs)
-        plan.planning_seconds = 0.0
-        return plan
 
 
 def seeded_network(seed=7):
@@ -68,7 +52,7 @@ def traced_full_node():
     failed = stripes[0].placement[0]
     tracer = Tracer()
     result = repair_full_node_adaptive(
-        ZeroCostPlanner(), seeded_network(), stripes, failed,
+        PivotRepairPlanner(), seeded_network(), stripes, failed,
         config=small_config(), tracer=tracer,
     )
     return result, to_jsonl(tracer.events)
@@ -159,7 +143,7 @@ class TestSampledDeterminism:
         tracer = Tracer()
         sampler = FlightRecorder(interval=0.001, capacity=65536)
         result = repair_full_node(
-            ZeroCostPlanner(), network, stripes, failed,
+            PivotRepairPlanner(), network, stripes, failed,
             config=small_config(), tracer=tracer, sampler=sampler,
         )
         diagnosis = diagnose(
@@ -186,7 +170,7 @@ class TestSampledDeterminism:
         sampled, _, _ = self.sampled_full_node()
         stripes = place_stripes(6, CODE, NODE_COUNT, np.random.default_rng(3))
         plain = repair_full_node(
-            ZeroCostPlanner(), seeded_network(), stripes,
+            PivotRepairPlanner(), seeded_network(), stripes,
             stripes[0].placement[0], config=small_config(),
         )
         assert plain.total_seconds == sampled.total_seconds
@@ -211,7 +195,7 @@ class TestFaultedDeterminism:
             range(1, NODE_COUNT - 1), failed=NODE_COUNT - 1
         )
         result = repair_single_chunk_faulted(
-            ZeroCostPlanner(), seeded_network(), requestor=0,
+            PivotRepairPlanner(), seeded_network(), requestor=0,
             stripe=stripe, failed_node=failed, faults=faults,
             policy=RetryPolicy(detection_timeout=0.05),
             config=small_config(), tracer=tracer,
@@ -229,7 +213,7 @@ class TestFaultedDeterminism:
         faults = FaultPlan.from_spec(f"crash:{helper}@0.004")
         tracer = Tracer()
         result = repair_full_node(
-            ZeroCostPlanner(), seeded_network(), stripes, failed,
+            PivotRepairPlanner(), seeded_network(), stripes, failed,
             config=small_config(), tracer=tracer, faults=faults,
             retry_policy=RetryPolicy(detection_timeout=0.002),
         )
@@ -275,7 +259,7 @@ class TestEngineTraceEquivalence:
         failed = stripes[0].placement[0]
         tracer = Tracer()
         result = repair_full_node_adaptive(
-            ZeroCostPlanner(), seeded_network(), stripes, failed,
+            PivotRepairPlanner(), seeded_network(), stripes, failed,
             config=small_config(), tracer=tracer,
         )
         return result, to_jsonl(tracer.events)

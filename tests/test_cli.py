@@ -570,7 +570,7 @@ class TestExplainCommands:
         # covers a flow, so its bottleneck is named from the tree shape.
         code = main(
             ["--json", "explain", str(trace_file), *self.FAST,
-             "--sample-interval", "1000", "--planning-seconds", "0.01"]
+             "--sample-interval", "1000"]
         )
         assert code == 0
         repairs = json.loads(capsys.readouterr().out)["diagnosis"]["repairs"]
@@ -642,10 +642,12 @@ class TestExplainCommands:
     def test_explain_chrome_trace_includes_counters(
         self, trace_file, tmp_path, capsys
     ):
+        # The repair takes 35 ms: sample inside it.
         chrome = tmp_path / "trace.json"
         code = main(
             ["--trace", str(chrome), "--trace-format", "chrome",
-             "explain", str(trace_file), *self.FAST]
+             "explain", str(trace_file), *self.FAST,
+             "--sample-interval", "0.005"]
         )
         assert code == 0
         payload = json.loads(chrome.read_text())

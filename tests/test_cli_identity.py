@@ -2,29 +2,26 @@
 
 ``tests/test_cli.py`` checks what each subcommand means; this file pins
 what each one *prints*, so a PR that restructures ``repro.cli`` (or the
-library code its handlers call) can show it changed nothing.  Every
-entry of ``cli_identity.json`` beside this file was recorded at commit
-``cec73eb``, the last one whose ``cli.py`` built the seeded full-node
-scenario by hand in four places, through in-process ``main([...])``
-calls on one generated trace:
+library code its handlers call) can show it changed nothing.  The
+entries of ``cli_identity.json`` beside this file come from in-process
+``main([...])`` calls on one generated trace:
 
 * ``help``: for the top-level parser and each of the 15 subparsers, the
   SHA-256 of ``format_help()`` at 80 columns — usage, every flag and its
   help string; not the free-text description, which documents — and a
   readable table of every flag's default, type, choices and action;
-* the seeded commands whose planning charge is pinned (``trace
-  analyze``, ``explain``, ``critpath``, ``report``, ``top --once``,
-  ``storm``, ``lifetime``): the SHA-256 of the ``--json`` payload and
-  of the text rendering, plus those of the artifacts the run writes;
-* the commands whose numbers carry host planning time (``plan``,
-  ``repair``, ``fullnode``, ``load``, ``resume``): the ``--json``
-  payload itself with every key of ``SECONDS`` masked, the rest
-  compared with ``==``, and the text rendering with its numbers
-  blanked;
-* ``resume-parent-journal``: a journal written by that commit's ``repro
-  fullnode --journal`` and cut short (``cli_parent_journal.jsonl``)
-  resumes to the same counts.
+* every seeded command (``trace analyze``, ``plan``, ``repair``,
+  ``fullnode``, ``load``, ``resume``, ``explain``, ``critpath``,
+  ``report``, ``top``, ``storm``, ``lifetime``): the SHA-256 of the
+  ``--json`` payload and of the text rendering, plus those of the
+  artifacts the run writes, journals included;
+* ``resume-parent-journal``: a journal written at commit ``cec73eb`` by
+  ``repro fullnode --journal`` and cut short
+  (``cli_parent_journal.jsonl``) resumes to the same output and counts.
 
+Planners charge a modelled cost, so every number is a function of the
+seed and no entry masks one; the last test holds that the host clock
+reaches no output.
 A PR that means to change what a command prints regenerates the fixture
 with ``scripts/rerecord.py`` in a commit of its own and says so.
 """
@@ -34,8 +31,8 @@ import functools
 import io
 import json
 import os
-import re
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -47,19 +44,6 @@ from tests.recorded import Recorded, load, sha256
 
 FIXTURE = Path(__file__).with_name("cli_identity.json")
 PARENT_JOURNAL = Path(__file__).with_name("cli_parent_journal.jsonl")
-
-#: Keys whose values carry simulated seconds that include the host's
-#: measured planning time (or follow from them: a latency, a rate over
-#: the run, how many reads found their chunk still missing).
-SECONDS = frozenset({
-    "planning_seconds", "transfer_seconds", "total_seconds",
-    "mean_task_seconds", "elapsed_seconds", "repair_seconds",
-    "repair_baseline_seconds", "repair_slowdown", "read_latency_seconds",
-    "goodput_mbps", "degraded_reads", "bytes_by_kind",
-})
-#: Under faults the bytes a cancelled attempt had already moved depend
-#: on when, against the measured planning time, the fault landed.
-FAULTED = SECONDS | {"bytes_transferred"}
 
 #: One small seeded full-node scenario, shared by every command.
 SCENARIO = ["--stripes", "6", "--chunk-mib", "4", "--seed", "3"]
@@ -161,15 +145,19 @@ def record_help() -> Recorded:
 
 
 # ----------------------------------------------------------------------
-# Pinned commands: digests of both renderings
+# Seeded commands: digests of both renderings
 # ----------------------------------------------------------------------
 def pinned(*argv, artifacts=(), prefix=()) -> Recorded:
     """Digests of ``repro --json <argv>`` and ``repro <argv>``, and of
-    each file in ``artifacts`` (workspace-relative) the text run left."""
-    for name in artifacts:
-        (workspace() / name).unlink(missing_ok=True)
-    payload = run(*prefix, "--json", *argv)
-    entry = {"json": sha256(payload), "text": sha256(run(*prefix, *argv))}
+    each file in ``artifacts`` (workspace-relative) the text run left;
+    each run starts without them, so a journal is written afresh."""
+    def fresh(*args):
+        for name in artifacts:
+            (workspace() / name).unlink(missing_ok=True)
+        return run(*prefix, *args)
+
+    payload = fresh("--json", *argv)
+    entry = {"json": sha256(payload), "text": sha256(fresh(*argv))}
     for name in artifacts:
         entry[name] = sha256((workspace() / name).read_text())
     return Recorded(entry=entry, values=json.loads(payload))
@@ -182,96 +170,51 @@ def observed(command, *extra, artifacts=(), prefix=()):
     )
 
 
-# ----------------------------------------------------------------------
-# Host-timed commands: masked payloads
-# ----------------------------------------------------------------------
-def mask(tree, names=SECONDS):
-    if isinstance(tree, dict):
-        return {
-            key: "~" if key in names else mask(value, names)
-            for key, value in tree.items()
-        }
-    if isinstance(tree, list):
-        return [mask(item, names) for item in tree]
-    return tree
-
-
-def shape(text: str) -> str:
-    """A text rendering with every number (and the unit a duration was
-    scaled to) blanked and column padding collapsed: the words and the
-    layout, not the host's timings."""
-    text = re.sub(r"\d+(\.\d+)?(e[-+]?\d+)?( (us|µs|ms|s)\b)?", "#", text)
-    text = re.sub(r"-{2,}", "--", text)
-    return re.sub(r"[ \t]+", " ", text)
-
-
-def timed(*argv, names=SECONDS, extra=None) -> Recorded:
-    """The masked ``--json`` payload and the blanked text rendering."""
-    payload = json.loads(run("--json", *argv))
-    entry = {"json": mask(payload, names), "text": sha256(shape(run(*argv)))}
-    if extra is not None:
-        entry.update(extra())
-    return Recorded(entry=entry, values=entry["json"])
-
-
-def journal_kinds(name: str) -> dict:
-    """Record kinds of a workspace journal, counted (their order follows
-    task completion times, which carry host planning time), and the keys
-    of its ``run_config`` record."""
-    records = [
-        json.loads(line)
-        for line in (workspace() / name).read_text().splitlines()
-    ]
-    config = next(r["data"] for r in records if r["kind"] == "run_config")
-    return {
-        "journal_kinds": dict(sorted(Counter(
-            record["kind"] for record in records
-        ).items())),
-        "run_config_keys": sorted(config),
-    }
-
-
-def journaled(name: str) -> str:
-    """``name`` journaled afresh by ``repro fullnode``: the masked
-    payload is in ``fullnode-journal``."""
-    (workspace() / name).unlink(missing_ok=True)
-    return run("--json", "fullnode", "t.npz", *SCENARIO, "--journal", name)
-
-
-def fullnode_journaled() -> Recorded:
-    payload = json.loads(journaled("fullnode.jsonl"))
-    entry = {"json": mask(payload), **journal_kinds("fullnode.jsonl")}
-    return Recorded(entry=entry, values=entry)
-
-
 def resumed() -> Recorded:
     """A journal that lost one ``task_done`` resumed (``--json`` only:
     a second call finds the work done), then resumed again with nothing
-    left."""
-    journaled("resume.jsonl")
+    left, and the journal's bytes after both."""
     path = workspace() / "resume.jsonl"
+    path.unlink(missing_ok=True)
+    run("--json", "fullnode", "t.npz", *SCENARIO, "--journal", path.name)
     lines = path.read_text().splitlines()
     lines.remove(next(
         line for line in lines if json.loads(line)["kind"] == "task_done"
     ))
     path.write_text("".join(line + "\n" for line in lines))
+    payload = run("--json", "resume", path.name)
+    complete = run("--json", "resume", path.name)
     entry = {
-        "resumed": mask(json.loads(run("--json", "resume", "resume.jsonl"))),
-        "complete": timed("resume", "resume.jsonl").entry,
-        **journal_kinds("resume.jsonl"),
+        "resumed": sha256(payload),
+        "complete": {
+            "json": sha256(complete),
+            "text": sha256(run("resume", path.name)),
+        },
+        path.name: sha256(path.read_text()),
     }
-    return Recorded(entry=entry, values=entry)
+    return Recorded(entry=entry, values=json.loads(payload))
 
 
 def resume_parent_journal() -> Recorded:
-    """``cli_parent_journal.jsonl``: written at ``cec73eb`` by
-    ``journaled`` above (so its ``run_config`` names ``t.npz``), cut
-    after its fifth record as a crash would, and resumed here."""
-    (workspace() / "parent.jsonl").write_text(PARENT_JOURNAL.read_text())
-    return timed(
-        "resume", "parent.jsonl",
-        extra=lambda: journal_kinds("parent.jsonl"),
-    )
+    """``cli_parent_journal.jsonl``: written at ``cec73eb`` by ``repro
+    fullnode --journal`` on this workspace's scenario (so its
+    ``run_config`` names ``t.npz``), cut after its fifth record as a
+    crash would, and resumed here.  Its records carry that commit's host
+    planning times, so the journal is compared by its record kinds,
+    counted, and the keys of its ``run_config`` record."""
+    path = workspace() / "parent.jsonl"
+    path.write_text(PARENT_JOURNAL.read_text())
+    recorded = pinned("resume", path.name)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    config = next(r["data"] for r in records if r["kind"] == "run_config")
+    entry = {
+        **recorded.entry,
+        "journal_kinds": dict(sorted(Counter(
+            record["kind"] for record in records
+        ).items())),
+        "run_config_keys": sorted(config),
+    }
+    return Recorded(entry=entry, values=recorded.values)
 
 
 #: ``explain`` / ``critpath`` / ``report`` / ``top --once``, each with the
@@ -326,36 +269,32 @@ RECORDERS = {
         "lifetime", *LIFETIME[:-4], "--durations", "exponential",
         "--policy", "lazy", "--schemes", "pivot,rp",
     ),
-    "plan": lambda: timed(
+    "plan": lambda: pinned(
         "plan", "--bandwidths", "bw.json", "--requestor", "0", "--k", "4"
     ),
-    "repair": lambda: timed(
+    "repair": lambda: pinned(
         "repair", "t.npz", "--n", "6", "--k", "4", "--chunk-mib", "4",
         "--seed", "1",
     ),
-    "repair-faults": lambda: timed(
+    "repair-faults": lambda: pinned(
         "repair", "t.npz", "--n", "6", "--k", "4", "--chunk-mib", "4",
-        "--seed", "1", "--faults", "crash:3@0.01", names=FAULTED,
+        "--seed", "1", "--faults", "crash:3@0.01",
     ),
-    "fullnode": lambda: timed("fullnode", "t.npz", *SCENARIO),
-    "fullnode-adaptive": lambda: timed(
-        "fullnode", "t.npz", *SCENARIO, "--adaptive"
+    "fullnode": observed("fullnode"),
+    "fullnode-adaptive": observed("fullnode", "--adaptive"),
+    "fullnode-faults": observed(
+        "fullnode", "--chunk-mib", "64", "--faults", "crash:1@0.05",
+        "--retry-policy", "timeout=0.5,retries=2",
     ),
-    "fullnode-faults": lambda: timed(
-        "fullnode", "t.npz", *SCENARIO, "--chunk-mib", "64",
-        "--faults", "crash:1@0.05",
-        "--retry-policy", "timeout=0.5,retries=2", names=FAULTED,
+    "fullnode-journal": observed(
+        "fullnode", "--journal", "fullnode.jsonl",
+        artifacts=["fullnode.jsonl"],
     ),
-    "fullnode-journal": fullnode_journaled,
-    "load": lambda: timed(
-        "load", "t.npz", *SCENARIO, "--arrival-rate", "60",
-        "--load-duration", "10",
-    ),
-    "load-static-faults": lambda: timed(
-        "load", "t.npz", *SCENARIO, "--chunk-mib", "64",
-        "--arrival-rate", "60", "--load-duration", "10", "--no-baseline",
-        "--governor", "static", "--scheme", "rp", "--faults", "crash:1@2",
-        names=FAULTED,
+    "load": observed("load", "--arrival-rate", "60", "--load-duration", "10"),
+    "load-static-faults": observed(
+        "load", "--chunk-mib", "64", "--arrival-rate", "60",
+        "--load-duration", "10", "--no-baseline", "--governor", "static",
+        "--scheme", "rp", "--faults", "crash:1@2",
     ),
     "resume": resumed,
     "resume-parent-journal": resume_parent_journal,
@@ -366,3 +305,39 @@ RECORDERS = {
 def test_command_output_is_what_was_recorded(name):
     produced = json.loads(json.dumps(RECORDERS[name]().entry))
     assert produced == load(FIXTURE)[name], json.dumps(produced, indent=1)
+
+
+#: Commands whose payloads carried host planning time while the
+#: planners timed themselves; ``fullnode`` and ``load`` write a journal.
+CLOCKED = {
+    "plan": ["plan", "--bandwidths", "bw.json", "--requestor", "0", "--k", "4"],
+    "repair": ["repair", "t.npz", "--n", "6", "--k", "4", "--chunk-mib", "4"],
+    "fullnode": [
+        "fullnode", "t.npz", *SCENARIO, "--adaptive",
+        "--journal", "clock.jsonl",
+    ],
+    "load": [
+        "load", "t.npz", *SCENARIO, "--arrival-rate", "60",
+        "--load-duration", "10", "--faults", "crash:1@2",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOCKED))
+def test_the_host_clock_reaches_no_output(name):
+    """The same call again under a ``perf_counter`` that runs 1 000x
+    fast prints the same payload and writes the same journal bytes."""
+    journal = workspace() / "clock.jsonl"
+
+    def outputs():
+        journal.unlink(missing_ok=True)
+        payload = run("--json", *CLOCKED[name])
+        return payload, journal.read_bytes() if journal.exists() else None
+
+    first = outputs()
+    real = time.perf_counter
+    origin = real()
+    with mock.patch.object(
+        time, "perf_counter", lambda: origin + 1000 * (real() - origin)
+    ):
+        assert outputs() == first

@@ -16,6 +16,7 @@ from repro.ec import RSCode, place_stripes
 from repro.resilience import JournalError, RepairJournal
 from repro.scenario import (
     RUN_CONFIG_KEYS,
+    SCHEMES,
     FullNodeScenario,
     parse_fault_specs,
     resume,
@@ -76,15 +77,16 @@ def test_foreground_is_drained_and_dead_clients_dropped(scenario):
     assert foreground.pending_flows == 0
 
 
-def test_planning_is_measured_unless_pinned(scenario):
-    measured, _ = scenario.build().run()
-    assert all(
-        task.planning_seconds > 0 for task in measured.task_results
-    )
-    pinned = dataclasses.replace(scenario, planning_seconds=0.25)
-    first, second = (pinned.build().run()[0] for _ in range(2))
-    assert {task.planning_seconds for task in first.task_results} == {0.25}
-    assert first.total_seconds == second.total_seconds
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_planning_is_charged_the_model(scenario, scheme):
+    result, _ = scenario.build().run(scheme)
+    planner = SCHEMES[scheme]
+    assert result.task_results
+    for task in result.task_results:
+        assert task.planning_seconds == (
+            planner.SECONDS_PER_CANDIDATE * (scenario.n - 1)
+            + planner.SECONDS_PER_TREE * task.plan.trees_examined
+        ) > 0
 
 
 def test_fault_specs_have_one_parser(tmp_path):
