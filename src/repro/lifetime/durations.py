@@ -199,11 +199,11 @@ class CalibratedDurations(DurationModel):
         :data:`CALIBRATION_TRACE_SEED`), samples ``instants`` congested
         seconds, and at each one lays a stripe over the cluster and
         executes a full single-chunk repair per scheme on the fluid
-        simulator.  Only the *simulated*
-        transfer time is kept — the planning charge is a host cost that
-        does not scale with ``scale``, so it is excluded by construction.  Every scheme repairs at the
-        same instants with the same stripe layout: the calibration is a
-        paired sample.
+        simulator.  Only the *simulated* transfer time is kept — the
+        planning charge is a host cost that does not scale with
+        ``scale``, so it is excluded by construction.  Every scheme
+        repairs at the same instants with the same stripe layout: the
+        calibration is a paired sample.
         """
         from repro.experiments.single_chunk import (
             congested_instants,

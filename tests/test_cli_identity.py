@@ -308,9 +308,11 @@ def test_command_output_is_what_was_recorded(name):
 
 
 #: Commands whose payloads carried host planning time while the
-#: planners timed themselves; ``fullnode`` and ``load`` write a journal.
+#: planners timed themselves; ``fullnode`` also writes a journal.
 CLOCKED = {
-    "plan": ["plan", "--bandwidths", "bw.json", "--requestor", "0", "--k", "4"],
+    "plan": [
+        "plan", "--bandwidths", "bw.json", "--requestor", "0", "--k", "4",
+    ],
     "repair": ["repair", "t.npz", "--n", "6", "--k", "4", "--chunk-mib", "4"],
     "fullnode": [
         "fullnode", "t.npz", *SCENARIO, "--adaptive",
