@@ -20,8 +20,8 @@ nothing else, and reports the drift:
    every float is listed with its relative difference.
 
 ``--check`` is also a CI step: the tree's recorded values are what the
-tree produces — it catches a hand-edited fixture and a forgotten
-re-record alike.
+tree produces — it catches a hand-edited fixture, a forgotten
+re-record and an entry whose recorder is gone (a rewrite drops it).
 """
 
 import argparse
@@ -126,6 +126,12 @@ def rerecord(only, check: bool, dump: Path | None) -> int:
         path = module.FIXTURE
         if path not in fixtures:
             fixtures[path] = load(path)
+            # An entry no recorder produces any more pins nothing:
+            # counted as a disagreement, dropped by a rewrite.
+            for orphan in sorted(fixtures[path].keys() - module.RECORDERS):
+                disagreements += 1
+                print(f"{key[:-len(name)]}{orphan}: no recorder")
+                del fixtures[path][orphan]
         lines = _diff(fixtures[path].get(name), entry)
         if lines:
             # An entry that agrees is left as it is written, key order

@@ -77,6 +77,22 @@ def test_rerecord_rewrites_only_what_moved(rerecord, monkeypatch, tmp_path):
     )
 
 
+def test_an_entry_no_recorder_produces_is_dropped(
+    rerecord, capsys, monkeypatch, tmp_path
+):
+    fixture = tmp_path / "scale_storm.json"
+    entries = json.loads(scale_suite.FIXTURE.read_text())
+    fixture.write_text(json.dumps({**entries, "retired": [1.0]}))
+    monkeypatch.setattr(scale_suite, "FIXTURE", fixture)
+    assert rerecord.main(["--check", "--only", "*:storm-1024"]) == 1
+    out = capsys.readouterr().out
+    assert "scale_storm.json:retired: no recorder" in out
+    assert "1 of 1 recorded entries disagree" in out
+    assert "retired" in json.loads(fixture.read_text())
+    assert rerecord.main(["--only", "*:storm-1024"]) == 0
+    assert json.loads(fixture.read_text()) == entries
+
+
 def test_drift_separates_float_noise_from_discrete_moves(
     rerecord, capsys, tmp_path
 ):
