@@ -59,7 +59,7 @@ DEFAULT_ENGINE = "fast"
 #: Traffic classes whose per-reallocation ``flow.rate_change`` instants
 #: are *not* traced.  Foreground flows are short and numerous, and no
 #: analysis reads their instantaneous rates (``diagnose`` attributes
-#: repair/hedge flows only; tenant blame uses their spans; the flight
+#: repair flows only; tenant blame uses their spans; the flight
 #: recorder samples their aggregate) — tracing every max-min re-split
 #: they trigger roughly doubles tracing's event volume for nothing.
 _RATE_TRACE_EXCLUDE = frozenset({"foreground"})
@@ -96,8 +96,8 @@ class SimulatorStats:
     #: fields are filled when :attr:`FluidSimulator.stats` is read.
     bytes_by_kind: dict[str, float] = field(default_factory=dict)
     #: Total bytes carried over all links (summed over edges), including
-    #: what cancelled tasks moved before cancellation — e.g. the losing
-    #: side of a hedged re-plan.  Always equals
+    #: what cancelled tasks moved before cancellation — e.g. a failed
+    #: attempt's flow.  Always equals
     #: ``sum(bytes_by_kind.values())``.
     bytes_transferred: float = 0.0
 
@@ -556,8 +556,8 @@ class FluidSimulator:
         """Trace span id of a live task's flow span (None untraced/done).
 
         Lets orchestrators record causal ``follows_from`` links from a
-        flow that is being cancelled or raced to its successor (re-plan,
-        journal resume, hedge) before the span is closed.
+        flow that is being cancelled to its successor (re-plan, journal
+        resume) before the span is closed.
         """
         return self._task_spans.get(handle.task_id)
 

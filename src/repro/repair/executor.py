@@ -37,7 +37,6 @@ from repro.repair.pipeline import (
     trace_fill,
 )
 from repro.repair.telemetry import run_counters
-from repro.resilience.health import HealthPolicy
 
 logger = logging.getLogger(__name__)
 
@@ -203,7 +202,6 @@ def repair_single_chunk_faulted(
     config: ExecutionConfig | None = None,
     tracer=NULL_TRACER,
     journal=None,
-    health: HealthPolicy | None = None,
 ) -> RepairResult | RepairFailed:
     """Rebuild ``stripe``'s chunk on ``failed_node`` at ``requestor``
     under an injected fault plan.
@@ -220,9 +218,8 @@ def repair_single_chunk_faulted(
 
     A re-plan resumes from the last verified slice, and
     ``result.segments`` says which plan carried which slice range.
-    ``health`` enables hedging (``result.hedges``).  ``transfer_seconds``
-    runs from ``start_time`` to the last flow's finish, plus the
-    per-slice tail, as in :func:`execute_plan`.
+    ``transfer_seconds`` runs from ``start_time`` to the last flow's
+    finish, plus the per-slice tail, as in :func:`execute_plan`.
     """
     config = config or ExecutionConfig()
     net = FaultyNetwork.wrap(network, faults)
@@ -230,7 +227,7 @@ def repair_single_chunk_faulted(
     master = StripeRepairMaster(
         None, planner, net, [stripe], failed_node, sim=sim,
         scheme=planner.name, config=config, tracer=tracer, faults=faults,
-        retry_policy=policy, journal=journal, health=health,
+        retry_policy=policy, journal=journal,
     )
     master.pin(stripe, requestor)
 

@@ -38,8 +38,6 @@ class RepairResult:
     #: ``execute_plan``.  Slices index the slicing of the stripe's first
     #: submission (``config_for``): coarser after ``degrade_to(2)``.
     segments: list = field(default_factory=list)
-    #: Hedged re-plans launched against gray failures (adopted or not).
-    hedges: int = 0
 
     @property
     def ok(self) -> bool:

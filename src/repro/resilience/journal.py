@@ -2,7 +2,7 @@
 
 The journal is the persistence substrate of the resilience layer.  Every
 state transition a repair makes — task started, attempt failed, slice
-watermark advanced, task done, hedge launched/adopted/cancelled — is
+watermark advanced, task done, job paused or resumed — is
 appended as one compact JSON record *before* the transition is acted on,
 so a crashed run (helper, orchestrator, or master) can be resumed from the
 last verified slice instead of restarting.
@@ -17,9 +17,8 @@ flushed immediately; an ``os.fsync`` barrier is issued every
 records on a host crash for not paying a synchronous disk barrier per
 record.  A writer that dies mid-record leaves a last line without its
 newline; :meth:`RepairJournal.load` drops it, so the journal a crash
-leaves is the journal ``repro resume`` takes.  A journal without a path is
-a coordination-only in-memory log (used when only hedging, not
-durability, is wanted).
+leaves is the journal ``repro resume`` takes.  A journal without a path
+keeps its records in memory only.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ class JournalRecord:
     ``seq`` is the dense per-journal sequence number, ``t`` the simulated
     time of the event, ``kind`` the record type (``run_config``,
     ``task_start``, ``progress``, ``attempt_failed``, ``task_done``,
-    ``straggler``, ``hedge_launch``, ``hedge_adopt``, ``hedge_cancel``,
     ``pause``, ``resume``, ``degrade``, ``job_done``), and ``data`` the
     kind-specific payload.
     """

@@ -170,7 +170,6 @@ def run_chaos_single_chunk(
     config: ExecutionConfig | None = None,
     tracer=NULL_TRACER,
     journal=None,
-    health=None,
 ) -> ChaosOutcome:
     """Repair one lost chunk under a fault plan; verify the bytes.
 
@@ -184,8 +183,8 @@ def run_chaos_single_chunk(
 
     A helper the cluster already knows is dead is refused with a
     :class:`ClusterError`: a helper dies mid-repair through the fault
-    plan.  ``journal`` / ``health`` thread through to the executor.  A
-    resumed (or hedged) repair delivers its slice ranges through
+    plan.  ``journal`` threads through to the executor.  A resumed
+    repair delivers its slice ranges through
     *different* trees; :func:`repro.faults.runner.rebuilt_payload` then
     rebuilds each recorded segment through the plan that actually
     carried it and stitches the ranges before comparing — exactly what a
@@ -214,7 +213,7 @@ def run_chaos_single_chunk(
     result = repair_single_chunk_faulted(
         planner, network, requestor, stripe, failed_node,
         faults, policy=policy, config=config, tracer=tracer,
-        journal=journal, health=health,
+        journal=journal,
     )
     if not result.ok:
         return ChaosOutcome(result)

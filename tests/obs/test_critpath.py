@@ -1,8 +1,8 @@
 """Exact critical-path reconstruction acceptance tests.
 
 The central invariant: for *every* repair in a trace — plain, retried,
-hedged, or one of several racing full-node stripes under foreground
-load — the reconstructed critical-path segments tile the
+or one of several racing full-node stripes under foreground load — the
+reconstructed critical-path segments tile the
 repair's ``repair.task`` span exactly, so their durations sum to the
 measured makespan within 1e-9, and the per-category seconds do too.
 """
@@ -23,7 +23,6 @@ from repro.repair import (
     repair_single_chunk_faulted,
 )
 from repro.repair.pipeline import ExecutionConfig, pipeline_overhead_seconds
-from repro.resilience import HealthPolicy
 from repro.units import gbps, mib
 from tests.one_stripe import one_stripe
 
@@ -109,29 +108,6 @@ class TestSingleChunk:
         assert path.categories.get("stall", 0.0) >= 0.1
         names = [seg.name for seg in path.segments]
         assert "repair.backoff" in names
-
-    def test_hedged_repair_charges_hedge_seconds(self):
-        victim = 3
-        net = StarNetwork.constant(
-            [12 * MiB if i == victim else 10 * MiB for i in range(8)],
-            [12 * MiB if i == victim else 10 * MiB for i in range(8)],
-        )
-        tracer = Tracer()
-        result = repair_single_chunk_faulted(
-            PivotRepairPlanner(), net, 0, *one_stripe(),
-            FaultPlan.from_spec("degrade:3@0.1-1000x0.05"),
-            policy=RetryPolicy(detection_timeout=0.05),
-            config=self.FAULTED, tracer=tracer, health=HealthPolicy(),
-        )
-        assert result.ok and result.hedges == 1
-        report = critical_paths(tracer.events)
-        assert_exact_tiling(report)
-        [path] = report.repairs
-        assert path.makespan == pytest.approx(
-            self.faulted_makespan(result), abs=1e-9
-        )
-        assert path.categories.get("hedge", 0.0) > 0
-
 
 class TestConcurrentFullNodeUnderLoad:
     """The acceptance scenario: several stripes racing under two

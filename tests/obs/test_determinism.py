@@ -280,36 +280,3 @@ class TestEngineTraceEquivalence:
         _, jsonl = self.run()
         assert '"parent_id"' in jsonl
         assert '"links"' in jsonl
-
-    def test_hedged_trace_identical_across_engines(self, reference_engine):
-        from repro.faults import FaultPlan, RetryPolicy
-        from repro.repair import repair_single_chunk_faulted
-        from repro.resilience import HealthPolicy
-        from tests.one_stripe import one_stripe
-
-        def run():
-            mib = 1024 * 1024
-            victim = 3
-            net = StarNetwork.constant(
-                [12 * mib if i == victim else 10 * mib for i in range(8)],
-                [12 * mib if i == victim else 10 * mib for i in range(8)],
-            )
-            tracer = Tracer()
-            result = repair_single_chunk_faulted(
-                PivotRepairPlanner(), net, 0, *one_stripe(),
-                FaultPlan.from_spec("degrade:3@0.1-1000x0.05"),
-                policy=RetryPolicy(detection_timeout=0.05),
-                config=ExecutionConfig(chunk_size=8 * mib, slice_size=32768),
-                tracer=tracer, health=HealthPolicy(),
-            )
-            return result, to_jsonl(tracer.events)
-
-        fast_result, fast = run()
-        with reference_engine():
-            reference_result, reference = run()
-        with full_rescan():
-            _, oracle = run()
-        assert '"span.link"' in fast  # hedge adoption link present
-        assert fast == reference
-        assert fast == oracle
-        assert solves(reference_result) > solves(fast_result)

@@ -16,7 +16,6 @@ from repro.obs import (
 )
 from repro.repair import repair_full_node
 from repro.repair.pipeline import ExecutionConfig
-from tests.obs.test_attribution_regressions import hedged_events
 
 
 def diagnosed_run():
@@ -50,22 +49,6 @@ class TestHtmlReport:
         for section in ("waterfall", "utilization", "invariants"):
             assert section in html.lower()
         assert "<svg" in html
-
-    def test_hedged_run_draws_hedge_time(self):
-        # The colour table used to have no ``hedge`` row: a hedged run's
-        # hedge seconds rendered as a zero-width bar with no legend.
-        html = render_html_report(diagnose(hedged_events()))
-        assert "</i>hedge</span>" in html
-        widths = [
-            float(width)
-            for width in re.findall(
-                r"width='([0-9.]+)' height='16' fill='#[0-9a-f]+'>"
-                r"<title>hedge:", html,
-            )
-        ]
-        # One bar: the straggling primary's.  The hedge is planned on the
-        # residual view, so it runs at the rate it was stamped with.
-        assert len(widths) == 1 and all(width > 0 for width in widths)
 
     def test_empty_run_renders_without_samples(self):
         empty = RunDiagnosis(

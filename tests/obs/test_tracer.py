@@ -107,24 +107,10 @@ class TestCausalPrimitives:
             tracer.instant("x.y", t=1.0, parent_id=other)
         assert tracer.events[-1].parent_id == other
 
-    def test_link_emits_span_link_instant(self):
-        tracer = Tracer()
-        src = tracer.begin("flow", t=0.0, track="node:1")
-        dst = tracer.begin("repair.task", t=0.0, track="repair:1")
-        tracer.link(src, dst, t=2.0, track="executor", reason="hedge_adopt")
-        event = tracer.events[-1]
-        assert event.name == "span.link"
-        assert event.kind == "instant"
-        assert event.parent_id == dst
-        assert event.fields["from_span"] == src
-        assert event.fields["to_span"] == dst
-        assert event.fields["reason"] == "hedge_adopt"
-
     def test_null_tracer_mirrors_causal_api(self):
         tracer = NullTracer()
         with tracer.scope(7) as span:
             assert span == 7
-        tracer.link(1, 2, t=0.0)
         tracer.begin("flow", t=0.0, parent_id=3, links=(1, 2))
         assert len(tracer.events) == 0
 

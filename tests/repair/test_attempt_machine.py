@@ -5,8 +5,7 @@ driver.
 across commits; this file checks what one machine behind every driver
 is for — a full-node (or fleet) repair honours the ``RetryPolicy`` it
 is handed, watches for stalls, reports what happened per task, keys its
-backoffs, hedges stragglers stripe by stripe, and does none of it to a
-stripe that was merely paused — and that the two drivers of one stripe
+backoffs, and does none of it to a stripe that was merely paused — and that the two drivers of one stripe
 agree with each other.
 """
 
@@ -15,14 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.master import Cluster
 from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.ec import place_stripes
 from repro.faults import FaultPlan, RetryPolicy
 from repro.faults.network import FaultyNetwork
-from repro.faults.runner import rebuilt_payload
 from repro.network.simulator import FluidSimulator
-from repro.network.topology import StarNetwork
 from repro.obs import Tracer
 from repro.repair import (
     RepairFailed,
@@ -31,8 +27,7 @@ from repro.repair import (
 )
 from repro.repair.jobmaster import StripeRepairMaster, choose_requestor
 from repro.repair.pipeline import ExecutionConfig
-from repro.resilience import HealthPolicy, RepairJournal
-from tests.chaos_harness import expected_payload
+from repro.resilience import RepairJournal
 from tests.repair.test_driver_identity import (
     CODE,
     CONFIG,
@@ -146,22 +141,20 @@ class TestFullNodeHonoursItsPolicy:
             detections(tracer)
         )
         for task in result.task_results:
-            assert task.hedges == 0
             # The last range is the final flight's; ranges are in order.
             starts = [start for _, start in task.segments]
             assert starts == sorted(starts) and starts[0] == 0
             assert task.segments[-1][0] is task.plan
 
 
-def stepped_master(faults, policy, count=2, health=None, network=None,
-                   stripes=STRIPES, failed=FAILED, config=CONFIG):
+def stepped_master(faults, policy, count=2, stripes=STRIPES):
     """A master on its own simulator, for tests that step it by hand."""
     faults = FaultPlan.from_spec(faults) if faults else None
-    network = FaultyNetwork.wrap(network or star(), faults)
+    network = FaultyNetwork.wrap(star(), faults)
     sim = FluidSimulator(network)
     master = StripeRepairMaster(
-        None, pinned(), network, stripes, failed, sim=sim, scheme="test",
-        config=config, faults=faults, retry_policy=policy, health=health,
+        None, pinned(), network, stripes, FAILED, sim=sim, scheme="test",
+        config=CONFIG, faults=faults, retry_policy=policy,
     )
     for _ in range(count):
         master.submit(*master.candidate())
@@ -252,76 +245,6 @@ class TestPauseIsNotAFailedAttempt:
         assert flight.handle.label.endswith(f"-r{flight.plan.requestor}")
         assert master.registry.counter("replans").value == replans
         assert master.requeue_events == 3
-
-
-class TestHedgingIsNotSingleStripeSpecial:
-    """``TestHedgedReplan``'s gray failure, three stripes at once."""
-
-    CONFIG = ExecutionConfig(chunk_size=8 * MiB, slice_size=32 * 1024)
-    VICTIM = 3
-
-    def cluster(self):
-        cluster = Cluster(NODES, CODE)
-        stripes = cluster.write_random_stripes(
-            14, self.CONFIG.chunk_size, np.random.default_rng(0)
-        )
-        failed = 6
-        lost = [
-            s for s in stripes
-            if failed in s.placement and self.VICTIM in s.placement
-        ][:3]
-        expected = {
-            s.stripe_id: expected_payload(
-                cluster, s, s.chunk_on_node(failed)
-            )
-            for s in lost
-        }
-        cluster.fail_node(failed)
-        return cluster, lost, failed, expected
-
-    def run(self, health):
-        cluster, lost, failed, expected = self.cluster()
-        rates = [
-            (12 if i == self.VICTIM else 10) * MiB for i in range(NODES)
-        ]
-        master, sim = stepped_master(
-            f"degrade:{self.VICTIM}@0.1-1000x0.05",
-            RetryPolicy(detection_timeout=0.05), count=3, health=health,
-            network=StarNetwork.constant(rates, rates), stripes=lost,
-            failed=failed, config=self.CONFIG,
-        )
-        straggling = {
-            flight.stripe.stripe_id
-            for flight in master.in_flight.values()
-            if self.VICTIM in flight.tree_nodes
-        }
-        while not master.done:
-            step(master, sim)
-            assert sim.now < 200.0
-        return master, sim, straggling, (cluster, failed, expected)
-
-    def test_one_hedge_per_straggling_stripe_and_a_sooner_finish(self):
-        hedged, sim, straggling, byte_plane = self.run(HealthPolicy())
-        limped, limped_sim, _, _ = self.run(None)
-        assert len(straggling) == 2
-        assert len(hedged.results) == len(limped.results) == 3
-        for task in hedged.results:
-            stripe_id = task.plan.notes["stripe_id"]
-            assert task.hedges == (1 if stripe_id in straggling else 0)
-        counters = hedged.registry.snapshot()["counters"]
-        assert counters["hedges_launched"] == len(straggling)
-        assert counters["stragglers"] == len(straggling)
-        assert all(task.hedges == 0 for task in limped.results)
-        assert sim.now < 0.5 * limped_sim.now
-        # Every stitched chunk decode-verifies.
-        cluster, failed, expected = byte_plane
-        for task in hedged.results:
-            stripe = cluster.stripes[task.plan.notes["stripe_id"]]
-            payload = rebuilt_payload(
-                cluster, stripe, stripe.chunk_on_node(failed), task,
-                self.CONFIG,
-            )
-            assert np.array_equal(payload, expected[stripe.stripe_id])
 
 
 # ----------------------------------------------------------------------

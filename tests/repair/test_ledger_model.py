@@ -3,8 +3,7 @@
 ``_Ledger`` (``repro.repair.jobmaster``) is the one place that knows
 which slices of a stripe are verified, on which requestor, and from
 which flight.  The state machine below drives it through random
-launches, progress, failures, pauses, hedges, hedge adoptions and
-requestor changes, and keeps a brute-force model beside it: a map from
+launches, progress, failures, pauses and requestor changes, and keeps a brute-force model beside it: a map from
 each slice to the ``(requestor, flight)`` that last verified it, plus a
 counter of how often the verified slices changed holder.  Four rules
 are checked against that model:
@@ -69,7 +68,6 @@ class Flight:
 
     plan: Plan
     start_slice: int
-    primary: Flight | None = None
     fraction: float = 0.0
 
 
@@ -93,8 +91,7 @@ class LedgerModel(RuleBasedStateMachine):
         self.holder = None
         self.epoch = 0
         self.pinned = None
-        self.primary: Flight | None = None
-        self.hedge: Flight | None = None
+        self.flight: Flight | None = None
 
     def verify(self, flight: Flight, first: int, end: int) -> None:
         requestor = flight.plan.requestor
@@ -110,13 +107,13 @@ class LedgerModel(RuleBasedStateMachine):
         )
 
     # -- Rules ---------------------------------------------------------
-    @precondition(lambda self: self.primary is None and not self.owner)
+    @precondition(lambda self: self.flight is None and not self.owner)
     @rule(requestor=st.sampled_from(REQUESTORS))
     def pin(self, requestor):
         self.ledger.pin(requestor)
         self.pinned = requestor
 
-    @precondition(lambda self: self.primary is None)
+    @precondition(lambda self: self.flight is None)
     @rule(requestor=st.sampled_from(REQUESTORS), depth=DEPTHS)
     def launch(self, requestor, depth):
         start = self.ledger.resume_slice(requestor)
@@ -124,14 +121,14 @@ class LedgerModel(RuleBasedStateMachine):
         before = provenance(self.ledger)
         self.ledger.launch(flight.plan, self.config)
         assert provenance(self.ledger) == before
-        self.primary = flight
+        self.flight = flight
 
-    @precondition(lambda self: self.primary is not None)
+    @precondition(lambda self: self.flight is not None)
     @rule(how=st.sampled_from(["pause", "fail", "readerr"]), step=STEPS)
     def stop(self, how, step):
-        """A pause or failure checkpoints the primary and cancels it
-        (and its hedge); a read error trusts nothing it delivered."""
-        flight, self.primary, self.hedge = self.primary, None, None
+        """A pause or failure checkpoints the flight and cancels it; a
+        read error trusts nothing it delivered."""
+        flight, self.flight = self.flight, None
         flight.fraction = min(1.0, flight.fraction + step)
         before = provenance(self.ledger)
         if how != "readerr":
@@ -150,38 +147,14 @@ class LedgerModel(RuleBasedStateMachine):
         if how == "readerr":
             assert provenance(self.ledger) == before
 
-    @precondition(lambda self: self.primary is not None and self.hedge is None)
-    @rule(depth=DEPTHS, step=STEPS)
-    def launch_hedge(self, depth, step):
-        primary = self.primary
-        primary.fraction = min(1.0, primary.fraction + step)
-        start = self.ledger.verified(primary, primary.fraction)
-        assert start == self.reached(primary)
-        assert primary.start_slice <= start < self.slices
-        self.hedge = Flight(
-            Plan(primary.plan.requestor, Tree(depth)), start, primary=primary
-        )
-
-    @precondition(lambda self: self.hedge is not None)
+    @precondition(lambda self: self.flight is not None)
     @rule()
-    def cancel_hedge(self):
-        self.hedge = None
-
-    @precondition(lambda self: self.primary is not None)
-    @rule(hedge_wins=st.booleans())
-    def finish(self, hedge_wins):
-        winner = self.primary
-        if hedge_wins and self.hedge is not None:
-            winner = self.hedge
-            if winner.start_slice > self.primary.start_slice:
-                self.verify(
-                    self.primary, self.primary.start_slice,
-                    winner.start_slice,
-                )
-        self.verify(winner, winner.start_slice, self.slices)
-        ranges = slice_ranges(self.ledger.finish(winner), self.slices, 0)
+    def finish(self):
+        flight = self.flight
+        self.verify(flight, flight.start_slice, self.slices)
+        ranges = slice_ranges(self.ledger.finish(flight), self.slices, 0)
         for plan, first, end in ranges:
-            assert plan.requestor == winner.plan.requestor
+            assert plan.requestor == flight.plan.requestor
             for index in range(first, end):
                 assert self.owner[index][1].plan is plan
         self.new_stripe()

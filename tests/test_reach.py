@@ -118,7 +118,6 @@ UNPASSED = {
     "repro.network.bandwidth:sample_grid.start": (
         "tests check the grid's floats and errors at any origin"
     ),
-    "repro.repair.executor:repair_single_chunk_faulted.health": _HEALTH,
     "repro.repair.executor:repair_single_chunk_faulted.journal": (
         "the one-stripe journal and resume tests run through it and pin "
         "its journal to a one-stripe full-node repair's"
