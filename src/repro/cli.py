@@ -293,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "of a run and compute the exact critical path of every repair: "
         "the chain of intervals whose durations sum to its measured "
         "makespan (checked to 1e-9), attributed per category (transfer, "
-        "contention, governor, stall, queue, planning, pipeline, hedge) "
+        "contention, governor, stall, queue, planning, pipeline) "
         "and per foreground tenant.  Scenario mode (.npz workload "
         "trace) runs a seeded full-node repair; saved-run mode (.jsonl "
         "event trace) analyses an existing trace.",

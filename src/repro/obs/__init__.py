@@ -25,7 +25,7 @@ On top of those, run analysis:
 * :mod:`repro.obs.critpath` — the **attribution engine**: one pass
   digests a trace into the span DAG, rate profiles and cap timeline;
   one rule splits a flow's seconds into transfer / contention /
-  governor / stall / hedge; on top, **causal critical paths** recover
+  governor / stall; on top, **causal critical paths** recover
   the exact chain of intervals bounding each repair's makespan (tiling
   checked to 1e-9) and attribute its seconds per category and per
   tenant (``repro critpath``);
@@ -43,7 +43,7 @@ And the streaming telemetry plane (see ``docs/telemetry.md``):
   Prometheus text exposition;
 * :mod:`repro.obs.slo` — per-tenant **SLO burn-rate monitoring**
   (multi-window, Google SRE style) with alert hooks the QoS governor
-  and hedging health monitor consume;
+  consumes;
 * :mod:`repro.obs.promtext` — Prometheus exposition rendering;
 * :mod:`repro.obs.top` — the ``repro top`` live terminal dashboard.
 """

@@ -17,11 +17,11 @@ far from the oracle-optimal* ``B_min`` *did we land?* — as a per-flow
   bottleneck link;
 * run invariants, governor and fault summaries, and rendering.
 
-Every repair and hedge flow — finished or cancelled — has its duration
-``D`` split exactly (``D = transfer + contention + governor + stall +
-hedge``) by :func:`repro.obs.critpath.flow_categories` against the
-reference rate ``ref``: the oracle ``B_min`` when available, else the
-planner's claimed value stamped on the flow span at submit.  ``B / ref``
+Every repair flow — finished or cancelled — has its duration ``D``
+split exactly (``D = transfer + contention + governor + stall``) by
+:func:`repro.obs.critpath.flow_categories` against the reference rate
+``ref``: the oracle ``B_min`` when available, else the planner's
+claimed value stamped on the flow span at submit.  ``B / ref``
 (the time the transfer would take at the reference rate) stays derivable
 from ``bytes_per_edge`` and the two ``B_min`` fields.
 
@@ -80,18 +80,21 @@ class BottleneckLink:
     node: int
     direction: str  # "up" | "down"
     #: Mean utilization of the link while it was the binding constraint
-    #: (None when no samples covered the flow).
+    #: (None when no samples covered the flow: the link is then named
+    #: from the tree shape at submit).
     utilization: float | None
     #: Fraction of the repair's duration this link was the tightest.
     share: float
 
     def describe(self) -> str:
+        """The link, its share and where the name came from."""
         name = "uplink" if self.direction == "up" else "downlink"
-        util = (
-            "" if self.utilization is None
-            else f", util {self.utilization:.2f}"
+        source = (
+            "tree shape at submit: no sample in the flow"
+            if self.utilization is None
+            else f"util {self.utilization:.2f}"
         )
-        return f"node {self.node} {name} ({self.share:.0%} of time{util})"
+        return f"node {self.node} {name} ({self.share:.0%} of time, {source})"
 
     def to_dict(self) -> dict:
         return {
@@ -557,8 +560,8 @@ def _check_telemetry(telemetry: dict | None, anomalies: list[str]) -> None:
 
 
 def _is_repair(fields: dict) -> bool:
-    """Repair and hedge flows are diagnosed; foreground traffic is not."""
-    return fields.get("kind", "repair") in ("repair", "hedge")
+    """Repair flows are diagnosed; foreground traffic is not."""
+    return fields.get("kind", "repair") == "repair"
 
 
 def diagnose(
@@ -648,8 +651,7 @@ def diagnose(
         prefix = event.name.split(".", 1)[0]
         if prefix == "fault" or event.name in (
             "repair.detect", "repair.retry", "repair.replan",
-            "repair.failed", "health.straggler", "hedge.launch",
-            "hedge.adopt", "hedge.cancel",
+            "repair.failed",
         ):
             fault_counts[event.name] = fault_counts.get(event.name, 0) + 1
     return RunDiagnosis(

@@ -5,7 +5,7 @@ view of *where repair time went*:
 
 * :func:`build_spans` digests an event stream in one pass into a
   :class:`TraceIndex` — the span DAG, each flow's ``flow.rate_change``
-  profile, the governor cap timeline and the straggler verdicts;
+  profile and the governor cap timeline;
 * :func:`flow_categories` is the one rule that splits any
   ``[start, end]`` of a flow into seconds per category against a
   reference rate (see its docstring for the rule);
@@ -21,12 +21,12 @@ was each second of that chain?**
 Every repair executor opens a ``repair.task`` span when the repair is
 *handed to the orchestrator* (so scheduler queueing is inside the span)
 and closes it when the rebuilt chunk lands.  Everything the repair does
-— attempt flows, hedge flows, planning charges, retry backoffs, the
-pipeline-fill tail — is emitted as a child interval
-(``parent_id`` pointing at the task span) with ``links`` recording what
-each interval *followed from* (the previous attempt, the planning span,
-the racing primary).  The critical path of a repair is then recovered by
-a backward covering walk over its child intervals:
+— attempt flows, planning charges, retry backoffs, the pipeline-fill
+tail — is emitted as a child interval (``parent_id`` pointing at the
+task span) with ``links`` recording what each interval *followed from*
+(the previous attempt, the planning span).  The critical path of a
+repair is then recovered by a backward covering walk over its child
+intervals:
 
 * starting from the task's end, repeatedly extend backwards through the
   child interval that was active at the cursor (preferring explicit
@@ -57,7 +57,6 @@ The decomposition is *exact by category too*: per repair,
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -93,13 +92,13 @@ TILE_TOL = 1e-9
 #: The one vocabulary: category -> waterfall glyph, in render order.
 GLYPHS = {
     "transfer": "#", "contention": "~", "governor": "g", "stall": ".",
-    "queue": "q", "planning": "p", "pipeline": "=", "hedge": "h",
+    "queue": "q", "planning": "p", "pipeline": "=",
 }
 CATEGORIES = tuple(GLYPHS)
 
 #: What a flow's own seconds can be (the rule's outputs); the rest are
 #: gaps and explicit dependency spans, which only a critical path has.
-FLOW_CATEGORIES = ("transfer", "contention", "governor", "stall", "hedge")
+FLOW_CATEGORIES = ("transfer", "contention", "governor", "stall")
 
 #: Child spans that are explicit dependency intervals (not flows); the
 #: covering walk prefers them over flows when both cover an instant.
@@ -346,10 +345,6 @@ class TraceIndex:
     rates: dict[int, list[tuple[float, float]]] = field(default_factory=dict)
     #: Governor cap step function: (t, cap or None when uncapped).
     caps: list[tuple[float, float | None]] = field(default_factory=list)
-    #: (repair.task span id, simulator task id) -> ``since`` of the
-    #: straggler verdict on that primary flow: when the detector's first
-    #: bad progress window opened.
-    stragglers: dict[tuple, float] = field(default_factory=dict)
     #: parent span id -> child spans.
     children: dict[int, list[Span]] = field(default_factory=dict)
 
@@ -401,9 +396,6 @@ def build_spans(events: Sequence) -> TraceIndex:
             index.caps.append(
                 (event.t, None if cap is None or cap < 0 else cap)
             )
-        elif event.name == "health.straggler":
-            key = (event.parent_id, event.fields.get("task"))
-            index.stragglers[key] = float(event.fields.get("since", event.t))
     index.unclosed = list(opened.values())
     for span in index.spans.values():
         if span.parent_id is not None:
@@ -565,15 +557,12 @@ def flow_categories(
 
     The one rule both views apply; ``ref`` is the rate the flow is
     measured against (the stamped ``bmin`` on the critical path, the
-    oracle ``B_min`` in ``diagnose``).  The rate profile is cut at the
-    edges of the repair's other flows and at the straggler verdict's
-    ``since``.  Near-zero rate is ``stall``; time at or above ``ref`` is
-    ``transfer``; below it, the fraction ``r / ref`` of each dt is
-    ``transfer`` and the rest is lost to ``hedge`` while a sibling flow
-    of the same repair is live (primary and hedge racing), to ``stall``
-    once the detector's bad window opened, to ``governor`` when the rate
-    sat at the QoS cap, else to ``contention``.  Every dt lands in the
-    tallies exactly once, so the values sum to ``end - start``.
+    oracle ``B_min`` in ``diagnose``).  Near-zero rate is ``stall``;
+    time at or above ``ref`` is ``transfer``; below it, the fraction
+    ``r / ref`` of each dt is ``transfer`` and the rest is lost to
+    ``governor`` when the rate sat at the QoS cap, else to
+    ``contention``.  Every dt lands in the tallies exactly once, so the
+    values sum to ``end - start``.
 
     ``contenders`` are the flows — foreground tenants' and other
     repairs' — charged in ``blame_out`` for contention seconds when they
@@ -584,53 +573,36 @@ def flow_categories(
         # No rate profile recorded (e.g. a trimmed trace): the whole
         # interval is transfer time — never misread silence as a stall.
         return {"transfer": end - start}
-    siblings = [
-        other for other in index.flows_of(flow.parent_id)
-        if other.span_id != flow.span_id
-    ]
-    since = index.stragglers.get(
-        (flow.parent_id, flow.fields.get("task")), math.inf
-    )
-    cuts = sorted(
-        {since}.union(*((other.start, other.end) for other in siblings))
-    )
     resources = flow_resources(flow.fields.get("edges", []))
     out: dict[str, float] = {}
     for s0, e0, rate in rate_profile(flow, rates):
-        lo, hi = max(s0, start), min(e0, end)
-        points = [lo] + [cut for cut in cuts if lo < cut < hi] + [hi]
-        for s, e in zip(points, points[1:]):
-            dt = e - s
-            if dt <= 0:
-                continue
-            if rate <= _STALL_EPS:
-                out["stall"] = out.get("stall", 0.0) + dt
-                continue
-            if ref is None or rate >= ref:
-                out["transfer"] = out.get("transfer", 0.0) + dt
-                continue
-            carried = dt * rate / ref
-            excess = dt - carried
-            out["transfer"] = out.get("transfer", 0.0) + carried
-            if any(other.start <= s and other.end >= e for other in siblings):
-                bucket = "hedge"
-            elif s >= since:
-                bucket = "stall"
-            else:
-                cap = cap_at(index.caps, s)
-                at_cap = cap is not None and rate >= cap * (1 - _CAP_TOL)
-                bucket = "governor" if at_cap else "contention"
-            out[bucket] = out.get(bucket, 0.0) + excess
-            if bucket == "contention" and excess > 0 and blame_out is not None:
-                blamed = []
-                if contenders is not None:
-                    blamed = contenders.blamed(flow, resources, s, e)
-                for tenant in blamed or ["(unattributed)"]:
-                    blame_out[tenant] = (
-                        blame_out.get(tenant, 0.0) + excess / max(
-                            len(blamed), 1
-                        )
+        s, e = max(s0, start), min(e0, end)
+        dt = e - s
+        if dt <= 0:
+            continue
+        if rate <= _STALL_EPS:
+            out["stall"] = out.get("stall", 0.0) + dt
+            continue
+        if ref is None or rate >= ref:
+            out["transfer"] = out.get("transfer", 0.0) + dt
+            continue
+        carried = dt * rate / ref
+        excess = dt - carried
+        out["transfer"] = out.get("transfer", 0.0) + carried
+        cap = cap_at(index.caps, s)
+        at_cap = cap is not None and rate >= cap * (1 - _CAP_TOL)
+        bucket = "governor" if at_cap else "contention"
+        out[bucket] = out.get(bucket, 0.0) + excess
+        if bucket == "contention" and excess > 0 and blame_out is not None:
+            blamed = []
+            if contenders is not None:
+                blamed = contenders.blamed(flow, resources, s, e)
+            for tenant in blamed or ["(unattributed)"]:
+                blame_out[tenant] = (
+                    blame_out.get(tenant, 0.0) + excess / max(
+                        len(blamed), 1
                     )
+                )
     return out
 
 

@@ -8,8 +8,8 @@
   microseconds; every tracer track becomes one named thread (node tracks
   first, then planner/scheduler/etc.), spans become complete (``X``)
   events, instants become ``i`` events, and causal links
-  (``parent_id`` / ``links`` / ``span.link``) become flow arrow
-  (``s``/``f``) pairs so Perfetto draws the span DAG.
+  (``parent_id`` / ``links``) become flow arrow (``s``/``f``) pairs so
+  Perfetto draws the span DAG.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def to_chrome_trace(
     tracks in Perfetto above the flow timeline.  ``registry`` (a
     :class:`~repro.obs.metrics.MetricsRegistry`) adds one final counter
     event per **labeled** counter family — the run-total value of each
-    label set (e.g. ``hedge_events`` split by ``kind``).  Both inputs
+    label set (e.g. ``fg_requests`` split by ``tenant``).  Both inputs
     are optional and may be empty; the trace stays well-formed either
     way.
     """
@@ -194,10 +194,9 @@ def _flow_arrows(
     Each causal edge becomes a matched ``ph: "s"`` (start, on the source
     span's track, clamped into its interval so Perfetto can bind it to
     the enclosing slice) / ``ph: "f"`` (finish, ``bp: "e"``, at the
-    destination's begin) pair sharing a unique ``id``.  Three edge kinds
-    are rendered: span → child-span nesting (``parent_id``),
-    *follows-from* links recorded at ``begin`` time (``links``), and
-    late links recorded by ``span.link`` instants (e.g. hedge adoption).
+    destination's begin) pair sharing a unique ``id``.  Two edge kinds
+    are rendered: span → child-span nesting (``parent_id``) and
+    *follows-from* links recorded at ``begin`` time (``links``).
     """
     spans: dict[int, tuple[str, float, float]] = {}
     for event in events:
@@ -234,11 +233,6 @@ def _flow_arrows(
                 arrow("causal.parent", event.parent_id, event.t, event.track)
             for src in event.links:
                 arrow("causal.follows", src, event.t, event.track)
-        elif event.kind == "instant" and event.name == "span.link":
-            src = event.fields.get("from_span")
-            dst = event.fields.get("to_span")
-            if src in spans and dst in spans:
-                arrow("causal.link", src, event.t, spans[dst][0])
     return out
 
 

@@ -8,14 +8,15 @@ nested ``per_node_*`` maps for convenient consumption.
 
 Metrics may also carry **label sets** (Prometheus-style families)::
 
-    registry.counter("repair_bytes", node=7, kind="hedge").inc(n)
+    registry.counter("repair_bytes", node=7, kind="foreground").inc(n)
 
 Each distinct label set of a family is its own child metric.  The
 unlabeled API is the degenerate case (empty label set), so existing call
 sites and the :meth:`MetricsRegistry.snapshot` schema are unchanged:
 labeled children appear in the same flat sections under their canonical
-rendered name (``repair_bytes{kind="hedge",node="7"}``, keys sorted) and
-additionally under a ``families`` map that keeps the labels structured.
+rendered name (``repair_bytes{kind="foreground",node="7"}``, keys
+sorted) and additionally under a ``families`` map that keeps the labels
+structured.
 
 A labeled look-up canonicalises its label set (stringify, sort, render)
 once per call shape: the registry remembers which child each shape

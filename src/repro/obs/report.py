@@ -12,7 +12,7 @@ Three panels:
   sample time on the x axis, cell colour from cool (idle) to hot
   (saturated);
 * **repair waterfall** — one bar per diagnosed repair, segmented by
-  attributed cause (transfer / contention / governor / stall / hedge);
+  attributed cause (transfer / contention / governor / stall);
 * **governor timeline** — the repair rate cap as a step function over
   the run, with uncapped intervals left blank.
 
@@ -37,7 +37,7 @@ __all__ = ["render_html_report"]
 _COMPONENT_COLOURS = tuple(
     zip(
         FLOW_CATEGORIES,
-        ("#4c9f70", "#e0a83c", "#7d6fb3", "#c0504d", "#5b8fd6"),
+        ("#4c9f70", "#e0a83c", "#7d6fb3", "#c0504d"),
         strict=True,
     )
 )

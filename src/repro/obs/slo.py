@@ -21,8 +21,7 @@ Two objective kinds:
 
 Transitions emit ``slo.alert`` / ``slo.resolve`` tracer events (track
 ``slo``) and invoke subscribed hooks — the AIMD repair governor backs
-off on a firing latency SLO, and the hedging health monitor tightens its
-grace under SLO pressure.  Everything runs on simulated time, so a
+off on a firing latency SLO.  Everything runs on simulated time, so a
 seeded run fires its alerts at byte-identical timestamps.
 """
 

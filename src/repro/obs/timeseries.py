@@ -3,8 +3,8 @@
 The flight recorder (:mod:`repro.obs.sampler`) produces aligned samples;
 this module stores them — and any other instrumented feed (the loadgen
 engine's per-tenant latencies, the QoS governor's cap decisions, the
-resilience health monitor's progress ratios, the orchestrators' repair
-progress) — as **labeled time series** addressable by name + label set::
+orchestrators' repair progress) — as **labeled time series**
+addressable by name + label set::
 
     tsdb.record("link_utilization", t=12.5, value=0.83, node=7,
                 direction="up")

@@ -23,11 +23,8 @@ EVENT_PREFIXES = (
     "repair",
     "governor",
     "journal",
-    "health",
-    "hedge",
     "slo",
     "lifetime",
-    "span",
     "slice",
     "critpath",
     "plane",

@@ -516,6 +516,37 @@ class TestExplainCommands:
         assert "B_min" in out
         assert "waterfall" in out
 
+    def test_bottleneck_names_where_its_name_came_from(
+        self, tmp_path, capsys
+    ):
+        # ROADMAP item 26's scenario: one 35 ms repair.  At the default
+        # interval the flight recorder's one sample (t = 0) falls before
+        # the flow, so the link is named from the tree shape at submit;
+        # a finer grid samples it.
+        trace = tmp_path / "t.npz"
+        assert main([
+            "trace", "generate", "--workload", "TPC-DS", "--duration",
+            "600", "--seed", "0", "--out", str(trace),
+        ]) == 0
+        sources = {}
+        for interval in ("0.25", "0.001"):
+            capsys.readouterr()
+            assert main([
+                "explain", str(trace), *self.FAST,
+                "--sample-interval", interval,
+            ]) == 0
+            [line] = [
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("bottleneck: ")
+            ]
+            sources[interval] = line
+        assert sources == {
+            "0.25": "bottleneck: node 0 downlink (100% of time, "
+                    "tree shape at submit: no sample in the flow)",
+            "0.001": "bottleneck: node 0 downlink (100% of time, "
+                     "util 1.00)",
+        }
+
     def test_explain_json_payload(self, trace_file, capsys):
         code = main(["--json", "explain", str(trace_file), *self.FAST])
         assert code == 0
