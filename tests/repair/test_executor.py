@@ -191,7 +191,7 @@ class TestTelemetryIdentity:
             "p99.9",
         ]
         events = [counters[f"{prefix}_events"] for prefix in EVENT_PREFIXES]
-        assert len(events) == 16
+        assert len(events) == 13
         assert traced or not any(events)
         assert "families" not in telemetry
         for fold in ("bytes_up", "bytes_down"):
