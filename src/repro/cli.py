@@ -277,8 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Scenario mode (.npz workload trace): run a seeded "
         "full-node repair with the flight recorder on and attribute its "
         "time. Saved-run mode (.jsonl event trace): diagnose an existing "
-        "trace (without the network or samples: no oracle B_min and no "
-        "bottleneck link).",
+        "trace (without the network: no oracle B_min and no bottleneck "
+        "link).",
     )
     explain.set_defaults(handler=_cmd_explain)
     explain.add_argument(
@@ -969,8 +969,7 @@ def _explain_run(args, tracer) -> tuple:
         return diagnose(events), [], {"mode": "saved", "events": len(events)}
     live, sampler, result, meta = _run_observed(args, tracer)
     diagnosis = diagnose(
-        tracer.events, network=live.network,
-        telemetry=result.telemetry, sampler=sampler,
+        tracer.events, network=live.network, telemetry=result.telemetry
     )
     return diagnosis, list(sampler.samples), meta
 

@@ -142,13 +142,6 @@ class RepairTree:
     # ------------------------------------------------------------------
     # Bandwidth (Lemma 1)
     # ------------------------------------------------------------------
-    def node_bottleneck(self, snapshot: BandwidthSnapshot, node: int) -> float:
-        """This node's contribution to B_min under the snapshot."""
-        kids = self.children(node)
-        if node not in snapshot.up:
-            raise PlanningError(f"node {node} not in snapshot")
-        return self._bottleneck(snapshot.up, snapshot.down, node, kids)
-
     def _bottleneck(self, up, down, node: int, kids: list[int]) -> float:
         if node == self.root:
             if not kids:

@@ -219,7 +219,8 @@ def repair_full_node(
     decision point to throttle repair for foreground QoS.  Both default
     to None, which leaves the repair-only path unchanged.  ``sampler``
     (a :class:`~repro.obs.FlightRecorder`) records aligned utilization
-    time series for post-run diagnosis (:mod:`repro.obs.analysis`).
+    time series for dashboards and counter tracks; diagnosis
+    (:mod:`repro.obs.analysis`) reads the trace, not the samples.
 
     ``journal`` (a :class:`~repro.resilience.RepairJournal`) makes the run
     resumable: per-stripe start/progress/done records are appended as the

@@ -34,9 +34,14 @@ def random_snapshot(node_count, seed, low=1, high=1000):
 
 
 def min_nonleaf_bandwidth(tree: RepairTree, view: BandwidthSnapshot) -> float:
-    """min{S_nl} of Lemma 2: the non-leaf terms of B_min."""
-    nodes = [tree.root, *tree.non_leaf_helpers()]
-    return min(tree.node_bottleneck(view, node) for node in nodes)
+    """min{S_nl} of Lemma 2: the non-leaf terms of B_min (Lemma 1: the
+    root's downlink split among its children, a non-leaf helper's
+    uplink or split downlink, whichever is smaller)."""
+    root = tree.root
+    return min([view.down[root] / tree.child_count(root)] + [
+        min(view.up[node], view.down[node] / tree.child_count(node))
+        for node in tree.non_leaf_helpers()
+    ])
 
 
 class TestLemma2InsertingOptimality:

@@ -103,14 +103,13 @@ class TestBmin:
         assert tree.bmin(view) == 100
 
     def test_non_leaf_helper_downlink_split(self):
-        view = snap(
-            {0: 1000, 1: 500, 2: 1000, 3: 1000},
-            {0: 1000, 1: 300, 2: 1000, 3: 1000},
-        )
         tree = RepairTree(0, {1: 0, 2: 1, 3: 1})
-        # Node 1 has 2 children: min(up=500, 300/2=150) = 150.
-        assert tree.node_bottleneck(view, 1) == pytest.approx(150)
-        assert tree.bmin(view) == pytest.approx(150)
+        ups = {0: 1000, 1: 500, 2: 1000, 3: 1000}
+        # Node 1 has 2 children: min(up=500, down/2), the only term
+        # below 1000: its split downlink binds at 300, its uplink at 1200.
+        for down1, term in ((300, 150), (1200, 500)):
+            view = snap(ups, {0: 1000, 1: down1, 2: 1000, 3: 1000})
+            assert tree.bmin(view) == pytest.approx(term)
 
     def test_paper_figure4_final_tree_bmin(self):
         """The final tree of Figure 4 achieves B_min = 450 Mb/s."""
@@ -121,8 +120,9 @@ class TestBmin:
         assert tree.bmin(view) == pytest.approx(450)
 
     def test_childless_root_rejected_in_bottleneck(self):
-        tree = RepairTree(0, {1: 0})
         view = snap({0: 1, 1: 1}, {0: 1, 1: 1})
-        # Construct a degenerate query directly.
-        with pytest.raises(PlanningError):
-            tree.node_bottleneck(view, 9)
+        with pytest.raises(PlanningError, match="at least one child"):
+            RepairTree(0, {}).bmin(view)
+        # A tree node the snapshot does not know is no bandwidth of 0.
+        with pytest.raises(PlanningError, match="not in snapshot"):
+            RepairTree(0, {1: 0, 9: 1}).bmin(view)

@@ -56,7 +56,7 @@ from repro.loadgen import (
     make_governor,
 )
 from repro.network.topology import StarNetwork
-from repro.obs import FlightRecorder, Tracer, critical_paths, diagnose
+from repro.obs import Tracer, critical_paths, diagnose
 from repro.repair import repair_full_node, repair_full_node_adaptive
 from repro.repair.pipeline import ExecutionConfig
 from tests.recorded import Recorded, load
@@ -79,20 +79,18 @@ def star():
 
 
 def traced(driver, chunks, **run_args):
-    """Fig. 7 shape on the generated TPC-DS trace, sampled, with oracle."""
+    """Fig. 7 shape on the generated TPC-DS trace, with oracle."""
     trace = trace_generators.generate_all(16, 240, seed=3000)["TPC-DS"]
     failed = int(np.argmax(trace.used_node_bandwidth().mean(axis=1)))
     network = trace.to_network(floor=1e6)
     tracer = Tracer()
-    sampler = FlightRecorder(interval=0.25, capacity=65536)
     result = driver(
         pinned(), network,
         stripes_with_failures(CODE, failed, 16, seed=11, count=chunks),
-        failed, start_time=60.0, tracer=tracer, sampler=sampler, **run_args,
+        failed, start_time=60.0, tracer=tracer, **run_args,
     )
     return tracer.events, {
-        "network": network, "sampler": sampler,
-        "telemetry": result.telemetry,
+        "network": network, "telemetry": result.telemetry,
     }
 
 

@@ -150,7 +150,6 @@ class TestSampledDeterminism:
             tracer.events,
             network=network,
             telemetry=result.telemetry,
-            sampler=sampler,
         )
         return result, sampler, diagnosis
 

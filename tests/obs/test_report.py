@@ -34,7 +34,7 @@ def diagnosed_run():
         tracer=tracer, sampler=sampler,
     )
     samples = list(sampler.samples)
-    return diagnose(tracer.events, network=network, sampler=sampler), samples
+    return diagnose(tracer.events, network=network), samples
 
 
 class TestHtmlReport:
