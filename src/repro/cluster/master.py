@@ -10,6 +10,11 @@ propagating coefficient-scaled partial results up the repair tree, so tests
 can assert the rebuilt payload equals the original.  Timing questions live
 in :mod:`repro.repair`; this module answers correctness questions.
 
+Every chunk the cluster stores or hands out is read-only (the ownership
+rule of :mod:`repro.cluster.node`).  A written data buffer is shared with
+storage, not copied, and frozen; reads, rebuilt payloads and degraded
+reads are read-only arrays.  Copy one to modify it.
+
 Under faults the cluster executes and never decides: retries, backoff,
 resume points and the order of a full-node repair belong to the one
 attempt machine (:class:`repro.repair.StripeRepairMaster`), and the bytes
@@ -25,6 +30,7 @@ import numpy as np
 
 from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.core.plan import RepairPlan, RepairPlanner
+from repro.core.tree import RepairTree
 from repro.ec.chunk import ChunkId
 from repro.ec.reed_solomon import RSCode
 from repro.ec.stripe import Stripe, place_stripes
@@ -65,7 +71,13 @@ class Cluster:
         data_chunks: Sequence[np.ndarray],
         rng: np.random.Generator,
     ) -> Stripe:
-        """Encode k data chunks and place the stripe on random nodes."""
+        """Encode k data chunks and place the stripe on random nodes.
+
+        The code is systematic, so each data chunk is stored as the
+        caller's own buffer, frozen in place: a later write through the
+        caller's handle raises ``ValueError``.  :mod:`repro.cluster.node`
+        says which buffers are copied once instead.
+        """
         stripe_id = len(self.stripes)
         [stripe] = place_stripes(
             1, self.code, self.node_count, rng, start_id=stripe_id
@@ -140,7 +152,7 @@ class Cluster:
         """Plan and execute one single-chunk repair through the tree.
 
         Returns the plan and the rebuilt payload, which is also stored on
-        the requestor node.
+        the requestor node: it is the stored, read-only array.
         """
         failed_node = stripe.placement[lost_index]
         candidates = [
@@ -165,12 +177,16 @@ class Cluster:
         Decouples the byte-accurate reconstruction from planning so
         fault-aware callers (which may re-plan mid-repair against a
         different helper set) can verify any tree they ended up with.
-        Nothing is stored or relocated — see :meth:`adopt_repair`.
+        Nothing is stored or relocated — see :meth:`adopt_repair`.  The
+        payload is a fresh array, returned read-only like every chunk.
         """
         by_node = self._coefficients_by_node(stripe, lost_index, plan)
         if plan.is_pipelined:
-            return self._aggregate_tree(plan, stripe, by_node)
-        return self._aggregate_staged(plan, stripe, by_node)
+            payload = self._aggregate_tree(plan, stripe, by_node)
+        else:
+            payload = self._aggregate_staged(plan, stripe, by_node)
+        payload.flags.writeable = False
+        return payload
 
     def rebuild_slice_range(
         self,
@@ -204,9 +220,11 @@ class Cluster:
             raise ClusterError("slice_size must be positive")
         by_node = self._coefficients_by_node(stripe, lost_index, plan)
         byte_range = (start_slice * slice_size, end_slice * slice_size)
-        return self._aggregate_tree(
+        payload = self._aggregate_tree(
             plan, stripe, by_node, byte_range=byte_range
         )
+        payload.flags.writeable = False
+        return payload
 
     def adopt_repair(
         self,
@@ -218,7 +236,10 @@ class Cluster:
         scheme: str | None = None,
         helpers: Sequence[int] | None = None,
     ) -> None:
-        """Store a rebuilt chunk on the requestor and update placement."""
+        """Store a rebuilt chunk on the requestor and update placement.
+
+        ``payload`` is stored as given and frozen, like a written chunk.
+        """
         self._node(requestor).store(stripe.chunk_id(lost_index), payload)
         stripe.relocate(lost_index, requestor)
         if self.tracer.enabled:
@@ -297,6 +318,8 @@ class Cluster:
         The hot-storage motivation: a client read hits a transiently failed
         node and the chunk is reconstructed on the fly at the client, via
         the same pipelined repair tree (the client plays the requestor).
+        Either way the payload is read-only: a live holder's stored chunk
+        or a rebuilt one.
         """
         holder = stripe.placement[chunk_index]
         if self._node(holder).alive and self._node(holder).has(
@@ -334,40 +357,60 @@ class Cluster:
     ) -> np.ndarray:
         """Bottom-up aggregation along the repair tree (Property 2)."""
         tree = plan.tree
-
-        def aggregate(node: int) -> np.ndarray:
-            child_results = [
-                aggregate(child) for child in tree.children(node)
-            ]
-            if node not in coefficients:
-                # A forwarder (e.g. SMFRepair's idle relays): it stores no
-                # chunk of the stripe and only XOR-merges its children's
-                # partial results before passing them on.
-                if not child_results:
-                    raise ClusterError(
-                        f"node {node} has no chunk and nothing to forward"
-                    )
-                if not self._node(node).alive:
-                    raise ClusterError(f"forwarder {node} is down")
-                # Every partial result is a fresh array this call owns,
-                # so children are merged in place, never copied.
-                merged = child_results[0]
-                for extra in child_results[1:]:
-                    merged ^= extra
-                return merged
-            chunk_index = stripe.chunk_on_node(node)
-            return self._node(node).partial_result(
-                stripe.chunk_id(chunk_index),
-                coefficients[node],
-                child_results,
-                byte_range=byte_range,
+        partials = [
+            self._aggregate_subtree(
+                tree, child, stripe, coefficients, byte_range
             )
-
-        partials = [aggregate(child) for child in tree.children(tree.root)]
+            for child in tree.children(tree.root)
+        ]
         result = partials[0]
         for partial in partials[1:]:
             result ^= partial
         return result
+
+    def _aggregate_subtree(
+        self,
+        tree: RepairTree,
+        node: int,
+        stripe: Stripe,
+        coefficients: dict[int, int],
+        byte_range: tuple[int, int] | None,
+    ) -> np.ndarray:
+        """The partial result ``node`` forwards to its parent.
+
+        A method rather than a nested closure: a closure that calls itself
+        holds its own cell, a reference cycle that would keep the cluster
+        and every stored chunk alive until the cyclic collector ran.
+        """
+        child_results = [
+            self._aggregate_subtree(
+                tree, child, stripe, coefficients, byte_range
+            )
+            for child in tree.children(node)
+        ]
+        if node not in coefficients:
+            # A forwarder (e.g. SMFRepair's idle relays): it stores no
+            # chunk of the stripe and only XOR-merges its children's
+            # partial results before passing them on.
+            if not child_results:
+                raise ClusterError(
+                    f"node {node} has no chunk and nothing to forward"
+                )
+            if not self._node(node).alive:
+                raise ClusterError(f"forwarder {node} is down")
+            # Every partial result is a fresh array this call owns, so
+            # children are merged in place, never copied.
+            merged = child_results[0]
+            for extra in child_results[1:]:
+                merged ^= extra
+            return merged
+        chunk_index = stripe.chunk_on_node(node)
+        return self._node(node).partial_result(
+            stripe.chunk_id(chunk_index),
+            coefficients[node],
+            child_results,
+            byte_range=byte_range,
+        )
 
     def _aggregate_staged(
         self, plan: RepairPlan, stripe: Stripe, coefficients: dict[int, int]

@@ -4,6 +4,15 @@ A :class:`DataNode` mirrors the paper's prototype Data-Node role: it holds
 coded chunks and, during a pipelined repair, multiplies its chunk by its
 decoding coefficient and XOR-aggregates the partial results received from
 its children before forwarding upstream (Section II-B).
+
+Stored chunks are read-only.  :meth:`DataNode.store` keeps the array it
+is given and freezes it in place (``flags.writeable = False``) when the
+array owns its memory, so a write through the caller's handle raises
+``ValueError`` instead of changing what the node holds.  A view, whose
+base someone else may still write, or an array that is not C-contiguous
+is copied once.  Views taken of a buffer before it was stored keep their
+own writeable flag: numpy cannot reach them.  :meth:`DataNode.read` hands
+out the stored array itself.
 """
 
 from __future__ import annotations
@@ -32,13 +41,19 @@ class DataNode:
     # Storage
     # ------------------------------------------------------------------
     def store(self, chunk_id: ChunkId, payload: np.ndarray) -> None:
+        """Keep ``payload`` as a read-only chunk; see the module docstring."""
         self._require_alive()
         try:
-            self._chunks[chunk_id] = self.field.as_words(payload)
+            words = self.field.as_words(payload)
         except GaloisFieldError as exc:
             raise ClusterError(f"cannot store {chunk_id}: {exc}") from None
+        if not (words.flags.owndata and words.flags.c_contiguous):
+            words = np.array(words, order="C")
+        words.flags.writeable = False
+        self._chunks[chunk_id] = words
 
     def read(self, chunk_id: ChunkId) -> np.ndarray:
+        """The stored (read-only) chunk; copy it to modify it."""
         self._require_alive()
         try:
             return self._chunks[chunk_id]

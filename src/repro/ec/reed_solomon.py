@@ -63,8 +63,11 @@ class RSCode:
     def encode(self, data_chunks: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Encode ``k`` equal-size data buffers into ``n`` coded chunks.
 
-        Returns the full stripe: the k data chunks (copies) followed by the
-        n - k parity chunks.
+        Returns the full stripe: the k data chunks followed by the n - k
+        parity chunks.  The code is systematic, so the data chunks are the
+        buffers themselves as :meth:`GaloisField.as_words` gives them: one
+        that already has the field's dtype is returned uncopied.  Only the
+        parity chunks are fresh arrays.
         """
         if len(data_chunks) != self.k:
             raise CodingError(
@@ -74,7 +77,7 @@ class RSCode:
         sizes = {c.shape for c in chunks}
         if len(sizes) != 1:
             raise CodingError(f"data chunks differ in shape: {sorted(sizes)}")
-        stripe = [c.copy() for c in chunks]
+        stripe = list(chunks)
         for parity_row in self._generator[self.k :]:
             stripe.append(self.field.linear_combination(parity_row, chunks))
         return stripe

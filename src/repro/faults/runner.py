@@ -37,10 +37,11 @@ def rebuilt_payload(
     own tree, so the stitched payload reproduces byte-for-byte what each
     tree delivered.  Ranges that do not tile the chunk raise
     :class:`ClusterError`.  An ``execute_plan`` result has no segments.
+    Like every rebuilt chunk, the payload is read-only.
     """
     if not result.segments:
         return cluster.rebuild_from_plan(stripe, lost_index, result.plan)
-    return np.concatenate([
+    payload = np.concatenate([
         cluster.rebuild_slice_range(
             stripe, lost_index, plan, first, end, config.slice_size
         )
@@ -48,6 +49,8 @@ def rebuilt_payload(
             result.segments, config.slices, stripe.stripe_id
         )
     ])
+    payload.flags.writeable = False
+    return payload
 
 
 def adopt_result(

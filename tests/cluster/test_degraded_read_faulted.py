@@ -111,6 +111,7 @@ class TestDegradedReadFaulted:
         assert victim in first.helpers and last is result.plan
         assert resumed_at > 0
         np.testing.assert_array_equal(payload, coded[0])
+        assert not payload.flags.writeable  # stitched, read-only all the same
 
     def test_fault_free_read_takes_one_attempt(self):
         cluster, stripe, coded = make_cluster()
