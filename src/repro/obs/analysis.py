@@ -80,7 +80,8 @@ class BottleneckLink:
     #: Time-weighted mean utilization of the link while it was the
     #: flow's tightest.
     utilization: float
-    #: Fraction of the repair's duration this link was the tightest.
+    #: Fraction of the repair's duration this link was the tightest
+    #: (run-wide: of the seconds some link held a repair).
     share: float
 
     def describe(self) -> str:
@@ -121,6 +122,9 @@ class RepairDiagnosis:
     #: ``duration``.
     components: dict[str, float] = field(default_factory=dict)
     bottleneck: BottleneckLink | None = None
+    #: Seconds some link held the flow: those it moved in, once a
+    #: bottleneck link is named (0.0 otherwise).
+    held_seconds: float = 0.0
     anomalies: list[str] = field(default_factory=list)
 
     @property
@@ -187,26 +191,31 @@ class RunDiagnosis:
 
     @property
     def top_bottleneck(self) -> BottleneckLink | None:
-        """The link that bottlenecked the most repair time, run-wide."""
+        """The link that bottlenecked the most repair time, run-wide.
+
+        Its utilization is weighted by the seconds each repair held it,
+        and its share counts only seconds some link held: a cancelled
+        flow's seconds at rate 0 belong to no link.
+        """
         if not self.bottleneck_seconds:
             return None
         (direction, node), seconds = max(
             self.bottleneck_seconds.items(),
             key=lambda kv: (kv[1], -kv[0][1]),
         )
-        total = sum(d.duration for d in self.repairs) or 1.0
-        utils = [
-            d.bottleneck.utilization
+        held = sum(d.held_seconds for d in self.repairs) or 1.0
+        util_seconds = sum(
+            d.bottleneck.utilization * d.bottleneck.share * d.duration
             for d in self.repairs
             if d.bottleneck is not None
             and (d.bottleneck.direction, d.bottleneck.node)
             == (direction, node)
-        ]
+        )
         return BottleneckLink(
             node=node,
             direction=direction,
-            utilization=sum(utils) / len(utils),
-            share=seconds / total,
+            utilization=util_seconds / seconds,
+            share=seconds / held,
         )
 
     def to_dict(self) -> dict:
@@ -396,8 +405,11 @@ def _rate_at(profile, t: float) -> float:
     return profile[i][2] if i >= 0 and t < profile[i][1] else 0.0
 
 
-def _bottleneck(flow: Span, profile, loads, network) -> BottleneckLink | None:
-    """The flow's tightest link, integrated over exact windows.
+def _bottleneck(
+    flow: Span, profile, loads, network
+) -> tuple[BottleneckLink | None, float]:
+    """The flow's tightest link, integrated over exact windows, and the
+    seconds some link held it.
 
     The flow is cut at every change point of the traced flows sharing
     one of its links and at every capacity breakpoint, so every load
@@ -448,14 +460,14 @@ def _bottleneck(flow: Span, profile, loads, network) -> BottleneckLink | None:
             util_seconds.get(best, 0.0) + best_util * (end - start)
         )
     if not held:
-        return None
+        return None, 0.0
     winner = min(held, key=lambda link: (-held[link], link[1], link[0]))
     return BottleneckLink(
         node=winner[1],
         direction=winner[0],
         utilization=util_seconds[winner] / held[winner],
         share=held[winner] / flow.duration,
-    )
+    ), sum(held.values())
 
 
 # ----------------------------------------------------------------------
@@ -489,9 +501,9 @@ def _diagnose_flow(
         components = flow_categories(
             index, flow, flow.start, flow.end, ref_rate
         )
-    bottleneck = None
+    bottleneck, held_seconds = None, 0.0
     if network is not None and rates and pipelined:
-        bottleneck = _bottleneck(flow, profile, loads, network)
+        bottleneck, held_seconds = _bottleneck(flow, profile, loads, network)
     anomalies = []
     # Beating the *claimed* B_min is legal when competitors finished
     # mid-flight (the claim is made against residual bandwidth at plan
@@ -541,6 +553,7 @@ def _diagnose_flow(
         reference=reference,
         components=components,
         bottleneck=bottleneck,
+        held_seconds=held_seconds,
         anomalies=anomalies,
     )
 

@@ -283,6 +283,35 @@ class TestBottleneckNaming:
         assert flow.bottleneck.share == pytest.approx(0.6)
         assert flow.bottleneck.utilization == pytest.approx(0.5)
 
+    def test_run_wide_share_counts_only_held_seconds(self):
+        # The 4 s at rate 0 belong to no link, so node 0's downlink held
+        # all of the run's held seconds though only 60 % of its duration.
+        run = self.diagnosed(rates=((0.0, 40.0), (6.0, 0.0)))
+        [flow] = run.repairs
+        assert flow.held_seconds == pytest.approx(6.0)
+        top = run.top_bottleneck
+        assert (top.direction, top.node) == ("down", 0)
+        assert top.share == pytest.approx(1.0)
+
+    def test_run_wide_utilization_is_weighted_by_held_seconds(self):
+        # Node 0's downlink holds both repairs: the chain at 40 (util
+        # 0.5) for 10 s, a lone edge 3 -> 0 at 72 (util 0.9) for 1 s.
+        tracer = Tracer()
+        synthetic_flow(tracer, rates=((0.0, 40.0),))
+        synthetic_flow(
+            tracer, task=2, submit=20.0, finish=21.0, rates=((20.0, 72.0),),
+            edges=((3, 0),), label="short",
+        )
+        network = StarNetwork.constant(self.UPS, self.DOWNS)
+        run = diagnose(tracer.events, network=network)
+        assert [d.bottleneck.utilization for d in run.repairs] == [
+            pytest.approx(0.5), pytest.approx(0.9),
+        ]
+        top = run.top_bottleneck
+        assert (top.direction, top.node) == ("down", 0)
+        assert top.utilization == pytest.approx((0.5 * 10 + 0.9 * 1) / 11)
+        assert top.share == pytest.approx(1.0)
+
     def test_no_network_names_no_link(self):
         tracer = Tracer()
         synthetic_flow(tracer)
